@@ -9,10 +9,13 @@ the learned mean enters directly, ``u = -f_L - C(s)(sigma_hat - k_g r)``,
 where ``f_L`` follows the learned model through a first-order lag whose
 bandwidth rises as the published error bound shrinks.
 
-All filters are discretized exactly per tick (pole mapping
-``alpha = exp(-omega dt)``); with ``omega_c T_s = 0.08`` a forward-Euler
-filter would be visibly lossy. The adaptation gain is precomputed once
-per configuration.
+Every linear update is discretized exactly per tick. The filters use the
+pole mapping ``alpha = exp(-omega dt)``; with ``omega_c T_s = 0.08`` a
+forward-Euler filter would be visibly lossy. The state predictor uses the
+zero-order-hold map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m drive``,
+the same sampled-data map the adaptation gain
+``-pinv(B_m) Phi(T_s)^{-1} exp(A_m T_s)`` is derived from. Both matrices and
+the gain are precomputed once per configuration.
 """
 
 from __future__ import annotations
@@ -63,13 +66,6 @@ def feedforward_gain(A_m: np.ndarray, B_m: np.ndarray, C_m: np.ndarray) -> np.nd
     if not np.allclose(dc, np.eye(dc.shape[0]), atol=1e-10):
         raise ConfigurationError("DC-gain identity failed for computed k_g")
     return kg
-
-
-def _pseudo_inverse(B: np.ndarray) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] == B.shape[1]:
-        return np.linalg.inv(B)
-    return np.linalg.solve(B.T @ B, B.T)
 
 
 @dataclass
@@ -123,27 +119,30 @@ class ControllerConfig:
 
 @dataclass
 class PrecomputedAdaptation:
-    """Matrices of the sampled adaptation law, built once per (A_m, B_m, T_s).
+    """Matrices of the sampled predictor and adaptation law, built once per
+    (A_m, B_m, T_s).
 
-    ``gain @ xtilde`` reproduces ``-pinv(B_m) inv(Phi(T_s)) exp(A_m T_s)
-    xtilde``; the composition is spot-checked against the factored formula
-    at construction.
+    ``expAT`` and ``phi`` are ``exp(A_m T_s)`` and ``Phi(T_s)``, the
+    predictor's exact map over one tick. ``gain @ xtilde`` reproduces
+    ``-pinv(B_m) inv(Phi(T_s)) exp(A_m T_s) xtilde``; the composition is
+    spot-checked against the factored formula at construction.
     """
 
     expAT: np.ndarray
+    phi: np.ndarray
     gain: np.ndarray
 
     @classmethod
     def from_config(cls, cfg: ControllerConfig) -> "PrecomputedAdaptation":
         expAT = numerics.matrix_exponential(cfg.A_m, cfg.T_s)
         phi = numerics.phi_matrix(cfg.A_m, cfg.T_s)
-        B_pinv = _pseudo_inverse(cfg.B_m)
+        B_pinv = numerics.pseudo_inverse(cfg.B_m)
         gain = -B_pinv @ np.linalg.solve(phi, expAT)
         probe = np.arange(1.0, cfg.n + 1.0)
         direct = -B_pinv @ np.linalg.solve(phi, expAT @ probe)
         if not np.allclose(gain @ probe, direct, rtol=1e-12, atol=1e-12):
             raise ConfigurationError("adaptation gain failed its construction check")
-        return cls(expAT=expAT, gain=gain)
+        return cls(expAT=expAT, phi=phi, gain=gain)
 
 
 @dataclass
@@ -159,7 +158,6 @@ class ControllerState:
     f_L: np.ndarray
     omega_filtered: float
     c_state: np.ndarray
-    last_adaptation_tick: int = -1
 
     @classmethod
     def initial(cls, cfg: ControllerConfig, e_f_hat0: float) -> "ControllerState":
@@ -179,11 +177,10 @@ class ControllerState:
 
 
 def adaptation_step(
-    state: ControllerState, x: np.ndarray, pre: PrecomputedAdaptation, tick: int = 0
+    state: ControllerState, x: np.ndarray, pre: PrecomputedAdaptation
 ) -> np.ndarray:
     """Piecewise-constant adaptive-estimate update, once per sampling instant."""
     state.sigma_hat = pre.gain @ (state.x_hat - x)
-    state.last_adaptation_tick = tick
     return state.sigma_hat
 
 
@@ -230,17 +227,17 @@ def control_step(
     """Filter update, control output, and predictor advance for one tick.
 
     Assumes adaptation_step (and, in learning mode, learning_filter_step)
-    already ran this tick. The predictor integrates
-    ``A_m x_hat + B_m (f_L + sigma_hat + u)`` with the tick's values held.
+    already ran this tick. The predictor ``x_hat' = A_m x_hat + B_m (f_L +
+    sigma_hat + u)`` sees its input held over the tick, so it advances by
+    the exact map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m (f_L +
+    sigma_hat + u)``. ``t`` is the tick's start time; the map does not
+    depend on it.
     """
     v = state.sigma_hat - cfg.k_g @ r
     state.c_state = v + (state.c_state - v) * cfg._alpha_c
     u = -state.f_L - state.c_state
     drive = cfg.B_m @ (state.f_L + state.sigma_hat + u)
-    A = cfg.A_m
-    state.x_hat = numerics.rk4_step(
-        lambda _t, xh: A @ xh + drive, t, state.x_hat, cfg.T_s
-    )
+    state.x_hat = pre.expAT @ state.x_hat + pre.phi @ drive
     return u
 
 

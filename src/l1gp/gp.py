@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 
 from . import numerics
 
@@ -96,7 +98,7 @@ class GpPosterior:
     kernel: SeKernel
     X: np.ndarray          # (N, n) training inputs
     alpha: np.ndarray      # (N, m) weights (K + noise I)^{-1} Y
-    chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I
+    chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I, Fortran order
     noise_var: float
     n_outputs: int
     n_inputs: int
@@ -129,8 +131,9 @@ class GpPosterior:
             )
         kstar = self.kernel(self.X, Xq)            # (N, P)
         mean = kstar.T @ self.alpha                # (P, m)
-        sol = numerics.solve_with_factor(self.chol, kstar)
-        var = self.kernel.sigma_f**2 - np.sum(kstar * sol, axis=0)
+        # kstar^T K^{-1} kstar = |L^{-1} kstar|^2 per column
+        w = solve_triangular(self.chol, kstar, lower=True, check_finite=False)
+        var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", w, w)
         # round-off can push the variance a hair negative; clamp before sqrt
         np.maximum(var, 0.0, out=var)
         std = np.sqrt(var)
@@ -156,8 +159,8 @@ class GpPosterior:
         k = self.kernel.sigma_f**2 * np.exp(
             -0.5 * sq / self.kernel.length_scale**2
         )
-        v = numerics.solve_with_factor(self.chol, k)
-        var = self.kernel.sigma_f**2 - float(k @ v)
+        w = dtrsv(self.chol, k, lower=1)           # L^{-1} k
+        var = self.kernel.sigma_f**2 - float(w @ w)
         return k @ self.alpha, math.sqrt(max(var, 0.0))
 
     def inv_spectral_norm(self, iterations: int = 20, tol: float = 1e-10) -> float:

@@ -94,9 +94,6 @@ class LearnerModel:
     def f_hat(self, x: np.ndarray) -> np.ndarray:
         return self.posterior.mean_at(x)
 
-    def e_f_at(self, x: np.ndarray) -> float:
-        return self.evaluate(x)[1]
-
     @classmethod
     def from_posterior(
         cls,
@@ -235,10 +232,7 @@ class BayesianLearner:
         self.cfg = cfg
         self.A_m = np.asarray(A_m, dtype=float)
         B_m = np.asarray(B_m, dtype=float)
-        if B_m.shape[0] == B_m.shape[1]:
-            self.B_m_pinv = np.linalg.inv(B_m)
-        else:
-            self.B_m_pinv = np.linalg.solve(B_m.T @ B_m, B_m.T)
+        self.B_m_pinv = numerics.pseudo_inverse(B_m)
         self.rng = rng
         n = self.A_m.shape[0]
         m = B_m.shape[1]

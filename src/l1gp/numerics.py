@@ -8,12 +8,12 @@ call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import savgol_filter
 
 __all__ = [
     "DimensionError",
@@ -23,6 +23,7 @@ __all__ = [
     "UnstableTransferFunctionError",
     "matrix_exponential",
     "phi_matrix",
+    "pseudo_inverse",
     "cholesky_factor",
     "cholesky_solve",
     "solve_with_factor",
@@ -99,11 +100,22 @@ def phi_matrix(A: np.ndarray, Ts: float) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
+def pseudo_inverse(B: np.ndarray) -> np.ndarray:
+    """Left inverse ``(B^T B)^{-1} B^T`` of a full-column-rank B; ``inv(B)``
+    when B is square."""
+    B = np.asarray(B, dtype=float)
+    if B.shape[0] == B.shape[1]:
+        return np.linalg.inv(B)
+    return np.linalg.solve(B.T @ B, B.T)
+
+
 def cholesky_factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    Raises DecompositionError carrying the failing pivot index when M is not
-    positive definite (LAPACK potrf info).
+    The factor is returned in Fortran (column-major) order, the layout
+    LAPACK and BLAS take without a copy. Raises DecompositionError carrying
+    the failing pivot index when M is not positive definite (LAPACK potrf
+    info).
     """
     M = _as_square(M, "M")
     if M.shape[0] == 0:
@@ -115,7 +127,7 @@ def cholesky_factor(M: np.ndarray) -> np.ndarray:
         )
     if info < 0:
         raise ValueError(f"invalid argument {-info} to dpotrf")
-    return np.tril(c)
+    return np.asfortranarray(np.tril(c))
 
 
 def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -178,8 +190,9 @@ def estimate_derivative(
     """Savitzky-Golay first-derivative estimates, componentwise.
 
     ``times`` must be uniformly spaced; ``values`` is (N,) or (N, d).
-    Interior points use the centered window; endpoints fall back to
-    one-sided polynomial fits (scipy's 'interp' mode).
+    Interior points use the centered window; the first and last
+    ``window // 2`` points differentiate the polynomial fitted to the first
+    or last full window (scipy's ``savgol_filter`` mode 'interp').
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -194,9 +207,32 @@ def estimate_derivative(
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=0.0, atol=1e-9 * max(1.0, abs(dt))):
         raise ValueError("sampling period is not uniform")
-    return savgol_filter(
-        values, window, poly_order, deriv=1, delta=dt, axis=0, mode="interp"
-    )
+    W = _savgol_derivative_weights(window, poly_order) / dt
+    half = window // 2
+    out = np.empty_like(values)
+    # sliding_window_view puts the window axis last: (N - window + 1, [d,] window)
+    windows = np.lib.stride_tricks.sliding_window_view(values, window, axis=0)
+    out[half : n - half] = windows @ W[half]
+    out[:half] = W[:half] @ values[:window]
+    out[n - half :] = W[half + 1 :] @ values[n - window :]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _savgol_derivative_weights(window: int, poly_order: int) -> np.ndarray:
+    """(window, window) matrix D with ``(D @ y)[i]`` the first derivative, per
+    sample, at window position i of the least-squares polynomial through y.
+
+    The fit's coefficients are ``pinv(V) @ y`` with V the Vandermonde matrix
+    of the centred offsets; D differentiates that polynomial at each offset.
+    """
+    z = np.arange(window, dtype=float) - window // 2
+    V = np.vander(z, poly_order + 1, increasing=True)
+    dV = np.zeros_like(V)
+    dV[:, 1:] = V[:, :-1] * np.arange(1, poly_order + 1)
+    D = dV @ np.linalg.pinv(V)
+    D.setflags(write=False)
+    return D
 
 
 def l1_norm_impulse(

@@ -3,8 +3,14 @@
 One engine step advances the loop by the plant step ``h``: sample the
 reference, run the controller tick (adaptation, learning filter, control,
 predictor) on sampling-period boundaries, integrate the plant with the
-delayed input, co-integrate the ideal system, feed the learner on its own
-boundaries, and record. A run is strictly single-threaded and
+delayed input, advance the ideal system, feed the learner on its own
+boundaries, and record.
+
+Integration rule: the linear parts advance by exact discrete-time maps
+precomputed once per run (the predictor in :func:`controller.control_step`,
+the ideal loop through :meth:`ReferenceConfig.exact_step`); only the
+nonlinear plant, and the nonlinear reference loop of
+:func:`run_reference_system`, use RK4. A run is strictly single-threaded and
 deterministic given the seed; independent runs (margin candidates,
 comparisons) can execute concurrently because they share nothing mutable.
 
@@ -84,6 +90,35 @@ class ReferenceConfig:
             return lambda t: amp
         freq = self.frequency
         return lambda t: amp * np.sin(freq * t)
+
+    def exact_step(
+        self, A: np.ndarray, B: np.ndarray, h: float
+    ) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+        """Exact map of ``x' = A x + B r(t)`` over one step of length h.
+
+        Returns ``(E, forcing)`` with ``x(t + h) = E @ x(t) + forcing(t)``.
+        Zero and step references are constant, so the forcing is
+        ``Phi(h) B r``. For the sinusoid, A is augmented with the per-axis
+        oscillator ``(sin(w t), cos(w t))``; one matrix exponential of the
+        augmented matrix gives E and the gains ``M_s``, ``M_c`` of
+        ``forcing(t) = M_s sin(w t) + M_c cos(w t)``. The forcing takes the
+        absolute time, so a resumed run repeats an uninterrupted one.
+        """
+        E = numerics.matrix_exponential(A, h)
+        if self.kind != "sinusoid":
+            g = numerics.phi_matrix(A, h) @ (B @ self.make()(0.0))
+            return E, lambda t: g
+        n, m = B.shape
+        w = self.frequency
+        aug = np.zeros((n + 2 * m, n + 2 * m))
+        aug[:n, :n] = A
+        aug[:n, n : n + m] = B * self.amplitude
+        aug[n : n + m, n + m :] = np.diag(w)
+        aug[n + m :, n : n + m] = -np.diag(w)
+        F = numerics.matrix_exponential(aug, h)
+        M_s = F[:n, n : n + m]
+        M_c = F[:n, n + m :]
+        return E, lambda t: M_s @ np.sin(w * t) + M_c @ np.cos(w * t)
 
     @property
     def r_inf(self) -> float:
@@ -258,7 +293,7 @@ class Engine:
         mode_l1gp = c.mode == "l1gp"
         delay_total = p.delay_total
         J, A_m = p.J, p.A_m
-        B_kg = c.B_m @ c.k_g
+        E_id, forcing_id = cfg.reference.exact_step(A_m, c.B_m @ c.k_g, h)
         ref = self.ref
         schedule = p.uncertainty
         switch_times = [s for s in schedule.switch_times if s > self.t0 + 1e-12]
@@ -271,9 +306,6 @@ class Engine:
 
         if cfg.condition.check:
             self._check_condition()
-
-        def ideal_field(t, xi):
-            return A_m @ xi + B_kg @ ref(t)
 
         def plant_field_live_baseline(t, xp, u_ext):
             return plant_mod.plant_derivative(xp, u_ext, t, p, include_baseline=True)
@@ -289,7 +321,7 @@ class Engine:
             t = (i0 + i) * h
             r = ref(t)
             if (i0 + i) % ts_every == 0:
-                ctrl.adaptation_step(state, self.x, self.pre, tick=(i0 + i) // ts_every)
+                ctrl.adaptation_step(state, self.x, self.pre)
                 if self._sigma_oracle is not None:
                     state.sigma_hat = self._sigma_oracle(t, self.x)
                 if mode_l1gp:
@@ -318,7 +350,7 @@ class Engine:
                 self.x = numerics.rk4_step(
                     lambda tt, xp: field(tt, xp, u_applied), t, self.x, h
                 )
-                self.x_id = numerics.rk4_step(ideal_field, t, self.x_id, h)
+                self.x_id = E_id @ self.x_id + forcing_id(t)
             except numerics.DivergenceError:
                 unstable = True
             t_next = (i0 + i + 1) * h

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import l1gp
 from l1gp import cli, config as config_mod
 
 
@@ -262,3 +265,13 @@ class TestMargin:
         res = json.loads((out / "margin.json").read_text())
         assert "margin_s" in res and "bracket" in res and res["candidates"]
         assert res["resolution_s"] == 0.004
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone costs most of the CLI's start-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
+    code = "import sys, l1gp.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

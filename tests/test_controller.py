@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from l1gp import controller as ctrl
+from l1gp import numerics
 
 
 J = np.diag([0.011, 0.011, 0.021])
@@ -170,6 +171,29 @@ class TestControlStep:
             u = ctrl.control_step(state, np.zeros(3), r, cfg, pre, k * cfg.T_s)
         target = cfg.k_g @ r
         assert np.max(np.abs(u - target) / np.abs(target)) < 0.01
+
+
+    def test_predictor_matches_fine_rk4(self):
+        # the exact map against RK4 at T_s/100 on the same held drive, over
+        # 1000 ticks with a drive that changes every tick
+        cfg = nominal_cfg()
+        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
+        state = ctrl.ControllerState.initial(cfg, 8.5)
+        rng = np.random.default_rng(3)
+        x_fine = state.x_hat.copy()
+        h = cfg.T_s / 100
+        for k in range(1000):
+            state.sigma_hat = 0.01 * rng.normal(size=3)
+            state.f_L = 0.01 * rng.normal(size=3)
+            r = np.sin(k * cfg.T_s) * np.ones(3)
+            u = ctrl.control_step(state, np.zeros(3), r, cfg, pre, k * cfg.T_s)
+            drive = cfg.B_m @ (state.f_L + state.sigma_hat + u)
+            for j in range(100):
+                x_fine = numerics.rk4_step(
+                    lambda _t, z: cfg.A_m @ z + drive, j * h, x_fine, h
+                )
+        assert np.max(np.abs(state.x_hat - x_fine)) <= 1e-12
+        assert np.max(np.abs(x_fine)) > 0.1
 
 
 class TestNormCondition:

@@ -102,6 +102,26 @@ class TestFitPredict:
         with pytest.raises(gp.IllConditionedKernelError, match="noise"):
             gp.fit(gp.GpDataset(X, Y, 1e-300), KERNEL)
 
+    def test_point_eval_at_cap_matches_batch_and_dense_oracle(self):
+        # N = 512 is the learner's cap; the factor is stored column-major so
+        # the per-tick read takes it without a copy
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-3.0, 3.0, size=(512, 3))
+        Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
+        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
+        assert post.chol.flags.f_contiguous
+        Xq = np.vstack([rng.uniform(-4.0, 4.0, size=(20, 3)), X[:5]])
+        mean_b, std_b = post.predict_batch(Xq)
+        mean_o, std_o = naive_predict(X, Y, 1e-4, KERNEL, Xq)
+        for i, x in enumerate(Xq):
+            mean_p, std_p = post.point_eval(x)
+            assert np.max(np.abs(mean_p - mean_b[i])) <= 1e-10
+            assert np.max(np.abs(mean_p - mean_o[i])) <= 1e-10
+            assert abs(std_p - std_b[i, 0]) <= 1e-10
+            # the explicit inverse loses ~cond(K) eps in the variance, which
+            # the square root amplifies where std is small: compare variances
+            assert abs(std_p**2 - std_o[i] ** 2) <= 1e-10
+
 
 class TestKernelLipschitz:
     def grid_oracle(self, kernel, kappa, n, samples=200001):

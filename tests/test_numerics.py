@@ -231,6 +231,21 @@ class TestEstimateDerivative:
         assert np.allclose(d[2:-2, 0], 2.0, atol=1e-12)
         assert np.allclose(d[2:-2, 1], -1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 6, 9, 40])
+    def test_matches_scipy_savgol_interp(self, n):
+        from scipy.signal import savgol_filter
+
+        rng = np.random.default_rng(n)
+        dt = 0.37
+        t = 2.0 + dt * np.arange(n)
+        for values in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            d = numerics.estimate_derivative(t, values, window=5, poly_order=2)
+            oracle = savgol_filter(
+                values, 5, 2, deriv=1, delta=dt, axis=0, mode="interp"
+            )
+            assert d.shape == values.shape
+            assert np.max(np.abs(d - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
     def test_insufficient_data(self):
         with pytest.raises(numerics.InsufficientDataError):
             numerics.estimate_derivative(np.arange(3.0), np.arange(3.0), window=5)

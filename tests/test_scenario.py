@@ -185,6 +185,27 @@ class TestReferenceSystem:
         assert diff <= 0.05
 
 
+class TestIdealLoop:
+    # x_id' = -3 x_id + b r(t) per axis with b = (B_m k_g)_ii = 3, x_id(0) = 0
+    @pytest.mark.parametrize("kind", ["step", "sinusoid"])
+    def test_matches_closed_form(self, kind):
+        cfg = no_condition(nominal(duration=4.0, reference_kind=kind,
+                                   with_learner=False, mode="l1"))
+        trace = scenario.run(cfg)
+        t = trace.t[:, None]
+        a = cfg.reference.amplitude
+        b = np.diag(cfg.controller.B_m @ cfg.controller.k_g)
+        assert np.allclose(b, 3.0, rtol=1e-12)
+        if kind == "step":
+            exact = b * a * (1.0 - np.exp(-3.0 * t)) / 3.0
+        else:
+            w = cfg.reference.frequency
+            exact = b * a * (
+                3.0 * np.sin(w * t) - w * np.cos(w * t) + w * np.exp(-3.0 * t)
+            ) / (9.0 + w**2)
+        assert np.max(np.abs(trace.block("xid") - exact)) <= 1e-10
+
+
 class TestSnapshotResume:
     def test_resume_matches_uninterrupted(self):
         full = scenario.run(no_condition(
