@@ -9,8 +9,7 @@ Subcommands::
 
 Outputs are CSV time series (full round-trip float precision) and JSON
 summaries. Exit codes: 0 success, 2 config error, 3 flagged-unstable
-completion, 4 precondition failure. ``L1GP_THREADS`` caps the worker pool
-used for independent candidate runs.
+completion, 4 precondition failure.
 """
 
 from __future__ import annotations
@@ -20,11 +19,23 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, config as config_mod, gp, scenario
+
+__all__ = [
+    "write_trace_csv",
+    "read_trace_csv",
+    "write_events_csv",
+    "cmd_simulate",
+    "metrics_summary",
+    "cmd_margin",
+    "cmd_bound_check",
+    "cmd_compare",
+    "build_parser",
+    "main",
+]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,16 +43,6 @@ EXIT_UNSTABLE = 3
 EXIT_PRECONDITION = 4
 
 _CSV_FMT = "%.17g"
-
-
-def _worker_count() -> int:
-    env = os.environ.get("L1GP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise config_mod.ConfigError(f"L1GP_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def write_trace_csv(trace: scenario.SimulationTrace, path: str) -> None:
@@ -208,18 +209,17 @@ def cmd_bound_check(
         [schedule.eval(0.0, x) for x in X_probe], dtype=float
     ).reshape(n_probe, 3)
     mean, std = posterior.predict_batch(X_probe)
-    beta = gp.beta_value(lcfg.bound, posterior.n_outputs, 3)
-    gamma = gp.gamma_value(posterior, lcfg.bound) if lcfg.bound.include_gamma else 0.0
-    envelope = np.sqrt(beta) * np.max(std, axis=1) + gamma
+    terms = gp.envelope_terms(posterior, lcfg.bound)
+    envelope = terms.bound(np.max(std, axis=1))
     err = np.max(np.abs(F_probe - mean), axis=1)
     violations = err > envelope
     wall = time.perf_counter() - t_start
     coverage = {
         "n_train": n_train,
         "n_probe": n_probe,
-        "beta": beta,
-        "sqrt_beta": float(np.sqrt(beta)),
-        "gamma": gamma,
+        "beta": terms.beta,
+        "sqrt_beta": terms.sqrt_beta,
+        "gamma": terms.gamma,
         "delta": lcfg.bound.delta,
         "violation_fraction": float(np.mean(violations)),
         "n_violations": int(np.sum(violations)),
@@ -244,10 +244,7 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
         print("error: compare requires matching duration and step", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(2, _worker_count())) as pool:
-        fut_a = pool.submit(scenario.run, cfg_a)
-        fut_b = pool.submit(scenario.run, cfg_b)
-        trace_a, trace_b = fut_a.result(), fut_b.result()
+    trace_a, trace_b = scenario.run(cfg_a), scenario.run(cfg_b)
     wall = time.perf_counter() - t_start
 
     duration = cfg_a.duration

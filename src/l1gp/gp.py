@@ -6,7 +6,7 @@ channels differ only through their target columns. Alongside the posterior
 mean/std, this module computes the ingredients of the high-probability
 uniform error envelope: the posterior-mean Lipschitz constant, the
 standard-deviation modulus of continuity, and the log-covering-number
-scale factor.
+scale factor; :func:`envelope_terms` is the one place that combines them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "GpDataset",
     "GpPosterior",
     "UniformBoundConfig",
+    "EnvelopeTerms",
     "IllConditionedKernelError",
     "fit",
     "kernel_lipschitz",
@@ -32,8 +33,12 @@ __all__ = [
     "std_modulus",
     "beta_value",
     "gamma_value",
-    "uniform_bound",
+    "envelope_terms",
+    "uniform_bound_grid_max",
 ]
+
+# publish-grid rows per predict_batch call: bounds the (N, rows) cross-kernel
+_GRID_BLOCK = 512
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -61,6 +66,12 @@ class SeKernel:
             + np.sum(Z * Z, axis=1)[None, :]
         )
         np.maximum(sq, 0.0, out=sq)
+        return self.sigma_f**2 * np.exp(-0.5 * sq / self.length_scale**2)
+
+    def column(self, X: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Kernel vector k(X_i, x), shape (N,), from direct differences."""
+        d = X - x
+        sq = np.einsum("ij,ij->i", d, d)
         return self.sigma_f**2 * np.exp(-0.5 * sq / self.length_scale**2)
 
 
@@ -107,11 +118,6 @@ class GpPosterior:
     def n_samples(self) -> int:
         return self.X.shape[0]
 
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and std at a single point x, each shape (m,)."""
-        mean, std = self.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-        return mean[0], std[0]
-
     def predict_batch(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (P, m) and per-channel std (P, m) at query rows Xq.
 
@@ -143,22 +149,13 @@ class GpPosterior:
         """Posterior mean at a single point, shape (m,). Hot-loop variant."""
         if self.n_samples == 0:
             return np.zeros(self.n_outputs)
-        d = self.X - x
-        sq = np.einsum("ij,ij->i", d, d)
-        k = self.kernel.sigma_f**2 * np.exp(
-            -0.5 * sq / self.kernel.length_scale**2
-        )
-        return k @ self.alpha
+        return self.kernel.column(self.X, x) @ self.alpha
 
     def point_eval(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Mean (m,) and the shared per-channel std at one point. Hot-loop variant."""
         if self.n_samples == 0:
             return np.zeros(self.n_outputs), self.kernel.sigma_f
-        d = self.X - x
-        sq = np.einsum("ij,ij->i", d, d)
-        k = self.kernel.sigma_f**2 * np.exp(
-            -0.5 * sq / self.kernel.length_scale**2
-        )
+        k = self.kernel.column(self.X, x)
         w = dtrsv(self.chol, k, lower=1)           # L^{-1} k
         var = self.kernel.sigma_f**2 - float(w @ w)
         return k @ self.alpha, math.sqrt(max(var, 0.0))
@@ -309,52 +306,58 @@ def beta_value(cfg: UniformBoundConfig, n_outputs: int, n_inputs: int) -> float:
     return 2.0 * (math.log(n_outputs) + log_m_cover - math.log(cfg.delta))
 
 
-def gamma_value(posterior: GpPosterior, cfg: UniformBoundConfig) -> float:
+def gamma_value(posterior: GpPosterior, cfg: UniformBoundConfig, sqrt_beta: float) -> float:
     """Discretization slack (lip_f/n + lip_mean) xi + sqrt(beta) omega(xi)."""
     lip_k = kernel_lipschitz(posterior.kernel, cfg.kappa, posterior.n_inputs)
     _, lip_mu = mean_lipschitz(posterior, lip_k)
     _, omega = std_modulus(posterior, lip_k, cfg.xi)
-    beta = beta_value(cfg, posterior.n_outputs, posterior.n_inputs)
-    return (cfg.lip_f / posterior.n_inputs + lip_mu) * cfg.xi + math.sqrt(beta) * omega
+    return (cfg.lip_f / posterior.n_inputs + lip_mu) * cfg.xi + sqrt_beta * omega
 
 
-def uniform_bound(
-    posterior: GpPosterior, cfg: UniformBoundConfig, x: np.ndarray
-) -> float:
-    """Pointwise error envelope ``sqrt(beta) |std(x)|_inf + gamma``.
+@dataclass(frozen=True)
+class EnvelopeTerms:
+    """Constants of one posterior's envelope ``sqrt(beta) |std(x)|_inf + gamma``.
 
-    The envelope holds uniformly over the box with probability 1 - delta,
-    so pointwise evaluation is sound. gamma is included only when
-    ``cfg.include_gamma`` is set.
+    The envelope holds uniformly over the box |x|_inf <= kappa with
+    probability 1 - delta (Lederer, Umlauft & Hirche, NeurIPS 2019), so it
+    may be read pointwise or as a maximum over any set in the box.
     """
+
+    beta: float
+    sqrt_beta: float
+    gamma: float
+
+    def bound(self, std):
+        """Envelope at the given inf-norm std (a float or an array)."""
+        return self.sqrt_beta * std + self.gamma
+
+
+def envelope_terms(posterior: GpPosterior, cfg: UniformBoundConfig) -> EnvelopeTerms:
+    """beta and gamma of the posterior's envelope; gamma is 0 unless
+    ``cfg.include_gamma`` is set."""
     beta = beta_value(cfg, posterior.n_outputs, posterior.n_inputs)
-    _, std = posterior.predict(x)
-    e = math.sqrt(beta) * float(np.max(std))
-    if cfg.include_gamma:
-        e += gamma_value(posterior, cfg)
-    return e
+    sqrt_beta = math.sqrt(beta)
+    gamma = gamma_value(posterior, cfg, sqrt_beta) if cfg.include_gamma else 0.0
+    return EnvelopeTerms(beta, sqrt_beta, gamma)
 
 
 def uniform_bound_grid_max(
     posterior: GpPosterior,
-    cfg: UniformBoundConfig,
+    terms: EnvelopeTerms,
     kappa_op: float = 5.0,
     grid_points: int = 21,
 ) -> float:
     """Max of the envelope over a uniform grid on the operational box.
 
     Serves the adaptive-bandwidth law, which consumes one conservative
-    scalar that stays constant between model updates.
+    scalar that stays constant between model updates. The grid is read in
+    blocks of ``_GRID_BLOCK`` rows, so memory does not grow with its size.
     """
-    beta = beta_value(cfg, posterior.n_outputs, posterior.n_inputs)
-    if posterior.n_samples == 0:
-        e = math.sqrt(beta) * posterior.kernel.sigma_f
-    else:
-        axis = np.linspace(-kappa_op, kappa_op, grid_points)
-        grids = np.meshgrid(*([axis] * posterior.n_inputs), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        _, std = posterior.predict_batch(pts)
-        e = math.sqrt(beta) * float(np.max(std))
-    if cfg.include_gamma:
-        e += gamma_value(posterior, cfg)
-    return e
+    axis = np.linspace(-kappa_op, kappa_op, grid_points)
+    grids = np.meshgrid(*([axis] * posterior.n_inputs), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    std_max = max(
+        float(np.max(posterior.predict_batch(pts[i:i + _GRID_BLOCK])[1]))
+        for i in range(0, pts.shape[0], _GRID_BLOCK)
+    )
+    return terms.bound(std_max)

@@ -17,7 +17,7 @@ drawn from the engine's seeded generator.
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,8 +80,7 @@ class LearnerModel:
 
     update_index: int
     posterior: gp.GpPosterior
-    sqrt_beta: float
-    gamma: float
+    terms: gp.EnvelopeTerms
     e_f_hat: float
     published_at: float
     n_data: int = 0
@@ -89,7 +88,7 @@ class LearnerModel:
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Learned mean (m,) and the pointwise error envelope at x."""
         mean, sigma = self.posterior.point_eval(x)
-        return mean, self.sqrt_beta * sigma + self.gamma
+        return mean, self.terms.bound(sigma)
 
     def f_hat(self, x: np.ndarray) -> np.ndarray:
         return self.posterior.mean_at(x)
@@ -102,19 +101,14 @@ class LearnerModel:
         update_index: int,
         published_at: float,
     ) -> "LearnerModel":
-        beta = gp.beta_value(cfg.bound, posterior.n_outputs, posterior.n_inputs)
-        gamma = (
-            gp.gamma_value(posterior, cfg.bound) if cfg.bound.include_gamma else 0.0
-        )
-        e_max = gp.uniform_bound_grid_max(
-            posterior, cfg.bound, cfg.kappa_op, cfg.grid_points
-        )
+        terms = gp.envelope_terms(posterior, cfg.bound)
         return cls(
             update_index=update_index,
             posterior=posterior,
-            sqrt_beta=math.sqrt(beta),
-            gamma=gamma,
-            e_f_hat=e_max,
+            terms=terms,
+            e_f_hat=gp.uniform_bound_grid_max(
+                posterior, terms, cfg.kappa_op, cfg.grid_points
+            ),
             published_at=published_at,
             n_data=posterior.n_samples,
         )
@@ -136,17 +130,18 @@ class MeasurementBuffer:
 
     Timestamps must arrive strictly increasing and spaced by T_data.
     Reconstruction is attempted lazily: a sample's target is computed once
-    its centered derivative window is complete, then frozen.
+    its centered derivative window is complete, then frozen. Raw records
+    are kept only while some pending window still needs them, and the
+    targets are a FIFO of at most ``capacity`` entries.
     """
 
     def __init__(self, T_data: float, capacity: int):
         self.T_data = T_data
-        self.capacity = capacity
         self.times: list[float] = []
         self.X: list[np.ndarray] = []
         self.U: list[np.ndarray] = []
-        self.target_X: list[np.ndarray] = []
-        self.target_Y: list[np.ndarray] = []
+        self.target_X: deque[np.ndarray] = deque(maxlen=capacity)
+        self.target_Y: deque[np.ndarray] = deque(maxlen=capacity)
         self._next_reconstruct = _HALF  # first index with a full left half-window
 
     def push(self, t: float, x: np.ndarray, u: np.ndarray) -> None:
@@ -183,16 +178,14 @@ class MeasurementBuffer:
             y = y + rng.normal(0.0, sigma_n, size=y.shape)
             self.target_X.append(self.X[j])
             self.target_Y.append(y)
-            if len(self.target_X) > self.capacity:
-                self.target_X.pop(0)
-                self.target_Y.pop(0)
             self._next_reconstruct += 1
             made += 1
+        # drop the records no pending window reaches back to
+        stale = self._next_reconstruct - _HALF
+        if stale > 0:
+            del self.times[:stale], self.X[:stale], self.U[:stale]
+            self._next_reconstruct -= stale
         return made
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
 
     @property
     def n_targets(self) -> int:

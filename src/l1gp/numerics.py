@@ -25,12 +25,12 @@ __all__ = [
     "phi_matrix",
     "pseudo_inverse",
     "cholesky_factor",
-    "cholesky_solve",
     "solve_with_factor",
     "rk4_step",
     "estimate_derivative",
     "l1_norm_impulse",
     "covering_number_box",
+    "log_covering_number_box",
 ]
 
 
@@ -137,22 +137,6 @@ def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"dpotrs failed with info={info}")
     return x
-
-
-def cholesky_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``M X = B`` with M symmetric positive definite.
-
-    Residual satisfies ``norm(M X - B, inf) <= 1e-8 * (1 + norm(B, inf))``
-    for well-conditioned systems of the sizes used here.
-    """
-    M = _as_square(M, "M")
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] != M.shape[0]:
-        raise DimensionError(
-            f"B has {B.shape[0]} rows, expected {M.shape[0]}"
-        )
-    L = cholesky_factor(M)
-    return solve_with_factor(L, B)
 
 
 def rk4_step(

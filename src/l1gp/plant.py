@@ -19,7 +19,6 @@ __all__ = [
     "UncertaintySchedule",
     "PlantConfig",
     "DelayLine",
-    "uncertainty_eval",
     "baseline_control",
     "plant_derivative",
     "poly_quadratic_uncertainty",
@@ -97,13 +96,6 @@ class UncertaintySchedule:
         return [s for s, _ in self.segments[1:]]
 
 
-def uncertainty_eval(schedule: UncertaintySchedule, t: float, x: np.ndarray) -> np.ndarray:
-    """Model uncertainty f(x) active at time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return schedule.eval(t, x)
-
-
 @dataclass
 class PlantConfig:
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
@@ -139,10 +131,6 @@ class PlantConfig:
         self._J_diag = np.diag(self.J).copy()
         self._Jinv_diag = 1.0 / self._J_diag
         self._JA = self.J @ self.A_m
-
-    @property
-    def J_inv(self) -> np.ndarray:
-        return np.diag(self._Jinv_diag)
 
 
 class DelayLine:

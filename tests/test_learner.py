@@ -75,6 +75,23 @@ class TestBufferSchedule:
         assert buf.n_targets == 1
         np.testing.assert_allclose(buf.target_X[0], np.full(3, 3.0))
 
+    def test_buffers_stay_bounded(self):
+        # raw records are trimmed to the pending windows after each refit and
+        # the targets are capped, however long the run
+        lrn = make_learner(N_update=10, max_points=64)
+        for k in range(1, 2001):
+            lrn.push(float(k), 0.1 * np.sin([k, 2 * k, 3 * k]), np.zeros(3))
+            lrn.maybe_update(float(k))
+            buf = lrn.buffer
+            assert len(buf.times) == len(buf.X) == len(buf.U) <= 10 + 5
+            assert buf.n_targets <= 64
+        assert buf.n_targets == 64
+        assert lrn.model.n_data == 64
+        # the newest target is the sample two steps behind the last push
+        np.testing.assert_array_equal(
+            buf.target_X[-1], 0.1 * np.sin([1998.0, 2 * 1998.0, 3 * 1998.0])
+        )
+
     def test_no_update_before_threshold(self):
         lrn = make_learner()
         for k in range(1, 10):

@@ -21,16 +21,16 @@ def make_cfg(kind="quadratic", switch_time=None, **kw):
 class TestUncertainty:
     def test_poly_at_origin(self):
         sched = plant.UncertaintySchedule(((0.0, "quadratic"),))
-        assert np.array_equal(plant.uncertainty_eval(sched, 0.0, np.zeros(3)), np.zeros(3))
+        assert np.array_equal(sched.eval(0.0, np.zeros(3)), np.zeros(3))
 
     def test_poly_at_ones(self):
         sched = plant.UncertaintySchedule(((0.0, "quadratic"),))
-        got = plant.uncertainty_eval(sched, 1.0, np.ones(3))
+        got = sched.eval(1.0, np.ones(3))
         assert np.allclose(got, [0.02, 0.02, 0.01], atol=1e-15)
 
     def test_sine_at_origin(self):
         sched = plant.UncertaintySchedule(((0.0, "sine_switch"),))
-        got = plant.uncertainty_eval(sched, 0.0, np.zeros(3))
+        got = sched.eval(0.0, np.zeros(3))
         assert np.allclose(got, [0.0, 0.01, 0.5], atol=1e-15)
 
     def test_switch_timing(self):
@@ -89,7 +89,7 @@ class TestPlantDerivative:
         # with the baseline included the physical form must equal
         # A_m x + B_m (u + f(x)) to round-off, for any state
         cfg = make_cfg("quadratic")
-        B_m = cfg.J_inv
+        B_m = np.linalg.inv(cfg.J)
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.normal(size=3)
