@@ -16,12 +16,21 @@ zero-order-hold map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m drive``,
 the same sampled-data map the adaptation gain
 ``-pinv(B_m) Phi(T_s)^{-1} exp(A_m T_s)`` is derived from. Both matrices and
 the gain are precomputed once per configuration.
+
+The tick runs on Python floats, with no numpy call: the state is a set of
+float 3-tuples, and :class:`PrecomputedAdaptation` holds ``gain``,
+``exp(A_m T_s)``, ``Phi(T_s)``, ``B_m`` and ``k_g`` as float 3x3 tuples that
+:func:`numerics.mat3_vec` multiplies. Products keep the order of the array
+formulas (``B_m`` times the summed input first, then ``Phi``), so for the
+diagonal matrices of the stock configuration the tick is bitwise the array
+computation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -125,12 +134,25 @@ class PrecomputedAdaptation:
     ``expAT`` and ``phi`` are ``exp(A_m T_s)`` and ``Phi(T_s)``, the
     predictor's exact map over one tick. ``gain @ xtilde`` reproduces
     ``-pinv(B_m) inv(Phi(T_s)) exp(A_m T_s) xtilde``; the composition is
-    spot-checked against the factored formula at construction.
+    spot-checked against the factored formula at construction. The tick
+    reads float 3x3 tuple copies of these and of ``B_m`` and ``k_g``
+    (``_gain``, ``_expAT``, ``_phi``, ``_B_m``, ``_k_g``), so it is written
+    for three axes.
     """
 
     expAT: np.ndarray
     phi: np.ndarray
     gain: np.ndarray
+    B_m: np.ndarray
+    k_g: np.ndarray
+
+    def __post_init__(self):
+        # hot-loop caches as Python floats, like PlantConfig._ja
+        self._expAT = numerics.mat3(self.expAT)
+        self._phi = numerics.mat3(self.phi)
+        self._gain = numerics.mat3(self.gain)
+        self._B_m = numerics.mat3(self.B_m)
+        self._k_g = numerics.mat3(self.k_g)
 
     @classmethod
     def from_config(cls, cfg: ControllerConfig) -> "PrecomputedAdaptation":
@@ -142,45 +164,52 @@ class PrecomputedAdaptation:
         direct = -B_pinv @ np.linalg.solve(phi, expAT @ probe)
         if not np.allclose(gain @ probe, direct, rtol=1e-12, atol=1e-12):
             raise ConfigurationError("adaptation gain failed its construction check")
-        return cls(expAT=expAT, phi=phi, gain=gain)
+        return cls(expAT=expAT, phi=phi, gain=gain, B_m=cfg.B_m, k_g=cfg.k_g)
+
+
+_Vec3 = tuple[float, float, float]
 
 
 @dataclass
 class ControllerState:
-    """Everything that evolves at the control rate.
+    """Everything that evolves at the control rate, as float 3-tuples.
 
     ``sigma_hat`` changes value only at sampling instants; ``f_L`` starts
     at zero; ``omega_filtered`` starts at the first commanded bandwidth.
     """
 
-    x_hat: np.ndarray
-    sigma_hat: np.ndarray
-    f_L: np.ndarray
+    x_hat: _Vec3
+    sigma_hat: _Vec3
+    f_L: _Vec3
     omega_filtered: float
-    c_state: np.ndarray
+    c_state: _Vec3
 
     @classmethod
     def initial(cls, cfg: ControllerConfig, e_f_hat0: float) -> "ControllerState":
-        m = cfg.m
         omega0 = (
             bandwidth_command(e_f_hat0, cfg.omega_0, cfg.omega_c)
             if cfg.mode == "l1gp"
             else 0.0
         )
+        x0, x1, x2 = (float(v) for v in cfg.x_hat0)
+        zero = (0.0, 0.0, 0.0)
         return cls(
-            x_hat=cfg.x_hat0.astype(float).copy(),
-            sigma_hat=np.zeros(m),
-            f_L=np.zeros(m),
+            x_hat=(x0, x1, x2),
+            sigma_hat=zero,
+            f_L=zero,
             omega_filtered=omega0,
-            c_state=np.zeros(m),
+            c_state=zero,
         )
 
 
 def adaptation_step(
-    state: ControllerState, x: np.ndarray, pre: PrecomputedAdaptation
-) -> np.ndarray:
-    """Piecewise-constant adaptive-estimate update, once per sampling instant."""
-    state.sigma_hat = pre.gain @ (state.x_hat - x)
+    state: ControllerState, x: Sequence[float], pre: PrecomputedAdaptation
+) -> _Vec3:
+    """Piecewise-constant adaptive-estimate update, once per sampling instant:
+    ``sigma_hat = gain @ (x_hat - x)``."""
+    h0, h1, h2 = state.x_hat
+    x0, x1, x2 = x
+    state.sigma_hat = numerics.mat3_vec(pre._gain, (h0 - x0, h1 - x1, h2 - x2))
     return state.sigma_hat
 
 
@@ -199,10 +228,10 @@ def bandwidth_command(e_f_hat: float, omega_0: float, omega_c: float) -> float:
 
 def learning_filter_step(
     state: ControllerState,
-    f_hat_x: np.ndarray,
+    f_hat_x: Sequence[float],
     omega_hat: float,
     cfg: ControllerConfig,
-) -> np.ndarray:
+) -> _Vec3:
     """Advance the bandwidth lag and the learning filter by one tick.
 
     The commanded bandwidth passes through the slow first-order lag, then
@@ -212,33 +241,50 @@ def learning_filter_step(
     """
     state.omega_filtered = omega_hat + (state.omega_filtered - omega_hat) * cfg._alpha_L
     decay = math.exp(-state.omega_filtered * cfg.T_s)
-    state.f_L = f_hat_x + (state.f_L - f_hat_x) * decay
+    f0, f1, f2 = f_hat_x
+    l0, l1, l2 = state.f_L
+    state.f_L = (
+        f0 + (l0 - f0) * decay,
+        f1 + (l1 - f1) * decay,
+        f2 + (l2 - f2) * decay,
+    )
     return state.f_L
 
 
 def control_step(
     state: ControllerState,
-    x: np.ndarray,
-    r: np.ndarray,
+    r: Sequence[float],
     cfg: ControllerConfig,
     pre: PrecomputedAdaptation,
-    t: float,
-) -> np.ndarray:
+) -> _Vec3:
     """Filter update, control output, and predictor advance for one tick.
 
     Assumes adaptation_step (and, in learning mode, learning_filter_step)
-    already ran this tick. The predictor ``x_hat' = A_m x_hat + B_m (f_L +
+    already ran this tick. The control filter state follows
+    ``c+ = v + (c - v) alpha_c`` with ``v = sigma_hat - k_g r``, and
+    ``u = -f_L - c+``. The predictor ``x_hat' = A_m x_hat + B_m (f_L +
     sigma_hat + u)`` sees its input held over the tick, so it advances by
     the exact map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m (f_L +
-    sigma_hat + u)``. ``t`` is the tick's start time; the map does not
-    depend on it.
+    sigma_hat + u)``.
     """
-    v = state.sigma_hat - cfg.k_g @ r
-    state.c_state = v + (state.c_state - v) * cfg._alpha_c
-    u = -state.f_L - state.c_state
-    drive = cfg.B_m @ (state.f_L + state.sigma_hat + u)
-    state.x_hat = pre.expAT @ state.x_hat + pre.phi @ drive
-    return u
+    s0, s1, s2 = state.sigma_hat
+    l0, l1, l2 = state.f_L
+    c0, c1, c2 = state.c_state
+    k0, k1, k2 = numerics.mat3_vec(pre._k_g, r)
+    alpha = cfg._alpha_c
+    v0, v1, v2 = s0 - k0, s1 - k1, s2 - k2
+    c0 = v0 + (c0 - v0) * alpha
+    c1 = v1 + (c1 - v1) * alpha
+    c2 = v2 + (c2 - v2) * alpha
+    state.c_state = (c0, c1, c2)
+    u0, u1, u2 = -l0 - c0, -l1 - c1, -l2 - c2
+    drive = numerics.mat3_vec(
+        pre._B_m, (l0 + s0 + u0, l1 + s1 + u1, l2 + s2 + u2)
+    )
+    e0, e1, e2 = numerics.mat3_vec(pre._expAT, state.x_hat)
+    p0, p1, p2 = numerics.mat3_vec(pre._phi, drive)
+    state.x_hat = (e0 + p0, e1 + p1, e2 + p2)
+    return u0, u1, u2
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Small dense linear-algebra and numerical utilities shared by the toolkit.
 
-Everything here operates on plain float64 numpy arrays. Matrices are tiny
+Everything here operates on plain float64 numpy arrays, except the two
+3x3 helpers :func:`mat3` and :func:`mat3_vec`, which hold a matrix as float
+tuples and multiply on Python floats for the 1 kHz loop. Matrices are tiny
 (controller state dimensions, n <= 6) so the routines favor accuracy and
 clear failure modes over throughput. All functions are pure and safe to
 call concurrently.
@@ -24,6 +26,8 @@ __all__ = [
     "matrix_exponential",
     "phi_matrix",
     "pseudo_inverse",
+    "mat3",
+    "mat3_vec",
     "cholesky_factor",
     "solve_with_factor",
     "rk4_step",
@@ -107,6 +111,31 @@ def pseudo_inverse(B: np.ndarray) -> np.ndarray:
     if B.shape[0] == B.shape[1]:
         return np.linalg.inv(B)
     return np.linalg.solve(B.T @ B, B.T)
+
+
+def mat3(A: np.ndarray) -> tuple:
+    """A 3x3 matrix as three row tuples of Python floats, for :func:`mat3_vec`."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (3, 3):
+        raise DimensionError(f"expected a 3x3 matrix, got shape {A.shape}")
+    return tuple(tuple(float(v) for v in row) for row in A)
+
+
+def mat3_vec(M: tuple, v: Sequence[float]) -> tuple[float, float, float]:
+    """``M @ v`` on Python floats for a :func:`mat3` matrix M.
+
+    Each entry is ``0.0 + m0 v0 + m1 v1 + m2 v2``, summed left to right from
+    a positive zero as numpy's product accumulates. With at most one nonzero
+    per row of M the result is bitwise numpy's, the sign of zero included;
+    otherwise it agrees to rounding.
+    """
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = M
+    v0, v1, v2 = v
+    return (
+        0.0 + a00 * v0 + a01 * v1 + a02 * v2,
+        0.0 + a10 * v0 + a11 * v1 + a12 * v2,
+        0.0 + a20 * v0 + a21 * v1 + a22 * v2,
+    )
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:

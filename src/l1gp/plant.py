@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import DivergenceError
+from .numerics import DivergenceError, mat3
 
 __all__ = [
     "UncertaintySchedule",
@@ -164,7 +164,7 @@ class PlantConfig:
         # hot-loop caches as Python floats; J is validated diagonal above
         self._j = tuple(float(v) for v in diag)
         self._jinv = tuple(1.0 / v for v in self._j)
-        self._ja = tuple(tuple(float(v) for v in row) for row in self.J @ self.A_m)
+        self._ja = mat3(self.J @ self.A_m)
 
 
 class DelayLine:
@@ -172,7 +172,8 @@ class DelayLine:
 
     Outputs the sample pushed ``n_steps`` calls ago; zero-padded until the
     line fills, so the delayed signal is 0 before t = delay. Zero delay is
-    the identity.
+    the identity. Samples are held as tuples, so a pushed array cannot
+    change in the line.
     """
 
     def __init__(self, delay: float, step: float, dim: int = 3):
@@ -184,15 +185,15 @@ class DelayLine:
                 f"delay {delay} is not a multiple of the step {step}"
             )
         self.n_steps = n_steps
-        self._buf = np.zeros((max(n_steps, 1), dim))
+        self._buf = [(0.0,) * dim] * max(n_steps, 1)
         self._idx = 0
 
-    def push(self, u: np.ndarray) -> np.ndarray:
+    def push(self, u: Sequence[float]) -> Sequence[float]:
         """Push the newest sample, return the delayed one."""
         if self.n_steps == 0:
             return u
-        out = self._buf[self._idx].copy()
-        self._buf[self._idx] = u
+        out = self._buf[self._idx]
+        self._buf[self._idx] = tuple(u)
         self._idx = (self._idx + 1) % self.n_steps
         return out
 

@@ -16,6 +16,18 @@ to :func:`numerics.rk4_step` over :func:`plant.plant_derivative`; the
 reference loop uses the generic :func:`numerics.rk4_step`. A run is
 single-threaded and deterministic given the seed.
 
+The whole step runs on Python floats: the plant, ideal-loop and controller
+states, the input and the eta filter are float 3-tuples, the controller
+tick is :func:`controller.adaptation_step`, ``learning_filter_step`` and
+``control_step`` on float 3x3 tuples, and the ideal loop multiplies the
+float gains of :meth:`ReferenceConfig.exact_step` with
+:func:`numerics.mat3_vec`. A sinusoidal reference takes one ``math.sin``
+per axis and step, shared by ``r(t)`` and the ideal loop's forcing. numpy
+is left to the edges: the GP reads, the learner's buffer, the
+``delay_total`` baseline, and the recorded rows. Rows are recorded at
+global step indices that are multiples of ``record_decimation``, so a run
+resumed off that grid records the same rows as the uninterrupted run.
+
 Tick order within one step is fixed: adaptation -> learning filter ->
 control (filter update, output, predictor advance) -> plant -> learner.
 """
@@ -84,33 +96,33 @@ class ReferenceConfig:
         self.amplitude = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
         self.frequency = np.atleast_1d(np.asarray(self.frequency, dtype=float))
 
-    def make(self) -> Callable[[float], np.ndarray]:
-        amp = self.amplitude
+    def make(self) -> Callable[[float], tuple]:
+        """The reference ``r(t)`` as a function returning three floats."""
+        a0, a1, a2 = (float(v) for v in self.amplitude)
         if self.kind == "zero":
-            z = np.zeros_like(amp)
-            return lambda t: z
+            return lambda t: (0.0, 0.0, 0.0)
         if self.kind == "step":
-            return lambda t: amp
-        freq = self.frequency
-        return lambda t: amp * np.sin(freq * t)
+            return lambda t: (a0, a1, a2)
+        w0, w1, w2 = (float(v) for v in self.frequency)
+        return lambda t: (a0 * math.sin(w0 * t), a1 * math.sin(w1 * t),
+                          a2 * math.sin(w2 * t))
 
-    def exact_step(
-        self, A: np.ndarray, B: np.ndarray, h: float
-    ) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    def exact_step(self, A: np.ndarray, B: np.ndarray, h: float) -> tuple:
         """Exact map of ``x' = A x + B r(t)`` over one step of length h.
 
-        Returns ``(E, forcing)`` with ``x(t + h) = E @ x(t) + forcing(t)``.
-        Zero and step references are constant, so the forcing is
-        ``Phi(h) B r``. For the sinusoid, A is augmented with the per-axis
-        oscillator ``(sin(w t), cos(w t))``; one matrix exponential of the
-        augmented matrix gives E and the gains ``M_s``, ``M_c`` of
-        ``forcing(t) = M_s sin(w t) + M_c cos(w t)``. The forcing takes the
-        absolute time, so a resumed run repeats an uninterrupted one.
+        Returns ``(E, g, M_s, M_c)`` on Python floats, the matrices as
+        :func:`numerics.mat3` tuples. Zero and step references are constant:
+        ``x(t + h) = E x(t) + g`` with the 3-tuple ``g = Phi(h) B r``, and
+        ``M_s = M_c = None``. For the sinusoid ``g`` is None and A is
+        augmented with the per-axis oscillator ``(sin(w t), cos(w t))``; one
+        matrix exponential of the augmented matrix gives E and the gains of
+        ``x(t + h) = E x(t) + (M_s sin(w t) + M_c cos(w t))``, at the absolute
+        time t, so a resumed run repeats an uninterrupted one.
         """
         E = numerics.matrix_exponential(A, h)
         if self.kind != "sinusoid":
-            g = numerics.phi_matrix(A, h) @ (B @ self.make()(0.0))
-            return E, lambda t: g
+            g = numerics.phi_matrix(A, h) @ (B @ np.array(self.make()(0.0)))
+            return numerics.mat3(E), tuple(g.tolist()), None, None
         n, m = B.shape
         w = self.frequency
         aug = np.zeros((n + 2 * m, n + 2 * m))
@@ -119,9 +131,9 @@ class ReferenceConfig:
         aug[n : n + m, n + m :] = np.diag(w)
         aug[n + m :, n : n + m] = -np.diag(w)
         F = numerics.matrix_exponential(aug, h)
-        M_s = F[:n, n : n + m]
-        M_c = F[:n, n + m :]
-        return E, lambda t: M_s @ np.sin(w * t) + M_c @ np.cos(w * t)
+        M_s = numerics.mat3(F[:n, n : n + m])
+        M_c = numerics.mat3(F[:n, n + m :])
+        return numerics.mat3(E), None, M_s, M_c
 
     @property
     def r_inf(self) -> float:
@@ -206,11 +218,11 @@ class Snapshot:
     """Resumable engine state captured at a step boundary."""
 
     t0: float
-    x: np.ndarray
-    x_id: np.ndarray
+    x: tuple
+    x_id: tuple
     ctrl_state: ctrl.ControllerState
-    u_held: np.ndarray
-    eta_state: np.ndarray
+    u_held: tuple
+    eta_state: tuple
     learner_state: Optional[learner_mod.BayesianLearner]
     rng_state: dict
     e_f_last: float = 0.0
@@ -240,10 +252,9 @@ class Engine:
             e0 = self.learner.model.e_f_hat if self.learner else 0.0
             self.state = ctrl.ControllerState.initial(cfg.controller, e0)
             self.t0 = 0.0
-            self.x = cfg.plant.x0.astype(float).copy()
-            self.x_id = cfg.plant.x0.astype(float).copy()
-            self.u = np.zeros(m)
-            self.eta_state = np.zeros(m)
+            x0, x1, x2 = (float(v) for v in cfg.plant.x0)
+            self.x = self.x_id = (x0, x1, x2)
+            self.u = self.eta_state = (0.0, 0.0, 0.0)
             self.e_f_last = e0
         else:
             resume = resume.clone()
@@ -273,11 +284,11 @@ class Engine:
     def snapshot(self) -> Snapshot:
         return Snapshot(
             t0=self.t_final,
-            x=self.x.copy(),
-            x_id=self.x_id.copy(),
+            x=self.x,
+            x_id=self.x_id,
             ctrl_state=copy.deepcopy(self.state),
-            u_held=self.u.copy(),
-            eta_state=self.eta_state.copy(),
+            u_held=self.u,
+            eta_state=self.eta_state,
             learner_state=copy.deepcopy(self.learner),
             rng_state=copy.deepcopy(self.rng.bit_generator.state),
             e_f_last=self.e_f_last,
@@ -296,13 +307,20 @@ class Engine:
         mode_l1gp = c.mode == "l1gp"
         delay_total = p.delay_total
         J, A_m = p.J, p.A_m
-        E_id, forcing_id = cfg.reference.exact_step(A_m, c.B_m @ c.k_g, h)
-        ref = self.ref
+        pre = self.pre
+        mat3_vec = numerics.mat3_vec
+        sin, cos = math.sin, math.cos
+        E_id, g_id, M_s, M_c = cfg.reference.exact_step(A_m, c.B_m @ c.k_g, h)
+        sinusoid = M_s is not None
+        r = self.ref(0.0)  # constant unless the reference is a sinusoid
+        a0, a1, a2 = (float(v) for v in cfg.reference.amplitude)
+        w0, w1, w2 = (float(v) for v in cfg.reference.frequency)
         schedule = p.uncertainty
         switch_times = [s for s in schedule.switch_times if s > self.t0 + 1e-12]
 
-        # +2: the initial row plus a possible abort row between decimation points
-        rows = np.empty((n_steps // dec + 2, len(TRACE_COLUMNS)))
+        # +3: the initial row, one more grid row when t0 is off the recording
+        # grid, and a possible abort row between grid points
+        rows = np.empty((n_steps // dec + 3, len(TRACE_COLUMNS)))
         row_i = 0
         unstable = False
         steps_done = 0
@@ -316,42 +334,59 @@ class Engine:
         i0 = self._i0
         for i in range(n_steps):
             t = (i0 + i) * h
-            r = ref(t)
+            if sinusoid:
+                # one sin(w t) per step, shared by r(t) and the ideal loop
+                s0, s1, s2 = sin(w0 * t), sin(w1 * t), sin(w2 * t)
+                r = (a0 * s0, a1 * s1, a2 * s2)
             if (i0 + i) % ts_every == 0:
-                ctrl.adaptation_step(state, self.x, self.pre)
+                ctrl.adaptation_step(state, self.x, pre)
                 if self._sigma_oracle is not None:
-                    state.sigma_hat = self._sigma_oracle(t, self.x)
+                    o0, o1, o2 = self._sigma_oracle(t, np.array(self.x))
+                    state.sigma_hat = (float(o0), float(o1), float(o2))
                 if mode_l1gp:
                     model = self.learner.model if self.learner else None
                     if model is not None:
                         # the bandwidth law consumes the pointwise envelope
                         # at the current state, not the domain-wide scalar
                         f_hat_x, e_f = model.evaluate(self.x)
+                        f_hat_x = f_hat_x.tolist()
                     else:
-                        f_hat_x, e_f = np.zeros(c.m), 0.0
+                        f_hat_x, e_f = (0.0, 0.0, 0.0), 0.0
                     self.e_f_last = e_f
                     omega_hat = ctrl.bandwidth_command(e_f, c.omega_0, c.omega_c)
                     ctrl.learning_filter_step(state, f_hat_x, omega_hat, c)
-                self.eta_state = state.sigma_hat + (
-                    self.eta_state - state.sigma_hat
-                ) * alpha_c
-                self.u = ctrl.control_step(state, self.x, r, c, self.pre, t)
+                q0, q1, q2 = state.sigma_hat
+                e0, e1, e2 = self.eta_state
+                self.eta_state = (
+                    q0 + (e0 - q0) * alpha_c,
+                    q1 + (e1 - q1) * alpha_c,
+                    q2 + (e2 - q2) * alpha_c,
+                )
+                self.u = ctrl.control_step(state, r, c, pre)
             if delay_total:
                 pushed = plant_mod.baseline_control(self.x, J, A_m) + self.u
                 u_applied = self.delay.push(pushed)
             else:
                 u_applied = self.delay.push(self.u)
             try:
-                x0, x1, x2 = plant_mod.rk4_plant_step(
+                x0, x1, x2 = self.x = plant_mod.rk4_plant_step(
                     self.x, u_applied, t, h, p, include_baseline=not delay_total
                 )
             except numerics.DivergenceError:
                 unstable = True
             else:
-                self.x = np.array((x0, x1, x2))
-                self.x_id = E_id @ self.x_id + forcing_id(t)
-                a0, a1, a2 = abs(x0), abs(x1), abs(x2)
-                if not math.isfinite(a0 + a1 + a2) or max(a0, a1, a2) > cfg.blowup:
+                d0, d1, d2 = mat3_vec(E_id, self.x_id)
+                if sinusoid:
+                    m0, m1, m2 = mat3_vec(M_s, (s0, s1, s2))
+                    n0, n1, n2 = mat3_vec(
+                        M_c, (cos(w0 * t), cos(w1 * t), cos(w2 * t))
+                    )
+                    self.x_id = (d0 + (m0 + n0), d1 + (m1 + n1), d2 + (m2 + n2))
+                else:
+                    g0, g1, g2 = g_id
+                    self.x_id = (d0 + g0, d1 + g1, d2 + g2)
+                b0, b1, b2 = abs(x0), abs(x1), abs(x2)
+                if not math.isfinite(b0 + b1 + b2) or max(b0, b1, b2) > cfg.blowup:
                     unstable = True
             t_next = (i0 + i + 1) * h
             while switch_times and t_next >= switch_times[0] - 1e-12:
@@ -373,7 +408,8 @@ class Engine:
                 ev = self.learner.maybe_update(t_next)
                 if ev is not None:
                     self.events.append(ev)
-            if (i + 1) % dec == 0:
+            # the global step index keeps a resumed run on the same grid
+            if (i0 + i + 1) % dec == 0:
                 rows[row_i] = self._row(t_next)
                 row_i += 1
         self.t_final = (self._i0 + steps_done) * h
@@ -386,32 +422,31 @@ class Engine:
         return trace
 
     def _row(self, t: float) -> np.ndarray:
-        c = self.cfg.controller
         state = self.state
-        x = self.x
-        f_true = self.cfg.plant.uncertainty.eval(t, x)
+        x0, x1, x2 = x = self.x
+        h0, h1, h2 = state.x_hat
+        f_true = self.cfg.plant.uncertainty.field_at(t)(x0, x1, x2)
         if self.learner is not None:
             f_hat = self.learner.model.f_hat(x)
         else:
-            f_hat = np.zeros(c.m)
-        e_f = self.e_f_last
-        r = self.ref(t)
-        return np.concatenate(
-            [
-                [t],
-                x,
-                state.x_hat,
-                state.x_hat - x,
-                self.u,
-                state.f_L,
-                self.eta_state,
-                state.sigma_hat,
-                f_true,
-                f_hat,
-                r,
-                self.x_id,
-                [e_f, state.omega_filtered],
-            ]
+            f_hat = (0.0, 0.0, 0.0)
+        return np.array(
+            (
+                t,
+                *x,
+                *state.x_hat,
+                h0 - x0, h1 - x1, h2 - x2,
+                *self.u,
+                *state.f_L,
+                *self.eta_state,
+                *state.sigma_hat,
+                *f_true,
+                *f_hat,
+                *self.ref(t),
+                *self.x_id,
+                self.e_f_last,
+                state.omega_filtered,
+            )
         )
 
     def _check_condition(self):

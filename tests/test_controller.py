@@ -156,7 +156,7 @@ class TestControlStep:
         pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, 8.5)
         state.x_hat = np.zeros(3)
-        u = ctrl.control_step(state, np.zeros(3), np.zeros(3), cfg, pre, 0.0)
+        u = ctrl.control_step(state, np.zeros(3), cfg, pre)
         assert np.array_equal(u, np.zeros(3))
 
     def test_dc_gain_to_reference(self):
@@ -168,7 +168,7 @@ class TestControlStep:
         n = int(round(5.0 / cfg.omega_c / cfg.T_s))
         for k in range(n):
             state.sigma_hat = np.zeros(3)
-            u = ctrl.control_step(state, np.zeros(3), r, cfg, pre, k * cfg.T_s)
+            u = ctrl.control_step(state, r, cfg, pre)
         target = cfg.k_g @ r
         assert np.max(np.abs(u - target) / np.abs(target)) < 0.01
 
@@ -180,13 +180,13 @@ class TestControlStep:
         pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, 8.5)
         rng = np.random.default_rng(3)
-        x_fine = state.x_hat.copy()
+        x_fine = np.array(state.x_hat)
         h = cfg.T_s / 100
         for k in range(1000):
             state.sigma_hat = 0.01 * rng.normal(size=3)
             state.f_L = 0.01 * rng.normal(size=3)
             r = np.sin(k * cfg.T_s) * np.ones(3)
-            u = ctrl.control_step(state, np.zeros(3), r, cfg, pre, k * cfg.T_s)
+            u = ctrl.control_step(state, r, cfg, pre)
             drive = cfg.B_m @ (state.f_L + state.sigma_hat + u)
             for j in range(100):
                 x_fine = numerics.rk4_step(

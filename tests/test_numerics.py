@@ -122,6 +122,27 @@ def cholesky_solve(M, B):
     return numerics.solve_with_factor(numerics.cholesky_factor(M), B)
 
 
+class TestMat3:
+    def test_diagonal_product_is_numpys_bitwise(self):
+        # one nonzero per row: every entry, and the sign of every zero,
+        # equals numpy's product
+        M = np.diag([-5.0, 0.25, 3.0])
+        M[M == 0.0] = -0.0
+        T = numerics.mat3(M)
+        rng = np.random.default_rng(0)
+        vectors = [np.zeros(3), -np.zeros(3), np.array([0.0, -1.5, 2.0])]
+        vectors += list(rng.normal(size=(100, 3)))
+        for v in vectors:
+            got = np.array(numerics.mat3_vec(T, tuple(v.tolist())))
+            want = M @ v
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_shape_checked(self):
+        with pytest.raises(numerics.DimensionError):
+            numerics.mat3(np.eye(2))
+
+
 class TestCholeskySolve:
     def test_identity(self):
         b = np.array([[1.0], [2.0], [3.0]])

@@ -178,8 +178,13 @@ class TestReferenceSystem:
         cfg.controller.x_hat0 = np.zeros(3)
         cfg = no_condition(cfg)
         sched = cfg.plant.uncertainty
+        cfg.record_decimation = 1
         eng = scenario.Engine(cfg, sigma_oracle=lambda t, x: sched.eval(t, x))
         trace = eng.run()
+        # every tick's estimate is the oracle at the state the tick saw
+        t, x, sg = trace.t, trace.block("x"), trace.block("sigmahat")
+        for k in range(1, len(t)):
+            assert np.array_equal(sg[k], sched.eval(t[k - 1], x[k - 1])), k
         ref_out = scenario.run_reference_system(cfg)
         diff = np.max(np.abs(trace.block("x") - ref_out["x_ref"]))
         assert diff <= 0.05
@@ -226,6 +231,137 @@ class TestPlantReplay:
             assert np.array_equal(x[k], want), k
 
 
+class TestControllerReplay:
+    # every recorded controller signal is one tick of the array formulas
+    # (numpy matrix products) applied to the previous row
+    @pytest.mark.parametrize(
+        "mode, kind, duration",
+        [("l1", "sinusoid", 2.0), ("l1gp", "step", 11.0)],
+    )
+    def test_rows_follow_the_array_formulas(self, mode, kind, duration):
+        cfg = no_condition(nominal(duration=duration, mode=mode,
+                                   reference_kind=kind,
+                                   with_learner=mode == "l1gp",
+                                   record_decimation=1))
+        trace = scenario.run(cfg)
+        assert not trace.unstable
+        if mode == "l1gp":
+            # a model is published at 10 s, so f_hat is not zero at the end
+            assert np.max(np.abs(trace.block("fhat")[-1])) > 0.0
+        c = cfg.controller
+        pre = ctrl.PrecomputedAdaptation.from_config(c)
+        h = cfg.step
+        E, g, M_s, M_c = (
+            None if m is None else np.array(m)
+            for m in cfg.reference.exact_step(c.A_m, c.B_m @ c.k_g, h)
+        )
+        amp, w = cfg.reference.amplitude, cfg.reference.frequency
+        t, x, xhat = trace.t, trace.block("x"), trace.block("xhat")
+        sg, fl, eta = trace.block("sigmahat"), trace.block("fl"), trace.block("eta")
+        u, xid, fhat = trace.block("u"), trace.block("xid"), trace.block("fhat")
+        r_rec = trace.block("r")
+        ef, om = trace.col("e_f_hat"), trace.col("omega_filtered")
+        alpha_c = math.exp(-c.omega_c * c.T_s)
+        alpha_L = math.exp(-c.omega_L * c.T_s)
+        c_state = np.zeros(3)
+        for k in range(1, len(t)):
+            p = k - 1
+            r = amp * np.sin(w * t[p]) if kind == "sinusoid" else amp
+            assert np.array_equal(r_rec[p], r), k
+            sigma = pre.gain @ (xhat[p] - x[p])
+            assert np.array_equal(sg[k], sigma), k
+            if mode == "l1gp":
+                w_hat = ctrl.bandwidth_command(ef[k], c.omega_0, c.omega_c)
+                omega = w_hat + (om[p] - w_hat) * alpha_L
+                f_L = fhat[p] + (fl[p] - fhat[p]) * math.exp(-omega * c.T_s)
+            else:
+                omega, f_L = 0.0, np.zeros(3)
+            assert om[k] == omega, k
+            assert np.array_equal(fl[k], f_L), k
+            assert np.array_equal(eta[k], sigma + (eta[p] - sigma) * alpha_c), k
+            v = sigma - c.k_g @ r
+            c_state = v + (c_state - v) * alpha_c
+            u_k = -f_L - c_state
+            assert np.array_equal(u[k], u_k), k
+            drive = c.B_m @ (f_L + sigma + u_k)
+            assert np.array_equal(xhat[k], pre.expAT @ xhat[p] + pre.phi @ drive), k
+            if kind == "sinusoid":
+                forcing = M_s @ np.sin(w * t[p]) + M_c @ np.cos(w * t[p])
+            else:
+                forcing = g
+            assert np.array_equal(xid[k], E @ xid[p] + forcing), k
+
+    def test_tick_functions_with_non_diagonal_matrices(self):
+        # with more than one nonzero per row the float sums agree with the
+        # array products to rounding: within 1e-15 of the summed magnitudes
+        A = np.array([[-3.0, 0.7, 0.2], [0.1, -2.0, 0.5], [-0.3, 0.2, -4.0]])
+        B = np.array([[90.0, 5.0, 0.0], [-3.0, 80.0, 2.0], [1.0, 0.5, 50.0]])
+        c = ctrl.ControllerConfig(A_m=A, B_m=B, C_m=np.eye(3))
+        pre = ctrl.PrecomputedAdaptation.from_config(c)
+        assert np.count_nonzero(pre.expAT) == 9 and np.count_nonzero(c.k_g) == 9
+
+        def close(got, want, scale):
+            return np.all(np.abs(np.asarray(got) - want) <= 1e-15 * scale)
+
+        rng = np.random.default_rng(7)
+        state = ctrl.ControllerState.initial(c, 0.5)
+        for _ in range(200):
+            x_hat, x, f_L, c_state, f_hat, r = rng.normal(size=(6, 3))
+            state.x_hat, state.f_L, state.c_state = tuple(x_hat), tuple(f_L), tuple(c_state)
+            sigma = pre.gain @ (x_hat - x)
+            got = ctrl.adaptation_step(state, tuple(x), pre)
+            assert close(got, sigma, np.abs(pre.gain) @ np.abs(x_hat - x))
+            state.sigma_hat = tuple(sigma)
+            omega = 2.0 + (state.omega_filtered - 2.0) * c._alpha_L
+            ctrl.learning_filter_step(state, tuple(f_hat), 2.0, c)
+            f_L = f_hat + (f_L - f_hat) * math.exp(-omega * c.T_s)
+            assert state.omega_filtered == omega
+            assert np.array_equal(state.f_L, f_L)
+            u = ctrl.control_step(state, tuple(r), c, pre)
+            v = sigma - c.k_g @ r
+            c_state = v + (c_state - v) * c._alpha_c
+            scale = np.abs(sigma) + np.abs(c.k_g) @ np.abs(r) + np.abs(c_state)
+            assert close(state.c_state, c_state, scale)
+            assert close(u, -f_L - c_state, scale + np.abs(f_L))
+            w = f_L + sigma + np.asarray(u)
+            want = pre.expAT @ x_hat + pre.phi @ (c.B_m @ w)
+            scale = (np.abs(pre.expAT) @ np.abs(x_hat)
+                     + np.abs(pre.phi) @ (np.abs(c.B_m) @ np.abs(w)))
+            assert close(state.x_hat, want, scale)
+
+
+class TestEngineCalls:
+    # the benchmark samples host speed at DelayLine.push and times the
+    # controller tick through the three controller functions, so the
+    # engine calls each through its class or module attribute, once per
+    # step or tick
+    @pytest.mark.parametrize("delay", [0.0, 0.005])
+    def test_one_push_and_one_tick_per_step(self, monkeypatch, delay):
+        counts = {}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(plant.DelayLine, "push")
+        for name in ("adaptation_step", "learning_filter_step", "control_step"):
+            counting(ctrl, name)
+        cfg = no_condition(nominal(duration=0.5, input_delay=delay))
+        trace = scenario.run(cfg)
+        assert not trace.unstable
+        assert counts == {
+            "push": cfg.n_steps,
+            "adaptation_step": cfg.n_steps,
+            "learning_filter_step": cfg.n_steps,
+            "control_step": cfg.n_steps,
+        }
+
+
 class TestSnapshotResume:
     def test_resume_matches_uninterrupted(self):
         full = scenario.run(no_condition(
@@ -238,6 +374,23 @@ class TestSnapshotResume:
         second = scenario.Engine(cfg2, resume=snap).run()
         stitched = np.vstack([first.data, second.data[1:]])
         assert np.array_equal(stitched, full.data)
+
+    def test_resume_off_the_recording_grid_keeps_the_grid(self):
+        # resumed at 13 ms, the run still records at multiples of 10 ms
+        full = scenario.run(no_condition(
+            nominal(duration=1.0, reference_kind="sinusoid")))
+        eng = scenario.Engine(no_condition(
+            nominal(duration=0.013, reference_kind="sinusoid")))
+        eng.run()
+        second = scenario.Engine(
+            no_condition(nominal(duration=0.987, reference_kind="sinusoid")),
+            resume=eng.snapshot(),
+        ).run()
+        assert second.t[0] == 13 * 0.001
+        rows = second.data[1:]
+        assert len(rows) == 99
+        k = np.rint(rows[:, 0] / 0.01).astype(int)
+        assert np.array_equal(rows, full.data[k])
 
 
 class TestMarginSearch:
