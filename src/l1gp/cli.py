@@ -253,15 +253,11 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
         windows.append((duration - 10.0, duration))
     windows.append((0.0, duration))
 
-    def err_means(trace):
-        t = trace.t
-        err = np.linalg.norm(trace.block("x") - trace.block("xid"), axis=1)
-        return {
-            f"{t0:g}-{t1:g}": scenario.window_mean(t, err, t0, t1)
-            for t0, t1 in windows
-        }
-
-    means_a, means_b = err_means(trace_a), err_means(trace_b)
+    means_a, means_b = (
+        {k: w["err_ideal_norm"]
+         for k, w in scenario.metrics(trace, windows)["windows"].items()}
+        for trace in (trace_a, trace_b)
+    )
     compare = {
         "config_a": config_a,
         "config_b": config_b,

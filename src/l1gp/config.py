@@ -3,9 +3,12 @@
 The file format is a minimal TOML-style dialect chosen for hand-editable
 experiment decks: ``key = value`` lines, ``[section]`` headers (dotted
 keys inside a section are equivalent to ``section.key`` at top level),
-``#`` comments, scalars (int/float/bool/string) and flat lists. Every
-default the run will actually use is materialized during resolution so
-the manifest can echo a complete, re-runnable configuration.
+``#`` comments, scalars (int/float/bool/string) and flat lists. Each
+deck key is named once, in ``_KEYS``, with its type and default.
+Resolution reads the deck through that table into the echo, with every
+default the run will actually use, so the manifest can echo a complete,
+re-runnable configuration; the config objects are built from the echo.
+Any invalid value raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import controller as ctrl
 from . import learner as learner_mod
 from . import gp, plant as plant_mod, scenario
 
-__all__ = ["ConfigError", "parse_flat_file", "resolve_scenario", "flatten_scenario"]
+__all__ = ["ConfigError", "parse_flat_file", "resolve_scenario"]
 
 
 class ConfigError(ValueError):
@@ -77,34 +80,73 @@ def parse_flat_file(path: str) -> dict:
     return flat
 
 
-def _vec3(value, name: str) -> np.ndarray:
+def _vec3(value) -> list:
     if isinstance(value, (int, float)):
-        return np.full(3, float(value))
+        return [float(value)] * 3
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
-        raise ConfigError(f"{name} must be a scalar or a 3-element list")
-    return arr
+        raise ValueError("must be a scalar or a 3-element list")
+    return arr.tolist()
 
 
-_KNOWN_KEYS = {
-    "duration", "step", "seed", "record_decimation", "blowup",
-    "reference.kind", "reference.amplitude", "reference.frequency",
-    "controller.mode", "controller.ts", "controller.omega_c",
-    "controller.omega_l", "controller.omega_0", "controller.a_m",
-    "controller.x_hat0",
-    "plant.j", "plant.x0", "plant.uncertainty", "plant.switch_time",
-    "plant.input_delay", "plant.delay_total",
-    "learner.enabled", "learner.t_data", "learner.n_update",
-    "learner.gating", "learner.gamma_tol", "learner.max_points",
-    "learner.sigma_n",
-    "kernel.sigma_f", "kernel.length_scale",
-    "bound.kappa", "bound.xi", "bound.delta", "bound.l_f",
-    "bound.include_gamma", "bound.kappa_op", "bound.grid_points",
-    "condition.check", "condition.l_f", "condition.b0",
-    "condition.rho_0", "condition.rho_r",
+def _bool(value) -> bool:
+    # bool("false") is True: a quoted or misspelled flag must not pass
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+_REQUIRED = object()
+
+# deck key -> (type, default); a default of None is echoed only when the
+# deck sets the key, _REQUIRED means the deck must set it
+_KEYS = {
+    "duration": (float, 60.0),
+    "step": (float, 0.001),
+    "seed": (int, 12345),
+    "record_decimation": (int, 10),
+    "blowup": (float, 100.0),
+    "reference.kind": (str, "step"),
+    "reference.amplitude": (_vec3, 1.0),
+    "reference.frequency": (_vec3, 0.5),
+    "controller.mode": (str, "l1gp"),
+    "controller.ts": (float, 0.001),
+    "controller.omega_c": (float, 80.0),
+    "controller.omega_l": (float, 0.01),
+    "controller.omega_0": (float, 1.0),
+    "controller.a_m": (_vec3, -3.0),
+    "controller.x_hat0": (_vec3, 0.5),
+    "plant.j": (_vec3, _REQUIRED),
+    "plant.x0": (_vec3, 0.0),
+    "plant.uncertainty": (str, "quadratic"),
+    "plant.switch_time": (float, None),
+    "plant.input_delay": (float, 0.0),
+    "plant.delay_total": (_bool, False),
+    "learner.enabled": (_bool, None),  # unset: on in mode l1gp
+    "learner.t_data": (float, 1.0),
+    "learner.n_update": (int, 10),
+    "learner.gating": (str, "always"),
+    "learner.gamma_tol": (float, 0.9),
+    "learner.max_points": (int, 512),
+    "learner.sigma_n": (float, 0.01),
+    "kernel.sigma_f": (float, 1.0),
+    "kernel.length_scale": (float, 1.0),
+    "bound.kappa": (float, 15.0),
+    "bound.xi": (float, 0.001),
+    "bound.delta": (float, 0.01),
+    "bound.l_f": (float, 0.0),
+    "bound.include_gamma": (_bool, False),
+    "bound.kappa_op": (float, 5.0),
+    "bound.grid_points": (int, 21),
+    "condition.check": (_bool, True),
+    "condition.l_f": (float, 0.2),
+    "condition.b0": (float, 0.0),
+    "condition.rho_0": (float, None),
+    "condition.rho_r": (float, None),
 }
 
-_REQUIRED_KEYS = ("plant.j",)
+# sections that only configure the learner: echoed only while it is enabled
+_LEARNER_KEYS = ("learner.", "kernel.", "bound.")
 
 
 def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
@@ -114,172 +156,93 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
     defaults, so feeding it back through this function reproduces the run
     exactly.
     """
-    unknown = set(flat) - _KNOWN_KEYS
+    unknown = set(flat) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in _REQUIRED_KEYS:
-        if key not in flat:
+    echo = {}
+    for key, (kind, default) in _KEYS.items():
+        value = flat.get(key, default)
+        if value is _REQUIRED:
             raise ConfigError(f"missing required config key: {key}")
-
-    def get(key, default):
-        return flat.get(key, default)
-
-    J = _vec3(get("plant.j", None), "plant.j")
-    a_m = _vec3(get("controller.a_m", -3.0), "controller.a_m")
-    A_m = np.diag(a_m)
-    B_m = np.diag(1.0 / J)
-    C_m = np.eye(3)
-
-    controller_cfg = ctrl.ControllerConfig(
-        A_m=A_m,
-        B_m=B_m,
-        C_m=C_m,
-        T_s=float(get("controller.ts", 0.001)),
-        omega_c=float(get("controller.omega_c", 80.0)),
-        omega_L=float(get("controller.omega_l", 0.01)),
-        omega_0=float(get("controller.omega_0", 1.0)),
-        mode=str(get("controller.mode", "l1gp")),
-        x_hat0=_vec3(get("controller.x_hat0", [0.5, 0.5, 0.5]), "controller.x_hat0"),
-    )
-
-    kind = str(get("plant.uncertainty", "quadratic"))
-    switch_time = get("plant.switch_time", None)
+        if value is not None:
+            try:
+                echo[key] = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key} = {value!r}: {exc}") from exc
+    J = np.array(echo["plant.j"])
+    A_m = np.diag(echo["controller.a_m"])
+    segments = ((0.0, echo["plant.uncertainty"]),)
+    switch_time = echo.get("plant.switch_time")
     if switch_time is not None:
-        segments = ((0.0, kind), (float(switch_time), "sine_switch"))
-    else:
-        segments = ((0.0, kind),)
-    plant_cfg = plant_mod.PlantConfig(
-        J=np.diag(J),
-        x0=_vec3(get("plant.x0", 0.0), "plant.x0"),
-        uncertainty=plant_mod.UncertaintySchedule(segments),
-        input_delay=float(get("plant.input_delay", 0.0)),
-        delay_total=bool(get("plant.delay_total", False)),
-        A_m=A_m,
-    )
-
-    learner_cfg = None
-    if bool(get("learner.enabled", controller_cfg.mode == "l1gp")):
-        kernel = gp.SeKernel(
-            sigma_f=float(get("kernel.sigma_f", 1.0)),
-            length_scale=float(get("kernel.length_scale", 1.0)),
-        )
-        bound = gp.UniformBoundConfig(
-            kappa=float(get("bound.kappa", 15.0)),
-            xi=float(get("bound.xi", 0.001)),
-            delta=float(get("bound.delta", 0.01)),
-            lip_f=float(get("bound.l_f", 0.0)),
-            include_gamma=bool(get("bound.include_gamma", False)),
-        )
-        learner_cfg = learner_mod.LearnerConfig(
-            T_data=float(get("learner.t_data", 1.0)),
-            N_update=int(get("learner.n_update", 10)),
-            gating=str(get("learner.gating", "always")),
-            gamma_tol=float(get("learner.gamma_tol", 0.9)),
-            max_points=int(get("learner.max_points", 512)),
-            sigma_n=float(get("learner.sigma_n", 0.01)),
-            kernel=kernel,
-            bound=bound,
-            kappa_op=float(get("bound.kappa_op", 5.0)),
-            grid_points=int(get("bound.grid_points", 21)),
-        )
-
-    reference = scenario.ReferenceConfig(
-        kind=str(get("reference.kind", "step")),
-        amplitude=_vec3(get("reference.amplitude", 1.0), "reference.amplitude"),
-        frequency=_vec3(get("reference.frequency", 0.5), "reference.frequency"),
-    )
-
-    condition = scenario.ConditionParams(
-        check=bool(get("condition.check", True)),
-        lip_f=float(get("condition.l_f", 0.2)),
-        b0=float(get("condition.b0", 0.0)),
-        rho_0=(None if get("condition.rho_0", None) is None
-               else float(flat["condition.rho_0"])),
-        rho_r=(None if get("condition.rho_r", None) is None
-               else float(flat["condition.rho_r"])),
-    )
-
+        segments += ((switch_time, "sine_switch"),)
     try:
+        plant_cfg = plant_mod.PlantConfig(
+            J=np.diag(J),
+            x0=np.array(echo["plant.x0"]),
+            uncertainty=plant_mod.UncertaintySchedule(segments),
+            input_delay=echo["plant.input_delay"],
+            delay_total=echo["plant.delay_total"],
+            A_m=A_m,
+        )
+        controller_cfg = ctrl.ControllerConfig(
+            A_m=A_m,
+            B_m=np.diag(1.0 / J),
+            C_m=np.eye(3),
+            T_s=echo["controller.ts"],
+            omega_c=echo["controller.omega_c"],
+            omega_L=echo["controller.omega_l"],
+            omega_0=echo["controller.omega_0"],
+            mode=echo["controller.mode"],
+            x_hat0=np.array(echo["controller.x_hat0"]),
+        )
+        learner_cfg = None
+        if echo.setdefault("learner.enabled", controller_cfg.mode == "l1gp"):
+            learner_cfg = learner_mod.LearnerConfig(
+                T_data=echo["learner.t_data"],
+                N_update=echo["learner.n_update"],
+                gating=echo["learner.gating"],
+                gamma_tol=echo["learner.gamma_tol"],
+                max_points=echo["learner.max_points"],
+                sigma_n=echo["learner.sigma_n"],
+                kernel=gp.SeKernel(
+                    sigma_f=echo["kernel.sigma_f"],
+                    length_scale=echo["kernel.length_scale"],
+                ),
+                bound=gp.UniformBoundConfig(
+                    kappa=echo["bound.kappa"],
+                    xi=echo["bound.xi"],
+                    delta=echo["bound.delta"],
+                    lip_f=echo["bound.l_f"],
+                    include_gamma=echo["bound.include_gamma"],
+                ),
+                kappa_op=echo["bound.kappa_op"],
+                grid_points=echo["bound.grid_points"],
+            )
+        else:
+            echo = {k: v for k, v in echo.items()
+                    if k == "learner.enabled" or not k.startswith(_LEARNER_KEYS)}
         cfg = scenario.ScenarioConfig(
             controller=controller_cfg,
             plant=plant_cfg,
             learner=learner_cfg,
-            reference=reference,
-            duration=float(get("duration", 60.0)),
-            step=float(get("step", 0.001)),
-            seed=int(get("seed", 12345)),
-            record_decimation=int(get("record_decimation", 10)),
-            blowup=float(get("blowup", 100.0)),
-            condition=condition,
+            reference=scenario.ReferenceConfig(
+                kind=echo["reference.kind"],
+                amplitude=np.array(echo["reference.amplitude"]),
+                frequency=np.array(echo["reference.frequency"]),
+            ),
+            duration=echo["duration"],
+            step=echo["step"],
+            seed=echo["seed"],
+            record_decimation=echo["record_decimation"],
+            blowup=echo["blowup"],
+            condition=scenario.ConditionParams(
+                check=echo["condition.check"],
+                lip_f=echo["condition.l_f"],
+                b0=echo["condition.b0"],
+                rho_0=echo.get("condition.rho_0"),
+                rho_r=echo.get("condition.rho_r"),
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg, flatten_scenario(cfg)
-
-
-def flatten_scenario(cfg: scenario.ScenarioConfig) -> dict:
-    """Echo a resolved scenario as the flat dict that reproduces it."""
-    c = cfg.controller
-    p = cfg.plant
-    flat = {
-        "duration": cfg.duration,
-        "step": cfg.step,
-        "seed": cfg.seed,
-        "record_decimation": cfg.record_decimation,
-        "blowup": cfg.blowup,
-        "reference.kind": cfg.reference.kind,
-        "reference.amplitude": cfg.reference.amplitude.tolist(),
-        "reference.frequency": cfg.reference.frequency.tolist(),
-        "controller.mode": c.mode,
-        "controller.ts": c.T_s,
-        "controller.omega_c": c.omega_c,
-        "controller.omega_l": c.omega_L,
-        "controller.omega_0": c.omega_0,
-        "controller.a_m": np.diag(c.A_m).tolist(),
-        "controller.x_hat0": c.x_hat0.tolist(),
-        "plant.j": np.diag(p.J).tolist(),
-        "plant.x0": p.x0.tolist(),
-        "plant.uncertainty": _segment_kind_name(p.uncertainty.segments[0][1]),
-        "plant.input_delay": p.input_delay,
-        "plant.delay_total": p.delay_total,
-        "condition.check": cfg.condition.check,
-        "condition.l_f": cfg.condition.lip_f,
-        "condition.b0": cfg.condition.b0,
-    }
-    if cfg.condition.rho_0 is not None:
-        flat["condition.rho_0"] = cfg.condition.rho_0
-    if cfg.condition.rho_r is not None:
-        flat["condition.rho_r"] = cfg.condition.rho_r
-    if len(p.uncertainty.segments) > 1:
-        flat["plant.switch_time"] = p.uncertainty.segments[1][0]
-    if cfg.learner is not None:
-        l = cfg.learner
-        flat.update(
-            {
-                "learner.enabled": True,
-                "learner.t_data": l.T_data,
-                "learner.n_update": l.N_update,
-                "learner.gating": l.gating,
-                "learner.gamma_tol": l.gamma_tol,
-                "learner.max_points": l.max_points,
-                "learner.sigma_n": l.sigma_n,
-                "kernel.sigma_f": l.kernel.sigma_f,
-                "kernel.length_scale": l.kernel.length_scale,
-                "bound.kappa": l.bound.kappa,
-                "bound.xi": l.bound.xi,
-                "bound.delta": l.bound.delta,
-                "bound.l_f": l.bound.lip_f,
-                "bound.include_gamma": l.bound.include_gamma,
-                "bound.kappa_op": l.kappa_op,
-                "bound.grid_points": l.grid_points,
-            }
-        )
-    else:
-        flat["learner.enabled"] = False
-    return flat
-
-
-def _segment_kind_name(kind) -> str:
-    if isinstance(kind, str):
-        return kind
-    return getattr(kind, "__name__", "custom")
+    return cfg, echo

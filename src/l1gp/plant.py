@@ -10,8 +10,8 @@ cancellation identity is exercised by tests rather than assumed.
 The field is written once, on Python floats: the rate equation and the
 scalar form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
 :func:`rk4_plant_step` integrates it with one fused RK4 step per engine
-step, with no numpy call inside; :func:`plant_derivative` and the
-uncertainty functions are its array forms.
+step, with no numpy call inside; :func:`plant_derivative` and
+:func:`poly_quadratic_uncertainty` are its array forms.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "plant_derivative",
     "rk4_plant_step",
     "poly_quadratic_uncertainty",
-    "switched_sinusoid_uncertainty",
 ]
 
 def _quadratic(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
@@ -61,11 +60,6 @@ def _zero(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
 def poly_quadratic_uncertainty(x: np.ndarray) -> np.ndarray:
     """Quadratic model uncertainty used by the nominal scenarios."""
     return np.array(_quadratic(*x))
-
-
-def switched_sinusoid_uncertainty(x: np.ndarray) -> np.ndarray:
-    """Sinusoidal uncertainty activated after the scheduled switch."""
-    return np.array(_sine_switch(*x))
 
 
 # scalar forms (x0, x1, x2) -> (f0, f1, f2) of the built-in kinds

@@ -30,6 +30,13 @@ resumed off that grid records the same rows as the uninterrupted run.
 
 Tick order within one step is fixed: adaptation -> learning filter ->
 control (filter update, output, predictor advance) -> plant -> learner.
+
+The engine's state is one :class:`Snapshot`, named once: a fresh run
+starts from :meth:`Snapshot.initial`, a resumed run from a deepcopy of the
+snapshot it is given, each :meth:`Engine.run` goes on from the time the
+live state stands at, and :meth:`Engine.snapshot` returns a deepcopy of
+it. The record holds the learner's random generator itself, so each copy
+draws the same stream as the run it was taken from.
 """
 
 from __future__ import annotations
@@ -178,14 +185,15 @@ class ScenarioConfig:
             )
         else:
             self.data_every = 0
+        _exact_multiple(self.plant.input_delay, self.step, "input_delay", least=0)
         self.n_steps = int(round(self.duration / self.step))
         if abs(self.n_steps * self.step - self.duration) > 1e-9:
             raise ValueError("duration must be a multiple of the step")
 
 
-def _exact_multiple(period: float, step: float, name: str) -> int:
+def _exact_multiple(period: float, step: float, name: str, least: int = 1) -> int:
     k = int(round(period / step))
-    if k < 1 or abs(k * step - period) > 1e-12:
+    if k < least or abs(k * step - period) > 1e-12:
         raise ValueError(f"step {step} does not divide {name} {period} evenly")
     return k
 
@@ -197,7 +205,6 @@ class SimulationTrace:
     data: np.ndarray
     events: list
     unstable: bool = False
-    meta: dict = field(default_factory=dict)
     columns: tuple = TRACE_COLUMNS
 
     def col(self, name: str) -> np.ndarray:
@@ -215,24 +222,44 @@ class SimulationTrace:
 
 @dataclass
 class Snapshot:
-    """Resumable engine state captured at a step boundary."""
+    """Engine state at a step boundary: the live state of a run, and the
+    record a run resumes from.
+
+    ``t0`` is the time the state stands at. The record holds the random
+    generator itself and the learner draws from it, so one deepcopy of the
+    record copies both and keeps them joined. The input delay line is not
+    in the record: a resumed run starts with it empty.
+    """
 
     t0: float
     x: tuple
     x_id: tuple
     ctrl_state: ctrl.ControllerState
-    u_held: tuple
-    eta_state: tuple
-    learner_state: Optional[learner_mod.BayesianLearner]
-    rng_state: dict
-    e_f_last: float = 0.0
+    u: tuple
+    eta: tuple
+    learner: Optional[learner_mod.BayesianLearner]
+    rng: np.random.Generator
+    e_f_last: float
 
-    def clone(self) -> "Snapshot":
-        return copy.deepcopy(self)
+    @classmethod
+    def initial(cls, cfg: "ScenarioConfig") -> "Snapshot":
+        """The state at t = 0 of a fresh run of ``cfg``."""
+        rng = np.random.default_rng(cfg.seed)
+        learner = None
+        if cfg.learner is not None:
+            learner = learner_mod.BayesianLearner(
+                cfg.learner, cfg.controller.A_m, cfg.controller.B_m, rng
+            )
+        e0 = learner.model.e_f_hat if learner else 0.0
+        x0 = tuple(float(v) for v in cfg.plant.x0)
+        zero = (0.0, 0.0, 0.0)
+        return cls(t0=0.0, x=x0, x_id=x0,
+                   ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
+                   u=zero, eta=zero, learner=learner, rng=rng, e_f_last=e0)
 
 
 class Engine:
-    """Single-owner stepping loop for one scenario run."""
+    """Single-owner stepping loop; each run goes on from the live state."""
 
     def __init__(self, cfg: ScenarioConfig, resume: Optional[Snapshot] = None,
                  sigma_oracle: Optional[Callable[[float, np.ndarray], np.ndarray]] = None):
@@ -240,59 +267,18 @@ class Engine:
         self.pre = ctrl.PrecomputedAdaptation.from_config(cfg.controller)
         self.ref = cfg.reference.make()
         self._sigma_oracle = sigma_oracle
-        m = cfg.controller.m
-        if resume is None:
-            self.rng = np.random.default_rng(cfg.seed)
-            if cfg.learner is not None:
-                self.learner = learner_mod.BayesianLearner(
-                    cfg.learner, cfg.controller.A_m, cfg.controller.B_m, self.rng
-                )
-            else:
-                self.learner = None
-            e0 = self.learner.model.e_f_hat if self.learner else 0.0
-            self.state = ctrl.ControllerState.initial(cfg.controller, e0)
-            self.t0 = 0.0
-            x0, x1, x2 = (float(v) for v in cfg.plant.x0)
-            self.x = self.x_id = (x0, x1, x2)
-            self.u = self.eta_state = (0.0, 0.0, 0.0)
-            self.e_f_last = e0
-        else:
-            resume = resume.clone()
-            self.rng = np.random.Generator(np.random.PCG64())
-            self.rng.bit_generator.state = resume.rng_state
-            self.learner = resume.learner_state
-            if self.learner is not None:
-                self.learner.rng = self.rng
-            self.state = resume.ctrl_state
-            self.t0 = resume.t0
-            self.x = resume.x
-            self.x_id = resume.x_id
-            self.u = resume.u_held
-            self.eta_state = resume.eta_state
-            self.e_f_last = resume.e_f_last
+        self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
         self.delay = plant_mod.DelayLine(
-            cfg.plant.input_delay, cfg.step, dim=m
+            cfg.plant.input_delay, cfg.step, dim=cfg.controller.m
         )
-        self.events: list = []
-        # global step index of t0: keeps resumed time stamps, tick alignment,
-        # and learner boundaries identical to an uninterrupted run
-        self._i0 = int(round(self.t0 / cfg.step))
-        if abs(self._i0 * cfg.step - self.t0) > 1e-9:
+        # start and end of the latest run; a run goes on from live.t0
+        self.t0 = self.t_final = self.live.t0
+        if abs(round(self.t0 / cfg.step) * cfg.step - self.t0) > 1e-9:
             raise ValueError("resume time must lie on the step grid")
-        self.t_final = self.t0
 
     def snapshot(self) -> Snapshot:
-        return Snapshot(
-            t0=self.t_final,
-            x=self.x,
-            x_id=self.x_id,
-            ctrl_state=copy.deepcopy(self.state),
-            u_held=self.u,
-            eta_state=self.eta_state,
-            learner_state=copy.deepcopy(self.learner),
-            rng_state=copy.deepcopy(self.rng.bit_generator.state),
-            e_f_last=self.e_f_last,
-        )
+        """A copy of the live state, standing at the end of the last run."""
+        return copy.deepcopy(self.live)
 
     def run(self) -> SimulationTrace:
         cfg = self.cfg
@@ -308,6 +294,12 @@ class Engine:
         delay_total = p.delay_total
         J, A_m = p.J, p.A_m
         pre = self.pre
+        live = self.live
+        self.t0 = live.t0
+        self.events: list = []  # this run's log
+        # global step index of t0: keeps resumed time stamps, tick alignment,
+        # and learner boundaries identical to an uninterrupted run
+        i0 = int(round(self.t0 / h))
         mat3_vec = numerics.mat3_vec
         sin, cos = math.sin, math.cos
         E_id, g_id, M_s, M_c = cfg.reference.exact_step(A_m, c.B_m @ c.k_g, h)
@@ -321,7 +313,6 @@ class Engine:
         # +3: the initial row, one more grid row when t0 is off the recording
         # grid, and a possible abort row between grid points
         rows = np.empty((n_steps // dec + 3, len(TRACE_COLUMNS)))
-        row_i = 0
         unstable = False
         steps_done = 0
 
@@ -330,8 +321,7 @@ class Engine:
 
         rows[0] = self._row(self.t0)
         row_i = 1
-        state = self.state
-        i0 = self._i0
+        state = live.ctrl_state
         for i in range(n_steps):
             t = (i0 + i) * h
             if sinusoid:
@@ -339,52 +329,52 @@ class Engine:
                 s0, s1, s2 = sin(w0 * t), sin(w1 * t), sin(w2 * t)
                 r = (a0 * s0, a1 * s1, a2 * s2)
             if (i0 + i) % ts_every == 0:
-                ctrl.adaptation_step(state, self.x, pre)
+                ctrl.adaptation_step(state, live.x, pre)
                 if self._sigma_oracle is not None:
-                    o0, o1, o2 = self._sigma_oracle(t, np.array(self.x))
+                    o0, o1, o2 = self._sigma_oracle(t, np.array(live.x))
                     state.sigma_hat = (float(o0), float(o1), float(o2))
                 if mode_l1gp:
-                    model = self.learner.model if self.learner else None
+                    model = live.learner.model if live.learner else None
                     if model is not None:
                         # the bandwidth law consumes the pointwise envelope
                         # at the current state, not the domain-wide scalar
-                        f_hat_x, e_f = model.evaluate(self.x)
+                        f_hat_x, e_f = model.evaluate(live.x)
                         f_hat_x = f_hat_x.tolist()
                     else:
                         f_hat_x, e_f = (0.0, 0.0, 0.0), 0.0
-                    self.e_f_last = e_f
+                    live.e_f_last = e_f
                     omega_hat = ctrl.bandwidth_command(e_f, c.omega_0, c.omega_c)
                     ctrl.learning_filter_step(state, f_hat_x, omega_hat, c)
                 q0, q1, q2 = state.sigma_hat
-                e0, e1, e2 = self.eta_state
-                self.eta_state = (
+                e0, e1, e2 = live.eta
+                live.eta = (
                     q0 + (e0 - q0) * alpha_c,
                     q1 + (e1 - q1) * alpha_c,
                     q2 + (e2 - q2) * alpha_c,
                 )
-                self.u = ctrl.control_step(state, r, c, pre)
+                live.u = ctrl.control_step(state, r, c, pre)
             if delay_total:
-                pushed = plant_mod.baseline_control(self.x, J, A_m) + self.u
+                pushed = plant_mod.baseline_control(live.x, J, A_m) + live.u
                 u_applied = self.delay.push(pushed)
             else:
-                u_applied = self.delay.push(self.u)
+                u_applied = self.delay.push(live.u)
             try:
-                x0, x1, x2 = self.x = plant_mod.rk4_plant_step(
-                    self.x, u_applied, t, h, p, include_baseline=not delay_total
+                x0, x1, x2 = live.x = plant_mod.rk4_plant_step(
+                    live.x, u_applied, t, h, p, include_baseline=not delay_total
                 )
             except numerics.DivergenceError:
                 unstable = True
             else:
-                d0, d1, d2 = mat3_vec(E_id, self.x_id)
+                d0, d1, d2 = mat3_vec(E_id, live.x_id)
                 if sinusoid:
                     m0, m1, m2 = mat3_vec(M_s, (s0, s1, s2))
                     n0, n1, n2 = mat3_vec(
                         M_c, (cos(w0 * t), cos(w1 * t), cos(w2 * t))
                     )
-                    self.x_id = (d0 + (m0 + n0), d1 + (m1 + n1), d2 + (m2 + n2))
+                    live.x_id = (d0 + (m0 + n0), d1 + (m1 + n1), d2 + (m2 + n2))
                 else:
                     g0, g1, g2 = g_id
-                    self.x_id = (d0 + g0, d1 + g1, d2 + g2)
+                    live.x_id = (d0 + g0, d1 + g1, d2 + g2)
                 b0, b1, b2 = abs(x0), abs(x1), abs(x2)
                 if not math.isfinite(b0 + b1 + b2) or max(b0, b1, b2) > cfg.blowup:
                     unstable = True
@@ -400,34 +390,33 @@ class Engine:
                 row_i += 1
                 break
             if (
-                self.learner is not None
+                live.learner is not None
                 and data_every
                 and (i0 + i + 1) % data_every == 0
             ):
-                self.learner.push(t_next, self.x, u_applied)
-                ev = self.learner.maybe_update(t_next)
+                live.learner.push(t_next, live.x, u_applied)
+                ev = live.learner.maybe_update(t_next)
                 if ev is not None:
                     self.events.append(ev)
             # the global step index keeps a resumed run on the same grid
             if (i0 + i + 1) % dec == 0:
                 rows[row_i] = self._row(t_next)
                 row_i += 1
-        self.t_final = (self._i0 + steps_done) * h
-        trace = SimulationTrace(
+        live.t0 = self.t_final = (i0 + steps_done) * h
+        return SimulationTrace(
             data=rows[:row_i].copy(),
-            events=list(self.events),
+            events=self.events,
             unstable=unstable,
-            meta={"t0": self.t0, "seed": cfg.seed},
         )
-        return trace
 
     def _row(self, t: float) -> np.ndarray:
-        state = self.state
-        x0, x1, x2 = x = self.x
+        live = self.live
+        state = live.ctrl_state
+        x0, x1, x2 = x = live.x
         h0, h1, h2 = state.x_hat
         f_true = self.cfg.plant.uncertainty.field_at(t)(x0, x1, x2)
-        if self.learner is not None:
-            f_hat = self.learner.model.f_hat(x)
+        if live.learner is not None:
+            f_hat = live.learner.model.f_hat(x)
         else:
             f_hat = (0.0, 0.0, 0.0)
         return np.array(
@@ -436,15 +425,15 @@ class Engine:
                 *x,
                 *state.x_hat,
                 h0 - x0, h1 - x1, h2 - x2,
-                *self.u,
+                *live.u,
                 *state.f_L,
-                *self.eta_state,
+                *live.eta,
                 *state.sigma_hat,
                 *f_true,
                 *f_hat,
                 *self.ref(t),
-                *self.x_id,
-                self.e_f_last,
+                *live.x_id,
+                live.e_f_last,
                 state.omega_filtered,
             )
         )
@@ -591,6 +580,8 @@ def delay_margin_search(
             raise UnstableAtZeroDelayError("unstable during the warm-up run")
         snap = warm.snapshot()
 
+    candidates = []
+
     def candidate(delay: float) -> bool:
         cfg = replace(
             base,
@@ -598,29 +589,21 @@ def delay_margin_search(
             plant=replace(base.plant, input_delay=delay),
             condition=replace(base.condition, check=False),
         )
-        trace = Engine(cfg, resume=snap).run()
-        return not trace.unstable
+        stable = not Engine(cfg, resume=snap).run().unstable
+        candidates.append((delay, stable))
+        return stable
 
-    candidates = []
-    iterations = 0
-
-    stable0 = candidate(0.0)
-    candidates.append((0.0, stable0))
-    iterations += 1
-    if not stable0:
+    if not candidate(0.0):
         raise UnstableAtZeroDelayError("base scenario unstable at zero delay")
 
-    hi_stable = candidate(max_delay)
-    candidates.append((max_delay, hi_stable))
-    iterations += 1
     criterion = (
         f"unstable iff |x|_inf > {base.blowup} or non-finite within {horizon}s"
     )
-    if hi_stable:
+    if candidate(max_delay):
         return MarginResult(
             margin=max_delay,
             bracket=(max_delay, math.inf),
-            iterations=iterations,
+            iterations=len(candidates),
             criterion=criterion,
             candidates=candidates,
             open_bracket=True,
@@ -631,17 +614,14 @@ def delay_margin_search(
         mid = lo + math.floor((hi - lo) / 2.0 / resolution) * resolution
         if mid <= lo:
             mid = lo + resolution
-        stable = candidate(mid)
-        candidates.append((mid, stable))
-        iterations += 1
-        if stable:
+        if candidate(mid):
             lo = mid
         else:
             hi = mid
     return MarginResult(
         margin=lo,
         bracket=(lo, hi),
-        iterations=iterations,
+        iterations=len(candidates),
         criterion=criterion,
         candidates=candidates,
     )

@@ -111,6 +111,24 @@ class TestSimulate:
         assert code == cli.EXIT_CONFIG
         assert "plant.j" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, problem", [
+        ('controller.mode = "foo"', "'foo'"),
+        ('learner.gating = "sometimes"', "gating"),
+        ('reference.kind = "ramp"', "reference kind"),
+        ("kernel.sigma_f = 0", "sigma_f"),
+        ('plant.uncertainty = "cubic"', "'cubic'"),
+        ("plant.j = [1, -1, 1]", "J must be"),
+        ("controller.ts = abc", "controller.ts"),
+        ("plant.input_delay = 0.0005", "input_delay"),
+        ('learner.enabled = "false"', "learner.enabled"),
+    ])
+    def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
+        text = "duration = 0.1\nplant.j = [0.011, 0.011, 0.021]\n" + line + "\n"
+        cfg = write(tmp_path, "bad.cfg", text)
+        code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+
     def test_zero_config_all_zero_columns(self, tmp_path):
         cfg = write(tmp_path, "zero.cfg", ZERO_CFG)
         out = tmp_path / "out"

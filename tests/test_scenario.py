@@ -1,12 +1,14 @@
 """Closed-loop engine tests: contracts, degeneracies, oracles, margin search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from l1gp import controller as ctrl
 from l1gp import numerics, plant, scenario
+from l1gp.learner import LearnerConfig
 
 
 def nominal(duration=5.0, reference_kind="step", **kw):
@@ -391,6 +393,29 @@ class TestSnapshotResume:
         assert len(rows) == 99
         k = np.rint(rows[:, 0] / 0.01).astype(int)
         assert np.array_equal(rows, full.data[k])
+
+    def test_one_snapshot_resumes_the_same_way_twice(self):
+        # a 20 Hz learner refits every 0.5 s, so the resumed second draws
+        # from the random generator the snapshot carries
+        cfg = no_condition(nominal(duration=1.0, reference_kind="sinusoid"))
+        cfg = replace(cfg, learner=LearnerConfig(T_data=0.05, N_update=10))
+        eng = scenario.Engine(cfg)
+        eng.run()
+        snap = eng.snapshot()
+        assert snap.t0 == 1.0
+        first = scenario.Engine(cfg, resume=snap)
+        assert first.live.learner.rng is first.live.rng
+        a = first.run()
+        # the original engine goes on from where the snapshot was taken, and
+        # neither run changes the snapshot
+        c = eng.run()
+        b = scenario.Engine(cfg, resume=snap).run()
+        assert a.t[0] == 1.0 and a.t[-1] == 2.0
+        assert any(ev["kind"] == "learner_published" and ev["t"] > 1.0
+                   for ev in a.events)
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.data, c.data)
+        assert a.events == b.events == c.events
 
 
 class TestMarginSearch:
