@@ -8,11 +8,11 @@ control filter and the sampling period), which the learning path does
 not touch.
 """
 
-from l1gp import scenario
+from l1gp import config, scenario
 
 
 def main():
-    l1_cfg = scenario.quadrotor_nominal(
+    l1_cfg = config.quadrotor_nominal(
         duration=20.0, reference_kind="step", mode="l1", with_learner=False
     )
     res_l1 = scenario.delay_margin_search(l1_cfg, resolution=0.001, horizon=20.0)
@@ -21,7 +21,7 @@ def main():
           f"[{res_l1.bracket[0] * 1e3:.0f}, {res_l1.bracket[1] * 1e3:.0f}] ms "
           f"in {res_l1.iterations} candidate runs")
 
-    gp_cfg = scenario.quadrotor_nominal(duration=20.0, reference_kind="step")
+    gp_cfg = config.quadrotor_nominal(duration=20.0, reference_kind="step")
     res_gp = scenario.delay_margin_search(
         gp_cfg, resolution=0.001, horizon=20.0, snapshot_time=30.0
     )

@@ -9,11 +9,11 @@ over, leaving eta with only the residual.
 
 import numpy as np
 
-from l1gp import scenario
+from l1gp import config, scenario
 
 
 def main():
-    cfg = scenario.quadrotor_nominal(duration=60.0, reference_kind="sinusoid")
+    cfg = config.quadrotor_nominal(duration=60.0, reference_kind="sinusoid")
     trace = scenario.run(cfg)
     t = trace.t
     eta = np.linalg.norm(trace.block("eta"), axis=1)

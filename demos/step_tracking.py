@@ -9,11 +9,11 @@ within a few seconds.
 
 import numpy as np
 
-from l1gp import scenario
+from l1gp import config, scenario
 
 
 def main():
-    cfg = scenario.quadrotor_nominal(duration=10.0, reference_kind="step")
+    cfg = config.quadrotor_nominal(duration=10.0, reference_kind="step")
     trace = scenario.run(cfg)
     m = scenario.metrics(trace, windows=[(0.0, 2.0), (9.0, 10.0)])
 

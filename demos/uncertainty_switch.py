@@ -9,11 +9,11 @@ treated as just another disturbance inside the control filter's band.
 
 import numpy as np
 
-from l1gp import scenario
+from l1gp import config, scenario
 
 
 def main():
-    cfg = scenario.quadrotor_nominal(
+    cfg = config.quadrotor_nominal(
         duration=60.0, reference_kind="sinusoid", switch_time=35.0
     )
     trace = scenario.run(cfg)

@@ -13,7 +13,7 @@ Any invalid value raises :class:`ConfigError`.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import controller as ctrl
 from . import learner as learner_mod
 from . import gp, plant as plant_mod, scenario
 
-__all__ = ["ConfigError", "parse_flat_file", "resolve_scenario"]
+__all__ = ["ConfigError", "parse_flat_file", "resolve_scenario", "quadrotor_nominal"]
 
 
 class ConfigError(ValueError):
@@ -96,6 +96,15 @@ def _bool(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    # int(1.5) is 1 and int(True) is 1: a fraction or a flag must not pass
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 _REQUIRED = object()
 
 # deck key -> (type, default); a default of None is echoed only when the
@@ -103,8 +112,8 @@ _REQUIRED = object()
 _KEYS = {
     "duration": (float, 60.0),
     "step": (float, 0.001),
-    "seed": (int, 12345),
-    "record_decimation": (int, 10),
+    "seed": (_int, 12345),
+    "record_decimation": (_int, 10),
     "blowup": (float, 100.0),
     "reference.kind": (str, "step"),
     "reference.amplitude": (_vec3, 1.0),
@@ -124,10 +133,10 @@ _KEYS = {
     "plant.delay_total": (_bool, False),
     "learner.enabled": (_bool, None),  # unset: on in mode l1gp
     "learner.t_data": (float, 1.0),
-    "learner.n_update": (int, 10),
+    "learner.n_update": (_int, 10),
     "learner.gating": (str, "always"),
     "learner.gamma_tol": (float, 0.9),
-    "learner.max_points": (int, 512),
+    "learner.max_points": (_int, 512),
     "learner.sigma_n": (float, 0.01),
     "kernel.sigma_f": (float, 1.0),
     "kernel.length_scale": (float, 1.0),
@@ -137,7 +146,7 @@ _KEYS = {
     "bound.l_f": (float, 0.0),
     "bound.include_gamma": (_bool, False),
     "bound.kappa_op": (float, 5.0),
-    "bound.grid_points": (int, 21),
+    "bound.grid_points": (_int, 21),
     "condition.check": (_bool, True),
     "condition.l_f": (float, 0.2),
     "condition.b0": (float, 0.0),
@@ -246,3 +255,37 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, echo
+
+
+def quadrotor_nominal(
+    mode: str = "l1gp",
+    reference_kind: str = "step",
+    uncertainty: str = "quadratic",
+    duration: float = 60.0,
+    switch_time: Optional[float] = None,
+    with_learner: bool = True,
+    seed: int = 12345,
+    record_decimation: int = 10,
+    input_delay: float = 0.0,
+) -> scenario.ScenarioConfig:
+    """Stock quadrotor rate-loop scenario, resolved as a deck.
+
+    Inertia diag(0.011, 0.011, 0.021); every other constant is the default
+    of its key in ``_KEYS``: desired dynamics -3 I, control filter bandwidth
+    80 rad/s, bandwidth-law lag 0.01 rad/s, sampling period 1 ms, predictor
+    offset initialization (0.5, 0.5, 0.5), learner at 1 Hz refitting every
+    10 samples, unoptimized unit kernel. Each argument sets one deck key.
+    """
+    flat = {
+        "plant.j": [0.011, 0.011, 0.021],
+        "controller.mode": mode,
+        "reference.kind": reference_kind,
+        "plant.uncertainty": uncertainty,
+        "duration": duration,
+        "plant.switch_time": switch_time,
+        "learner.enabled": with_learner,
+        "seed": seed,
+        "record_decimation": record_decimation,
+        "plant.input_delay": input_delay,
+    }
+    return resolve_scenario(flat)[0]

@@ -9,12 +9,12 @@ boundaries, and record.
 Integration rule: the linear parts advance by exact discrete-time maps
 precomputed once per run (the predictor in :func:`controller.control_step`,
 the ideal loop through :meth:`ReferenceConfig.exact_step`); only the
-nonlinear plant, and the nonlinear reference loop of
-:func:`run_reference_system`, use RK4. The plant takes one fused RK4 step on
-Python floats per engine step (:func:`plant.rk4_plant_step`), bitwise equal
-to :func:`numerics.rk4_step` over :func:`plant.plant_derivative`; the
-reference loop uses the generic :func:`numerics.rk4_step`. A run is
-single-threaded and deterministic given the seed.
+nonlinear plant uses RK4, one fused step on Python floats per engine step
+(:func:`plant.rk4_plant_step`), bitwise equal to :func:`numerics.rk4_step`
+over :func:`plant.plant_derivative`. The L1 reference system of
+:func:`run_reference_system` is this engine with the adaptive estimate
+replaced by the true uncertainty. A run is single-threaded and
+deterministic given the seed.
 
 The whole step runs on Python floats: the plant, ideal-loop and controller
 states, the input and the eta filter are float 3-tuples, the controller
@@ -67,7 +67,6 @@ __all__ = [
     "delay_margin_search",
     "window_mean",
     "metrics",
-    "quadrotor_nominal",
 ]
 
 TRACE_COLUMNS = (
@@ -470,60 +469,25 @@ def run(cfg: ScenarioConfig, resume: Optional[Snapshot] = None) -> SimulationTra
     return Engine(cfg, resume=resume).run()
 
 
-def run_reference_system(
-    cfg: ScenarioConfig,
-    f_oracle: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-) -> dict:
-    """Integrate the non-adaptive reference loop with the uncertainty known.
+def run_reference_system(cfg: ScenarioConfig) -> dict:
+    """Run the non-adaptive reference loop, with the uncertainty known.
 
-    The true uncertainty (by default the plant's schedule) is cancelled
-    within the control filter's bandwidth:
-    ``u_ref = C(s)(k_g r - f(x_ref))``, same exact pole-mapped filter
-    discretization as the live controller. Returns arrays t, x_ref, u_ref
-    at the scenario's recording rate.
+    The engine runs ``cfg`` in mode ``l1`` with no learner and no input
+    delay, and each tick's adaptive estimate is replaced by the plant's true
+    uncertainty, so ``u_ref = C(s)(k_g r - f(x_ref))`` with the live
+    controller's filter discretization. Returns arrays t, x_ref, u_ref at
+    the scenario's recording rate, and whether the run diverged.
     """
-    c = cfg.controller
-    if f_oracle is None:
-        sched = cfg.plant.uncertainty
-        f_oracle = lambda t, x: sched.eval(t, x)
-    ref = cfg.reference.make()
-    h = cfg.step
-    ts_every = cfg.ts_every
-    alpha_c = math.exp(-c.omega_c * c.T_s)
-    A_m, B_m, k_g = c.A_m, c.B_m, c.k_g
-    x_ref = cfg.plant.x0.astype(float).copy()
-    filt = np.zeros(c.m)
-    u_ref = np.zeros(c.m)
-    n_steps = cfg.n_steps
-    dec = cfg.record_decimation
-    n_rows = n_steps // dec + 1
-    ts = np.empty(n_rows)
-    xs = np.empty((n_rows, c.n))
-    us = np.empty((n_rows, c.m))
-    ts[0], xs[0], us[0] = 0.0, x_ref, u_ref
-    row = 1
-    diverged = False
-    for i in range(n_steps):
-        t = i * h
-        if i % ts_every == 0:
-            v = k_g @ ref(t) - f_oracle(t, x_ref)
-            filt = v + (filt - v) * alpha_c
-            u_ref = filt
-        try:
-            x_ref = numerics.rk4_step(
-                lambda tt, xr: A_m @ xr + B_m @ (u_ref + f_oracle(tt, xr)),
-                t,
-                x_ref,
-                h,
-            )
-        except numerics.DivergenceError:
-            diverged = True
-        if diverged or not np.all(np.isfinite(x_ref)):
-            break
-        if (i + 1) % dec == 0:
-            ts[row], xs[row], us[row] = (i + 1) * h, x_ref, u_ref
-            row += 1
-    return {"t": ts[:row], "x_ref": xs[:row], "u_ref": us[:row], "diverged": diverged}
+    ref_cfg = replace(
+        cfg,
+        controller=replace(cfg.controller, mode="l1"),
+        plant=replace(cfg.plant, input_delay=0.0, delay_total=False),
+        learner=None,
+        condition=replace(cfg.condition, check=False),
+    )
+    trace = Engine(ref_cfg, sigma_oracle=cfg.plant.uncertainty.eval).run()
+    return {"t": trace.t, "x_ref": trace.block("x"), "u_ref": trace.block("u"),
+            "diverged": trace.unstable}
 
 
 @dataclass
@@ -638,17 +602,15 @@ def window_mean(t: np.ndarray, series: np.ndarray, t0: float, t1: float) -> floa
 def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
     """Aggregate tracking, learning, and adaptation metrics of a trace.
 
-    Emits rowwise series (2-norms of the ideal-tracking error, learning
-    input, and adaptive input; inf-norm of the prediction error) plus
-    window means over the requested [t0, t1] intervals and the final-1s
-    per-axis tracking error.
+    Emits the final-1s per-axis tracking error, the peak state, and, over
+    each requested [t0, t1] interval, the window means of the rowwise
+    2-norms of the ideal-tracking error, learning input and adaptive input.
     """
     t = trace.t
     x = trace.block("x")
     err_id = np.linalg.norm(x - trace.block("xid"), axis=1)
     fl_norm = np.linalg.norm(trace.block("fl"), axis=1)
     eta_norm = np.linalg.norm(trace.block("eta"), axis=1)
-    xtilde_inf = np.max(np.abs(trace.block("xtilde")), axis=1)
     track_abs = np.abs(x - trace.block("r"))
 
     t_end = t[-1]
@@ -656,13 +618,6 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
     final_err_axes = np.mean(track_abs[final_mask], axis=0)
 
     out = {
-        "series": {
-            "t": t,
-            "err_ideal_norm": err_id,
-            "fl_norm": fl_norm,
-            "eta_norm": eta_norm,
-            "xtilde_inf": xtilde_inf,
-        },
         "final_tracking_error_axes": final_err_axes.tolist(),
         "final_tracking_error_inf": float(np.max(final_err_axes)),
         "max_state_inf": float(np.max(np.abs(x))),
@@ -681,59 +636,3 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
                 ),
             }
     return out
-
-
-def quadrotor_nominal(
-    mode: str = "l1gp",
-    reference_kind: str = "step",
-    uncertainty: str = "quadratic",
-    duration: float = 60.0,
-    switch_time: Optional[float] = None,
-    with_learner: bool = True,
-    seed: int = 12345,
-    record_decimation: int = 10,
-    input_delay: float = 0.0,
-) -> ScenarioConfig:
-    """Stock quadrotor rate-loop scenario with the nominal constants.
-
-    Inertia diag(0.011, 0.011, 0.021), desired dynamics -3 I, control
-    filter bandwidth 80 rad/s, bandwidth-law lag 0.01 rad/s, sampling
-    period 1 ms, predictor offset initialization (0.5, 0.5, 0.5), learner
-    at 1 Hz refitting every 10 samples, unoptimized unit kernel.
-    """
-    J = np.diag([0.011, 0.011, 0.021])
-    A_m = -3.0 * np.eye(3)
-    B_m = np.diag(1.0 / np.diag(J))
-    C_m = np.eye(3)
-    controller = ctrl.ControllerConfig(
-        A_m=A_m,
-        B_m=B_m,
-        C_m=C_m,
-        T_s=0.001,
-        omega_c=80.0,
-        omega_L=0.01,
-        omega_0=1.0,
-        mode=mode,
-        x_hat0=np.array([0.5, 0.5, 0.5]),
-    )
-    if switch_time is not None:
-        segments = ((0.0, uncertainty), (switch_time, "sine_switch"))
-    else:
-        segments = ((0.0, uncertainty),)
-    plant_cfg = plant_mod.PlantConfig(
-        J=J,
-        x0=np.zeros(3),
-        uncertainty=plant_mod.UncertaintySchedule(segments),
-        input_delay=input_delay,
-        A_m=A_m,
-    )
-    lrn = learner_mod.LearnerConfig() if with_learner else None
-    return ScenarioConfig(
-        controller=controller,
-        plant=plant_cfg,
-        learner=lrn,
-        reference=ReferenceConfig(kind=reference_kind),
-        duration=duration,
-        seed=seed,
-        record_decimation=record_decimation,
-    )

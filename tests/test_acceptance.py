@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from l1gp import cli, controller as ctrl, gp, numerics, plant, scenario
+from l1gp import cli, config, controller as ctrl, gp, numerics, plant, scenario
 
 
 def report(num: int, text: str, ok: bool, detail: str = ""):
@@ -22,13 +22,13 @@ def report(num: int, text: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def sinusoid_run():
-    cfg = scenario.quadrotor_nominal(duration=60.0, reference_kind="sinusoid")
+    cfg = config.quadrotor_nominal(duration=60.0, reference_kind="sinusoid")
     return scenario.run(cfg)
 
 
 @pytest.fixture(scope="module")
 def switch_run():
-    cfg = scenario.quadrotor_nominal(
+    cfg = config.quadrotor_nominal(
         duration=60.0, reference_kind="sinusoid", switch_time=35.0
     )
     return scenario.run(cfg)
@@ -117,7 +117,7 @@ def test_criterion_3_adaptation_filter_numerics():
 
 
 def test_criterion_4_step_tracking():
-    cfg = scenario.quadrotor_nominal(duration=10.0, reference_kind="step")
+    cfg = config.quadrotor_nominal(duration=10.0, reference_kind="step")
     trace = scenario.run(cfg)
     m = scenario.metrics(trace)
     err_ok = m["final_tracking_error_inf"] <= 0.02
@@ -179,11 +179,11 @@ def test_criterion_6_uncertainty_switch(switch_run):
 
 def test_criterion_7_time_delay_margin():
     t0 = time.perf_counter()
-    l1_cfg = scenario.quadrotor_nominal(
+    l1_cfg = config.quadrotor_nominal(
         duration=20.0, reference_kind="step", mode="l1", with_learner=False
     )
     res_l1 = scenario.delay_margin_search(l1_cfg, resolution=0.001, horizon=20.0)
-    gp_cfg = scenario.quadrotor_nominal(duration=20.0, reference_kind="step", mode="l1gp")
+    gp_cfg = config.quadrotor_nominal(duration=20.0, reference_kind="step", mode="l1gp")
     res_gp = scenario.delay_margin_search(
         gp_cfg, resolution=0.001, horizon=20.0, snapshot_time=30.0
     )
@@ -205,7 +205,7 @@ def test_criterion_8_prediction_error_consistency():
     # consistency on a matched-initialization run: x_tilde must follow an
     # independent integration of its own error dynamics, driven only by
     # recorded signals (spline-interpolated uncertainty, held estimates)
-    cfg = scenario.quadrotor_nominal(
+    cfg = config.quadrotor_nominal(
         duration=10.0, reference_kind="step", record_decimation=1
     )
     cfg.controller.x_hat0 = np.zeros(3)
@@ -231,7 +231,7 @@ def test_criterion_8_prediction_error_consistency():
         worst = max(worst, float(np.max(np.abs(xt - xt_rec[k]))))
     consistency_ok = worst <= 1e-6
 
-    off_cfg = scenario.quadrotor_nominal(duration=5.0, reference_kind="step")
+    off_cfg = config.quadrotor_nominal(duration=5.0, reference_kind="step")
     off_trace = scenario.run(off_cfg)
     xt_inf = np.max(np.abs(off_trace.block("xtilde")), axis=1)
     start_ok = xt_inf[0] == pytest.approx(0.5)

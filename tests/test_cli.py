@@ -121,6 +121,10 @@ class TestSimulate:
         ("controller.ts = abc", "controller.ts"),
         ("plant.input_delay = 0.0005", "input_delay"),
         ('learner.enabled = "false"', "learner.enabled"),
+        ("seed = 1.5", "seed"),
+        ("record_decimation = 2.7", "record_decimation"),
+        ("seed = true", "seed"),
+        ("bound.grid_points = 3.5", "bound.grid_points"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         text = "duration = 0.1\nplant.j = [0.011, 0.011, 0.021]\n" + line + "\n"

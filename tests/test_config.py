@@ -1,4 +1,5 @@
-"""Config key table and shipped decks: every key is used, every deck runs."""
+"""Config key table and shipped decks: every key is used, every deck runs,
+the stock builder matches the shipped decks, and README's CLI decks resolve."""
 
 import dataclasses
 import json
@@ -7,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from l1gp import cli, config as config_mod
+from l1gp import cli, config as config_mod, scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DECKS = sorted(ROOT.glob("configs/*.cfg")) + [ROOT / "perfbench" / "dense_learner.cfg"]
@@ -99,3 +100,41 @@ def test_shipped_deck_resolves_round_trips_and_runs(deck, tmp_path):
     assert cli.main(["simulate", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["t_final"] == 1.0
+
+
+# each shipped deck and the stock-builder call it stands for
+STOCK_CALLS = {
+    "l1_plain.cfg": dict(mode="l1", with_learner=False, duration=20.0),
+    "step_nominal.cfg": dict(),
+    "sinusoid_learning.cfg": dict(reference_kind="sinusoid"),
+    "switch.cfg": dict(reference_kind="sinusoid", switch_time=35.0),
+}
+
+
+@pytest.mark.parametrize("deck", sorted(ROOT.glob("configs/*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_deck_matches_the_stock_builder(deck):
+    deck_cfg, _ = config_mod.resolve_scenario(config_mod.parse_flat_file(str(deck)))
+    stock_cfg = config_mod.quadrotor_nominal(**STOCK_CALLS[deck.name])
+    assert tree(deck_cfg) == tree(stock_cfg)
+    # the same loop, step for step, over the first second
+    a = scenario.run(dataclasses.replace(deck_cfg, duration=1.0))
+    b = scenario.run(dataclasses.replace(stock_cfg, duration=1.0))
+    assert a.data.tobytes() == b.data.tobytes()
+    assert a.events == b.events
+
+
+def test_readme_cli_decks_resolve_and_compare_pair_matches():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("l1gp ")]
+    assert {words[1] for words in lines} == {
+        "simulate", "margin", "bound-check", "compare"}
+    for words in lines:
+        decks = [w for w in words if w.endswith(".cfg")]
+        assert decks, words
+        cfgs = [config_mod.resolve_scenario(
+            config_mod.parse_flat_file(str(ROOT / d)))[0] for d in decks]
+        if words[1] == "compare":
+            a, b = cfgs
+            assert (a.duration, a.step) == (b.duration, b.step)

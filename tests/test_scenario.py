@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from l1gp import controller as ctrl
-from l1gp import numerics, plant, scenario
+from l1gp import config, numerics, plant, scenario
 from l1gp.learner import LearnerConfig
 
 
 def nominal(duration=5.0, reference_kind="step", **kw):
-    return scenario.quadrotor_nominal(
+    return config.quadrotor_nominal(
         duration=duration, reference_kind=reference_kind, **kw
     )
 
@@ -168,7 +168,8 @@ class TestReferenceSystem:
     def test_constant_uncertainty_dc_matches_ideal(self):
         cfg = no_condition(nominal(duration=20.0, with_learner=False))
         c_vec = np.array([0.2, -0.1, 0.15])
-        out = scenario.run_reference_system(cfg, f_oracle=lambda t, x: c_vec)
+        cfg.plant.uncertainty = plant.UncertaintySchedule(((0.0, lambda x: c_vec),))
+        out = scenario.run_reference_system(cfg)
         cc = cfg.controller
         x_id_ss = np.linalg.solve(-cc.A_m, cc.B_m @ (cc.k_g @ np.ones(3)))
         assert np.max(np.abs(out["x_ref"][-1] - x_id_ss)) < 1e-4
@@ -187,9 +188,28 @@ class TestReferenceSystem:
         t, x, sg = trace.t, trace.block("x"), trace.block("sigmahat")
         for k in range(1, len(t)):
             assert np.array_equal(sg[k], sched.eval(t[k - 1], x[k - 1])), k
+        # independent reference-system oracle on the quadratic deck:
+        # x' = A_m x + B_m (u + f(x)) with u = C(s)(k_g r - f(x_k)) held
+        # over each tick
+        c = cfg.controller
+        alpha = math.exp(-c.omega_c * c.T_s)
+        r = cfg.reference.make()
+        z = np.zeros(3)
+        filt = np.zeros(3)
+        oracle = [z.copy()]
+        for i in range(cfg.n_steps):
+            v = c.k_g @ np.array(r(i * 0.001)) - sched.eval(i * 0.001, z)
+            filt = v + (filt - v) * alpha
+            z = numerics.rk4_step(
+                lambda tt, zz: c.A_m @ zz + c.B_m @ (filt + sched.eval(tt, zz)),
+                i * 0.001, z, 0.001,
+            )
+            oracle.append(z.copy())
         ref_out = scenario.run_reference_system(cfg)
-        diff = np.max(np.abs(trace.block("x") - ref_out["x_ref"]))
-        assert diff <= 0.05
+        assert not ref_out["diverged"]
+        assert np.array_equal(ref_out["t"], t)
+        assert np.max(np.abs(ref_out["x_ref"] - np.asarray(oracle))) < 1e-9
+        assert np.max(np.abs(x - ref_out["x_ref"])) < 1e-9
 
 
 class TestIdealLoop:
