@@ -153,6 +153,13 @@ def cmd_margin(
 ) -> int:
     t_start = time.perf_counter()
     cfg, echo = _load(config_path)
+    for flag, value in (("--resolution", resolution), ("--horizon", horizon),
+                        ("--snapshot-time", snapshot_time)):
+        if value is not None:
+            try:
+                cfg.steps(value, flag)
+            except ValueError as exc:
+                raise config_mod.ConfigError(str(exc)) from exc
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = scenario.delay_margin_search(
@@ -185,6 +192,10 @@ def cmd_bound_check(
     n_probe: int = 500,
 ) -> int:
     t_start = time.perf_counter()
+    if n_train < 0 or n_probe < 1:
+        raise config_mod.ConfigError(
+            "--n-train must be >= 0" if n_train < 0 else "--n-probe must be >= 1"
+        )
     cfg, echo = _load(config_path)
     if cfg.learner is None:
         print("error: bound-check needs learner/kernel/bound configuration",
@@ -238,9 +249,7 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
     t_start = time.perf_counter()
     cfg_a, echo_a = _load(config_a)
     cfg_b, echo_b = _load(config_b)
-    if abs(cfg_a.duration - cfg_b.duration) > 1e-12 or abs(
-        cfg_a.step - cfg_b.step
-    ) > 1e-15:
+    if (cfg_a.n_steps, cfg_a.step) != (cfg_b.n_steps, cfg_b.step):
         print("error: compare requires matching duration and step", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)

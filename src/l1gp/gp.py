@@ -102,8 +102,8 @@ class GpDataset:
 class GpPosterior:
     """Fitted posterior: Cholesky factor of (K + noise*I), weights, kernel.
 
-    Immutable after :func:`fit`; safe to share across threads. With zero
-    training points the posterior reduces to the prior: mean 0, std sigma_f.
+    Not changed after :func:`fit`. With zero training points the posterior
+    reduces to the prior: mean 0, std sigma_f.
     """
 
     kernel: SeKernel
@@ -349,8 +349,9 @@ def uniform_bound_grid_max(
 ) -> float:
     """Max of the envelope over a uniform grid on the operational box.
 
-    Serves the adaptive-bandwidth law, which consumes one conservative
-    scalar that stays constant between model updates. The grid is read in
+    The model's ``e_f_hat``: it sets the bandwidth at t = 0, gates
+    improvement-only publishing, and is reported in the publish event; the
+    bandwidth law reads the pointwise envelope instead. The grid is read in
     blocks of ``_GRID_BLOCK`` rows, so memory does not grow with its size.
     """
     axis = np.linspace(-kappa_op, kappa_op, grid_points)

@@ -4,8 +4,8 @@ The learner buffers (t, x, u) samples at its own rate, reconstructs
 uncertainty targets from the sampled trajectory by Savitzky-Golay
 differentiation, refits the GP once enough new samples have arrived, and
 publishes an immutable model ``{f_hat, e_f_hat}``. The published model is
-constant between publishes; the controller may read it without
-synchronization (swap-on-publish).
+constant between publishes: a publish replaces it whole, between two
+engine steps.
 
 Target reconstruction uses a centered 5-sample derivative window at the
 learner rate, so a sample's target becomes available two samples after it

@@ -4,8 +4,7 @@ Everything here operates on plain float64 numpy arrays, except the two
 3x3 helpers :func:`mat3` and :func:`mat3_vec`, which hold a matrix as float
 tuples and multiply on Python floats for the 1 kHz loop. Matrices are tiny
 (controller state dimensions, n <= 6) so the routines favor accuracy and
-clear failure modes over throughput. All functions are pure and safe to
-call concurrently.
+clear failure modes over throughput. All functions are pure.
 """
 
 from __future__ import annotations

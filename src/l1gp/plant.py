@@ -87,8 +87,10 @@ class UncertaintySchedule:
     The first segment must start at t = 0 and start times must strictly
     increase. Evaluation is stateless: the active segment is the last one
     whose start time is <= t. Every segment is held in scalar form
-    ``(x0, x1, x2) -> (f0, f1, f2)``; a callable kind maps an array to an
-    array and is wrapped into that form once, here.
+    ``(x0, x1, x2) -> (f0, f1, f2)``, in order, in ``scalar_fields``; a
+    callable kind maps an array to an array and is wrapped into that form
+    once, here. The engine picks the segment by step index instead, from
+    the switch times its ScenarioConfig fixed on the step grid.
     """
 
     segments: Sequence[tuple[float, object]] = ((0.0, "zero"),)
@@ -109,26 +111,22 @@ class UncertaintySchedule:
                 fields.append(_KIND_FIELDS[kind])
             else:
                 raise ValueError(f"unknown uncertainty kind {kind!r}")
-        self._starts = starts
-        self._fields = fields
+        self.switch_times = starts[1:]
+        self.scalar_fields = tuple(fields)
 
     def field_at(self, t: float) -> Callable[[float, float, float], tuple]:
         """Scalar form of the segment active at t."""
-        return self._fields[bisect.bisect_right(self._starts, t) - 1]
+        return self.scalar_fields[bisect.bisect_right(self.switch_times, t)]
 
     def eval(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.array(self.field_at(t)(x[0], x[1], x[2]))
-
-    @property
-    def switch_times(self) -> list[float]:
-        return [s for s, _ in self.segments[1:]]
 
 
 @dataclass
 class PlantConfig:
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
 
-    ``input_delay`` must be a nonnegative multiple of the engine step; by
+    ``input_delay`` must be a whole number of engine steps; by
     default only the adaptive input is delayed (the baseline is assumed
     onboard), ``delay_total`` switches the delay to the full input path.
     """
@@ -162,7 +160,7 @@ class PlantConfig:
 
 
 class DelayLine:
-    """Fixed-length ring buffer delaying an input stream by a whole number of steps.
+    """Fixed-length ring buffer delaying an input stream by ``n_steps`` steps.
 
     Outputs the sample pushed ``n_steps`` calls ago; zero-padded until the
     line fills, so the delayed signal is 0 before t = delay. Zero delay is
@@ -170,14 +168,9 @@ class DelayLine:
     change in the line.
     """
 
-    def __init__(self, delay: float, step: float, dim: int = 3):
-        if delay < 0:
-            raise ValueError("delay must be nonnegative")
-        n_steps = round(delay / step)
-        if abs(n_steps * step - delay) > 1e-12:
-            raise ValueError(
-                f"delay {delay} is not a multiple of the step {step}"
-            )
+    def __init__(self, n_steps: int, dim: int = 3):
+        if n_steps < 0:
+            raise ValueError("n_steps must be nonnegative")
         self.n_steps = n_steps
         self._buf = [(0.0,) * dim] * max(n_steps, 1)
         self._idx = 0
@@ -264,34 +257,36 @@ def rk4_plant_step(
     t: float,
     h: float,
     cfg: PlantConfig,
+    f: Callable[[float, float, float], tuple],
+    f_end: Callable[[float, float, float], tuple],
     include_baseline: bool = True,
 ) -> tuple[float, float, float]:
     """One classical RK4 step of :func:`plant_derivative`, on Python floats.
 
+    ``f`` is the scalar uncertainty field in force over the step and
+    ``f_end`` the one of its last stage: the new segment on the step that
+    ends on a switch, else ``f`` again. The step makes no schedule lookup.
     Stages and arithmetic are those of :func:`numerics.rk4_step` over the
-    array field, so the result is bitwise the same; each stage looks up the
-    uncertainty segment at its own time, so the last stage of the step that
-    ends on a switch sees the new kind. ``u_ext`` is held over the step.
-    Returns the new state as three floats; raises DivergenceError (with the
-    step's start time) on a non-finite result.
+    array field, so the result is bitwise the same. ``u_ext`` is held over
+    the step. Returns the new state as three floats; raises
+    DivergenceError (with the step's start time ``t``) on a non-finite
+    result.
     """
     # Python floats: arithmetic on numpy scalars costs several times more
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     u0, u1, u2 = float(u_ext[0]), float(u_ext[1]), float(u_ext[2])
     hh = 0.5 * h
-    field_at = cfg.uncertainty.field_at
-    f_mid = field_at(t + hh)
-    a0, a1, a2 = _rates(field_at(t), x0, x1, x2, u0, u1, u2, cfg, include_baseline)
+    a0, a1, a2 = _rates(f, x0, x1, x2, u0, u1, u2, cfg, include_baseline)
     b0, b1, b2 = _rates(
-        f_mid, x0 + hh * a0, x1 + hh * a1, x2 + hh * a2,
+        f, x0 + hh * a0, x1 + hh * a1, x2 + hh * a2,
         u0, u1, u2, cfg, include_baseline,
     )
     c0, c1, c2 = _rates(
-        f_mid, x0 + hh * b0, x1 + hh * b1, x2 + hh * b2,
+        f, x0 + hh * b0, x1 + hh * b1, x2 + hh * b2,
         u0, u1, u2, cfg, include_baseline,
     )
     d0, d1, d2 = _rates(
-        field_at(t + h), x0 + h * c0, x1 + h * c1, x2 + h * c2,
+        f_end, x0 + h * c0, x1 + h * c1, x2 + h * c2,
         u0, u1, u2, cfg, include_baseline,
     )
     w = h / 6.0

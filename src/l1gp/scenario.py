@@ -4,43 +4,38 @@ One engine step advances the loop by the plant step ``h``: sample the
 reference, run the controller tick (adaptation, learning filter, control,
 predictor) on sampling-period boundaries, integrate the plant with the
 delayed input, advance the ideal system, feed the learner on its own
-boundaries, and record.
+boundaries, and record. Tick order within one step is fixed: adaptation
+-> learning filter -> control -> plant -> learner.
+
+Step clock: :class:`ScenarioConfig` fixes every instant a run uses (the
+sampling and learner periods, the input delay, the duration, each
+uncertainty switch) as a whole number of steps, through the one helper
+:meth:`ScenarioConfig.steps`. The engine counts global step indices: the
+ticks, learner boundaries, recorded rows (multiples of
+``record_decimation``) and the uncertainty segment in force all follow
+from them, so a resumed run repeats an uninterrupted one.
 
 Integration rule: the linear parts advance by exact discrete-time maps
-precomputed once per run (the predictor in :func:`controller.control_step`,
-the ideal loop through :meth:`ReferenceConfig.exact_step`); only the
-nonlinear plant uses RK4, one fused step on Python floats per engine step
-(:func:`plant.rk4_plant_step`), bitwise equal to :func:`numerics.rk4_step`
-over :func:`plant.plant_derivative`. The L1 reference system of
+(the predictor in :func:`controller.control_step`, the ideal loop through
+:meth:`ReferenceConfig.exact_step`); only the nonlinear plant uses RK4,
+one fused step on Python floats per engine step
+(:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples;
+numpy is left to the GP reads, the learner's buffer, the ``delay_total``
+baseline and the recorded rows. The L1 reference system of
 :func:`run_reference_system` is this engine with the adaptive estimate
 replaced by the true uncertainty. A run is single-threaded and
 deterministic given the seed.
 
-The whole step runs on Python floats: the plant, ideal-loop and controller
-states, the input and the eta filter are float 3-tuples, the controller
-tick is :func:`controller.adaptation_step`, ``learning_filter_step`` and
-``control_step`` on float 3x3 tuples, and the ideal loop multiplies the
-float gains of :meth:`ReferenceConfig.exact_step` with
-:func:`numerics.mat3_vec`. A sinusoidal reference takes one ``math.sin``
-per axis and step, shared by ``r(t)`` and the ideal loop's forcing. numpy
-is left to the edges: the GP reads, the learner's buffer, the
-``delay_total`` baseline, and the recorded rows. Rows are recorded at
-global step indices that are multiples of ``record_decimation``, so a run
-resumed off that grid records the same rows as the uninterrupted run.
-
-Tick order within one step is fixed: adaptation -> learning filter ->
-control (filter update, output, predictor advance) -> plant -> learner.
-
-The engine's state is one :class:`Snapshot`, named once: a fresh run
-starts from :meth:`Snapshot.initial`, a resumed run from a deepcopy of the
-snapshot it is given, each :meth:`Engine.run` goes on from the time the
-live state stands at, and :meth:`Engine.snapshot` returns a deepcopy of
-it. The record holds the learner's random generator itself, so each copy
-draws the same stream as the run it was taken from.
+The engine's state is one :class:`Snapshot`: a fresh run starts from
+:meth:`Snapshot.initial`, a resumed run from a deepcopy of the snapshot it
+is given, and :meth:`Engine.snapshot` returns a deepcopy of the live
+state. The record holds the learner's random generator itself, so each
+copy draws the same stream as the run it was taken from.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 import warnings
@@ -69,21 +64,12 @@ __all__ = [
     "metrics",
 ]
 
-TRACE_COLUMNS = (
-    ("t",)
-    + tuple(f"x{i}" for i in (1, 2, 3))
-    + tuple(f"xhat{i}" for i in (1, 2, 3))
-    + tuple(f"xtilde{i}" for i in (1, 2, 3))
-    + tuple(f"u{i}" for i in (1, 2, 3))
-    + tuple(f"fl{i}" for i in (1, 2, 3))
-    + tuple(f"eta{i}" for i in (1, 2, 3))
-    + tuple(f"sigmahat{i}" for i in (1, 2, 3))
-    + tuple(f"ftrue{i}" for i in (1, 2, 3))
-    + tuple(f"fhat{i}" for i in (1, 2, 3))
-    + tuple(f"r{i}" for i in (1, 2, 3))
-    + tuple(f"xid{i}" for i in (1, 2, 3))
-    + ("e_f_hat", "omega_filtered")
-)
+TRACE_COLUMNS = ("t",) + tuple(
+    f"{name}{i}"
+    for name in ("x", "xhat", "xtilde", "u", "fl", "eta", "sigmahat", "ftrue",
+                 "fhat", "r", "xid")
+    for i in (1, 2, 3)
+) + ("e_f_hat", "omega_filtered")
 
 REFERENCE_KINDS = ("zero", "step", "sinusoid")
 
@@ -159,7 +145,13 @@ class ConditionParams:
 
 @dataclass
 class ScenarioConfig:
-    """Full description of one deterministic closed-loop run."""
+    """Full description of one deterministic closed-loop run.
+
+    Construction fixes every time of the run as a whole number of steps
+    (``ts_every``, ``data_every``, ``delay_steps``, ``n_steps``,
+    ``switch_steps``); to change a time, build a new config with
+    :func:`dataclasses.replace`.
+    """
 
     controller: ctrl.ControllerConfig
     plant: plant_mod.PlantConfig
@@ -173,28 +165,32 @@ class ScenarioConfig:
     condition: ConditionParams = field(default_factory=ConditionParams)
 
     def __post_init__(self):
-        if self.duration <= 0 or self.step <= 0:
-            raise ValueError("duration and step must be positive")
+        if self.step <= 0:
+            raise ValueError("step must be positive")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
-        self.ts_every = _exact_multiple(self.controller.T_s, self.step, "T_s")
-        if self.learner is not None:
-            self.data_every = _exact_multiple(
-                self.learner.T_data, self.step, "T_data"
+        self.ts_every = self.steps(self.controller.T_s, "T_s")
+        self.data_every = (
+            self.steps(self.learner.T_data, "T_data") if self.learner is not None else 0
+        )
+        self.delay_steps = self.steps(self.plant.input_delay, "input_delay", least=0)
+        self.n_steps = self.steps(self.duration, "duration")
+        self.switch_steps = [
+            self.steps(s, "switch_time") for s in self.plant.uncertainty.switch_times
+        ]
+
+    def steps(self, time: float, name: str, least: int = 1) -> int:
+        """``time`` as a whole number of steps, at least ``least``: the one
+        place a time is matched to the step grid."""
+        k = time / self.step
+        n = round(k) if math.isfinite(k) else least - 1
+        # a time within a millionth of a step of the grid counts as on it
+        if n < least or abs(k - n) > 1e-6:
+            sign = "positive" if least else "nonnegative"
+            raise ValueError(
+                f"{name} {time} is not a {sign} whole number of steps {self.step}"
             )
-        else:
-            self.data_every = 0
-        _exact_multiple(self.plant.input_delay, self.step, "input_delay", least=0)
-        self.n_steps = int(round(self.duration / self.step))
-        if abs(self.n_steps * self.step - self.duration) > 1e-9:
-            raise ValueError("duration must be a multiple of the step")
-
-
-def _exact_multiple(period: float, step: float, name: str, least: int = 1) -> int:
-    k = int(round(period / step))
-    if k < least or abs(k * step - period) > 1e-12:
-        raise ValueError(f"step {step} does not divide {name} {period} evenly")
-    return k
+        return n
 
 
 @dataclass
@@ -261,19 +257,17 @@ class Engine:
     """Single-owner stepping loop; each run goes on from the live state."""
 
     def __init__(self, cfg: ScenarioConfig, resume: Optional[Snapshot] = None,
-                 sigma_oracle: Optional[Callable[[float, np.ndarray], np.ndarray]] = None):
+                 true_sigma: bool = False):
         self.cfg = cfg
         self.pre = ctrl.PrecomputedAdaptation.from_config(cfg.controller)
         self.ref = cfg.reference.make()
-        self._sigma_oracle = sigma_oracle
+        # each tick's adaptive estimate is the true uncertainty at the state
+        self._true_sigma = true_sigma
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
-        self.delay = plant_mod.DelayLine(
-            cfg.plant.input_delay, cfg.step, dim=cfg.controller.m
-        )
+        self.delay = plant_mod.DelayLine(cfg.delay_steps, dim=cfg.controller.m)
         # start and end of the latest run; a run goes on from live.t0
         self.t0 = self.t_final = self.live.t0
-        if abs(round(self.t0 / cfg.step) * cfg.step - self.t0) > 1e-9:
-            raise ValueError("resume time must lie on the step grid")
+        cfg.steps(self.t0, "resume time", least=0)
 
     def snapshot(self) -> Snapshot:
         """A copy of the live state, standing at the end of the last run."""
@@ -297,8 +291,9 @@ class Engine:
         self.t0 = live.t0
         self.events: list = []  # this run's log
         # global step index of t0: keeps resumed time stamps, tick alignment,
-        # and learner boundaries identical to an uninterrupted run
-        i0 = int(round(self.t0 / h))
+        # learner boundaries and uncertainty switches identical to an
+        # uninterrupted run
+        i0 = cfg.steps(self.t0, "resume time", least=0)
         mat3_vec = numerics.mat3_vec
         sin, cos = math.sin, math.cos
         E_id, g_id, M_s, M_c = cfg.reference.exact_step(A_m, c.B_m @ c.k_g, h)
@@ -306,8 +301,12 @@ class Engine:
         r = self.ref(0.0)  # constant unless the reference is a sinusoid
         a0, a1, a2 = (float(v) for v in cfg.reference.amplitude)
         w0, w1, w2 = (float(v) for v in cfg.reference.frequency)
-        schedule = p.uncertainty
-        switch_times = [s for s in schedule.switch_times if s > self.t0 + 1e-12]
+        # segment `seg` of the uncertainty is in force from global step
+        # switch_steps[seg - 1] on; -1 marks that no switch is left
+        switch_steps = cfg.switch_steps + [-1]
+        fields = p.uncertainty.scalar_fields
+        seg = bisect.bisect_right(cfg.switch_steps, i0)
+        f = fields[seg]
 
         # +3: the initial row, one more grid row when t0 is off the recording
         # grid, and a possible abort row between grid points
@@ -318,7 +317,7 @@ class Engine:
         if cfg.condition.check:
             self._check_condition()
 
-        rows[0] = self._row(self.t0)
+        rows[0] = self._row(self.t0, f)
         row_i = 1
         state = live.ctrl_state
         for i in range(n_steps):
@@ -329,9 +328,8 @@ class Engine:
                 r = (a0 * s0, a1 * s1, a2 * s2)
             if (i0 + i) % ts_every == 0:
                 ctrl.adaptation_step(state, live.x, pre)
-                if self._sigma_oracle is not None:
-                    o0, o1, o2 = self._sigma_oracle(t, np.array(live.x))
-                    state.sigma_hat = (float(o0), float(o1), float(o2))
+                if self._true_sigma:
+                    state.sigma_hat = f(*live.x)
                 if mode_l1gp:
                     model = live.learner.model if live.learner else None
                     if model is not None:
@@ -357,9 +355,14 @@ class Engine:
                 u_applied = self.delay.push(pushed)
             else:
                 u_applied = self.delay.push(live.u)
+            # the step that ends on a switch sees the new segment at its
+            # last RK4 stage only
+            switching = i0 + i + 1 == switch_steps[seg]
+            f_end = fields[seg + 1] if switching else f
             try:
                 x0, x1, x2 = live.x = plant_mod.rk4_plant_step(
-                    live.x, u_applied, t, h, p, include_baseline=not delay_total
+                    live.x, u_applied, t, h, p, f, f_end,
+                    include_baseline=not delay_total,
                 )
             except numerics.DivergenceError:
                 unstable = True
@@ -378,14 +381,15 @@ class Engine:
                 if not math.isfinite(b0 + b1 + b2) or max(b0, b1, b2) > cfg.blowup:
                     unstable = True
             t_next = (i0 + i + 1) * h
-            while switch_times and t_next >= switch_times[0] - 1e-12:
-                self.events.append(
-                    {"t": switch_times.pop(0), "kind": "uncertainty_switch"}
-                )
+            if switching:
+                self.events.append({"t": p.uncertainty.switch_times[seg],
+                                    "kind": "uncertainty_switch"})
+                seg += 1
+                f = f_end
             steps_done = i + 1
             if unstable:
                 self.events.append({"t": t_next, "kind": "unstable_abort"})
-                rows[row_i] = self._row(t_next)
+                rows[row_i] = self._row(t_next, f)
                 row_i += 1
                 break
             if (
@@ -399,7 +403,7 @@ class Engine:
                     self.events.append(ev)
             # the global step index keeps a resumed run on the same grid
             if (i0 + i + 1) % dec == 0:
-                rows[row_i] = self._row(t_next)
+                rows[row_i] = self._row(t_next, f)
                 row_i += 1
         live.t0 = self.t_final = (i0 + steps_done) * h
         return SimulationTrace(
@@ -408,12 +412,13 @@ class Engine:
             unstable=unstable,
         )
 
-    def _row(self, t: float) -> np.ndarray:
+    def _row(self, t: float, f: Callable) -> np.ndarray:
+        """The trace row at t; ``f`` is the uncertainty segment in force."""
         live = self.live
         state = live.ctrl_state
         x0, x1, x2 = x = live.x
         h0, h1, h2 = state.x_hat
-        f_true = self.cfg.plant.uncertainty.field_at(t)(x0, x1, x2)
+        f_true = f(x0, x1, x2)
         if live.learner is not None:
             f_hat = live.learner.model.f_hat(x)
         else:
@@ -485,7 +490,7 @@ def run_reference_system(cfg: ScenarioConfig) -> dict:
         learner=None,
         condition=replace(cfg.condition, check=False),
     )
-    trace = Engine(ref_cfg, sigma_oracle=cfg.plant.uncertainty.eval).run()
+    trace = Engine(ref_cfg, true_sigma=True).run()
     return {"t": trace.t, "x_ref": trace.block("x"), "u_ref": trace.block("u"),
             "diverged": trace.unstable}
 
@@ -531,22 +536,25 @@ def delay_margin_search(
     or turns non-finite within the horizon. When ``snapshot_time`` is set,
     the base scenario first runs that long without delay and every
     candidate resumes from the captured state (used to measure the margin
-    of the running, post-learning loop).
+    of the running, post-learning loop). Every time argument must be a
+    positive whole number of engine steps; the bisection runs on integer
+    step counts, so each candidate delay is exactly ``k * base.step``.
     """
-    if abs(round(resolution / base.step) * base.step - resolution) > 1e-12:
-        raise ValueError("resolution must be a multiple of the engine step")
+    res = base.steps(resolution, "resolution")
+    k_max = base.steps(max_delay, "max_delay")
+    base.steps(horizon, "horizon")
     snap = None
     if snapshot_time is not None:
-        warm_cfg = replace(base, duration=snapshot_time)
-        warm = Engine(warm_cfg)
-        warm_trace = warm.run()
-        if warm_trace.unstable:
+        base.steps(snapshot_time, "snapshot_time")
+        warm = Engine(replace(base, duration=snapshot_time))
+        if warm.run().unstable:
             raise UnstableAtZeroDelayError("unstable during the warm-up run")
         snap = warm.snapshot()
 
     candidates = []
 
-    def candidate(delay: float) -> bool:
+    def candidate(k: int) -> bool:
+        delay = k * base.step
         cfg = replace(
             base,
             duration=horizon,
@@ -557,42 +565,31 @@ def delay_margin_search(
         candidates.append((delay, stable))
         return stable
 
-    if not candidate(0.0):
+    if not candidate(0):
         raise UnstableAtZeroDelayError("base scenario unstable at zero delay")
 
-    criterion = (
-        f"unstable iff |x|_inf > {base.blowup} or non-finite within {horizon}s"
-    )
-    if candidate(max_delay):
-        return MarginResult(
-            margin=max_delay,
-            bracket=(max_delay, math.inf),
-            iterations=len(candidates),
-            criterion=criterion,
-            candidates=candidates,
-            open_bracket=True,
-        )
-
-    lo, hi = 0.0, max_delay
-    while hi - lo > resolution + 1e-12:
-        mid = lo + math.floor((hi - lo) / 2.0 / resolution) * resolution
-        if mid <= lo:
-            mid = lo + resolution
+    open_bracket = candidate(k_max)
+    lo, hi = (k_max, math.inf) if open_bracket else (0, k_max)
+    while not open_bracket and hi - lo > res:
+        mid = max(lo + (hi - lo) // (2 * res) * res, lo + res)
         if candidate(mid):
             lo = mid
         else:
             hi = mid
     return MarginResult(
-        margin=lo,
-        bracket=(lo, hi),
+        margin=lo * base.step,
+        bracket=(lo * base.step, hi * base.step),
         iterations=len(candidates),
-        criterion=criterion,
+        criterion=(
+            f"unstable iff |x|_inf > {base.blowup} or non-finite within {horizon}s"
+        ),
         candidates=candidates,
+        open_bracket=open_bracket,
     )
 
 
 def window_mean(t: np.ndarray, series: np.ndarray, t0: float, t1: float) -> float:
-    """Mean of a series over rows with t0 <= t <= t1 (closed window)."""
+    """Mean of a series (of all its columns) over rows with t0 <= t <= t1."""
     mask = (t >= t0 - 1e-12) & (t <= t1 + 1e-12)
     if not np.any(mask):
         raise ValueError(f"no rows in window [{t0}, {t1}]")
@@ -631,8 +628,6 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
                 "err_ideal_norm": window_mean(t, err_id, t0, t1),
                 "fl_norm": window_mean(t, fl_norm, t0, t1),
                 "eta_norm": window_mean(t, eta_norm, t0, t1),
-                "tracking_abs_mean": float(
-                    np.mean(track_abs[(t >= t0 - 1e-12) & (t <= t1 + 1e-12)])
-                ),
+                "tracking_abs_mean": window_mean(t, track_abs, t0, t1),
             }
     return out

@@ -58,6 +58,9 @@ check = false
 """
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -125,13 +128,26 @@ class TestSimulate:
         ("record_decimation = 2.7", "record_decimation"),
         ("seed = true", "seed"),
         ("bound.grid_points = 3.5", "bound.grid_points"),
+        ("plant.switch_time = 0.0505", "switch_time"),
+        ("margin --resolution 0", "--resolution"),
+        ("margin --resolution 0.0015", "--resolution"),
+        ("margin --horizon 0", "--horizon"),
+        ("margin --snapshot-time 0", "--snapshot-time"),
+        ("margin --snapshot-time 0.0005", "--snapshot-time"),
+        ("bound-check --n-train -1", "--n-train"),
+        ("bound-check --n-probe 0", "--n-probe"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
-        text = "duration = 0.1\nplant.j = [0.011, 0.011, 0.021]\n" + line + "\n"
+        # a deck line run by simulate, or a command's flag on a valid deck
+        text = "duration = 0.1\nplant.j = [0.011, 0.011, 0.021]\n"
+        command, *flags = line.split()
+        if command not in ("margin", "bound-check"):
+            command, flags, text = "simulate", [], text + line + "\n"
         cfg = write(tmp_path, "bad.cfg", text)
-        code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
+        code = cli.main([command, cfg, "-o", str(tmp_path / "o"), *flags])
         assert code == cli.EXIT_CONFIG
         assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_config_all_zero_columns(self, tmp_path):
         cfg = write(tmp_path, "zero.cfg", ZERO_CFG)
@@ -286,6 +302,21 @@ class TestMargin:
         res = json.loads((out / "margin.json").read_text())
         assert "margin_s" in res and "bracket" in res and res["candidates"]
         assert res["resolution_s"] == 0.004
+
+    def test_l1_plain_margin_is_whole_steps(self, tmp_path):
+        # the bisection runs on integer step counts: every delay is k * step
+        deck = os.path.join(REPO, "configs", "l1_plain.cfg")
+        out = tmp_path / "out"
+        code = cli.main(["margin", deck, "-o", str(out), "--horizon", "20"])
+        assert code == cli.EXIT_OK
+        res = json.loads((out / "margin.json").read_text())
+        assert res["margin_s"] == 0.019
+        assert res["bracket"] == [0.019, 0.02]
+        order = [0, 200, 100, 50, 25, 12, 18, 21, 19, 20]
+        stable = [True, False, False, False, False, True, True, False, True, False]
+        assert res["candidates"] == [
+            {"delay_s": k * 0.001, "stable": s} for k, s in zip(order, stable)
+        ]
 
 
 def test_cli_import_leaves_out_scipy_signal():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from l1gp import numerics, plant
+from l1gp import config, numerics, plant
 
 
 J = np.diag([0.011, 0.011, 0.021])
@@ -170,7 +170,8 @@ class TestRk4PlantStep:
             x = rng.normal(size=3) * 2.0
             u = rng.normal(size=3) * 0.05
             t = float(rng.uniform(0.0, 10.0))
-            got = plant.rk4_plant_step(x, u, t, self.H, cfg, include_baseline)
+            f = cfg.uncertainty.scalar_fields[0]
+            got = plant.rk4_plant_step(x, u, t, self.H, cfg, f, f, include_baseline)
             want = oracle_step(
                 cfg, [(0.0, ORACLE_KINDS[kind])], x, u, t, self.H, include_baseline
             )
@@ -179,19 +180,28 @@ class TestRk4PlantStep:
 
     @pytest.mark.parametrize("include_baseline", [True, False])
     def test_last_stage_sees_switch(self, include_baseline):
+        # the caller passes the new segment for the last stage of the step
+        # that ends on a switch; the step looks nothing up by time
         switch = 1.0
         t = switch - self.H
         assert t + self.H == switch and t + 0.5 * self.H < switch
         cfg = make_cfg("quadratic", switch_time=switch)
+        old, new = cfg.uncertainty.scalar_fields
         x = np.array([0.4, -0.3, 0.6])
         u = np.array([0.01, -0.02, 0.03])
-        got = np.array(plant.rk4_plant_step(x, u, t, self.H, cfg, include_baseline))
+        got = np.array(
+            plant.rk4_plant_step(x, u, t, self.H, cfg, old, new, include_baseline)
+        )
         kinds = [(0.0, ORACLE_KINDS["quadratic"]), (switch, ORACLE_KINDS["sine_switch"])]
         want = oracle_step(cfg, kinds, x, u, t, self.H, include_baseline)
         assert np.array_equal(got, want)
         # k4 alone differs from the pre-switch field, so the step does too
         stale = oracle_step(cfg, kinds[:1], x, u, t, self.H, include_baseline)
         assert not np.array_equal(got, stale)
+        assert np.array_equal(
+            plant.rk4_plant_step(x, u, t, self.H, cfg, old, old, include_baseline),
+            stale,
+        )
 
     def test_non_diagonal_a_m(self):
         A_m = np.array([[-3.0, 0.5, 0.1], [0.2, -4.0, 0.3], [-0.1, 0.4, -2.5]])
@@ -202,7 +212,8 @@ class TestRk4PlantStep:
         for _ in range(200):
             x = rng.normal(size=3)
             u = rng.normal(size=3) * 0.05
-            got = np.array(plant.rk4_plant_step(x, u, 0.3, self.H, cfg))
+            f = cfg.uncertainty.scalar_fields[0]
+            got = np.array(plant.rk4_plant_step(x, u, 0.3, self.H, cfg, f, f))
             want = oracle_step(
                 cfg, [(0.0, ORACLE_KINDS["quadratic"])], x, u, 0.3, self.H, True
             )
@@ -215,24 +226,30 @@ class TestRk4PlantStep:
     def test_non_finite_state_raises(self, kind, bad):
         cfg = make_cfg(kind)
         x = np.array([0.1, bad, -0.2])
+        f = cfg.uncertainty.scalar_fields[0]
         with pytest.raises(numerics.DivergenceError) as exc:
-            plant.rk4_plant_step(x, np.zeros(3), 2.5, self.H, cfg)
+            plant.rk4_plant_step(x, np.zeros(3), 2.5, self.H, cfg, f, f)
         assert exc.value.t == 2.5
 
 
 class TestDelayLine:
     def test_zero_delay_identity(self):
-        line = plant.DelayLine(0.0, 0.001)
+        line = plant.DelayLine(0)
         u = np.array([1.0, 2.0, 3.0])
-        assert plant.DelayLine(0.0, 0.001).push(u) is u
+        assert plant.DelayLine(0).push(u) is u
         assert np.array_equal(line.push(u), u)
 
     def test_shift(self):
-        line = plant.DelayLine(0.003, 0.001)
+        line = plant.DelayLine(3)
         outs = [line.push(np.full(3, float(k))) for k in range(6)]
         # zero-padded for the first three pushes, then the delayed stream
         assert np.array_equal(np.array(outs)[:, 0], [0, 0, 0, 0, 1, 2])
 
     def test_non_multiple_rejected(self):
+        # the scenario turns the delay into a step count, once
+        cfg = config.quadrotor_nominal(duration=0.1, input_delay=0.003)
+        assert cfg.delay_steps == 3
+        with pytest.raises(ValueError, match="input_delay"):
+            config.quadrotor_nominal(duration=0.1, input_delay=0.0015)
         with pytest.raises(ValueError):
-            plant.DelayLine(0.0015, 0.001)
+            plant.DelayLine(-1)

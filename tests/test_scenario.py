@@ -182,7 +182,7 @@ class TestReferenceSystem:
         cfg = no_condition(cfg)
         sched = cfg.plant.uncertainty
         cfg.record_decimation = 1
-        eng = scenario.Engine(cfg, sigma_oracle=lambda t, x: sched.eval(t, x))
+        eng = scenario.Engine(cfg, true_sigma=True)
         trace = eng.run()
         # every tick's estimate is the oracle at the state the tick saw
         t, x, sg = trace.t, trace.block("x"), trace.block("sigmahat")
@@ -251,6 +251,43 @@ class TestPlantReplay:
                 t[k - 1], x[k - 1], h,
             )
             assert np.array_equal(x[k], want), k
+
+
+class TestSwitchStep:
+    @pytest.mark.parametrize("switch", [0.5, 1.1])
+    def test_step_ending_on_the_switch_uses_the_new_kind_at_its_last_stage(
+        self, switch
+    ):
+        # 1099 * 0.001 + 0.001 < 1.1 in floats, so a stage clock would keep
+        # the old kind; the engine picks the segment by step index
+        cfg = no_condition(nominal(duration=switch + 0.1, mode="l1",
+                                   with_learner=False, switch_time=switch,
+                                   record_decimation=1))
+        trace = scenario.run(cfg)
+        assert [e["t"] for e in trace.events
+                if e["kind"] == "uncertainty_switch"] == [switch]
+        h = cfg.step
+        k = round(switch / h)
+        assert cfg.switch_steps == [k]
+        old, new = (replace(cfg.plant, uncertainty=plant.UncertaintySchedule(
+            ((0.0, kind),))) for kind in ("quadratic", "sine_switch"))
+        t, x, u = trace.t, trace.block("x"), trace.block("u")
+
+        def oracle(row, stage_plants):
+            # numerics.rk4_step whose i-th stage evaluates stage_plants[i]
+            stages = iter(stage_plants)
+            return numerics.rk4_step(
+                lambda tt, z: plant.plant_derivative(z, u[row + 1], tt, next(stages)),
+                t[row], x[row], h,
+            )
+
+        assert np.array_equal(x[k - 1], oracle(k - 2, [old] * 4))
+        assert np.array_equal(x[k], oracle(k - 1, [old] * 3 + [new]))
+        assert not np.array_equal(x[k], oracle(k - 1, [old] * 4))
+        assert np.array_equal(x[k + 1], oracle(k, [new] * 4))
+        f_true = trace.block("ftrue")
+        assert np.array_equal(f_true[k - 1], old.uncertainty.eval(0.0, x[k - 1]))
+        assert np.array_equal(f_true[k], new.uncertainty.eval(0.0, x[k]))
 
 
 class TestControllerReplay:
