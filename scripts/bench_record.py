@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Summarize end-to-end benchmark records of a parent and a change into one file.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/bench_record.py --parent PARENT/perfbench/out \\
+        --change perfbench/out -o BENCH.json
+
+Each directory holds the records ``perfbench/run.py --trace 0`` writes,
+``<workload>-seed<seed>-trace0.json``, one per seed. For every workload
+and every end-to-end metric the output gives, on each side, the value of
+each seed and their median and quartiles, and the relative change of the
+change's median against the parent's; beside them, the environment each
+side ran in. Every workload needs at least three seeds on both sides.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+_RECORD = re.compile(r"^(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json$")
+_MIN_SEEDS = 3
+
+
+def read_records(out_dir: Path) -> dict:
+    """{workload: {seed: record}} of the end-to-end records in ``out_dir``."""
+    by_workload: dict = {}
+    for path in sorted(out_dir.glob("*-seed*-trace0.json")):
+        m = _RECORD.match(path.name)
+        if m is None:
+            continue
+        record = json.loads(path.read_text())
+        by_workload.setdefault(m["workload"], {})[int(m["seed"])] = record
+    return by_workload
+
+
+def spread(values: list) -> dict:
+    """Median and quartiles (inclusive method) of at least two values."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def summarize_side(records: dict) -> dict:
+    """One side of one workload: per-metric spread over seeds, in seed order."""
+    seeds = sorted(records)
+    first = records[seeds[0]]
+    side = {
+        "seeds": seeds,
+        "attempted": sum(records[s]["attempted"] for s in seeds),
+        "failed": sum(records[s]["failed"] for s in seeds),
+        "metrics": {},
+    }
+    for name, entry in first["metrics"].items():
+        values = [records[s]["metrics"][name]["value"] for s in seeds]
+        side["metrics"][name] = dict(spread(values), unit=entry["unit"])
+    return side
+
+
+def environment(by_workload: dict) -> dict:
+    """The environment of the side's records, which must all agree."""
+    envs = {json.dumps(r["env"], sort_keys=True)
+            for records in by_workload.values() for r in records.values()}
+    if len(envs) != 1:
+        raise ValueError(f"the records ran in {len(envs)} different environments")
+    return json.loads(envs.pop())
+
+
+def build(parent: dict, change: dict) -> dict:
+    """The summary of two {workload: {seed: record}} sets."""
+    if sorted(parent) != sorted(change):
+        raise ValueError(f"workloads differ: parent {sorted(parent)}, change {sorted(change)}")
+    if not parent:
+        raise ValueError("no end-to-end records found")
+    workloads = {}
+    for name in sorted(parent):
+        sides = {}
+        for label, records in (("parent", parent[name]), ("change", change[name])):
+            if len(records) < _MIN_SEEDS:
+                raise ValueError(f"{name}: {label} has {len(records)} seeds, "
+                                 f"need {_MIN_SEEDS}")
+            sides[label] = summarize_side(records)
+        before, after = sides["parent"]["metrics"], sides["change"]["metrics"]
+        sides["change_vs_parent"] = {
+            m: (after[m]["median"] / before[m]["median"] - 1.0
+                if before[m]["median"] else None)
+            for m in before if m in after
+        }
+        workloads[name] = sides
+    return {
+        "workloads": workloads,
+        "env": {"parent": environment(parent), "change": environment(change)},
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True,
+                    help="directory of the parent's end-to-end records")
+    ap.add_argument("--change", type=Path, required=True,
+                    help="directory of the change's end-to-end records")
+    ap.add_argument("-o", "--output", type=Path, required=True)
+    args = ap.parse_args(argv)
+    try:
+        summary = build(read_records(args.parent), read_records(args.change))
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args.output.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    for name, sides in summary["workloads"].items():
+        for metric, rel in sides["change_vs_parent"].items():
+            p, c = (sides[s]["metrics"][metric]["median"] for s in ("parent", "change"))
+            rel_text = "n/a" if rel is None else f"{rel:+.1%}"
+            print(f"{name:14s} {metric:24s} {p:12.6g} -> {c:12.6g}  {rel_text}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ scale factor; :func:`envelope_terms` is the one place that combines them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -351,9 +352,23 @@ def uniform_bound_grid_max(
 
     The model's ``e_f_hat``: it sets the bandwidth at t = 0, gates
     improvement-only publishing, and is reported in the publish event; the
-    bandwidth law reads the pointwise envelope instead. The grid is read in
+    bandwidth law reads the pointwise envelope instead.
+
+    The posterior std never exceeds ``cap = sqrt(sigma_f**2)``:
+    :meth:`GpPosterior.predict_batch` subtracts a sum of squares from
+    ``sigma_f**2`` and clamps at 0. So the 2^n box corners (``+-kappa_op``
+    on each axis, which are grid points) are read first, and when one of
+    them reaches the cap, ``terms.bound(cap)`` is the grid max exactly; the
+    prior always takes this exit. Otherwise the whole grid is read in
     blocks of ``_GRID_BLOCK`` rows, so memory does not grow with its size.
     """
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    cap = math.sqrt(posterior.kernel.sigma_f**2)
+    corners = np.array(list(itertools.product((-kappa_op, kappa_op),
+                                              repeat=posterior.n_inputs)))
+    if np.max(posterior.predict_batch(corners)[1]) == cap:
+        return terms.bound(cap)
     axis = np.linspace(-kappa_op, kappa_op, grid_points)
     grids = np.meshgrid(*([axis] * posterior.n_inputs), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)

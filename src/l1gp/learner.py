@@ -65,6 +65,12 @@ class LearnerConfig:
             raise ValueError("gamma_tol must be in (0, 1) for improvement gating")
         if self.sigma_n <= 0:
             raise ValueError("sigma_n must be positive")
+        # the envelope holds only on the box |x|_inf <= bound.kappa
+        if not 0.0 < self.kappa_op <= self.bound.kappa:
+            raise ValueError("kappa_op must be in (0, bound.kappa]")
+        # the grid's two ends are the box corners the grid max reads first
+        if self.grid_points < 2:
+            raise ValueError("grid_points must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ delayed input, advance the ideal system, feed the learner on its own
 boundaries, and record. Tick order within one step is fixed: adaptation
 -> learning filter -> control -> plant -> learner.
 
-Step clock: :class:`ScenarioConfig` fixes every instant a run uses (the
+Step clock: :class:`ScenarioConfig` reads every instant a run uses (the
 sampling and learner periods, the input delay, the duration, each
 uncertainty switch) as a whole number of steps, through the one helper
 :meth:`ScenarioConfig.steps`. The engine counts global step indices: the
@@ -147,10 +147,15 @@ class ConditionParams:
 class ScenarioConfig:
     """Full description of one deterministic closed-loop run.
 
-    Construction fixes every time of the run as a whole number of steps
-    (``ts_every``, ``data_every``, ``delay_steps``, ``n_steps``,
-    ``switch_steps``); to change a time, build a new config with
-    :func:`dataclasses.replace`.
+    Every time of the run is read as a whole number of steps (``ts_every``,
+    ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
+    derived where it is read; construction checks that every time is on the
+    step grid. So an edit to a time made before an :class:`Engine` is built
+    takes effect. An engine sizes its delay line when it is built, so a later
+    edit of ``plant.input_delay`` does not reach it. The caches that
+    ``PlantConfig`` derives from ``J`` and ``A_m``, and ``ControllerConfig``
+    from its matrices, ``T_s`` and filter bandwidths, are likewise fixed at
+    their construction.
     """
 
     controller: ctrl.ControllerConfig
@@ -169,15 +174,30 @@ class ScenarioConfig:
             raise ValueError("step must be positive")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
-        self.ts_every = self.steps(self.controller.T_s, "T_s")
-        self.data_every = (
-            self.steps(self.learner.T_data, "T_data") if self.learner is not None else 0
-        )
-        self.delay_steps = self.steps(self.plant.input_delay, "input_delay", least=0)
-        self.n_steps = self.steps(self.duration, "duration")
-        self.switch_steps = [
-            self.steps(s, "switch_time") for s in self.plant.uncertainty.switch_times
-        ]
+        # each step count checks its time against the step grid when read
+        for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
+            getattr(self, name)
+
+    @property
+    def ts_every(self) -> int:
+        return self.steps(self.controller.T_s, "T_s")
+
+    @property
+    def data_every(self) -> int:
+        """Steps per learner sample; 0 without a learner."""
+        return self.steps(self.learner.T_data, "T_data") if self.learner is not None else 0
+
+    @property
+    def delay_steps(self) -> int:
+        return self.steps(self.plant.input_delay, "input_delay", least=0)
+
+    @property
+    def n_steps(self) -> int:
+        return self.steps(self.duration, "duration")
+
+    @property
+    def switch_steps(self) -> list:
+        return [self.steps(s, "switch_time") for s in self.plant.uncertainty.switch_times]
 
     def steps(self, time: float, name: str, least: int = 1) -> int:
         """``time`` as a whole number of steps, at least ``least``: the one

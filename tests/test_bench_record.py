@@ -1,0 +1,73 @@
+"""scripts/bench_record.py on synthetic benchmark records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+ENV = {"python": "3.11.7", "nproc": 2, "commit": "abc"}
+
+
+def write_record(out_dir, workload, seed, run_s, trace=0, env=ENV):
+    record = {
+        "correct": True, "attempted": 4, "failed": 0,
+        "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                    "err_ideal_late": {"value": 0.5, "unit": "rad/s"}},
+        "workload": workload, "seed": seed, "trace": trace, "env": env,
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+
+
+def test_medians_quartiles_and_change(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (a, b) in enumerate([(6.0, 2.0), (7.0, 3.0), (5.0, 2.5), (6.5, 2.2)], 1):
+        write_record(parent, "dense_learner", seed, a)
+        write_record(change, "dense_learner", seed, b, env=dict(ENV, commit="def"))
+    # a per-layer record is not an end-to-end one
+    write_record(change, "dense_learner", 9, 100.0, trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    w = summary["workloads"]["dense_learner"]
+    assert w["parent"]["seeds"] == [1, 2, 3, 4]
+    run_p = w["parent"]["metrics"]["run_s"]
+    assert run_p["values"] == [6.0, 7.0, 5.0, 6.5]
+    assert (run_p["q1"], run_p["median"], run_p["q3"]) == (5.75, 6.25, 6.625)
+    assert run_p["unit"] == "s"
+    assert w["change"]["metrics"]["run_s"]["median"] == 2.35
+    assert w["change_vs_parent"]["run_s"] == pytest.approx(2.35 / 6.25 - 1.0)
+    assert w["change_vs_parent"]["err_ideal_late"] == 0.0
+    assert w["change"]["attempted"] == 16 and w["change"]["failed"] == 0
+    assert summary["env"]["parent"]["commit"] == "abc"
+    assert summary["env"]["change"]["commit"] == "def"
+
+
+def test_too_few_seeds_exit_2(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_record(parent, "switch", seed, 2.4)
+    for seed in (1, 2):
+        write_record(change, "switch", seed, 2.3)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(out)]) == 2
+    assert "change has 2 seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mixed_environments_exit_2(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_record(parent, "switch", seed, 2.4, env=dict(ENV, nproc=seed))
+        write_record(change, "switch", seed, 2.3)
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(tmp_path / "BENCH.json")]) == 2
+    assert "different environments" in capsys.readouterr().err

@@ -128,6 +128,12 @@ class TestSimulate:
         ("record_decimation = 2.7", "record_decimation"),
         ("seed = true", "seed"),
         ("bound.grid_points = 3.5", "bound.grid_points"),
+        ("bound.grid_points = 0", "grid_points must be at least 2"),
+        ("bound.grid_points = -4", "grid_points must be at least 2"),
+        ("bound.grid_points = 1", "grid_points must be at least 2"),
+        ("bound.kappa_op = 0", "kappa_op must be in"),
+        ("bound.kappa_op = -1", "kappa_op must be in"),
+        ("bound.kappa_op = 15.5", "kappa_op must be in"),
         ("plant.switch_time = 0.0505", "switch_time"),
         ("margin --resolution 0", "--resolution"),
         ("margin --resolution 0.0015", "--resolution"),

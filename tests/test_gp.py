@@ -1,5 +1,6 @@
 """GP regression and uniform-bound tests against independent oracles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -252,8 +253,7 @@ class TestUniformBound:
         _, std = post.point_eval(np.array([1.0, 2.0, 3.0]))
         e = terms.bound(std)
         assert e == pytest.approx(8.509, abs=5e-4)
-        e_grid = gp.uniform_bound_grid_max(post, terms)
-        assert e_grid == pytest.approx(e, rel=1e-12)
+        assert gp.uniform_bound_grid_max(post, terms) == terms.bound(KERNEL.sigma_f)
 
     def test_delta_near_one_with_single_ball(self):
         cfg = gp.UniformBoundConfig(
@@ -315,3 +315,64 @@ class TestUniformBound:
         err = np.max(np.abs(F - mean), axis=1)
         violations = np.mean(err > envelope)
         assert violations <= 0.01
+
+
+class TestGridMaxBranches:
+    """The corner exit and the blocked read, each against an unblocked
+    read of the whole 21^3 grid, bit for bit."""
+
+    CFG = gp.UniformBoundConfig(kappa=15.0, xi=0.001, delta=0.01)
+    AXIS = np.linspace(-5.0, 5.0, 21)
+    GRID = np.stack([g.ravel() for g in np.meshgrid(AXIS, AXIS, AXIS, indexing="ij")],
+                    axis=1)
+
+    def fitted(self, X, kernel=KERNEL):
+        rng = np.random.default_rng(8)
+        Y = np.array([poly_f(x) for x in X]).reshape(X.shape)
+        Y += 0.01 * rng.normal(size=X.shape)
+        return gp.fit(gp.GpDataset(X, Y, 1e-4), kernel)
+
+    def check(self, post, monkeypatch):
+        """The grid max equals the full-grid max; returns it, the cap's
+        bound and the row counts of each predict_batch call it made."""
+        terms = gp.envelope_terms(post, self.CFG)
+        want = terms.bound(float(np.max(post.predict_batch(self.GRID)[1])))
+        rows = []
+        predict = gp.GpPosterior.predict_batch
+
+        def counting(self, Xq):
+            rows.append(len(Xq))
+            return predict(self, Xq)
+
+        monkeypatch.setattr(gp.GpPosterior, "predict_batch", counting)
+        got = gp.uniform_bound_grid_max(post, terms)
+        assert got == want
+        return got, terms.bound(post.kernel.sigma_f), rows
+
+    def test_clustered_data_exits_at_the_corners(self, monkeypatch):
+        # trajectories stay within about 1.5 rad/s: the far corners sit at the cap
+        X = np.random.default_rng(6).uniform(-1.5, 1.5, size=(300, 3))
+        got, cap_bound, rows = self.check(self.fitted(X), monkeypatch)
+        assert got == cap_bound
+        assert rows == [8]
+
+    def test_data_filling_the_box_reads_the_whole_grid(self, monkeypatch):
+        corners = np.array(list(itertools.product((-5.0, 5.0), repeat=3)))
+        X = np.vstack([corners, np.random.default_rng(7).uniform(-5.0, 5.0, size=(504, 3))])
+        got, cap_bound, rows = self.check(self.fitted(X), monkeypatch)
+        assert got < cap_bound
+        assert rows[0] == 8 and sum(rows[1:]) == len(self.GRID)
+        assert max(rows[1:]) == gp._GRID_BLOCK
+
+    @pytest.mark.parametrize("sigma_f", [1.0, 0.3])
+    def test_prior_exits_at_the_corners(self, monkeypatch, sigma_f):
+        kernel = gp.SeKernel(sigma_f=sigma_f, length_scale=1.0)
+        got, cap_bound, rows = self.check(self.fitted(np.zeros((0, 3)), kernel), monkeypatch)
+        assert got == cap_bound
+        assert rows == [8]
+
+    def test_grid_needs_both_ends(self):
+        post = self.fitted(np.zeros((0, 3)))
+        terms = gp.envelope_terms(post, self.CFG)
+        with pytest.raises(ValueError, match="grid_points"):
+            gp.uniform_bound_grid_max(post, terms, grid_points=1)

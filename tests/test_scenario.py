@@ -233,6 +233,25 @@ class TestIdealLoop:
         assert np.max(np.abs(trace.block("xid") - exact)) <= 1e-10
 
 
+class TestConfigEdits:
+    def test_edits_after_construction_take_effect(self):
+        cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg.duration = 2.0
+        cfg.plant.input_delay = 0.01
+        assert (cfg.n_steps, cfg.delay_steps) == (2000, 10)
+        fresh = config.quadrotor_nominal(duration=2.0, with_learner=False, mode="l1",
+                                         input_delay=0.01)
+        trace = scenario.run(cfg)
+        assert trace.t[-1] == 2.0
+        assert np.array_equal(trace.data, scenario.run(fresh).data)
+
+    def test_edit_off_the_step_grid_fails_when_read(self):
+        cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg.duration = 1.0005
+        with pytest.raises(ValueError, match="duration"):
+            scenario.run(cfg)
+
+
 class TestPlantReplay:
     def test_engine_steps_are_generic_rk4_steps(self):
         # every recorded state is one numerics.rk4_step over plant_derivative
