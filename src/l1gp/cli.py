@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config")
     p_sim.add_argument("-o", "--out-dir", required=True)
 
-    p_margin = sub.add_parser("margin", help="bisect the input-delay margin")
+    p_margin = sub.add_parser("margin", help="search the input-delay margin")
     p_margin.add_argument("config")
     p_margin.add_argument("-o", "--out-dir", required=True)
     p_margin.add_argument("--resolution", type=float, default=0.001)

@@ -78,13 +78,15 @@ def feedforward_gain(A_m: np.ndarray, B_m: np.ndarray, C_m: np.ndarray) -> np.nd
 
 
 @dataclass
-class ControllerConfig:
+class ControllerConfig(numerics.Revalidating):
     """Plant-model matrices, rates, filter bandwidths, and mode.
 
     ``A_m`` must be Hurwitz (checked at construction). ``k_g`` is computed
-    from (A_m, B_m, C_m) and stored. ``omega_0 = 0`` disables the learning
-    filter entirely (the commanded bandwidth is pinned at zero), which is
-    the degenerate configuration equal to the plain adaptive mode.
+    from (A_m, B_m, C_m) and stored; assigning a field re-validates the
+    config and re-derives ``k_g`` and the filter decay factors.
+    ``omega_0 = 0`` disables the learning filter entirely (the commanded
+    bandwidth is pinned at zero), which is the degenerate configuration
+    equal to the plain adaptive mode.
     """
 
     A_m: np.ndarray
@@ -116,6 +118,7 @@ class ControllerConfig:
         # per-tick filter decay factors, exact pole mapping
         self._alpha_c = math.exp(-self.omega_c * self.T_s)
         self._alpha_L = math.exp(-self.omega_L * self.T_s)
+        self._built = True
 
     @property
     def n(self) -> int:

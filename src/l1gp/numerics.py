@@ -2,13 +2,16 @@
 
 Everything here operates on plain float64 numpy arrays, except the two
 3x3 helpers :func:`mat3` and :func:`mat3_vec`, which hold a matrix as float
-tuples and multiply on Python floats for the 1 kHz loop. Matrices are tiny
-(controller state dimensions, n <= 6) so the routines favor accuracy and
-clear failure modes over throughput. All functions are pure.
+tuples and multiply on Python floats for the 1 kHz loop, and
+:class:`Revalidating`, the base of the configs that cache such tuples.
+Matrices are tiny (controller state dimensions, n <= 6) so the routines
+favor accuracy and clear failure modes over throughput. All functions are
+pure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Callable, Sequence
@@ -27,6 +30,7 @@ __all__ = [
     "pseudo_inverse",
     "mat3",
     "mat3_vec",
+    "Revalidating",
     "cholesky_factor",
     "solve_with_factor",
     "rk4_step",
@@ -135,6 +139,31 @@ def mat3_vec(M: tuple, v: Sequence[float]) -> tuple[float, float, float]:
         0.0 + a10 * v0 + a11 * v1 + a12 * v2,
         0.0 + a20 * v0 + a21 * v1 + a22 * v2,
     )
+
+
+class Revalidating:
+    """Base of a dataclass whose ``__post_init__`` checks its fields and
+    derives caches from them.
+
+    Assigning an ``__init__`` field after construction builds a fresh
+    instance from the fields with the new value and takes over its state, so
+    the checks run again and every cache follows the edit; an invalid value
+    raises and leaves the instance as it was. ``__post_init__`` sets
+    ``_built`` last; until then, and for every other attribute, assignments
+    are plain. Reads cost nothing extra: ``self.__dict__`` is never touched,
+    since materializing it slows every later attribute read of the instance.
+    """
+
+    _built = False
+
+    def __setattr__(self, name, value):
+        f = self.__dataclass_fields__.get(name)
+        if f is not None and f.init and self._built:
+            fresh = dataclasses.replace(self, **{name: value})
+            for key, v in vars(fresh).items():
+                object.__setattr__(self, key, v)
+        else:
+            object.__setattr__(self, name, value)
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import DivergenceError, mat3
+from .numerics import DivergenceError, Revalidating, mat3
 
 __all__ = [
     "UncertaintySchedule",
@@ -123,12 +123,14 @@ class UncertaintySchedule:
 
 
 @dataclass
-class PlantConfig:
+class PlantConfig(Revalidating):
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
 
     ``input_delay`` must be a whole number of engine steps; by
     default only the adaptive input is delayed (the baseline is assumed
     onboard), ``delay_total`` switches the delay to the full input path.
+    Assigning a field re-validates the config and re-derives the float
+    caches of ``J`` and ``A_m`` that :func:`rk4_plant_step` reads.
     """
 
     J: np.ndarray = field(default_factory=lambda: np.diag([0.011, 0.011, 0.021]))
@@ -157,6 +159,7 @@ class PlantConfig:
         self._j = tuple(float(v) for v in diag)
         self._jinv = tuple(1.0 / v for v in self._j)
         self._ja = mat3(self.J @ self.A_m)
+        self._built = True
 
 
 class DelayLine:

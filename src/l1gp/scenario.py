@@ -150,12 +150,11 @@ class ScenarioConfig:
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid. So an edit to a time made before an :class:`Engine` is built
-    takes effect. An engine sizes its delay line when it is built, so a later
-    edit of ``plant.input_delay`` does not reach it. The caches that
-    ``PlantConfig`` derives from ``J`` and ``A_m``, and ``ControllerConfig``
-    from its matrices, ``T_s`` and filter bandwidths, are likewise fixed at
-    their construction.
+    step grid. ``PlantConfig`` and ``ControllerConfig`` re-derive their caches
+    whenever a field is assigned. So an edit made before an :class:`Engine`
+    is built takes effect. An engine sizes its delay line and precomputes the
+    adaptation matrices when it is built: edit a config before building the
+    engine that runs it.
     """
 
     controller: ctrl.ControllerConfig
@@ -517,18 +516,21 @@ def run_reference_system(cfg: ScenarioConfig) -> dict:
 
 @dataclass
 class MarginResult:
-    """Outcome of the input-delay bisection."""
+    """Outcome of the input-delay search; ``predicted`` is the LTI margin
+    the search started from."""
 
     margin: float
     bracket: tuple
     iterations: int
     criterion: str
     candidates: list
+    predicted: float
     open_bracket: bool = False
 
     def as_dict(self) -> dict:
         return {
             "margin_s": self.margin,
+            "predicted_margin_s": self.predicted,
             "bracket": list(self.bracket),
             "iterations": self.iterations,
             "criterion": self.criterion,
@@ -550,19 +552,37 @@ def delay_margin_search(
     max_delay: float = 0.2,
     snapshot_time: Optional[float] = None,
 ) -> MarginResult:
-    """Bisect the input delay to the largest stable value within resolution.
+    """The largest stable input delay, within resolution, up to ``max_delay``.
+
+    The search starts at the margin the LTI limit of the loop predicts,
+    ``pi / (2 omega_c) - T_s / 2``: with ``C(s) = omega_c / (s + omega_c)``
+    the loop transfer is ``C / (1 - C) = omega_c / s``, so 90 degrees of
+    phase margin at ``omega_c``, less half a sample for the hold (Cao &
+    Hovakimyan, *Stability margins of L1 adaptive control architecture*,
+    IEEE TAC 2010). The first candidate is that delay in whole steps,
+    rounded down to the resolution and clamped to [resolution, max_delay].
+    From a stable start the search walks up, from an unstable one down,
+    doubling its step each time, until the verdict changes; it then bisects
+    that bracket. As with a bisection over [0, max_delay], the verdict is
+    assumed monotone in the delay, stable below the margin and unstable
+    above it, so a poor prediction costs walk steps, not accuracy. The
+    zero-delay candidate runs only when the walk down reaches it, and raises
+    :class:`UnstableAtZeroDelayError` if unstable; a stable ``max_delay``
+    gives an open bracket. No candidate runs twice.
 
     A candidate counts as unstable when its state exceeds the blowup bound
     or turns non-finite within the horizon. When ``snapshot_time`` is set,
     the base scenario first runs that long without delay and every
     candidate resumes from the captured state (used to measure the margin
     of the running, post-learning loop). Every time argument must be a
-    positive whole number of engine steps; the bisection runs on integer
-    step counts, so each candidate delay is exactly ``k * base.step``.
+    positive whole number of engine steps; the search runs on integer step
+    counts, so each candidate delay is exactly ``k * base.step``.
     """
     res = base.steps(resolution, "resolution")
     k_max = base.steps(max_delay, "max_delay")
     base.steps(horizon, "horizon")
+    c = base.controller
+    predicted = math.pi / (2.0 * c.omega_c) - c.T_s / 2.0
     snap = None
     if snapshot_time is not None:
         base.steps(snapshot_time, "snapshot_time")
@@ -585,11 +605,23 @@ def delay_margin_search(
         candidates.append((delay, stable))
         return stable
 
-    if not candidate(0):
-        raise UnstableAtZeroDelayError("base scenario unstable at zero delay")
-
-    open_bracket = candidate(k_max)
-    lo, hi = (k_max, math.inf) if open_bracket else (0, k_max)
+    k0 = min(max(math.floor(predicted / base.step / res) * res, res), k_max)
+    up = candidate(k0)
+    lo, hi = (k0, None) if up else (None, k0)
+    walk = res
+    # walk away from k0 until the verdict changes or max_delay is stable
+    while lo is None or (hi is None and lo < k_max):
+        k = min(lo + walk, k_max) if up else max(hi - walk, 0)
+        if candidate(k):
+            lo = k
+        elif k == 0:
+            raise UnstableAtZeroDelayError("base scenario unstable at zero delay")
+        else:
+            hi = k
+        walk *= 2
+    open_bracket = hi is None
+    if open_bracket:
+        hi = math.inf
     while not open_bracket and hi - lo > res:
         mid = max(lo + (hi - lo) // (2 * res) * res, lo + res)
         if candidate(mid):
@@ -604,6 +636,7 @@ def delay_margin_search(
             f"unstable iff |x|_inf > {base.blowup} or non-finite within {horizon}s"
         ),
         candidates=candidates,
+        predicted=predicted,
         open_bracket=open_bracket,
     )
 

@@ -209,7 +209,6 @@ def test_criterion_8_prediction_error_consistency():
         duration=10.0, reference_kind="step", record_decimation=1
     )
     cfg.controller.x_hat0 = np.zeros(3)
-    cfg.controller.__post_init__()
     trace = scenario.run(cfg)
     t = trace.t
     xt_rec = trace.block("xtilde")

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file formats, round trips, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -310,7 +311,8 @@ class TestMargin:
         assert res["resolution_s"] == 0.004
 
     def test_l1_plain_margin_is_whole_steps(self, tmp_path):
-        # the bisection runs on integer step counts: every delay is k * step
+        # the search runs on integer step counts: every delay is k * step.
+        # It starts at the predicted 19.1 ms, rounded down to 19 steps
         deck = os.path.join(REPO, "configs", "l1_plain.cfg")
         out = tmp_path / "out"
         code = cli.main(["margin", deck, "-o", str(out), "--horizon", "20"])
@@ -318,11 +320,18 @@ class TestMargin:
         res = json.loads((out / "margin.json").read_text())
         assert res["margin_s"] == 0.019
         assert res["bracket"] == [0.019, 0.02]
-        order = [0, 200, 100, 50, 25, 12, 18, 21, 19, 20]
-        stable = [True, False, False, False, False, True, True, False, True, False]
+        assert res["predicted_margin_s"] == math.pi / 160.0 - 0.0005
         assert res["candidates"] == [
-            {"delay_s": k * 0.001, "stable": s} for k, s in zip(order, stable)
+            {"delay_s": 0.019, "stable": True},
+            {"delay_s": 0.02, "stable": False},
         ]
+
+    def test_unstable_at_zero_delay_exits_4(self, tmp_path):
+        cfg = write(tmp_path, "a.cfg", NOMINAL.replace('mode = "l1gp"', 'mode = "l1"')
+                    .replace("[reference]", "blowup = 1e-6\n\n[reference]"))
+        code = cli.main(["margin", cfg, "-o", str(tmp_path / "out"),
+                         "--horizon", "0.1"])
+        assert code == cli.EXIT_PRECONDITION
 
 
 def test_cli_import_leaves_out_scipy_signal():

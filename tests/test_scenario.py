@@ -116,7 +116,6 @@ class TestDegeneracies:
         a = nominal(duration=2.0, mode="l1", with_learner=False)
         b = nominal(duration=2.0, mode="l1gp", with_learner=False)
         b.controller.omega_0 = 0.0
-        b.controller.__post_init__()
         ta = scenario.run(no_condition(a))
         tb = scenario.run(no_condition(b))
         assert np.array_equal(ta.data, tb.data)
@@ -244,6 +243,32 @@ class TestConfigEdits:
         trace = scenario.run(cfg)
         assert trace.t[-1] == 2.0
         assert np.array_equal(trace.data, scenario.run(fresh).data)
+
+    @pytest.mark.parametrize("part, name, value", [
+        ("plant", "J", np.diag([0.022, 0.022, 0.042])),
+        ("controller", "omega_c", 40.0),
+    ])
+    def test_edits_to_cached_fields_take_effect(self, part, name, value):
+        # the plant's float caches and the controller's filter factors follow
+        # an assignment: the run equals one of a config built with the value
+        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        before = scenario.run(cfg).data
+        setattr(getattr(cfg, part), name, value)
+        fresh = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        built = replace(fresh, **{part: replace(getattr(fresh, part), **{name: value})})
+        after = scenario.run(cfg).data
+        assert np.array_equal(after, scenario.run(built).data)
+        assert not np.array_equal(after, before)
+
+    def test_invalid_edit_raises_and_keeps_the_config(self):
+        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        c, p = cfg.controller, cfg.plant
+        alpha_c, j = c._alpha_c, p._j
+        with pytest.raises(ctrl.ConfigurationError):
+            c.omega_c = -1.0
+        with pytest.raises(ValueError, match="diagonal"):
+            p.J = np.diag([0.011, -0.011, 0.021])
+        assert (c.omega_c, c._alpha_c, p._j) == (80.0, alpha_c, j)
 
     def test_edit_off_the_step_grid_fails_when_read(self):
         cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
@@ -494,27 +519,75 @@ class TestSnapshotResume:
         assert a.events == b.events == c.events
 
 
+def l1_step_deck(omega_c, **plant):
+    """The nominal step deck in mode l1 with the given control bandwidth."""
+    cfg = nominal(duration=20.0, with_learner=False, mode="l1")
+    return replace(cfg, controller=replace(cfg.controller, omega_c=omega_c),
+                   plant=replace(cfg.plant, **plant))
+
+
+def predicted_margin(omega_c, T_s=0.001):
+    # the LTI limit's loop C/(1-C) = omega_c/s: 90 degrees at omega_c, less
+    # half a sample for the hold
+    return math.pi / (2.0 * omega_c) - T_s / 2.0
+
+
+def no_repeats(res):
+    delays = [d for d, _ in res.candidates]
+    return len(set(delays)) == len(delays) == res.iterations
+
+
 class TestMarginSearch:
+    @pytest.mark.parametrize("omega_c, margin_steps",
+                             [(20.0, 77), (40.0, 39), (80.0, 19), (160.0, 10)])
+    def test_margin_across_omega_c(self, omega_c, margin_steps):
+        res = scenario.delay_margin_search(l1_step_deck(omega_c), horizon=20.0)
+        assert res.margin == margin_steps * 0.001
+        assert res.bracket == (margin_steps * 0.001, (margin_steps + 1) * 0.001)
+        assert not res.open_bracket
+        # the claim check: theory and simulation agree within 2 ms
+        assert res.predicted == predicted_margin(omega_c)
+        assert abs(res.margin - predicted_margin(omega_c)) <= 0.002
+        # seeded at the prediction, the search needs few candidates
+        assert res.iterations <= 4
+        assert no_repeats(res)
+
+    def test_total_path_delay_margin(self):
+        # the prediction (78 ms) overshoots the total-path margin; the walk
+        # down still lands on the same bracket
+        res = scenario.delay_margin_search(
+            l1_step_deck(20.0, delay_total=True), horizon=20.0
+        )
+        assert res.margin == 0.06
+        assert res.bracket == (0.06, 0.061)
+        assert not res.open_bracket
+        assert no_repeats(res)
+
     def test_open_bracket_when_stable_everywhere(self):
+        # the 19 ms prediction lies above max_delay
         cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
         res = scenario.delay_margin_search(
             cfg, resolution=0.001, horizon=1.0, max_delay=0.002
         )
+        assert res.predicted > 0.002
         assert res.open_bracket
         assert res.margin == 0.002
+        assert res.bracket == (0.002, math.inf)
+        assert res.candidates == [(0.002, True)]
 
     def test_bisection_contract(self):
         cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
         res = scenario.delay_margin_search(
             cfg, resolution=0.004, horizon=6.0, max_delay=0.128
         )
-        if not res.open_bracket:
-            lo, hi = res.bracket
-            assert hi - lo <= 0.004 + 1e-12
-            stable_delays = [d for d, s in res.candidates if s]
-            unstable_delays = [d for d, s in res.candidates if not s]
-            assert res.margin == max(stable_delays)
-            assert all(res.margin < d for d in unstable_delays)
+        assert not res.open_bracket
+        lo, hi = res.bracket
+        assert hi - lo <= 0.004 + 1e-12
+        stable_delays = [d for d, s in res.candidates if s]
+        unstable_delays = [d for d, s in res.candidates if not s]
+        assert res.margin == max(stable_delays)
+        assert all(res.margin < d for d in unstable_delays)
+        assert no_repeats(res)
 
     def test_unstable_at_zero_raises(self):
         cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
