@@ -15,13 +15,14 @@ from l1gp import gp, plant
 def main():
     kernel = gp.SeKernel(sigma_f=1.0, length_scale=1.0)
     cfg = gp.UniformBoundConfig(kappa=15.0, xi=0.001, delta=0.01)
+    quadratic = plant.UncertaintySchedule(((0.0, "quadratic"),))
     rng = np.random.default_rng(7)
     probes = rng.uniform(-5, 5, size=(500, 3))
-    F = np.array([plant.poly_quadratic_uncertainty(x) for x in probes])
+    F = np.array([quadratic.eval(0.0, x) for x in probes])
     for n_train in (0, 10, 50, 200):
         X = rng.uniform(-5, 5, size=(n_train, 3))
         Y = np.array(
-            [plant.poly_quadratic_uncertainty(x) for x in X], dtype=float
+            [quadratic.eval(0.0, x) for x in X], dtype=float
         ).reshape(n_train, 3)
         Y += rng.normal(0.0, 0.01, size=Y.shape)
         post = gp.fit(gp.GpDataset(X, Y, 1e-4), kernel)

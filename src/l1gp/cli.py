@@ -337,7 +337,7 @@ def main(argv=None) -> int:
             )
         else:
             code = cmd_compare(args.config_a, args.config_b, args.out_dir)
-    except (config_mod.ConfigError, FileNotFoundError) as exc:
+    except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     if argv is None:

@@ -13,6 +13,7 @@ Any invalid value raises :class:`ConfigError`.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -57,36 +58,47 @@ def _parse_value(text: str) -> Any:
 
 def parse_flat_file(path: str) -> dict:
     """Parse a config file into a flat {dotted.key: value} dict."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     flat: dict = {}
     section = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if not section:
-                    raise ConfigError(f"line {lineno}: empty section header")
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"line {lineno}: missing key")
-            full = f"{section}.{key}" if section else key
-            flat[full] = _parse_value(value)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if not section:
+                raise ConfigError(f"line {lineno}: empty section header")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"line {lineno}: missing key")
+        full = f"{section}.{key}" if section else key
+        flat[full] = _parse_value(value)
     return flat
+
+
+def _float(value) -> float:
+    # float("nan") and float(True) parse, yet neither is a number a deck means
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be a finite number")
+    return number
 
 
 def _vec3(value) -> list:
     if isinstance(value, (int, float)):
-        return [float(value)] * 3
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
+        return [_float(value)] * 3
+    if np.shape(value) != (3,):
         raise ValueError("must be a scalar or a 3-element list")
-    return arr.tolist()
+    return [_float(v) for v in value]
 
 
 def _bool(value) -> bool:
@@ -110,48 +122,48 @@ _REQUIRED = object()
 # deck key -> (type, default); a default of None is echoed only when the
 # deck sets the key, _REQUIRED means the deck must set it
 _KEYS = {
-    "duration": (float, 60.0),
-    "step": (float, 0.001),
+    "duration": (_float, 60.0),
+    "step": (_float, 0.001),
     "seed": (_int, 12345),
     "record_decimation": (_int, 10),
-    "blowup": (float, 100.0),
+    "blowup": (_float, 100.0),
     "reference.kind": (str, "step"),
     "reference.amplitude": (_vec3, 1.0),
     "reference.frequency": (_vec3, 0.5),
     "controller.mode": (str, "l1gp"),
-    "controller.ts": (float, 0.001),
-    "controller.omega_c": (float, 80.0),
-    "controller.omega_l": (float, 0.01),
-    "controller.omega_0": (float, 1.0),
+    "controller.ts": (_float, 0.001),
+    "controller.omega_c": (_float, 80.0),
+    "controller.omega_l": (_float, 0.01),
+    "controller.omega_0": (_float, 1.0),
     "controller.a_m": (_vec3, -3.0),
     "controller.x_hat0": (_vec3, 0.5),
     "plant.j": (_vec3, _REQUIRED),
     "plant.x0": (_vec3, 0.0),
     "plant.uncertainty": (str, "quadratic"),
-    "plant.switch_time": (float, None),
-    "plant.input_delay": (float, 0.0),
+    "plant.switch_time": (_float, None),
+    "plant.input_delay": (_float, 0.0),
     "plant.delay_total": (_bool, False),
     "learner.enabled": (_bool, None),  # unset: on in mode l1gp
-    "learner.t_data": (float, 1.0),
+    "learner.t_data": (_float, 1.0),
     "learner.n_update": (_int, 10),
     "learner.gating": (str, "always"),
-    "learner.gamma_tol": (float, 0.9),
+    "learner.gamma_tol": (_float, 0.9),
     "learner.max_points": (_int, 512),
-    "learner.sigma_n": (float, 0.01),
-    "kernel.sigma_f": (float, 1.0),
-    "kernel.length_scale": (float, 1.0),
-    "bound.kappa": (float, 15.0),
-    "bound.xi": (float, 0.001),
-    "bound.delta": (float, 0.01),
-    "bound.l_f": (float, 0.0),
+    "learner.sigma_n": (_float, 0.01),
+    "kernel.sigma_f": (_float, 1.0),
+    "kernel.length_scale": (_float, 1.0),
+    "bound.kappa": (_float, 15.0),
+    "bound.xi": (_float, 0.001),
+    "bound.delta": (_float, 0.01),
+    "bound.l_f": (_float, 0.0),
     "bound.include_gamma": (_bool, False),
-    "bound.kappa_op": (float, 5.0),
+    "bound.kappa_op": (_float, 5.0),
     "bound.grid_points": (_int, 21),
     "condition.check": (_bool, True),
-    "condition.l_f": (float, 0.2),
-    "condition.b0": (float, 0.0),
-    "condition.rho_0": (float, None),
-    "condition.rho_r": (float, None),
+    "condition.l_f": (_float, 0.2),
+    "condition.b0": (_float, 0.0),
+    "condition.rho_0": (_float, None),
+    "condition.rho_r": (_float, None),
 }
 
 # sections that only configure the learner: echoed only while it is enabled

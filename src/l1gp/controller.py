@@ -78,12 +78,13 @@ def feedforward_gain(A_m: np.ndarray, B_m: np.ndarray, C_m: np.ndarray) -> np.nd
 
 
 @dataclass
-class ControllerConfig(numerics.Revalidating):
+class ControllerConfig:
     """Plant-model matrices, rates, filter bandwidths, and mode.
 
     ``A_m`` must be Hurwitz (checked at construction). ``k_g`` is computed
-    from (A_m, B_m, C_m) and stored; assigning a field re-validates the
-    config and re-derives ``k_g`` and the filter decay factors.
+    from (A_m, B_m, C_m) and stored. A ``scenario.Engine`` reads the config
+    once, when it is built, and derives ``k_g`` and the filter decay
+    factors from the fields as they stand then.
     ``omega_0 = 0`` disables the learning filter entirely (the commanded
     bandwidth is pinned at zero), which is the degenerate configuration
     equal to the plain adaptive mode.
@@ -118,7 +119,6 @@ class ControllerConfig(numerics.Revalidating):
         # per-tick filter decay factors, exact pole mapping
         self._alpha_c = math.exp(-self.omega_c * self.T_s)
         self._alpha_L = math.exp(-self.omega_L * self.T_s)
-        self._built = True
 
     @property
     def n(self) -> int:

@@ -111,7 +111,6 @@ class GpPosterior:
     X: np.ndarray          # (N, n) training inputs
     alpha: np.ndarray      # (N, m) weights (K + noise I)^{-1} Y
     chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I, Fortran order
-    noise_var: float
     n_outputs: int
     n_inputs: int
 
@@ -225,7 +224,6 @@ def fit(dataset: GpDataset, kernel: SeKernel) -> GpPosterior:
             X=dataset.X.copy(),
             alpha=np.zeros((0, m)),
             chol=np.zeros((0, 0)),
-            noise_var=dataset.noise_var,
             n_outputs=m,
             n_inputs=n,
         )
@@ -244,7 +242,6 @@ def fit(dataset: GpDataset, kernel: SeKernel) -> GpPosterior:
         X=dataset.X.copy(),
         alpha=alpha,
         chol=chol,
-        noise_var=dataset.noise_var,
         n_outputs=m,
         n_inputs=n,
     )

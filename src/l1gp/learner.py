@@ -65,6 +65,8 @@ class LearnerConfig:
             raise ValueError("gamma_tol must be in (0, 1) for improvement gating")
         if self.sigma_n <= 0:
             raise ValueError("sigma_n must be positive")
+        if self.max_points < 1:
+            raise ValueError("max_points must be at least 1")
         # the envelope holds only on the box |x|_inf <= bound.kappa
         if not 0.0 < self.kappa_op <= self.bound.kappa:
             raise ValueError("kappa_op must be in (0, bound.kappa]")
@@ -88,7 +90,6 @@ class LearnerModel:
     posterior: gp.GpPosterior
     terms: gp.EnvelopeTerms
     e_f_hat: float
-    published_at: float
     n_data: int = 0
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -105,7 +106,6 @@ class LearnerModel:
         posterior: gp.GpPosterior,
         cfg: LearnerConfig,
         update_index: int,
-        published_at: float,
     ) -> "LearnerModel":
         terms = gp.envelope_terms(posterior, cfg.bound)
         return cls(
@@ -115,7 +115,6 @@ class LearnerModel:
             e_f_hat=gp.uniform_bound_grid_max(
                 posterior, terms, cfg.kappa_op, cfg.grid_points
             ),
-            published_at=published_at,
             n_data=posterior.n_samples,
         )
 
@@ -128,7 +127,7 @@ class LearnerModel:
             ),
             cfg.kernel,
         )
-        return cls.from_posterior(empty, cfg, update_index=0, published_at=0.0)
+        return cls.from_posterior(empty, cfg, update_index=0)
 
 
 class MeasurementBuffer:
@@ -270,7 +269,7 @@ class BayesianLearner:
         except gp.IllConditionedKernelError as exc:
             return {"t": t, "kind": "learner_fit_failed", "reason": str(exc)}
         candidate = LearnerModel.from_posterior(
-            posterior, self.cfg, self.model.update_index + 1, t
+            posterior, self.cfg, self.model.update_index + 1
         )
         if self.cfg.gating == "improvement":
             if candidate.e_f_hat >= self.cfg.gamma_tol * self.model.e_f_hat:

@@ -2,16 +2,13 @@
 
 Everything here operates on plain float64 numpy arrays, except the two
 3x3 helpers :func:`mat3` and :func:`mat3_vec`, which hold a matrix as float
-tuples and multiply on Python floats for the 1 kHz loop, and
-:class:`Revalidating`, the base of the configs that cache such tuples.
-Matrices are tiny (controller state dimensions, n <= 6) so the routines
-favor accuracy and clear failure modes over throughput. All functions are
-pure.
+tuples and multiply on Python floats for the 1 kHz loop. Matrices are tiny
+(controller state dimensions, n <= 6) so the routines favor accuracy and
+clear failure modes over throughput. All functions are pure.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from typing import Callable, Sequence
@@ -30,13 +27,11 @@ __all__ = [
     "pseudo_inverse",
     "mat3",
     "mat3_vec",
-    "Revalidating",
     "cholesky_factor",
     "solve_with_factor",
     "rk4_step",
     "estimate_derivative",
     "l1_norm_impulse",
-    "covering_number_box",
     "log_covering_number_box",
 ]
 
@@ -139,31 +134,6 @@ def mat3_vec(M: tuple, v: Sequence[float]) -> tuple[float, float, float]:
         0.0 + a10 * v0 + a11 * v1 + a12 * v2,
         0.0 + a20 * v0 + a21 * v1 + a22 * v2,
     )
-
-
-class Revalidating:
-    """Base of a dataclass whose ``__post_init__`` checks its fields and
-    derives caches from them.
-
-    Assigning an ``__init__`` field after construction builds a fresh
-    instance from the fields with the new value and takes over its state, so
-    the checks run again and every cache follows the edit; an invalid value
-    raises and leaves the instance as it was. ``__post_init__`` sets
-    ``_built`` last; until then, and for every other attribute, assignments
-    are plain. Reads cost nothing extra: ``self.__dict__`` is never touched,
-    since materializing it slows every later attribute read of the instance.
-    """
-
-    _built = False
-
-    def __setattr__(self, name, value):
-        f = self.__dataclass_fields__.get(name)
-        if f is not None and f.init and self._built:
-            fresh = dataclasses.replace(self, **{name: value})
-            for key, v in vars(fresh).items():
-                object.__setattr__(self, key, v)
-        else:
-            object.__setattr__(self, name, value)
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:
@@ -313,24 +283,13 @@ def l1_norm_impulse(
     return abs(feedthrough) + float(np.trapezoid(np.abs(h), t))
 
 
-def covering_number_box(kappa: float, n: int, xi: float) -> int:
-    """Upper bound on the 2-norm xi-covering number of the inf-norm box.
-
-    A uniform grid with spacing ``2*xi/sqrt(n)`` covers the box
-    ``|x|_inf <= kappa`` with balls of 2-norm radius xi, giving the bound
-    ``ceil(kappa*sqrt(n)/xi) ** n``.
-    """
+def log_covering_number_box(kappa: float, n: int, xi: float) -> float:
+    """Natural log of ``ceil(kappa*sqrt(n)/xi) ** n``, overflow-safe: the
+    bound on the 2-norm xi-covering number of the box ``|x|_inf <= kappa``
+    in R^n that a uniform grid of spacing ``2*xi/sqrt(n)`` gives."""
     if kappa <= 0 or xi <= 0:
         raise ValueError("kappa and xi must be positive")
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    per_axis = math.ceil(kappa * math.sqrt(n) / xi)
-    return int(per_axis) ** int(n)
-
-
-def log_covering_number_box(kappa: float, n: int, xi: float) -> float:
-    """Natural log of :func:`covering_number_box`, overflow-safe."""
-    if kappa <= 0 or xi <= 0:
-        raise ValueError("kappa and xi must be positive")
     per_axis = math.ceil(kappa * math.sqrt(n) / xi)
     return n * math.log(per_axis)

@@ -10,8 +10,8 @@ cancellation identity is exercised by tests rather than assumed.
 The field is written once, on Python floats: the rate equation and the
 scalar form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
 :func:`rk4_plant_step` integrates it with one fused RK4 step per engine
-step, with no numpy call inside; :func:`plant_derivative` and
-:func:`poly_quadratic_uncertainty` are its array forms.
+step, with no numpy call inside; :func:`plant_derivative` is its array
+form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import DivergenceError, Revalidating, mat3
+from .numerics import DivergenceError, mat3
 
 __all__ = [
     "UncertaintySchedule",
@@ -32,7 +32,6 @@ __all__ = [
     "baseline_control",
     "plant_derivative",
     "rk4_plant_step",
-    "poly_quadratic_uncertainty",
 ]
 
 def _quadratic(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
@@ -55,11 +54,6 @@ def _sine_switch(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
 
 def _zero(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
     return (0.0, 0.0, 0.0)
-
-
-def poly_quadratic_uncertainty(x: np.ndarray) -> np.ndarray:
-    """Quadratic model uncertainty used by the nominal scenarios."""
-    return np.array(_quadratic(*x))
 
 
 # scalar forms (x0, x1, x2) -> (f0, f1, f2) of the built-in kinds
@@ -123,14 +117,15 @@ class UncertaintySchedule:
 
 
 @dataclass
-class PlantConfig(Revalidating):
+class PlantConfig:
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
 
     ``input_delay`` must be a whole number of engine steps; by
     default only the adaptive input is delayed (the baseline is assumed
     onboard), ``delay_total`` switches the delay to the full input path.
-    Assigning a field re-validates the config and re-derives the float
-    caches of ``J`` and ``A_m`` that :func:`rk4_plant_step` reads.
+    A ``scenario.Engine`` reads the config once, when it is built, and
+    derives the float caches :func:`rk4_plant_step` reads from the fields
+    as they stand then.
     """
 
     J: np.ndarray = field(default_factory=lambda: np.diag([0.011, 0.011, 0.021]))
@@ -159,7 +154,6 @@ class PlantConfig(Revalidating):
         self._j = tuple(float(v) for v in diag)
         self._jinv = tuple(1.0 / v for v in self._j)
         self._ja = mat3(self.J @ self.A_m)
-        self._built = True
 
 
 class DelayLine:

@@ -150,11 +150,9 @@ class ScenarioConfig:
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid. ``PlantConfig`` and ``ControllerConfig`` re-derive their caches
-    whenever a field is assigned. So an edit made before an :class:`Engine`
-    is built takes effect. An engine sizes its delay line and precomputes the
-    adaptation matrices when it is built: edit a config before building the
-    engine that runs it.
+    step grid. An :class:`Engine` reads the config once, when it is built:
+    it rebuilds the config, so every check reruns and every cache follows
+    the fields as they stand, in-place array edits included.
     """
 
     controller: ctrl.ControllerConfig
@@ -173,6 +171,11 @@ class ScenarioConfig:
             raise ValueError("step must be positive")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
+        # not > 0 also catches nan, which would turn the divergence guard off
+        if not self.blowup > 0:
+            raise ValueError("blowup must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         # each step count checks its time against the step grid when read
         for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
             getattr(self, name)
@@ -277,7 +280,9 @@ class Engine:
 
     def __init__(self, cfg: ScenarioConfig, resume: Optional[Snapshot] = None,
                  true_sigma: bool = False):
-        self.cfg = cfg
+        # the one read of the config: every check and every cache runs anew
+        self.cfg = cfg = replace(cfg, plant=replace(cfg.plant),
+                                 controller=replace(cfg.controller))
         self.pre = ctrl.PrecomputedAdaptation.from_config(cfg.controller)
         self.ref = cfg.reference.make()
         # each tick's adaptive estimate is the true uncertainty at the state

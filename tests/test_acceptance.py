@@ -74,11 +74,12 @@ def test_criterion_2_uniform_bound_coverage():
     beta_ok = abs(beta - 72.40) <= 0.01
     rng = np.random.default_rng(2024)
     X = rng.uniform(-5, 5, size=(50, 3))
-    Y = np.array([plant.poly_quadratic_uncertainty(x) for x in X])
+    quadratic = plant.UncertaintySchedule(((0.0, "quadratic"),))
+    Y = np.array([quadratic.eval(0.0, x) for x in X])
     Y += rng.normal(0.0, 0.01, size=Y.shape)
     post = gp.fit(gp.GpDataset(X, Y, 1e-4), gp.SeKernel())
     probes = rng.uniform(-5, 5, size=(500, 3))
-    F = np.array([plant.poly_quadratic_uncertainty(x) for x in probes])
+    F = np.array([quadratic.eval(0.0, x) for x in probes])
     mean, std = post.predict_batch(probes)
     envelope = math.sqrt(beta) * np.max(std, axis=1)
     frac = float(np.mean(np.max(np.abs(F - mean), axis=1) > envelope))

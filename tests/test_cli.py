@@ -115,6 +115,16 @@ class TestSimulate:
         assert code == cli.EXIT_CONFIG
         assert "plant.j" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deck", ["missing.cfg", "a_directory", "latin1.cfg"])
+    def test_unreadable_deck_exit_2(self, tmp_path, capsys, deck):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes("duration = 1.0 # \xb0\n".encode("latin-1"))
+        path = str(tmp_path / deck)
+        code = cli.main(["simulate", path, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"cannot read config {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line, problem", [
         ('controller.mode = "foo"', "'foo'"),
         ('learner.gating = "sometimes"', "gating"),
@@ -143,6 +153,17 @@ class TestSimulate:
         ("margin --snapshot-time 0.0005", "--snapshot-time"),
         ("bound-check --n-train -1", "--n-train"),
         ("bound-check --n-probe 0", "--n-probe"),
+        ("controller.omega_c = nan", "controller.omega_c"),
+        ("bound.xi = nan", "bound.xi"),
+        ("bound.kappa = inf", "bound.kappa"),
+        ("kernel.length_scale = nan", "kernel.length_scale"),
+        ("plant.x0 = [0, nan, 0]", "plant.x0"),
+        ("duration = true", "duration"),
+        ("seed = -1", "seed must be nonnegative"),
+        ("blowup = nan", "blowup"),
+        ("blowup = 0", "blowup must be positive"),
+        ("blowup = -1", "blowup must be positive"),
+        ("learner.max_points = 0", "max_points must be at least 1"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         # a deck line run by simulate, or a command's flag on a valid deck

@@ -23,8 +23,11 @@ def naive_predict(X, Y, noise_var, kernel, Xq):
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
+QUADRATIC = plant.UncertaintySchedule(((0.0, "quadratic"),))
+
+
 def poly_f(x):
-    return plant.poly_quadratic_uncertainty(x)
+    return QUADRATIC.eval(0.0, x)
 
 
 class TestFitPredict:

@@ -10,6 +10,7 @@ J = np.diag([0.011, 0.011, 0.021])
 A_M = -3.0 * np.eye(3)
 B_M = np.diag(1.0 / np.diag(J))
 B_PINV = J.copy()
+QUADRATIC = plant.UncertaintySchedule(((0.0, "quadratic"),))
 
 
 def make_learner(rng=None, **kw):
@@ -46,7 +47,7 @@ class TestReconstructTarget:
         # partially-closed-loop derivative with the quadratic uncertainty
         x_j = np.array([1.0, 1.0, 1.0])
         u_j = np.zeros(3)
-        f_j = plant.poly_quadratic_uncertainty(x_j)
+        f_j = QUADRATIC.eval(0.0, x_j)
         xdot_j = A_M @ x_j + B_M @ (u_j + f_j)
         times = np.arange(5.0)
         curv = np.array([0.01, -0.02, 0.005])
@@ -199,11 +200,11 @@ class TestLearningProgress:
     def test_error_nonincreasing_with_data(self):
         rng = np.random.default_rng(3)
         grid = rng.uniform(-1, 1, size=(400, 3))
-        F = np.array([plant.poly_quadratic_uncertainty(x) for x in grid])
+        F = np.array([QUADRATIC.eval(0.0, x) for x in grid])
         kernel = gp.SeKernel()
         errs = []
         X_all = rng.uniform(-1, 1, size=(40, 3))
-        Y_all = np.array([plant.poly_quadratic_uncertainty(x) for x in X_all])
+        Y_all = np.array([QUADRATIC.eval(0.0, x) for x in X_all])
         for N in (10, 20, 40):
             post = gp.fit(gp.GpDataset(X_all[:N], Y_all[:N], 1e-6), kernel)
             mean, _ = post.predict_batch(grid)

@@ -311,17 +311,25 @@ class TestL1NormImpulse:
             numerics.l1_norm_impulse([1.0], [1.0])
 
 
+def covering_number(kappa, n, xi):
+    return round(math.exp(numerics.log_covering_number_box(kappa, n, xi)))
+
+
 class TestCoveringNumber:
     def test_unit_interval(self):
-        assert numerics.covering_number_box(1.0, 1, 1.0) == 1
+        assert covering_number(1.0, 1, 1.0) == 1
 
     def test_nominal_bound_config(self):
-        got = numerics.covering_number_box(15.0, 3, 0.001)
+        got = covering_number(15.0, 3, 0.001)
         assert got == 25981**3
         assert got == pytest.approx(1.7537e13, rel=1e-4)
 
     def test_small_grid(self):
-        assert numerics.covering_number_box(2.0, 2, 0.5) == 36
+        assert covering_number(2.0, 2, 0.5) == 36
+
+    def test_zero_dimension_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            numerics.log_covering_number_box(1.0, 0, 1.0)
 
     def test_brute_force_cover(self):
         # verify the 6x6 grid of spacing 2 xi / sqrt(n) really covers the box
@@ -336,6 +344,7 @@ class TestCoveringNumber:
         ctrs = np.stack([cx.ravel(), cy.ravel()], axis=1)
         d2 = ((pts[:, None, :] - ctrs[None, :, :]) ** 2).sum(axis=2)
         assert np.all(np.min(d2, axis=1) <= xi**2 + 1e-12)
+        assert covering_number(kappa, n, xi) == per_axis**n
 
     def test_log_variant_matches(self):
         lg = numerics.log_covering_number_box(15.0, 3, 0.001)
@@ -350,9 +359,8 @@ class TestCoveringNumber:
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_xi(self, kappa, n, xi1, xi2):
         lo, hi = sorted((xi1, xi2))
-        assert numerics.covering_number_box(kappa, n, lo) >= numerics.covering_number_box(
-            kappa, n, hi
-        )
+        log_cover = numerics.log_covering_number_box
+        assert log_cover(kappa, n, lo) >= log_cover(kappa, n, hi)
 
     @given(
         k1=st.floats(0.1, 20.0),
@@ -363,9 +371,6 @@ class TestCoveringNumber:
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_kappa_and_n(self, k1, k2, n, xi):
         lo, hi = sorted((k1, k2))
-        assert numerics.covering_number_box(lo, n, xi) <= numerics.covering_number_box(
-            hi, n, xi
-        )
-        assert numerics.covering_number_box(hi, n, xi) <= numerics.covering_number_box(
-            hi, n + 1, xi
-        )
+        log_cover = numerics.log_covering_number_box
+        assert log_cover(lo, n, xi) <= log_cover(hi, n, xi)
+        assert log_cover(hi, n, xi) <= log_cover(hi, n + 1, xi)

@@ -95,7 +95,7 @@ class TestPlantDerivative:
             x = rng.normal(size=3)
             u = rng.normal(size=3)
             got = plant.plant_derivative(x, u, 0.0, cfg)
-            f = plant.poly_quadratic_uncertainty(x)
+            f = ORACLE_KINDS["quadratic"](x)
             want = A_M @ x + B_m @ (u + f)
             assert np.allclose(got, want, atol=1e-12 * max(1, np.max(np.abs(want))))
 

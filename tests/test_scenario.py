@@ -260,15 +260,30 @@ class TestConfigEdits:
         assert np.array_equal(after, scenario.run(built).data)
         assert not np.array_equal(after, before)
 
-    def test_invalid_edit_raises_and_keeps_the_config(self):
+    @pytest.mark.parametrize("part, name", [("plant", "J"), ("controller", "B_m")])
+    def test_in_place_edits_take_effect(self, part, name):
+        # an engine derives every cache from the arrays as they stand when it
+        # is built: the plant's floats from J, k_g from B_m
+        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        before = scenario.run(cfg).data
+        getattr(getattr(cfg, part), name)[0, 0] *= 2  # J[0, 0] becomes 0.022
+        fresh = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        value = getattr(getattr(fresh, part), name).copy()
+        value[0, 0] *= 2
+        built = replace(fresh, **{part: replace(getattr(fresh, part), **{name: value})})
+        after = scenario.run(cfg).data
+        assert np.array_equal(after, scenario.run(built).data)
+        assert not np.array_equal(after, before)
+
+    def test_invalid_edit_raises_when_an_engine_is_built(self):
         cfg = nominal(duration=1.0, with_learner=False, mode="l1")
-        c, p = cfg.controller, cfg.plant
-        alpha_c, j = c._alpha_c, p._j
+        cfg.controller.omega_c = -1.0
         with pytest.raises(ctrl.ConfigurationError):
-            c.omega_c = -1.0
+            scenario.Engine(cfg)
+        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg.plant.J = np.diag([0.011, -0.011, 0.021])
         with pytest.raises(ValueError, match="diagonal"):
-            p.J = np.diag([0.011, -0.011, 0.021])
-        assert (c.omega_c, c._alpha_c, p._j) == (80.0, alpha_c, j)
+            scenario.Engine(cfg)
 
     def test_edit_off_the_step_grid_fails_when_read(self):
         cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
