@@ -398,13 +398,13 @@ def l1_norm_condition(
 
     if rho_r is None:
         rho_r = 2.0 * r_inf * hck_norm + rho_in + 1.0
+    numerator = rho_r - hck_norm * r_inf - rho_in
     denom = lip_f * rho_r + b0
-    if denom <= 0.0:
-        rhs = math.inf
-    else:
-        rhs = (rho_r - hck_norm * r_inf - rho_in) / denom
+    # lhs < numerator / denom, multiplied out: a zero denominator holds
+    # only when the numerator is positive
+    rhs = numerator / denom if denom > 0.0 else math.copysign(math.inf, numerator)
     return NormConditionReport(
-        satisfied=lhs < rhs,
+        satisfied=lhs * denom < numerator,
         lhs=lhs,
         rhs=rhs,
         rho_r=rho_r,

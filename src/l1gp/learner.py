@@ -1,18 +1,17 @@
 """Slow-rate Bayesian learner feeding the controller piecewise-static models.
 
-The learner buffers (t, x, u) samples at its own rate, reconstructs
-uncertainty targets from the sampled trajectory by Savitzky-Golay
-differentiation, refits the GP once enough new samples have arrived, and
-publishes an immutable model ``{f_hat, e_f_hat}``. The published model is
+The learner takes (t, x, u) samples at its own rate and turns each into an
+uncertainty target as soon as it can: a target is reconstructed by
+Savitzky-Golay differentiation over a centered 5-sample window, so it is
+made when the sample two steps later arrives, and the first two samples,
+whose window never completes, are never used. Derivative-estimation error
+is folded into the measurement noise, together with an explicit Gaussian
+noise injection drawn, in sample order, from the engine's seeded
+generator. Once N_update new samples have arrived the GP is refit on the
+targets made so far, and the gating mode decides whether the immutable
+model ``{f_hat, e_f_hat}`` it gives is published. The published model is
 constant between publishes: a publish replaces it whole, between two
 engine steps.
-
-Target reconstruction uses a centered 5-sample derivative window at the
-learner rate, so a sample's target becomes available two samples after it
-is collected; samples whose window never completes (the first two) are
-simply never used. Derivative-estimation error is folded into the
-measurement noise, together with an explicit Gaussian noise injection
-drawn from the engine's seeded generator.
 """
 
 from __future__ import annotations
@@ -131,66 +130,58 @@ class LearnerModel:
 
 
 class MeasurementBuffer:
-    """Raw (t, x, u) records at the learner rate plus reconstructed targets.
+    """The learner's last derivative window and the targets made from it.
 
-    Timestamps must arrive strictly increasing and spaced by T_data.
-    Reconstruction is attempted lazily: a sample's target is computed once
-    its centered derivative window is complete, then frozen. Raw records
-    are kept only while some pending window still needs them, and the
-    targets are a FIFO of at most ``capacity`` entries.
+    Timestamps must arrive strictly increasing and spaced by T_data. The
+    buffer keeps only the newest 5 raw (t, x, u) records: each push that
+    completes a centered window makes the target of its center sample at
+    once, noise included, so targets exist on arrival and in sample order.
+    The targets are a FIFO of at most ``capacity`` entries.
     """
 
-    def __init__(self, T_data: float, capacity: int):
-        self.T_data = T_data
-        self.times: list[float] = []
-        self.X: list[np.ndarray] = []
-        self.U: list[np.ndarray] = []
-        self.target_X: deque[np.ndarray] = deque(maxlen=capacity)
-        self.target_Y: deque[np.ndarray] = deque(maxlen=capacity)
-        self._next_reconstruct = _HALF  # first index with a full left half-window
-
-    def push(self, t: float, x: np.ndarray, u: np.ndarray) -> None:
-        if self.times:
-            dt = t - self.times[-1]
-            if abs(dt - self.T_data) > 1e-9:
-                raise ValueError(
-                    f"sample at t={t} violates the T_data={self.T_data} spacing"
-                )
-        self.times.append(t)
-        self.X.append(np.asarray(x, dtype=float).copy())
-        self.U.append(np.asarray(u, dtype=float).copy())
-
-    def reconstruct_ready(
+    def __init__(
         self,
+        T_data: float,
+        capacity: int,
         A_m: np.ndarray,
-        B_m_pinv: np.ndarray,
+        B_m: np.ndarray,
         rng: np.random.Generator,
         sigma_n: float,
-    ) -> int:
-        """Compute targets for every sample whose window is now complete."""
-        made = 0
-        while self._next_reconstruct + _HALF < len(self.times):
-            j = self._next_reconstruct
-            sl = slice(j - _HALF, j + _HALF + 1)
-            y = reconstruct_target(
-                np.asarray(self.times[sl]),
-                np.asarray(self.X[sl]),
-                self.X[j],
-                self.U[j],
-                A_m,
-                B_m_pinv,
+    ):
+        self.T_data = T_data
+        self.A_m = np.asarray(A_m, dtype=float)
+        self.B_m_pinv = numerics.pseudo_inverse(np.asarray(B_m, dtype=float))
+        self.rng = rng
+        self.sigma_n = sigma_n
+        self.window: deque[tuple] = deque(maxlen=_WINDOW)  # (t, x, u) records
+        self.target_X: deque[np.ndarray] = deque(maxlen=capacity)
+        self.target_Y: deque[np.ndarray] = deque(maxlen=capacity)
+
+    def push(self, t: float, x: np.ndarray, u: np.ndarray) -> None:
+        if self.window and abs(t - self.window[-1][0] - self.T_data) > 1e-9:
+            raise ValueError(
+                f"sample at t={t} violates the T_data={self.T_data} spacing"
             )
-            y = y + rng.normal(0.0, sigma_n, size=y.shape)
-            self.target_X.append(self.X[j])
-            self.target_Y.append(y)
-            self._next_reconstruct += 1
-            made += 1
-        # drop the records no pending window reaches back to
-        stale = self._next_reconstruct - _HALF
-        if stale > 0:
-            del self.times[:stale], self.X[:stale], self.U[:stale]
-            self._next_reconstruct -= stale
-        return made
+        self.window.append(
+            (t, np.asarray(x, dtype=float).copy(), np.asarray(u, dtype=float).copy())
+        )
+        if len(self.window) == _WINDOW:
+            self.reconstruct_ready()
+
+    def reconstruct_ready(self) -> None:
+        """Make the noisy target of the full window's center sample."""
+        times, states, inputs = zip(*self.window)
+        y = reconstruct_target(
+            np.asarray(times),
+            np.asarray(states),
+            states[_HALF],
+            inputs[_HALF],
+            self.A_m,
+            self.B_m_pinv,
+        )
+        y = y + self.rng.normal(0.0, self.sigma_n, size=y.shape)
+        self.target_X.append(states[_HALF])
+        self.target_Y.append(y)
 
     @property
     def n_targets(self) -> int:
@@ -228,13 +219,10 @@ class BayesianLearner:
         rng: np.random.Generator,
     ):
         self.cfg = cfg
-        self.A_m = np.asarray(A_m, dtype=float)
-        B_m = np.asarray(B_m, dtype=float)
-        self.B_m_pinv = numerics.pseudo_inverse(B_m)
-        self.rng = rng
-        n = self.A_m.shape[0]
-        m = B_m.shape[1]
-        self.buffer = MeasurementBuffer(cfg.T_data, cfg.max_points)
+        self.buffer = MeasurementBuffer(
+            cfg.T_data, cfg.max_points, A_m, B_m, rng, cfg.sigma_n
+        )
+        m, n = self.buffer.B_m_pinv.shape
         self.model = LearnerModel.prior(cfg, m, n)
         self._new_since_fit = 0
 
@@ -254,9 +242,6 @@ class BayesianLearner:
         if self._new_since_fit < self.cfg.N_update:
             return None
         self._new_since_fit = 0
-        self.buffer.reconstruct_ready(
-            self.A_m, self.B_m_pinv, self.rng, self.cfg.sigma_n
-        )
         if self.buffer.n_targets == 0:
             return {"t": t, "kind": "learner_skipped", "reason": "no targets yet"}
         dataset = gp.GpDataset(

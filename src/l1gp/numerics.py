@@ -216,13 +216,18 @@ def estimate_derivative(
         raise InsufficientDataError(f"{n} samples < window {window}")
     dts = np.diff(times)
     dt = dts[0]
-    if not np.allclose(dts, dt, rtol=0.0, atol=1e-9 * max(1.0, abs(dt))):
+    # the learner calls this once per sample, so it skips the argument
+    # checks of np.allclose and sliding_window_view; not <= rejects nan
+    if not (np.abs(dts - dt) <= 1e-9 * max(1.0, abs(dt))).all():
         raise ValueError("sampling period is not uniform")
     W = _savgol_derivative_weights(window, poly_order) / dt
     half = window // 2
     out = np.empty_like(values)
-    # sliding_window_view puts the window axis last: (N - window + 1, [d,] window)
-    windows = np.lib.stride_tricks.sliding_window_view(values, window, axis=0)
+    # sliding_window_view(values, window, axis=0): (N - window + 1, [d,] window)
+    shape = (n - window + 1,) + values.shape[1:] + (window,)
+    windows = np.lib.stride_tricks.as_strided(
+        values, shape, values.strides + values.strides[:1], writeable=False
+    )
     out[half : n - half] = windows @ W[half]
     out[:half] = W[:half] @ values[:window]
     out[n - half :] = W[half + 1 :] @ values[n - window :]

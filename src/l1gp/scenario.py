@@ -142,6 +142,14 @@ class ConditionParams:
     rho_0: Optional[float] = None
     rho_r: Optional[float] = None
 
+    def __post_init__(self):
+        # a norm, a Lipschitz constant and a bound are never negative
+        for key, value in (("l_f", self.lip_f), ("b0", self.b0), ("rho_0", self.rho_0)):
+            if value is not None and value < 0:
+                raise ValueError(f"condition.{key} must be nonnegative")
+        if self.rho_r is not None and self.rho_r <= 0:
+            raise ValueError("condition.rho_r must be positive")
+
 
 @dataclass
 class ScenarioConfig:

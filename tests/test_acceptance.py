@@ -7,6 +7,7 @@ lines. The long closed-loop scenarios are shared module-scoped fixtures.
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -93,7 +94,6 @@ def test_criterion_2_uniform_bound_coverage():
 
 
 def test_criterion_3_adaptation_filter_numerics():
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     phi = numerics.phi_matrix(-3.0 * np.eye(3), 0.001)
     # exact value (1 - e^{-0.003})/3 = 0.000998501..., printed 0.00099850

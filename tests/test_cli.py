@@ -160,6 +160,10 @@ class TestSimulate:
         ("plant.x0 = [0, nan, 0]", "plant.x0"),
         ("duration = true", "duration"),
         ("seed = -1", "seed must be nonnegative"),
+        ("condition.rho_0 = -1", "condition.rho_0"),
+        ("condition.l_f = -1", "condition.l_f"),
+        ("condition.b0 = -5", "condition.b0"),
+        ("condition.rho_r = -3", "condition.rho_r"),
         ("blowup = nan", "blowup"),
         ("blowup = 0", "blowup must be positive"),
         ("blowup = -1", "blowup must be positive"),

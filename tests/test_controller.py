@@ -220,3 +220,14 @@ class TestNormCondition:
         report = ctrl.l1_norm_condition(cfg, lip_f=0.0, b0=0.0, r_inf=0.0, rho_0=0.0)
         assert report.rhs == math.inf
         assert report.satisfied
+
+    @pytest.mark.parametrize("r_inf, holds", [(0.0, True), (1.0, False)])
+    def test_zero_denominator_follows_the_numerator(self, r_inf, holds):
+        # l_f = b0 = 0: the inequality lhs * 0 < rho_r - |H C k_g| r_inf
+        # holds only for a positive numerator (0.5, or 0.5 - 1 = -0.5 here)
+        cfg = nominal_cfg()
+        report = ctrl.l1_norm_condition(
+            cfg, lip_f=0.0, b0=0.0, rho_r=0.5, r_inf=r_inf, rho_0=0.0
+        )
+        assert report.satisfied is holds
+        assert report.rhs == (math.inf if holds else -math.inf)

@@ -13,6 +13,12 @@ B_PINV = J.copy()
 QUADRATIC = plant.UncertaintySchedule(((0.0, "quadratic"),))
 
 
+def make_buffer(capacity=64, sigma_n=1e-9, seed=1):
+    return learner.MeasurementBuffer(
+        1.0, capacity, A_M, B_M, np.random.default_rng(seed), sigma_n
+    )
+
+
 def make_learner(rng=None, **kw):
     cfg = learner.LearnerConfig(**kw)
     return learner.BayesianLearner(
@@ -59,32 +65,31 @@ class TestReconstructTarget:
 
 class TestBufferSchedule:
     def test_spacing_enforced(self):
-        buf = learner.MeasurementBuffer(1.0, 64)
+        buf = make_buffer()
         buf.push(1.0, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             buf.push(1.5, np.zeros(3), np.zeros(3))
 
     def test_two_sample_latency(self):
-        rng = np.random.default_rng(1)
-        buf = learner.MeasurementBuffer(1.0, 64)
-        for k in range(1, 6):
+        # a target is made by the push that completes its centered window:
+        # the fifth sample makes the third sample's target
+        buf = make_buffer()
+        for k in range(1, 5):
             buf.push(float(k), np.full(3, float(k)), np.zeros(3))
-        made = buf.reconstruct_ready(A_M, B_PINV, rng, 1e-9)
-        # samples 1..5 buffered: only the center sample (index 2) has both
-        # neighbors on each side
-        assert made == 1
+            assert buf.n_targets == 0
+        buf.push(5.0, np.full(3, 5.0), np.zeros(3))
         assert buf.n_targets == 1
         np.testing.assert_allclose(buf.target_X[0], np.full(3, 3.0))
 
     def test_buffers_stay_bounded(self):
-        # raw records are trimmed to the pending windows after each refit and
-        # the targets are capped, however long the run
+        # raw records are the one derivative window and the targets are
+        # capped, however long the run
         lrn = make_learner(N_update=10, max_points=64)
         for k in range(1, 2001):
             lrn.push(float(k), 0.1 * np.sin([k, 2 * k, 3 * k]), np.zeros(3))
             lrn.maybe_update(float(k))
             buf = lrn.buffer
-            assert len(buf.times) == len(buf.X) == len(buf.U) <= 10 + 5
+            assert len(buf.window) <= 5
             assert buf.n_targets <= 64
         assert buf.n_targets == 64
         assert lrn.model.n_data == 64
@@ -92,6 +97,54 @@ class TestBufferSchedule:
         np.testing.assert_array_equal(
             buf.target_X[-1], 0.1 * np.sin([1998.0, 2 * 1998.0, 3 * 1998.0])
         )
+
+    def test_targets_match_a_batch_reconstruction(self):
+        # the oracle reconstructs every complete window of the stream so far
+        # at once, drawing the noise from a same-seed generator in sample
+        # order; the buffer, making each target on arrival, must agree
+        # bitwise after every push, evictions from the FIFO included
+        def oracle(stream, capacity, seed, sigma_n, B_pinv):
+            rng = np.random.default_rng(seed)
+            X, Y = [], []
+            for j in range(2, len(stream) - 2):
+                window = stream[j - 2 : j + 3]
+                y = learner.reconstruct_target(
+                    np.array([t for t, _, _ in window]),
+                    np.array([x for _, x, _ in window]),
+                    stream[j][1], stream[j][2], A_M, B_pinv,
+                )
+                X.append(stream[j][1])
+                Y.append(y + rng.normal(0.0, sigma_n, size=y.shape))
+            return X[-capacity:], Y[-capacity:]
+
+        buf = make_buffer(capacity=8, sigma_n=0.01, seed=7)
+        stream = []
+        for k in range(1, 41):
+            sample = (float(k), 0.2 * np.sin([k, 2 * k, 3 * k]),
+                      0.1 * np.cos([k, 3 * k, 5 * k]))
+            stream.append(sample)
+            buf.push(*sample)
+            X, Y = oracle(stream, 8, 7, 0.01, buf.B_m_pinv)
+            assert len(buf.target_X) == len(X)
+            for got, want in zip(buf.target_X, X):
+                assert np.array_equal(got, want)
+            for got, want in zip(buf.target_Y, Y):
+                assert np.array_equal(got, want)
+        assert buf.n_targets == 8
+
+    def test_refit_waits_for_the_first_window(self):
+        # refitting after every sample, the first four pushes have no target
+        # yet; the fifth completes the first window and publishes it
+        lrn = make_learner(N_update=1)
+        for k in range(1, 5):
+            lrn.push(float(k), 0.1 * np.sin([k, 2 * k, 3 * k]), np.zeros(3))
+            ev = lrn.maybe_update(float(k))
+            assert ev == {"t": float(k), "kind": "learner_skipped",
+                          "reason": "no targets yet"}
+        lrn.push(5.0, 0.1 * np.sin([5.0, 10.0, 15.0]), np.zeros(3))
+        ev = lrn.maybe_update(5.0)
+        assert ev["kind"] == "learner_published"
+        assert ev["n_data"] == 1
 
     def test_no_update_before_threshold(self):
         lrn = make_learner()

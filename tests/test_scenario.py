@@ -520,7 +520,7 @@ class TestSnapshotResume:
         snap = eng.snapshot()
         assert snap.t0 == 1.0
         first = scenario.Engine(cfg, resume=snap)
-        assert first.live.learner.rng is first.live.rng
+        assert first.live.learner.buffer.rng is first.live.rng
         a = first.run()
         # the original engine goes on from where the snapshot was taken, and
         # neither run changes the snapshot
