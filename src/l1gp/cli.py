@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import __version__, config as config_mod, gp, scenario
+from . import __version__, config as config_mod, scenario
 
 __all__ = [
     "write_trace_csv",
@@ -201,6 +201,8 @@ def cmd_bound_check(
         print("error: bound-check needs learner/kernel/bound configuration",
               file=sys.stderr)
         return EXIT_CONFIG
+    from . import gp
+
     os.makedirs(out_dir, exist_ok=True)
     lcfg = cfg.learner
     rng = np.random.default_rng(cfg.seed)

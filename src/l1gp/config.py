@@ -19,8 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import controller as ctrl
-from . import learner as learner_mod
-from . import gp, plant as plant_mod, scenario
+from . import plant as plant_mod, scenario
 
 __all__ = ["ConfigError", "parse_flat_file", "resolve_scenario", "quadrotor_nominal"]
 
@@ -57,13 +56,18 @@ def _parse_value(text: str) -> Any:
 
 
 def parse_flat_file(path: str) -> dict:
-    """Parse a config file into a flat {dotted.key: value} dict."""
+    """Parse a config file into a flat {dotted.key: value} dict.
+
+    A key given twice, in any spelling that resolves to the same dotted
+    key, raises ConfigError naming both lines.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     flat: dict = {}
+    first_line: dict = {}
     section = ""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -81,6 +85,11 @@ def parse_flat_file(path: str) -> dict:
         if not key:
             raise ConfigError(f"line {lineno}: missing key")
         full = f"{section}.{key}" if section else key
+        if full in first_line:
+            raise ConfigError(
+                f"line {lineno}: {full} given twice (first at line {first_line[full]})"
+            )
+        first_line[full] = lineno
         flat[full] = _parse_value(value)
     return flat
 
@@ -218,6 +227,8 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
         )
         learner_cfg = None
         if echo.setdefault("learner.enabled", controller_cfg.mode == "l1gp"):
+            from . import gp, learner as learner_mod
+
             learner_cfg = learner_mod.LearnerConfig(
                 T_data=echo["learner.t_data"],
                 N_update=echo["learner.n_update"],

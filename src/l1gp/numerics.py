@@ -5,6 +5,11 @@ Everything here operates on plain float64 numpy arrays, except the two
 tuples and multiply on Python floats for the 1 kHz loop. Matrices are tiny
 (controller state dimensions, n <= 6) so the routines favor accuracy and
 clear failure modes over throughput. All functions are pure.
+
+The module loads without scipy. Three functions import it when called:
+:func:`matrix_exponential` on a matrix with an off-diagonal entry, and the
+factor routines :func:`cholesky_factor` and :func:`solve_with_factor`,
+which only the GP calls.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DimensionError",
@@ -74,18 +78,29 @@ def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
 
 
 def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
-    """Return ``exp(A*t)`` for a square matrix A.
+    """Return ``exp(A*t)`` for a square matrix A, bitwise as
+    ``scipy.linalg.expm(A * t)``.
 
-    Backed by scipy's scaling-and-squaring Pade implementation; matrices in
-    this toolkit are small and the result is precomputed once per sampling
-    period, never inside the control loop.
+    When ``A*t`` has no nonzero off-diagonal entry (``-0.0`` counts as
+    zero) the result is ``diag(exp(diag(A*t)))``, the expression scipy's
+    expm returns for a diagonal input, computed here without loading
+    scipy; every stock ``A_m`` takes this branch. Any other matrix, such as
+    the sinusoid reference's augmented oscillator, goes to scipy's
+    scaling-and-squaring Pade implementation. Either way the result is
+    precomputed once per configuration, never inside the control loop.
     """
     A = _as_square(A)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return np.eye(A.shape[0])
-    return scipy.linalg.expm(A * t)
+    At = A * t
+    d = np.diag(At)
+    if np.array_equal(At, np.diag(d)):
+        return np.diag(np.exp(d))
+    import scipy.linalg
+
+    return scipy.linalg.expm(At)
 
 
 def phi_matrix(A: np.ndarray, Ts: float) -> np.ndarray:
@@ -144,6 +159,8 @@ def cholesky_factor(M: np.ndarray) -> np.ndarray:
     the failing pivot index when M is not positive definite (LAPACK potrf
     info).
     """
+    import scipy.linalg.lapack
+
     M = _as_square(M, "M")
     if M.shape[0] == 0:
         return M.copy()
@@ -159,6 +176,8 @@ def cholesky_factor(M: np.ndarray) -> np.ndarray:
 
 def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``(L @ L.T) X = B`` given a lower Cholesky factor L."""
+    import scipy.linalg.lapack
+
     B = np.asarray(B, dtype=float)
     x, info = scipy.linalg.lapack.dpotrs(L, B, lower=1)
     if info != 0:

@@ -40,13 +40,15 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from . import controller as ctrl
-from . import learner as learner_mod
 from . import numerics, plant as plant_mod
+
+if TYPE_CHECKING:  # imported in Snapshot.initial, only when a learner runs
+    from . import learner as learner_mod
 
 __all__ = [
     "ReferenceConfig",
@@ -272,6 +274,8 @@ class Snapshot:
         rng = np.random.default_rng(cfg.seed)
         learner = None
         if cfg.learner is not None:
+            from . import learner as learner_mod
+
             learner = learner_mod.BayesianLearner(
                 cfg.learner, cfg.controller.A_m, cfg.controller.B_m, rng
             )

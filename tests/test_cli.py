@@ -97,6 +97,31 @@ class TestConfigParsing:
         with pytest.raises(config_mod.ConfigError, match="line 1"):
             config_mod.parse_flat_file(path)
 
+    @pytest.mark.parametrize("before, second, key, lines", [
+        ("seed", "duration = 0.3", "duration", (2, 4)),
+        ("[plant]", '[controller]\nmode = "l1gp"', "controller.mode", (12, 21)),
+        ("seed", 'controller.mode = "l1gp"', "controller.mode", (4, 13)),
+    ])
+    def test_key_given_twice_exit_2(self, tmp_path, capsys, before, second, key,
+                                    lines):
+        # the last one used to win silently
+        with open(os.path.join(REPO, "configs", "l1_plain.cfg")) as fh:
+            text = fh.read().replace(before, f"{second}\n{before}", 1)
+        cfg = write(tmp_path, "twice.cfg", text)
+        code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"line {lines[1]}: {key} given twice (first at line {lines[0]})" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_same_key_in_two_sections(self, tmp_path):
+        path = write(tmp_path, "a.cfg",
+                     NOMINAL + "l_f = 3.0\n\n[bound]\nl_f = 2.0\n")
+        flat = config_mod.parse_flat_file(path)
+        assert flat["condition.l_f"] == 3.0 and flat["bound.l_f"] == 2.0
+        code = cli.main(["simulate", path, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_OK
+
 
 class TestSimulate:
     def test_exit_codes_and_outputs(self, tmp_path):
@@ -171,10 +196,13 @@ class TestSimulate:
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         # a deck line run by simulate, or a command's flag on a valid deck
-        text = "duration = 0.1\nplant.j = [0.011, 0.011, 0.021]\n"
+        deck = {"duration": "0.1", "plant.j": "[0.011, 0.011, 0.021]"}
         command, *flags = line.split()
         if command not in ("margin", "bound-check"):
-            command, flags, text = "simulate", [], text + line + "\n"
+            # the line replaces the deck's own value of its key
+            key, _, value = line.partition(" = ")
+            command, flags, deck[key] = "simulate", [], value
+        text = "".join(f"{key} = {value}\n" for key, value in deck.items())
         cfg = write(tmp_path, "bad.cfg", text)
         code = cli.main([command, cfg, "-o", str(tmp_path / "o"), *flags])
         assert code == cli.EXIT_CONFIG
@@ -359,11 +387,37 @@ class TestMargin:
         assert code == cli.EXIT_PRECONDITION
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal alone costs most of the CLI's start-up time
+# a fresh interpreter runs the CLI and reports whether scipy was imported
+SCIPY_PROBE = ("import sys, l1gp.cli; "
+               "code = l1gp.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+               "print(code, 'scipy' in sys.modules)")
+
+
+@pytest.mark.parametrize("command, loads_scipy", [
+    ("import", False),
+    ("margin", False),
+    ("simulate l1", False),
+    ("simulate l1gp", True),
+    ("bound-check", True),
+])
+def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
+    # scipy is most of the CLI's start-up time; only the GP stack (and a
+    # non-diagonal matrix exponential) needs it
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
-    code = "import sys, l1gp.cli; print('scipy.signal' in sys.modules)"
+    l1gp_deck = NOMINAL.replace("duration = 2.0", "duration = 0.1")
+    l1_deck = l1gp_deck.replace('mode = "l1gp"', 'mode = "l1"')
+    argv = {
+        "import": [],
+        "margin": ["margin", os.path.join(REPO, "configs", "l1_plain.cfg"),
+                   "--horizon", "0.1"],
+        "simulate l1": ["simulate", write(tmp_path, "l1.cfg", l1_deck)],
+        "simulate l1gp": ["simulate", write(tmp_path, "l1gp.cfg", l1gp_deck)],
+        "bound-check": ["bound-check", os.path.join(REPO, "configs", "step_nominal.cfg"),
+                        "--n-probe", "20"],
+    }[command]
+    if argv:
+        argv += ["-o", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split()[-2:] == ["0", str(loads_scipy)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1gp import numerics
+from l1gp import numerics, scenario
 
 
 def taylor_expm(A, t, terms=30):
@@ -75,6 +75,46 @@ class TestMatrixExponential:
     def test_hurwitz_decay(self):
         A = np.diag([-1.0, -2.0, -5.0])
         assert np.max(np.abs(numerics.matrix_exponential(A, 50.0))) < 1e-20
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diagonal_is_bitwise_scipy(self, n):
+        import scipy.linalg
+
+        rng = np.random.default_rng(n)
+        times = [0.001, 0.01, 0.02, *rng.uniform(0.0, 3.0, size=4)]
+        mats = [-3.0 * np.eye(n)] + [np.diag(rng.uniform(-60.0, 10.0, size=n))
+                                     for _ in range(4)]
+        for A in mats:
+            for t in times:
+                assert np.array_equal(numerics.matrix_exponential(A, t),
+                                      scipy.linalg.expm(A * t))
+
+    def test_negative_zero_off_diagonal_is_diagonal(self):
+        import scipy.linalg
+
+        A = np.diag([-3.0, -2.0, -0.5])
+        A[0, 1] = A[2, 0] = A[1, 2] = -0.0
+        for t in (0.001, 0.01, 0.02):
+            got = numerics.matrix_exponential(A, t)
+            assert np.array_equal(got, scipy.linalg.expm(A * t))
+            assert np.array_equal(got, np.diag(np.exp(np.diag(A * t))))
+
+    def test_sinusoid_augmented_matrix_goes_through_scipy(self, monkeypatch):
+        import scipy.linalg
+
+        real = numerics.matrix_exponential
+        seen = []
+        monkeypatch.setattr(numerics, "matrix_exponential",
+                            lambda A, t: seen.append((A, t)) or real(A, t))
+        ref = scenario.ReferenceConfig(kind="sinusoid", amplitude=np.ones(3),
+                                       frequency=np.full(3, 0.5))
+        ref.exact_step(-3.0 * np.eye(3), np.diag(1.0 / np.array([0.011, 0.011, 0.021])),
+                       0.001)
+        (aug, h), = [(A, t) for A, t in seen if A.shape == (9, 9)]
+        assert np.count_nonzero(aug - np.diag(np.diag(aug))) > 0
+        got = real(aug, h)
+        assert np.array_equal(got, scipy.linalg.expm(aug * h))
+        assert not np.array_equal(got, np.diag(np.exp(np.diag(aug * h))))
 
 
 class TestPhiMatrix:
