@@ -12,6 +12,11 @@ and every end-to-end metric the output gives, on each side, the value of
 each seed and their median and quartiles, and the relative change of the
 change's median against the parent's; beside them, the environment each
 side ran in. Every workload needs at least three seeds on both sides.
+
+A directory may also hold per-layer records (``--trace 1``,
+``<workload>-seed<seed>-trace1.json``). For every workload traced on both
+sides, the output's ``traced`` section gives both sides' per-layer metrics
+at their lowest common seed, one run a side, and their relative change.
 Standard library only.
 """
 
@@ -24,14 +29,15 @@ import statistics
 import sys
 from pathlib import Path
 
-_RECORD = re.compile(r"^(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json$")
+_RECORD = re.compile(r"^(?P<workload>.+)-seed(?P<seed>-?\d+)-trace[01]\.json$")
 _MIN_SEEDS = 3
 
 
-def read_records(out_dir: Path) -> dict:
-    """{workload: {seed: record}} of the end-to-end records in ``out_dir``."""
+def read_records(out_dir: Path, trace: int = 0) -> dict:
+    """{workload: {seed: record}} of the records in ``out_dir`` that
+    ``perfbench/run.py --trace <trace>`` wrote."""
     by_workload: dict = {}
-    for path in sorted(out_dir.glob("*-seed*-trace0.json")):
+    for path in sorted(out_dir.glob(f"*-seed*-trace{trace}.json")):
         m = _RECORD.match(path.name)
         if m is None:
             continue
@@ -71,8 +77,32 @@ def environment(by_workload: dict) -> dict:
     return json.loads(envs.pop())
 
 
-def build(parent: dict, change: dict) -> dict:
-    """The summary of two {workload: {seed: record}} sets."""
+def relative(before: dict, after: dict) -> dict:
+    """{metric: after / before - 1} over the metrics of ``before``; None
+    where ``before`` is 0."""
+    return {m: (after[m] / before[m] - 1.0 if before[m] else None)
+            for m in before if m in after}
+
+
+def traced(parent: dict, change: dict) -> dict:
+    """Both sides' per-layer metrics, one traced run a side at the lowest
+    seed the two share, for every workload traced on both sides."""
+    out = {}
+    for name in sorted(set(parent) & set(change)):
+        seeds = sorted(set(parent[name]) & set(change[name]))
+        if not seeds:
+            continue
+        sides = {label: {m: e["value"] for m, e in records[name][seeds[0]]["metrics"].items()}
+                 for label, records in (("parent", parent), ("change", change))}
+        out[name] = dict(sides, seed=seeds[0],
+                         change_vs_parent=relative(sides["parent"], sides["change"]))
+    return out
+
+
+def build(parent: dict, change: dict,
+          parent_traced: dict | None = None, change_traced: dict | None = None) -> dict:
+    """The summary of two {workload: {seed: record}} sets of end-to-end
+    records, and of the per-layer records beside them, if any."""
     if sorted(parent) != sorted(change):
         raise ValueError(f"workloads differ: parent {sorted(parent)}, change {sorted(change)}")
     if not parent:
@@ -85,17 +115,18 @@ def build(parent: dict, change: dict) -> dict:
                 raise ValueError(f"{name}: {label} has {len(records)} seeds, "
                                  f"need {_MIN_SEEDS}")
             sides[label] = summarize_side(records)
-        before, after = sides["parent"]["metrics"], sides["change"]["metrics"]
-        sides["change_vs_parent"] = {
-            m: (after[m]["median"] / before[m]["median"] - 1.0
-                if before[m]["median"] else None)
-            for m in before if m in after
-        }
+        before, after = ({m: e["median"] for m, e in sides[label]["metrics"].items()}
+                         for label in ("parent", "change"))
+        sides["change_vs_parent"] = relative(before, after)
         workloads[name] = sides
-    return {
+    summary = {
         "workloads": workloads,
         "env": {"parent": environment(parent), "change": environment(change)},
     }
+    pairs = traced(parent_traced or {}, change_traced or {})
+    if pairs:
+        summary["traced"] = pairs
+    return summary
 
 
 def main(argv=None) -> int:
@@ -107,7 +138,8 @@ def main(argv=None) -> int:
     ap.add_argument("-o", "--output", type=Path, required=True)
     args = ap.parse_args(argv)
     try:
-        summary = build(read_records(args.parent), read_records(args.change))
+        summary = build(read_records(args.parent), read_records(args.change),
+                        read_records(args.parent, 1), read_records(args.change, 1))
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

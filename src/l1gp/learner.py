@@ -91,10 +91,10 @@ class LearnerModel:
     e_f_hat: float
     n_data: int = 0
 
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Learned mean (m,) and the pointwise error envelope at x."""
+    def evaluate(self, x) -> tuple[list, float]:
+        """Learned mean (m Python floats) and the pointwise error envelope at x."""
         mean, sigma = self.posterior.point_eval(x)
-        return mean, self.terms.bound(sigma)
+        return mean.tolist(), self.terms.bound(sigma)
 
     def f_hat(self, x: np.ndarray) -> np.ndarray:
         return self.posterior.mean_at(x)

@@ -372,7 +372,6 @@ class Engine:
                         # the bandwidth law consumes the pointwise envelope
                         # at the current state, not the domain-wide scalar
                         f_hat_x, e_f = model.evaluate(live.x)
-                        f_hat_x = f_hat_x.tolist()
                     else:
                         f_hat_x, e_f = (0.0, 0.0, 0.0), 0.0
                     live.e_f_last = e_f

@@ -14,11 +14,11 @@ spec.loader.exec_module(bench_record)
 ENV = {"python": "3.11.7", "nproc": 2, "commit": "abc"}
 
 
-def write_record(out_dir, workload, seed, run_s, trace=0, env=ENV):
+def write_record(out_dir, workload, seed, run_s, trace=0, env=ENV, metrics=None):
     record = {
         "correct": True, "attempted": 4, "failed": 0,
-        "metrics": {"run_s": {"value": run_s, "unit": "s"},
-                    "err_ideal_late": {"value": 0.5, "unit": "rad/s"}},
+        "metrics": metrics or {"run_s": {"value": run_s, "unit": "s"},
+                               "err_ideal_late": {"value": 0.5, "unit": "rad/s"}},
         "workload": workload, "seed": seed, "trace": trace, "env": env,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -71,3 +71,31 @@ def test_mixed_environments_exit_2(tmp_path, capsys):
     assert bench_record.main(["--parent", str(parent), "--change", str(change),
                               "-o", str(tmp_path / "BENCH.json")]) == 2
     assert "different environments" in capsys.readouterr().err
+
+
+def test_traced_records_pair_at_the_lowest_common_seed(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        for side, run_s in ((parent, 2.4), (change, 2.0)):
+            write_record(side, "switch", seed, run_s)
+            write_record(side, "dense_learner", seed, run_s)
+
+    def layers(p50_us, calls):
+        return {"gp.point_eval.p50_us": {"value": p50_us, "unit": "us"},
+                "gp.point_eval.calls": {"value": calls, "unit": "count"}}
+
+    write_record(parent, "switch", 2, None, trace=1, metrics=layers(12.0, 60000))
+    write_record(parent, "switch", 3, None, trace=1, metrics=layers(99.0, 60000))
+    write_record(change, "switch", 2, None, trace=1, metrics=layers(6.0, 60000))
+    # traced on one side only: no pair
+    write_record(change, "dense_learner", 1, None, trace=1, metrics=layers(20.0, 1))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(out)]) == 0
+    pairs = json.loads(out.read_text())["traced"]
+    assert sorted(pairs) == ["switch"]
+    assert pairs["switch"]["seed"] == 2
+    assert pairs["switch"]["parent"]["gp.point_eval.p50_us"] == 12.0
+    assert pairs["switch"]["change"]["gp.point_eval.p50_us"] == 6.0
+    assert pairs["switch"]["change_vs_parent"] == {
+        "gp.point_eval.p50_us": -0.5, "gp.point_eval.calls": 0.0}

@@ -1,11 +1,16 @@
 """GP regression and uniform-bound tests against independent oracles."""
 
+import copy
+import dataclasses
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.blas import dtrsv
 
 from l1gp import gp, plant
 
@@ -126,6 +131,165 @@ class TestFitPredict:
             # the explicit inverse loses ~cond(K) eps in the variance, which
             # the square root amplifies where std is small: compare variances
             assert abs(std_p**2 - std_o[i] ** 2) <= 1e-10
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_kernel_rejects_nonpositive_and_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            gp.SeKernel(sigma_f=bad, length_scale=1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            gp.SeKernel(sigma_f=1.0, length_scale=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
+    def test_dataset_rejects_nonpositive_and_nonfinite_noise(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            gp.GpDataset(np.zeros((1, 3)), np.zeros((1, 3)), bad)
+
+
+EPS = np.finfo(float).eps
+BOX = 15.0  # UniformBoundConfig().kappa: the envelope's box |x|_inf <= 15
+
+
+def direct_read(post, x):
+    """The 1 kHz read from direct differences, the form before the read
+    matrix: kernel vector k, w = L^{-1} k, mean and unclamped variance."""
+    d = post.X - np.asarray(x, dtype=float)
+    sq = np.einsum("ij,ij->i", d, d)
+    k = post.kernel.sigma_f**2 * np.exp(-0.5 * sq / post.kernel.length_scale**2)
+    w = dtrsv(post.chol, k, lower=1)
+    return k, w, k @ post.alpha, post.kernel.sigma_f**2 - w @ w
+
+
+def chol_norms(post):
+    """Spectral norms of the Cholesky factor L and of its inverse."""
+    sv = np.linalg.svd(post.chol, compute_uv=False)
+    return sv[0], 1.0 / sv[-1]
+
+
+def read_tolerance(post, norms, x, k, w):
+    """Bounds on |mean - mean'| (per channel) and |var - var'| between two
+    reads whose kernel vectors each carry the expanded form's error;
+    ``norms`` is ``chol_norms(post)``.
+
+    The exponent of ``k(X_i, x)`` is a sum of n + 2 terms no larger than
+    ``(|X_i|^2 + |x|^2) / l^2 + |log sigma_f^2|`` in all, so each kernel
+    entry is off by at most ``rel`` relative; the dot products and the
+    triangular solve add their own ``N eps`` rounding.
+    """
+    N, n = post.X.shape
+    l2 = post.kernel.length_scale**2
+    sq_x = float(np.dot(x, x))
+    sq_X = float(np.max(np.einsum("ij,ij->i", post.X, post.X)))
+    rel = 4 * (n + 2) * EPS * (1 + (sq_X + sq_x) / l2 + abs(2 * math.log(post.kernel.sigma_f)))
+    tol_mean = 2 * (rel + N * EPS) * (k @ np.abs(post.alpha))
+    l_norm, l_inv_norm = norms
+    w_norm, k_norm = float(np.linalg.norm(w)), float(np.linalg.norm(k))
+    dw = (2 * rel * k_norm + 2 * N * EPS * l_norm * w_norm) * l_inv_norm
+    tol_var = 2 * w_norm * dw + dw**2 + 2 * N * EPS * w_norm**2 + 4 * EPS * post.kernel.sigma_f**2
+    return tol_mean, tol_var
+
+
+class TestExpandedRead:
+    """point_eval and mean_at read the kernel vector from the precomputed
+    read matrix; they agree with the direct-difference read within the
+    expanded form's rounding, and are exact where the kernel underflows."""
+
+    FAR = (100.0, -100.0, 100.0)
+
+    def posterior(self, N, kernel):
+        # up to 8 inputs on the box corners, where |X_i| is largest and the
+        # expanded form cancels most; the rest where trajectories stay
+        rng = np.random.default_rng(N)
+        corners = np.array(list(itertools.product((-BOX, BOX), repeat=3)))[: min(N, 8)]
+        X = np.vstack([corners, rng.uniform(-3.0, 3.0, size=(N - len(corners), 3))])
+        Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(N, 3))
+        return gp.fit(gp.GpDataset(X, Y, 1e-4), kernel)
+
+    def queries(self, post):
+        X = post.X[:30]
+        inside = np.vstack([X, 0.5 * (X[:-1] + X[1:]), X + 1e-3])
+        rng = np.random.default_rng(1)
+        # one coordinate of each at +-15, the others anywhere in the box
+        on_box = rng.uniform(-BOX, BOX, size=(12, 3))
+        on_box[np.arange(12), np.arange(12) % 3] = rng.choice((-BOX, BOX), size=12)
+        corners = np.array(list(itertools.product((-BOX, BOX), repeat=3)))
+        return np.vstack([inside, on_box, corners])
+
+    @pytest.mark.parametrize("kernel", [KERNEL, gp.SeKernel(sigma_f=2.0, length_scale=0.5)])
+    @pytest.mark.parametrize("N", [1, 22, 512])
+    def test_matches_the_direct_difference_read(self, N, kernel):
+        post = self.posterior(N, kernel)
+        norms = chol_norms(post)
+        for x in self.queries(post):
+            k, w, mean_o, var_o = direct_read(post, x)
+            tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
+            mean, std = post.point_eval(tuple(x.tolist()))
+            assert np.all(np.abs(mean - mean_o) <= tol_mean)
+            assert abs(std**2 - max(var_o, 0.0)) <= tol_var
+            # the array form of the same point, and mean_at, read the same bits
+            mean_a, std_a = post.point_eval(x)
+            assert np.array_equal(mean_a, mean) and std_a == std
+            assert np.array_equal(post.mean_at(tuple(x.tolist())), mean)
+
+    @pytest.mark.parametrize("N", [1, 22, 512])
+    def test_far_query_is_exactly_the_prior(self, N):
+        post = self.posterior(N, KERNEL)
+        mean, std = post.point_eval(self.FAR)
+        assert std == KERNEL.sigma_f
+        assert np.all(mean == 0.0)
+        assert np.all(post.mean_at(self.FAR) == 0.0)
+
+    def test_prior_read_is_unchanged(self):
+        kernel = gp.SeKernel(sigma_f=0.3, length_scale=2.0)
+        post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 2)), 0.01), kernel)
+        assert post.Xa.shape == (0, 5)
+        for x in ((0.1, -0.2, 0.3), self.FAR):
+            mean, std = post.point_eval(x)
+            assert std == 0.3 and np.array_equal(mean, np.zeros(2))
+            assert np.array_equal(post.mean_at(x), np.zeros(2))
+
+    def test_read_matrix_is_frozen_with_its_inputs(self):
+        post = self.posterior(22, KERNEL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            post.X = post.X[:3]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            post.Xa = np.zeros((22, 5))
+        # a deepcopy (Snapshot's) reads the same bits; replace rebuilds Xa
+        clone = copy.deepcopy(post)
+        x = (0.3, -1.2, 2.0)
+        assert clone.Xa is not post.Xa and np.array_equal(clone.Xa, post.Xa)
+        assert np.array_equal(clone.point_eval(x)[0], post.point_eval(x)[0])
+        wide = dataclasses.replace(post, kernel=gp.SeKernel(1.0, 2.0))
+        assert np.array_equal(wide.Xa[:, :3], post.X / 4.0)
+
+    @given(
+        N=st.integers(1, 30),
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        sigma_f=st.floats(0.3, 3.0),
+        length_scale=st.floats(0.5, 3.0),
+        noise=st.floats(1e-4, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, BOX),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_point_eval_matches_predict_batch(
+        self, N, n, m, sigma_f, length_scale, noise, seed, scale
+    ):
+        rng = np.random.default_rng(seed)
+        kernel = gp.SeKernel(sigma_f=sigma_f, length_scale=length_scale)
+        X = rng.uniform(-scale, scale, size=(N, n))
+        post = gp.fit(gp.GpDataset(X, rng.normal(size=(N, m)), noise), kernel)
+        Xq = np.vstack([X[:3] + 1e-3, rng.uniform(-BOX, BOX, size=(5, n))])
+        mean_b, std_b = post.predict_batch(Xq)
+        norms = chol_norms(post)
+        for i, x in enumerate(Xq):
+            k, w, _, _ = direct_read(post, x)
+            tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
+            mean, std = post.point_eval(x)
+            assert np.all(np.abs(mean - mean_b[i]) <= tol_mean)
+            assert abs(std**2 - std_b[i, 0] ** 2) <= tol_var
 
 
 class TestKernelLipschitz:

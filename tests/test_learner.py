@@ -180,6 +180,19 @@ class TestBufferSchedule:
         assert np.array_equal(a, b)
         assert model.update_index == 1
 
+    def test_evaluate_reads_python_floats(self):
+        # the 1 kHz loop consumes the mean as floats; it is f_hat's bits
+        lrn = make_learner()
+        for k in range(1, 16):
+            lrn.push(float(k), 0.3 * np.cos([k, k, k]), np.zeros(3))
+            lrn.maybe_update(float(k))
+        x = (0.2, -0.1, 0.4)
+        for model in (lrn.model, learner.LearnerModel.prior(lrn.cfg, 3, 3)):
+            mean, e_f = model.evaluate(x)
+            assert [type(v) for v in mean] == [float] * 3
+            assert mean == model.f_hat(x).tolist()
+            assert type(e_f) is float
+
     def test_prior_model(self):
         lrn = make_learner()
         assert lrn.model.update_index == 0
