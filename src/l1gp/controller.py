@@ -18,12 +18,13 @@ the same sampled-data map the adaptation gain
 the gain are precomputed once per configuration.
 
 The tick runs on Python floats, with no numpy call: the state is a set of
-float 3-tuples, and :class:`PrecomputedAdaptation` holds ``gain``,
-``exp(A_m T_s)``, ``Phi(T_s)``, ``B_m`` and ``k_g`` as float 3x3 tuples that
-:func:`numerics.mat3_vec` multiplies. Products keep the order of the array
-formulas (``B_m`` times the summed input first, then ``Phi``), so for the
-diagonal matrices of the stock configuration the tick is bitwise the array
-computation.
+float 3-tuples, and ``A_m``, ``B_m`` and ``C_m`` must be diagonal, so
+``k_g``, ``exp(A_m T_s)``, ``Phi(T_s)`` and the gain are too.
+:class:`PrecomputedAdaptation` holds each as the float 3-tuple of its
+diagonal, and each product is three scalar products ``0.0 + d_i v_i``,
+bitwise numpy's ``M @ v``. Products keep the order of the array formulas
+(``B_m`` times the summed input, then ``Phi``), so the tick is bitwise the
+array computation.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def feedforward_gain(A_m: np.ndarray, B_m: np.ndarray, C_m: np.ndarray) -> np.nd
 class ControllerConfig:
     """Plant-model matrices, rates, filter bandwidths, and mode.
 
-    ``A_m`` must be Hurwitz (checked at construction). ``k_g`` is computed
+    ``A_m``, ``B_m`` and ``C_m`` must be diagonal 3x3 and ``A_m`` Hurwitz
+    (checked at construction). ``k_g`` is computed
     from (A_m, B_m, C_m) and stored. A ``scenario.Engine`` reads the config
     once, when it is built, and derives ``k_g`` and the filter decay
     factors from the fields as they stand then.
@@ -112,6 +114,11 @@ class ControllerConfig:
             raise ConfigurationError("T_s, omega_c, omega_L must be positive")
         if self.omega_0 < 0:
             raise ConfigurationError("omega_0 must be nonnegative")
+        for name in ("A_m", "B_m", "C_m"):
+            try:
+                numerics.diagonal3(getattr(self, name), name)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
         eig = np.linalg.eigvals(self.A_m)
         if np.any(eig.real >= 0):
             raise ConfigurationError(f"A_m is not Hurwitz: eigenvalues {eig}")
@@ -119,14 +126,6 @@ class ControllerConfig:
         # per-tick filter decay factors, exact pole mapping
         self._alpha_c = math.exp(-self.omega_c * self.T_s)
         self._alpha_L = math.exp(-self.omega_L * self.T_s)
-
-    @property
-    def n(self) -> int:
-        return self.A_m.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B_m.shape[1]
 
 
 @dataclass
@@ -137,8 +136,8 @@ class PrecomputedAdaptation:
     ``expAT`` and ``phi`` are ``exp(A_m T_s)`` and ``Phi(T_s)``, the
     predictor's exact map over one tick. ``gain @ xtilde`` reproduces
     ``-pinv(B_m) inv(Phi(T_s)) exp(A_m T_s) xtilde``; the composition is
-    spot-checked against the factored formula at construction. The tick
-    reads float 3x3 tuple copies of these and of ``B_m`` and ``k_g``
+    spot-checked against the factored formula at construction. All five
+    matrices are diagonal; the tick reads their diagonals as float 3-tuples
     (``_gain``, ``_expAT``, ``_phi``, ``_B_m``, ``_k_g``), so it is written
     for three axes.
     """
@@ -150,12 +149,11 @@ class PrecomputedAdaptation:
     k_g: np.ndarray
 
     def __post_init__(self):
-        # hot-loop caches as Python floats, like PlantConfig._ja
-        self._expAT = numerics.mat3(self.expAT)
-        self._phi = numerics.mat3(self.phi)
-        self._gain = numerics.mat3(self.gain)
-        self._B_m = numerics.mat3(self.B_m)
-        self._k_g = numerics.mat3(self.k_g)
+        # hot-loop caches: the diagonals as Python floats, like PlantConfig._ja
+        self._expAT, self._phi, self._gain, self._B_m, self._k_g = (
+            numerics.diagonal3(M)
+            for M in (self.expAT, self.phi, self.gain, self.B_m, self.k_g)
+        )
 
     @classmethod
     def from_config(cls, cfg: ControllerConfig) -> "PrecomputedAdaptation":
@@ -163,7 +161,7 @@ class PrecomputedAdaptation:
         phi = numerics.phi_matrix(cfg.A_m, cfg.T_s)
         B_pinv = numerics.pseudo_inverse(cfg.B_m)
         gain = -B_pinv @ np.linalg.solve(phi, expAT)
-        probe = np.arange(1.0, cfg.n + 1.0)
+        probe = np.array([1.0, 2.0, 3.0])
         direct = -B_pinv @ np.linalg.solve(phi, expAT @ probe)
         if not np.allclose(gain @ probe, direct, rtol=1e-12, atol=1e-12):
             raise ConfigurationError("adaptation gain failed its construction check")
@@ -210,9 +208,10 @@ def adaptation_step(
 ) -> _Vec3:
     """Piecewise-constant adaptive-estimate update, once per sampling instant:
     ``sigma_hat = gain @ (x_hat - x)``."""
+    g0, g1, g2 = pre._gain
     h0, h1, h2 = state.x_hat
     x0, x1, x2 = x
-    state.sigma_hat = numerics.mat3_vec(pre._gain, (h0 - x0, h1 - x1, h2 - x2))
+    state.sigma_hat = (0.0 + g0 * (h0 - x0), 0.0 + g1 * (h1 - x1), 0.0 + g2 * (h2 - x2))
     return state.sigma_hat
 
 
@@ -273,20 +272,24 @@ def control_step(
     s0, s1, s2 = state.sigma_hat
     l0, l1, l2 = state.f_L
     c0, c1, c2 = state.c_state
-    k0, k1, k2 = numerics.mat3_vec(pre._k_g, r)
+    k0, k1, k2 = pre._k_g
+    r0, r1, r2 = r
     alpha = cfg._alpha_c
-    v0, v1, v2 = s0 - k0, s1 - k1, s2 - k2
+    v0, v1, v2 = s0 - (0.0 + k0 * r0), s1 - (0.0 + k1 * r1), s2 - (0.0 + k2 * r2)
     c0 = v0 + (c0 - v0) * alpha
     c1 = v1 + (c1 - v1) * alpha
     c2 = v2 + (c2 - v2) * alpha
     state.c_state = (c0, c1, c2)
     u0, u1, u2 = -l0 - c0, -l1 - c1, -l2 - c2
-    drive = numerics.mat3_vec(
-        pre._B_m, (l0 + s0 + u0, l1 + s1 + u1, l2 + s2 + u2)
+    b0, b1, b2 = pre._B_m
+    e0, e1, e2 = pre._expAT
+    p0, p1, p2 = pre._phi
+    h0, h1, h2 = state.x_hat
+    state.x_hat = (
+        (0.0 + e0 * h0) + (0.0 + p0 * (0.0 + b0 * (l0 + s0 + u0))),
+        (0.0 + e1 * h1) + (0.0 + p1 * (0.0 + b1 * (l1 + s1 + u1))),
+        (0.0 + e2 * h2) + (0.0 + p2 * (0.0 + b2 * (l2 + s2 + u2))),
     )
-    e0, e1, e2 = numerics.mat3_vec(pre._expAT, state.x_hat)
-    p0, p1, p2 = numerics.mat3_vec(pre._phi, drive)
-    state.x_hat = (e0 + p0, e1 + p1, e2 + p2)
     return u0, u1, u2
 
 
@@ -349,7 +352,7 @@ def l1_norm_condition(
     ``rho_r`` defaults to ``2 |r|_inf |H C k_g| + rho_in + 1``.
     """
     lam, V, W = _real_eigensystem(cfg.A_m)
-    n, m = cfg.n, cfg.m
+    n, m = cfg.B_m.shape
     wc = cfg.omega_c
     WB = W @ cfg.B_m                       # modal input weights (n x m)
     kg = cfg.k_g

@@ -231,12 +231,12 @@ class UniformBoundConfig:
     include_gamma: bool = False
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.xi <= 0:
-            raise ValueError("kappa and xi must be positive")
+        if not (0.0 < self.kappa < math.inf and 0.0 < self.xi < math.inf):
+            raise ValueError("kappa and xi must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.lip_f < 0:
-            raise ValueError("lip_f must be nonnegative")
+        if not 0.0 <= self.lip_f < math.inf:
+            raise ValueError("lip_f must be nonnegative and finite")
 
 
 def fit(dataset: GpDataset, kernel: SeKernel) -> GpPosterior:

@@ -16,6 +16,7 @@ engine steps.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -54,16 +55,16 @@ class LearnerConfig:
     grid_points: int = 21
 
     def __post_init__(self):
-        if self.T_data <= 0:
-            raise ValueError("T_data must be positive")
+        if not 0.0 < self.T_data < math.inf:
+            raise ValueError("T_data must be positive and finite")
         if self.N_update < 1:
             raise ValueError("N_update must be at least 1")
         if self.gating not in GATINGS:
             raise ValueError(f"gating must be one of {GATINGS}")
         if self.gating == "improvement" and not 0.0 < self.gamma_tol < 1.0:
             raise ValueError("gamma_tol must be in (0, 1) for improvement gating")
-        if self.sigma_n <= 0:
-            raise ValueError("sigma_n must be positive")
+        if not 0.0 < self.sigma_n < math.inf:
+            raise ValueError("sigma_n must be positive and finite")
         if self.max_points < 1:
             raise ValueError("max_points must be at least 1")
         # the envelope holds only on the box |x|_inf <= bound.kappa

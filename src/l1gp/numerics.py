@@ -1,10 +1,10 @@
 """Small dense linear-algebra and numerical utilities shared by the toolkit.
 
-Everything here operates on plain float64 numpy arrays, except the two
-3x3 helpers :func:`mat3` and :func:`mat3_vec`, which hold a matrix as float
-tuples and multiply on Python floats for the 1 kHz loop. Matrices are tiny
-(controller state dimensions, n <= 6) so the routines favor accuracy and
-clear failure modes over throughput. All functions are pure.
+Everything here operates on plain float64 numpy arrays, except
+:func:`diagonal3`, which reads a diagonal 3x3 matrix as three Python floats
+for the per-axis products of the 1 kHz loop. Matrices are tiny (controller
+state dimensions, n <= 6) so the routines favor accuracy and clear failure
+modes over throughput. All functions are pure.
 
 The module loads without scipy. Three functions import it when called:
 :func:`matrix_exponential` on a matrix with an off-diagonal entry, and the
@@ -29,8 +29,7 @@ __all__ = [
     "matrix_exponential",
     "phi_matrix",
     "pseudo_inverse",
-    "mat3",
-    "mat3_vec",
+    "diagonal3",
     "cholesky_factor",
     "solve_with_factor",
     "rk4_step",
@@ -126,29 +125,21 @@ def pseudo_inverse(B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(B.T @ B, B.T)
 
 
-def mat3(A: np.ndarray) -> tuple:
-    """A 3x3 matrix as three row tuples of Python floats, for :func:`mat3_vec`."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3):
-        raise DimensionError(f"expected a 3x3 matrix, got shape {A.shape}")
-    return tuple(tuple(float(v) for v in row) for row in A)
+def diagonal3(M: np.ndarray, name: str = "M") -> tuple[float, float, float]:
+    """The diagonal ``(d0, d1, d2)`` of a diagonal 3x3 matrix M as Python floats.
 
-
-def mat3_vec(M: tuple, v: Sequence[float]) -> tuple[float, float, float]:
-    """``M @ v`` on Python floats for a :func:`mat3` matrix M.
-
-    Each entry is ``0.0 + m0 v0 + m1 v1 + m2 v2``, summed left to right from
-    a positive zero as numpy's product accumulates. With at most one nonzero
-    per row of M the result is bitwise numpy's, the sign of zero included;
-    otherwise it agrees to rounding.
+    The 1 kHz loop multiplies per axis: ``0.0 + d_i v_i`` is bitwise entry i
+    of numpy's ``M @ v`` for finite v, the sign of zero included. Raises
+    DimensionError for another shape and ValueError when an off-diagonal
+    entry is nonzero (``-0.0`` counts as zero).
     """
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = M
-    v0, v1, v2 = v
-    return (
-        0.0 + a00 * v0 + a01 * v1 + a02 * v2,
-        0.0 + a10 * v0 + a11 * v1 + a12 * v2,
-        0.0 + a20 * v0 + a21 * v1 + a22 * v2,
-    )
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3, 3):
+        raise DimensionError(f"{name} must be 3x3, got shape {M.shape}")
+    d = np.diag(M)
+    if not np.array_equal(M, np.diag(d)):
+        raise ValueError(f"{name} must be diagonal, got {M.tolist()}")
+    return tuple(d.tolist())
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ The field is written once, on Python floats: the rate equation and the
 scalar form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
 :func:`rk4_plant_step` integrates it with one fused RK4 step per engine
 step, with no numpy call inside; :func:`plant_derivative` is its array
-form.
+form. ``J`` and ``A_m`` must be diagonal, so every linear term, in the
+field and in :func:`baseline_control`, is a product per axis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import DivergenceError, mat3
+from .numerics import DivergenceError, diagonal3
 
 __all__ = [
     "UncertaintySchedule",
@@ -123,9 +124,9 @@ class PlantConfig:
     ``input_delay`` must be a whole number of engine steps; by
     default only the adaptive input is delayed (the baseline is assumed
     onboard), ``delay_total`` switches the delay to the full input path.
-    A ``scenario.Engine`` reads the config once, when it is built, and
-    derives the float caches :func:`rk4_plant_step` reads from the fields
-    as they stand then.
+    ``J`` and ``A_m`` must be diagonal. A ``scenario.Engine`` reads the
+    config once, when it is built, and derives the float caches
+    :func:`rk4_plant_step` reads from the fields as they stand then.
     """
 
     J: np.ndarray = field(default_factory=lambda: np.diag([0.011, 0.011, 0.021]))
@@ -141,19 +142,17 @@ class PlantConfig:
         self.J = np.asarray(self.J, dtype=float)
         if self.J.ndim == 1:
             self.J = np.diag(self.J)
-        if self.J.shape != (3, 3):
-            raise ValueError("J must be 3x3")
-        diag = np.diag(self.J)
-        if np.any(diag <= 0) or np.any(self.J != np.diag(diag)):
+        # hot-loop caches as Python floats: the diagonals of J, A_m and J A_m
+        self._j = diagonal3(self.J, "J")
+        if not min(self._j) > 0:
             raise ValueError("J must be diagonal with positive entries")
+        self._jinv = tuple(1.0 / v for v in self._j)
         self.x0 = np.asarray(self.x0, dtype=float)
         self.A_m = np.asarray(self.A_m, dtype=float)
+        self._a = diagonal3(self.A_m, "A_m")
+        self._ja = tuple(j * a for j, a in zip(self._j, self._a))
         if self.input_delay < 0:
             raise ValueError("input_delay must be nonnegative")
-        # hot-loop caches as Python floats; J is validated diagonal above
-        self._j = tuple(float(v) for v in diag)
-        self._jinv = tuple(1.0 / v for v in self._j)
-        self._ja = mat3(self.J @ self.A_m)
 
 
 class DelayLine:
@@ -161,15 +160,15 @@ class DelayLine:
 
     Outputs the sample pushed ``n_steps`` calls ago; zero-padded until the
     line fills, so the delayed signal is 0 before t = delay. Zero delay is
-    the identity. Samples are held as tuples, so a pushed array cannot
+    the identity. Samples are held as 3-tuples, so a pushed array cannot
     change in the line.
     """
 
-    def __init__(self, n_steps: int, dim: int = 3):
+    def __init__(self, n_steps: int):
         if n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         self.n_steps = n_steps
-        self._buf = [(0.0,) * dim] * max(n_steps, 1)
+        self._buf = [(0.0, 0.0, 0.0)] * max(n_steps, 1)
         self._idx = 0
 
     def push(self, u: Sequence[float]) -> Sequence[float]:
@@ -182,20 +181,19 @@ class DelayLine:
         return out
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
+def baseline_control(x: Sequence[float], cfg: PlantConfig) -> tuple[float, float, float]:
+    """Baseline moments ``J A_m x + x cross (J x)`` injecting desired dynamics,
+    per axis on Python floats and bitwise the array form
+    ``J @ (A_m @ x) + x cross (J @ x)`` (each product ``0.0 + d_i v_i``)."""
+    x0, x1, x2 = x
+    j0, j1, j2 = cfg._j
+    a0, a1, a2 = cfg._a
+    jx0, jx1, jx2 = 0.0 + j0 * x0, 0.0 + j1 * x1, 0.0 + j2 * x2
+    return (
+        (0.0 + j0 * (0.0 + a0 * x0)) + (x1 * jx2 - x2 * jx1),
+        (0.0 + j1 * (0.0 + a1 * x1)) + (x2 * jx0 - x0 * jx2),
+        (0.0 + j2 * (0.0 + a2 * x2)) + (x0 * jx1 - x1 * jx0),
     )
-
-
-def baseline_control(x: np.ndarray, J: np.ndarray, A_m: np.ndarray) -> np.ndarray:
-    """Baseline moments ``J A_m x + x cross (J x)`` injecting desired dynamics."""
-    Jx = J @ x
-    return J @ (A_m @ x) + _cross(x, Jx)
 
 
 def _rates(
@@ -213,10 +211,10 @@ def _rates(
     g2 = x0 * jx1 - x1 * jx0
     f0, f1, f2 = f(x0, x1, x2)
     if include_baseline:
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = cfg._ja
-        u0 = u0 + (a00 * x0 + a01 * x1 + a02 * x2) + g0
-        u1 = u1 + (a10 * x0 + a11 * x1 + a12 * x2) + g1
-        u2 = u2 + (a20 * x0 + a21 * x1 + a22 * x2) + g2
+        a0, a1, a2 = cfg._ja
+        u0 = u0 + a0 * x0 + g0
+        u1 = u1 + a1 * x1 + g1
+        u2 = u2 + a2 * x2 + g2
     i0, i1, i2 = cfg._jinv
     return i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
 

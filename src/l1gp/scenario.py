@@ -19,9 +19,9 @@ Integration rule: the linear parts advance by exact discrete-time maps
 (the predictor in :func:`controller.control_step`, the ideal loop through
 :meth:`ReferenceConfig.exact_step`); only the nonlinear plant uses RK4,
 one fused step on Python floats per engine step
-(:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples;
-numpy is left to the GP reads, the learner's buffer, the ``delay_total``
-baseline and the recorded rows. The L1 reference system of
+(:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples,
+each matrix product per axis on a diagonal; numpy is left to the GP reads,
+the learner's buffer and the recorded rows. The L1 reference system of
 :func:`run_reference_system` is this engine with the adaptive estimate
 replaced by the true uncertainty. A run is single-threaded and
 deterministic given the seed.
@@ -104,8 +104,9 @@ class ReferenceConfig:
     def exact_step(self, A: np.ndarray, B: np.ndarray, h: float) -> tuple:
         """Exact map of ``x' = A x + B r(t)`` over one step of length h.
 
-        Returns ``(E, g, M_s, M_c)`` on Python floats, the matrices as
-        :func:`numerics.mat3` tuples. Zero and step references are constant:
+        Returns ``(E, g, M_s, M_c)`` on Python floats; A and B are diagonal
+        3x3, so are the matrices, each held as the 3-tuple of its diagonal
+        (:func:`numerics.diagonal3`). Zero and step references are constant:
         ``x(t + h) = E x(t) + g`` with the 3-tuple ``g = Phi(h) B r``, and
         ``M_s = M_c = None``. For the sinusoid ``g`` is None and A is
         augmented with the per-axis oscillator ``(sin(w t), cos(w t))``; one
@@ -116,7 +117,7 @@ class ReferenceConfig:
         E = numerics.matrix_exponential(A, h)
         if self.kind != "sinusoid":
             g = numerics.phi_matrix(A, h) @ (B @ np.array(self.make()(0.0)))
-            return numerics.mat3(E), tuple(g.tolist()), None, None
+            return numerics.diagonal3(E), tuple(g.tolist()), None, None
         n, m = B.shape
         w = self.frequency
         aug = np.zeros((n + 2 * m, n + 2 * m))
@@ -125,9 +126,9 @@ class ReferenceConfig:
         aug[n : n + m, n + m :] = np.diag(w)
         aug[n + m :, n : n + m] = -np.diag(w)
         F = numerics.matrix_exponential(aug, h)
-        M_s = numerics.mat3(F[:n, n : n + m])
-        M_c = numerics.mat3(F[:n, n + m :])
-        return numerics.mat3(E), None, M_s, M_c
+        M_s = numerics.diagonal3(F[:n, n : n + m])
+        M_c = numerics.diagonal3(F[:n, n + m :])
+        return numerics.diagonal3(E), None, M_s, M_c
 
     @property
     def r_inf(self) -> float:
@@ -300,7 +301,7 @@ class Engine:
         # each tick's adaptive estimate is the true uncertainty at the state
         self._true_sigma = true_sigma
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
-        self.delay = plant_mod.DelayLine(cfg.delay_steps, dim=cfg.controller.m)
+        self.delay = plant_mod.DelayLine(cfg.delay_steps)
         # start and end of the latest run; a run goes on from live.t0
         self.t0 = self.t_final = self.live.t0
         cfg.steps(self.t0, "resume time", least=0)
@@ -321,7 +322,6 @@ class Engine:
         alpha_c = c._alpha_c
         mode_l1gp = c.mode == "l1gp"
         delay_total = p.delay_total
-        J, A_m = p.J, p.A_m
         pre = self.pre
         live = self.live
         self.t0 = live.t0
@@ -330,10 +330,13 @@ class Engine:
         # learner boundaries and uncertainty switches identical to an
         # uninterrupted run
         i0 = cfg.steps(self.t0, "resume time", least=0)
-        mat3_vec = numerics.mat3_vec
         sin, cos = math.sin, math.cos
-        E_id, g_id, M_s, M_c = cfg.reference.exact_step(A_m, c.B_m @ c.k_g, h)
+        (E0, E1, E2), g_id, M_s, M_c = cfg.reference.exact_step(
+            p.A_m, c.B_m @ c.k_g, h
+        )
         sinusoid = M_s is not None
+        if sinusoid:
+            (m0, m1, m2), (n0, n1, n2) = M_s, M_c
         r = self.ref(0.0)  # constant unless the reference is a sinusoid
         a0, a1, a2 = (float(v) for v in cfg.reference.amplitude)
         w0, w1, w2 = (float(v) for v in cfg.reference.frequency)
@@ -386,8 +389,9 @@ class Engine:
                 )
                 live.u = ctrl.control_step(state, r, c, pre)
             if delay_total:
-                pushed = plant_mod.baseline_control(live.x, J, A_m) + live.u
-                u_applied = self.delay.push(pushed)
+                bl0, bl1, bl2 = plant_mod.baseline_control(live.x, p)
+                v0, v1, v2 = live.u
+                u_applied = self.delay.push((bl0 + v0, bl1 + v1, bl2 + v2))
             else:
                 u_applied = self.delay.push(live.u)
             # the step that ends on a switch sees the new segment at its
@@ -402,13 +406,14 @@ class Engine:
             except numerics.DivergenceError:
                 unstable = True
             else:
-                d0, d1, d2 = mat3_vec(E_id, live.x_id)
+                z0, z1, z2 = live.x_id
+                d0, d1, d2 = 0.0 + E0 * z0, 0.0 + E1 * z1, 0.0 + E2 * z2
                 if sinusoid:
-                    m0, m1, m2 = mat3_vec(M_s, (s0, s1, s2))
-                    n0, n1, n2 = mat3_vec(
-                        M_c, (cos(w0 * t), cos(w1 * t), cos(w2 * t))
+                    live.x_id = (
+                        d0 + ((0.0 + m0 * s0) + (0.0 + n0 * cos(w0 * t))),
+                        d1 + ((0.0 + m1 * s1) + (0.0 + n1 * cos(w1 * t))),
+                        d2 + ((0.0 + m2 * s2) + (0.0 + n2 * cos(w2 * t))),
                     )
-                    live.x_id = (d0 + (m0 + n0), d1 + (m1 + n1), d2 + (m2 + n2))
                 else:
                     g0, g1, g2 = g_id
                     live.x_id = (d0 + g0, d1 + g1, d2 + g2)

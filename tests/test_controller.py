@@ -46,6 +46,17 @@ class TestConfigInvariants:
         with pytest.raises(ctrl.ConfigurationError, match="Hurwitz"):
             ctrl.ControllerConfig(A_m=np.eye(3), B_m=B_M, C_m=C_M)
 
+    def test_non_diagonal_matrices_rejected(self):
+        # the tick multiplies per axis, so a coupled matrix is refused
+        for name in ("A_m", "B_m", "C_m"):
+            mats = {"A_m": A_M.copy(), "B_m": B_M.copy(), "C_m": C_M.copy()}
+            mats[name][0, 1] = 0.1
+            with pytest.raises(ctrl.ConfigurationError, match=f"{name} must be diagonal"):
+                ctrl.ControllerConfig(**mats)
+            mats[name] = np.eye(2)
+            with pytest.raises(ctrl.ConfigurationError, match=f"{name} must be 3x3"):
+                ctrl.ControllerConfig(**mats)
+
     def test_bad_mode(self):
         with pytest.raises(ctrl.ConfigurationError):
             nominal_cfg(mode="pid")

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtrsv
 
@@ -146,8 +146,21 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match="positive and finite"):
             gp.GpDataset(np.zeros((1, 3)), np.zeros((1, 3)), bad)
 
+    @pytest.mark.parametrize("field", ["kappa", "xi"])
+    def test_bound_rejects_nonpositive_and_nonfinite(self, field):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                gp.UniformBoundConfig(**{field: bad})
+
+    def test_bound_rejects_negative_and_nonfinite_lip_f(self):
+        for bad in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                gp.UniformBoundConfig(lip_f=bad)
+        assert gp.UniformBoundConfig(lip_f=0.0).lip_f == 0.0
+
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 BOX = 15.0  # UniformBoundConfig().kappa: the envelope's box |x|_inf <= 15
 
 
@@ -175,18 +188,24 @@ def read_tolerance(post, norms, x, k, w):
     The exponent of ``k(X_i, x)`` is a sum of n + 2 terms no larger than
     ``(|X_i|^2 + |x|^2) / l^2 + |log sigma_f^2|`` in all, so each kernel
     entry is off by at most ``rel`` relative; the dot products and the
-    triangular solve add their own ``N eps`` rounding.
+    triangular solve add their own ``N eps`` rounding. Below the normal
+    range rounding is absolute, up to half a subnormal unit per operation,
+    which no relative bound covers: a read far from the data has a
+    subnormal mean. Each read's dot products take 2N - 1 such roundings, so
+    both bounds carry an absolute floor of 2N subnormal units.
     """
     N, n = post.X.shape
     l2 = post.kernel.length_scale**2
     sq_x = float(np.dot(x, x))
     sq_X = float(np.max(np.einsum("ij,ij->i", post.X, post.X)))
     rel = 4 * (n + 2) * EPS * (1 + (sq_X + sq_x) / l2 + abs(2 * math.log(post.kernel.sigma_f)))
-    tol_mean = 2 * (rel + N * EPS) * (k @ np.abs(post.alpha))
+    floor = 2 * N * TINY
+    tol_mean = 2 * (rel + N * EPS) * (k @ np.abs(post.alpha)) + floor
     l_norm, l_inv_norm = norms
     w_norm, k_norm = float(np.linalg.norm(w)), float(np.linalg.norm(k))
     dw = (2 * rel * k_norm + 2 * N * EPS * l_norm * w_norm) * l_inv_norm
-    tol_var = 2 * w_norm * dw + dw**2 + 2 * N * EPS * w_norm**2 + 4 * EPS * post.kernel.sigma_f**2
+    tol_var = (2 * w_norm * dw + dw**2 + 2 * N * EPS * w_norm**2
+               + 4 * EPS * post.kernel.sigma_f**2 + floor)
     return tol_mean, tol_var
 
 
@@ -274,6 +293,10 @@ class TestExpandedRead:
         scale=st.floats(0.5, BOX),
     )
     @settings(max_examples=60, deadline=None)
+    # far from the data the means are subnormal (about 1e-320) and differ
+    # by one subnormal unit, below any relative bound
+    @example(N=1, n=2, m=2, sigma_f=1.5, length_scale=0.5, noise=0.03125,
+             seed=1, scale=5.5)
     def test_point_eval_matches_predict_batch(
         self, N, n, m, sigma_f, length_scale, noise, seed, scale
     ):

@@ -1,5 +1,7 @@
 """Learner tests: target reconstruction, refit schedule, gating, progress."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,13 @@ def make_learner(rng=None, **kw):
     return learner.BayesianLearner(
         cfg, A_M, B_M, rng if rng is not None else np.random.default_rng(0)
     )
+
+
+@pytest.mark.parametrize("field", ["T_data", "sigma_n"])
+def test_config_rejects_nonpositive_and_nonfinite(field):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            learner.LearnerConfig(**{field: bad})
 
 
 class TestReconstructTarget:

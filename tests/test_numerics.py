@@ -1,5 +1,6 @@
 """Unit tests for the shared numerical utilities, oracle-checked."""
 
+import itertools
 import math
 
 import numpy as np
@@ -162,25 +163,36 @@ def cholesky_solve(M, B):
     return numerics.solve_with_factor(numerics.cholesky_factor(M), B)
 
 
-class TestMat3:
-    def test_diagonal_product_is_numpys_bitwise(self):
-        # one nonzero per row: every entry, and the sign of every zero,
-        # equals numpy's product
-        M = np.diag([-5.0, 0.25, 3.0])
-        M[M == 0.0] = -0.0
-        T = numerics.mat3(M)
-        rng = np.random.default_rng(0)
-        vectors = [np.zeros(3), -np.zeros(3), np.array([0.0, -1.5, 2.0])]
-        vectors += list(rng.normal(size=(100, 3)))
-        for v in vectors:
-            got = np.array(numerics.mat3_vec(T, tuple(v.tolist())))
-            want = M @ v
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+class TestDiagonal3:
+    def test_product_is_numpys_bitwise(self):
+        # the 1 kHz loop's per-axis product 0.0 + d v: every entry, and the
+        # sign of every zero, equals numpy's M @ v, through underflow
+        values = (0.0, -0.0, -1.5, 2.0, 1e-300, -5e-324)
+        vectors = [np.array(v) for v in itertools.product(values, repeat=3)]
+        vectors += list(np.random.default_rng(0).normal(size=(100, 3)))
+        for diag, off in itertools.product(
+            [(-5.0, 0.25, 3.0), (-3.0, 0.0, 1e-200)], [0.0, -0.0]
+        ):
+            M = np.diag(diag)
+            M[~np.eye(3, dtype=bool)] = off
+            d = numerics.diagonal3(M)
+            assert all(type(v) is float for v in d)
+            for v in vectors:
+                got = np.array([0.0 + di * vi for di, vi in zip(d, v.tolist())])
+                want = M @ v
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_shape_checked(self):
-        with pytest.raises(numerics.DimensionError):
-            numerics.mat3(np.eye(2))
+        with pytest.raises(numerics.DimensionError, match="B must be 3x3"):
+            numerics.diagonal3(np.eye(2), "B")
+
+    @pytest.mark.parametrize("entry", [0.5, -5e-324, math.nan])
+    def test_off_diagonal_entry_rejected(self, entry):
+        M = -np.eye(3)
+        M[2, 0] = entry
+        with pytest.raises(ValueError, match="A must be diagonal"):
+            numerics.diagonal3(M, "A")
 
 
 class TestCholeskySolve:

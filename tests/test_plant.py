@@ -1,5 +1,7 @@
 """Plant dynamics, uncertainty schedule, baseline, and delay-line tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -59,16 +61,33 @@ class TestUncertainty:
 
 class TestBaseline:
     def test_zero(self):
-        assert np.array_equal(plant.baseline_control(np.zeros(3), J, A_M), np.zeros(3))
+        assert np.array_equal(plant.baseline_control(np.zeros(3), make_cfg()), np.zeros(3))
 
     def test_single_axis(self):
-        got = plant.baseline_control(np.array([1.0, 0.0, 0.0]), J, A_M)
+        got = plant.baseline_control(np.array([1.0, 0.0, 0.0]), make_cfg())
         assert np.allclose(got, [-0.033, 0.0, 0.0], atol=1e-15)
 
     def test_symmetric_inertia_cross_cancels(self):
         x = np.array([1.0, 1.0, 0.0])
-        got = plant.baseline_control(x, J, A_M)
+        got = plant.baseline_control(x, make_cfg())
         assert np.allclose(got, -3.0 * J @ x, atol=1e-15)
+
+    @pytest.mark.parametrize("a_m", [(-3.0, -3.0, -3.0), (-3.0, -0.5, -7.0), (-1e-5, 0.0, -2.0)])
+    def test_matches_the_array_form_bitwise(self, a_m):
+        # the diagonal products are numpy's, signs of zero and underflow
+        # included: J @ (A_m @ x) + x cross (J @ x) with -0.0 off-diagonals
+        A = np.diag(a_m)
+        A[A == 0.0] = -0.0
+        for Jd in (J, np.diag([1e-200, 1.0, 3.0])):
+            cfg = plant.PlantConfig(J=Jd, A_m=A)
+            zeros = (0.0, -0.0, 1.5, -2.0, 1e-160, -5e-324)
+            xs = list(itertools.product(zeros, repeat=3))
+            xs += [tuple(v) for v in np.random.default_rng(3).normal(size=(300, 3))]
+            for x in xs:
+                want = Jd @ (A @ np.array(x)) + np.cross(x, Jd @ np.array(x))
+                got = np.array(plant.baseline_control(x, cfg))
+                assert np.array_equal(got, want), x
+                assert np.array_equal(np.signbit(got), np.signbit(want)), x
 
     def test_gyroscopic_orthogonality(self):
         rng = np.random.default_rng(2)
@@ -204,20 +223,12 @@ class TestRk4PlantStep:
         )
 
     def test_non_diagonal_a_m(self):
+        # the field multiplies per axis, so a coupled A_m is refused
         A_m = np.array([[-3.0, 0.5, 0.1], [0.2, -4.0, 0.3], [-0.1, 0.4, -2.5]])
-        cfg = plant.PlantConfig(
-            J=J, uncertainty=plant.UncertaintySchedule(((0.0, "quadratic"),)), A_m=A_m
-        )
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            x = rng.normal(size=3)
-            u = rng.normal(size=3) * 0.05
-            f = cfg.uncertainty.scalar_fields[0]
-            got = np.array(plant.rk4_plant_step(x, u, 0.3, self.H, cfg, f, f))
-            want = oracle_step(
-                cfg, [(0.0, ORACLE_KINDS["quadratic"])], x, u, 0.3, self.H, True
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError, match="A_m must be diagonal"):
+            plant.PlantConfig(J=J, A_m=A_m)
+        with pytest.raises(numerics.DimensionError, match="A_m must be 3x3"):
+            plant.PlantConfig(J=J, A_m=-np.eye(2))
 
     # numpy's nan for sin/cos of an infinite stage state warns
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
