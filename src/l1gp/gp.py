@@ -18,7 +18,10 @@ form rounds differently from direct differences: its error in the exponent
 is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about 1.5e-13 on
 the box ``|x|_inf <= 15`` at unit length scale. The publish-rate reads
 (:meth:`GpPosterior.predict_batch`, the envelope's grid max) and the Gram
-matrix keep their own formula.
+matrix keep their own formula, :meth:`SeKernel.__call__`, evaluated step by
+step in the one buffer ``X @ Z.T`` is written to. :func:`fit` builds the
+Gram matrix that way, in Fortran order, and factors it in the same buffer,
+so a refit holds one N x N array, which becomes the posterior's factor.
 """
 
 from __future__ import annotations
@@ -71,16 +74,31 @@ class SeKernel:
             raise ValueError("sigma_f and length_scale must be positive and finite")
 
     def __call__(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Gram matrix between row-stacked inputs X (N,n) and Z (P,n)."""
+        """Gram matrix between row-stacked inputs X (N,n) and Z (P,n).
+
+        Entry (i, j) is ``sigma_f**2 * exp(-0.5 * max(a_i - 2 g_ij + b_j, 0)
+        / l**2)`` with ``g = X @ Z.T``, ``a = |X_i|^2`` and ``b = |Z_j|^2``,
+        evaluated in that order on the one (N, P) buffer ``g`` is written
+        to. When Z is X the result is in Fortran order, the layout LAPACK
+        factors in place: ``X @ X.T`` is exactly symmetric (numpy computes
+        it with syrk), so its transpose is the same matrix, and the steps
+        applied to that view by index give the same entries.
+        """
+        gram = Z is X
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * (X @ Z.T)
-            + np.sum(Z * Z, axis=1)[None, :]
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return self.sigma_f**2 * np.exp(-0.5 * sq / self.length_scale**2)
+        Z = X if gram else np.atleast_2d(np.asarray(Z, dtype=float))
+        K = (X @ X.T).T if gram else X @ Z.T
+        # (-2 g) + a is a - 2 g exactly; every step rounds as the expression
+        # written out in full would
+        K *= -2.0
+        K += np.sum(X * X, axis=1)[:, None]
+        K += np.sum(Z * Z, axis=1)[None, :]
+        np.maximum(K, 0.0, out=K)
+        K *= -0.5
+        K /= self.length_scale**2
+        np.exp(K, out=K)
+        K *= self.sigma_f**2
+        return K
 
 
 @dataclass
@@ -257,10 +275,11 @@ def fit(dataset: GpDataset, kernel: SeKernel) -> GpPosterior:
             n_outputs=m,
             n_inputs=n,
         )
+    # one N x N buffer: the Gram matrix, in Fortran order, becomes the factor
     K = kernel(dataset.X, dataset.X)
     K[np.diag_indices_from(K)] += dataset.noise_var
     try:
-        chol = numerics.cholesky_factor(K)
+        chol = numerics._cholesky_in_place(K)
     except numerics.DecompositionError as exc:
         raise IllConditionedKernelError(
             f"Gram matrix not positive definite (pivot {exc.pivot}); "

@@ -4,12 +4,13 @@ Everything here operates on plain float64 numpy arrays, except
 :func:`diagonal3`, which reads a diagonal 3x3 matrix as three Python floats
 for the per-axis products of the 1 kHz loop. Matrices are tiny (controller
 state dimensions, n <= 6) so the routines favor accuracy and clear failure
-modes over throughput. All functions are pure.
+modes over throughput. All public functions are pure.
 
 The module loads without scipy. Three functions import it when called:
 :func:`matrix_exponential` on a matrix with an off-diagonal entry, and the
 factor routines :func:`cholesky_factor` and :func:`solve_with_factor`,
-which only the GP calls.
+which only the GP calls. ``gp.fit`` factors its Gram matrix in place with
+the private routine that :func:`cholesky_factor` runs on a copy.
 """
 
 from __future__ import annotations
@@ -145,24 +146,35 @@ def diagonal3(M: np.ndarray, name: str = "M") -> tuple[float, float, float]:
 def cholesky_factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    The factor is returned in Fortran (column-major) order, the layout
-    LAPACK and BLAS take without a copy. Raises DecompositionError carrying
-    the failing pivot index when M is not positive definite (LAPACK potrf
-    info).
+    Only the lower triangle of M is read, and M itself is never written:
+    the factor is made in a Fortran-order copy, the layout LAPACK and BLAS
+    take without a further copy, and returned with its strict upper
+    triangle zero. Raises DecompositionError carrying the failing pivot
+    index when M is not positive definite (LAPACK potrf info).
     """
+    return _cholesky_in_place(np.array(M, dtype=float, order="F"))
+
+
+def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
+    """:func:`cholesky_factor` of a Fortran-order float array, made in A's
+    own buffer, which then holds the factor (or, on failure, is spoiled)."""
     import scipy.linalg.lapack
 
-    M = _as_square(M, "M")
-    if M.shape[0] == 0:
-        return M.copy()
-    c, info = scipy.linalg.lapack.dpotrf(M, lower=1)
+    A = _as_square(A, "M")
+    if A.shape[0] == 0:
+        return A
+    c, info = scipy.linalg.lapack.dpotrf(A, lower=1, overwrite_a=1)
     if info > 0:
         raise DecompositionError(
             f"matrix not positive definite at pivot {info - 1}", pivot=info - 1
         )
     if info < 0:
         raise ValueError(f"invalid argument {-info} to dpotrf")
-    return np.asfortranarray(np.tril(c))
+    # potrf leaves the strict upper triangle as it found it; each column's
+    # part is contiguous in Fortran order
+    for j in range(1, c.shape[0]):
+        c[:j, j] = 0.0
+    return c
 
 
 def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -348,7 +348,8 @@ class Engine:
         f = fields[seg]
 
         # +3: the initial row, one more grid row when t0 is off the recording
-        # grid, and a possible abort row between grid points
+        # grid, and a possible abort row between grid points. The trace is a
+        # view of this buffer, not a copy
         rows = np.empty((n_steps // dec + 3, len(TRACE_COLUMNS)))
         unstable = False
         steps_done = 0
@@ -447,7 +448,7 @@ class Engine:
                 row_i += 1
         live.t0 = self.t_final = (i0 + steps_done) * h
         return SimulationTrace(
-            data=rows[:row_i].copy(),
+            data=rows[:row_i],
             events=self.events,
             unstable=unstable,
         )
@@ -597,7 +598,9 @@ def delay_margin_search(
     candidate resumes from the captured state (used to measure the margin
     of the running, post-learning loop). Every time argument must be a
     positive whole number of engine steps; the search runs on integer step
-    counts, so each candidate delay is exactly ``k * base.step``.
+    counts, and each delay it reports is ``k * base.step`` rounded to 12
+    decimals, so that 18 steps of 0.001 s read 0.018, not
+    0.018000000000000002.
     """
     res = base.steps(resolution, "resolution")
     k_max = base.steps(max_delay, "max_delay")
@@ -614,16 +617,18 @@ def delay_margin_search(
 
     candidates = []
 
+    def delay(k: int) -> float:
+        return round(k * base.step, 12)
+
     def candidate(k: int) -> bool:
-        delay = k * base.step
         cfg = replace(
             base,
             duration=horizon,
-            plant=replace(base.plant, input_delay=delay),
+            plant=replace(base.plant, input_delay=delay(k)),
             condition=replace(base.condition, check=False),
         )
         stable = not Engine(cfg, resume=snap).run().unstable
-        candidates.append((delay, stable))
+        candidates.append((delay(k), stable))
         return stable
 
     k0 = min(max(math.floor(predicted / base.step / res) * res, res), k_max)
@@ -650,8 +655,8 @@ def delay_margin_search(
         else:
             hi = mid
     return MarginResult(
-        margin=lo * base.step,
-        bracket=(lo * base.step, hi * base.step),
+        margin=delay(lo),
+        bracket=(delay(lo), delay(hi)),
         iterations=len(candidates),
         criterion=(
             f"unstable iff |x|_inf > {base.blowup} or non-finite within {horizon}s"

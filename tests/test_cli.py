@@ -379,6 +379,23 @@ class TestMargin:
             {"delay_s": 0.02, "stable": False},
         ]
 
+    def test_total_path_margin_reads_whole_steps(self, tmp_path):
+        # 18 * 0.001 is 0.018000000000000002 in floating point; each delay is
+        # reported from its step count
+        with open(os.path.join(REPO, "configs", "l1_plain.cfg")) as fh:
+            deck = fh.read().replace("[plant]\n", "[plant]\ndelay_total = true\n")
+        out = tmp_path / "out"
+        code = cli.main(["margin", write(tmp_path, "total.cfg", deck), "-o", str(out),
+                         "--horizon", "20"])
+        assert code == cli.EXIT_OK
+        res = json.loads((out / "margin.json").read_text())
+        assert res["margin_s"] == 0.018
+        assert res["bracket"] == [0.018, 0.019]
+        assert res["candidates"] == [
+            {"delay_s": 0.019, "stable": False},
+            {"delay_s": 0.018, "stable": True},
+        ]
+
     def test_unstable_at_zero_delay_exits_4(self, tmp_path):
         cfg = write(tmp_path, "a.cfg", NOMINAL.replace('mode = "l1gp"', 'mode = "l1"')
                     .replace("[reference]", "blowup = 1e-6\n\n[reference]"))

@@ -230,6 +230,23 @@ class TestCholeskySolve:
         with pytest.raises(numerics.DecompositionError) as exc:
             cholesky_solve(M, np.ones((3, 1)))
         assert exc.value.pivot == 1
+        assert np.array_equal(M, np.diag([1.0, -1.0, 2.0]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factor_leaves_its_argument_unchanged(self, order):
+        # the factor is made in a copy; only the lower triangle is read, so
+        # an upper triangle that differs from it changes nothing
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(40, 40))
+        S = G @ G.T + 40.0 * np.eye(40)
+        M = np.array(np.tril(S) + np.triu(rng.normal(size=(40, 40)), 1), order=order)
+        before = M.copy()
+        L = numerics.cholesky_factor(M)
+        assert np.array_equal(M, before)
+        assert not np.shares_memory(L, M)
+        assert L.flags.f_contiguous
+        assert np.array_equal(L, np.tril(L))
+        assert np.allclose(L @ L.T, S, rtol=1e-12, atol=1e-10)
 
 
 class TestRk4:

@@ -455,6 +455,18 @@ class TestSnapshotResume:
         stitched = np.vstack([first.data, second.data[1:]])
         assert np.array_equal(stitched, full.data)
 
+    def test_runs_of_one_engine_share_no_memory(self):
+        # each run returns a view of its own row buffer, uncopied, which
+        # holds at most 3 rows more than the trace
+        eng = scenario.Engine(no_condition(nominal(duration=0.5)))
+        a = eng.run()
+        b = eng.run()
+        assert b.t[0] == a.t[-1] == 0.5
+        assert not np.shares_memory(a.data, b.data)
+        for trace in (a, b):
+            assert len(trace.data) == 51
+            assert trace.data.base.shape[0] - len(trace.data) <= 3
+
     def test_resume_off_the_recording_grid_keeps_the_grid(self):
         # resumed at 13 ms, the run still records at multiples of 10 ms
         full = scenario.run(no_condition(
