@@ -110,18 +110,21 @@ class ControllerConfig:
         self.x_hat0 = np.asarray(self.x_hat0, dtype=float)
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.T_s <= 0 or self.omega_c <= 0 or self.omega_L <= 0:
-            raise ConfigurationError("T_s, omega_c, omega_L must be positive")
-        if self.omega_0 < 0:
-            raise ConfigurationError("omega_0 must be nonnegative")
+        # a chained comparison is false for nan as well
+        if not all(0.0 < v < math.inf for v in (self.T_s, self.omega_c, self.omega_L)):
+            raise ConfigurationError("T_s, omega_c, omega_L must be positive and finite")
+        if not 0.0 <= self.omega_0 < math.inf:
+            raise ConfigurationError("omega_0 must be nonnegative and finite")
         for name in ("A_m", "B_m", "C_m"):
+            M = getattr(self, name)
+            if not np.all(np.isfinite(M)):
+                raise ConfigurationError(f"{name} contains non-finite entries")
             try:
-                numerics.diagonal3(getattr(self, name), name)
+                diag = numerics.diagonal3(M, name)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from exc
-        eig = np.linalg.eigvals(self.A_m)
-        if np.any(eig.real >= 0):
-            raise ConfigurationError(f"A_m is not Hurwitz: eigenvalues {eig}")
+            if name == "A_m" and not all(d < 0.0 for d in diag):
+                raise ConfigurationError(f"A_m is not Hurwitz: diagonal {diag}")
         self.k_g = feedforward_gain(self.A_m, self.B_m, self.C_m)
         # per-tick filter decay factors, exact pole mapping
         self._alpha_c = math.exp(-self.omega_c * self.T_s)
@@ -315,25 +318,6 @@ class NormConditionReport:
         }
 
 
-def _real_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lam, V = np.linalg.eig(A)
-    if np.max(np.abs(lam.imag)) > 1e-12:
-        raise ConfigurationError(
-            "norm-condition checker requires real eigenvalues of A_m"
-        )
-    lam = lam.real
-    if np.any(lam >= 0):
-        raise ConfigurationError("A_m must be Hurwitz")
-    V = V.real
-    W = np.linalg.inv(V)
-    return lam, V, W
-
-
-def _matrix_l1_norm(entry_norms: np.ndarray) -> float:
-    """Induced-inf-norm style aggregate: max row sum of per-entry L1 norms."""
-    return float(np.max(np.sum(entry_norms, axis=1)))
-
-
 def l1_norm_condition(
     cfg: ControllerConfig,
     lip_f: float,
@@ -344,60 +328,31 @@ def l1_norm_condition(
 ) -> NormConditionReport:
     """Evaluate the low-pass filter design inequality for the configuration.
 
-    Per-entry impulse-response L1 norms are computed by quadrature from the
-    modal partial fractions of ``H(s) = (sI - A_m)^{-1} B_m`` combined with
-    the first-order filter, then aggregated as max row sums. The checker is
-    a diagnostic: callers should warn, not abort, when it fails.
+    ``A_m``, ``B_m`` and ``k_g`` are diagonal, so each transfer matrix is
+    too, and its L1 norm (the max row sum of its entries' impulse-response
+    L1 norms) is the max over axes of one scalar norm, each in closed form.
+    With ``a < 0`` and ``b`` axis i's entries and ``r = omega_c / |a|``:
 
-    ``rho_r`` defaults to ``2 |r|_inf |H C k_g| + rho_in + 1``.
+    - ``b s / ((s - a)(s + omega_c))``, the entry of ``H(s)(1 - C(s))``:
+      its impulse response changes sign once, at ``ln(r) / (omega_c - |a|)``,
+      and integrates to zero, so its norm is ``2|b|/|a| r^(-r/(r-1))``
+      (``2|b|/(e omega_c)`` at the double pole ``r = 1``);
+    - ``H(s) C(s) k_g``: a positive impulse response, so its norm is its DC
+      gain ``|b k_g / a|``;
+    - ``s (sI - A_m)^{-1} = 1 + a/(s - a)``: norm 2.
+
+    The checker is a diagnostic: callers should warn, not abort, when it
+    fails. ``rho_r`` defaults to ``2 |r|_inf |H C k_g| + rho_in + 1``.
     """
-    lam, V, W = _real_eigensystem(cfg.A_m)
-    n, m = cfg.B_m.shape
-    wc = cfg.omega_c
-    WB = W @ cfg.B_m                       # modal input weights (n x m)
-    kg = cfg.k_g
-
-    # |H(s)(1 - C(s))| : modes lambda_k plus the filter pole -wc per entry
-    hg_norms = np.zeros((n, m))
-    # |H(s) C(s) k_g| : same pole set, different residues
-    hck_norms = np.zeros((n, m))
-    HCkg_res = np.einsum("ik,kj->ikj", V, WB @ kg)     # residues of (H k_g) modes
-    H_res = np.einsum("ik,kj->ikj", V, WB)
-    for i in range(n):
-        for j in range(m):
-            poles = []
-            res_hg = []
-            res_hck = []
-            wc_accum_hg = 0.0
-            wc_accum_hck = 0.0
-            for k in range(n):
-                R = H_res[i, k, j]
-                Rk = HCkg_res[i, k, j]
-                lk = lam[k]
-                poles.append(lk)
-                # (1/(s-l)) * (s/(s+wc)) -> l/(l+wc) at l, wc/(wc+l) at -wc
-                res_hg.append(R * lk / (lk + wc))
-                wc_accum_hg += R * wc / (wc + lk)
-                # (1/(s-l)) * (wc/(s+wc)) -> wc/(l+wc) at l, -wc/(l+wc) at -wc
-                res_hck.append(Rk * wc / (lk + wc))
-                wc_accum_hck += -Rk * wc / (lk + wc)
-            poles.append(-wc)
-            res_hg.append(wc_accum_hg)
-            res_hck.append(wc_accum_hck)
-            hg_norms[i, j] = numerics.l1_norm_impulse(poles, res_hg)
-            hck_norms[i, j] = numerics.l1_norm_impulse(poles, res_hck)
-    lhs = _matrix_l1_norm(hg_norms)
-    hck_norm = _matrix_l1_norm(hck_norms)
-
-    # |s (sI - A_m)^{-1}| = |I + A_m (sI - A_m)^{-1}| : feedthrough + modes
-    sin_norms = np.zeros((n, n))
-    As_res = np.einsum("ik,k,kj->ikj", V, lam, W)
-    for i in range(n):
-        for j in range(n):
-            sin_norms[i, j] = numerics.l1_norm_impulse(
-                lam, As_res[i, :, j], feedthrough=1.0 if i == j else 0.0
-            )
-    rho_in = _matrix_l1_norm(sin_norms) * rho_0
+    lhs = hck_norm = 0.0
+    for a, b, kg in zip(*(numerics.diagonal3(M) for M in (cfg.A_m, cfg.B_m, cfg.k_g))):
+        r = cfg.omega_c / -a
+        x = r - 1.0
+        # r^(-r/(r-1)) = exp(-r ln(r)/(r-1)); ln(r)/(r-1) -> 1 at r = 1
+        log_ratio = math.log1p(x) / x if x else 1.0
+        lhs = max(lhs, 2.0 * abs(b / a) * math.exp(-r * log_ratio))
+        hck_norm = max(hck_norm, abs(b * kg / a))
+    rho_in = 2.0 * rho_0
 
     if rho_r is None:
         rho_r = 2.0 * r_inf * hck_norm + rho_in + 1.0

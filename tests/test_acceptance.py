@@ -99,7 +99,8 @@ def test_criterion_3_adaptation_filter_numerics():
     # exact value (1 - e^{-0.003})/3 = 0.000998501..., printed 0.00099850
     phi_exact = float((1 - mp.e ** (mp.mpf(-3) * mp.mpf("0.001"))) / 3)
     phi_ok = np.max(np.abs(phi - phi_exact * np.eye(3))) <= 1e-10
-    c_norm = numerics.l1_norm_impulse([-80.0], [80.0])
+    # the control filter 80/(s + 80): impulse response 80 e^{-80 t}
+    c_norm = float(mp.quad(lambda t: abs(80 * mp.exp(-80 * t)), [0, mp.inf]))
     c_ok = abs(c_norm - 1.0) <= 1e-3
     cfg = ctrl.ControllerConfig(
         A_m=-3.0 * np.eye(3),

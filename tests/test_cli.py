@@ -414,12 +414,12 @@ SCIPY_PROBE = ("import sys, l1gp.cli; "
     ("import", False),
     ("margin", False),
     ("simulate l1", False),
+    ("simulate l1 sinusoid", False),
     ("simulate l1gp", True),
     ("bound-check", True),
 ])
 def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
-    # scipy is most of the CLI's start-up time; only the GP stack (and a
-    # non-diagonal matrix exponential) needs it
+    # scipy is most of the CLI's start-up time; only the GP stack needs it
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
     l1gp_deck = NOMINAL.replace("duration = 2.0", "duration = 0.1")
     l1_deck = l1gp_deck.replace('mode = "l1gp"', 'mode = "l1"')
@@ -428,6 +428,8 @@ def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
         "margin": ["margin", os.path.join(REPO, "configs", "l1_plain.cfg"),
                    "--horizon", "0.1"],
         "simulate l1": ["simulate", write(tmp_path, "l1.cfg", l1_deck)],
+        "simulate l1 sinusoid": ["simulate", write(tmp_path, "sin.cfg", l1_deck.replace(
+            'kind = "step"', 'kind = "sinusoid"\nfrequency = [1.0, 0.5, 0.25]'))],
         "simulate l1gp": ["simulate", write(tmp_path, "l1gp.cfg", l1gp_deck)],
         "bound-check": ["bound-check", os.path.join(REPO, "configs", "step_nominal.cfg"),
                         "--n-probe", "20"],

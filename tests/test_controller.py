@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -56,6 +57,20 @@ class TestConfigInvariants:
             mats[name] = np.eye(2)
             with pytest.raises(ctrl.ConfigurationError, match=f"{name} must be 3x3"):
                 ctrl.ControllerConfig(**mats)
+
+    @pytest.mark.parametrize("kw", [
+        {"T_s": math.nan},
+        {"omega_c": math.nan},
+        {"omega_c": math.inf},
+        {"omega_L": math.nan},
+        {"omega_0": math.nan},
+        {"omega_0": math.inf},
+        {"A_m": np.diag([-3.0, -math.inf, -3.0])},
+        {"B_m": np.diag([math.inf, 1.0, 1.0])},
+    ], ids=lambda kw: "-".join(f"{k}={np.max(np.abs(v))}" for k, v in kw.items()))
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ctrl.ConfigurationError):
+            ctrl.ControllerConfig(**{"A_m": A_M, "B_m": B_M, "C_m": C_M, **kw})
 
     def test_bad_mode(self):
         with pytest.raises(ctrl.ConfigurationError):
@@ -207,24 +222,75 @@ class TestControlStep:
         assert np.max(np.abs(x_fine)) > 0.1
 
 
+def mp_l1_norm(g, breaks):
+    """Impulse-response L1 norm ``integral_0^inf |g|`` by mpmath quadrature,
+    split where g changes sign."""
+    return mp.quad(lambda t: abs(g(t)), [0, *sorted(breaks), mp.inf])
+
+
+def mp_hg_norm(a, b, wc):
+    """L1 norm of ``b s / ((s - a)(s + wc))``: its impulse response changes
+    sign once, where the two exponentials cross."""
+    p, w, b = mp.mpf(-a), mp.mpf(wc), mp.mpf(b)
+    if p == w:
+        return mp_l1_norm(lambda t: b * (1 - w * t) * mp.exp(-w * t), [1 / w])
+    return mp_l1_norm(
+        lambda t: b * (w * mp.exp(-w * t) - p * mp.exp(-p * t)) / (w - p),
+        [mp.log(w / p) / (w - p), 1 / p, 1 / w],
+    )
+
+
+def axis_cfg(a):
+    return ctrl.ControllerConfig(A_m=a * np.eye(3), B_m=B_M, C_m=C_M)
+
+
 class TestNormCondition:
+    @mp.workdps(30)
     def test_axis1_value(self):
         cfg = nominal_cfg()
         report = ctrl.l1_norm_condition(cfg, lip_f=0.2, b0=0.0, r_inf=1.0, rho_0=0.0)
-        assert report.lhs == pytest.approx((1.0 / 0.011) * 0.0220, abs=0.02)
-        assert report.lhs == pytest.approx(2.00, abs=0.02)
+        # axes 1 and 2 (J = 0.011) have the larger |b|
+        want = mp_hg_norm(-3.0, 1.0 / 0.011, 80.0)
+        assert abs(report.lhs - want) <= 1e-12 * want
+        assert report.lhs == 1.9998162829383463
 
+    @mp.workdps(30)
     def test_filter_norm_is_one(self):
         cfg = nominal_cfg()
         report = ctrl.l1_norm_condition(cfg, lip_f=0.2, b0=0.0, r_inf=1.0, rho_0=0.0)
         # |H C k_g| has unit DC gain and positive impulse response per axis
-        assert report.hc_kg_norm == pytest.approx(1.0, abs=1e-3)
+        b, kg = B_M[0, 0], cfg.k_g[0, 0]
+        want = mp_l1_norm(
+            lambda t: b * kg * 80 * (mp.exp(-3 * t) - mp.exp(-80 * t)) / 77, [1 / 3]
+        )
+        assert abs(report.hc_kg_norm - want) <= 1e-12 * want
+        assert report.hc_kg_norm == pytest.approx(1.0, rel=1e-15)
 
+    @mp.workdps(30)
     def test_rho_in_biproper_norm(self):
         # s(sI - A_m)^{-1} per axis is 1 - 3/(s+3): L1 norm 2
         cfg = nominal_cfg()
         report = ctrl.l1_norm_condition(cfg, lip_f=0.0, b0=0.0, r_inf=0.0, rho_0=1.0)
-        assert report.rho_in == pytest.approx(2.0, abs=5e-3)
+        want = 1 + mp_l1_norm(lambda t: -3 * mp.exp(-3 * t), [])
+        assert abs(report.rho_in - want) <= 1e-12 * want
+
+    @mp.workdps(30)
+    @pytest.mark.parametrize("a", [-0.01, -3.0, -79.0, -80.0 * (1 - 1e-9), -80.0,
+                                   -80.0 * (1 + 1e-9), -1000.0])
+    def test_lhs_matches_quadrature(self, a):
+        report = ctrl.l1_norm_condition(axis_cfg(a), lip_f=0.2, b0=0.0, r_inf=1.0)
+        want = mp_hg_norm(a, 1.0 / 0.011, 80.0)
+        assert abs(report.lhs - want) <= 1e-12 * want
+
+    def test_double_pole(self):
+        # a_m = -omega_c: the impulse response b (1 - w t) e^{-w t}, norm
+        # 2|b|/(e w), with no division by zero and continuous on both sides
+        with np.errstate(all="raise"):
+            lhs = ctrl.l1_norm_condition(axis_cfg(-80.0), lip_f=0.2, b0=0.0).lhs
+        assert lhs == pytest.approx(2.0 / 0.011 / (math.e * 80.0), rel=1e-15)
+        for a in (-80.0 * (1 - 1e-9), -80.0 * (1 + 1e-9)):
+            near = ctrl.l1_norm_condition(axis_cfg(a), lip_f=0.2, b0=0.0).lhs
+            assert abs(near - lhs) <= 1e-8 * lhs
 
     def test_degenerate_denominator(self):
         cfg = nominal_cfg()

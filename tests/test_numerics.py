@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,8 +67,7 @@ class TestMatrixExponential:
     def test_semigroup_property(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            A = rng.normal(size=(4, 4))
-            A = A / max(1.0, np.linalg.norm(A, 2) / 5.0)
+            A = np.diag(rng.uniform(-5.0, 5.0, size=4))
             s, t = rng.uniform(0.0, 2.0, size=2)
             lhs = numerics.matrix_exponential(A, s + t)
             rhs = numerics.matrix_exponential(A, s) @ numerics.matrix_exponential(A, t)
@@ -100,22 +100,50 @@ class TestMatrixExponential:
             assert np.array_equal(got, scipy.linalg.expm(A * t))
             assert np.array_equal(got, np.diag(np.exp(np.diag(A * t))))
 
-    def test_sinusoid_augmented_matrix_goes_through_scipy(self, monkeypatch):
-        import scipy.linalg
+    def test_off_diagonal_rejected(self):
+        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+        with pytest.raises(ValueError, match="diagonal"):
+            numerics.matrix_exponential(A, 0.1)
 
-        real = numerics.matrix_exponential
-        seen = []
-        monkeypatch.setattr(numerics, "matrix_exponential",
-                            lambda A, t: seen.append((A, t)) or real(A, t))
-        ref = scenario.ReferenceConfig(kind="sinusoid", amplitude=np.ones(3),
-                                       frequency=np.full(3, 0.5))
-        ref.exact_step(-3.0 * np.eye(3), np.diag(1.0 / np.array([0.011, 0.011, 0.021])),
-                       0.001)
-        (aug, h), = [(A, t) for A, t in seen if A.shape == (9, 9)]
-        assert np.count_nonzero(aug - np.diag(np.diag(aug))) > 0
-        got = real(aug, h)
-        assert np.array_equal(got, scipy.linalg.expm(aug * h))
-        assert not np.array_equal(got, np.diag(np.exp(np.diag(aug * h))))
+
+def mp_sinusoid_gain(a, b, w, h):
+    """``b * integral_0^h e^{a (h - tau)} e^{i w tau} dtau`` in mpmath."""
+    a, b, w, h = (mp.mpf(v) for v in (a, b, w, h))
+    z = mp.mpc(-a, w)
+    return b * mp.exp(a * h) * mp.expm1(z * h) / z
+
+
+class TestSinusoidExactStep:
+    @mp.workdps(40)
+    def test_gains_match_mpmath(self):
+        # M_s + i M_c per axis, each part to 1e-14 relative, over the
+        # regime of a 1 kHz ideal loop and well past it: |w h| <= 1,
+        # |a| h <= 10, both sides of phi1's |z| = 1 branch
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a = -(10.0 ** rng.uniform(-2.0, 3.0, size=3))
+            b = 10.0 ** rng.uniform(-1.0, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            amp = rng.uniform(0.1, 3.0, size=3)
+            w = 10.0 ** rng.uniform(-2.0, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            h = 10.0 ** rng.uniform(-5.0, -2.0)
+            ref = scenario.ReferenceConfig(kind="sinusoid", amplitude=amp, frequency=w)
+            E, g, M_s, M_c = ref.exact_step(np.diag(a), np.diag(b), h)
+            assert g is None
+            assert E == tuple(np.exp(a * h).tolist())
+            for i in range(3):
+                want = mp_sinusoid_gain(a[i], b[i] * amp[i], w[i], h)
+                assert abs(M_s[i] - want.real) <= 1e-14 * abs(want.real)
+                assert abs(M_c[i] - want.imag) <= 1e-14 * abs(want.imag)
+
+    @mp.workdps(40)
+    def test_phi1(self):
+        assert numerics.phi1(0j) == 1.0
+        for radius in (1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0):
+            for angle in np.linspace(-math.pi, math.pi, 13):
+                z = complex(radius * math.cos(angle), radius * math.sin(angle))
+                zm = mp.mpc(z.real, z.imag)
+                want = mp.expm1(zm) / zm
+                assert abs(numerics.phi1(z) - want) <= 1e-15 * abs(want)
 
 
 class TestPhiMatrix:
@@ -146,7 +174,7 @@ class TestPhiMatrix:
     def test_defining_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            A = rng.normal(size=(3, 3)) - 4.0 * np.eye(3)
+            A = np.diag(rng.uniform(-8.0, -0.5, size=3))
             Ts = 0.01
             phi = numerics.phi_matrix(A, Ts)
             lhs = A @ phi
@@ -349,35 +377,6 @@ class TestEstimateDerivative:
         t = np.array([0.0, 1.0, 2.5, 3.0, 4.0])
         with pytest.raises(ValueError):
             numerics.estimate_derivative(t, t, window=5, poly_order=2)
-
-
-class TestL1NormImpulse:
-    def test_first_order_lag_unit_gain(self):
-        for w in (0.01, 1.0, 80.0):
-            got = numerics.l1_norm_impulse([-w], [w])
-            assert got == pytest.approx(1.0, abs=1e-3)
-
-    def test_sign_changing_closed_form(self):
-        # g(s) = s/((s+3)(s+80)): residues (-3/77, 80/77); g's impulse
-        # response changes sign at t* = ln(80/3)/77 and integrates to zero,
-        # so the L1 norm equals 2 * integral up to t*.
-        got = numerics.l1_norm_impulse([-3.0, -80.0], [-3.0 / 77.0, 80.0 / 77.0])
-        t_star = math.log(80.0 / 3.0) / 77.0
-        closed = 2.0 * (math.exp(-3.0 * t_star) - math.exp(-80.0 * t_star)) / 77.0
-        assert got == pytest.approx(closed, abs=2e-4)
-        assert got == pytest.approx(0.0220, abs=2e-4)
-
-    def test_zero_residues(self):
-        assert numerics.l1_norm_impulse([-1.0, -2.0], [0.0, 0.0]) == 0.0
-
-    def test_feedthrough(self):
-        # s/(s+3) = 1 - 3/(s+3): |delta| + integral of |3 e^{-3t}| = 2
-        got = numerics.l1_norm_impulse([-3.0], [-3.0], feedthrough=1.0)
-        assert got == pytest.approx(2.0, abs=2e-3)
-
-    def test_unstable_pole_rejected(self):
-        with pytest.raises(numerics.UnstableTransferFunctionError):
-            numerics.l1_norm_impulse([1.0], [1.0])
 
 
 def covering_number(kappa, n, xi):

@@ -231,6 +231,18 @@ class TestIdealLoop:
             ) / (9.0 + w**2)
         assert np.max(np.abs(trace.block("xid") - exact)) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["step", "sinusoid"])
+    @pytest.mark.parametrize("key, value", [
+        ("amplitude", [1.0, 1.0]),
+        ("amplitude", [1.0, math.inf, 1.0]),
+        ("frequency", [0.5, math.nan, 0.5]),
+        ("frequency", [0.5, 0.5, 0.5, 0.5]),
+        ("frequency", 0.5),
+    ])
+    def test_reference_vectors_are_three_finite_values(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"reference {key} must be 3 finite"):
+            scenario.ReferenceConfig(kind=kind, **{key: value})
+
 
 class TestConfigEdits:
     def test_edits_after_construction_take_effect(self):
