@@ -14,17 +14,17 @@ pole mapping ``alpha = exp(-omega dt)``; with ``omega_c T_s = 0.08`` a
 forward-Euler filter would be visibly lossy. The state predictor uses the
 zero-order-hold map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m drive``,
 the same sampled-data map the adaptation gain
-``-pinv(B_m) Phi(T_s)^{-1} exp(A_m T_s)`` is derived from. Both matrices and
-the gain are precomputed once per configuration.
+``-B_m^{-1} Phi(T_s)^{-1} exp(A_m T_s)`` is derived from.
 
-The tick runs on Python floats, with no numpy call: the state is a set of
-float 3-tuples, and ``A_m``, ``B_m`` and ``C_m`` must be diagonal, so
-``k_g``, ``exp(A_m T_s)``, ``Phi(T_s)`` and the gain are too.
-:class:`PrecomputedAdaptation` holds each as the float 3-tuple of its
-diagonal, and each product is three scalar products ``0.0 + d_i v_i``,
-bitwise numpy's ``M @ v``. Products keep the order of the array formulas
-(``B_m`` times the summed input, then ``Phi``), so the tick is bitwise the
-array computation.
+``A_m``, ``B_m`` and ``C_m`` must be diagonal, so ``k_g``,
+``exp(A_m T_s)``, ``Phi(T_s)`` and the gain are too. :class:`ControllerConfig`
+derives each once, per axis, as the float 3-tuple of its diagonal, with no
+linear solve; each equals the diagonal of its matrix formula bitwise. The
+tick runs on Python floats, with no numpy call: the state is a set of
+float 3-tuples, and each product is three scalar products
+``0.0 + d_i v_i``, bitwise numpy's ``M @ v``. Products keep the order of
+the array formulas (``B_m`` times the summed input, then ``Phi``), so the
+tick is bitwise the array computation.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "ConfigurationError",
     "ControllerConfig",
     "ControllerState",
-    "PrecomputedAdaptation",
-    "feedforward_gain",
     "adaptation_step",
     "bandwidth_command",
     "learning_filter_step",
@@ -58,35 +56,18 @@ class ConfigurationError(ValueError):
     """Controller configuration violates a construction invariant."""
 
 
-def feedforward_gain(A_m: np.ndarray, B_m: np.ndarray, C_m: np.ndarray) -> np.ndarray:
-    """Feedforward gain ``-(C_m A_m^{-1} B_m)^{-1}``.
-
-    Makes the DC gain of the desired loop ``C_m (-A_m)^{-1} B_m k_g`` the
-    identity, so step references are tracked with zero steady-state error.
-    """
-    A_m = np.asarray(A_m, dtype=float)
-    B_m = np.asarray(B_m, dtype=float)
-    C_m = np.asarray(C_m, dtype=float)
-    prod = C_m @ np.linalg.solve(A_m, B_m)
-    try:
-        kg = -np.linalg.inv(prod)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError("C_m A_m^{-1} B_m is singular") from exc
-    dc = C_m @ np.linalg.solve(-A_m, B_m) @ kg
-    if not np.allclose(dc, np.eye(dc.shape[0]), atol=1e-10):
-        raise ConfigurationError("DC-gain identity failed for computed k_g")
-    return kg
-
-
 @dataclass
 class ControllerConfig:
     """Plant-model matrices, rates, filter bandwidths, and mode.
 
-    ``A_m``, ``B_m`` and ``C_m`` must be diagonal 3x3 and ``A_m`` Hurwitz
-    (checked at construction). ``k_g`` is computed
-    from (A_m, B_m, C_m) and stored. A ``scenario.Engine`` reads the config
-    once, when it is built, and derives ``k_g`` and the filter decay
-    factors from the fields as they stand then.
+    ``A_m``, ``B_m`` and ``C_m`` must be finite, diagonal 3x3 and ``A_m``
+    Hurwitz (checked at construction). Construction derives, per axis and
+    as float 3-tuples, the feedforward gain ``k_g = -(C_m A_m^{-1} B_m)^{-1}``,
+    which makes the DC gain ``C_m (-A_m)^{-1} B_m k_g`` of the desired loop
+    the identity, and the constants of the tick: ``exp(A_m T_s)``,
+    ``Phi(T_s)``, ``B_m`` and its inverse, the adaptation gain and the filter
+    decay factors. A ``scenario.Engine`` reads the config once, when it is
+    built, so these follow the fields as they stand then.
     ``omega_0 = 0`` disables the learning filter entirely (the commanded
     bandwidth is pinned at zero), which is the degenerate configuration
     equal to the plain adaptive mode.
@@ -101,7 +82,7 @@ class ControllerConfig:
     omega_0: float = 1.0
     mode: str = "l1gp"
     x_hat0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    k_g: np.ndarray = field(init=False)
+    k_g: tuple = field(init=False)
 
     def __post_init__(self):
         self.A_m = np.asarray(self.A_m, dtype=float)
@@ -115,60 +96,41 @@ class ControllerConfig:
             raise ConfigurationError("T_s, omega_c, omega_L must be positive and finite")
         if not 0.0 <= self.omega_0 < math.inf:
             raise ConfigurationError("omega_0 must be nonnegative and finite")
+        diags = []
         for name in ("A_m", "B_m", "C_m"):
             M = getattr(self, name)
             if not np.all(np.isfinite(M)):
                 raise ConfigurationError(f"{name} contains non-finite entries")
             try:
-                diag = numerics.diagonal3(M, name)
+                diags.append(numerics.diagonal3(M, name))
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from exc
-            if name == "A_m" and not all(d < 0.0 for d in diag):
-                raise ConfigurationError(f"A_m is not Hurwitz: diagonal {diag}")
-        self.k_g = feedforward_gain(self.A_m, self.B_m, self.C_m)
+        a, b, c = diags
+        if not all(d < 0.0 for d in a):
+            raise ConfigurationError(f"A_m is not Hurwitz: diagonal {a}")
+        # each constant is bitwise the diagonal of its dense formula, whose
+        # LAPACK solves multiply by reciprocals; first C_m A_m^{-1} B_m
+        prod = tuple(0.0 + ci * (bi * (1.0 / ai)) for ai, bi, ci in zip(a, b, c))
+        if 0.0 in prod:
+            raise ConfigurationError(f"C_m A_m^{{-1}} B_m is singular: diagonal {prod}")
+        self.k_g = tuple(-(1.0 / p) for p in prod)
+        # the DC identity c b k_g / -a = 1 needs a finite, nonzero k_g
+        if not all(0.0 < abs(k) < math.inf for k in self.k_g):
+            raise ConfigurationError(f"k_g must be finite and nonzero, got {self.k_g}")
+        self._a, self._b = a, b
+        self._b_inv = tuple(1.0 / v for v in b)
+        self._expAT, self._phi = numerics.zoh_map(a, self.T_s)
+        if 0.0 in self._phi:
+            raise ConfigurationError(f"Phi(T_s) is singular: diagonal {self._phi}")
+        # -B_m^{-1} Phi^{-1} exp(A_m T_s)
+        self._gain = tuple(
+            -bi * (e * (1.0 / p)) for bi, e, p in zip(self._b_inv, self._expAT, self._phi)
+        )
+        if not all(map(math.isfinite, self._gain)):
+            raise ConfigurationError(f"adaptation gain is not finite: {self._gain}")
         # per-tick filter decay factors, exact pole mapping
         self._alpha_c = math.exp(-self.omega_c * self.T_s)
         self._alpha_L = math.exp(-self.omega_L * self.T_s)
-
-
-@dataclass
-class PrecomputedAdaptation:
-    """Matrices of the sampled predictor and adaptation law, built once per
-    (A_m, B_m, T_s).
-
-    ``expAT`` and ``phi`` are ``exp(A_m T_s)`` and ``Phi(T_s)``, the
-    predictor's exact map over one tick. ``gain @ xtilde`` reproduces
-    ``-pinv(B_m) inv(Phi(T_s)) exp(A_m T_s) xtilde``; the composition is
-    spot-checked against the factored formula at construction. All five
-    matrices are diagonal; the tick reads their diagonals as float 3-tuples
-    (``_gain``, ``_expAT``, ``_phi``, ``_B_m``, ``_k_g``), so it is written
-    for three axes.
-    """
-
-    expAT: np.ndarray
-    phi: np.ndarray
-    gain: np.ndarray
-    B_m: np.ndarray
-    k_g: np.ndarray
-
-    def __post_init__(self):
-        # hot-loop caches: the diagonals as Python floats, like PlantConfig._ja
-        self._expAT, self._phi, self._gain, self._B_m, self._k_g = (
-            numerics.diagonal3(M)
-            for M in (self.expAT, self.phi, self.gain, self.B_m, self.k_g)
-        )
-
-    @classmethod
-    def from_config(cls, cfg: ControllerConfig) -> "PrecomputedAdaptation":
-        expAT = numerics.matrix_exponential(cfg.A_m, cfg.T_s)
-        phi = numerics.phi_matrix(cfg.A_m, cfg.T_s)
-        B_pinv = numerics.pseudo_inverse(cfg.B_m)
-        gain = -B_pinv @ np.linalg.solve(phi, expAT)
-        probe = np.array([1.0, 2.0, 3.0])
-        direct = -B_pinv @ np.linalg.solve(phi, expAT @ probe)
-        if not np.allclose(gain @ probe, direct, rtol=1e-12, atol=1e-12):
-            raise ConfigurationError("adaptation gain failed its construction check")
-        return cls(expAT=expAT, phi=phi, gain=gain, B_m=cfg.B_m, k_g=cfg.k_g)
 
 
 _Vec3 = tuple[float, float, float]
@@ -207,11 +169,11 @@ class ControllerState:
 
 
 def adaptation_step(
-    state: ControllerState, x: Sequence[float], pre: PrecomputedAdaptation
+    state: ControllerState, x: Sequence[float], cfg: ControllerConfig
 ) -> _Vec3:
     """Piecewise-constant adaptive-estimate update, once per sampling instant:
     ``sigma_hat = gain @ (x_hat - x)``."""
-    g0, g1, g2 = pre._gain
+    g0, g1, g2 = cfg._gain
     h0, h1, h2 = state.x_hat
     x0, x1, x2 = x
     state.sigma_hat = (0.0 + g0 * (h0 - x0), 0.0 + g1 * (h1 - x1), 0.0 + g2 * (h2 - x2))
@@ -260,7 +222,6 @@ def control_step(
     state: ControllerState,
     r: Sequence[float],
     cfg: ControllerConfig,
-    pre: PrecomputedAdaptation,
 ) -> _Vec3:
     """Filter update, control output, and predictor advance for one tick.
 
@@ -275,7 +236,7 @@ def control_step(
     s0, s1, s2 = state.sigma_hat
     l0, l1, l2 = state.f_L
     c0, c1, c2 = state.c_state
-    k0, k1, k2 = pre._k_g
+    k0, k1, k2 = cfg.k_g
     r0, r1, r2 = r
     alpha = cfg._alpha_c
     v0, v1, v2 = s0 - (0.0 + k0 * r0), s1 - (0.0 + k1 * r1), s2 - (0.0 + k2 * r2)
@@ -284,9 +245,9 @@ def control_step(
     c2 = v2 + (c2 - v2) * alpha
     state.c_state = (c0, c1, c2)
     u0, u1, u2 = -l0 - c0, -l1 - c1, -l2 - c2
-    b0, b1, b2 = pre._B_m
-    e0, e1, e2 = pre._expAT
-    p0, p1, p2 = pre._phi
+    b0, b1, b2 = cfg._b
+    e0, e1, e2 = cfg._expAT
+    p0, p1, p2 = cfg._phi
     h0, h1, h2 = state.x_hat
     state.x_hat = (
         (0.0 + e0 * h0) + (0.0 + p0 * (0.0 + b0 * (l0 + s0 + u0))),
@@ -345,7 +306,7 @@ def l1_norm_condition(
     fails. ``rho_r`` defaults to ``2 |r|_inf |H C k_g| + rho_in + 1``.
     """
     lhs = hck_norm = 0.0
-    for a, b, kg in zip(*(numerics.diagonal3(M) for M in (cfg.A_m, cfg.B_m, cfg.k_g))):
+    for a, b, kg in zip(cfg._a, cfg._b, cfg.k_g):
         r = cfg.omega_c / -a
         x = r - 1.0
         # r^(-r/(r-1)) = exp(-r ln(r)/(r-1)); ln(r)/(r-1) -> 1 at r = 1

@@ -137,21 +137,22 @@ class MeasurementBuffer:
     buffer keeps only the newest 5 raw (t, x, u) records: each push that
     completes a centered window makes the target of its center sample at
     once, noise included, so targets exist on arrival and in sample order.
-    The targets are a FIFO of at most ``capacity`` entries.
+    The targets are a FIFO of at most ``capacity`` entries. ``a_m`` and
+    ``b_inv`` are the diagonals of ``A_m`` and ``B_m^{-1}``.
     """
 
     def __init__(
         self,
         T_data: float,
         capacity: int,
-        A_m: np.ndarray,
-        B_m: np.ndarray,
+        a_m: tuple,
+        b_inv: tuple,
         rng: np.random.Generator,
         sigma_n: float,
     ):
         self.T_data = T_data
-        self.A_m = np.asarray(A_m, dtype=float)
-        self.B_m_pinv = numerics.pseudo_inverse(np.asarray(B_m, dtype=float))
+        self.a_m = a_m
+        self.b_inv = b_inv
         self.rng = rng
         self.sigma_n = sigma_n
         self.window: deque[tuple] = deque(maxlen=_WINDOW)  # (t, x, u) records
@@ -177,8 +178,8 @@ class MeasurementBuffer:
             np.asarray(states),
             states[_HALF],
             inputs[_HALF],
-            self.A_m,
-            self.B_m_pinv,
+            self.a_m,
+            self.b_inv,
         )
         y = y + self.rng.normal(0.0, self.sigma_n, size=y.shape)
         self.target_X.append(states[_HALF])
@@ -194,37 +195,42 @@ def reconstruct_target(
     window_states: np.ndarray,
     x_j: np.ndarray,
     u_j: np.ndarray,
-    A_m: np.ndarray,
-    B_m_pinv: np.ndarray,
+    a_m: tuple,
+    b_inv: tuple,
 ) -> np.ndarray:
-    """Uncertainty target ``pinv(B_m) (xdot_j - A_m x_j) - u_j``.
+    """Uncertainty target ``B_m^{-1} (xdot_j - A_m x_j) - u_j``.
 
     ``xdot_j`` is the Savitzky-Golay derivative at the center of the
-    supplied window. The window must be centered on sample j.
+    supplied window. The window must be centered on sample j. ``A_m`` and
+    ``B_m^{-1}`` are diagonal, given as their diagonals ``a_m`` and
+    ``b_inv``; each product is ``0.0 + d_i v_i``, bitwise the matrix form.
     """
     derivs = numerics.estimate_derivative(
         window_times, window_states, window=_WINDOW, poly_order=_POLY_ORDER
     )
     xdot_j = derivs[len(window_times) // 2]
-    return B_m_pinv @ (xdot_j - A_m @ x_j) - u_j
+    return (0.0 + np.multiply(b_inv, xdot_j - (0.0 + np.multiply(a_m, x_j)))) - u_j
 
 
 class BayesianLearner:
-    """Owns the buffer, refit schedule, and the currently published model."""
+    """Owns the buffer, refit schedule, and the currently published model.
+
+    ``a_m`` and ``b_inv`` are the diagonals of ``A_m`` and ``B_m^{-1}``,
+    the float 3-tuples :class:`controller.ControllerConfig` holds.
+    """
 
     def __init__(
         self,
         cfg: LearnerConfig,
-        A_m: np.ndarray,
-        B_m: np.ndarray,
+        a_m: tuple,
+        b_inv: tuple,
         rng: np.random.Generator,
     ):
         self.cfg = cfg
         self.buffer = MeasurementBuffer(
-            cfg.T_data, cfg.max_points, A_m, B_m, rng, cfg.sigma_n
+            cfg.T_data, cfg.max_points, a_m, b_inv, rng, cfg.sigma_n
         )
-        m, n = self.buffer.B_m_pinv.shape
-        self.model = LearnerModel.prior(cfg, m, n)
+        self.model = LearnerModel.prior(cfg, len(b_inv), len(a_m))
         self._new_since_fit = 0
 
     def push(self, t: float, x: np.ndarray, u: np.ndarray) -> None:

@@ -1,12 +1,12 @@
-"""Small dense linear-algebra and numerical utilities shared by the toolkit.
+"""Small numerical utilities shared by the toolkit.
 
-Everything here operates on plain float64 numpy arrays, except
-:func:`diagonal3`, which reads a diagonal 3x3 matrix as three Python floats
-for the per-axis products of the 1 kHz loop, and :func:`phi1`, a complex
-scalar function for the sinusoid reference's per-axis exact map. Matrices
-are tiny (controller state dimensions, n <= 6) and, where an exponential is
-taken, diagonal, so the routines favor accuracy and clear failure modes
-over throughput. All public functions are pure.
+The linear parts of the loop are diagonal, so their setup is per axis:
+:func:`diagonal3` reads a diagonal 3x3 matrix as three Python floats, and
+:func:`zoh_map` and :func:`phi1` give the exact one-step maps, on Python
+floats, with no linear solve. The rest operates on plain float64 numpy
+arrays: the Cholesky routines the GP factors with, RK4, the
+Savitzky-Golay derivative and a covering-number bound. All public
+functions are pure.
 
 The module loads without scipy. Only the factor routines
 :func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,10 +27,8 @@ __all__ = [
     "DecompositionError",
     "DivergenceError",
     "InsufficientDataError",
-    "matrix_exponential",
-    "phi_matrix",
+    "zoh_map",
     "phi1",
-    "pseudo_inverse",
     "diagonal3",
     "cholesky_factor",
     "solve_with_factor",
@@ -73,37 +71,22 @@ def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
     return A
 
 
-def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
-    """Return ``exp(A*t)`` for a square matrix A with ``A*t`` diagonal.
+def zoh_map(a: Sequence[float], h: float) -> tuple[tuple, tuple]:
+    """Exact map of ``x' = a x + v`` over a step h, per axis, v held.
 
-    The result is ``diag(exp(diag(A*t)))``, exact up to the rounding of each
-    ``exp`` and bitwise the matrix ``scipy.linalg.expm`` returns for a
-    diagonal input. ``-0.0`` counts as zero, and at ``t = 0`` every finite A
-    gives the identity. Raises ValueError when ``A*t`` has a nonzero
-    off-diagonal entry: every matrix the toolkit exponentiates is diagonal.
+    Returns ``(e, phi)``, tuples of Python floats with one entry per entry
+    of the diagonal a, so that ``x(t + h) = e x(t) + phi v``: ``e = exp(a h)``
+    and ``phi = (e - 1) / a``, or h where ``a = 0``. Each entry is bitwise
+    the diagonal of the matrix forms ``scipy.linalg.expm(diag(a) h)`` and
+    ``np.linalg.solve(diag(a), expm - I)``: ``e`` is numpy's exp of the
+    array (``math.exp`` is an ulp off on some inputs), and ``phi``
+    multiplies by ``1 / a`` as LAPACK's solve does from order 2 on (its
+    1x1 solve divides).
     """
-    A = _as_square(A)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    At = A * t
-    d = np.diag(At)
-    if not np.array_equal(At, np.diag(d)):
-        raise ValueError(f"matrix_exponential takes a diagonal matrix, got {A.tolist()}")
-    return np.diag(np.exp(d))
-
-
-def phi_matrix(A: np.ndarray, Ts: float) -> np.ndarray:
-    """Return ``inv(A) @ (exp(A*Ts) - I)``.
-
-    For Hurwitz A and Ts > 0 the result is invertible. Raises
-    ``numpy.linalg.LinAlgError`` when A is singular.
-    """
-    A = _as_square(A)
-    if Ts <= 0:
-        raise ValueError(f"Ts must be positive, got {Ts}")
-    expm_at = matrix_exponential(A, Ts)
-    rhs = expm_at - np.eye(A.shape[0])
-    return np.linalg.solve(A, rhs)
+    e = np.exp(np.multiply(a, h)).tolist()
+    return tuple(e), tuple(
+        (ei - 1.0) * (1.0 / ai) if ai else h for ei, ai in zip(e, a)
+    )
 
 
 def phi1(z: complex) -> complex:
@@ -122,15 +105,6 @@ def phi1(z: complex) -> complex:
             s = 1.0 + z * s / k
         return s
     return complex(np.expm1(z)) / z
-
-
-def pseudo_inverse(B: np.ndarray) -> np.ndarray:
-    """Left inverse ``(B^T B)^{-1} B^T`` of a full-column-rank B; ``inv(B)``
-    when B is square."""
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] == B.shape[1]:
-        return np.linalg.inv(B)
-    return np.linalg.solve(B.T @ B, B.T)
 
 
 def diagonal3(M: np.ndarray, name: str = "M") -> tuple[float, float, float]:

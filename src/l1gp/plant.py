@@ -124,9 +124,10 @@ class PlantConfig:
     ``input_delay`` must be a whole number of engine steps; by
     default only the adaptive input is delayed (the baseline is assumed
     onboard), ``delay_total`` switches the delay to the full input path.
-    ``J`` and ``A_m`` must be diagonal. A ``scenario.Engine`` reads the
-    config once, when it is built, and derives the float caches
-    :func:`rk4_plant_step` reads from the fields as they stand then.
+    Every number must be finite, and ``J`` and ``A_m`` diagonal. A
+    ``scenario.Engine`` reads the config once, when it is built, and
+    derives the float caches :func:`rk4_plant_step` reads from the fields
+    as they stand then.
     """
 
     J: np.ndarray = field(default_factory=lambda: np.diag([0.011, 0.011, 0.021]))
@@ -142,17 +143,22 @@ class PlantConfig:
         self.J = np.asarray(self.J, dtype=float)
         if self.J.ndim == 1:
             self.J = np.diag(self.J)
+        self.x0 = np.asarray(self.x0, dtype=float)
+        self.A_m = np.asarray(self.A_m, dtype=float)
+        # before diagonal3, which would read a nan on the diagonal as coupling
+        for name in ("J", "x0", "A_m"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        # a chained comparison is false for nan as well
+        if not 0.0 <= self.input_delay < math.inf:
+            raise ValueError("input_delay must be nonnegative and finite")
         # hot-loop caches as Python floats: the diagonals of J, A_m and J A_m
         self._j = diagonal3(self.J, "J")
         if not min(self._j) > 0:
             raise ValueError("J must be diagonal with positive entries")
         self._jinv = tuple(1.0 / v for v in self._j)
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.A_m = np.asarray(self.A_m, dtype=float)
         self._a = diagonal3(self.A_m, "A_m")
         self._ja = tuple(j * a for j, a in zip(self._j, self._a))
-        if self.input_delay < 0:
-            raise ValueError("input_delay must be nonnegative")
 
 
 class DelayLine:

@@ -108,13 +108,14 @@ class ReferenceConfig:
         return lambda t: (a0 * math.sin(w0 * t), a1 * math.sin(w1 * t),
                           a2 * math.sin(w2 * t))
 
-    def exact_step(self, A: np.ndarray, B: np.ndarray, h: float) -> tuple:
+    def exact_step(self, a: tuple, b: tuple, h: float) -> tuple:
         """Exact map of ``x' = A x + B r(t)`` over one step of length h.
 
-        Returns ``(E, g, M_s, M_c)`` on Python floats; A and B are diagonal
-        3x3, so are the matrices, each held as the 3-tuple of its diagonal
-        (:func:`numerics.diagonal3`). Zero and step references are constant:
-        ``x(t + h) = E x(t) + g`` with the 3-tuple ``g = Phi(h) B r``, and
+        A and B are diagonal, given as the 3-tuples ``a`` and ``b`` of their
+        diagonals, and so is every matrix of the map: ``(E, g, M_s, M_c)``
+        come as 3-tuples of Python floats, E the ``exp(a h)`` of
+        :func:`numerics.zoh_map`. Zero and step references are constant:
+        ``x(t + h) = E x(t) + g`` with ``g = Phi(h) B r``, and
         ``M_s = M_c = None``. For the sinusoid ``g`` is None and
         ``x(t + h) = E x(t) + (M_s sin(w t) + M_c cos(w t))`` at the absolute
         time t, so a resumed run repeats an uninterrupted one. Per axis,
@@ -122,20 +123,21 @@ class ReferenceConfig:
         step, ``M_s + i M_c = b A e^{a h} h phi1((i w - a) h)``
         (:func:`numerics.phi1`), exact to a few ulps in each part.
         """
-        E = numerics.matrix_exponential(A, h)
+        E, phi = numerics.zoh_map(a, h)
         if self.kind != "sinusoid":
-            g = numerics.phi_matrix(A, h) @ (B @ np.array(self.make()(0.0)))
-            return numerics.diagonal3(E), tuple(g.tolist()), None, None
+            r = self.make()(0.0)
+            # Phi (B r), bitwise the matrix-vector products
+            g = tuple(0.0 + p * (0.0 + bi * ri) for p, bi, ri in zip(phi, b, r))
+            return E, g, None, None
         K = [
-            b * amp * (math.exp(a * h) * h) * numerics.phi1(complex(-a * h, w * h))
-            for a, b, amp, w in zip(
-                numerics.diagonal3(A), numerics.diagonal3(B),
-                self.amplitude.tolist(), self.frequency.tolist(),
+            bi * amp * (math.exp(ai * h) * h) * numerics.phi1(complex(-ai * h, w * h))
+            for ai, bi, amp, w in zip(
+                a, b, self.amplitude.tolist(), self.frequency.tolist()
             )
         ]
         M_s = tuple(k.real for k in K)
         M_c = tuple(k.imag for k in K)
-        return numerics.diagonal3(E), None, M_s, M_c
+        return E, None, M_s, M_c
 
     @property
     def r_inf(self) -> float:
@@ -153,12 +155,13 @@ class ConditionParams:
     rho_r: Optional[float] = None
 
     def __post_init__(self):
-        # a norm, a Lipschitz constant and a bound are never negative
+        # a norm, a Lipschitz constant and a bound are never negative; a
+        # chained comparison is false for nan as well
         for key, value in (("l_f", self.lip_f), ("b0", self.b0), ("rho_0", self.rho_0)):
-            if value is not None and value < 0:
-                raise ValueError(f"condition.{key} must be nonnegative")
-        if self.rho_r is not None and self.rho_r <= 0:
-            raise ValueError("condition.rho_r must be positive")
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"condition.{key} must be nonnegative and finite")
+        if self.rho_r is not None and not 0.0 < self.rho_r < math.inf:
+            raise ValueError("condition.rho_r must be positive and finite")
 
 
 @dataclass
@@ -285,7 +288,7 @@ class Snapshot:
             from . import learner as learner_mod
 
             learner = learner_mod.BayesianLearner(
-                cfg.learner, cfg.controller.A_m, cfg.controller.B_m, rng
+                cfg.learner, cfg.controller._a, cfg.controller._b_inv, rng
             )
         e0 = learner.model.e_f_hat if learner else 0.0
         x0 = tuple(float(v) for v in cfg.plant.x0)
@@ -303,7 +306,6 @@ class Engine:
         # the one read of the config: every check and every cache runs anew
         self.cfg = cfg = replace(cfg, plant=replace(cfg.plant),
                                  controller=replace(cfg.controller))
-        self.pre = ctrl.PrecomputedAdaptation.from_config(cfg.controller)
         self.ref = cfg.reference.make()
         # each tick's adaptive estimate is the true uncertainty at the state
         self._true_sigma = true_sigma
@@ -329,7 +331,6 @@ class Engine:
         alpha_c = c._alpha_c
         mode_l1gp = c.mode == "l1gp"
         delay_total = p.delay_total
-        pre = self.pre
         live = self.live
         self.t0 = live.t0
         self.events: list = []  # this run's log
@@ -339,7 +340,7 @@ class Engine:
         i0 = cfg.steps(self.t0, "resume time", least=0)
         sin, cos = math.sin, math.cos
         (E0, E1, E2), g_id, M_s, M_c = cfg.reference.exact_step(
-            p.A_m, c.B_m @ c.k_g, h
+            p._a, tuple(0.0 + b * k for b, k in zip(c._b, c.k_g)), h
         )
         sinusoid = M_s is not None
         if sinusoid:
@@ -374,7 +375,7 @@ class Engine:
                 s0, s1, s2 = sin(w0 * t), sin(w1 * t), sin(w2 * t)
                 r = (a0 * s0, a1 * s1, a2 * s2)
             if (i0 + i) % ts_every == 0:
-                ctrl.adaptation_step(state, live.x, pre)
+                ctrl.adaptation_step(state, live.x, c)
                 if self._true_sigma:
                     state.sigma_hat = f(*live.x)
                 if mode_l1gp:
@@ -395,7 +396,7 @@ class Engine:
                     q1 + (e1 - q1) * alpha_c,
                     q2 + (e2 - q2) * alpha_c,
                 )
-                live.u = ctrl.control_step(state, r, c, pre)
+                live.u = ctrl.control_step(state, r, c)
             if delay_total:
                 bl0, bl1, bl2 = plant_mod.baseline_control(live.x, p)
                 v0, v1, v2 = live.u

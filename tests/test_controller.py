@@ -20,26 +20,87 @@ def nominal_cfg(mode="l1gp", **kw):
     return ctrl.ControllerConfig(A_m=A_M, B_m=B_M, C_m=C_M, mode=mode, **kw)
 
 
+def array_constants(A, B, C, T_s):
+    """k_g, exp(A T_s), Phi(T_s), B^{-1} and the adaptation gain by their
+    dense matrix formulas: the oracle of the per-axis constants."""
+    import scipy.linalg
+
+    expAT = scipy.linalg.expm(A * T_s)
+    phi = np.linalg.solve(A, expAT - np.eye(3))
+    B_inv = np.linalg.inv(B)
+    return {
+        "k_g": -np.linalg.inv(C @ np.linalg.solve(A, B)),
+        "_expAT": expAT,
+        "_phi": phi,
+        "_b_inv": B_inv,
+        "_gain": -B_inv @ np.linalg.solve(phi, expAT),
+    }
+
+
+def random_diagonal_cfgs(n, seed=0):
+    """n configs with random diagonal A_m, B_m, C_m and T_s, signs of B_m
+    and C_m mixed, with the stock one first."""
+    rng = np.random.default_rng(seed)
+    yield nominal_cfg()
+    for _ in range(n - 1):
+        a = -(10.0 ** rng.uniform(-3.0, 3.0, size=3))
+        b = 10.0 ** rng.uniform(-2.0, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        c = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        T_s = float(10.0 ** rng.uniform(-5.0, -1.0))
+        yield ctrl.ControllerConfig(A_m=np.diag(a), B_m=np.diag(b), C_m=np.diag(c), T_s=T_s)
+
+
 class TestFeedforwardGain:
     def test_nominal_constants(self):
-        kg = ctrl.feedforward_gain(A_M, B_M, C_M)
-        assert np.allclose(kg, 3.0 * J, atol=1e-15)
-        assert np.allclose(np.diag(kg), [0.033, 0.033, 0.063], atol=1e-15)
+        kg = nominal_cfg().k_g
+        assert all(type(k) is float for k in kg)
+        assert np.allclose(kg, 3.0 * np.diag(J), atol=1e-15)
+        assert np.allclose(kg, [0.033, 0.033, 0.063], atol=1e-15)
 
     def test_identity_case(self):
-        kg = ctrl.feedforward_gain(-np.eye(2), np.eye(2), np.eye(2))
-        assert np.allclose(kg, np.eye(2), atol=1e-15)
+        eye = np.eye(3)
+        assert ctrl.ControllerConfig(A_m=-eye, B_m=eye, C_m=eye).k_g == (1.0, 1.0, 1.0)
 
     def test_dc_identity(self):
-        kg = ctrl.feedforward_gain(A_M, B_M, C_M)
-        dc = C_M @ np.linalg.solve(-A_M, B_M) @ kg
-        assert np.allclose(dc, np.eye(3), atol=1e-12)
+        # C_m (-A_m)^{-1} B_m k_g = I, on every random diagonal config
+        for cfg in random_diagonal_cfgs(100):
+            dc = cfg.C_m @ np.linalg.solve(-cfg.A_m, cfg.B_m) @ np.diag(cfg.k_g)
+            assert np.allclose(dc, np.eye(3), rtol=0.0, atol=1e-14)
 
     def test_singular_product_rejected(self):
-        B = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        C = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ctrl.ConfigurationError):
-            ctrl.feedforward_gain(-np.eye(3), B, C)
+        # a zero b_i or c_i makes C_m A_m^{-1} B_m singular
+        for name in ("B_m", "C_m"):
+            mats = {"A_m": A_M, "B_m": B_M.copy(), "C_m": C_M.copy()}
+            mats[name][1, 1] = 0.0
+            with pytest.raises(ctrl.ConfigurationError, match="singular"):
+                ctrl.ControllerConfig(**mats)
+
+    @pytest.mark.parametrize("b, c", [(1e-10, 1e-300), (1e300, 1e10)],
+                             ids=["k_g-overflows", "k_g-underflows"])
+    def test_non_finite_or_zero_k_g_rejected(self, b, c):
+        # c b / a = -1e-310 (k_g = inf) or -inf (k_g = 0.0): the DC
+        # identity cannot hold
+        with pytest.raises(ctrl.ConfigurationError, match="k_g must be finite"):
+            ctrl.ControllerConfig(A_m=-np.eye(3), B_m=np.diag([1.0, b, 1.0]),
+                                  C_m=np.diag([1.0, c, 1.0]))
+
+
+class TestTickConstants:
+    def test_bitwise_the_array_formulas(self):
+        # every per-axis constant is the diagonal of its dense formula, bit
+        # for bit, and the dense formula's off-diagonal entries are zero
+        for cfg in random_diagonal_cfgs(300):
+            want = array_constants(cfg.A_m, cfg.B_m, cfg.C_m, cfg.T_s)
+            for name, M in want.items():
+                got = getattr(cfg, name)
+                assert all(type(v) is float for v in got), name
+                assert np.array_equal(np.diag(got), M), name
+                assert np.array_equal(np.signbit(got), np.signbit(np.diag(M))), name
+
+    def test_singular_phi_rejected(self):
+        # |a| T_s below the rounding of exp: exp(a T_s) = 1 and Phi = 0
+        with pytest.raises(ctrl.ConfigurationError, match="Phi"):
+            ctrl.ControllerConfig(A_m=np.diag([-3.0, -1e-14, -3.0]), B_m=B_M, C_m=C_M)
 
 
 class TestConfigInvariants:
@@ -78,27 +139,27 @@ class TestConfigInvariants:
 
     def test_gain_spot_check(self):
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
-        assert pre.expAT[0, 0] == pytest.approx(math.exp(-0.003), abs=1e-15)
+        assert cfg._expAT[0] == pytest.approx(math.exp(-0.003), abs=1e-15)
+        # -b^{-1} e / phi = -0.011 e^{-0.003} 3 / (1 - e^{-0.003})
+        e = math.exp(-0.003)
+        assert cfg._gain[0] == pytest.approx(-0.011 * 3.0 * e / (1.0 - e), rel=1e-12)
 
 
 class TestAdaptation:
     def test_zero_error(self):
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, e_f_hat0=8.5)
         state.x_hat = np.zeros(3)
-        sigma = ctrl.adaptation_step(state, np.zeros(3), pre)
+        sigma = ctrl.adaptation_step(state, np.zeros(3), cfg)
         assert np.array_equal(sigma, np.zeros(3))
 
     def test_scalar_chain_oracle(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, 8.5)
         state.x_hat = np.array([0.1, 0.0, 0.0])
-        sigma = ctrl.adaptation_step(state, np.zeros(3), pre)
+        sigma = ctrl.adaptation_step(state, np.zeros(3), cfg)
         e = mp.e ** (mp.mpf(-3) * mp.mpf("0.001"))
         phi = (1 - e) / 3
         oracle = -mp.mpf("0.011") * (mp.mpf("0.1") * e / phi)
@@ -110,14 +171,14 @@ class TestAdaptation:
         # two-tick hand simulation with exact ZOH error propagation:
         # xtilde' = A_m xtilde + B_m (sigma - c)
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
-        phi = np.linalg.solve(A_M, pre.expAT - np.eye(3))
+        expAT, gain = np.diag(cfg._expAT), np.diag(cfg._gain)
+        phi = np.linalg.solve(A_M, expAT - np.eye(3))
         c = np.array([0.3, -0.2, 0.1])
         xt = np.array([1.0, 1.0, 1.0])
         norms = [np.linalg.norm(xt)]
         for _ in range(3):
-            sigma = pre.gain @ xt
-            xt = pre.expAT @ xt + phi @ (B_M @ (sigma - c))
+            sigma = gain @ xt
+            xt = expAT @ xt + phi @ (B_M @ (sigma - c))
             norms.append(np.linalg.norm(xt))
         assert norms[1] < norms[0]
         assert norms[2] < norms[0]
@@ -179,23 +240,21 @@ class TestLearningFilter:
 class TestControlStep:
     def test_all_zero(self):
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, 8.5)
         state.x_hat = np.zeros(3)
-        u = ctrl.control_step(state, np.zeros(3), cfg, pre)
+        u = ctrl.control_step(state, np.zeros(3), cfg)
         assert np.array_equal(u, np.zeros(3))
 
     def test_dc_gain_to_reference(self):
         # sigma held at zero: u(t) -> k_g r through the control filter
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, 8.5)
         r = np.array([1.0, 1.0, 1.0])
         n = int(round(5.0 / cfg.omega_c / cfg.T_s))
         for k in range(n):
             state.sigma_hat = np.zeros(3)
-            u = ctrl.control_step(state, r, cfg, pre)
-        target = cfg.k_g @ r
+            u = ctrl.control_step(state, r, cfg)
+        target = np.multiply(cfg.k_g, r)
         assert np.max(np.abs(u - target) / np.abs(target)) < 0.01
 
 
@@ -203,7 +262,6 @@ class TestControlStep:
         # the exact map against RK4 at T_s/100 on the same held drive, over
         # 1000 ticks with a drive that changes every tick
         cfg = nominal_cfg()
-        pre = ctrl.PrecomputedAdaptation.from_config(cfg)
         state = ctrl.ControllerState.initial(cfg, 8.5)
         rng = np.random.default_rng(3)
         x_fine = np.array(state.x_hat)
@@ -212,7 +270,7 @@ class TestControlStep:
             state.sigma_hat = 0.01 * rng.normal(size=3)
             state.f_L = 0.01 * rng.normal(size=3)
             r = np.sin(k * cfg.T_s) * np.ones(3)
-            u = ctrl.control_step(state, r, cfg, pre)
+            u = ctrl.control_step(state, r, cfg)
             drive = cfg.B_m @ (state.f_L + state.sigma_hat + u)
             for j in range(100):
                 x_fine = numerics.rk4_step(
@@ -259,7 +317,7 @@ class TestNormCondition:
         cfg = nominal_cfg()
         report = ctrl.l1_norm_condition(cfg, lip_f=0.2, b0=0.0, r_inf=1.0, rho_0=0.0)
         # |H C k_g| has unit DC gain and positive impulse response per axis
-        b, kg = B_M[0, 0], cfg.k_g[0, 0]
+        b, kg = B_M[0, 0], cfg.k_g[0]
         want = mp_l1_norm(
             lambda t: b * kg * 80 * (mp.exp(-3 * t) - mp.exp(-80 * t)) / 77, [1 / 3]
         )

@@ -5,26 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from l1gp import gp, learner, plant
+from l1gp import gp, learner, numerics, plant
 
 
 J = np.diag([0.011, 0.011, 0.021])
 A_M = -3.0 * np.eye(3)
 B_M = np.diag(1.0 / np.diag(J))
-B_PINV = J.copy()
+# the diagonals the learner is given: A_m's and B_m^{-1}'s
+A_DIAG = (-3.0, -3.0, -3.0)
+B_INV = tuple(np.diag(J).tolist())
 QUADRATIC = plant.UncertaintySchedule(((0.0, "quadratic"),))
 
 
 def make_buffer(capacity=64, sigma_n=1e-9, seed=1):
     return learner.MeasurementBuffer(
-        1.0, capacity, A_M, B_M, np.random.default_rng(seed), sigma_n
+        1.0, capacity, A_DIAG, B_INV, np.random.default_rng(seed), sigma_n
     )
 
 
 def make_learner(rng=None, **kw):
     cfg = learner.LearnerConfig(**kw)
     return learner.BayesianLearner(
-        cfg, A_M, B_M, rng if rng is not None else np.random.default_rng(0)
+        cfg, A_DIAG, B_INV, rng if rng is not None else np.random.default_rng(0)
     )
 
 
@@ -44,7 +46,7 @@ class TestReconstructTarget:
         u = -J @ (A_M @ x) - c
         times = np.arange(5.0)
         states = np.tile(x, (5, 1))
-        y = learner.reconstruct_target(times, states, x, u, A_M, B_PINV)
+        y = learner.reconstruct_target(times, states, x, u, A_DIAG, B_INV)
         assert np.allclose(y, c, atol=1e-12)
 
     def test_zero_uncertainty_linear_trajectory(self):
@@ -54,7 +56,7 @@ class TestReconstructTarget:
         times = np.arange(5.0)
         states = x_j + np.outer(times - 2.0, v)
         u = J @ (v - A_M @ x_j)  # makes xdot = A x_j + B u hold at the center
-        y = learner.reconstruct_target(times, states, x_j, u, A_M, B_PINV)
+        y = learner.reconstruct_target(times, states, x_j, u, A_DIAG, B_INV)
         assert np.max(np.abs(y)) < 1e-6
 
     def test_quadratic_trajectory_recovers_uncertainty(self):
@@ -68,8 +70,31 @@ class TestReconstructTarget:
         curv = np.array([0.01, -0.02, 0.005])
         dt = times - 2.0
         states = x_j + np.outer(dt, xdot_j) + 0.5 * np.outer(dt**2, curv)
-        y = learner.reconstruct_target(times, states, x_j, u_j, A_M, B_PINV)
+        y = learner.reconstruct_target(times, states, x_j, u_j, A_DIAG, B_INV)
         assert np.allclose(y, [0.02, 0.02, 0.01], atol=1e-9)
+
+
+    def test_bitwise_the_matrix_form(self):
+        # B_m^{-1} (xdot - A_m x) - u with the dense inverse and products,
+        # on random diagonal A_m, B_m, signs of zero included
+        rng = np.random.default_rng(4)
+        times = np.arange(5.0)
+        for k in range(300):
+            a = -(10.0 ** rng.uniform(-3.0, 3.0, size=3))
+            b = 10.0 ** rng.uniform(-2.0, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            states = rng.normal(size=(5, 3))
+            x_j, u_j = states[2].copy(), rng.normal(size=3)
+            if k % 3 == 0:
+                states[:] = 0.0
+                x_j, u_j = (rng.choice([0.0, -0.0], size=3) for _ in range(2))
+            A, B_inv = np.diag(a), np.linalg.inv(np.diag(b))
+            xdot = numerics.estimate_derivative(times, states)[2]
+            want = B_inv @ (xdot - A @ x_j) - u_j
+            got = learner.reconstruct_target(
+                times, states, x_j, u_j, tuple(a.tolist()), tuple(np.diag(B_inv).tolist())
+            )
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBufferSchedule:
@@ -112,7 +137,7 @@ class TestBufferSchedule:
         # at once, drawing the noise from a same-seed generator in sample
         # order; the buffer, making each target on arrival, must agree
         # bitwise after every push, evictions from the FIFO included
-        def oracle(stream, capacity, seed, sigma_n, B_pinv):
+        def oracle(stream, capacity, seed, sigma_n):
             rng = np.random.default_rng(seed)
             X, Y = [], []
             for j in range(2, len(stream) - 2):
@@ -120,7 +145,7 @@ class TestBufferSchedule:
                 y = learner.reconstruct_target(
                     np.array([t for t, _, _ in window]),
                     np.array([x for _, x, _ in window]),
-                    stream[j][1], stream[j][2], A_M, B_pinv,
+                    stream[j][1], stream[j][2], A_DIAG, B_INV,
                 )
                 X.append(stream[j][1])
                 Y.append(y + rng.normal(0.0, sigma_n, size=y.shape))
@@ -133,7 +158,7 @@ class TestBufferSchedule:
                       0.1 * np.cos([k, 3 * k, 5 * k]))
             stream.append(sample)
             buf.push(*sample)
-            X, Y = oracle(stream, 8, 7, 0.01, buf.B_m_pinv)
+            X, Y = oracle(stream, 8, 7, 0.01)
             assert len(buf.target_X) == len(X)
             for got, want in zip(buf.target_X, X):
                 assert np.array_equal(got, want)

@@ -43,52 +43,62 @@ def naive_gauss_solve(M, B):
     return X
 
 
+def zoh_e(a, h):
+    return numerics.zoh_map(a, h)[0]
+
+
+def zoh_phi(a, h):
+    return numerics.zoh_map(a, h)[1]
+
+
 class TestMatrixExponential:
+    """``exp(A h)`` of a diagonal A, as the diagonal ``zoh_map`` gives."""
+
     def test_zero_matrix(self):
-        assert np.allclose(
-            numerics.matrix_exponential(np.zeros((3, 3)), 1.0), np.eye(3)
-        )
+        assert numerics.zoh_map((0.0, 0.0, 0.0), 1.0) == ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
 
     def test_scalar_diagonal(self):
-        got = numerics.matrix_exponential(-3.0 * np.eye(3), 0.001)
+        got = zoh_e((-3.0, -3.0, -3.0), 0.001)
         expected = taylor_expm(-3.0 * np.eye(3), 0.001)
-        assert np.allclose(got, expected, atol=1e-14)
-        assert got[0, 0] == pytest.approx(math.exp(-0.003), abs=1e-15)
-        assert got[0, 0] == pytest.approx(0.9970045, abs=5e-8)
+        assert all(type(v) is float for v in got)
+        assert np.allclose(np.diag(got), expected, atol=1e-14)
+        assert got[0] == pytest.approx(math.exp(-0.003), abs=1e-15)
+        assert got[0] == pytest.approx(0.9970045, abs=5e-8)
 
     def test_t_zero_identity(self):
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        assert np.array_equal(numerics.matrix_exponential(A, 0.0), np.eye(2))
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(numerics.DimensionError):
-            numerics.matrix_exponential(np.zeros((2, 3)), 1.0)
+        e, phi = numerics.zoh_map((0.0, -2.0, -3.0), 0.0)
+        assert e == (1.0, 1.0, 1.0) and phi == (0.0, 0.0, 0.0)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            A = np.diag(rng.uniform(-5.0, 5.0, size=4))
+            a = rng.uniform(-5.0, 5.0, size=4)
             s, t = rng.uniform(0.0, 2.0, size=2)
-            lhs = numerics.matrix_exponential(A, s + t)
-            rhs = numerics.matrix_exponential(A, s) @ numerics.matrix_exponential(A, t)
+            lhs = zoh_e(a, s + t)
+            rhs = np.multiply(zoh_e(a, s), zoh_e(a, t))
             assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_hurwitz_decay(self):
-        A = np.diag([-1.0, -2.0, -5.0])
-        assert np.max(np.abs(numerics.matrix_exponential(A, 50.0))) < 1e-20
+        assert max(zoh_e((-1.0, -2.0, -5.0), 50.0)) < 1e-20
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_diagonal_is_bitwise_scipy(self, n):
+        # both halves are bitwise the dense forms on diag(a): scipy's expm,
+        # and from order 2 on (a 1x1 solve divides) the LU solve for Phi
         import scipy.linalg
 
         rng = np.random.default_rng(n)
         times = [0.001, 0.01, 0.02, *rng.uniform(0.0, 3.0, size=4)]
-        mats = [-3.0 * np.eye(n)] + [np.diag(rng.uniform(-60.0, 10.0, size=n))
-                                     for _ in range(4)]
-        for A in mats:
+        diags = [np.full(n, -3.0)] + [rng.uniform(-60.0, 10.0, size=n) for _ in range(4)]
+        for a in diags:
+            A = np.diag(a)
             for t in times:
-                assert np.array_equal(numerics.matrix_exponential(A, t),
-                                      scipy.linalg.expm(A * t))
+                e, phi = numerics.zoh_map(a.tolist(), t)
+                expm = scipy.linalg.expm(A * t)
+                assert np.array_equal(np.diag(e), expm)
+                if n > 1:
+                    want = np.linalg.solve(A, expm - np.eye(n))
+                    assert np.array_equal(np.diag(phi), want)
 
     def test_negative_zero_off_diagonal_is_diagonal(self):
         import scipy.linalg
@@ -96,14 +106,8 @@ class TestMatrixExponential:
         A = np.diag([-3.0, -2.0, -0.5])
         A[0, 1] = A[2, 0] = A[1, 2] = -0.0
         for t in (0.001, 0.01, 0.02):
-            got = numerics.matrix_exponential(A, t)
-            assert np.array_equal(got, scipy.linalg.expm(A * t))
-            assert np.array_equal(got, np.diag(np.exp(np.diag(A * t))))
-
-    def test_off_diagonal_rejected(self):
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            numerics.matrix_exponential(A, 0.1)
+            got = zoh_e(numerics.diagonal3(A), t)
+            assert np.array_equal(np.diag(got), scipy.linalg.expm(A * t))
 
 
 def mp_sinusoid_gain(a, b, w, h):
@@ -127,7 +131,7 @@ class TestSinusoidExactStep:
             w = 10.0 ** rng.uniform(-2.0, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
             h = 10.0 ** rng.uniform(-5.0, -2.0)
             ref = scenario.ReferenceConfig(kind="sinusoid", amplitude=amp, frequency=w)
-            E, g, M_s, M_c = ref.exact_step(np.diag(a), np.diag(b), h)
+            E, g, M_s, M_c = ref.exact_step(tuple(a.tolist()), tuple(b.tolist()), h)
             assert g is None
             assert E == tuple(np.exp(a * h).tolist())
             for i in range(3):
@@ -147,43 +151,36 @@ class TestSinusoidExactStep:
 
 
 class TestPhiMatrix:
+    """``Phi(h) = A^{-1} (exp(A h) - I)`` of a diagonal A, as the diagonal
+    ``zoh_map`` gives."""
+
     def test_closed_form_scalar(self):
         # per-eigenvalue closed form (1 - e^{-3 Ts}) / 3
-        got = numerics.phi_matrix(-3.0 * np.eye(3), 0.001)
+        got = zoh_phi((-3.0, -3.0, -3.0), 0.001)
         expected = (1.0 - math.exp(-0.003)) / 3.0
-        assert np.allclose(got, expected * np.eye(3), atol=1e-15)
-        assert got[0, 0] == pytest.approx(0.00099850, abs=5e-9)
+        assert np.allclose(got, expected, atol=1e-15)
+        assert got[0] == pytest.approx(0.00099850, abs=5e-9)
 
     def test_small_ts_limit(self):
         Ts = 1e-8
-        got = numerics.phi_matrix(-3.0 * np.eye(3), Ts) / Ts
-        assert np.allclose(got, np.eye(3), atol=1e-6)
+        got = np.divide(zoh_phi((-3.0, -3.0, -3.0), Ts), Ts)
+        assert np.allclose(got, 1.0, atol=1e-6)
 
     def test_diagonal_closed_form(self):
-        A = np.diag([-1.0, -2.0, -4.0])
-        got = numerics.phi_matrix(A, 0.5)
-        expected = np.diag(
-            [
-                (1.0 - math.exp(-0.5)) / 1.0,
-                (1.0 - math.exp(-1.0)) / 2.0,
-                (1.0 - math.exp(-2.0)) / 4.0,
-            ]
-        )
+        got = zoh_phi((-1.0, -2.0, -4.0), 0.5)
+        expected = [
+            (1.0 - math.exp(-0.5)) / 1.0,
+            (1.0 - math.exp(-1.0)) / 2.0,
+            (1.0 - math.exp(-2.0)) / 4.0,
+        ]
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_defining_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            A = np.diag(rng.uniform(-8.0, -0.5, size=3))
-            Ts = 0.01
-            phi = numerics.phi_matrix(A, Ts)
-            lhs = A @ phi
-            rhs = numerics.matrix_exponential(A, Ts) - np.eye(3)
-            assert np.allclose(lhs, rhs, atol=1e-10)
-
-    def test_singular_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            numerics.phi_matrix(np.zeros((2, 2)), 0.1)
+            a = rng.uniform(-8.0, -0.5, size=3)
+            e, phi = numerics.zoh_map(a, 0.01)
+            assert np.allclose(a * phi, np.subtract(e, 1.0), atol=1e-10)
 
 
 def cholesky_solve(M, B):

@@ -1,6 +1,7 @@
 """Plant dynamics, uncertainty schedule, baseline, and delay-line tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ class TestPlantDerivative:
             x = numerics.rk4_step(
                 lambda t, z: plant.plant_derivative(z, np.zeros(3), t, cfg), i * h, x, h
             )
-        want = numerics.matrix_exponential(A_M, 5.0) @ x0
+        want = np.exp(np.diag(A_M) * 5.0) * x0
         assert np.max(np.abs(x - want)) < 1e-8
 
 
@@ -229,6 +230,19 @@ class TestRk4PlantStep:
             plant.PlantConfig(J=J, A_m=A_m)
         with pytest.raises(numerics.DimensionError, match="A_m must be 3x3"):
             plant.PlantConfig(J=J, A_m=-np.eye(2))
+
+    @pytest.mark.parametrize("kw", [
+        {"A_m": np.diag([-3.0, -math.inf, -3.0])},
+        {"J": np.diag([math.inf, 0.011, 0.021])},
+        {"J": np.diag([math.nan, 0.011, 0.021])},
+        {"x0": np.array([math.nan, 0.0, 0.0])},
+        {"input_delay": math.nan},
+        {"input_delay": math.inf},
+    ], ids=["A_m-inf", "J-inf", "J-nan", "x0-nan", "delay-nan", "delay-inf"])
+    def test_non_finite_rejected(self, kw):
+        # checked before the diagonal, so a nan reads as non-finite, not coupled
+        with pytest.raises(ValueError, match="finite"):
+            plant.PlantConfig(**{"J": J, "A_m": A_M, **kw})
 
     # numpy's nan for sin/cos of an infinite stage state warns
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -1,6 +1,8 @@
 """Closed-loop engine tests: contracts, degeneracies, oracles, margin search."""
 
+import glob
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -157,7 +159,7 @@ class TestReferenceSystem:
         for i in range(cfg.n_steps):
             v = r(i * 0.001)
             rf = v + (rf - v) * alpha
-            drive = c.B_m @ (c.k_g @ rf)
+            drive = c.B_m @ np.multiply(c.k_g, rf)
             x = numerics.rk4_step(lambda t, z: c.A_m @ z + drive, i * 0.001, x, 0.001)
             if (i + 1) % cfg.record_decimation == 0:
                 oracle.append(x.copy())
@@ -170,7 +172,7 @@ class TestReferenceSystem:
         cfg.plant.uncertainty = plant.UncertaintySchedule(((0.0, lambda x: c_vec),))
         out = scenario.run_reference_system(cfg)
         cc = cfg.controller
-        x_id_ss = np.linalg.solve(-cc.A_m, cc.B_m @ (cc.k_g @ np.ones(3)))
+        x_id_ss = np.linalg.solve(-cc.A_m, cc.B_m @ np.array(cc.k_g))
         assert np.max(np.abs(out["x_ref"][-1] - x_id_ss)) < 1e-4
 
     def test_oracle_sigma_substitution_recovers_reference_system(self):
@@ -197,7 +199,7 @@ class TestReferenceSystem:
         filt = np.zeros(3)
         oracle = [z.copy()]
         for i in range(cfg.n_steps):
-            v = c.k_g @ np.array(r(i * 0.001)) - sched.eval(i * 0.001, z)
+            v = np.multiply(c.k_g, r(i * 0.001)) - sched.eval(i * 0.001, z)
             filt = v + (filt - v) * alpha
             z = numerics.rk4_step(
                 lambda tt, zz: c.A_m @ zz + c.B_m @ (filt + sched.eval(tt, zz)),
@@ -220,7 +222,7 @@ class TestIdealLoop:
         trace = scenario.run(cfg)
         t = trace.t[:, None]
         a = cfg.reference.amplitude
-        b = np.diag(cfg.controller.B_m @ cfg.controller.k_g)
+        b = np.diag(cfg.controller.B_m) * cfg.controller.k_g
         assert np.allclose(b, 3.0, rtol=1e-12)
         if kind == "step":
             exact = b * a * (1.0 - np.exp(-3.0 * t)) / 3.0
@@ -363,7 +365,8 @@ class TestSwitchStep:
 
 class TestControllerReplay:
     # every recorded controller signal is one tick of the array formulas
-    # (numpy matrix products) applied to the previous row
+    # (numpy matrix products) applied to the previous row, each matrix
+    # built by its dense formula: expm, LU solves and inverses
     @pytest.mark.parametrize(
         "mode, kind, duration",
         [("l1", "sinusoid", 2.0), ("l1gp", "step", 11.0)],
@@ -378,14 +381,23 @@ class TestControllerReplay:
         if mode == "l1gp":
             # a model is published at 10 s, so f_hat is not zero at the end
             assert np.max(np.abs(trace.block("fhat")[-1])) > 0.0
+        import scipy.linalg
+
         c = cfg.controller
-        pre = ctrl.PrecomputedAdaptation.from_config(c)
         h = cfg.step
-        # the matrices come as their diagonals, g as a vector
-        E, g, M_s, M_c = cfg.reference.exact_step(c.A_m, c.B_m @ c.k_g, h)
-        E, M_s, M_c = (None if m is None else np.diag(m) for m in (E, M_s, M_c))
-        g = None if g is None else np.array(g)
+        I = np.eye(3)
+        expAT = scipy.linalg.expm(c.A_m * c.T_s)
+        phi = np.linalg.solve(c.A_m, expAT - I)
+        gain = -np.linalg.inv(c.B_m) @ np.linalg.solve(phi, expAT)
+        k_g = -np.linalg.inv(c.C_m @ np.linalg.solve(c.A_m, c.B_m))
+        A_p, Bk = cfg.plant.A_m, c.B_m @ k_g
+        E = scipy.linalg.expm(A_p * h)
         amp, w = cfg.reference.amplitude, cfg.reference.frequency
+        g = np.linalg.solve(A_p, E - I) @ (Bk @ amp)
+        # the sinusoid's gains are per axis: the diagonals as 3-tuples
+        _, _, M_s, M_c = cfg.reference.exact_step(
+            numerics.diagonal3(A_p), numerics.diagonal3(Bk), h
+        )
         t, x, xhat = trace.t, trace.block("x"), trace.block("xhat")
         sg, fl, eta = trace.block("sigmahat"), trace.block("fl"), trace.block("eta")
         u, xid, fhat = trace.block("u"), trace.block("xid"), trace.block("fhat")
@@ -398,7 +410,7 @@ class TestControllerReplay:
             p = k - 1
             r = amp * np.sin(w * t[p]) if kind == "sinusoid" else amp
             assert np.array_equal(r_rec[p], r), k
-            sigma = pre.gain @ (xhat[p] - x[p])
+            sigma = gain @ (xhat[p] - x[p])
             assert np.array_equal(sg[k], sigma), k
             if mode == "l1gp":
                 w_hat = ctrl.bandwidth_command(ef[k], c.omega_0, c.omega_c)
@@ -409,14 +421,14 @@ class TestControllerReplay:
             assert om[k] == omega, k
             assert np.array_equal(fl[k], f_L), k
             assert np.array_equal(eta[k], sigma + (eta[p] - sigma) * alpha_c), k
-            v = sigma - c.k_g @ r
+            v = sigma - k_g @ r
             c_state = v + (c_state - v) * alpha_c
             u_k = -f_L - c_state
             assert np.array_equal(u[k], u_k), k
             drive = c.B_m @ (f_L + sigma + u_k)
-            assert np.array_equal(xhat[k], pre.expAT @ xhat[p] + pre.phi @ drive), k
+            assert np.array_equal(xhat[k], expAT @ xhat[p] + phi @ drive), k
             if kind == "sinusoid":
-                forcing = M_s @ np.sin(w * t[p]) + M_c @ np.cos(w * t[p])
+                forcing = np.diag(M_s) @ np.sin(w * t[p]) + np.diag(M_c) @ np.cos(w * t[p])
             else:
                 forcing = g
             assert np.array_equal(xid[k], E @ xid[p] + forcing), k
@@ -639,6 +651,32 @@ class TestConditionChecker:
             trace = scenario.run(cfg)
         ev = [e for e in trace.events if e["kind"] == "l1_condition"]
         assert ev[0]["satisfied"] is False
+
+
+    @pytest.mark.parametrize("name", ["lip_f", "b0", "rho_0", "rho_r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_params_reject_non_finite(self, name, value):
+        # a nan or infinite input would read as an unsatisfied condition
+        with pytest.raises(ValueError, match="finite"):
+            scenario.ConditionParams(**{name: value})
+
+
+DECKS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("deck", DECKS, ids=os.path.basename)
+def test_setup_makes_no_dense_solve(deck, monkeypatch):
+    # every setup constant is derived per axis: a stock deck resolves, and
+    # its engine builds and runs its first ticks, with no linear solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra in the setup")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    cfg, _ = config.resolve_scenario(config.parse_flat_file(deck))
+    trace = scenario.Engine(replace(cfg, duration=0.01)).run()
+    assert not trace.unstable
 
 
 class TestMetrics:
