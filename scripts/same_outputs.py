@@ -12,7 +12,11 @@ tree as the working directory:
 - ``simulate`` on each ``configs/*.cfg`` deck and ``perfbench/dense_learner.cfg``;
 - ``margin configs/l1_plain.cfg --horizon 20``;
 - ``margin configs/step_nominal.cfg --snapshot-time 30``;
-- ``bound-check configs/step_nominal.cfg``.
+- ``bound-check configs/step_nominal.cfg``;
+- ``simulate`` and ``margin --horizon 20`` on ``configs/l1_plain.cfg`` with
+  ``plant.delay_total = true``, from a deck written to a temporary
+  directory: the only runs that step the plant with the baseline outside
+  its RK4 step.
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, the
@@ -36,17 +40,34 @@ import numpy as np
 
 _WALL = re.compile(rb'("wall_clock_s": )[^,\n}]*')
 
+DELAY_TOTAL_DECK = "l1_plain_delay_total.cfg"
 
-def runs(tree: Path) -> list:
-    """(name, cli arguments) of every run, decks in sorted order."""
+
+def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
+    """``tree``'s ``configs/l1_plain.cfg`` with ``plant.delay_total = true``,
+    written to ``deck_dir``; returns its path."""
+    text = (tree / "configs" / "l1_plain.cfg").read_text()
+    if "\n[plant]\n" not in text:
+        raise ValueError("configs/l1_plain.cfg has no [plant] section")
+    path = deck_dir / DELAY_TOTAL_DECK
+    path.write_text(text.replace("\n[plant]\n", "\n[plant]\ndelay_total = true\n", 1))
+    return path
+
+
+def runs(tree: Path, deck_dir: Path) -> list:
+    """(name, cli arguments) of every run, decks in sorted order; the
+    delay-total deck is read from ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
+    total = str(deck_dir / DELAY_TOTAL_DECK)
     return out + [
         ("margin-l1_plain", ["margin", "configs/l1_plain.cfg", "--horizon", "20"]),
         ("margin-step_nominal-snapshot30",
          ["margin", "configs/step_nominal.cfg", "--snapshot-time", "30"]),
         ("bound-check-step_nominal", ["bound-check", "configs/step_nominal.cfg"]),
+        ("simulate-l1_plain-delay_total", ["simulate", total]),
+        ("margin-l1_plain-delay_total", ["margin", total, "--horizon", "20"]),
     ]
 
 
@@ -54,16 +75,18 @@ def run_all(tree: Path, out_root: Path) -> dict:
     """Make every run of ``tree`` into ``out_root/<name>``; {name: exit status}."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     status = {}
-    for name, args in runs(tree):
-        out_dir = out_root / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_dir)],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        )
-        status[name] = proc.returncode
-        print(f"{out_root.name}: {name} exit {proc.returncode}", file=sys.stderr)
-        if proc.returncode:
-            sys.stderr.write(proc.stderr.decode(errors="replace"))
+    with tempfile.TemporaryDirectory() as tmp:
+        deck_dir = Path(tmp)
+        write_delay_total_deck(tree, deck_dir)
+        for name, args in runs(tree, deck_dir):
+            proc = subprocess.run(
+                [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_root / name)],
+                cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+            status[name] = proc.returncode
+            print(f"{out_root.name}: {name} exit {proc.returncode}", file=sys.stderr)
+            if proc.returncode:
+                sys.stderr.write(proc.stderr.decode(errors="replace"))
     return status
 
 

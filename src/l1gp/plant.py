@@ -7,12 +7,15 @@ dynamics, so the partially closed loop equals ``A_m x + B_m (u + f(x))``
 with ``B_m = J^{-1}``. The engine integrates the physical form; the
 cancellation identity is exercised by tests rather than assumed.
 
-The field is written once, on Python floats: the rate equation and the
-scalar form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
+The field is written on Python floats: the rate equation and the scalar
+form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
 :func:`rk4_plant_step` integrates it with one fused RK4 step per engine
-step, with no numpy call inside; :func:`plant_derivative` is its array
-form. ``J`` and ``A_m`` must be diagonal, so every linear term, in the
-field and in :func:`baseline_control`, is a product per axis.
+step, its four stages written out in one frame with no call but the
+uncertainty's and no numpy call inside. ``_rates`` holds the same rate
+equation once more, for the array form :func:`plant_derivative` only,
+which tests and the benchmark read. ``J`` and ``A_m`` must be diagonal,
+so every linear term, in the field and in :func:`baseline_control`, is a
+product per axis.
 """
 
 from __future__ import annotations
@@ -209,7 +212,9 @@ def _rates(
     cfg: PlantConfig,
     include_baseline: bool,
 ) -> tuple[float, float, float]:
-    """Scalar form of ``J^{-1}(-(x cross J x) + f(x) + u_total)``."""
+    """Scalar form of ``J^{-1}(-(x cross J x) + f(x) + u_total)``, for
+    :func:`plant_derivative`; :func:`rk4_plant_step` inlines the same
+    arithmetic in each of its stages."""
     j0, j1, j2 = cfg._j
     jx0, jx1, jx2 = j0 * x0, j1 * x1, j2 * x2
     g0 = x1 * jx2 - x2 * jx1
@@ -267,29 +272,65 @@ def rk4_plant_step(
     ``f`` is the scalar uncertainty field in force over the step and
     ``f_end`` the one of its last stage: the new segment on the step that
     ends on a switch, else ``f`` again. The step makes no schedule lookup.
-    Stages and arithmetic are those of :func:`numerics.rk4_step` over the
-    array field, so the result is bitwise the same. ``u_ext`` is held over
-    the step. Returns the new state as three floats; raises
-    DivergenceError (with the step's start time ``t``) on a non-finite
-    result.
+    The four stages are written out in this one frame, each the arithmetic
+    of ``_rates`` in its order, and the stages and their sum are those of
+    :func:`numerics.rk4_step` over the array field, so the result is
+    bitwise the same. ``u_ext`` is held over the step. Returns the new
+    state as three floats; raises DivergenceError (with the step's start
+    time ``t``) on a non-finite result.
     """
     # Python floats: arithmetic on numpy scalars costs several times more
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     u0, u1, u2 = float(u_ext[0]), float(u_ext[1]), float(u_ext[2])
+    j0, j1, j2 = cfg._j
+    i0, i1, i2 = cfg._jinv
+    k0, k1, k2 = cfg._ja
     hh = 0.5 * h
-    a0, a1, a2 = _rates(f, x0, x1, x2, u0, u1, u2, cfg, include_baseline)
-    b0, b1, b2 = _rates(
-        f, x0 + hh * a0, x1 + hh * a1, x2 + hh * a2,
-        u0, u1, u2, cfg, include_baseline,
-    )
-    c0, c1, c2 = _rates(
-        f, x0 + hh * b0, x1 + hh * b1, x2 + hh * b2,
-        u0, u1, u2, cfg, include_baseline,
-    )
-    d0, d1, d2 = _rates(
-        f_end, x0 + h * c0, x1 + h * c1, x2 + h * c2,
-        u0, u1, u2, cfg, include_baseline,
-    )
+    # each stage: g = x cross J x, then J^{-1}(f + u_total - g), where
+    # u_total = u + J A_m x + g with the baseline and u without
+    p0, p1, p2 = j0 * x0, j1 * x1, j2 * x2
+    g0, g1, g2 = x1 * p2 - x2 * p1, x2 * p0 - x0 * p2, x0 * p1 - x1 * p0
+    f0, f1, f2 = f(x0, x1, x2)
+    if include_baseline:
+        a0 = i0 * (f0 + (u0 + k0 * x0 + g0) - g0)
+        a1 = i1 * (f1 + (u1 + k1 * x1 + g1) - g1)
+        a2 = i2 * (f2 + (u2 + k2 * x2 + g2) - g2)
+    else:
+        a0, a1, a2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+
+    s0, s1, s2 = x0 + hh * a0, x1 + hh * a1, x2 + hh * a2
+    p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
+    g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
+    f0, f1, f2 = f(s0, s1, s2)
+    if include_baseline:
+        b0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
+        b1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
+        b2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
+    else:
+        b0, b1, b2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+
+    s0, s1, s2 = x0 + hh * b0, x1 + hh * b1, x2 + hh * b2
+    p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
+    g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
+    f0, f1, f2 = f(s0, s1, s2)
+    if include_baseline:
+        c0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
+        c1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
+        c2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
+    else:
+        c0, c1, c2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+
+    s0, s1, s2 = x0 + h * c0, x1 + h * c1, x2 + h * c2
+    p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
+    g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
+    f0, f1, f2 = f_end(s0, s1, s2)
+    if include_baseline:
+        d0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
+        d1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
+        d2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
+    else:
+        d0, d1, d2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+
     w = h / 6.0
     y0 = x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
     y1 = x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)

@@ -171,7 +171,8 @@ class ScenarioConfig:
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid. An :class:`Engine` reads the config once, when it is built:
+    step grid, and that the plant and the controller hold the same ``A_m``
+    diagonal. An :class:`Engine` reads the config once, when it is built:
     it rebuilds the config, so every check reruns and every cache follows
     the fields as they stand, in-place array edits included.
     """
@@ -197,6 +198,13 @@ class ScenarioConfig:
             raise ValueError("blowup must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        # the baseline and the ideal loop use the plant's A_m, the predictor
+        # and the learner's targets the controller's: one loop, one matrix
+        if self.plant._a != self.controller._a:
+            raise ValueError(
+                f"plant A_m diagonal {self.plant._a} differs from controller "
+                f"A_m diagonal {self.controller._a}"
+            )
         # each step count checks its time against the step grid when read
         for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
             getattr(self, name)
@@ -368,6 +376,20 @@ class Engine:
         rows[0] = self._row(self.t0, f)
         row_i = 1
         state = live.ctrl_state
+        # the loop's calls and constants as locals, bound here on each run,
+        # so a function patched after the engine was built is the one called
+        adaptation_step = ctrl.adaptation_step
+        learning_filter_step = ctrl.learning_filter_step
+        control_step = ctrl.control_step
+        bandwidth_command = ctrl.bandwidth_command
+        push = self.delay.push
+        rk4_plant_step = plant_mod.rk4_plant_step
+        baseline_control = plant_mod.baseline_control
+        blowup = cfg.blowup
+        true_sigma = self._true_sigma
+        learner = live.learner
+        omega_0, omega_c = c.omega_0, c.omega_c
+        include_baseline = not delay_total
         for i in range(n_steps):
             t = (i0 + i) * h
             if sinusoid:
@@ -375,11 +397,11 @@ class Engine:
                 s0, s1, s2 = sin(w0 * t), sin(w1 * t), sin(w2 * t)
                 r = (a0 * s0, a1 * s1, a2 * s2)
             if (i0 + i) % ts_every == 0:
-                ctrl.adaptation_step(state, live.x, c)
-                if self._true_sigma:
+                adaptation_step(state, live.x, c)
+                if true_sigma:
                     state.sigma_hat = f(*live.x)
                 if mode_l1gp:
-                    model = live.learner.model if live.learner else None
+                    model = learner.model if learner else None
                     if model is not None:
                         # the bandwidth law consumes the pointwise envelope
                         # at the current state, not the domain-wide scalar
@@ -387,8 +409,8 @@ class Engine:
                     else:
                         f_hat_x, e_f = (0.0, 0.0, 0.0), 0.0
                     live.e_f_last = e_f
-                    omega_hat = ctrl.bandwidth_command(e_f, c.omega_0, c.omega_c)
-                    ctrl.learning_filter_step(state, f_hat_x, omega_hat, c)
+                    omega_hat = bandwidth_command(e_f, omega_0, omega_c)
+                    learning_filter_step(state, f_hat_x, omega_hat, c)
                 q0, q1, q2 = state.sigma_hat
                 e0, e1, e2 = live.eta
                 live.eta = (
@@ -396,21 +418,20 @@ class Engine:
                     q1 + (e1 - q1) * alpha_c,
                     q2 + (e2 - q2) * alpha_c,
                 )
-                live.u = ctrl.control_step(state, r, c)
+                live.u = control_step(state, r, c)
             if delay_total:
-                bl0, bl1, bl2 = plant_mod.baseline_control(live.x, p)
+                bl0, bl1, bl2 = baseline_control(live.x, p)
                 v0, v1, v2 = live.u
-                u_applied = self.delay.push((bl0 + v0, bl1 + v1, bl2 + v2))
+                u_applied = push((bl0 + v0, bl1 + v1, bl2 + v2))
             else:
-                u_applied = self.delay.push(live.u)
+                u_applied = push(live.u)
             # the step that ends on a switch sees the new segment at its
             # last RK4 stage only
             switching = i0 + i + 1 == switch_steps[seg]
             f_end = fields[seg + 1] if switching else f
             try:
-                x0, x1, x2 = live.x = plant_mod.rk4_plant_step(
-                    live.x, u_applied, t, h, p, f, f_end,
-                    include_baseline=not delay_total,
+                x0, x1, x2 = live.x = rk4_plant_step(
+                    live.x, u_applied, t, h, p, f, f_end, include_baseline
                 )
             except numerics.DivergenceError:
                 unstable = True
@@ -427,7 +448,9 @@ class Engine:
                     g0, g1, g2 = g_id
                     live.x_id = (d0 + g0, d1 + g1, d2 + g2)
                 b0, b1, b2 = abs(x0), abs(x1), abs(x2)
-                if not math.isfinite(b0 + b1 + b2) or max(b0, b1, b2) > cfg.blowup:
+                # the same test as max(b0, b1, b2) > blowup once the sum is finite
+                if (not math.isfinite(b0 + b1 + b2)
+                        or b0 > blowup or b1 > blowup or b2 > blowup):
                     unstable = True
             t_next = (i0 + i + 1) * h
             if switching:
@@ -442,12 +465,12 @@ class Engine:
                 row_i += 1
                 break
             if (
-                live.learner is not None
+                learner is not None
                 and data_every
                 and (i0 + i + 1) % data_every == 0
             ):
-                live.learner.push(t_next, live.x, u_applied)
-                ev = live.learner.maybe_update(t_next)
+                learner.push(t_next, live.x, u_applied)
+                ev = learner.maybe_update(t_next)
                 if ev is not None:
                     self.events.append(ev)
             # the global step index keeps a resumed run on the same grid
@@ -597,7 +620,10 @@ def delay_margin_search(
     gives an open bracket. No candidate runs twice.
 
     A candidate counts as unstable when its state exceeds the blowup bound
-    or turns non-finite within the horizon. When ``snapshot_time`` is set,
+    or turns non-finite within the horizon. A candidate records only its end
+    rows, with ``record_decimation`` set to the horizon in steps: its first
+    row, at most one grid row and any abort row, as the verdict needs no
+    more. When ``snapshot_time`` is set,
     the base scenario first runs that long without delay and every
     candidate resumes from the captured state (used to measure the margin
     of the running, post-learning loop). Every time argument must be a
@@ -608,7 +634,7 @@ def delay_margin_search(
     """
     res = base.steps(resolution, "resolution")
     k_max = base.steps(max_delay, "max_delay")
-    base.steps(horizon, "horizon")
+    n_horizon = base.steps(horizon, "horizon")
     c = base.controller
     predicted = math.pi / (2.0 * c.omega_c) - c.T_s / 2.0
     snap = None
@@ -625,9 +651,12 @@ def delay_margin_search(
         return round(k * base.step, 12)
 
     def candidate(k: int) -> bool:
+        # only the verdict is read: record every horizon, so the trace
+        # keeps its first row, at most one grid row and any abort row
         cfg = replace(
             base,
             duration=horizon,
+            record_decimation=n_horizon,
             plant=replace(base.plant, input_delay=delay(k)),
             condition=replace(base.condition, check=False),
         )

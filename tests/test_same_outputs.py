@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from l1gp import config
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
 same_outputs = importlib.util.module_from_spec(spec)
@@ -82,8 +86,31 @@ def test_a_file_on_one_side_only(tmp_path):
 
 def test_runs_cover_every_deck(tmp_path):
     write(tmp_path, {"configs/b.cfg": "", "configs/a.cfg": ""})
-    names = [name for name, _ in same_outputs.runs(tmp_path)]
-    assert names == [
+    runs = same_outputs.runs(tmp_path, tmp_path / "decks")
+    assert [name for name, _ in runs] == [
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
+        "simulate-l1_plain-delay_total", "margin-l1_plain-delay_total",
     ]
+    deck = str(tmp_path / "decks" / same_outputs.DELAY_TOTAL_DECK)
+    assert runs[-2][1] == ["simulate", deck]
+    assert runs[-1][1] == ["margin", deck, "--horizon", "20"]
+
+
+def test_delay_total_deck_is_l1_plain_with_the_total_path(tmp_path):
+    # the written deck resolves to the stock l1_plain scenario but for
+    # plant.delay_total
+    root = SCRIPT.parents[1]
+    path = same_outputs.write_delay_total_deck(root, tmp_path)
+    assert path == tmp_path / same_outputs.DELAY_TOTAL_DECK
+    total, total_echo = config.resolve_scenario(config.parse_flat_file(str(path)))
+    plain, plain_echo = config.resolve_scenario(
+        config.parse_flat_file(str(root / "configs" / "l1_plain.cfg")))
+    assert total.plant.delay_total and not plain.plant.delay_total
+    assert total_echo == {**plain_echo, "plant.delay_total": True}
+
+
+def test_delay_total_deck_needs_a_plant_section(tmp_path):
+    write(tmp_path, {"configs/l1_plain.cfg": "duration = 1.0\n"})
+    with pytest.raises(ValueError, match="no \\[plant\\] section"):
+        same_outputs.write_delay_total_deck(tmp_path, tmp_path)

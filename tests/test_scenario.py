@@ -13,6 +13,9 @@ from l1gp import config, numerics, plant, scenario
 from l1gp.learner import LearnerConfig
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def nominal(duration=5.0, reference_kind="step", **kw):
     return config.quadrotor_nominal(
         duration=duration, reference_kind=reference_kind, **kw
@@ -299,6 +302,26 @@ class TestConfigEdits:
         with pytest.raises(ValueError, match="diagonal"):
             scenario.Engine(cfg)
 
+    def test_plant_and_controller_a_m_must_agree(self):
+        # the baseline and the ideal loop read the plant's A_m, the predictor
+        # and the learner's targets the controller's
+        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        with pytest.raises(ValueError, match="plant A_m diagonal"):
+            replace(cfg, plant=replace(cfg.plant, A_m=np.eye(3)))
+        with pytest.raises(ValueError, match="plant A_m diagonal"):
+            replace(cfg, controller=replace(cfg.controller, A_m=-4.0 * np.eye(3)))
+
+    def test_a_m_edit_that_splits_the_loop_raises_when_an_engine_is_built(self):
+        cfg = no_condition(nominal(duration=0.01, with_learner=False, mode="l1"))
+        cfg.plant.A_m = np.diag([-4.0, -3.0, -3.0])
+        with pytest.raises(ValueError, match="plant A_m diagonal"):
+            scenario.Engine(cfg)
+        # a deck gives both one array: an in-place edit moves both together
+        cfg = no_condition(nominal(duration=0.01, with_learner=False, mode="l1"))
+        assert cfg.plant.A_m is cfg.controller.A_m
+        cfg.plant.A_m[0, 0] = -4.0
+        assert not scenario.run(cfg).unstable
+
     def test_edit_off_the_step_grid_fails_when_read(self):
         cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
         cfg.duration = 1.0005
@@ -439,31 +462,42 @@ class TestEngineCalls:
     # controller tick through the three controller functions, so the
     # engine calls each through its class or module attribute, once per
     # step or tick
+    TICK = ("adaptation_step", "learning_filter_step", "control_step")
+
+    @staticmethod
+    def count_calls(monkeypatch, counts, owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
     @pytest.mark.parametrize("delay", [0.0, 0.005])
     def test_one_push_and_one_tick_per_step(self, monkeypatch, delay):
         counts = {}
-
-        def counting(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counting(plant.DelayLine, "push")
-        for name in ("adaptation_step", "learning_filter_step", "control_step"):
-            counting(ctrl, name)
+        self.count_calls(monkeypatch, counts, plant.DelayLine, "push")
+        for name in self.TICK:
+            self.count_calls(monkeypatch, counts, ctrl, name)
         cfg = no_condition(nominal(duration=0.5, input_delay=delay))
         trace = scenario.run(cfg)
         assert not trace.unstable
-        assert counts == {
-            "push": cfg.n_steps,
-            "adaptation_step": cfg.n_steps,
-            "learning_filter_step": cfg.n_steps,
-            "control_step": cfg.n_steps,
-        }
+        assert counts == {"push": cfg.n_steps, **{name: cfg.n_steps for name in self.TICK}}
+
+    def test_patches_made_after_build_are_seen(self, monkeypatch):
+        # the loop binds its calls when it runs, not when the engine is
+        # built: the benchmark wraps them around an engine it already has
+        counts = {}
+        cfg = no_condition(nominal(duration=0.5, input_delay=0.005))
+        engine = scenario.Engine(cfg)
+        self.count_calls(monkeypatch, counts, plant, "rk4_plant_step")
+        self.count_calls(monkeypatch, counts, plant.DelayLine, "push")
+        for name in self.TICK:
+            self.count_calls(monkeypatch, counts, ctrl, name)
+        assert not engine.run().unstable
+        assert counts == {"rk4_plant_step": cfg.n_steps, "push": cfg.n_steps,
+                          **{name: cfg.n_steps for name in self.TICK}}
 
 
 class TestSnapshotResume:
@@ -565,6 +599,64 @@ class TestMarginSearch:
         assert res.iterations <= 4
         assert no_repeats(res)
 
+    @pytest.mark.parametrize("omega_c, margin_steps",
+                             [(20.0, 77), (40.0, 39), (80.0, 19), (160.0, 10)])
+    def test_l1gp_margin_across_omega_c(self, omega_c, margin_steps, monkeypatch):
+        # the learning loop, each candidate resumed from a 30 s snapshot and
+        # recording only its end rows, keeps mode l1's margins
+        base = no_condition(nominal(duration=20.0, mode="l1gp"))
+        base = replace(base, controller=replace(base.controller, omega_c=omega_c))
+        rows = []
+        run = scenario.Engine.run
+
+        def counting(engine):
+            trace = run(engine)
+            rows.append(len(trace.data))
+            return trace
+
+        monkeypatch.setattr(scenario.Engine, "run", counting)
+        res = scenario.delay_margin_search(base, horizon=20.0, snapshot_time=30.0)
+        assert res.margin == margin_steps * 0.001
+        assert res.bracket == (margin_steps * 0.001, (margin_steps + 1) * 0.001)
+        assert not res.open_bracket
+        assert res.predicted == predicted_margin(omega_c)
+        assert abs(res.margin - predicted_margin(omega_c)) <= 0.002
+        assert res.iterations <= 4
+        assert no_repeats(res)
+        # the warm-up records at the deck's 100 Hz, each candidate at most
+        # its first row, one grid row and an abort row
+        assert rows[0] == 3001
+        assert len(rows) == res.iterations + 1 and max(rows[1:]) <= 4
+
+    @pytest.mark.parametrize("snapshot_time", [None, 3.0], ids=["fresh", "resumed"])
+    def test_candidates_record_only_their_end_rows(self, snapshot_time):
+        # the 20 ms candidate of l1_plain diverges; recorded once per
+        # horizon, it reaches the same verdict at the same step. Resumed at
+        # 3 s, its first step is off the 20 s recording grid
+        base, _ = config.resolve_scenario(config.parse_flat_file(
+            os.path.join(ROOT, "configs", "l1_plain.cfg")))
+        base = no_condition(base)
+        snap = None
+        if snapshot_time is not None:
+            warm = scenario.Engine(replace(base, duration=snapshot_time))
+            assert not warm.run().unstable
+            snap = warm.snapshot()
+        cfg = replace(base, duration=20.0,
+                      plant=replace(base.plant, input_delay=0.02))
+        sparse = replace(cfg, record_decimation=cfg.n_steps)
+        traces = [scenario.Engine(c, resume=snap).run() for c in (cfg, sparse)]
+
+        def aborts(trace):
+            return [ev["t"] for ev in trace.events if ev["kind"] == "unstable_abort"]
+
+        assert traces[0].unstable and traces[1].unstable
+        assert len(aborts(traces[0])) == 1
+        assert aborts(traces[0]) == aborts(traces[1])
+        assert len(traces[1].data) <= 4
+        # the rows it keeps are rows of the full record
+        assert np.array_equal(traces[1].data[0], traces[0].data[0])
+        assert np.array_equal(traces[1].data[-1], traces[0].data[-1])
+
     def test_total_path_delay_margin(self):
         # the prediction (78 ms) overshoots the total-path margin; the walk
         # down still lands on the same bracket
@@ -661,8 +753,7 @@ class TestConditionChecker:
             scenario.ConditionParams(**{name: value})
 
 
-DECKS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "configs", "*.cfg")))
+DECKS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
 
 
 @pytest.mark.parametrize("deck", DECKS, ids=os.path.basename)
