@@ -16,7 +16,11 @@ tree as the working directory:
 - ``simulate`` and ``margin --horizon 20`` on ``configs/l1_plain.cfg`` with
   ``plant.delay_total = true``, from a deck written to a temporary
   directory: the only runs that step the plant with the baseline outside
-  its RK4 step.
+  its RK4 step;
+- ``simulate`` and ``margin --horizon 5`` on a fixed anisotropic deck, also
+  written to the temporary directory: every per-axis value (``a_m``, ``j``,
+  ``x0``, ``x_hat0``, the reference's amplitude and frequency) differs
+  across the three axes, so a swap of two axes changes its outputs.
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, the
@@ -41,6 +45,28 @@ import numpy as np
 _WALL = re.compile(rb'("wall_clock_s": )[^,\n}]*')
 
 DELAY_TOTAL_DECK = "l1_plain_delay_total.cfg"
+ANISOTROPIC_DECK = "anisotropic.cfg"
+ANISOTROPIC_TEXT = """\
+duration = 20.0
+seed = 7
+
+[reference]
+kind = "sinusoid"
+amplitude = [1.0, 0.6, 0.3]
+frequency = [0.5, 0.7, 1.1]
+
+[controller]
+a_m = [-2.0, -3.0, -4.5]
+x_hat0 = [0.5, -0.2, 0.1]
+
+[plant]
+j = [0.011, 0.013, 0.021]
+x0 = [0.1, -0.05, 0.2]
+switch_time = 12.0
+
+[learner]
+t_data = 0.5
+"""
 
 
 def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
@@ -54,13 +80,20 @@ def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
     return path
 
 
+def write_decks(tree: Path, deck_dir: Path) -> None:
+    """Write the delay-total and the anisotropic deck to ``deck_dir``."""
+    write_delay_total_deck(tree, deck_dir)
+    (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
+
+
 def runs(tree: Path, deck_dir: Path) -> list:
     """(name, cli arguments) of every run, decks in sorted order; the
-    delay-total deck is read from ``deck_dir``."""
+    delay-total and the anisotropic deck are read from ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
     total = str(deck_dir / DELAY_TOTAL_DECK)
+    aniso = str(deck_dir / ANISOTROPIC_DECK)
     return out + [
         ("margin-l1_plain", ["margin", "configs/l1_plain.cfg", "--horizon", "20"]),
         ("margin-step_nominal-snapshot30",
@@ -68,6 +101,8 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("bound-check-step_nominal", ["bound-check", "configs/step_nominal.cfg"]),
         ("simulate-l1_plain-delay_total", ["simulate", total]),
         ("margin-l1_plain-delay_total", ["margin", total, "--horizon", "20"]),
+        ("simulate-anisotropic", ["simulate", aniso]),
+        ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
     ]
 
 
@@ -77,7 +112,7 @@ def run_all(tree: Path, out_root: Path) -> dict:
     status = {}
     with tempfile.TemporaryDirectory() as tmp:
         deck_dir = Path(tmp)
-        write_delay_total_deck(tree, deck_dir)
+        write_decks(tree, deck_dir)
         for name, args in runs(tree, deck_dir):
             proc = subprocess.run(
                 [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_root / name)],

@@ -199,31 +199,28 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
                 echo[key] = kind(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key} = {value!r}: {exc}") from exc
-    J = np.array(echo["plant.j"])
-    A_m = np.diag(echo["controller.a_m"])
     segments = ((0.0, echo["plant.uncertainty"]),)
     switch_time = echo.get("plant.switch_time")
     if switch_time is not None:
         segments += ((switch_time, "sine_switch"),)
     try:
         plant_cfg = plant_mod.PlantConfig(
-            J=np.diag(J),
-            x0=np.array(echo["plant.x0"]),
+            j=echo["plant.j"],
+            x0=echo["plant.x0"],
             uncertainty=plant_mod.UncertaintySchedule(segments),
             input_delay=echo["plant.input_delay"],
             delay_total=echo["plant.delay_total"],
-            A_m=A_m,
+            a_m=echo["controller.a_m"],
         )
         controller_cfg = ctrl.ControllerConfig(
-            A_m=A_m,
-            B_m=np.diag(1.0 / J),
-            C_m=np.eye(3),
+            a_m=echo["controller.a_m"],
+            b_m=tuple(1.0 / v for v in plant_cfg.j),
             T_s=echo["controller.ts"],
             omega_c=echo["controller.omega_c"],
             omega_L=echo["controller.omega_l"],
             omega_0=echo["controller.omega_0"],
             mode=echo["controller.mode"],
-            x_hat0=np.array(echo["controller.x_hat0"]),
+            x_hat0=echo["controller.x_hat0"],
         )
         learner_cfg = None
         if echo.setdefault("learner.enabled", controller_cfg.mode == "l1gp"):
@@ -259,8 +256,8 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
             learner=learner_cfg,
             reference=scenario.ReferenceConfig(
                 kind=echo["reference.kind"],
-                amplitude=np.array(echo["reference.amplitude"]),
-                frequency=np.array(echo["reference.frequency"]),
+                amplitude=echo["reference.amplitude"],
+                frequency=echo["reference.frequency"],
             ),
             duration=echo["duration"],
             step=echo["step"],

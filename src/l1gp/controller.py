@@ -16,15 +16,16 @@ zero-order-hold map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m drive``,
 the same sampled-data map the adaptation gain
 ``-B_m^{-1} Phi(T_s)^{-1} exp(A_m T_s)`` is derived from.
 
-``A_m``, ``B_m`` and ``C_m`` must be diagonal, so ``k_g``,
-``exp(A_m T_s)``, ``Phi(T_s)`` and the gain are too. :class:`ControllerConfig`
-derives each once, per axis, as the float 3-tuple of its diagonal, with no
-linear solve; each equals the diagonal of its matrix formula bitwise. The
-tick runs on Python floats, with no numpy call: the state is a set of
-float 3-tuples, and each product is three scalar products
-``0.0 + d_i v_i``, bitwise numpy's ``M @ v``. Products keep the order of
-the array formulas (``B_m`` times the summed input, then ``Phi``), so the
-tick is bitwise the array computation.
+``A_m`` and ``B_m`` are diagonal, given as the float 3-tuples ``a_m`` and
+``b_m`` of their diagonals, and the output matrix is the identity, so
+``k_g``, ``exp(A_m T_s)``, ``Phi(T_s)`` and the gain are diagonal too.
+:class:`ControllerConfig` derives each once, per axis, as the float 3-tuple
+of its diagonal, with no linear solve; each equals the diagonal of its
+matrix formula bitwise. The tick runs on Python floats, with no numpy
+call: the state is a set of float 3-tuples, and each product is three
+scalar products ``0.0 + d_i v_i``, bitwise numpy's ``M @ v``. Products keep
+the order of the array formulas (``B_m`` times the summed input, then
+``Phi``), so the tick is bitwise the array computation.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from . import numerics
 
@@ -56,39 +55,36 @@ class ConfigurationError(ValueError):
     """Controller configuration violates a construction invariant."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
-    """Plant-model matrices, rates, filter bandwidths, and mode.
+    """Plant model, rates, filter bandwidths, and mode.
 
-    ``A_m``, ``B_m`` and ``C_m`` must be finite, diagonal 3x3 and ``A_m``
-    Hurwitz (checked at construction). Construction derives, per axis and
-    as float 3-tuples, the feedforward gain ``k_g = -(C_m A_m^{-1} B_m)^{-1}``,
-    which makes the DC gain ``C_m (-A_m)^{-1} B_m k_g`` of the desired loop
-    the identity, and the constants of the tick: ``exp(A_m T_s)``,
-    ``Phi(T_s)``, ``B_m`` and its inverse, the adaptation gain and the filter
-    decay factors. A ``scenario.Engine`` reads the config once, when it is
-    built, so these follow the fields as they stand then.
+    ``a_m`` and ``b_m`` are the diagonals of ``A_m`` and ``B_m``, and
+    ``x_hat0`` the predictor's initial state, each 3 finite values, held as
+    a float 3-tuple; ``A_m`` must be Hurwitz. Construction derives, per
+    axis and as float 3-tuples, the feedforward gain
+    ``k_g = -(A_m^{-1} B_m)^{-1}``, which makes the DC gain
+    ``(-A_m)^{-1} B_m k_g`` of the desired loop the identity, and the
+    constants of the tick: ``exp(A_m T_s)``, ``Phi(T_s)``, the inverse of
+    ``B_m``, the adaptation gain and the filter decay factors. The config
+    is frozen, so these cannot go stale: an edit goes through
+    ``dataclasses.replace``, which reruns every check.
     ``omega_0 = 0`` disables the learning filter entirely (the commanded
     bandwidth is pinned at zero), which is the degenerate configuration
     equal to the plain adaptive mode.
     """
 
-    A_m: np.ndarray
-    B_m: np.ndarray
-    C_m: np.ndarray
+    a_m: tuple
+    b_m: tuple
     T_s: float = 0.001
     omega_c: float = 80.0
     omega_L: float = 0.01
     omega_0: float = 1.0
     mode: str = "l1gp"
-    x_hat0: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    x_hat0: tuple = (0.0, 0.0, 0.0)
     k_g: tuple = field(init=False)
 
     def __post_init__(self):
-        self.A_m = np.asarray(self.A_m, dtype=float)
-        self.B_m = np.asarray(self.B_m, dtype=float)
-        self.C_m = np.asarray(self.C_m, dtype=float)
-        self.x_hat0 = np.asarray(self.x_hat0, dtype=float)
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         # a chained comparison is false for nan as well
@@ -96,41 +92,39 @@ class ControllerConfig:
             raise ConfigurationError("T_s, omega_c, omega_L must be positive and finite")
         if not 0.0 <= self.omega_0 < math.inf:
             raise ConfigurationError("omega_0 must be nonnegative and finite")
-        diags = []
-        for name in ("A_m", "B_m", "C_m"):
-            M = getattr(self, name)
-            if not np.all(np.isfinite(M)):
-                raise ConfigurationError(f"{name} contains non-finite entries")
-            try:
-                diags.append(numerics.diagonal3(M, name))
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from exc
-        a, b, c = diags
+        try:
+            a, b, x_hat0 = (numerics.float3(getattr(self, name), name)
+                            for name in ("a_m", "b_m", "x_hat0"))
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if not all(d < 0.0 for d in a):
             raise ConfigurationError(f"A_m is not Hurwitz: diagonal {a}")
         # each constant is bitwise the diagonal of its dense formula, whose
-        # LAPACK solves multiply by reciprocals; first C_m A_m^{-1} B_m
-        prod = tuple(0.0 + ci * (bi * (1.0 / ai)) for ai, bi, ci in zip(a, b, c))
+        # LAPACK solves multiply by reciprocals; first A_m^{-1} B_m
+        prod = tuple(bi * (1.0 / ai) for ai, bi in zip(a, b))
         if 0.0 in prod:
-            raise ConfigurationError(f"C_m A_m^{{-1}} B_m is singular: diagonal {prod}")
-        self.k_g = tuple(-(1.0 / p) for p in prod)
-        # the DC identity c b k_g / -a = 1 needs a finite, nonzero k_g
-        if not all(0.0 < abs(k) < math.inf for k in self.k_g):
-            raise ConfigurationError(f"k_g must be finite and nonzero, got {self.k_g}")
-        self._a, self._b = a, b
-        self._b_inv = tuple(1.0 / v for v in b)
-        self._expAT, self._phi = numerics.zoh_map(a, self.T_s)
-        if 0.0 in self._phi:
-            raise ConfigurationError(f"Phi(T_s) is singular: diagonal {self._phi}")
+            raise ConfigurationError(f"A_m^{{-1}} B_m is singular: diagonal {prod}")
+        k_g = tuple(-(1.0 / p) for p in prod)
+        # the DC identity b k_g / -a = 1 needs a finite, nonzero k_g
+        if not all(0.0 < abs(k) < math.inf for k in k_g):
+            raise ConfigurationError(f"k_g must be finite and nonzero, got {k_g}")
+        b_inv = tuple(1.0 / v for v in b)
+        expAT, phi = numerics.zoh_map(a, self.T_s)
+        if 0.0 in phi:
+            raise ConfigurationError(f"Phi(T_s) is singular: diagonal {phi}")
         # -B_m^{-1} Phi^{-1} exp(A_m T_s)
-        self._gain = tuple(
-            -bi * (e * (1.0 / p)) for bi, e, p in zip(self._b_inv, self._expAT, self._phi)
-        )
-        if not all(map(math.isfinite, self._gain)):
-            raise ConfigurationError(f"adaptation gain is not finite: {self._gain}")
-        # per-tick filter decay factors, exact pole mapping
-        self._alpha_c = math.exp(-self.omega_c * self.T_s)
-        self._alpha_L = math.exp(-self.omega_L * self.T_s)
+        gain = tuple(-bi * (e * (1.0 / p)) for bi, e, p in zip(b_inv, expAT, phi))
+        if not all(map(math.isfinite, gain)):
+            raise ConfigurationError(f"adaptation gain is not finite: {gain}")
+        derived = {
+            "a_m": a, "b_m": b, "x_hat0": x_hat0, "k_g": k_g,
+            "_b_inv": b_inv, "_expAT": expAT, "_phi": phi, "_gain": gain,
+            # per-tick filter decay factors, exact pole mapping
+            "_alpha_c": math.exp(-self.omega_c * self.T_s),
+            "_alpha_L": math.exp(-self.omega_L * self.T_s),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 _Vec3 = tuple[float, float, float]
@@ -157,10 +151,9 @@ class ControllerState:
             if cfg.mode == "l1gp"
             else 0.0
         )
-        x0, x1, x2 = (float(v) for v in cfg.x_hat0)
         zero = (0.0, 0.0, 0.0)
         return cls(
-            x_hat=(x0, x1, x2),
+            x_hat=cfg.x_hat0,
             sigma_hat=zero,
             f_L=zero,
             omega_filtered=omega0,
@@ -245,7 +238,7 @@ def control_step(
     c2 = v2 + (c2 - v2) * alpha
     state.c_state = (c0, c1, c2)
     u0, u1, u2 = -l0 - c0, -l1 - c1, -l2 - c2
-    b0, b1, b2 = cfg._b
+    b0, b1, b2 = cfg.b_m
     e0, e1, e2 = cfg._expAT
     p0, p1, p2 = cfg._phi
     h0, h1, h2 = state.x_hat
@@ -306,7 +299,7 @@ def l1_norm_condition(
     fails. ``rho_r`` defaults to ``2 |r|_inf |H C k_g| + rho_in + 1``.
     """
     lhs = hck_norm = 0.0
-    for a, b, kg in zip(cfg._a, cfg._b, cfg.k_g):
+    for a, b, kg in zip(cfg.a_m, cfg.b_m, cfg.k_g):
         r = cfg.omega_c / -a
         x = r - 1.0
         # r^(-r/(r-1)) = exp(-r ln(r)/(r-1)); ln(r)/(r-1) -> 1 at r = 1

@@ -39,7 +39,7 @@ _HALF = _WINDOW // 2
 _POLY_ORDER = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerConfig:
     """Sampling period, refit cadence, gating mode, and bound parameters."""
 

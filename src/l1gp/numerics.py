@@ -1,11 +1,11 @@
 """Small numerical utilities shared by the toolkit.
 
 The linear parts of the loop are diagonal, so their setup is per axis:
-:func:`diagonal3` reads a diagonal 3x3 matrix as three Python floats, and
-:func:`zoh_map` and :func:`phi1` give the exact one-step maps, on Python
-floats, with no linear solve. The rest operates on plain float64 numpy
-arrays: the Cholesky routines the GP factors with, RK4, the
-Savitzky-Golay derivative and a covering-number bound. All public
+:func:`float3` checks a per-axis model value (a diagonal, a state) as three
+finite Python floats, and :func:`zoh_map` and :func:`phi1` give the exact
+one-step maps, on Python floats, with no linear solve. The rest operates
+on plain float64 numpy arrays: the Cholesky routines the GP factors with,
+RK4, the Savitzky-Golay derivative and a covering-number bound. All public
 functions are pure.
 
 The module loads without scipy. Only the factor routines
@@ -29,7 +29,7 @@ __all__ = [
     "InsufficientDataError",
     "zoh_map",
     "phi1",
-    "diagonal3",
+    "float3",
     "cholesky_factor",
     "solve_with_factor",
     "rk4_step",
@@ -107,21 +107,21 @@ def phi1(z: complex) -> complex:
     return complex(np.expm1(z)) / z
 
 
-def diagonal3(M: np.ndarray, name: str = "M") -> tuple[float, float, float]:
-    """The diagonal ``(d0, d1, d2)`` of a diagonal 3x3 matrix M as Python floats.
+def float3(value: Sequence[float], name: str) -> tuple[float, float, float]:
+    """``value`` as a 3-tuple of Python floats: the one form of a per-axis
+    model value, such as the diagonal of ``A_m`` or an initial state.
 
-    The 1 kHz loop multiplies per axis: ``0.0 + d_i v_i`` is bitwise entry i
-    of numpy's ``M @ v`` for finite v, the sign of zero included. Raises
-    DimensionError for another shape and ValueError when an off-diagonal
-    entry is nonzero (``-0.0`` counts as zero).
+    Raises ValueError naming ``name`` unless value is 3 finite numbers. A
+    diagonal matrix acts per axis: ``0.0 + d_i v_i`` is bitwise entry i of
+    numpy's ``diag(d) @ v`` for finite v, the sign of zero included.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise DimensionError(f"{name} must be 3x3, got shape {M.shape}")
-    d = np.diag(M)
-    if not np.array_equal(M, np.diag(d)):
-        raise ValueError(f"{name} must be diagonal, got {M.tolist()}")
-    return tuple(d.tolist())
+    try:
+        out = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        out = ()
+    if len(out) != 3 or not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be 3 finite values, got {value!r}")
+    return out
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:

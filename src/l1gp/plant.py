@@ -13,9 +13,9 @@ form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
 step, its four stages written out in one frame with no call but the
 uncertainty's and no numpy call inside. ``_rates`` holds the same rate
 equation once more, for the array form :func:`plant_derivative` only,
-which tests and the benchmark read. ``J`` and ``A_m`` must be diagonal,
-so every linear term, in the field and in :func:`baseline_control`, is a
-product per axis.
+which tests and the benchmark read. ``J`` and ``A_m`` are diagonal, given
+as the float 3-tuples ``j`` and ``a_m`` of their diagonals, so every linear
+term, in the field and in :func:`baseline_control`, is a product per axis.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import DivergenceError, diagonal3
+from .numerics import DivergenceError, float3
 
 __all__ = [
     "UncertaintySchedule",
@@ -78,7 +78,7 @@ def _scalar_field(kind: Callable[[np.ndarray], np.ndarray]):
     return scalar
 
 
-@dataclass
+@dataclass(frozen=True)
 class UncertaintySchedule:
     """Ordered (start_time, kind) segments; ``kind`` may also be a callable.
 
@@ -92,6 +92,8 @@ class UncertaintySchedule:
     """
 
     segments: Sequence[tuple[float, object]] = ((0.0, "zero"),)
+    switch_times: tuple = field(init=False, repr=False)
+    scalar_fields: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -109,8 +111,9 @@ class UncertaintySchedule:
                 fields.append(_KIND_FIELDS[kind])
             else:
                 raise ValueError(f"unknown uncertainty kind {kind!r}")
-        self.switch_times = starts[1:]
-        self.scalar_fields = tuple(fields)
+        object.__setattr__(self, "segments", tuple(map(tuple, self.segments)))
+        object.__setattr__(self, "switch_times", tuple(starts[1:]))
+        object.__setattr__(self, "scalar_fields", tuple(fields))
 
     def field_at(self, t: float) -> Callable[[float, float, float], tuple]:
         """Scalar form of the segment active at t."""
@@ -120,48 +123,41 @@ class UncertaintySchedule:
         return np.array(self.field_at(t)(x[0], x[1], x[2]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantConfig:
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
 
     ``input_delay`` must be a whole number of engine steps; by
     default only the adaptive input is delayed (the baseline is assumed
     onboard), ``delay_total`` switches the delay to the full input path.
-    Every number must be finite, and ``J`` and ``A_m`` diagonal. A
-    ``scenario.Engine`` reads the config once, when it is built, and
-    derives the float caches :func:`rk4_plant_step` reads from the fields
-    as they stand then.
+    ``j`` and ``a_m`` are the diagonals of ``J`` and ``A_m``, and ``x0``
+    the initial rates, each 3 finite values, held as a float 3-tuple;
+    ``j`` must be positive. The config is frozen: construction derives the
+    float caches :func:`rk4_plant_step` reads, and an edit goes through
+    ``dataclasses.replace``, which derives them anew.
     """
 
-    J: np.ndarray = field(default_factory=lambda: np.diag([0.011, 0.011, 0.021]))
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    j: tuple = (0.011, 0.011, 0.021)
+    x0: tuple = (0.0, 0.0, 0.0)
     uncertainty: UncertaintySchedule = field(
         default_factory=lambda: UncertaintySchedule(((0.0, "quadratic"),))
     )
     input_delay: float = 0.0
     delay_total: bool = False
-    A_m: np.ndarray = field(default_factory=lambda: -3.0 * np.eye(3))
+    a_m: tuple = (-3.0, -3.0, -3.0)
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        if self.J.ndim == 1:
-            self.J = np.diag(self.J)
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.A_m = np.asarray(self.A_m, dtype=float)
-        # before diagonal3, which would read a nan on the diagonal as coupling
-        for name in ("J", "x0", "A_m"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        j, x0, a = (float3(getattr(self, name), name) for name in ("j", "x0", "a_m"))
         # a chained comparison is false for nan as well
         if not 0.0 <= self.input_delay < math.inf:
             raise ValueError("input_delay must be nonnegative and finite")
-        # hot-loop caches as Python floats: the diagonals of J, A_m and J A_m
-        self._j = diagonal3(self.J, "J")
-        if not min(self._j) > 0:
-            raise ValueError("J must be diagonal with positive entries")
-        self._jinv = tuple(1.0 / v for v in self._j)
-        self._a = diagonal3(self.A_m, "A_m")
-        self._ja = tuple(j * a for j, a in zip(self._j, self._a))
+        if not min(j) > 0:
+            raise ValueError(f"J must be positive definite, got diagonal j = {j}")
+        # hot-loop caches: the diagonals of J^{-1} and J A_m
+        for name, value in (("j", j), ("x0", x0), ("a_m", a),
+                            ("_jinv", tuple(1.0 / v for v in j)),
+                            ("_ja", tuple(ji * ai for ji, ai in zip(j, a)))):
+            object.__setattr__(self, name, value)
 
 
 class DelayLine:
@@ -195,8 +191,8 @@ def baseline_control(x: Sequence[float], cfg: PlantConfig) -> tuple[float, float
     per axis on Python floats and bitwise the array form
     ``J @ (A_m @ x) + x cross (J @ x)`` (each product ``0.0 + d_i v_i``)."""
     x0, x1, x2 = x
-    j0, j1, j2 = cfg._j
-    a0, a1, a2 = cfg._a
+    j0, j1, j2 = cfg.j
+    a0, a1, a2 = cfg.a_m
     jx0, jx1, jx2 = 0.0 + j0 * x0, 0.0 + j1 * x1, 0.0 + j2 * x2
     return (
         (0.0 + j0 * (0.0 + a0 * x0)) + (x1 * jx2 - x2 * jx1),
@@ -215,7 +211,7 @@ def _rates(
     """Scalar form of ``J^{-1}(-(x cross J x) + f(x) + u_total)``, for
     :func:`plant_derivative`; :func:`rk4_plant_step` inlines the same
     arithmetic in each of its stages."""
-    j0, j1, j2 = cfg._j
+    j0, j1, j2 = cfg.j
     jx0, jx1, jx2 = j0 * x0, j1 * x1, j2 * x2
     g0 = x1 * jx2 - x2 * jx1
     g1 = x2 * jx0 - x0 * jx2
@@ -282,7 +278,7 @@ def rk4_plant_step(
     # Python floats: arithmetic on numpy scalars costs several times more
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     u0, u1, u2 = float(u_ext[0]), float(u_ext[1]), float(u_ext[2])
-    j0, j1, j2 = cfg._j
+    j0, j1, j2 = cfg.j
     i0, i1, i2 = cfg._jinv
     k0, k1, k2 = cfg._ja
     hh = 0.5 * h

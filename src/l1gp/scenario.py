@@ -76,35 +76,34 @@ TRACE_COLUMNS = ("t",) + tuple(
 REFERENCE_KINDS = ("zero", "step", "sinusoid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceConfig:
     """Reference command: per-axis step amplitudes or sinusoids.
 
     ``amplitude`` and ``frequency`` must be 3 finite values each (checked
-    at construction), whatever the kind.
+    at construction), whatever the kind, and are held as float 3-tuples.
     """
 
     kind: str = "step"
-    amplitude: np.ndarray = field(default_factory=lambda: np.ones(3))
-    frequency: np.ndarray = field(default_factory=lambda: 0.5 * np.ones(3))
+    amplitude: tuple = (1.0, 1.0, 1.0)
+    frequency: tuple = (0.5, 0.5, 0.5)
 
     def __post_init__(self):
         if self.kind not in REFERENCE_KINDS:
             raise ValueError(f"reference kind must be one of {REFERENCE_KINDS}")
         for name in ("amplitude", "frequency"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, v)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"reference {name} must be 3 finite values, got {v.tolist()}")
+            object.__setattr__(
+                self, name, numerics.float3(getattr(self, name), f"reference {name}")
+            )
 
     def make(self) -> Callable[[float], tuple]:
         """The reference ``r(t)`` as a function returning three floats."""
-        a0, a1, a2 = (float(v) for v in self.amplitude)
+        a0, a1, a2 = self.amplitude
         if self.kind == "zero":
             return lambda t: (0.0, 0.0, 0.0)
         if self.kind == "step":
             return lambda t: (a0, a1, a2)
-        w0, w1, w2 = (float(v) for v in self.frequency)
+        w0, w1, w2 = self.frequency
         return lambda t: (a0 * math.sin(w0 * t), a1 * math.sin(w1 * t),
                           a2 * math.sin(w2 * t))
 
@@ -131,9 +130,7 @@ class ReferenceConfig:
             return E, g, None, None
         K = [
             bi * amp * (math.exp(ai * h) * h) * numerics.phi1(complex(-ai * h, w * h))
-            for ai, bi, amp, w in zip(
-                a, b, self.amplitude.tolist(), self.frequency.tolist()
-            )
+            for ai, bi, amp, w in zip(a, b, self.amplitude, self.frequency)
         ]
         M_s = tuple(k.real for k in K)
         M_c = tuple(k.imag for k in K)
@@ -141,10 +138,10 @@ class ReferenceConfig:
 
     @property
     def r_inf(self) -> float:
-        return 0.0 if self.kind == "zero" else float(np.max(np.abs(self.amplitude)))
+        return 0.0 if self.kind == "zero" else max(map(abs, self.amplitude))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionParams:
     """Inputs of the filter-design inequality checker (diagnostic only)."""
 
@@ -164,17 +161,16 @@ class ConditionParams:
             raise ValueError("condition.rho_r must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one deterministic closed-loop run.
 
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid, and that the plant and the controller hold the same ``A_m``
-    diagonal. An :class:`Engine` reads the config once, when it is built:
-    it rebuilds the config, so every check reruns and every cache follows
-    the fields as they stand, in-place array edits included.
+    step grid, and that the plant and the controller hold the same ``a_m``.
+    The config and every config it holds are frozen: an edit goes through
+    ``dataclasses.replace``, which reruns every check.
     """
 
     controller: ctrl.ControllerConfig
@@ -189,21 +185,21 @@ class ScenarioConfig:
     condition: ConditionParams = field(default_factory=ConditionParams)
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        # a chained comparison is false for nan as well; an infinite blowup
+        # would turn the divergence guard off
+        for name in ("step", "blowup"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
-        # not > 0 also catches nan, which would turn the divergence guard off
-        if not self.blowup > 0:
-            raise ValueError("blowup must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         # the baseline and the ideal loop use the plant's A_m, the predictor
         # and the learner's targets the controller's: one loop, one matrix
-        if self.plant._a != self.controller._a:
+        if self.plant.a_m != self.controller.a_m:
             raise ValueError(
-                f"plant A_m diagonal {self.plant._a} differs from controller "
-                f"A_m diagonal {self.controller._a}"
+                f"plant a_m {self.plant.a_m} differs from controller "
+                f"a_m {self.controller.a_m}"
             )
         # each step count checks its time against the step grid when read
         for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
@@ -296,10 +292,10 @@ class Snapshot:
             from . import learner as learner_mod
 
             learner = learner_mod.BayesianLearner(
-                cfg.learner, cfg.controller._a, cfg.controller._b_inv, rng
+                cfg.learner, cfg.controller.a_m, cfg.controller._b_inv, rng
             )
         e0 = learner.model.e_f_hat if learner else 0.0
-        x0 = tuple(float(v) for v in cfg.plant.x0)
+        x0 = cfg.plant.x0
         zero = (0.0, 0.0, 0.0)
         return cls(t0=0.0, x=x0, x_id=x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
@@ -311,9 +307,7 @@ class Engine:
 
     def __init__(self, cfg: ScenarioConfig, resume: Optional[Snapshot] = None,
                  true_sigma: bool = False):
-        # the one read of the config: every check and every cache runs anew
-        self.cfg = cfg = replace(cfg, plant=replace(cfg.plant),
-                                 controller=replace(cfg.controller))
+        self.cfg = cfg
         self.ref = cfg.reference.make()
         # each tick's adaptive estimate is the true uncertainty at the state
         self._true_sigma = true_sigma
@@ -348,14 +342,14 @@ class Engine:
         i0 = cfg.steps(self.t0, "resume time", least=0)
         sin, cos = math.sin, math.cos
         (E0, E1, E2), g_id, M_s, M_c = cfg.reference.exact_step(
-            p._a, tuple(0.0 + b * k for b, k in zip(c._b, c.k_g)), h
+            p.a_m, tuple(0.0 + b * k for b, k in zip(c.b_m, c.k_g)), h
         )
         sinusoid = M_s is not None
         if sinusoid:
             (m0, m1, m2), (n0, n1, n2) = M_s, M_c
         r = self.ref(0.0)  # constant unless the reference is a sinusoid
-        a0, a1, a2 = (float(v) for v in cfg.reference.amplitude)
-        w0, w1, w2 = (float(v) for v in cfg.reference.frequency)
+        a0, a1, a2 = cfg.reference.amplitude
+        w0, w1, w2 = cfg.reference.frequency
         # segment `seg` of the uncertainty is in force from global step
         # switch_steps[seg - 1] on; -1 marks that no switch is left
         switch_steps = cfg.switch_steps + [-1]
@@ -519,7 +513,7 @@ class Engine:
         rho_0 = (
             cp.rho_0
             if cp.rho_0 is not None
-            else float(np.max(np.abs(self.cfg.plant.x0)))
+            else max(map(abs, self.cfg.plant.x0))
         )
         report = ctrl.l1_norm_condition(
             self.cfg.controller,
@@ -570,11 +564,15 @@ class MarginResult:
 
     margin: float
     bracket: tuple
-    iterations: int
     criterion: str
     candidates: list
     predicted: float
     open_bracket: bool = False
+
+    @property
+    def iterations(self) -> int:
+        """The number of candidate runs the search made."""
+        return len(self.candidates)
 
     def as_dict(self) -> dict:
         return {
@@ -690,7 +688,6 @@ def delay_margin_search(
     return MarginResult(
         margin=delay(lo),
         bracket=(delay(lo), delay(hi)),
-        iterations=len(candidates),
         criterion=(
             f"unstable iff |x|_inf > {base.blowup} or non-finite within {horizon}s"
         ),

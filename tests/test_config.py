@@ -5,7 +5,6 @@ import dataclasses
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 from l1gp import cli, config as config_mod, scenario
@@ -62,18 +61,6 @@ NON_DEFAULT = {
 }
 
 
-def tree(obj):
-    """A config as nested tuples, arrays as lists, so == compares values."""
-    if dataclasses.is_dataclass(obj):
-        return tuple((f.name, tree(getattr(obj, f.name)))
-                     for f in dataclasses.fields(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (tuple, list)):
-        return tuple(tree(v) for v in obj)
-    return obj
-
-
 def test_every_table_key_has_a_test_value():
     assert set(NON_DEFAULT) == set(config_mod._KEYS)
 
@@ -82,10 +69,11 @@ def test_every_table_key_has_a_test_value():
 def test_each_key_changes_the_config_and_round_trips(key):
     base_cfg, _ = config_mod.resolve_scenario(BASE)
     cfg, echo = config_mod.resolve_scenario({**BASE, key: NON_DEFAULT[key]})
-    assert tree(cfg) != tree(base_cfg)
+    # a config is a value: == compares every field, nested configs included
+    assert cfg != base_cfg
     again, echo2 = config_mod.resolve_scenario(echo)
     assert echo2 == echo
-    assert tree(again) == tree(cfg)
+    assert again == cfg
 
 
 @pytest.mark.parametrize("deck", DECKS, ids=lambda p: p.name)
@@ -116,7 +104,7 @@ STOCK_CALLS = {
 def test_shipped_deck_matches_the_stock_builder(deck):
     deck_cfg, _ = config_mod.resolve_scenario(config_mod.parse_flat_file(str(deck)))
     stock_cfg = config_mod.quadrotor_nominal(**STOCK_CALLS[deck.name])
-    assert tree(deck_cfg) == tree(stock_cfg)
+    assert deck_cfg == stock_cfg
     # the same loop, step for step, over the first second
     a = scenario.run(dataclasses.replace(deck_cfg, duration=1.0))
     b = scenario.run(dataclasses.replace(stock_cfg, duration=1.0))

@@ -14,18 +14,22 @@ J = np.diag([0.011, 0.011, 0.021])
 A_M = -3.0 * np.eye(3)
 B_M = np.diag(1.0 / np.diag(J))
 C_M = np.eye(3)
+# the config's form of A_M and B_M: their diagonals
+a_m, b_m = tuple(np.diag(A_M).tolist()), tuple(np.diag(B_M).tolist())
 
 
 def nominal_cfg(mode="l1gp", **kw):
-    return ctrl.ControllerConfig(A_m=A_M, B_m=B_M, C_m=C_M, mode=mode, **kw)
+    return ctrl.ControllerConfig(a_m=a_m, b_m=b_m, mode=mode, **kw)
 
 
-def array_constants(A, B, C, T_s):
+def array_constants(cfg):
     """k_g, exp(A T_s), Phi(T_s), B^{-1} and the adaptation gain by their
-    dense matrix formulas: the oracle of the per-axis constants."""
+    dense matrix formulas, with ``A = diag(a_m)``, ``B = diag(b_m)`` and the
+    output matrix ``C = I``: the oracle of the per-axis constants."""
     import scipy.linalg
 
-    expAT = scipy.linalg.expm(A * T_s)
+    A, B, C = np.diag(cfg.a_m), np.diag(cfg.b_m), C_M
+    expAT = scipy.linalg.expm(A * cfg.T_s)
     phi = np.linalg.solve(A, expAT - np.eye(3))
     B_inv = np.linalg.inv(B)
     return {
@@ -38,16 +42,15 @@ def array_constants(A, B, C, T_s):
 
 
 def random_diagonal_cfgs(n, seed=0):
-    """n configs with random diagonal A_m, B_m, C_m and T_s, signs of B_m
-    and C_m mixed, with the stock one first."""
+    """n configs with random diagonal A_m, B_m and T_s, signs of B_m mixed,
+    with the stock one first."""
     rng = np.random.default_rng(seed)
     yield nominal_cfg()
     for _ in range(n - 1):
         a = -(10.0 ** rng.uniform(-3.0, 3.0, size=3))
         b = 10.0 ** rng.uniform(-2.0, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-        c = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         T_s = float(10.0 ** rng.uniform(-5.0, -1.0))
-        yield ctrl.ControllerConfig(A_m=np.diag(a), B_m=np.diag(b), C_m=np.diag(c), T_s=T_s)
+        yield ctrl.ControllerConfig(a_m=a, b_m=b, T_s=T_s)
 
 
 class TestFeedforwardGain:
@@ -58,31 +61,27 @@ class TestFeedforwardGain:
         assert np.allclose(kg, [0.033, 0.033, 0.063], atol=1e-15)
 
     def test_identity_case(self):
-        eye = np.eye(3)
-        assert ctrl.ControllerConfig(A_m=-eye, B_m=eye, C_m=eye).k_g == (1.0, 1.0, 1.0)
+        one = (1.0, 1.0, 1.0)
+        assert ctrl.ControllerConfig(a_m=(-1.0, -1.0, -1.0), b_m=one).k_g == one
 
     def test_dc_identity(self):
-        # C_m (-A_m)^{-1} B_m k_g = I, on every random diagonal config
+        # (-A_m)^{-1} B_m k_g = I, on every random diagonal config
         for cfg in random_diagonal_cfgs(100):
-            dc = cfg.C_m @ np.linalg.solve(-cfg.A_m, cfg.B_m) @ np.diag(cfg.k_g)
+            dc = np.linalg.solve(-np.diag(cfg.a_m), np.diag(cfg.b_m)) @ np.diag(cfg.k_g)
             assert np.allclose(dc, np.eye(3), rtol=0.0, atol=1e-14)
 
     def test_singular_product_rejected(self):
-        # a zero b_i or c_i makes C_m A_m^{-1} B_m singular
-        for name in ("B_m", "C_m"):
-            mats = {"A_m": A_M, "B_m": B_M.copy(), "C_m": C_M.copy()}
-            mats[name][1, 1] = 0.0
-            with pytest.raises(ctrl.ConfigurationError, match="singular"):
-                ctrl.ControllerConfig(**mats)
+        # a zero b_i makes A_m^{-1} B_m singular
+        with pytest.raises(ctrl.ConfigurationError, match="singular"):
+            ctrl.ControllerConfig(a_m=a_m, b_m=(b_m[0], 0.0, b_m[2]))
 
-    @pytest.mark.parametrize("b, c", [(1e-10, 1e-300), (1e300, 1e10)],
+    @pytest.mark.parametrize("a, b", [(-1.0, 1e-310), (-1e-10, 1e300)],
                              ids=["k_g-overflows", "k_g-underflows"])
-    def test_non_finite_or_zero_k_g_rejected(self, b, c):
-        # c b / a = -1e-310 (k_g = inf) or -inf (k_g = 0.0): the DC
-        # identity cannot hold
+    def test_non_finite_or_zero_k_g_rejected(self, a, b):
+        # b / a = -1e-310 (k_g = inf) or -inf (k_g = 0.0): the DC identity
+        # cannot hold
         with pytest.raises(ctrl.ConfigurationError, match="k_g must be finite"):
-            ctrl.ControllerConfig(A_m=-np.eye(3), B_m=np.diag([1.0, b, 1.0]),
-                                  C_m=np.diag([1.0, c, 1.0]))
+            ctrl.ControllerConfig(a_m=(-1.0, a, -1.0), b_m=(1.0, b, 1.0))
 
 
 class TestTickConstants:
@@ -90,7 +89,7 @@ class TestTickConstants:
         # every per-axis constant is the diagonal of its dense formula, bit
         # for bit, and the dense formula's off-diagonal entries are zero
         for cfg in random_diagonal_cfgs(300):
-            want = array_constants(cfg.A_m, cfg.B_m, cfg.C_m, cfg.T_s)
+            want = array_constants(cfg)
             for name, M in want.items():
                 got = getattr(cfg, name)
                 assert all(type(v) is float for v in got), name
@@ -100,24 +99,24 @@ class TestTickConstants:
     def test_singular_phi_rejected(self):
         # |a| T_s below the rounding of exp: exp(a T_s) = 1 and Phi = 0
         with pytest.raises(ctrl.ConfigurationError, match="Phi"):
-            ctrl.ControllerConfig(A_m=np.diag([-3.0, -1e-14, -3.0]), B_m=B_M, C_m=C_M)
+            ctrl.ControllerConfig(a_m=(-3.0, -1e-14, -3.0), b_m=b_m)
 
 
 class TestConfigInvariants:
     def test_non_hurwitz_rejected(self):
         with pytest.raises(ctrl.ConfigurationError, match="Hurwitz"):
-            ctrl.ControllerConfig(A_m=np.eye(3), B_m=B_M, C_m=C_M)
+            ctrl.ControllerConfig(a_m=(1.0, 1.0, 1.0), b_m=b_m)
 
     def test_non_diagonal_matrices_rejected(self):
-        # the tick multiplies per axis, so a coupled matrix is refused
-        for name in ("A_m", "B_m", "C_m"):
-            mats = {"A_m": A_M.copy(), "B_m": B_M.copy(), "C_m": C_M.copy()}
-            mats[name][0, 1] = 0.1
-            with pytest.raises(ctrl.ConfigurationError, match=f"{name} must be diagonal"):
-                ctrl.ControllerConfig(**mats)
-            mats[name] = np.eye(2)
-            with pytest.raises(ctrl.ConfigurationError, match=f"{name} must be 3x3"):
-                ctrl.ControllerConfig(**mats)
+        # the tick multiplies per axis, so the model is its diagonals: a
+        # matrix, coupled or not, is refused, and so is a wrong length
+        coupled = A_M.copy()
+        coupled[0, 1] = 0.1
+        for name in ("a_m", "b_m", "x_hat0"):
+            for value in (coupled, A_M, (1.0, 1.0)):
+                with pytest.raises(ctrl.ConfigurationError,
+                                   match=f"{name} must be 3 finite values"):
+                    ctrl.ControllerConfig(**{"a_m": a_m, "b_m": b_m, name: value})
 
     @pytest.mark.parametrize("kw", [
         {"T_s": math.nan},
@@ -126,12 +125,13 @@ class TestConfigInvariants:
         {"omega_L": math.nan},
         {"omega_0": math.nan},
         {"omega_0": math.inf},
-        {"A_m": np.diag([-3.0, -math.inf, -3.0])},
-        {"B_m": np.diag([math.inf, 1.0, 1.0])},
-    ], ids=lambda kw: "-".join(f"{k}={np.max(np.abs(v))}" for k, v in kw.items()))
+        {"a_m": (-3.0, -math.inf, -3.0)},
+        {"b_m": (math.inf, 1.0, 1.0)},
+    ], ids=["T_s=nan", "omega_c=nan", "omega_c=inf", "omega_L=nan", "omega_0=nan",
+            "omega_0=inf", "A_m=inf", "B_m=inf"])
     def test_non_finite_rejected(self, kw):
         with pytest.raises(ctrl.ConfigurationError):
-            ctrl.ControllerConfig(**{"A_m": A_M, "B_m": B_M, "C_m": C_M, **kw})
+            ctrl.ControllerConfig(**{"a_m": a_m, "b_m": b_m, **kw})
 
     def test_bad_mode(self):
         with pytest.raises(ctrl.ConfigurationError):
@@ -271,10 +271,10 @@ class TestControlStep:
             state.f_L = 0.01 * rng.normal(size=3)
             r = np.sin(k * cfg.T_s) * np.ones(3)
             u = ctrl.control_step(state, r, cfg)
-            drive = cfg.B_m @ (state.f_L + state.sigma_hat + u)
+            drive = B_M @ (state.f_L + state.sigma_hat + u)
             for j in range(100):
                 x_fine = numerics.rk4_step(
-                    lambda _t, z: cfg.A_m @ z + drive, j * h, x_fine, h
+                    lambda _t, z: A_M @ z + drive, j * h, x_fine, h
                 )
         assert np.max(np.abs(state.x_hat - x_fine)) <= 1e-12
         assert np.max(np.abs(x_fine)) > 0.1
@@ -299,7 +299,7 @@ def mp_hg_norm(a, b, wc):
 
 
 def axis_cfg(a):
-    return ctrl.ControllerConfig(A_m=a * np.eye(3), B_m=B_M, C_m=C_M)
+    return ctrl.ControllerConfig(a_m=(a, a, a), b_m=b_m)
 
 
 class TestNormCondition:

@@ -106,7 +106,7 @@ class TestMatrixExponential:
         A = np.diag([-3.0, -2.0, -0.5])
         A[0, 1] = A[2, 0] = A[1, 2] = -0.0
         for t in (0.001, 0.01, 0.02):
-            got = zoh_e(numerics.diagonal3(A), t)
+            got = zoh_e(np.diag(A).tolist(), t)
             assert np.array_equal(np.diag(got), scipy.linalg.expm(A * t))
 
 
@@ -189,6 +189,9 @@ def cholesky_solve(M, B):
 
 
 class TestDiagonal3:
+    """A diagonal 3x3 matrix held as the float 3-tuple of its diagonal
+    (:func:`numerics.float3`), and its per-axis product."""
+
     def test_product_is_numpys_bitwise(self):
         # the 1 kHz loop's per-axis product 0.0 + d v: every entry, and the
         # sign of every zero, equals numpy's M @ v, through underflow
@@ -200,7 +203,7 @@ class TestDiagonal3:
         ):
             M = np.diag(diag)
             M[~np.eye(3, dtype=bool)] = off
-            d = numerics.diagonal3(M)
+            d = numerics.float3(np.diag(M), "M")
             assert all(type(v) is float for v in d)
             for v in vectors:
                 got = np.array([0.0 + di * vi for di, vi in zip(d, v.tolist())])
@@ -209,15 +212,15 @@ class TestDiagonal3:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_shape_checked(self):
-        with pytest.raises(numerics.DimensionError, match="B must be 3x3"):
-            numerics.diagonal3(np.eye(2), "B")
+        # a matrix, a scalar or a wrong length is not a diagonal's 3 values
+        for value in (np.eye(3), np.ones(2), 1.0, (1.0, 2.0, 3.0, 4.0), "abc"):
+            with pytest.raises(ValueError, match="B must be 3 finite values"):
+                numerics.float3(value, "B")
 
-    @pytest.mark.parametrize("entry", [0.5, -5e-324, math.nan])
-    def test_off_diagonal_entry_rejected(self, entry):
-        M = -np.eye(3)
-        M[2, 0] = entry
-        with pytest.raises(ValueError, match="A must be diagonal"):
-            numerics.diagonal3(M, "A")
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="A must be 3 finite values"):
+            numerics.float3((-1.0, entry, -1.0), "A")
 
 
 class TestCholeskySolve:

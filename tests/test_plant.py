@@ -18,7 +18,7 @@ def make_cfg(kind="quadratic", switch_time=None, **kw):
         sched = plant.UncertaintySchedule(((0.0, kind),))
     else:
         sched = plant.UncertaintySchedule(((0.0, kind), (switch_time, "sine_switch")))
-    return plant.PlantConfig(J=J, uncertainty=sched, A_m=A_M, **kw)
+    return plant.PlantConfig(j=np.diag(J), uncertainty=sched, a_m=np.diag(A_M), **kw)
 
 
 class TestUncertainty:
@@ -80,7 +80,7 @@ class TestBaseline:
         A = np.diag(a_m)
         A[A == 0.0] = -0.0
         for Jd in (J, np.diag([1e-200, 1.0, 3.0])):
-            cfg = plant.PlantConfig(J=Jd, A_m=A)
+            cfg = plant.PlantConfig(j=np.diag(Jd), a_m=np.diag(A))
             zeros = (0.0, -0.0, 1.5, -2.0, 1e-160, -5e-324)
             xs = list(itertools.product(zeros, repeat=3))
             xs += [tuple(v) for v in np.random.default_rng(3).normal(size=(300, 3))]
@@ -109,7 +109,7 @@ class TestPlantDerivative:
         # with the baseline included the physical form must equal
         # A_m x + B_m (u + f(x)) to round-off, for any state
         cfg = make_cfg("quadratic")
-        B_m = np.linalg.inv(cfg.J)
+        B_m = np.linalg.inv(np.diag(cfg.j))
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.normal(size=3)
@@ -165,8 +165,8 @@ def oracle_step(cfg, kinds, x, u, t, h, include_baseline):
     ``kinds`` is a list of (start, oracle kind); J is diagonal, so J and
     J^{-1} act elementwise.
     """
-    j = np.diag(cfg.J)
-    JA = cfg.J @ cfg.A_m
+    j = np.array(cfg.j)
+    JA = np.diag(j) @ np.diag(cfg.a_m)
 
     def field(tt, z):
         f = [k for start, k in kinds if start <= tt][-1](z)
@@ -224,25 +224,24 @@ class TestRk4PlantStep:
         )
 
     def test_non_diagonal_a_m(self):
-        # the field multiplies per axis, so a coupled A_m is refused
+        # the field multiplies per axis, so A_m is its diagonal: a matrix,
+        # coupled or not, is refused, and so is a wrong length
         A_m = np.array([[-3.0, 0.5, 0.1], [0.2, -4.0, 0.3], [-0.1, 0.4, -2.5]])
-        with pytest.raises(ValueError, match="A_m must be diagonal"):
-            plant.PlantConfig(J=J, A_m=A_m)
-        with pytest.raises(numerics.DimensionError, match="A_m must be 3x3"):
-            plant.PlantConfig(J=J, A_m=-np.eye(2))
+        for value in (A_m, A_M, (-3.0, -3.0)):
+            with pytest.raises(ValueError, match="a_m must be 3 finite values"):
+                plant.PlantConfig(a_m=value)
 
     @pytest.mark.parametrize("kw", [
-        {"A_m": np.diag([-3.0, -math.inf, -3.0])},
-        {"J": np.diag([math.inf, 0.011, 0.021])},
-        {"J": np.diag([math.nan, 0.011, 0.021])},
-        {"x0": np.array([math.nan, 0.0, 0.0])},
+        {"a_m": (-3.0, -math.inf, -3.0)},
+        {"j": (math.inf, 0.011, 0.021)},
+        {"j": (math.nan, 0.011, 0.021)},
+        {"x0": (math.nan, 0.0, 0.0)},
         {"input_delay": math.nan},
         {"input_delay": math.inf},
     ], ids=["A_m-inf", "J-inf", "J-nan", "x0-nan", "delay-nan", "delay-inf"])
     def test_non_finite_rejected(self, kw):
-        # checked before the diagonal, so a nan reads as non-finite, not coupled
         with pytest.raises(ValueError, match="finite"):
-            plant.PlantConfig(**{"J": J, "A_m": A_M, **kw})
+            plant.PlantConfig(**kw)
 
     # numpy's nan for sin/cos of an infinite stage state warns
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -91,10 +91,14 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-l1_plain-delay_total", "margin-l1_plain-delay_total",
+        "simulate-anisotropic", "margin-anisotropic",
     ]
     deck = str(tmp_path / "decks" / same_outputs.DELAY_TOTAL_DECK)
-    assert runs[-2][1] == ["simulate", deck]
-    assert runs[-1][1] == ["margin", deck, "--horizon", "20"]
+    assert runs[-4][1] == ["simulate", deck]
+    assert runs[-3][1] == ["margin", deck, "--horizon", "20"]
+    aniso = str(tmp_path / "decks" / same_outputs.ANISOTROPIC_DECK)
+    assert runs[-2][1] == ["simulate", aniso]
+    assert runs[-1][1] == ["margin", aniso, "--horizon", "5"]
 
 
 def test_delay_total_deck_is_l1_plain_with_the_total_path(tmp_path):
@@ -114,3 +118,20 @@ def test_delay_total_deck_needs_a_plant_section(tmp_path):
     write(tmp_path, {"configs/l1_plain.cfg": "duration = 1.0\n"})
     with pytest.raises(ValueError, match="no \\[plant\\] section"):
         same_outputs.write_delay_total_deck(tmp_path, tmp_path)
+
+
+def test_anisotropic_deck_differs_on_every_axis(tmp_path):
+    # a swap of any two axes of any per-axis value changes the config
+    same_outputs.write_decks(SCRIPT.parents[1], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [same_outputs.ANISOTROPIC_DECK, same_outputs.DELAY_TOTAL_DECK])
+    cfg, echo = config.resolve_scenario(
+        config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
+    per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
+                cfg.plant.j, cfg.plant.x0, cfg.reference.amplitude,
+                cfg.reference.frequency]
+    for value in per_axis:
+        assert len(set(value)) == 3, value
+    assert cfg.reference.kind == "sinusoid" and cfg.learner is not None
+    assert (cfg.duration, cfg.seed, cfg.learner.T_data) == (20.0, 7, 0.5)
+    assert cfg.plant.uncertainty.switch_times == (12.0,)

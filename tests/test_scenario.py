@@ -1,5 +1,6 @@
 """Closed-loop engine tests: contracts, degeneracies, oracles, margin search."""
 
+import dataclasses
 import glob
 import math
 import os
@@ -22,16 +23,21 @@ def nominal(duration=5.0, reference_kind="step", **kw):
     )
 
 
+def edit(cfg, part, **changes):
+    """``cfg`` with its ``part`` config (``plant``, ``controller``, ...)
+    replaced by one with ``changes``."""
+    return replace(cfg, **{part: replace(getattr(cfg, part), **changes)})
+
+
 def no_condition(cfg):
-    cfg.condition.check = False
-    return cfg
+    return edit(cfg, "condition", check=False)
 
 
 class TestEquilibriumAndBookkeeping:
     def test_all_zero_run(self):
         cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero",
                       with_learner=False, mode="l1")
-        cfg.controller.x_hat0 = np.zeros(3)
+        cfg = edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0))
         trace = scenario.run(no_condition(cfg))
         assert not trace.unstable
         numeric = trace.data[:, 1:]
@@ -73,11 +79,7 @@ class TestRateContracts:
 
     def test_sigma_piecewise_constant_at_ts(self):
         cfg = no_condition(nominal(duration=0.2, record_decimation=1))
-        cfg.controller = ctrl.ControllerConfig(
-            A_m=cfg.controller.A_m, B_m=cfg.controller.B_m, C_m=cfg.controller.C_m,
-            T_s=0.002, mode="l1gp", x_hat0=cfg.controller.x_hat0,
-        )
-        cfg.__post_init__()
+        cfg = edit(cfg, "controller", T_s=0.002)
         trace = scenario.run(cfg)
         sg = trace.block("sigmahat")
         t = trace.t
@@ -120,7 +122,7 @@ class TestDegeneracies:
     def test_l1_equals_l1gp_with_zero_learning(self):
         a = nominal(duration=2.0, mode="l1", with_learner=False)
         b = nominal(duration=2.0, mode="l1gp", with_learner=False)
-        b.controller.omega_0 = 0.0
+        b = edit(b, "controller", omega_0=0.0)
         ta = scenario.run(no_condition(a))
         tb = scenario.run(no_condition(b))
         assert np.array_equal(ta.data, tb.data)
@@ -154,6 +156,7 @@ class TestReferenceSystem:
         # independent filtered-ideal oracle: xdot = A x + B k_g r_f with the
         # reference passed through the same discretized first-order lag
         c = cfg.controller
+        A, B = np.diag(c.a_m), np.diag(c.b_m)
         alpha = math.exp(-c.omega_c * c.T_s)
         r = cfg.reference.make()
         x = np.zeros(3)
@@ -162,8 +165,8 @@ class TestReferenceSystem:
         for i in range(cfg.n_steps):
             v = r(i * 0.001)
             rf = v + (rf - v) * alpha
-            drive = c.B_m @ np.multiply(c.k_g, rf)
-            x = numerics.rk4_step(lambda t, z: c.A_m @ z + drive, i * 0.001, x, 0.001)
+            drive = B @ np.multiply(c.k_g, rf)
+            x = numerics.rk4_step(lambda t, z: A @ z + drive, i * 0.001, x, 0.001)
             if (i + 1) % cfg.record_decimation == 0:
                 oracle.append(x.copy())
         oracle = np.asarray(oracle)
@@ -172,20 +175,20 @@ class TestReferenceSystem:
     def test_constant_uncertainty_dc_matches_ideal(self):
         cfg = no_condition(nominal(duration=20.0, with_learner=False))
         c_vec = np.array([0.2, -0.1, 0.15])
-        cfg.plant.uncertainty = plant.UncertaintySchedule(((0.0, lambda x: c_vec),))
+        cfg = edit(cfg, "plant",
+                   uncertainty=plant.UncertaintySchedule(((0.0, lambda x: c_vec),)))
         out = scenario.run_reference_system(cfg)
         cc = cfg.controller
-        x_id_ss = np.linalg.solve(-cc.A_m, cc.B_m @ np.array(cc.k_g))
+        x_id_ss = np.linalg.solve(-np.diag(cc.a_m), np.diag(cc.b_m) @ np.array(cc.k_g))
         assert np.max(np.abs(out["x_ref"][-1] - x_id_ss)) < 1e-4
 
     def test_oracle_sigma_substitution_recovers_reference_system(self):
         # forcing the adaptive estimate to the true uncertainty must drive
         # the closed loop to the reference system's trajectory
-        cfg = nominal(duration=10.0, mode="l1", with_learner=False)
-        cfg.controller.x_hat0 = np.zeros(3)
-        cfg = no_condition(cfg)
+        cfg = nominal(duration=10.0, mode="l1", with_learner=False,
+                      record_decimation=1)
+        cfg = no_condition(edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0)))
         sched = cfg.plant.uncertainty
-        cfg.record_decimation = 1
         eng = scenario.Engine(cfg, true_sigma=True)
         trace = eng.run()
         # every tick's estimate is the oracle at the state the tick saw
@@ -196,6 +199,7 @@ class TestReferenceSystem:
         # x' = A_m x + B_m (u + f(x)) with u = C(s)(k_g r - f(x_k)) held
         # over each tick
         c = cfg.controller
+        A, B = np.diag(c.a_m), np.diag(c.b_m)
         alpha = math.exp(-c.omega_c * c.T_s)
         r = cfg.reference.make()
         z = np.zeros(3)
@@ -205,7 +209,7 @@ class TestReferenceSystem:
             v = np.multiply(c.k_g, r(i * 0.001)) - sched.eval(i * 0.001, z)
             filt = v + (filt - v) * alpha
             z = numerics.rk4_step(
-                lambda tt, zz: c.A_m @ zz + c.B_m @ (filt + sched.eval(tt, zz)),
+                lambda tt, zz: A @ zz + B @ (filt + sched.eval(tt, zz)),
                 i * 0.001, z, 0.001,
             )
             oracle.append(z.copy())
@@ -224,13 +228,13 @@ class TestIdealLoop:
                                    with_learner=False, mode="l1"))
         trace = scenario.run(cfg)
         t = trace.t[:, None]
-        a = cfg.reference.amplitude
-        b = np.diag(cfg.controller.B_m) * cfg.controller.k_g
+        a = np.array(cfg.reference.amplitude)
+        b = np.multiply(cfg.controller.b_m, cfg.controller.k_g)
         assert np.allclose(b, 3.0, rtol=1e-12)
         if kind == "step":
             exact = b * a * (1.0 - np.exp(-3.0 * t)) / 3.0
         else:
-            w = cfg.reference.frequency
+            w = np.array(cfg.reference.frequency)
             exact = b * a * (
                 3.0 * np.sin(w * t) - w * np.cos(w * t) + w * np.exp(-3.0 * t)
             ) / (9.0 + w**2)
@@ -251,82 +255,65 @@ class TestIdealLoop:
 
 class TestConfigEdits:
     def test_edits_after_construction_take_effect(self):
+        # an edit is a new config from dataclasses.replace: it equals, and
+        # runs as, a config built with the edited values
         cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
-        cfg.duration = 2.0
-        cfg.plant.input_delay = 0.01
+        cfg = edit(replace(cfg, duration=2.0), "plant", input_delay=0.01)
         assert (cfg.n_steps, cfg.delay_steps) == (2000, 10)
         fresh = config.quadrotor_nominal(duration=2.0, with_learner=False, mode="l1",
                                          input_delay=0.01)
+        assert cfg == fresh
         trace = scenario.run(cfg)
         assert trace.t[-1] == 2.0
         assert np.array_equal(trace.data, scenario.run(fresh).data)
 
     @pytest.mark.parametrize("part, name, value", [
-        ("plant", "J", np.diag([0.022, 0.022, 0.042])),
+        ("plant", "j", (0.022, 0.022, 0.042)),
         ("controller", "omega_c", 40.0),
     ])
     def test_edits_to_cached_fields_take_effect(self, part, name, value):
-        # the plant's float caches and the controller's filter factors follow
-        # an assignment: the run equals one of a config built with the value
+        # replace derives the plant's float caches and the controller's
+        # filter factors as construction does: every attribute, the private
+        # caches included, equals that of the part built with the value
         cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
         before = scenario.run(cfg).data
-        setattr(getattr(cfg, part), name, value)
-        fresh = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
-        built = replace(fresh, **{part: replace(getattr(fresh, part), **{name: value})})
-        after = scenario.run(cfg).data
+        old = getattr(cfg, part)
+        args = {f.name: getattr(old, f.name) for f in dataclasses.fields(old) if f.init}
+        built = replace(cfg, **{part: type(old)(**{**args, name: value})})
+        edited = edit(cfg, part, **{name: value})
+        assert vars(getattr(edited, part)) == vars(getattr(built, part))
+        assert vars(getattr(edited, part)) != vars(old)
+        after = scenario.run(edited).data
         assert np.array_equal(after, scenario.run(built).data)
         assert not np.array_equal(after, before)
-
-    @pytest.mark.parametrize("part, name", [("plant", "J"), ("controller", "B_m")])
-    def test_in_place_edits_take_effect(self, part, name):
-        # an engine derives every cache from the arrays as they stand when it
-        # is built: the plant's floats from J, k_g from B_m
-        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
-        before = scenario.run(cfg).data
-        getattr(getattr(cfg, part), name)[0, 0] *= 2  # J[0, 0] becomes 0.022
-        fresh = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
-        value = getattr(getattr(fresh, part), name).copy()
-        value[0, 0] *= 2
-        built = replace(fresh, **{part: replace(getattr(fresh, part), **{name: value})})
-        after = scenario.run(cfg).data
-        assert np.array_equal(after, scenario.run(built).data)
-        assert not np.array_equal(after, before)
-
-    def test_invalid_edit_raises_when_an_engine_is_built(self):
-        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
-        cfg.controller.omega_c = -1.0
-        with pytest.raises(ctrl.ConfigurationError):
-            scenario.Engine(cfg)
-        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
-        cfg.plant.J = np.diag([0.011, -0.011, 0.021])
-        with pytest.raises(ValueError, match="diagonal"):
-            scenario.Engine(cfg)
 
     def test_plant_and_controller_a_m_must_agree(self):
         # the baseline and the ideal loop read the plant's A_m, the predictor
         # and the learner's targets the controller's
         cfg = nominal(duration=1.0, with_learner=False, mode="l1")
-        with pytest.raises(ValueError, match="plant A_m diagonal"):
-            replace(cfg, plant=replace(cfg.plant, A_m=np.eye(3)))
-        with pytest.raises(ValueError, match="plant A_m diagonal"):
-            replace(cfg, controller=replace(cfg.controller, A_m=-4.0 * np.eye(3)))
-
-    def test_a_m_edit_that_splits_the_loop_raises_when_an_engine_is_built(self):
-        cfg = no_condition(nominal(duration=0.01, with_learner=False, mode="l1"))
-        cfg.plant.A_m = np.diag([-4.0, -3.0, -3.0])
-        with pytest.raises(ValueError, match="plant A_m diagonal"):
-            scenario.Engine(cfg)
-        # a deck gives both one array: an in-place edit moves both together
-        cfg = no_condition(nominal(duration=0.01, with_learner=False, mode="l1"))
-        assert cfg.plant.A_m is cfg.controller.A_m
-        cfg.plant.A_m[0, 0] = -4.0
-        assert not scenario.run(cfg).unstable
+        with pytest.raises(ValueError, match="plant a_m"):
+            edit(cfg, "plant", a_m=(-4.0, -3.0, -3.0))
+        with pytest.raises(ValueError, match="plant a_m"):
+            edit(cfg, "controller", a_m=(-4.0, -4.0, -4.0))
 
     def test_edit_off_the_step_grid_fails_when_read(self):
         cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
-        cfg.duration = 1.0005
         with pytest.raises(ValueError, match="duration"):
-            scenario.run(cfg)
+            replace(cfg, duration=1.0005)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_step_must_be_positive_and_finite(self, value):
+        # a nan step would otherwise be reported as T_s off the step grid
+        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        with pytest.raises(ValueError, match="^step must be positive and finite$"):
+            replace(cfg, step=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_blowup_must_be_positive_and_finite(self, value):
+        # an infinite blowup would turn the divergence guard off
+        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        with pytest.raises(ValueError, match="^blowup must be positive and finite$"):
+            replace(cfg, blowup=value)
 
 
 class TestPlantReplay:
@@ -409,17 +396,19 @@ class TestControllerReplay:
         c = cfg.controller
         h = cfg.step
         I = np.eye(3)
-        expAT = scipy.linalg.expm(c.A_m * c.T_s)
-        phi = np.linalg.solve(c.A_m, expAT - I)
-        gain = -np.linalg.inv(c.B_m) @ np.linalg.solve(phi, expAT)
-        k_g = -np.linalg.inv(c.C_m @ np.linalg.solve(c.A_m, c.B_m))
-        A_p, Bk = cfg.plant.A_m, c.B_m @ k_g
+        # the dense matrices of the model, with the output matrix C = I
+        A, B, C = np.diag(c.a_m), np.diag(c.b_m), I
+        expAT = scipy.linalg.expm(A * c.T_s)
+        phi = np.linalg.solve(A, expAT - I)
+        gain = -np.linalg.inv(B) @ np.linalg.solve(phi, expAT)
+        k_g = -np.linalg.inv(C @ np.linalg.solve(A, B))
+        A_p, Bk = np.diag(cfg.plant.a_m), B @ k_g
         E = scipy.linalg.expm(A_p * h)
-        amp, w = cfg.reference.amplitude, cfg.reference.frequency
+        amp, w = np.array(cfg.reference.amplitude), np.array(cfg.reference.frequency)
         g = np.linalg.solve(A_p, E - I) @ (Bk @ amp)
         # the sinusoid's gains are per axis: the diagonals as 3-tuples
         _, _, M_s, M_c = cfg.reference.exact_step(
-            numerics.diagonal3(A_p), numerics.diagonal3(Bk), h
+            cfg.plant.a_m, tuple(np.diag(Bk).tolist()), h
         )
         t, x, xhat = trace.t, trace.block("x"), trace.block("xhat")
         sg, fl, eta = trace.block("sigmahat"), trace.block("fl"), trace.block("eta")
@@ -448,7 +437,7 @@ class TestControllerReplay:
             c_state = v + (c_state - v) * alpha_c
             u_k = -f_L - c_state
             assert np.array_equal(u[k], u_k), k
-            drive = c.B_m @ (f_L + sigma + u_k)
+            drive = B @ (f_L + sigma + u_k)
             assert np.array_equal(xhat[k], expAT @ xhat[p] + phi @ drive), k
             if kind == "sinusoid":
                 forcing = np.diag(M_s) @ np.sin(w * t[p]) + np.diag(M_c) @ np.cos(w * t[p])
@@ -696,7 +685,7 @@ class TestMarginSearch:
 
     def test_unstable_at_zero_raises(self):
         cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
-        cfg.blowup = 1e-6
+        cfg = replace(cfg, blowup=1e-6)
         with pytest.raises(scenario.UnstableAtZeroDelayError):
             scenario.delay_margin_search(cfg, horizon=1.0, max_delay=0.002)
 
@@ -705,11 +694,11 @@ class TestDelayPaths:
     def test_total_path_delay_differs_from_adaptive_only(self):
         base = nominal(duration=3.0, with_learner=False, mode="l1",
                        reference_kind="step", input_delay=0.01)
-        base.plant.delay_total = False
+        base = edit(base, "plant", delay_total=False)
         a = scenario.run(no_condition(base))
         total = nominal(duration=3.0, with_learner=False, mode="l1",
                         reference_kind="step", input_delay=0.01)
-        total.plant.delay_total = True
+        total = edit(total, "plant", delay_total=True)
         b = scenario.run(no_condition(total))
         assert not np.array_equal(a.block("x"), b.block("x"))
 
@@ -718,9 +707,9 @@ class TestDelayPaths:
         # total path holds the baseline over each step, so agreement is to
         # the ZOH discretization error, not bit-exact
         a = nominal(duration=2.0, with_learner=False, mode="l1")
-        a.plant.delay_total = False
+        a = edit(a, "plant", delay_total=False)
         b = nominal(duration=2.0, with_learner=False, mode="l1")
-        b.plant.delay_total = True
+        b = edit(b, "plant", delay_total=True)
         ta = scenario.run(no_condition(a))
         tb = scenario.run(no_condition(b))
         assert not ta.unstable and not tb.unstable
@@ -738,7 +727,7 @@ class TestConditionChecker:
 
     def test_warns_when_unsatisfied(self):
         cfg = nominal(duration=0.2, with_learner=False, mode="l1")
-        cfg.condition.lip_f = 50.0  # impossible uncertainty scale
+        cfg = edit(cfg, "condition", lip_f=50.0)  # impossible uncertainty scale
         with pytest.warns(UserWarning, match="unsatisfied"):
             trace = scenario.run(cfg)
         ev = [e for e in trace.events if e["kind"] == "l1_condition"]
@@ -774,7 +763,7 @@ class TestMetrics:
     def test_zero_trace_metrics(self):
         cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero",
                       with_learner=False, mode="l1")
-        cfg.controller.x_hat0 = np.zeros(3)
+        cfg = edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0))
         trace = scenario.run(no_condition(cfg))
         m = scenario.metrics(trace, windows=[(0.0, 2.0)])
         assert m["final_tracking_error_inf"] == 0.0
