@@ -24,7 +24,9 @@ tree as the working directory:
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, the
-largest absolute difference of each column that moved is printed. The exit
+largest absolute difference of each column that moved is printed; for each
+JSON file, each dotted key that is only in the parent's, only in the
+change's, or changed. The exit
 status is 0 when every output and every run's exit status agree, else 1.
 Standard library and numpy only.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import re
 import subprocess
@@ -154,6 +157,36 @@ def csv_column_diffs(a: bytes, b: bytes) -> list:
     return lines or ["  same numbers, different text"]
 
 
+def flat_json(value, prefix: str = "") -> dict:
+    """{dotted key: value} of a parsed JSON document; a list, a scalar and
+    an empty object are leaves."""
+    if not (isinstance(value, dict) and value):
+        return {prefix: value}
+    out = {}
+    for key, item in value.items():
+        out.update(flat_json(item, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def json_key_diffs(a: bytes, b: bytes) -> list:
+    """Lines naming each dotted key of two JSON documents that is on one
+    side only or whose value differs, or why the two cannot be compared."""
+    try:
+        x, y = (flat_json(json.loads(d)) for d in (a, b))
+    except ValueError:
+        return ["  not JSON"]
+    lines = []
+    for key in sorted(x.keys() | y.keys()):
+        if key not in y:
+            lines.append(f"  {key}: only in parent")
+        elif key not in x:
+            lines.append(f"  {key}: only in change")
+        # as text, so that NaN equals NaN and 1 differs from 1.0
+        elif json.dumps(x[key]) != json.dumps(y[key]):
+            lines.append(f"  {key}: changed")
+    return lines or ["  same values, different text"]
+
+
 def compare_dirs(parent: Path, change: Path) -> list:
     """Lines describing every difference between two output directories."""
     names = sorted({p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
@@ -170,6 +203,8 @@ def compare_dirs(parent: Path, change: Path) -> list:
         lines.append(f"{rel}: differs")
         if rel.suffix == ".csv":
             lines.extend(csv_column_diffs(da, db))
+        elif rel.suffix == ".json":
+            lines.extend(json_key_diffs(da, db))
     return lines
 
 

@@ -19,7 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import controller as ctrl
-from . import plant as plant_mod, scenario
+from . import numerics, plant as plant_mod, scenario
 
 __all__ = ["ConfigError", "parse_flat_file", "resolve_scenario", "quadrotor_nominal"]
 
@@ -118,12 +118,7 @@ def _bool(value) -> bool:
 
 
 def _int(value) -> int:
-    # int(1.5) is 1 and int(True) is 1: a fraction or a flag must not pass
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError("must be an integer")
-    return int(value)
+    return numerics.whole(value, "value")
 
 
 _REQUIRED = object()
@@ -164,8 +159,6 @@ _KEYS = {
     "bound.kappa": (_float, 15.0),
     "bound.xi": (_float, 0.001),
     "bound.delta": (_float, 0.01),
-    "bound.l_f": (_float, 0.0),
-    "bound.include_gamma": (_bool, False),
     "bound.kappa_op": (_float, 5.0),
     "bound.grid_points": (_int, 21),
     "condition.check": (_bool, True),
@@ -241,8 +234,6 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
                     kappa=echo["bound.kappa"],
                     xi=echo["bound.xi"],
                     delta=echo["bound.delta"],
-                    lip_f=echo["bound.l_f"],
-                    include_gamma=echo["bound.include_gamma"],
                 ),
                 kappa_op=echo["bound.kappa_op"],
                 grid_points=echo["bound.grid_points"],

@@ -55,6 +55,8 @@ class LearnerConfig:
     grid_points: int = 21
 
     def __post_init__(self):
+        for name in ("N_update", "max_points", "grid_points"):
+            object.__setattr__(self, name, numerics.whole(getattr(self, name), name))
         if not 0.0 < self.T_data < math.inf:
             raise ValueError("T_data must be positive and finite")
         if self.N_update < 1:
@@ -81,21 +83,22 @@ class LearnerModel:
 
     Both ``f_hat`` and the envelope are piecewise static: the *functions*
     change only at publish instants. ``evaluate(x)`` returns the pair
-    (mean, pointwise envelope) the controller consumes; ``e_f_hat`` is the
-    conservative domain-wide (grid-max) scalar used for gating and
-    reporting.
+    (mean, pointwise envelope ``sqrt_beta * std(x)``) the controller
+    consumes; ``e_f_hat`` is the conservative domain-wide (grid-max) scalar
+    used for gating and reporting. ``sqrt_beta`` depends only on the bound
+    config and the dimensions, so every model of one learner shares it.
     """
 
     update_index: int
     posterior: gp.GpPosterior
-    terms: gp.EnvelopeTerms
+    sqrt_beta: float
     e_f_hat: float
     n_data: int = 0
 
     def evaluate(self, x) -> tuple[list, float]:
         """Learned mean (m Python floats) and the pointwise error envelope at x."""
         mean, sigma = self.posterior.point_eval(x)
-        return mean.tolist(), self.terms.bound(sigma)
+        return mean.tolist(), self.sqrt_beta * sigma
 
     def f_hat(self, x: np.ndarray) -> np.ndarray:
         return self.posterior.mean_at(x)
@@ -104,16 +107,16 @@ class LearnerModel:
     def from_posterior(
         cls,
         posterior: gp.GpPosterior,
+        sqrt_beta: float,
         cfg: LearnerConfig,
         update_index: int,
     ) -> "LearnerModel":
-        terms = gp.envelope_terms(posterior, cfg.bound)
         return cls(
             update_index=update_index,
             posterior=posterior,
-            terms=terms,
+            sqrt_beta=sqrt_beta,
             e_f_hat=gp.uniform_bound_grid_max(
-                posterior, terms, cfg.kappa_op, cfg.grid_points
+                posterior, sqrt_beta, cfg.kappa_op, cfg.grid_points
             ),
             n_data=posterior.n_samples,
         )
@@ -127,7 +130,8 @@ class LearnerModel:
             ),
             cfg.kernel,
         )
-        return cls.from_posterior(empty, cfg, update_index=0)
+        sqrt_beta = math.sqrt(gp.beta_value(cfg.bound, n_outputs, n_inputs))
+        return cls.from_posterior(empty, sqrt_beta, cfg, update_index=0)
 
 
 class MeasurementBuffer:
@@ -261,7 +265,7 @@ class BayesianLearner:
         except gp.IllConditionedKernelError as exc:
             return {"t": t, "kind": "learner_fit_failed", "reason": str(exc)}
         candidate = LearnerModel.from_posterior(
-            posterior, self.cfg, self.model.update_index + 1
+            posterior, self.model.sqrt_beta, self.cfg, self.model.update_index + 1
         )
         if self.cfg.gating == "improvement":
             if candidate.e_f_hat >= self.cfg.gamma_tol * self.model.e_f_hat:

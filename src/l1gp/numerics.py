@@ -2,8 +2,9 @@
 
 The linear parts of the loop are diagonal, so their setup is per axis:
 :func:`float3` checks a per-axis model value (a diagonal, a state) as three
-finite Python floats, and :func:`zoh_map` and :func:`phi1` give the exact
-one-step maps, on Python floats, with no linear solve. The rest operates
+finite Python floats, :func:`whole` a count or a seed as a Python int, and
+:func:`zoh_map` and :func:`phi1` give the exact one-step maps, on Python
+floats, with no linear solve. The rest operates
 on plain float64 numpy arrays: the Cholesky routines the GP factors with,
 RK4, the Savitzky-Golay derivative and a covering-number bound. All public
 functions are pure.
@@ -30,6 +31,7 @@ __all__ = [
     "zoh_map",
     "phi1",
     "float3",
+    "whole",
     "cholesky_factor",
     "solve_with_factor",
     "rk4_step",
@@ -122,6 +124,20 @@ def float3(value: Sequence[float], name: str) -> tuple[float, float, float]:
     if len(out) != 3 or not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be 3 finite values, got {value!r}")
     return out
+
+
+def whole(value, name: str) -> int:
+    """``value`` as a Python int: the one form of a count or a seed.
+
+    An int, a numpy integer or a float with no fraction passes. Raises
+    ValueError naming ``name`` for anything else: ``int(1.5)`` and
+    ``int(True)`` are both 1, yet neither a fraction nor a flag is a count.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def cholesky_factor(M: np.ndarray) -> np.ndarray:

@@ -190,6 +190,8 @@ class ScenarioConfig:
         for name in ("step", "blowup"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("seed", "record_decimation"):
+            object.__setattr__(self, name, numerics.whole(getattr(self, name), name))
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
         if self.seed < 0:

@@ -114,13 +114,27 @@ class TestConfigParsing:
         assert f"line {lines[1]}: {key} given twice (first at line {lines[0]})" in err
         assert not (tmp_path / "o").exists()
 
-    def test_same_key_in_two_sections(self, tmp_path):
+    def test_same_key_in_two_sections(self, tmp_path, capsys):
+        # two keys: the run reads condition.l_f and refuses bound.l_f alone
         path = write(tmp_path, "a.cfg",
                      NOMINAL + "l_f = 3.0\n\n[bound]\nl_f = 2.0\n")
         flat = config_mod.parse_flat_file(path)
         assert flat["condition.l_f"] == 3.0 and flat["bound.l_f"] == 2.0
         code = cli.main(["simulate", path, "-o", str(tmp_path / "o")])
-        assert code == cli.EXIT_OK
+        assert code == cli.EXIT_CONFIG
+        assert "unknown config keys: ['bound.l_f']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, key", [
+        ("[bound]\nl_f = 0.0\n", "bound.l_f"),
+        ("[bound]\ninclude_gamma = false\n", "bound.include_gamma"),
+    ], ids=["l_f", "include_gamma"])
+    def test_removed_bound_keys_exit_2(self, tmp_path, capsys, lines, key):
+        # the envelope has no slack term: its Lipschitz bound and switch are gone
+        path = write(tmp_path, "a.cfg", NOMINAL + lines)
+        code = cli.main(["simulate", path, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulate:

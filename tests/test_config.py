@@ -49,8 +49,6 @@ NON_DEFAULT = {
     "bound.kappa": 10.0,
     "bound.xi": 0.01,
     "bound.delta": 0.05,
-    "bound.l_f": 0.1,
-    "bound.include_gamma": True,
     "bound.kappa_op": 3.0,
     "bound.grid_points": 11,
     "condition.check": False,

@@ -101,6 +101,35 @@ def test_replace_with_an_invalid_value_raises(part, changes, error, match):
         dataclasses.replace(getattr(cfg, part), **changes)
 
 
+INTEGER_FIELDS = [(None, "seed"), (None, "record_decimation"),
+                  ("learner", "N_update"), ("learner", "max_points"),
+                  ("learner", "grid_points")]
+
+
+def edit(cfg, part, changes):
+    """``cfg`` (part None) or one of its parts, replaced with ``changes``."""
+    return dataclasses.replace(cfg if part is None else getattr(cfg, part), **changes)
+
+
+@pytest.mark.parametrize("part, name", INTEGER_FIELDS)
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_integer_field_refuses_fractions_and_flags(part, name, bad):
+    # int(2.5) is 2 and int(True) is 1: each was accepted, then failed or
+    # ran on a value nobody gave
+    cfg = config.quadrotor_nominal(duration=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        edit(cfg, part, {name: bad})
+
+
+@pytest.mark.parametrize("part, name", INTEGER_FIELDS)
+def test_integer_field_holds_a_python_int(part, name):
+    # a whole float or a numpy integer is held as the int it stands for
+    cfg = config.quadrotor_nominal(duration=1.0)
+    for given in (3.0, np.int64(3)):
+        value = getattr(edit(cfg, part, {name: given}), name)
+        assert type(value) is int and value == 3
+
+
 def test_uncertainty_segments_cannot_be_edited_in_place():
     # an assignment to a schedule's segments would leave its scalar fields,
     # which the engine reads, on the old kind: it raises instead, and the

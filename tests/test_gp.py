@@ -204,12 +204,6 @@ class TestParameterChecks:
             with pytest.raises(ValueError, match="positive and finite"):
                 gp.UniformBoundConfig(**{field: bad})
 
-    def test_bound_rejects_negative_and_nonfinite_lip_f(self):
-        for bad in (-1e-3, math.nan, math.inf):
-            with pytest.raises(ValueError, match="nonnegative and finite"):
-                gp.UniformBoundConfig(lip_f=bad)
-        assert gp.UniformBoundConfig(lip_f=0.0).lip_f == 0.0
-
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).smallest_subnormal
@@ -367,116 +361,6 @@ class TestExpandedRead:
             assert abs(std**2 - std_b[i, 0] ** 2) <= tol_var
 
 
-class TestKernelLipschitz:
-    def grid_oracle(self, kernel, kappa, n, samples=200001):
-        # 1-D line search over pair distance r in [0, diameter]
-        diam = 2.0 * kappa * math.sqrt(n)
-        r = np.linspace(0.0, diam, samples)
-        vals = (r / kernel.length_scale**2) * kernel.sigma_f**2 * np.exp(
-            -0.5 * r**2 / kernel.length_scale**2
-        )
-        return float(np.max(vals))
-
-    def test_interior_max(self):
-        got = gp.kernel_lipschitz(KERNEL, kappa=15.0, n=3)
-        assert got == pytest.approx(1.0 / math.sqrt(math.e), abs=1e-12)
-        assert got == pytest.approx(self.grid_oracle(KERNEL, 15.0, 3), rel=1e-6)
-        assert got == pytest.approx(0.60653, abs=1e-5)
-
-    def test_scales_with_signal_variance(self):
-        k2 = gp.SeKernel(sigma_f=2.0, length_scale=1.0)
-        assert gp.kernel_lipschitz(k2, 15.0, 3) == pytest.approx(
-            4.0 * 0.60653, abs=1e-4
-        )
-
-    def test_boundary_case(self):
-        kernel = gp.SeKernel(sigma_f=1.0, length_scale=10.0)
-        got = gp.kernel_lipschitz(kernel, kappa=1.0, n=3)
-        diam = 2.0 * math.sqrt(3.0)
-        expected = (diam / 100.0) * math.exp(-0.5 * diam**2 / 100.0)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(self.grid_oracle(kernel, 1.0, 3), rel=1e-6)
-
-
-class TestBoundIngredients:
-    def test_mean_lipschitz_empty(self):
-        post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 0.01), KERNEL)
-        per, agg = gp.mean_lipschitz(post, 0.60653)
-        assert agg == 0.0
-
-    def test_mean_lipschitz_single_point(self):
-        post = gp.fit(gp.GpDataset(np.array([[0.0]]), np.array([[1.0]]), 0.01), KERNEL)
-        lk = 1.0 / math.sqrt(math.e)
-        per, agg = gp.mean_lipschitz(post, lk)
-        assert agg == pytest.approx(lk * 1.0 * (1.0 / 1.01), rel=1e-12)
-        assert agg == pytest.approx(0.60052, abs=1e-5)
-
-    def test_mean_lipschitz_zero_targets(self):
-        post = gp.fit(gp.GpDataset(np.ones((4, 2)) * [[0], [1], [2], [3]],
-                                   np.zeros((4, 2)), 0.01), KERNEL)
-        _, agg = gp.mean_lipschitz(post, 0.6)
-        assert agg == 0.0
-
-    def test_mean_lipschitz_is_valid_bound(self):
-        rng = np.random.default_rng(21)
-        X = rng.uniform(-2, 2, size=(15, 3))
-        Y = rng.normal(size=(15, 2))
-        post = gp.fit(gp.GpDataset(X, Y, 0.01), KERNEL)
-        lk = gp.kernel_lipschitz(KERNEL, kappa=2.0, n=3)
-        _, L_mu = gp.mean_lipschitz(post, lk)
-        A = rng.uniform(-2, 2, size=(10000, 3))
-        B = rng.uniform(-2, 2, size=(10000, 3))
-        ma, _ = post.predict_batch(A)
-        mb, _ = post.predict_batch(B)
-        num = np.max(np.abs(ma - mb), axis=1)
-        den = np.linalg.norm(A - B, axis=1)
-        keep = den > 1e-9
-        assert np.max(num[keep] / den[keep]) <= L_mu * (1 + 1e-9)
-
-    def test_std_modulus_empty_and_zero_xi(self):
-        post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 0.01), KERNEL)
-        _, w = gp.std_modulus(post, 0.60653, 0.001)
-        assert w == pytest.approx(math.sqrt(2 * 0.001 * 0.60653), rel=1e-9)
-        _, w0 = gp.std_modulus(post, 0.60653, 0.0)
-        assert w0 == 0.0
-
-    def test_std_modulus_single_point_closed_form(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        post = gp.fit(gp.GpDataset(np.array([[0.0]]), np.array([[1.0]]), 0.01), KERNEL)
-        lk = 1.0 / math.sqrt(math.e)
-        _, w = gp.std_modulus(post, lk, 0.001)
-        oracle = mp.sqrt(
-            2 * mp.mpf("0.001") * (1 / mp.sqrt(mp.e)) * (1 + 1 / mp.mpf("1.01"))
-        )
-        assert w == pytest.approx(float(oracle), rel=1e-9)
-        assert w == pytest.approx(0.04914, abs=1e-5)
-
-    def test_std_modulus_is_valid_modulus(self):
-        rng = np.random.default_rng(33)
-        X = rng.uniform(-2, 2, size=(12, 2))
-        post = gp.fit(gp.GpDataset(X, rng.normal(size=(12, 1)), 0.01), KERNEL)
-        lk = gp.kernel_lipschitz(KERNEL, kappa=2.0, n=2)
-        for xi in (0.001, 0.01, 0.1):
-            _, w = gp.std_modulus(post, lk, xi)
-            A = rng.uniform(-2, 2, size=(10000, 2))
-            d = rng.normal(size=(10000, 2))
-            d *= (xi * rng.uniform(0, 1, size=(10000, 1))) / np.linalg.norm(
-                d, axis=1, keepdims=True
-            )
-            _, sa = post.predict_batch(A)
-            _, sb = post.predict_batch(A + d)
-            assert np.max(np.abs(sa[:, 0] - sb[:, 0])) <= w * (1 + 1e-9)
-
-    def test_inv_spectral_norm_matches_eigs(self):
-        rng = np.random.default_rng(8)
-        X = rng.uniform(-2, 2, size=(15, 3))
-        post = gp.fit(gp.GpDataset(X, rng.normal(size=(15, 2)), 0.01), KERNEL)
-        K = KERNEL(X, X) + 0.01 * np.eye(15)
-        want = 1.0 / np.min(np.linalg.eigvalsh(K))
-        assert post.inv_spectral_norm() == pytest.approx(want, rel=1e-6)
-
-
 class TestUniformBound:
     CFG = gp.UniformBoundConfig(kappa=15.0, xi=0.001, delta=0.01)
 
@@ -491,38 +375,17 @@ class TestUniformBound:
 
     def test_prior_bound(self):
         post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 1e-4), KERNEL)
-        terms = gp.envelope_terms(post, self.CFG)
+        sqrt_beta = math.sqrt(gp.beta_value(self.CFG, 3, 3))
         _, std = post.point_eval(np.array([1.0, 2.0, 3.0]))
-        e = terms.bound(std)
+        e = sqrt_beta * std
         assert e == pytest.approx(8.509, abs=5e-4)
-        assert gp.uniform_bound_grid_max(post, terms) == terms.bound(KERNEL.sigma_f)
+        assert gp.uniform_bound_grid_max(post, sqrt_beta) == sqrt_beta * KERNEL.sigma_f
 
     def test_delta_near_one_with_single_ball(self):
-        cfg = gp.UniformBoundConfig(
-            kappa=0.5, xi=1.0, delta=1.0 - 1e-12, lip_f=0.7, include_gamma=True
-        )
-        post = gp.fit(gp.GpDataset(np.zeros((0, 1)), np.zeros((0, 1)), 1e-4), KERNEL)
-        terms = gp.envelope_terms(post, cfg)
-        assert terms.beta == pytest.approx(0.0, abs=1e-11)
-        # sqrt(beta) ~ 1.4e-6 at delta = 1 - 1e-12; the bound degenerates to
-        # gamma, which tends to its prior-data term lip_f / n * xi = 0.7
-        _, std = post.point_eval(np.array([0.0]))
-        e = terms.bound(std)
-        assert e == pytest.approx(terms.gamma, abs=2e-6)
-        assert terms.gamma == pytest.approx(0.7, abs=2e-6)
-
-    def test_gamma_toggle(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(-1, 1, size=(10, 3))
-        Y = np.array([poly_f(x) for x in X])
-        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
-        _, std = post.point_eval(np.zeros(3))
-        terms_off = gp.envelope_terms(post, self.CFG)
-        assert terms_off.gamma == 0.0
-        cfg_on = gp.UniformBoundConfig(15.0, 0.001, 0.01, lip_f=0.2, include_gamma=True)
-        terms_on = gp.envelope_terms(post, cfg_on)
-        assert terms_on.sqrt_beta == terms_off.sqrt_beta
-        assert terms_on.bound(std) > terms_off.bound(std)
+        # one xi-ball covers the box and delta -> 1: the scale factor
+        # 2 log(m M / delta) tends to 2 log(1) = 0
+        cfg = gp.UniformBoundConfig(kappa=0.5, xi=1.0, delta=1.0 - 1e-12)
+        assert gp.beta_value(cfg, n_outputs=1, n_inputs=1) == pytest.approx(0.0, abs=1e-11)
 
     def test_grid_max_memory_bounded_at_cap(self):
         # N = 512 is the learner's cap: the 21^3 publish grid is read in
@@ -533,10 +396,10 @@ class TestUniformBound:
         X = rng.uniform(-3.0, 3.0, size=(512, 3))
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
         post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
-        terms = gp.envelope_terms(post, self.CFG)
+        sqrt_beta = math.sqrt(gp.beta_value(self.CFG, 3, 3))
         tracemalloc.start()
         try:
-            e = gp.uniform_bound_grid_max(post, terms)
+            e = gp.uniform_bound_grid_max(post, sqrt_beta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -544,7 +407,7 @@ class TestUniformBound:
         axis = np.linspace(-5.0, 5.0, 21)
         grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
         _, std = post.predict_batch(grid)
-        assert e == terms.bound(float(np.max(std)))
+        assert e == sqrt_beta * float(np.max(std))
 
     def test_empirical_coverage(self):
         rng = np.random.default_rng(77)
@@ -579,8 +442,8 @@ class TestGridMaxBranches:
     def check(self, post, monkeypatch):
         """The grid max equals the full-grid max; returns it, the cap's
         bound and the row counts of each predict_batch call it made."""
-        terms = gp.envelope_terms(post, self.CFG)
-        want = terms.bound(float(np.max(post.predict_batch(self.GRID)[1])))
+        sqrt_beta = math.sqrt(gp.beta_value(self.CFG, 3, 3))
+        want = sqrt_beta * float(np.max(post.predict_batch(self.GRID)[1]))
         rows = []
         predict = gp.GpPosterior.predict_batch
 
@@ -589,9 +452,9 @@ class TestGridMaxBranches:
             return predict(self, Xq)
 
         monkeypatch.setattr(gp.GpPosterior, "predict_batch", counting)
-        got = gp.uniform_bound_grid_max(post, terms)
+        got = gp.uniform_bound_grid_max(post, sqrt_beta)
         assert got == want
-        return got, terms.bound(post.kernel.sigma_f), rows
+        return got, sqrt_beta * post.kernel.sigma_f, rows
 
     def test_clustered_data_exits_at_the_corners(self, monkeypatch):
         # trajectories stay within about 1.5 rad/s: the far corners sit at the cap
@@ -617,6 +480,5 @@ class TestGridMaxBranches:
 
     def test_grid_needs_both_ends(self):
         post = self.fitted(np.zeros((0, 3)))
-        terms = gp.envelope_terms(post, self.CFG)
         with pytest.raises(ValueError, match="grid_points"):
-            gp.uniform_bound_grid_max(post, terms, grid_points=1)
+            gp.uniform_bound_grid_max(post, 8.5, grid_points=1)

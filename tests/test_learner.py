@@ -227,6 +227,23 @@ class TestBufferSchedule:
             assert mean == model.f_hat(x).tolist()
             assert type(e_f) is float
 
+    def test_envelope_is_sqrt_beta_times_std(self):
+        # the envelope is one multiply of the learner's sqrt(beta), bit for bit
+        lrn = make_learner()
+        prior = lrn.model
+        for k in range(1, 16):
+            lrn.push(float(k), 0.3 * np.cos([k, k, k]), np.zeros(3))
+            lrn.maybe_update(float(k))
+        sqrt_beta = math.sqrt(gp.beta_value(lrn.cfg.bound, 3, 3))
+        assert lrn.model.update_index == 1
+        assert prior.sqrt_beta == lrn.model.sqrt_beta == sqrt_beta
+        for model in (prior, lrn.model):
+            for x in [(0.2, -0.1, 0.4), (0.0, 0.0, 0.0), (5.0, -5.0, 5.0)]:
+                _, e_f = model.evaluate(x)
+                assert e_f == sqrt_beta * model.posterior.point_eval(x)[1]
+        # the stock prior: sqrt(beta) * sigma_f at delta = 0.01, xi = 1e-3
+        assert prior.e_f_hat == 8.5087184483385965
+
     def test_prior_model(self):
         lrn = make_learner()
         assert lrn.model.update_index == 0

@@ -1,6 +1,7 @@
 """scripts/same_outputs.py's comparison, on small hand-made output directories."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -42,10 +43,37 @@ def test_wall_clock_is_ignored(tmp_path):
 def test_any_other_manifest_byte_counts(tmp_path):
     other = MANIFEST.replace('"seed": 1', '"seed": 2')
     assert compare(tmp_path, {"run/manifest.json": MANIFEST % "1.25"},
-                   {"run/manifest.json": other % "1.25"}) == ["run/manifest.json: differs"]
+                   {"run/manifest.json": other % "1.25"}) == [
+        "run/manifest.json: differs", "  seed: changed"]
     # the wall-clock blank is for manifests only
     assert compare(tmp_path / "2", {"run/summary.json": MANIFEST % "1.25"},
-                   {"run/summary.json": MANIFEST % "0.5"}) == ["run/summary.json: differs"]
+                   {"run/summary.json": MANIFEST % "0.5"}) == [
+        "run/summary.json: differs", "  wall_clock_s: changed"]
+
+
+def test_json_names_each_dotted_key_that_differs(tmp_path):
+    parent = {"config": {"bound.l_f": 0.0, "bound.xi": 0.001, "seed": 1},
+              "gamma": 0.0, "n": 1, "nan": float("nan"), "v": [1, 2]}
+    change = {"config": {"bound.xi": 0.001, "seed": 2}, "n": 1.0,
+              "nan": float("nan"), "v": [1, 3], "new": {}}
+    assert compare(tmp_path, {"run/coverage.json": json.dumps(parent)},
+                   {"run/coverage.json": json.dumps(change)}) == [
+        "run/coverage.json: differs",
+        "  config.bound.l_f: only in parent",
+        "  config.seed: changed",
+        "  gamma: only in parent",
+        "  n: changed",
+        "  new: only in change",
+        "  v: changed",
+    ]
+
+
+def test_json_same_values_in_other_text_or_not_json(tmp_path):
+    assert compare(tmp_path, {"a.json": '{"a": 1, "b": 2}'},
+                   {"a.json": '{"b": 2, "a": 1}'}) == [
+        "a.json: differs", "  same values, different text"]
+    assert compare(tmp_path / "2", {"a.json": '{"a": 1}'}, {"a.json": '{"a": '}) == [
+        "a.json: differs", "  not JSON"]
 
 
 def test_csv_reports_the_largest_difference_per_column(tmp_path):
