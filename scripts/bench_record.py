@@ -15,8 +15,10 @@ side ran in. Every workload needs at least three seeds on both sides.
 
 A directory may also hold per-layer records (``--trace 1``,
 ``<workload>-seed<seed>-trace1.json``). For every workload traced on both
-sides, the output's ``traced`` section gives both sides' per-layer metrics
-at their lowest common seed, one run a side, and their relative change.
+sides, the output's ``traced`` section gives both sides' per-layer metrics,
+each the median over every seed traced on both sides, the number of those
+seeds, and the relative change of the medians. One traced run a side is
+open to host drift; the median of several is less so.
 Standard library only.
 """
 
@@ -85,16 +87,20 @@ def relative(before: dict, after: dict) -> dict:
 
 
 def traced(parent: dict, change: dict) -> dict:
-    """Both sides' per-layer metrics, one traced run a side at the lowest
-    seed the two share, for every workload traced on both sides."""
+    """Both sides' per-layer metrics, each the median over every seed
+    traced on both sides, for every workload traced on both sides; with
+    ``seed`` the lowest of those seeds and ``n_seeds`` their count."""
     out = {}
     for name in sorted(set(parent) & set(change)):
         seeds = sorted(set(parent[name]) & set(change[name]))
         if not seeds:
             continue
-        sides = {label: {m: e["value"] for m, e in records[name][seeds[0]]["metrics"].items()}
-                 for label, records in (("parent", parent), ("change", change))}
-        out[name] = dict(sides, seed=seeds[0],
+        sides = {}
+        for label, records in (("parent", parent), ("change", change)):
+            runs = [records[name][s]["metrics"] for s in seeds]
+            sides[label] = {m: statistics.median(run[m]["value"] for run in runs)
+                            for m in runs[0]}
+        out[name] = dict(sides, seed=seeds[0], n_seeds=len(seeds),
                          change_vs_parent=relative(sides["parent"], sides["change"]))
     return out
 

@@ -20,7 +20,11 @@ tree as the working directory:
 - ``simulate`` and ``margin --horizon 5`` on a fixed anisotropic deck, also
   written to the temporary directory: every per-axis value (``a_m``, ``j``,
   ``x0``, ``x_hat0``, the reference's amplitude and frequency) differs
-  across the three axes, so a swap of two axes changes its outputs.
+  across the three axes, so a swap of two axes changes its outputs;
+- ``simulate`` on a learner deck with a 2 ms sampling period and a row
+  every 5 steps, also written to the temporary directory: half its rows
+  fall between two ticks, so the rows that read the model's mean alone
+  and those that hand their read on to the next tick are both compared.
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, the
@@ -71,6 +75,26 @@ switch_time = 12.0
 t_data = 0.5
 """
 
+OFF_GRID_DECK = "off_grid_rows.cfg"
+OFF_GRID_TEXT = """\
+duration = 12.0
+record_decimation = 5
+
+[reference]
+kind = "sinusoid"
+
+[controller]
+mode = "l1gp"
+ts = 0.002
+
+[plant]
+j = [0.011, 0.011, 0.021]
+
+[learner]
+enabled = true
+t_data = 0.5
+"""
+
 
 def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
     """``tree``'s ``configs/l1_plain.cfg`` with ``plant.delay_total = true``,
@@ -84,14 +108,17 @@ def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
 
 
 def write_decks(tree: Path, deck_dir: Path) -> None:
-    """Write the delay-total and the anisotropic deck to ``deck_dir``."""
+    """Write the delay-total, the anisotropic and the off-grid deck to
+    ``deck_dir``."""
     write_delay_total_deck(tree, deck_dir)
     (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
+    (deck_dir / OFF_GRID_DECK).write_text(OFF_GRID_TEXT)
 
 
 def runs(tree: Path, deck_dir: Path) -> list:
     """(name, cli arguments) of every run, decks in sorted order; the
-    delay-total and the anisotropic deck are read from ``deck_dir``."""
+    delay-total, the anisotropic and the off-grid deck are read from
+    ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
@@ -106,6 +133,7 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("margin-l1_plain-delay_total", ["margin", total, "--horizon", "20"]),
         ("simulate-anisotropic", ["simulate", aniso]),
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
+        ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
     ]
 
 

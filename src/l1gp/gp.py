@@ -7,8 +7,11 @@ uniform error envelope is ``sqrt(beta) * std(x)``: :func:`beta_value`
 gives the scale factor from the covering number of the box, and
 :func:`uniform_bound_grid_max` reads the envelope's maximum over a grid.
 
-The controller reads the posterior at every 1 kHz tick
-(:meth:`GpPosterior.point_eval`, :meth:`GpPosterior.mean_at`). Those reads
+The controller reads the posterior's mean and std at every 1 kHz tick
+(:meth:`GpPosterior.point_eval`); a recorded row that no tick follows
+reads the mean alone (:meth:`GpPosterior.mean_at`), and the two share one
+kernel-vector expression, so their means are the same bits. A query of
+the wrong length raises :class:`numerics.DimensionError`. Those reads
 use the kernel's expanded form, precomputed once per posterior:
 ``k(X_i, x) = exp(Xa_i . (x, 1, |x|^2))`` with the read matrix
 ``Xa = [X / l^2, log sigma_f^2 - |X_i|^2 / (2 l^2), -1 / (2 l^2)]``, so the
@@ -121,10 +124,11 @@ class GpDataset:
 class GpPosterior:
     """Fitted posterior: Cholesky factor of (K + noise*I), weights, kernel.
 
-    Frozen, so the read matrix ``Xa`` (see the module docstring), which is
-    derived from ``kernel`` and ``X`` when the posterior is built, cannot go
-    stale against them. With zero training points the posterior reduces to
-    the prior: mean 0, std sigma_f.
+    Frozen, so what is derived from ``kernel`` and ``X`` when the posterior
+    is built (the read matrix ``Xa`` of the module docstring,
+    ``signal_var = sigma_f**2`` and ``n_samples``) cannot go stale against
+    them. With zero training points the posterior reduces to the prior:
+    mean 0, std sigma_f.
     """
 
     kernel: SeKernel
@@ -134,6 +138,8 @@ class GpPosterior:
     n_outputs: int
     n_inputs: int
     Xa: np.ndarray = field(init=False, repr=False)  # (N, n + 2) read matrix
+    signal_var: float = field(init=False, repr=False)  # sigma_f**2, the prior variance
+    n_samples: int = field(init=False, repr=False)  # N
 
     def __post_init__(self):
         X = self.X
@@ -144,10 +150,8 @@ class GpPosterior:
         Xa[:, -2] = 2.0 * math.log(self.kernel.sigma_f) - 0.5 * sq / l2
         Xa[:, -1] = -0.5 / l2
         object.__setattr__(self, "Xa", Xa)
-
-    @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
+        object.__setattr__(self, "signal_var", self.kernel.sigma_f**2)
+        object.__setattr__(self, "n_samples", X.shape[0])
 
     def predict_batch(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (P, m) and per-channel std (P, m) at query rows Xq.
@@ -158,19 +162,17 @@ class GpPosterior:
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         P = Xq.shape[0]
+        if Xq.shape[1] != self.n_inputs:
+            raise self._dimension_error(Xq.shape[1])
         if self.n_samples == 0:
             mean = np.zeros((P, self.n_outputs))
             std = np.full((P, self.n_outputs), self.kernel.sigma_f)
             return mean, std
-        if Xq.shape[1] != self.n_inputs:
-            raise numerics.DimensionError(
-                f"query dim {Xq.shape[1]} != training dim {self.n_inputs}"
-            )
         kstar = self.kernel(self.X, Xq)            # (N, P)
         mean = kstar.T @ self.alpha                # (P, m)
         # kstar^T K^{-1} kstar = |L^{-1} kstar|^2 per column
         w = solve_triangular(self.chol, kstar, lower=True, check_finite=False)
-        var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", w, w)
+        var = self.signal_var - np.einsum("ij,ij->j", w, w)
         # round-off can push the variance a hair negative; clamp before sqrt
         np.maximum(var, 0.0, out=var)
         std = np.sqrt(var)
@@ -183,8 +185,13 @@ class GpPosterior:
             sq += v * v
         return np.exp(self.Xa.dot([*x, 1.0, sq]))
 
+    def _dimension_error(self, dim: int) -> numerics.DimensionError:
+        return numerics.DimensionError(f"query dim {dim} != training dim {self.n_inputs}")
+
     def mean_at(self, x) -> np.ndarray:
-        """Posterior mean at a single point, shape (m,). Hot-loop variant."""
+        """Posterior mean alone at a single point, shape (m,)."""
+        if len(x) != self.n_inputs:
+            raise self._dimension_error(len(x))
         if self.n_samples == 0:
             return np.zeros(self.n_outputs)
         return self._kernel_vector(x).dot(self.alpha)
@@ -192,14 +199,19 @@ class GpPosterior:
     def point_eval(self, x) -> tuple[np.ndarray, float]:
         """Mean (m,) and the shared per-channel std at one point. Hot-loop variant.
 
-        ``x`` is any length-n sequence of floats (a tuple or an array).
+        ``x`` is any length-n sequence of floats (a tuple or an array). The
+        mean is the expression :meth:`mean_at` evaluates, so the two read
+        the same bits.
         """
+        if len(x) != self.n_inputs:
+            raise self._dimension_error(len(x))
         if self.n_samples == 0:
             return np.zeros(self.n_outputs), self.kernel.sigma_f
         k = self._kernel_vector(x)
         w = dtrsv(self.chol, k, lower=1)           # L^{-1} k
-        var = self.kernel.sigma_f**2 - w.dot(w)
-        return k.dot(self.alpha), math.sqrt(max(var, 0.0))
+        var = self.signal_var - w.dot(w)
+        # round-off can push the variance a hair negative: read 0 there
+        return k.dot(self.alpha), 0.0 if var < 0.0 else math.sqrt(var)
 
 
 @dataclass(frozen=True)
@@ -294,7 +306,7 @@ def uniform_bound_grid_max(
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    cap = math.sqrt(posterior.kernel.sigma_f**2)
+    cap = math.sqrt(posterior.signal_var)
     corners = np.array(list(itertools.product((-kappa_op, kappa_op),
                                               repeat=posterior.n_inputs)))
     if np.max(posterior.predict_batch(corners)[1]) == cap:

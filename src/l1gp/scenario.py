@@ -21,7 +21,17 @@ Integration rule: the linear parts advance by exact discrete-time maps
 one fused step on Python floats per engine step
 (:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples,
 each matrix product per axis on a diagonal; numpy is left to the GP reads,
-the learner's buffer and the recorded rows. The L1 reference system of
+the learner's buffer and the recorded rows. The loop holds the state
+(``x``, ``x_id``, ``u``, ``eta``) in locals and writes it back to the live
+:class:`Snapshot` before each recorded row and at the end of the run.
+
+Model reads: an l1gp tick reads the published model's mean and envelope
+at the state (:meth:`LearnerModel.evaluate`), and each recorded row its
+mean. A row recorded just before a tick of the same run makes that
+tick's read and hands it on, since the model and the state are the same
+there and the mean is bitwise ``GpPosterior.mean_at``'s. Only the rows
+that no tick follows (the last step's, an abort row, a row between two
+ticks) read the mean alone. The L1 reference system of
 :func:`run_reference_system` is this engine with the adaptive estimate
 replaced by the true uncertainty. A run is single-threaded and
 deterministic given the seed.
@@ -369,9 +379,14 @@ class Engine:
         if cfg.condition.check:
             self._check_condition()
 
-        rows[0] = self._row(self.t0, f)
-        row_i = 1
         state = live.ctrl_state
+        learner = live.learner
+        # a row recorded just before a tick of this run makes that tick's
+        # model read (see the module docstring); `read` carries it over
+        hand_off = mode_l1gp and learner is not None
+        read = learner.model.evaluate(live.x) if hand_off and i0 % ts_every == 0 else None
+        rows[0] = self._row(self.t0, f, read)
+        row_i = 1
         # the loop's calls and constants as locals, bound here on each run,
         # so a function patched after the engine was built is the one called
         adaptation_step = ctrl.adaptation_step
@@ -383,9 +398,11 @@ class Engine:
         baseline_control = plant_mod.baseline_control
         blowup = cfg.blowup
         true_sigma = self._true_sigma
-        learner = live.learner
         omega_0, omega_c = c.omega_0, c.omega_c
         include_baseline = not delay_total
+        # the loop state as locals, written back to live before each row
+        # and at the end of the run, before an abort row
+        x, x_id, u, eta = live.x, live.x_id, live.u, live.eta
         for i in range(n_steps):
             t = (i0 + i) * h
             if sinusoid:
@@ -393,56 +410,56 @@ class Engine:
                 s0, s1, s2 = sin(w0 * t), sin(w1 * t), sin(w2 * t)
                 r = (a0 * s0, a1 * s1, a2 * s2)
             if (i0 + i) % ts_every == 0:
-                adaptation_step(state, live.x, c)
+                adaptation_step(state, x, c)
                 if true_sigma:
-                    state.sigma_hat = f(*live.x)
+                    state.sigma_hat = f(*x)
                 if mode_l1gp:
-                    model = learner.model if learner else None
-                    if model is not None:
-                        # the bandwidth law consumes the pointwise envelope
-                        # at the current state, not the domain-wide scalar
-                        f_hat_x, e_f = model.evaluate(live.x)
-                    else:
-                        f_hat_x, e_f = (0.0, 0.0, 0.0), 0.0
+                    # the bandwidth law consumes the pointwise envelope at
+                    # the current state, not the domain-wide scalar
+                    if read is None:
+                        read = (learner.model.evaluate(x) if learner is not None
+                                else ((0.0, 0.0, 0.0), 0.0))
+                    f_hat_x, e_f = read
+                    read = None
                     live.e_f_last = e_f
                     omega_hat = bandwidth_command(e_f, omega_0, omega_c)
                     learning_filter_step(state, f_hat_x, omega_hat, c)
                 q0, q1, q2 = state.sigma_hat
-                e0, e1, e2 = live.eta
-                live.eta = (
+                e0, e1, e2 = eta
+                eta = (
                     q0 + (e0 - q0) * alpha_c,
                     q1 + (e1 - q1) * alpha_c,
                     q2 + (e2 - q2) * alpha_c,
                 )
-                live.u = control_step(state, r, c)
+                u = control_step(state, r, c)
             if delay_total:
-                bl0, bl1, bl2 = baseline_control(live.x, p)
-                v0, v1, v2 = live.u
+                bl0, bl1, bl2 = baseline_control(x, p)
+                v0, v1, v2 = u
                 u_applied = push((bl0 + v0, bl1 + v1, bl2 + v2))
             else:
-                u_applied = push(live.u)
+                u_applied = push(u)
             # the step that ends on a switch sees the new segment at its
             # last RK4 stage only
             switching = i0 + i + 1 == switch_steps[seg]
             f_end = fields[seg + 1] if switching else f
             try:
-                x0, x1, x2 = live.x = rk4_plant_step(
-                    live.x, u_applied, t, h, p, f, f_end, include_baseline
+                x0, x1, x2 = x = rk4_plant_step(
+                    x, u_applied, t, h, p, f, f_end, include_baseline
                 )
             except numerics.DivergenceError:
                 unstable = True
             else:
-                z0, z1, z2 = live.x_id
+                z0, z1, z2 = x_id
                 d0, d1, d2 = 0.0 + E0 * z0, 0.0 + E1 * z1, 0.0 + E2 * z2
                 if sinusoid:
-                    live.x_id = (
+                    x_id = (
                         d0 + ((0.0 + m0 * s0) + (0.0 + n0 * cos(w0 * t))),
                         d1 + ((0.0 + m1 * s1) + (0.0 + n1 * cos(w1 * t))),
                         d2 + ((0.0 + m2 * s2) + (0.0 + n2 * cos(w2 * t))),
                     )
                 else:
                     g0, g1, g2 = g_id
-                    live.x_id = (d0 + g0, d1 + g1, d2 + g2)
+                    x_id = (d0 + g0, d1 + g1, d2 + g2)
                 b0, b1, b2 = abs(x0), abs(x1), abs(x2)
                 # the same test as max(b0, b1, b2) > blowup once the sum is finite
                 if (not math.isfinite(b0 + b1 + b2)
@@ -457,22 +474,27 @@ class Engine:
             steps_done = i + 1
             if unstable:
                 self.events.append({"t": t_next, "kind": "unstable_abort"})
-                rows[row_i] = self._row(t_next, f)
-                row_i += 1
                 break
             if (
                 learner is not None
                 and data_every
                 and (i0 + i + 1) % data_every == 0
             ):
-                learner.push(t_next, live.x, u_applied)
+                learner.push(t_next, x, u_applied)
                 ev = learner.maybe_update(t_next)
                 if ev is not None:
                     self.events.append(ev)
             # the global step index keeps a resumed run on the same grid
             if (i0 + i + 1) % dec == 0:
-                rows[row_i] = self._row(t_next, f)
+                live.x, live.x_id, live.u, live.eta = x, x_id, u, eta
+                if hand_off and i + 1 < n_steps and (i0 + i + 1) % ts_every == 0:
+                    read = learner.model.evaluate(x)
+                rows[row_i] = self._row(t_next, f, read)
                 row_i += 1
+        live.x, live.x_id, live.u, live.eta = x, x_id, u, eta
+        if unstable:
+            rows[row_i] = self._row(t_next, f, None)
+            row_i += 1
         live.t0 = self.t_final = (i0 + steps_done) * h
         return SimulationTrace(
             data=rows[:row_i],
@@ -480,34 +502,35 @@ class Engine:
             unstable=unstable,
         )
 
-    def _row(self, t: float, f: Callable) -> np.ndarray:
-        """The trace row at t; ``f`` is the uncertainty segment in force."""
+    def _row(self, t: float, f: Callable, read: Optional[tuple]) -> tuple:
+        """The trace row at t, as a tuple of floats; ``f`` is the
+        uncertainty segment in force, and ``read`` the model's
+        ``evaluate`` at the state, or None to read the mean alone."""
         live = self.live
         state = live.ctrl_state
         x0, x1, x2 = x = live.x
         h0, h1, h2 = state.x_hat
-        f_true = f(x0, x1, x2)
-        if live.learner is not None:
+        if read is not None:
+            f_hat = read[0]
+        elif live.learner is not None:
             f_hat = live.learner.model.f_hat(x)
         else:
             f_hat = (0.0, 0.0, 0.0)
-        return np.array(
-            (
-                t,
-                *x,
-                *state.x_hat,
-                h0 - x0, h1 - x1, h2 - x2,
-                *live.u,
-                *state.f_L,
-                *live.eta,
-                *state.sigma_hat,
-                *f_true,
-                *f_hat,
-                *self.ref(t),
-                *live.x_id,
-                live.e_f_last,
-                state.omega_filtered,
-            )
+        return (
+            t,
+            *x,
+            *state.x_hat,
+            h0 - x0, h1 - x1, h2 - x2,
+            *live.u,
+            *state.f_L,
+            *live.eta,
+            *state.sigma_hat,
+            *f(x0, x1, x2),
+            *f_hat,
+            *self.ref(t),
+            *live.x_id,
+            live.e_f_last,
+            state.omega_filtered,
         )
 
     def _check_condition(self):

@@ -94,8 +94,36 @@ def test_traced_records_pair_at_the_lowest_common_seed(tmp_path):
                               "-o", str(out)]) == 0
     pairs = json.loads(out.read_text())["traced"]
     assert sorted(pairs) == ["switch"]
-    assert pairs["switch"]["seed"] == 2
+    # one common seed: its values, as one run a side gives them
+    assert (pairs["switch"]["seed"], pairs["switch"]["n_seeds"]) == (2, 1)
     assert pairs["switch"]["parent"]["gp.point_eval.p50_us"] == 12.0
     assert pairs["switch"]["change"]["gp.point_eval.p50_us"] == 6.0
     assert pairs["switch"]["change_vs_parent"] == {
         "gp.point_eval.p50_us": -0.5, "gp.point_eval.calls": 0.0}
+
+
+def test_traced_metrics_are_medians_over_the_common_seeds(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        for side, run_s in ((parent, 2.4), (change, 2.0)):
+            write_record(side, "switch", seed, run_s)
+
+    def layers(self_s, calls):
+        return {"gp.mean_at.self_s": {"value": self_s, "unit": "s"},
+                "gp.point_eval.calls": {"value": calls, "unit": "count"}}
+
+    # seed 4 is traced on the parent only: left out of both medians
+    for seed, p, c in ((1, 0.30, 0.010), (2, 0.10, 0.002), (3, 0.20, 0.004),
+                       (4, 9.0, None)):
+        write_record(parent, "switch", seed, None, trace=1, metrics=layers(p, 60000))
+        if c is not None:
+            write_record(change, "switch", seed, None, trace=1, metrics=layers(c, 60000))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(out)]) == 0
+    pair = json.loads(out.read_text())["traced"]["switch"]
+    assert (pair["seed"], pair["n_seeds"]) == (1, 3)
+    assert pair["parent"] == {"gp.mean_at.self_s": 0.20, "gp.point_eval.calls": 60000}
+    assert pair["change"] == {"gp.mean_at.self_s": 0.004, "gp.point_eval.calls": 60000}
+    assert pair["change_vs_parent"]["gp.mean_at.self_s"] == pytest.approx(0.004 / 0.20 - 1.0)
+    assert pair["change_vs_parent"]["gp.point_eval.calls"] == 0.0

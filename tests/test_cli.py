@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import l1gp
-from l1gp import cli, config as config_mod
+from l1gp import cli, config as config_mod, scenario
 
 
 NOMINAL = """
@@ -270,6 +271,41 @@ class TestSimulate:
         assert summary["stable"] is False
         data, _ = cli.read_trace_csv(str(out / "trace.csv"))
         assert np.all(np.isfinite(data))
+
+
+class TestTraceCsv:
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               1.7976931348623157e308, 0.1, 1.0, -3.0, 60.0, 12345.0)
+
+    @staticmethod
+    def trace(rows):
+        data = np.random.default_rng(rows).normal(size=(rows, len(scenario.TRACE_COLUMNS)))
+        if rows:
+            # in the first row and the last
+            data[0, : len(TestTraceCsv.SPECIAL)] = TestTraceCsv.SPECIAL
+            data[-1, -len(TestTraceCsv.SPECIAL):] = TestTraceCsv.SPECIAL
+        return scenario.SimulationTrace(data=data, events=[])
+
+    @pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 65])
+    def test_bytes_of_savetxt(self, tmp_path, rows):
+        trace = self.trace(rows)
+        cli.write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        np.savetxt(tmp_path / "oracle.csv", trace.data, fmt="%.17g", delimiter=",",
+                   header=",".join(trace.columns), comments="")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_writing_holds_a_few_rows_at_a_time(self, tmp_path):
+        trace = self.trace(20000)
+        tracemalloc.start()
+        try:
+            cli.write_trace_csv(trace, str(tmp_path / "trace.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        data, header = cli.read_trace_csv(str(tmp_path / "trace.csv"))
+        assert header == list(scenario.TRACE_COLUMNS)
+        assert np.array_equal(data, trace.data, equal_nan=True)
 
 
 class TestBoundCheck:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
-from l1gp import gp, plant
+from l1gp import gp, numerics, plant
 
 
 KERNEL = gp.SeKernel(sigma_f=1.0, length_scale=1.0)
@@ -314,6 +314,21 @@ class TestExpandedRead:
             assert std == 0.3 and np.array_equal(mean, np.zeros(2))
             assert np.array_equal(post.mean_at(x), np.zeros(2))
 
+    @pytest.mark.parametrize("N", [0, 22])
+    def test_wrong_length_query_raises(self, N):
+        # the prior too: it reads no kernel vector, so nothing else would
+        if N:
+            post = self.posterior(N, KERNEL)
+        else:
+            post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 0.01), KERNEL)
+        for x in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros(2)):
+            for read in (post.point_eval, post.mean_at):
+                with pytest.raises(numerics.DimensionError,
+                                   match=f"query dim {len(x)} != training dim 3"):
+                    read(x)
+        with pytest.raises(numerics.DimensionError, match="query dim 2 != training dim 3"):
+            post.predict_batch(np.zeros((4, 2)))
+
     def test_read_matrix_is_frozen_with_its_inputs(self):
         post = self.posterior(22, KERNEL)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -325,8 +340,11 @@ class TestExpandedRead:
         x = (0.3, -1.2, 2.0)
         assert clone.Xa is not post.Xa and np.array_equal(clone.Xa, post.Xa)
         assert np.array_equal(clone.point_eval(x)[0], post.point_eval(x)[0])
-        wide = dataclasses.replace(post, kernel=gp.SeKernel(1.0, 2.0))
+        wide = dataclasses.replace(post, kernel=gp.SeKernel(3.0, 2.0))
         assert np.array_equal(wide.Xa[:, :3], post.X / 4.0)
+        assert (wide.signal_var, wide.n_samples) == (9.0, 22)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            post.signal_var = 4.0
 
     @given(
         N=st.integers(1, 30),

@@ -119,14 +119,16 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-l1_plain-delay_total", "margin-l1_plain-delay_total",
-        "simulate-anisotropic", "margin-anisotropic",
+        "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
     ]
     deck = str(tmp_path / "decks" / same_outputs.DELAY_TOTAL_DECK)
-    assert runs[-4][1] == ["simulate", deck]
-    assert runs[-3][1] == ["margin", deck, "--horizon", "20"]
+    assert runs[-5][1] == ["simulate", deck]
+    assert runs[-4][1] == ["margin", deck, "--horizon", "20"]
     aniso = str(tmp_path / "decks" / same_outputs.ANISOTROPIC_DECK)
-    assert runs[-2][1] == ["simulate", aniso]
-    assert runs[-1][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-3][1] == ["simulate", aniso]
+    assert runs[-2][1] == ["margin", aniso, "--horizon", "5"]
+    off_grid = str(tmp_path / "decks" / same_outputs.OFF_GRID_DECK)
+    assert runs[-1][1] == ["simulate", off_grid]
 
 
 def test_delay_total_deck_is_l1_plain_with_the_total_path(tmp_path):
@@ -152,7 +154,8 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     # a swap of any two axes of any per-axis value changes the config
     same_outputs.write_decks(SCRIPT.parents[1], tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [same_outputs.ANISOTROPIC_DECK, same_outputs.DELAY_TOTAL_DECK])
+        [same_outputs.ANISOTROPIC_DECK, same_outputs.DELAY_TOTAL_DECK,
+         same_outputs.OFF_GRID_DECK])
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
@@ -163,3 +166,15 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     assert cfg.reference.kind == "sinusoid" and cfg.learner is not None
     assert (cfg.duration, cfg.seed, cfg.learner.T_data) == (20.0, 7, 0.5)
     assert cfg.plant.uncertainty.switch_times == (12.0,)
+
+
+def test_off_grid_deck_records_rows_on_and_off_the_tick_grid(tmp_path):
+    # a row every 5 steps against a tick every 2: the rows alternate
+    # between a step that starts a tick and one that does not
+    same_outputs.write_decks(SCRIPT.parents[1], tmp_path)
+    cfg, _ = config.resolve_scenario(
+        config.parse_flat_file(str(tmp_path / same_outputs.OFF_GRID_DECK)))
+    assert cfg.controller.mode == "l1gp" and cfg.learner is not None
+    assert (cfg.ts_every, cfg.record_decimation) == (2, 5)
+    row_steps = range(0, cfg.n_steps + 1, cfg.record_decimation)
+    assert {k % cfg.ts_every for k in row_steps} == {0, 1}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from l1gp import controller as ctrl
-from l1gp import config, numerics, plant, scenario
+from l1gp import config, gp, numerics, plant, scenario
 from l1gp.learner import LearnerConfig
 
 
@@ -553,6 +553,59 @@ class TestSnapshotResume:
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.data, c.data)
         assert a.events == b.events == c.events
+
+
+class TestRecording:
+    """Recording a row does not change the run. A row recorded just before
+    an l1gp tick reads the model through ``evaluate`` and hands the read on
+    to that tick; any other row reads the mean alone."""
+
+    DURATION = 1.2  # 1200 steps: a multiple of every decimation below
+
+    @staticmethod
+    def deck(ts, dec, duration=DURATION):
+        # a 20 Hz learner refitting every 0.5 s publishes twice in the run
+        cfg = no_condition(nominal(duration=duration, reference_kind="sinusoid",
+                                   record_decimation=dec))
+        cfg = edit(cfg, "controller", T_s=ts)
+        return replace(cfg, learner=LearnerConfig(T_data=0.05, N_update=10))
+
+    @pytest.mark.parametrize("ts", [0.001, 0.002])
+    def test_every_decimation_records_the_same_rows(self, ts):
+        every = scenario.run(self.deck(ts, 1))
+        assert sum(ev["kind"] == "learner_published" for ev in every.events) == 2
+        assert np.max(np.abs(every.block("fhat")[-1])) > 0.0
+        for dec in (3, 10):
+            trace = scenario.run(self.deck(ts, dec))
+            assert np.array_equal(trace.data, every.data[::dec]), dec
+            assert trace.events == every.events
+
+    @pytest.mark.parametrize("dec", [1, 3, 10])
+    @pytest.mark.parametrize("ts", [0.001, 0.002])
+    def test_two_runs_repeat_one(self, ts, dec):
+        full = scenario.run(self.deck(ts, dec))
+        eng = scenario.Engine(self.deck(ts, dec, duration=self.DURATION / 2))
+        a, b = eng.run(), eng.run()
+        assert np.array_equal(np.vstack([a.data, b.data[1:]]), full.data)
+        assert a.events + b.events == full.events
+
+    @pytest.mark.parametrize("dec", [1, 3, 10])
+    @pytest.mark.parametrize("ts", [0.001, 0.002])
+    def test_one_model_read_per_tick(self, monkeypatch, ts, dec):
+        counts = {}
+        for name in ("point_eval", "mean_at"):
+            TestEngineCalls.count_calls(monkeypatch, counts, gp.GpPosterior, name)
+        cfg = self.deck(ts, dec)
+        trace = scenario.run(cfg)
+        n, every = cfg.n_steps, cfg.ts_every
+        row_steps = range(0, n + 1, dec)
+        assert len(trace.data) == len(row_steps)
+        # the last row has no tick after it in this run; a row off the
+        # tick grid has none right after it
+        assert counts == {
+            "point_eval": len(range(0, n, every)),
+            "mean_at": sum(k == n or k % every != 0 for k in row_steps),
+        }
 
 
 def l1_step_deck(omega_c, **plant):
