@@ -24,7 +24,11 @@ tree as the working directory:
 - ``simulate`` on a learner deck with a 2 ms sampling period and a row
   every 5 steps, also written to the temporary directory: half its rows
   fall between two ticks, so the rows that read the model's mean alone
-  and those that hand their read on to the next tick are both compared.
+  and those that hand their read on to the next tick are both compared;
+- ``simulate`` on ``configs/sinusoid_learning.cfg`` at ``duration = 20``
+  with ``bound.kappa_op = 0.5``, also written to the temporary directory:
+  its box corners sit near the data, so no corner reaches the prior's std
+  and every publish reads the envelope's whole grid.
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, the
@@ -95,6 +99,8 @@ enabled = true
 t_data = 0.5
 """
 
+GRID_READ_DECK = "grid_read.cfg"
+
 
 def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
     """``tree``'s ``configs/l1_plain.cfg`` with ``plant.delay_total = true``,
@@ -107,18 +113,32 @@ def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
     return path
 
 
+def write_grid_read_deck(tree: Path, deck_dir: Path) -> Path:
+    """``tree``'s ``configs/sinusoid_learning.cfg`` at ``duration = 20.0``
+    with ``bound.kappa_op = 0.5``, written to ``deck_dir``; returns its path."""
+    text = (tree / "configs" / "sinusoid_learning.cfg").read_text()
+    for key, value in (("duration", "20.0"), ("kappa_op", "0.5")):
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        if count != 1:
+            raise ValueError(f"configs/sinusoid_learning.cfg has no single {key} line")
+    path = deck_dir / GRID_READ_DECK
+    path.write_text(text)
+    return path
+
+
 def write_decks(tree: Path, deck_dir: Path) -> None:
-    """Write the delay-total, the anisotropic and the off-grid deck to
-    ``deck_dir``."""
+    """Write the delay-total, the anisotropic, the off-grid and the
+    grid-read deck to ``deck_dir``."""
     write_delay_total_deck(tree, deck_dir)
     (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
     (deck_dir / OFF_GRID_DECK).write_text(OFF_GRID_TEXT)
+    write_grid_read_deck(tree, deck_dir)
 
 
 def runs(tree: Path, deck_dir: Path) -> list:
     """(name, cli arguments) of every run, decks in sorted order; the
-    delay-total, the anisotropic and the off-grid deck are read from
-    ``deck_dir``."""
+    delay-total, the anisotropic, the off-grid and the grid-read deck are
+    read from ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
@@ -134,6 +154,7 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("simulate-anisotropic", ["simulate", aniso]),
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
+        ("simulate-grid_read", ["simulate", str(deck_dir / GRID_READ_DECK)]),
     ]
 
 

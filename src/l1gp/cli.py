@@ -101,6 +101,21 @@ def _write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
+def _runtime() -> dict:
+    """The numerical setup a run's bits depend on beyond its config: a
+    learner refit's Cholesky factor rounds differently at another BLAS
+    thread count. scipy's version is null when the run never imported it;
+    a thread variable is null when it is not set."""
+    scipy = sys.modules.get("scipy")
+    return {
+        "numpy_version": np.__version__,
+        "scipy_version": None if scipy is None else scipy.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir, echo, seed, wall, events, flags) -> None:
     manifest = {
         "tool_version": __version__,
@@ -109,6 +124,7 @@ def _write_manifest(out_dir, echo, seed, wall, events, flags) -> None:
         "wall_clock_s": wall,
         "events": events,
         "acceptance_flags": flags,
+        "runtime": _runtime(),
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 

@@ -302,7 +302,9 @@ def uniform_bound_grid_max(
     on each axis, which are grid points) are read first, and when one of
     them reaches the cap, ``sqrt_beta * cap`` is the grid max exactly; the
     prior always takes this exit. Otherwise the whole grid is read in
-    blocks of ``_GRID_BLOCK`` rows, so memory does not grow with its size.
+    blocks of ``_GRID_BLOCK`` rows, in the row order of the ``ij``
+    meshgrid, each block made from its flat indices alone, so memory does
+    not grow with the grid's size.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
@@ -312,10 +314,15 @@ def uniform_bound_grid_max(
     if np.max(posterior.predict_batch(corners)[1]) == cap:
         return sqrt_beta * cap
     axis = np.linspace(-kappa_op, kappa_op, grid_points)
-    grids = np.meshgrid(*([axis] * posterior.n_inputs), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    shape = (grid_points,) * posterior.n_inputs
+    size = grid_points**posterior.n_inputs
+
+    def block(i: int) -> np.ndarray:
+        rows = np.unravel_index(np.arange(i, min(i + _GRID_BLOCK, size)), shape)
+        return axis[np.stack(rows, axis=1)]
+
     std_max = max(
-        float(np.max(posterior.predict_batch(pts[i:i + _GRID_BLOCK])[1]))
-        for i in range(0, pts.shape[0], _GRID_BLOCK)
+        float(np.max(posterior.predict_batch(block(i))[1]))
+        for i in range(0, size, _GRID_BLOCK)
     )
     return sqrt_beta * std_max

@@ -1,17 +1,17 @@
 """Slow-rate Bayesian learner feeding the controller piecewise-static models.
 
 The learner takes (t, x, u) samples at its own rate and turns each into an
-uncertainty target as soon as it can: a target is reconstructed by
-Savitzky-Golay differentiation over a centered 5-sample window, so it is
-made when the sample two steps later arrives, and the first two samples,
-whose window never completes, are never used. Derivative-estimation error
-is folded into the measurement noise, together with an explicit Gaussian
-noise injection drawn, in sample order, from the engine's seeded
-generator. Once N_update new samples have arrived the GP is refit on the
-targets made so far, and the gating mode decides whether the immutable
-model ``{f_hat, e_f_hat}`` it gives is published. The published model is
-constant between publishes: a publish replaces it whole, between two
-engine steps.
+uncertainty target as soon as it can: a target's derivative is the slope
+at the centre of a 5-sample window, the closed form of the Savitzky-Golay
+window-5, order-2 filter, so it is made when the sample two steps later
+arrives, and the first two samples, whose window never completes, are
+never used. Derivative-estimation error is folded into the measurement
+noise, together with an explicit Gaussian noise injection drawn, in sample
+order, from the engine's seeded generator. Once N_update new samples have
+arrived the GP is refit on the targets made so far, and the gating mode
+decides whether the immutable model ``{f_hat, e_f_hat}`` it gives is
+published. The published model is constant between publishes: a publish
+replaces it whole, between two engine steps.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
 GATINGS = ("always", "improvement")
 _WINDOW = 5
 _HALF = _WINDOW // 2
-_POLY_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -204,15 +203,12 @@ def reconstruct_target(
 ) -> np.ndarray:
     """Uncertainty target ``B_m^{-1} (xdot_j - A_m x_j) - u_j``.
 
-    ``xdot_j`` is the Savitzky-Golay derivative at the center of the
-    supplied window. The window must be centered on sample j. ``A_m`` and
+    ``xdot_j`` is :func:`numerics.estimate_derivative` of the 5-sample
+    window, which must be centered on sample j. ``A_m`` and
     ``B_m^{-1}`` are diagonal, given as their diagonals ``a_m`` and
     ``b_inv``; each product is ``0.0 + d_i v_i``, bitwise the matrix form.
     """
-    derivs = numerics.estimate_derivative(
-        window_times, window_states, window=_WINDOW, poly_order=_POLY_ORDER
-    )
-    xdot_j = derivs[len(window_times) // 2]
+    xdot_j = numerics.estimate_derivative(window_times, window_states)
     return (0.0 + np.multiply(b_inv, xdot_j - (0.0 + np.multiply(a_m, x_j)))) - u_j
 
 

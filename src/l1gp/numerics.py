@@ -6,8 +6,8 @@ finite Python floats, :func:`whole` a count or a seed as a Python int, and
 :func:`zoh_map` and :func:`phi1` give the exact one-step maps, on Python
 floats, with no linear solve. The rest operates
 on plain float64 numpy arrays: the Cholesky routines the GP factors with,
-RK4, the Savitzky-Golay derivative and a covering-number bound. All public
-functions are pure.
+RK4, the 5-point centred derivative the learner's targets are made with
+and a covering-number bound. All public functions are pure.
 
 The module loads without scipy. Only the factor routines
 :func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
@@ -17,7 +17,6 @@ with the private routine that :func:`cholesky_factor` runs on a copy.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -27,7 +26,6 @@ __all__ = [
     "DimensionError",
     "DecompositionError",
     "DivergenceError",
-    "InsufficientDataError",
     "zoh_map",
     "phi1",
     "float3",
@@ -58,10 +56,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
-
-
-class InsufficientDataError(ValueError):
-    """Fewer samples than the requested smoothing window."""
 
 
 def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
@@ -211,63 +205,32 @@ def rk4_step(
     return out
 
 
-def estimate_derivative(
-    times: np.ndarray,
-    values: np.ndarray,
-    window: int = 5,
-    poly_order: int = 2,
-) -> np.ndarray:
-    """Savitzky-Golay first-derivative estimates, componentwise.
+def estimate_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """First derivative at the centre of 5 uniformly spaced samples.
 
-    ``times`` must be uniformly spaced; ``values`` is (N,) or (N, d).
-    Interior points use the centered window; the first and last
-    ``window // 2`` points differentiate the polynomial fitted to the first
-    or last full window (scipy's ``savgol_filter`` mode 'interp').
+    ``values`` is (5,) or (5, d), one row per entry of ``times``; the result
+    has shape ``values.shape[1:]``. It is the slope at the centre of the
+    least-squares quadratic through the window (Savitzky & Golay 1964,
+    window 5, order 2), in closed form:
+    ``(2 (y4 - y0) + (y3 - y1)) / (10 dt)`` with ``dt = times[1] - times[0]``.
+    So a constant window reads exactly 0, and a linear window of integers
+    at ``dt = 1`` its exact slope. Raises DimensionError for any other
+    sample count and ValueError for non-uniform spacing.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window % 2 == 0:
-        raise ValueError(f"window must be odd, got {window}")
-    if window < poly_order + 1:
-        raise ValueError(f"window {window} < poly_order + 1 = {poly_order + 1}")
-    n = times.shape[0]
-    if n < window:
-        raise InsufficientDataError(f"{n} samples < window {window}")
+    if times.shape != (5,) or values.shape[:1] != (5,):
+        raise DimensionError(
+            f"need 5 samples, got times {times.shape} and values {values.shape}"
+        )
     dts = np.diff(times)
     dt = dts[0]
-    # the learner calls this once per sample, so it skips the argument
-    # checks of np.allclose and sliding_window_view; not <= rejects nan
+    # the learner calls this once per sample, so it skips np.allclose's
+    # argument checks; not <= rejects nan
     if not (np.abs(dts - dt) <= 1e-9 * max(1.0, abs(dt))).all():
         raise ValueError("sampling period is not uniform")
-    W = _savgol_derivative_weights(window, poly_order) / dt
-    half = window // 2
-    out = np.empty_like(values)
-    # sliding_window_view(values, window, axis=0): (N - window + 1, [d,] window)
-    shape = (n - window + 1,) + values.shape[1:] + (window,)
-    windows = np.lib.stride_tricks.as_strided(
-        values, shape, values.strides + values.strides[:1], writeable=False
-    )
-    out[half : n - half] = windows @ W[half]
-    out[:half] = W[:half] @ values[:window]
-    out[n - half :] = W[half + 1 :] @ values[n - window :]
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _savgol_derivative_weights(window: int, poly_order: int) -> np.ndarray:
-    """(window, window) matrix D with ``(D @ y)[i]`` the first derivative, per
-    sample, at window position i of the least-squares polynomial through y.
-
-    The fit's coefficients are ``pinv(V) @ y`` with V the Vandermonde matrix
-    of the centred offsets; D differentiates that polynomial at each offset.
-    """
-    z = np.arange(window, dtype=float) - window // 2
-    V = np.vander(z, poly_order + 1, increasing=True)
-    dV = np.zeros_like(V)
-    dV[:, 1:] = V[:, :-1] * np.arange(1, poly_order + 1)
-    D = dV @ np.linalg.pinv(V)
-    D.setflags(write=False)
-    return D
+    y0, y1, _, y3, y4 = values
+    return (2.0 * (y4 - y0) + (y3 - y1)) / (10.0 * dt)
 
 
 def log_covering_number_box(kappa: float, n: int, xi: float) -> float:

@@ -68,16 +68,6 @@ _KIND_FIELDS: dict[str, Callable[[float, float, float], tuple]] = {
 }
 
 
-def _scalar_field(kind: Callable[[np.ndarray], np.ndarray]):
-    """Wrap an array uncertainty ``f(x) -> (3,)`` into the scalar signature."""
-
-    def scalar(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
-        f = kind(np.array((x0, x1, x2)))
-        return float(f[0]), float(f[1]), float(f[2])
-
-    return scalar
-
-
 @dataclass(frozen=True)
 class UncertaintySchedule:
     """Ordered (start_time, kind) segments; ``kind`` may also be a callable.
@@ -85,10 +75,10 @@ class UncertaintySchedule:
     The first segment must start at t = 0 and start times must strictly
     increase. Evaluation is stateless: the active segment is the last one
     whose start time is <= t. Every segment is held in scalar form
-    ``(x0, x1, x2) -> (f0, f1, f2)``, in order, in ``scalar_fields``; a
-    callable kind maps an array to an array and is wrapped into that form
-    once, here. The engine picks the segment by step index instead, from
-    the switch times its ScenarioConfig fixed on the step grid.
+    ``(x0, x1, x2) -> (f0, f1, f2)``, in order, in ``scalar_fields``: a
+    callable kind must already be in that form, the one the engine calls.
+    The engine picks the segment by step index instead, from the switch
+    times its ScenarioConfig fixed on the step grid.
     """
 
     segments: Sequence[tuple[float, object]] = ((0.0, "zero"),)
@@ -105,12 +95,9 @@ class UncertaintySchedule:
             raise ValueError("segment start times must strictly increase")
         fields = []
         for _, kind in self.segments:
-            if callable(kind):
-                fields.append(_scalar_field(kind))
-            elif kind in _KIND_FIELDS:
-                fields.append(_KIND_FIELDS[kind])
-            else:
+            if not (callable(kind) or kind in _KIND_FIELDS):
                 raise ValueError(f"unknown uncertainty kind {kind!r}")
+            fields.append(kind if callable(kind) else _KIND_FIELDS[kind])
         object.__setattr__(self, "segments", tuple(map(tuple, self.segments)))
         object.__setattr__(self, "switch_times", tuple(starts[1:]))
         object.__setattr__(self, "scalar_fields", tuple(fields))

@@ -259,6 +259,26 @@ class TestSimulate:
         assert manifest["tool_version"]
         assert manifest["seed"] == 777
 
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_manifest_records_the_blas_setup(self, tmp_path, monkeypatch, threads):
+        import scipy
+
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        if threads is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", write(tmp_path, "a.cfg", NOMINAL), "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["runtime"] == {
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": None if threads is None else "2",
+            "cpu_count": os.cpu_count(),
+        }
+
     def test_unstable_exit_3(self, tmp_path):
         text = NOMINAL.replace('uncertainty = "quadratic"',
                                'uncertainty = "quadratic"\ninput_delay = 0.15')
@@ -490,3 +510,7 @@ def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split()[-2:] == ["0", str(loads_scipy)]
+    if argv:
+        # the manifest names scipy's version only when the run loaded it
+        runtime = json.loads((tmp_path / "out" / "manifest.json").read_text())["runtime"]
+        assert (runtime["scipy_version"] is not None) == loads_scipy

@@ -496,6 +496,47 @@ class TestGridMaxBranches:
         assert got == cap_bound
         assert rows == [8]
 
+    @pytest.mark.parametrize("grid_points", [2, 5, 21])
+    def test_blocks_are_the_meshgrid_rows_bitwise(self, monkeypatch, grid_points):
+        # each block is built from its flat indices: the rows read, in
+        # order, and the max are those of the ravelled ij meshgrid
+        corners = np.array(list(itertools.product((-5.0, 5.0), repeat=3)))
+        X = np.vstack([corners, np.random.default_rng(7).uniform(-5.0, 5.0, size=(56, 3))])
+        post = self.fitted(X)
+        sqrt_beta = math.sqrt(gp.beta_value(self.CFG, 3, 3))
+        axis = np.linspace(-5.0, 5.0, grid_points)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")],
+                        axis=1)
+        want = sqrt_beta * float(np.max(post.predict_batch(grid)[1]))
+        blocks = []
+        predict = gp.GpPosterior.predict_batch
+
+        def recording(self, Xq):
+            blocks.append(np.array(Xq))
+            return predict(self, Xq)
+
+        monkeypatch.setattr(gp.GpPosterior, "predict_batch", recording)
+        got = gp.uniform_bound_grid_max(post, sqrt_beta, 5.0, grid_points)
+        assert got == want
+        assert len(blocks) == 1 + -(-len(grid) // gp._GRID_BLOCK)
+        assert np.array_equal(np.concatenate(blocks[1:]), grid)
+
+    def test_grid_max_memory_flat_in_grid_size(self):
+        # a 101^3 grid is 1030301 points: its meshgrid and stack alone would
+        # be 49 MB. Built a block at a time, the read holds one (64, 512)
+        # kernel block and the solve (0.6 MB traced in all)
+        corners = np.array(list(itertools.product((-5.0, 5.0), repeat=3)))
+        X = np.vstack([corners, np.random.default_rng(7).uniform(-5.0, 5.0, size=(56, 3))])
+        post = self.fitted(X)
+        tracemalloc.start()
+        try:
+            e = gp.uniform_bound_grid_max(post, 8.5, 5.0, 101)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e < 8.5
+        assert peak < 1.5e6
+
     def test_grid_needs_both_ends(self):
         post = self.fitted(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="grid_points"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from l1gp import gp, learner, numerics, plant
+from l1gp import config, gp, learner, numerics, plant, scenario
 
 
 J = np.diag([0.011, 0.011, 0.021])
@@ -88,13 +88,38 @@ class TestReconstructTarget:
                 states[:] = 0.0
                 x_j, u_j = (rng.choice([0.0, -0.0], size=3) for _ in range(2))
             A, B_inv = np.diag(a), np.linalg.inv(np.diag(b))
-            xdot = numerics.estimate_derivative(times, states)[2]
+            xdot = numerics.estimate_derivative(times, states)
             want = B_inv @ (xdot - A @ x_j) - u_j
             got = learner.reconstruct_target(
                 times, states, x_j, u_j, tuple(a.tolist()), tuple(np.diag(B_inv).tolist())
             )
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_a_learner_run_differentiates_once_per_target(monkeypatch):
+    # the benchmark's estimate_derivative self time is a per-target cost:
+    # each push that completes a window makes one target with one call
+    calls, pushes = [], []
+    derivative, push = numerics.estimate_derivative, learner.BayesianLearner.push
+
+    def counting_derivative(times, values):
+        calls.append(times[2])
+        return derivative(times, values)
+
+    def counting_push(self, t, x, u):
+        pushes.append(t)
+        push(self, t, x, u)
+
+    monkeypatch.setattr(numerics, "estimate_derivative", counting_derivative)
+    monkeypatch.setattr(learner.BayesianLearner, "push", counting_push)
+    cfg = config.quadrotor_nominal(reference_kind="sinusoid", duration=15.0)
+    eng = scenario.Engine(cfg)
+    eng.run()
+    buf = eng.live.learner.buffer
+    assert len(pushes) >= 10
+    assert calls == pushes[2:-2]
+    assert buf.n_targets == len(calls)
 
 
 class TestBufferSchedule:

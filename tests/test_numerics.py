@@ -315,27 +315,48 @@ class TestRk4:
         assert exc.value.t == 2.5
 
 
+def centre_slopes(t, x):
+    """The centre slope of every 5-sample sliding window of a series."""
+    return np.array([numerics.estimate_derivative(t[i:i + 5], x[i:i + 5])
+                     for i in range(len(t) - 4)])
+
+
 class TestEstimateDerivative:
     def test_linear_exact(self):
         t = np.arange(10.0)
         x = 2.0 * t + 1.0
-        d = numerics.estimate_derivative(t, x, window=5, poly_order=2)
-        assert np.allclose(d[2:-2], 2.0, atol=1e-12)
+        assert np.allclose(centre_slopes(t, x), 2.0, atol=1e-12)
+
+    def test_constant_window_reads_zero(self):
+        # 2 (y4 - y0) + (y3 - y1) is exactly 0 on a constant window, whatever
+        # its level and spacing
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            t = rng.uniform(-5.0, 5.0) + rng.uniform(1e-3, 2.0) * np.arange(5)
+            c = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert numerics.estimate_derivative(t, np.tile(c, (5, 1))).tolist() == [0.0] * 3
+            assert numerics.estimate_derivative(t, np.full(5, c[0])) == 0.0
+
+    def test_integer_linear_window_reads_its_exact_slope(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            t = float(rng.integers(-100, 100)) + np.arange(5.0)
+            a, b = rng.integers(-10**6, 10**6, size=(2, 3)).astype(float)
+            d = numerics.estimate_derivative(t, a + np.outer(np.arange(5.0), b))
+            assert d.tolist() == b.tolist()
 
     def test_quadratic_exact_interior(self):
         t = np.arange(12.0)
         x = t**2
-        d = numerics.estimate_derivative(t, x, window=5, poly_order=2)
-        assert np.allclose(d[2:-2], 2.0 * t[2:-2], atol=1e-10)
+        assert np.allclose(centre_slopes(t, x), 2.0 * t[2:-2], atol=1e-10)
 
     def test_sine_against_analytic_oracle(self):
-        # At 10 Hz the quadratic 5-point filter's interior response to sin(t)
-        # is (4 sin 2h + 2 sin h)/(10 h) cos(t); the analytic worst-case
-        # interior error is 1 - that factor ~= 5.66e-3, not lower.
+        # At 10 Hz the quadratic 5-point filter's response to sin(t) is
+        # (4 sin 2h + 2 sin h)/(10 h) cos(t); the analytic worst-case error
+        # is 1 - that factor ~= 5.66e-3, not lower.
         h = 0.1
         t = np.arange(0.0, 20.0, h)
-        d = numerics.estimate_derivative(t, np.sin(t), window=5, poly_order=2)
-        err = np.max(np.abs(d[2:-2] - np.cos(t[2:-2])))
+        err = np.max(np.abs(centre_slopes(t, np.sin(t)) - np.cos(t[2:-2])))
         analytic = 1.0 - (4.0 * math.sin(2 * h) + 2.0 * math.sin(h)) / (10.0 * h)
         assert err <= analytic * 1.01
         assert err >= analytic * 0.9
@@ -343,40 +364,49 @@ class TestEstimateDerivative:
     def test_sine_at_100hz(self):
         h = 0.01
         t = np.arange(0.0, 5.0, h)
-        d = numerics.estimate_derivative(t, np.sin(t), window=5, poly_order=2)
-        err = np.max(np.abs(d[2:-2] - np.cos(t[2:-2])))
+        err = np.max(np.abs(centre_slopes(t, np.sin(t)) - np.cos(t[2:-2])))
         assert err < 2e-3
 
     def test_multichannel(self):
-        t = np.arange(8.0)
+        t = np.arange(5.0)
         X = np.stack([2 * t, -t + 3], axis=1)
-        d = numerics.estimate_derivative(t, X, window=5, poly_order=2)
-        assert np.allclose(d[2:-2, 0], 2.0, atol=1e-12)
-        assert np.allclose(d[2:-2, 1], -1.0, atol=1e-12)
+        d = numerics.estimate_derivative(t, X)
+        assert d.shape == (2,)
+        assert np.allclose(d, [2.0, -1.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [5, 6, 9, 40])
     def test_matches_scipy_savgol_interp(self, n):
+        # every sliding window's centre slope against the filter's value at
+        # that sample; mode 'interp' fits only the first and last two
         from scipy.signal import savgol_filter
 
         rng = np.random.default_rng(n)
         dt = 0.37
         t = 2.0 + dt * np.arange(n)
         for values in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            d = numerics.estimate_derivative(t, values, window=5, poly_order=2)
+            d = centre_slopes(t, values)
             oracle = savgol_filter(
                 values, 5, 2, deriv=1, delta=dt, axis=0, mode="interp"
-            )
-            assert d.shape == values.shape
+            )[2:n - 2]
+            assert d.shape == oracle.shape
             assert np.max(np.abs(d - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_insufficient_data(self):
-        with pytest.raises(numerics.InsufficientDataError):
-            numerics.estimate_derivative(np.arange(3.0), np.arange(3.0), window=5)
+        with pytest.raises(numerics.DimensionError):
+            numerics.estimate_derivative(np.arange(3.0), np.arange(3.0))
+
+    @pytest.mark.parametrize("n_times, n_values", [(0, 0), (4, 4), (6, 6), (9, 9),
+                                                   (5, 4), (5, 6), (4, 5)])
+    def test_sample_count_other_than_five_raises(self, n_times, n_values):
+        with pytest.raises(numerics.DimensionError, match="need 5 samples"):
+            numerics.estimate_derivative(np.arange(float(n_times)),
+                                         np.ones((n_values, 3)))
 
     def test_nonuniform_rejected(self):
-        t = np.array([0.0, 1.0, 2.5, 3.0, 4.0])
-        with pytest.raises(ValueError):
-            numerics.estimate_derivative(t, t, window=5, poly_order=2)
+        for t in ([0.0, 1.0, 2.5, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 4.5],
+                  [0.0, 1.0, float("nan"), 3.0, 4.0]):
+            with pytest.raises(ValueError, match="not uniform"):
+                numerics.estimate_derivative(np.array(t), np.arange(5.0))
 
 
 def covering_number(kappa, n, xi):

@@ -48,8 +48,13 @@ class TestUncertainty:
         assert np.array_equal(sched.eval(3.0, x), sched.eval(3.0, x))
 
     def test_custom_callable(self):
-        sched = plant.UncertaintySchedule(((0.0, lambda x: 2.0 * x),))
-        assert np.allclose(sched.eval(0.0, np.ones(3)), 2.0)
+        # a callable segment is used as given, in the engine's scalar form
+        def double(x0, x1, x2):
+            return 2.0 * x0, 2.0 * x1, 2.0 * x2
+
+        sched = plant.UncertaintySchedule(((0.0, "zero"), (1.0, double)))
+        assert sched.scalar_fields[1] is double
+        assert sched.eval(1.0, np.array([1.0, -0.5, 0.25])).tolist() == [2.0, -1.0, 0.5]
 
     def test_bad_schedules(self):
         with pytest.raises(ValueError):
@@ -142,8 +147,8 @@ class TestPlantDerivative:
         assert np.max(np.abs(x - want)) < 1e-8
 
 
-def _custom(x):
-    return 0.2 * np.tanh(x) + np.array([0.0, 0.05, -0.1])
+def _custom(x0, x1, x2):
+    return 0.2 * math.tanh(x0), 0.2 * math.tanh(x1) + 0.05, 0.2 * math.tanh(x2) - 0.1
 
 
 # the uncertainty kinds written again with numpy, for the oracle below
@@ -155,7 +160,7 @@ ORACLE_KINDS = {
     "sine_switch": lambda x: np.array(
         [0.5 * np.sin(x[0]), 0.01 * np.cos(x[2]), 0.5 * (np.sin(x[0]) + np.cos(x[1]))]
     ),
-    "custom": _custom,
+    "custom": lambda x: np.array(_custom(*x)),
 }
 
 

@@ -175,8 +175,8 @@ class TestReferenceSystem:
     def test_constant_uncertainty_dc_matches_ideal(self):
         cfg = no_condition(nominal(duration=20.0, with_learner=False))
         c_vec = np.array([0.2, -0.1, 0.15])
-        cfg = edit(cfg, "plant",
-                   uncertainty=plant.UncertaintySchedule(((0.0, lambda x: c_vec),)))
+        cfg = edit(cfg, "plant", uncertainty=plant.UncertaintySchedule(
+            ((0.0, lambda x0, x1, x2: (0.2, -0.1, 0.15)),)))
         out = scenario.run_reference_system(cfg)
         cc = cfg.controller
         x_id_ss = np.linalg.solve(-np.diag(cc.a_m), np.diag(cc.b_m) @ np.array(cc.k_g))
