@@ -29,7 +29,7 @@ def main():
             [quadratic.eval(0.0, x) for x in X], dtype=float
         ).reshape(n_train, 3)
         Y += rng.normal(0.0, 0.01, size=Y.shape)
-        post = gp.fit(gp.GpDataset(X, Y, 1e-4), kernel)
+        post = gp.fit(X, Y, 1e-4, kernel)
         if n_train == 0:
             print(f"envelope scale: beta = {beta:.4f}, "
                   f"sqrt(beta) = {sqrt_beta:.4f}")

@@ -31,10 +31,11 @@ tree as the working directory:
   and every publish reads the envelope's whole grid.
 
 Every file a run writes is compared byte for byte, except the value of
-``wall_clock_s`` in ``manifest.json``. For each CSV that differs, the
-largest absolute difference of each column that moved is printed; for each
-JSON file, each dotted key that is only in the parent's, only in the
-change's, or changed. The exit
+``wall_clock_s`` in ``manifest.json``. For each CSV that differs, each
+column that moved is printed: a numeric one with its largest absolute
+difference, a text one (an event's ``kind`` or ``detail``) with the count of
+rows that differ. For each JSON file, each dotted key that is only in the
+parent's, only in the change's, or changed is printed. The exit
 status is 0 when every output and every run's exit status agree, else 1.
 Standard library and numpy only.
 """
@@ -42,8 +43,8 @@ Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -183,22 +184,43 @@ def comparable(path: Path) -> bytes:
     return _WALL.sub(rb"\1null", data) if path.name == "manifest.json" else data
 
 
+def _csv_cells(data: bytes) -> tuple:
+    """(header line, body rows as lists of cell strings) of a CSV file."""
+    header, _, body = data.decode().partition("\n")
+    return header, [line.split(",") for line in body.splitlines()]
+
+
+def _numbers(cells: list):
+    """A column's cells as floats, an empty cell as NaN; None when any
+    cell is text."""
+    try:
+        return np.array([float(c) if c else math.nan for c in cells])
+    except ValueError:
+        return None
+
+
 def csv_column_diffs(a: bytes, b: bytes) -> list:
     """Lines naming each column of two same-header CSVs whose values differ,
-    with the largest absolute difference, or why the two cannot be compared."""
-    header_a, _, _ = a.partition(b"\n")
-    header_b, _, _ = b.partition(b"\n")
+    or why the two cannot be compared. A numeric column is named with its
+    largest absolute difference, a text column with the count of rows that
+    differ."""
+    (header_a, rows_a), (header_b, rows_b) = _csv_cells(a), _csv_cells(b)
     if header_a != header_b:
         return ["  headers differ"]
-    try:
-        x, y = (np.loadtxt(io.BytesIO(d), delimiter=",", skiprows=1, ndmin=2)
-                for d in (a, b))
-    except ValueError:
-        return ["  not numeric"]
-    if x.shape != y.shape:
-        return [f"  shapes differ: {x.shape} vs {y.shape}"]
+    names = header_a.split(",")
+    if any(len(row) != len(names) for row in rows_a + rows_b):
+        return ["  rows of unequal length"]
+    if len(rows_a) != len(rows_b):
+        return [f"  shapes differ: {(len(rows_a), len(names))} vs "
+                f"{(len(rows_b), len(names))}"]
     lines = []
-    for name, col_x, col_y in zip(header_a.decode().split(","), x.T, y.T):
+    for name, cells_x, cells_y in zip(names, zip(*rows_a), zip(*rows_b)):
+        col_x, col_y = _numbers(cells_x), _numbers(cells_y)
+        if col_x is None or col_y is None:
+            moved = sum(x != y for x, y in zip(cells_x, cells_y))
+            if moved:
+                lines.append(f"  {name}: text differs in {moved} rows")
+            continue
         moved = ~((col_x == col_y) | (np.isnan(col_x) & np.isnan(col_y)))
         if moved.any():
             diff = np.abs(col_x[moved] - col_y[moved])

@@ -243,9 +243,7 @@ def cmd_bound_check(
         [schedule.eval(0.0, x) for x in X_train], dtype=float
     ).reshape(n_train, 3)
     Y_train += rng.normal(0.0, lcfg.sigma_n, size=Y_train.shape)
-    posterior = gp.fit(
-        gp.GpDataset(X_train, Y_train, lcfg.sigma_n**2), lcfg.kernel
-    )
+    posterior = gp.fit(X_train, Y_train, lcfg.sigma_n**2, lcfg.kernel)
     X_probe = rng.uniform(-box, box, size=(n_probe, 3))
     F_probe = np.array(
         [schedule.eval(0.0, x) for x in X_probe], dtype=float

@@ -102,6 +102,21 @@ def _float(value) -> float:
     return number
 
 
+def _positive(value) -> float:
+    number = _float(value)
+    if not number > 0.0:
+        raise ValueError("must be positive")
+    return number
+
+
+def _always(value) -> str:
+    # every successful refit publishes; a quality gate can return once its
+    # scalar moves on a stock deck (ROADMAP item 3)
+    if value != "always":
+        raise ValueError('only "always" is supported (see ROADMAP item 3)')
+    return value
+
+
 def _vec3(value) -> list:
     if isinstance(value, (int, float)):
         return [_float(value)] * 3
@@ -144,14 +159,13 @@ _KEYS = {
     "plant.j": (_vec3, _REQUIRED),
     "plant.x0": (_vec3, 0.0),
     "plant.uncertainty": (str, "quadratic"),
-    "plant.switch_time": (_float, None),
+    "plant.switch_time": (_positive, None),
     "plant.input_delay": (_float, 0.0),
     "plant.delay_total": (_bool, False),
     "learner.enabled": (_bool, None),  # unset: on in mode l1gp
     "learner.t_data": (_float, 1.0),
     "learner.n_update": (_int, 10),
-    "learner.gating": (str, "always"),
-    "learner.gamma_tol": (_float, 0.9),
+    "learner.gating": (_always, "always"),
     "learner.max_points": (_int, 512),
     "learner.sigma_n": (_float, 0.01),
     "kernel.sigma_f": (_float, 1.0),
@@ -222,8 +236,6 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
             learner_cfg = learner_mod.LearnerConfig(
                 T_data=echo["learner.t_data"],
                 N_update=echo["learner.n_update"],
-                gating=echo["learner.gating"],
-                gamma_tol=echo["learner.gamma_tol"],
                 max_points=echo["learner.max_points"],
                 sigma_n=echo["learner.sigma_n"],
                 kernel=gp.SeKernel(

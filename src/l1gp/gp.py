@@ -40,7 +40,6 @@ from . import numerics
 
 __all__ = [
     "SeKernel",
-    "GpDataset",
     "GpPosterior",
     "UniformBoundConfig",
     "IllConditionedKernelError",
@@ -95,29 +94,6 @@ class SeKernel:
         np.exp(K, out=K)
         K *= self.sigma_f**2
         return K
-
-
-@dataclass
-class GpDataset:
-    """Training inputs X (N,n), targets Y (N,m), and the noise variance."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    noise_var: float
-
-    def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        if self.X.shape[0] != self.Y.shape[0]:
-            raise ValueError(
-                f"X has {self.X.shape[0]} rows but Y has {self.Y.shape[0]}"
-            )
-        if not 0.0 < self.noise_var < math.inf:
-            raise ValueError("noise_var must be positive and finite")
-
-    @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -238,27 +214,32 @@ class UniformBoundConfig:
             raise ValueError("delta must be in (0, 1)")
 
 
-def fit(dataset: GpDataset, kernel: SeKernel) -> GpPosterior:
-    """Condition independent per-channel GPs on the dataset.
+def fit(X: np.ndarray, Y: np.ndarray, noise_var: float, kernel: SeKernel) -> GpPosterior:
+    """Condition independent per-channel GPs on inputs X (N,n) and targets Y (N,m).
 
     mean_i(x) = kstar(x)^T (K + noise I)^{-1} Y_i and
     var_i(x) = k(x,x) - kstar(x)^T (K + noise I)^{-1} kstar(x).
     """
-    N = dataset.n_samples
-    m = dataset.Y.shape[1]
-    n = dataset.X.shape[1]
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    if not 0.0 < noise_var < math.inf:
+        raise ValueError("noise_var must be positive and finite")
+    N, n = X.shape
+    m = Y.shape[1]
     if N == 0:
         return GpPosterior(
             kernel=kernel,
-            X=dataset.X.copy(),
+            X=X.copy(),
             alpha=np.zeros((0, m)),
             chol=np.zeros((0, 0)),
             n_outputs=m,
             n_inputs=n,
         )
     # one N x N buffer: the Gram matrix, in Fortran order, becomes the factor
-    K = kernel(dataset.X, dataset.X)
-    K[np.diag_indices_from(K)] += dataset.noise_var
+    K = kernel(X, X)
+    K[np.diag_indices_from(K)] += noise_var
     try:
         chol = numerics._cholesky_in_place(K)
     except numerics.DecompositionError as exc:
@@ -266,10 +247,10 @@ def fit(dataset: GpDataset, kernel: SeKernel) -> GpPosterior:
             f"Gram matrix not positive definite (pivot {exc.pivot}); "
             "increase the noise variance"
         ) from exc
-    alpha = numerics.solve_with_factor(chol, dataset.Y)
+    alpha = numerics.solve_with_factor(chol, Y)
     return GpPosterior(
         kernel=kernel,
-        X=dataset.X.copy(),
+        X=X.copy(),
         alpha=alpha,
         chol=chol,
         n_outputs=m,
@@ -292,9 +273,9 @@ def uniform_bound_grid_max(
     """Max of the envelope ``sqrt_beta * std`` over a uniform grid on the
     operational box.
 
-    The model's ``e_f_hat``: it sets the bandwidth at t = 0, gates
-    improvement-only publishing, and is reported in the publish event; the
-    bandwidth law reads the pointwise envelope instead.
+    The model's ``e_f_hat``: it sets the bandwidth at t = 0 and is reported
+    in the publish event; the bandwidth law reads the pointwise envelope
+    instead.
 
     The posterior std never exceeds ``cap = sqrt(sigma_f**2)``:
     :meth:`GpPosterior.predict_batch` subtracts a sum of squares from

@@ -8,10 +8,11 @@ arrives, and the first two samples, whose window never completes, are
 never used. Derivative-estimation error is folded into the measurement
 noise, together with an explicit Gaussian noise injection drawn, in sample
 order, from the engine's seeded generator. Once N_update new samples have
-arrived the GP is refit on the targets made so far, and the gating mode
-decides whether the immutable model ``{f_hat, e_f_hat}`` it gives is
-published. The published model is constant between publishes: a publish
-replaces it whole, between two engine steps.
+arrived the GP is refit on the targets made so far, and every successful
+refit publishes the immutable model it gives: the posterior, whose mean is
+the learned ``f_hat``, and the envelope's grid max ``e_f_hat``. The
+published model is constant between publishes: a publish replaces it
+whole, between two engine steps.
 """
 
 from __future__ import annotations
@@ -33,19 +34,16 @@ __all__ = [
     "BayesianLearner",
 ]
 
-GATINGS = ("always", "improvement")
 _WINDOW = 5
 _HALF = _WINDOW // 2
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Sampling period, refit cadence, gating mode, and bound parameters."""
+    """Sampling period, refit cadence, data cap, noise, and bound parameters."""
 
     T_data: float = 1.0
     N_update: int = 10
-    gating: str = "always"
-    gamma_tol: float = 0.9
     max_points: int = 512
     sigma_n: float = 0.01
     kernel: gp.SeKernel = field(default_factory=gp.SeKernel)
@@ -60,10 +58,6 @@ class LearnerConfig:
             raise ValueError("T_data must be positive and finite")
         if self.N_update < 1:
             raise ValueError("N_update must be at least 1")
-        if self.gating not in GATINGS:
-            raise ValueError(f"gating must be one of {GATINGS}")
-        if self.gating == "improvement" and not 0.0 < self.gamma_tol < 1.0:
-            raise ValueError("gamma_tol must be in (0, 1) for improvement gating")
         if not 0.0 < self.sigma_n < math.inf:
             raise ValueError("sigma_n must be positive and finite")
         if self.max_points < 1:
@@ -80,27 +74,24 @@ class LearnerConfig:
 class LearnerModel:
     """Published model: mean function and error envelope, constant until replaced.
 
-    Both ``f_hat`` and the envelope are piecewise static: the *functions*
-    change only at publish instants. ``evaluate(x)`` returns the pair
-    (mean, pointwise envelope ``sqrt_beta * std(x)``) the controller
-    consumes; ``e_f_hat`` is the conservative domain-wide (grid-max) scalar
-    used for gating and reporting. ``sqrt_beta`` depends only on the bound
-    config and the dimensions, so every model of one learner shares it.
+    The posterior mean and the envelope are piecewise static: the
+    *functions* change only at publish instants. ``evaluate(x)`` returns
+    the pair (mean, pointwise envelope ``sqrt_beta * std(x)``) the
+    controller consumes; ``e_f_hat`` is the conservative domain-wide
+    (grid-max) scalar that sets the bandwidth at t = 0 and is reported in
+    each publish event. ``sqrt_beta`` depends only on the bound config and
+    the dimensions, so every model of one learner shares it.
     """
 
     update_index: int
     posterior: gp.GpPosterior
     sqrt_beta: float
     e_f_hat: float
-    n_data: int = 0
 
     def evaluate(self, x) -> tuple[list, float]:
         """Learned mean (m Python floats) and the pointwise error envelope at x."""
         mean, sigma = self.posterior.point_eval(x)
         return mean.tolist(), self.sqrt_beta * sigma
-
-    def f_hat(self, x: np.ndarray) -> np.ndarray:
-        return self.posterior.mean_at(x)
 
     @classmethod
     def from_posterior(
@@ -117,17 +108,13 @@ class LearnerModel:
             e_f_hat=gp.uniform_bound_grid_max(
                 posterior, sqrt_beta, cfg.kappa_op, cfg.grid_points
             ),
-            n_data=posterior.n_samples,
         )
 
     @classmethod
     def prior(cls, cfg: LearnerConfig, n_outputs: int, n_inputs: int) -> "LearnerModel":
         """Initial model: zero mean, bound from the GP prior alone."""
         empty = gp.fit(
-            gp.GpDataset(
-                np.zeros((0, n_inputs)), np.zeros((0, n_outputs)), cfg.sigma_n**2
-            ),
-            cfg.kernel,
+            np.zeros((0, n_inputs)), np.zeros((0, n_outputs)), cfg.sigma_n**2, cfg.kernel
         )
         sqrt_beta = math.sqrt(gp.beta_value(cfg.bound, n_outputs, n_inputs))
         return cls.from_posterior(empty, sqrt_beta, cfg, update_index=0)
@@ -238,45 +225,33 @@ class BayesianLearner:
         self._new_since_fit += 1
 
     def maybe_update(self, t: float) -> Optional[dict]:
-        """Refit and possibly publish; returns an event dict on any outcome.
+        """Refit and publish; returns an event dict on any outcome.
 
         Returns None while fewer than N_update new samples have arrived.
-        On a successful fit the new model is published unconditionally
-        under 'always' gating; under 'improvement' gating only when the
-        candidate bound beats ``gamma_tol`` times the current one. A fit
-        failure retains the current model and reports a warning event.
+        A successful fit publishes its model. A fit failure retains the
+        current model and reports a warning event.
         """
         if self._new_since_fit < self.cfg.N_update:
             return None
         self._new_since_fit = 0
         if self.buffer.n_targets == 0:
             return {"t": t, "kind": "learner_skipped", "reason": "no targets yet"}
-        dataset = gp.GpDataset(
-            np.asarray(self.buffer.target_X),
-            np.asarray(self.buffer.target_Y),
-            self.cfg.sigma_n**2,
-        )
         try:
-            posterior = gp.fit(dataset, self.cfg.kernel)
+            posterior = gp.fit(
+                np.asarray(self.buffer.target_X),
+                np.asarray(self.buffer.target_Y),
+                self.cfg.sigma_n**2,
+                self.cfg.kernel,
+            )
         except gp.IllConditionedKernelError as exc:
             return {"t": t, "kind": "learner_fit_failed", "reason": str(exc)}
-        candidate = LearnerModel.from_posterior(
+        self.model = LearnerModel.from_posterior(
             posterior, self.model.sqrt_beta, self.cfg, self.model.update_index + 1
         )
-        if self.cfg.gating == "improvement":
-            if candidate.e_f_hat >= self.cfg.gamma_tol * self.model.e_f_hat:
-                return {
-                    "t": t,
-                    "kind": "learner_rejected",
-                    "candidate_e_f_hat": candidate.e_f_hat,
-                    "e_f_hat": self.model.e_f_hat,
-                    "n_data": dataset.n_samples,
-                }
-        self.model = candidate
         return {
             "t": t,
             "kind": "learner_published",
             "update_index": self.model.update_index,
-            "e_f_hat": candidate.e_f_hat,
-            "n_data": dataset.n_samples,
+            "e_f_hat": self.model.e_f_hat,
+            "n_data": posterior.n_samples,
         }

@@ -513,7 +513,7 @@ class Engine:
         if read is not None:
             f_hat = read[0]
         elif live.learner is not None:
-            f_hat = live.learner.model.f_hat(x)
+            f_hat = live.learner.model.posterior.mean_at(x)
         else:
             f_hat = (0.0, 0.0, 0.0)
         return (

@@ -48,7 +48,7 @@ def test_criterion_1_gp_oracle_equivalence():
         X = rng.uniform(-2, 2, size=(N, n))
         Y = rng.normal(size=(N, m))
         noise = float(rng.uniform(0.005, 0.1))
-        post = gp.fit(gp.GpDataset(X, Y, noise), kernel)
+        post = gp.fit(X, Y, noise, kernel)
         Xq = rng.uniform(-2, 2, size=(5, n))
         mean, std = post.predict_batch(Xq)
         K = kernel(X, X) + noise * np.eye(N)
@@ -79,7 +79,7 @@ def test_criterion_2_uniform_bound_coverage():
     quadratic = plant.UncertaintySchedule(((0.0, "quadratic"),))
     Y = np.array([quadratic.eval(0.0, x) for x in X])
     Y += rng.normal(0.0, 0.01, size=Y.shape)
-    post = gp.fit(gp.GpDataset(X, Y, 1e-4), gp.SeKernel())
+    post = gp.fit(X, Y, 1e-4, gp.SeKernel())
     probes = rng.uniform(-5, 5, size=(500, 3))
     F = np.array([quadratic.eval(0.0, x) for x in probes])
     mean, std = post.predict_batch(probes)

@@ -208,6 +208,10 @@ class TestSimulate:
         ("blowup = 0", "blowup must be positive"),
         ("blowup = -1", "blowup must be positive"),
         ("learner.max_points = 0", "max_points must be at least 1"),
+        ('learner.gating = "improvement"', "learner.gating = 'improvement'"),
+        ("learner.gamma_tol = 0.5", "unknown config keys: ['learner.gamma_tol']"),
+        ("plant.switch_time = 0.0", "plant.switch_time = 0.0: must be positive"),
+        ("plant.switch_time = -1.0", "plant.switch_time = -1.0: must be positive"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         # a deck line run by simulate, or a command's flag on a valid deck

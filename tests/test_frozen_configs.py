@@ -17,12 +17,11 @@ MODULES = ["l1gp"] + [
     f"l1gp.{info.name}" for info in pkgutil.iter_modules(l1gp.__path__)
 ]
 
-# the dataclasses that are not configuration: a run's evolving state, its
-# results, and the learner's training data
+# the dataclasses that are not configuration: a run's evolving state and
+# its results
 NOT_CONFIG = {
     "l1gp.controller.ControllerState",
     "l1gp.controller.NormConditionReport",
-    "l1gp.gp.GpDataset",
     "l1gp.scenario.SimulationTrace",
     "l1gp.scenario.Snapshot",
     "l1gp.scenario.MarginResult",

@@ -38,14 +38,13 @@ def poly_f(x):
 
 class TestFitPredict:
     def test_prior(self):
-        post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 0.01), KERNEL)
+        post = gp.fit(np.zeros((0, 3)), np.zeros((0, 3)), 0.01, KERNEL)
         mean, std = post.point_eval(np.array([0.3, -1.0, 2.0]))
         assert np.array_equal(mean, np.zeros(3))
         assert std == pytest.approx(1.0)
 
     def test_scalar_closed_form(self):
-        data = gp.GpDataset(np.array([[0.0]]), np.array([[1.0]]), 0.01)
-        post = gp.fit(data, KERNEL)
+        post = gp.fit(np.array([[0.0]]), np.array([[1.0]]), 0.01, KERNEL)
         mean, std = post.point_eval(np.array([0.0]))
         assert mean[0] == pytest.approx(1.0 / 1.01, abs=1e-12)
         assert std**2 == pytest.approx(1.0 - 1.0 / 1.01, abs=1e-12)
@@ -59,7 +58,7 @@ class TestFitPredict:
             X = rng.uniform(-2, 2, size=(N, n))
             Y = rng.normal(size=(N, m))
             noise = float(rng.uniform(0.001, 0.1))
-            post = gp.fit(gp.GpDataset(X, Y, noise), KERNEL)
+            post = gp.fit(X, Y, noise, KERNEL)
             Xq = rng.uniform(-2, 2, size=(7, n))
             mean, std = post.predict_batch(Xq)
             mean_o, std_o = naive_predict(X, Y, noise, KERNEL, Xq)
@@ -69,14 +68,14 @@ class TestFitPredict:
     def test_near_interpolation(self):
         X = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]])
         Y = np.array([[0.3, -0.1, 0.2], [0.5, 0.0, -0.4]])
-        post = gp.fit(gp.GpDataset(X, Y, 1e-12), KERNEL)
+        post = gp.fit(X, Y, 1e-12, KERNEL)
         mean, _ = post.point_eval(X[0])
         assert np.max(np.abs(mean - Y[0])) < 1e-4
 
     def test_far_field_reverts_to_prior(self):
         X = np.zeros((3, 2))
         Y = np.ones((3, 1))
-        post = gp.fit(gp.GpDataset(X, Y, 0.01), KERNEL)
+        post = gp.fit(X, Y, 0.01, KERNEL)
         mean, std = post.point_eval(np.array([20.0, 0.0]))
         assert abs(mean[0]) < 1e-10
         assert abs(std - KERNEL.sigma_f) < 1e-10
@@ -85,7 +84,7 @@ class TestFitPredict:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(30, 3))
         Y = np.array([poly_f(x) for x in X])
-        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
         probe = rng.uniform(-1, 1, size=(200, 3))
         F = np.array([poly_f(x) for x in probe])
         mean, _ = post.predict_batch(probe)
@@ -100,7 +99,7 @@ class TestFitPredict:
         probes = rng.uniform(-2, 2, size=(50, 2))
         prev = None
         for N in range(0, 13, 3):
-            post = gp.fit(gp.GpDataset(X[:N], Y[:N], 0.01), KERNEL)
+            post = gp.fit(X[:N], Y[:N], 0.01, KERNEL)
             _, std = post.predict_batch(probes)
             var = std[:, 0] ** 2
             if prev is not None:
@@ -111,7 +110,7 @@ class TestFitPredict:
         X = np.zeros((3, 1))  # triple-repeated input, zero noise floor
         Y = np.zeros((3, 1))
         with pytest.raises(gp.IllConditionedKernelError, match="noise"):
-            gp.fit(gp.GpDataset(X, Y, 1e-300), KERNEL)
+            gp.fit(X, Y, 1e-300, KERNEL)
 
     def test_point_eval_at_cap_matches_batch_and_dense_oracle(self):
         # N = 512 is the learner's cap; the factor is stored column-major so
@@ -119,7 +118,7 @@ class TestFitPredict:
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(512, 3))
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
-        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
         assert post.chol.flags.f_contiguous
         Xq = np.vstack([rng.uniform(-4.0, 4.0, size=(20, 3)), X[:5]])
         mean_b, std_b = post.predict_batch(Xq)
@@ -156,7 +155,7 @@ class TestGramInPlace:
         assert np.array_equal(kernel(X, X), K)
         K[np.diag_indices_from(K)] += 1e-4
         want = np.tril(dpotrf(K, lower=1)[0])
-        post = gp.fit(gp.GpDataset(X, rng.normal(size=(N, 2)), 1e-4), kernel)
+        post = gp.fit(X, rng.normal(size=(N, 2)), 1e-4, kernel)
         assert np.array_equal(post.chol, want)
         assert post.chol.flags.f_contiguous
 
@@ -173,11 +172,11 @@ class TestGramInPlace:
         # everything else fit allocates is O(N)
         N = 512
         rng = np.random.default_rng(5)
-        data = gp.GpDataset(rng.uniform(-3.0, 3.0, size=(N, 3)),
-                            rng.normal(size=(N, 3)), 1e-4)
+        X = rng.uniform(-3.0, 3.0, size=(N, 3))
+        Y = rng.normal(size=(N, 3))
         tracemalloc.start()
         try:
-            post = gp.fit(data, KERNEL)
+            post = gp.fit(X, Y, 1e-4, KERNEL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -195,8 +194,22 @@ class TestParameterChecks:
 
     @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
     def test_dataset_rejects_nonpositive_and_nonfinite_noise(self, bad):
-        with pytest.raises(ValueError, match="positive and finite"):
-            gp.GpDataset(np.zeros((1, 3)), np.zeros((1, 3)), bad)
+        # fit checks the noise of the data it is given, before any work
+        for N in (0, 1):
+            with pytest.raises(ValueError, match="noise_var must be positive and finite"):
+                gp.fit(np.zeros((N, 3)), np.zeros((N, 3)), bad, KERNEL)
+
+    @pytest.mark.parametrize("rows", [(2, 3), (0, 1), (3, 0)])
+    def test_fit_rejects_mismatched_rows(self, rows):
+        n_x, n_y = rows
+        with pytest.raises(ValueError, match=f"X has {n_x} rows but Y has {n_y}"):
+            gp.fit(np.zeros((n_x, 3)), np.zeros((n_y, 3)), 0.01, KERNEL)
+
+    def test_fit_takes_one_sample_as_a_flat_row(self):
+        # atleast_2d: a 1-D X and Y are one training row
+        post = gp.fit(np.array([0.0, 0.0]), np.array([1.0]), 0.01, KERNEL)
+        assert (post.n_samples, post.n_inputs, post.n_outputs) == (1, 2, 1)
+        assert post.mean_at((0.0, 0.0))[0] == pytest.approx(1.0 / 1.01, abs=1e-12)
 
     @pytest.mark.parametrize("field", ["kappa", "xi"])
     def test_bound_rejects_nonpositive_and_nonfinite(self, field):
@@ -269,7 +282,7 @@ class TestExpandedRead:
         corners = np.array(list(itertools.product((-BOX, BOX), repeat=3)))[: min(N, 8)]
         X = np.vstack([corners, rng.uniform(-3.0, 3.0, size=(N - len(corners), 3))])
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(N, 3))
-        return gp.fit(gp.GpDataset(X, Y, 1e-4), kernel)
+        return gp.fit(X, Y, 1e-4, kernel)
 
     def queries(self, post):
         X = post.X[:30]
@@ -307,7 +320,7 @@ class TestExpandedRead:
 
     def test_prior_read_is_unchanged(self):
         kernel = gp.SeKernel(sigma_f=0.3, length_scale=2.0)
-        post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 2)), 0.01), kernel)
+        post = gp.fit(np.zeros((0, 3)), np.zeros((0, 2)), 0.01, kernel)
         assert post.Xa.shape == (0, 5)
         for x in ((0.1, -0.2, 0.3), self.FAR):
             mean, std = post.point_eval(x)
@@ -320,7 +333,7 @@ class TestExpandedRead:
         if N:
             post = self.posterior(N, KERNEL)
         else:
-            post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 0.01), KERNEL)
+            post = gp.fit(np.zeros((0, 3)), np.zeros((0, 3)), 0.01, KERNEL)
         for x in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros(2)):
             for read in (post.point_eval, post.mean_at):
                 with pytest.raises(numerics.DimensionError,
@@ -367,7 +380,7 @@ class TestExpandedRead:
         rng = np.random.default_rng(seed)
         kernel = gp.SeKernel(sigma_f=sigma_f, length_scale=length_scale)
         X = rng.uniform(-scale, scale, size=(N, n))
-        post = gp.fit(gp.GpDataset(X, rng.normal(size=(N, m)), noise), kernel)
+        post = gp.fit(X, rng.normal(size=(N, m)), noise, kernel)
         Xq = np.vstack([X[:3] + 1e-3, rng.uniform(-BOX, BOX, size=(5, n))])
         mean_b, std_b = post.predict_batch(Xq)
         norms = chol_norms(post)
@@ -392,7 +405,7 @@ class TestUniformBound:
         assert math.sqrt(beta) == pytest.approx(8.509, abs=5e-4)
 
     def test_prior_bound(self):
-        post = gp.fit(gp.GpDataset(np.zeros((0, 3)), np.zeros((0, 3)), 1e-4), KERNEL)
+        post = gp.fit(np.zeros((0, 3)), np.zeros((0, 3)), 1e-4, KERNEL)
         sqrt_beta = math.sqrt(gp.beta_value(self.CFG, 3, 3))
         _, std = post.point_eval(np.array([1.0, 2.0, 3.0]))
         e = sqrt_beta * std
@@ -413,7 +426,7 @@ class TestUniformBound:
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(512, 3))
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
-        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
         sqrt_beta = math.sqrt(gp.beta_value(self.CFG, 3, 3))
         tracemalloc.start()
         try:
@@ -431,7 +444,7 @@ class TestUniformBound:
         rng = np.random.default_rng(77)
         X = rng.uniform(-5, 5, size=(50, 3))
         Y = np.array([poly_f(x) for x in X]) + rng.normal(0, 0.01, size=(50, 3))
-        post = gp.fit(gp.GpDataset(X, Y, 1e-4), KERNEL)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
         beta = gp.beta_value(self.CFG, 3, 3)
         probes = rng.uniform(-5, 5, size=(500, 3))
         F = np.array([poly_f(x) for x in probes])
@@ -455,7 +468,7 @@ class TestGridMaxBranches:
         rng = np.random.default_rng(8)
         Y = np.array([poly_f(x) for x in X]).reshape(X.shape)
         Y += 0.01 * rng.normal(size=X.shape)
-        return gp.fit(gp.GpDataset(X, Y, 1e-4), kernel)
+        return gp.fit(X, Y, 1e-4, kernel)
 
     def check(self, post, monkeypatch):
         """The grid max equals the full-grid max; returns it, the cap's

@@ -85,6 +85,40 @@ def test_csv_reports_the_largest_difference_per_column(tmp_path):
     ]
 
 
+EVENTS = ("t,kind,update_index,e_f_hat,n_data,detail\n"
+          "10,learner_published,1,8.5,6,\n"
+          '35,uncertainty_switch,,,,{"segment": 1}\n')
+
+
+def test_csv_with_text_columns_compares_each_column(tmp_path):
+    # the numeric columns of an events.csv are compared by value, the text
+    # columns by their cells
+    moved = EVENTS.replace("8.5", "8.4")
+    assert compare(tmp_path, {"run/events.csv": EVENTS}, {"run/events.csv": moved}) == [
+        "run/events.csv: differs",
+        "  e_f_hat: max |diff| 0.1 in 1 rows",
+    ]
+    renamed = EVENTS.replace("uncertainty_switch", "switch").replace("1}", "2}")
+    assert compare(tmp_path / "2", {"events.csv": EVENTS}, {"events.csv": renamed}) == [
+        "events.csv: differs",
+        "  kind: text differs in 1 rows",
+        "  detail: text differs in 1 rows",
+    ]
+    assert compare(tmp_path / "3", {"events.csv": EVENTS},
+                   {"events.csv": EVENTS.replace(",6,", ",6.0,")}) == [
+        "events.csv: differs",
+        "  same numbers, different text",
+    ]
+
+
+def test_csv_rows_of_unequal_length(tmp_path):
+    assert compare(tmp_path, {"trace.csv": TRACE},
+                   {"trace.csv": TRACE.replace("0,0.5,1", "0,0.5")}) == [
+        "trace.csv: differs",
+        "  rows of unequal length",
+    ]
+
+
 def test_csv_same_numbers_in_other_text(tmp_path):
     assert compare(tmp_path, {"run/trace.csv": TRACE},
                    {"run/trace.csv": TRACE.replace("0.5", "5e-1")}) == [
