@@ -33,8 +33,9 @@ tree as the working directory:
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, each
 column that moved is printed: a numeric one with its largest absolute
-difference, a text one (an event's ``kind`` or ``detail``) with the count of
-rows that differ. For each JSON file, each dotted key that is only in the
+difference and, beside it, the parent's largest absolute value in that
+column, so a relative tolerance reads off one run; a text one (an event's
+``kind`` or ``detail``) with the count of rows that differ. For each JSON file, each dotted key that is only in the
 parent's, only in the change's, or changed is printed. The exit
 status is 0 when every output and every run's exit status agree, else 1.
 Standard library and numpy only.
@@ -202,8 +203,8 @@ def _numbers(cells: list):
 def csv_column_diffs(a: bytes, b: bytes) -> list:
     """Lines naming each column of two same-header CSVs whose values differ,
     or why the two cannot be compared. A numeric column is named with its
-    largest absolute difference, a text column with the count of rows that
-    differ."""
+    largest absolute difference and the largest absolute value of ``a``'s
+    column, a text column with the count of rows that differ."""
     (header_a, rows_a), (header_b, rows_b) = _csv_cells(a), _csv_cells(b)
     if header_a != header_b:
         return ["  headers differ"]
@@ -224,7 +225,9 @@ def csv_column_diffs(a: bytes, b: bytes) -> list:
         moved = ~((col_x == col_y) | (np.isnan(col_x) & np.isnan(col_y)))
         if moved.any():
             diff = np.abs(col_x[moved] - col_y[moved])
-            lines.append(f"  {name}: max |diff| {np.max(diff):.3g} in {moved.sum()} rows")
+            scale = np.max(np.abs(col_x), initial=0.0, where=~np.isnan(col_x))
+            lines.append(f"  {name}: max |diff| {np.max(diff):.3g} in {moved.sum()} rows,"
+                         f" parent max |value| {scale:.3g}")
     return lines or ["  same numbers, different text"]
 
 

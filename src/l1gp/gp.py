@@ -7,23 +7,25 @@ uniform error envelope is ``sqrt(beta) * std(x)``: :func:`beta_value`
 gives the scale factor from the covering number of the box, and
 :func:`uniform_bound_grid_max` reads the envelope's maximum over a grid.
 
-The controller reads the posterior's mean and std at every 1 kHz tick
+The kernel has one formula, its expanded form, precomputed once per
+posterior: ``k(X_i, x) = exp(Xa_i . (x, 1, |x|^2))`` with the read matrix
+``Xa = [X / l^2, log sigma_f^2 - |X_i|^2 / (2 l^2), -1 / (2 l^2)]``. A
+read is then one matrix product and one ``exp``. The controller reads the
+posterior's mean and std at every 1 kHz tick
 (:meth:`GpPosterior.point_eval`); a recorded row that no tick follows
 reads the mean alone (:meth:`GpPosterior.mean_at`), and the two share one
 kernel-vector expression, so their means are the same bits. A query of
-the wrong length raises :class:`numerics.DimensionError`. Those reads
-use the kernel's expanded form, precomputed once per posterior:
-``k(X_i, x) = exp(Xa_i . (x, 1, |x|^2))`` with the read matrix
-``Xa = [X / l^2, log sigma_f^2 - |X_i|^2 / (2 l^2), -1 / (2 l^2)]``, so the
-kernel vector is one matrix-vector product and one ``exp``. The expanded
-form rounds differently from direct differences: its error in the exponent
-is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about 1.5e-13 on
-the box ``|x|_inf <= 15`` at unit length scale. The publish-rate reads
-(:meth:`GpPosterior.predict_batch`, the envelope's grid max) and the Gram
-matrix keep their own formula, :meth:`SeKernel.__call__`, evaluated step by
-step in the one buffer ``X @ Z.T`` is written to. :func:`fit` builds the
-Gram matrix that way, in Fortran order, and factors it in the same buffer,
-so a refit holds one N x N array, which becomes the posterior's factor.
+the wrong length raises :class:`numerics.DimensionError`. The
+publish-rate reads (:meth:`GpPosterior.predict_batch`, the envelope's
+grid max) take whole blocks of query rows ``(x, 1, |x|^2)`` at once, and
+:func:`fit` builds the Gram matrix the same way from the training rows,
+with its diagonal set to the exact ``sigma_f^2 + sigma_n^2``. The
+expanded form rounds differently from direct differences: its error in
+the exponent is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about
+1.5e-13 on the box ``|x|_inf <= 15`` at unit length scale. Each product
+is written to a Fortran-order buffer, the layout LAPACK works in place
+on: a refit holds one N x N array, which becomes the posterior's factor,
+and a batch read solves against its block in that block's own buffer.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class IllConditionedKernelError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeKernel:
-    """Squared-exponential kernel ``sigma_f**2 * exp(-|x-x'|**2 / (2 l**2))``."""
+    """Squared-exponential kernel ``sigma_f**2 * exp(-|x-x'|**2 / (2 l**2))``,
+    evaluated through the read matrix of the module docstring."""
 
     sigma_f: float = 1.0
     length_scale: float = 1.0
@@ -68,32 +71,27 @@ class SeKernel:
         if not (0.0 < self.sigma_f < math.inf and 0.0 < self.length_scale < math.inf):
             raise ValueError("sigma_f and length_scale must be positive and finite")
 
-    def __call__(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Gram matrix between row-stacked inputs X (N,n) and Z (P,n).
 
-        Entry (i, j) is ``sigma_f**2 * exp(-0.5 * max(a_i - 2 g_ij + b_j, 0)
-        / l**2)`` with ``g = X @ Z.T``, ``a = |X_i|^2`` and ``b = |Z_j|^2``,
-        evaluated in that order on the one (N, P) buffer ``g`` is written
-        to. When Z is X the result is in Fortran order, the layout LAPACK
-        factors in place: ``X @ X.T`` is exactly symmetric (numpy computes
-        it with syrk), so its transpose is the same matrix, and the steps
-        applied to that view by index give the same entries.
-        """
-        gram = Z is X
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Z = X if gram else np.atleast_2d(np.asarray(Z, dtype=float))
-        K = (X @ X.T).T if gram else X @ Z.T
-        # (-2 g) + a is a - 2 g exactly; every step rounds as the expression
-        # written out in full would
-        K *= -2.0
-        K += np.sum(X * X, axis=1)[:, None]
-        K += np.sum(Z * Z, axis=1)[None, :]
-        np.maximum(K, 0.0, out=K)
-        K *= -0.5
-        K /= self.length_scale**2
-        np.exp(K, out=K)
-        K *= self.sigma_f**2
-        return K
+def _read_matrix(X: np.ndarray, kernel: SeKernel) -> np.ndarray:
+    """The (N, n + 2) read matrix ``Xa`` of inputs X (N, n)."""
+    l2 = kernel.length_scale**2
+    sq = np.einsum("ij,ij->i", X, X)
+    Xa = np.empty((X.shape[0], X.shape[1] + 2))
+    Xa[:, :-2] = X / l2
+    Xa[:, -2] = 2.0 * math.log(kernel.sigma_f) - 0.5 * sq / l2
+    Xa[:, -1] = -0.5 / l2
+    return Xa
+
+
+def _kernel_block(Xa: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``k(X_i, Z_j)`` (N, P) in Fortran order from the read matrix and the
+    query rows ``(Z_j, 1, |Z_j|^2)``: one product, exponentiated in place."""
+    Q = np.empty((Z.shape[0], Z.shape[1] + 2))
+    Q[:, :-2] = Z
+    Q[:, -2] = 1.0
+    Q[:, -1] = np.einsum("ij,ij->i", Z, Z)
+    K = (Q @ Xa.T).T
+    return np.exp(K, out=K)
 
 
 @dataclass(frozen=True)
@@ -118,16 +116,9 @@ class GpPosterior:
     n_samples: int = field(init=False, repr=False)  # N
 
     def __post_init__(self):
-        X = self.X
-        l2 = self.kernel.length_scale**2
-        sq = np.einsum("ij,ij->i", X, X)
-        Xa = np.empty((X.shape[0], X.shape[1] + 2))
-        Xa[:, :-2] = X / l2
-        Xa[:, -2] = 2.0 * math.log(self.kernel.sigma_f) - 0.5 * sq / l2
-        Xa[:, -1] = -0.5 / l2
-        object.__setattr__(self, "Xa", Xa)
+        object.__setattr__(self, "Xa", _read_matrix(self.X, self.kernel))
         object.__setattr__(self, "signal_var", self.kernel.sigma_f**2)
-        object.__setattr__(self, "n_samples", X.shape[0])
+        object.__setattr__(self, "n_samples", self.X.shape[0])
 
     def predict_batch(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (P, m) and per-channel std (P, m) at query rows Xq.
@@ -144,10 +135,12 @@ class GpPosterior:
             mean = np.zeros((P, self.n_outputs))
             std = np.full((P, self.n_outputs), self.kernel.sigma_f)
             return mean, std
-        kstar = self.kernel(self.X, Xq)            # (N, P)
+        kstar = _kernel_block(self.Xa, Xq)         # (N, P)
         mean = kstar.T @ self.alpha                # (P, m)
-        # kstar^T K^{-1} kstar = |L^{-1} kstar|^2 per column
-        w = solve_triangular(self.chol, kstar, lower=True, check_finite=False)
+        # kstar^T K^{-1} kstar = |L^{-1} kstar|^2 per column, solved in
+        # kstar's own (Fortran-order) buffer once the mean has read it
+        w = solve_triangular(self.chol, kstar, lower=True, check_finite=False,
+                             overwrite_b=True)
         var = self.signal_var - np.einsum("ij,ij->j", w, w)
         # round-off can push the variance a hair negative; clamp before sqrt
         np.maximum(var, 0.0, out=var)
@@ -237,9 +230,10 @@ def fit(X: np.ndarray, Y: np.ndarray, noise_var: float, kernel: SeKernel) -> GpP
             n_outputs=m,
             n_inputs=n,
         )
-    # one N x N buffer: the Gram matrix, in Fortran order, becomes the factor
-    K = kernel(X, X)
-    K[np.diag_indices_from(K)] += noise_var
+    # one N x N buffer: the Gram matrix, in Fortran order, becomes the
+    # factor; its diagonal is the kernel's exact value at zero distance
+    K = _kernel_block(_read_matrix(X, kernel), X)
+    K[np.diag_indices_from(K)] = kernel.sigma_f**2 + noise_var
     try:
         chol = numerics._cholesky_in_place(K)
     except numerics.DecompositionError as exc:

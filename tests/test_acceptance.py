@@ -51,9 +51,13 @@ def test_criterion_1_gp_oracle_equivalence():
         post = gp.fit(X, Y, noise, kernel)
         Xq = rng.uniform(-2, 2, size=(5, n))
         mean, std = post.predict_batch(Xq)
-        K = kernel(X, X) + noise * np.eye(N)
+        # the kernel from direct differences, not gp's own formula
+        d = X[:, None, :] - np.vstack([X, Xq])[None, :, :]
+        k_all = kernel.sigma_f**2 * np.exp(
+            -0.5 * np.einsum("ijk,ijk->ij", d, d) / kernel.length_scale**2)
+        K = k_all[:, :N] + noise * np.eye(N)
         Kinv = np.linalg.inv(K)
-        ks = kernel(X, Xq)
+        ks = k_all[:, N:]
         mean_o = ks.T @ Kinv @ Y
         var_o = kernel.sigma_f**2 - np.einsum("ij,ik,kj->j", ks, Kinv, ks)
         std_o = np.sqrt(np.maximum(var_o, 0.0))

@@ -19,11 +19,19 @@ from l1gp import gp, numerics, plant
 KERNEL = gp.SeKernel(sigma_f=1.0, length_scale=1.0)
 
 
+def se_kernel(kernel, A, B):
+    """``sigma_f^2 exp(-|a - b|^2 / (2 l^2))`` (len(A), len(B)) from direct
+    differences, independent of gp's own formula."""
+    d = A[:, None, :] - B[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", d, d)
+    return kernel.sigma_f**2 * np.exp(-0.5 * sq / kernel.length_scale**2)
+
+
 def naive_predict(X, Y, noise_var, kernel, Xq):
     """Full-inverse GP oracle, no Cholesky anywhere."""
-    K = kernel(X, X) + noise_var * np.eye(X.shape[0])
+    K = se_kernel(kernel, X, X) + noise_var * np.eye(X.shape[0])
     Kinv = np.linalg.inv(K)
-    ks = kernel(X, Xq)
+    ks = se_kernel(kernel, X, Xq)
     mean = ks.T @ Kinv @ Y
     var = kernel.sigma_f**2 - np.einsum("ij,ik,kj->j", ks, Kinv, ks)
     return mean, np.sqrt(np.maximum(var, 0.0))
@@ -133,12 +141,18 @@ class TestFitPredict:
             assert abs(std_p**2 - std_o[i] ** 2) <= 1e-10
 
 
-def gram_formula(kernel, X, Z):
-    """The SE Gram matrix as one expression, in the order SeKernel rounds it."""
-    sq = (np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ Z.T)
-          + np.sum(Z * Z, axis=1)[None, :])
-    np.maximum(sq, 0.0, out=sq)
-    return kernel.sigma_f**2 * np.exp(-0.5 * sq / kernel.length_scale**2)
+def read_matrix_gram(kernel, X, noise_var):
+    """K + noise I as fit builds it, written out: the read matrix ``Xa`` of
+    the gp module docstring times the rows ``(x, 1, |x|^2)``, exponentiated,
+    with the exact ``sigma_f^2 + noise`` on the diagonal."""
+    l2 = kernel.length_scale**2
+    sq = np.einsum("ij,ij->i", X, X)
+    Xa = np.column_stack([X / l2, 2.0 * math.log(kernel.sigma_f) - 0.5 * sq / l2,
+                          np.full(len(X), -0.5 / l2)])
+    Q = np.column_stack([X, np.ones(len(X)), sq])
+    K = np.exp(Q @ Xa.T).T
+    K[np.diag_indices_from(K)] = kernel.sigma_f**2 + noise_var
+    return Xa, K
 
 
 class TestGramInPlace:
@@ -148,24 +162,25 @@ class TestGramInPlace:
     @pytest.mark.parametrize("N", [1, 37, 512])
     def test_fit_factor_is_bitwise_potrf_of_the_formula(self, N, kernel):
         # K is not bitwise symmetric, so the factor depends on which triangle
-        # potrf reads: it must be the lower one of the formula's K
+        # potrf reads: it must be the lower one of the read-matrix product
         rng = np.random.default_rng(N)
         X = rng.uniform(-3.0, 3.0, size=(N, 3))
-        K = gram_formula(kernel, X, X)
-        assert np.array_equal(kernel(X, X), K)
-        K[np.diag_indices_from(K)] += 1e-4
+        Xa, K = read_matrix_gram(kernel, X, 1e-4)
         want = np.tril(dpotrf(K, lower=1)[0])
         post = gp.fit(X, rng.normal(size=(N, 2)), 1e-4, kernel)
+        assert np.array_equal(post.Xa, Xa)
         assert np.array_equal(post.chol, want)
         assert post.chol.flags.f_contiguous
+        if N > 1:
+            # the upper triangle's product differs: the lower one is pinned
+            assert not np.array_equal(want, np.tril(dpotrf(K.T, lower=1)[0]))
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_cross_kernel_is_bitwise_the_formula(self, kernel):
-        rng = np.random.default_rng(8)
-        X = rng.uniform(-3.0, 3.0, size=(37, 3))
-        Z = rng.uniform(-15.0, 15.0, size=(600, 3))
-        assert np.array_equal(kernel(X, Z), gram_formula(kernel, X, Z))
-        assert np.array_equal(kernel(Z[:5], X), gram_formula(kernel, Z[:5], X))
+    @pytest.mark.parametrize("noise", [1e-4, 0.01, 0.3])
+    def test_one_point_factor_is_the_exact_diagonal(self, kernel, noise):
+        X = np.array([[14.0, -15.0, 3.7]])  # far out, where the product rounds most
+        post = gp.fit(X, np.ones((1, 2)), noise, kernel)
+        assert post.chol[0, 0] == math.sqrt(kernel.sigma_f**2 + noise)
 
     def test_fit_at_cap_holds_one_gram_buffer(self):
         # the Gram matrix is built, factored and kept in one N x N buffer;
@@ -374,6 +389,10 @@ class TestExpandedRead:
     # by one subnormal unit, below any relative bound
     @example(N=1, n=2, m=2, sigma_f=1.5, length_scale=0.5, noise=0.03125,
              seed=1, scale=5.5)
+    # a subnormal mean (about -1.4e-318) that the two reads agree on within
+    # the 2N-unit floor only because they share one kernel formula
+    @example(N=16, n=3, m=1, sigma_f=0.5, length_scale=0.5, noise=0.00390625,
+             seed=479001600, scale=0.5)
     def test_point_eval_matches_predict_batch(
         self, N, n, m, sigma_f, length_scale, noise, seed, scale
     ):
@@ -421,8 +440,8 @@ class TestUniformBound:
     def test_grid_max_memory_bounded_at_cap(self):
         # N = 512 is the learner's cap: the 21^3 publish grid is read in
         # blocks, so the peak stays far below the one-shot (N, 9261) arrays.
-        # Per block the kernel is one (N, 512) buffer and the solve one more
-        # (4.7 MB traced in all)
+        # Per block the kernel is one (N, 512) Fortran-order buffer, which
+        # the solve overwrites in place (2.2 MB traced in all)
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(512, 3))
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
@@ -434,7 +453,7 @@ class TestUniformBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 3e6
         axis = np.linspace(-5.0, 5.0, 21)
         grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
         _, std = post.predict_batch(grid)
@@ -537,7 +556,7 @@ class TestGridMaxBranches:
     def test_grid_max_memory_flat_in_grid_size(self):
         # a 101^3 grid is 1030301 points: its meshgrid and stack alone would
         # be 49 MB. Built a block at a time, the read holds one (64, 512)
-        # kernel block and the solve (0.6 MB traced in all)
+        # kernel block, solved in place (0.33 MB traced in all)
         corners = np.array(list(itertools.product((-5.0, 5.0), repeat=3)))
         X = np.vstack([corners, np.random.default_rng(7).uniform(-5.0, 5.0, size=(56, 3))])
         post = self.fitted(X)

@@ -81,7 +81,19 @@ def test_csv_reports_the_largest_difference_per_column(tmp_path):
     moved = "t,x1,x2\n0,0.5,1\n0.01,0.75,2\n"
     assert compare(tmp_path, {"run/trace.csv": TRACE}, {"run/trace.csv": moved}) == [
         "run/trace.csv: differs",
-        "  x1: max |diff| 0.5 in 1 rows",
+        "  x1: max |diff| 0.5 in 1 rows, parent max |value| 0.5",
+    ]
+
+
+def test_csv_scale_is_the_parents_largest_value_in_the_column(tmp_path):
+    # over every row of the parent's column, moved or not, negative or not,
+    # with empty cells left out; the change's values play no part
+    parent = "t,x1,x2\n0,-3,1\n0.01,0.25,\n0.02,1,2\n"
+    change = "t,x1,x2\n0,-3,1\n0.01,0.5,\n0.02,1,-40\n"
+    assert compare(tmp_path, {"trace.csv": parent}, {"trace.csv": change}) == [
+        "trace.csv: differs",
+        "  x1: max |diff| 0.25 in 1 rows, parent max |value| 3",
+        "  x2: max |diff| 42 in 1 rows, parent max |value| 2",
     ]
 
 
@@ -96,7 +108,7 @@ def test_csv_with_text_columns_compares_each_column(tmp_path):
     moved = EVENTS.replace("8.5", "8.4")
     assert compare(tmp_path, {"run/events.csv": EVENTS}, {"run/events.csv": moved}) == [
         "run/events.csv: differs",
-        "  e_f_hat: max |diff| 0.1 in 1 rows",
+        "  e_f_hat: max |diff| 0.1 in 1 rows, parent max |value| 8.5",
     ]
     renamed = EVENTS.replace("uncertainty_switch", "switch").replace("1}", "2}")
     assert compare(tmp_path / "2", {"events.csv": EVENTS}, {"events.csv": renamed}) == [
