@@ -1,20 +1,19 @@
-"""Flat key-value scenario configuration files and their resolution.
+"""Scenario decks and their resolution.
 
-The file format is a minimal TOML-style dialect chosen for hand-editable
-experiment decks: ``key = value`` lines, ``[section]`` headers (dotted
-keys inside a section are equivalent to ``section.key`` at top level),
-``#`` comments, scalars (int/float/bool/string) and flat lists. Each
-deck key is named once, in ``_KEYS``, with its type and default.
-Resolution reads the deck through that table into the echo, with every
-default the run will actually use, so the manifest can echo a complete,
-re-runnable configuration; the config objects are built from the echo.
-Any invalid value raises :class:`ConfigError`.
+A deck is a TOML 1.0 file, read by the standard library's ``tomllib``;
+its tables flatten to dotted keys (``j`` under ``[plant]`` is
+``plant.j``). Each deck key is named once, in ``_KEYS``, with its type
+and default. Resolution reads the deck through that table into the echo,
+with every default the run will actually use, so the manifest can echo a
+complete, re-runnable configuration; the config objects are built from
+the echo. Any invalid value raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+import tomllib
+from typing import Optional
 
 import numpy as np
 
@@ -28,69 +27,33 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration; message names the problem field."""
 
 
-def _parse_scalar(text: str) -> Any:
-    text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _parse_value(text: str) -> Any:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part) for part in inner.split(",")]
-    return _parse_scalar(text)
-
-
 def parse_flat_file(path: str) -> dict:
-    """Parse a config file into a flat {dotted.key: value} dict.
+    """Parse a TOML deck into a flat {dotted.key: value} dict.
 
-    A key given twice, in any spelling that resolves to the same dotted
-    key, raises ConfigError naming both lines.
+    Tables flatten to dotted names: ``j`` under ``[plant]`` is ``plant.j``.
+    A deck that cannot be read or is not valid TOML, which includes one
+    that defines a key twice, raises ConfigError naming the line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            table = tomllib.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    flat: dict = {}
-    first_line: dict = {}
-    section = ""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section:
-                raise ConfigError(f"line {lineno}: empty section header")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: missing key")
-        full = f"{section}.{key}" if section else key
-        if full in first_line:
-            raise ConfigError(
-                f"line {lineno}: {full} given twice (first at line {first_line[full]})"
-            )
-        first_line[full] = lineno
-        flat[full] = _parse_value(value)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
+    return _flatten(table, "", {})
+
+
+def _flatten(table: dict, prefix: str, flat: dict) -> dict:
+    for key, value in table.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            _flatten(value, name + ".", flat)
+        elif name in flat:
+            # a quoted "plant.j" beside j under [plant]: TOML sees two keys
+            raise ConfigError(f"{name} given twice")
+        else:
+            flat[name] = value
     return flat
 
 
@@ -204,7 +167,7 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
         if value is not None:
             try:
                 echo[key] = kind(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key} = {value!r}: {exc}") from exc
     segments = ((0.0, echo["plant.uncertainty"]),)
     switch_time = echo.get("plant.switch_time")

@@ -18,6 +18,7 @@ whole, between two engine steps.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,6 +63,9 @@ class LearnerConfig:
             raise ValueError("sigma_n must be positive and finite")
         if self.max_points < 1:
             raise ValueError("max_points must be at least 1")
+        # the data FIFO's maxlen is a C ssize_t
+        if self.max_points > sys.maxsize:
+            raise ValueError(f"max_points must be at most {sys.maxsize}")
         # the envelope holds only on the box |x|_inf <= bound.kappa
         if not 0.0 < self.kappa_op <= self.bound.kappa:
             raise ValueError("kappa_op must be in (0, bound.kappa]")

@@ -60,6 +60,9 @@ check = false
 """
 
 
+# an integer too large for a float
+BIG = "1" + "0" * 400
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -98,21 +101,44 @@ class TestConfigParsing:
         with pytest.raises(config_mod.ConfigError, match="line 1"):
             config_mod.parse_flat_file(path)
 
-    @pytest.mark.parametrize("before, second, key, lines", [
-        ("seed", "duration = 0.3", "duration", (2, 4)),
-        ("[plant]", '[controller]\nmode = "l1gp"', "controller.mode", (12, 21)),
-        ("seed", 'controller.mode = "l1gp"', "controller.mode", (4, 13)),
-    ])
-    def test_key_given_twice_exit_2(self, tmp_path, capsys, before, second, key,
-                                    lines):
-        # the last one used to win silently
+    @pytest.mark.parametrize("before, second, problem", [
+        ("seed", "duration = 0.3", "Cannot overwrite a value (at line 4,"),
+        ("[plant]", '[controller]\nmode = "l1gp"',
+         "Cannot declare ('controller',) twice (at line 20,"),
+        ("seed", 'controller.mode = "l1gp"',
+         "Cannot declare ('controller',) twice (at line 12,"),
+    ], ids=["duration", "controller-section", "controller-dotted"])
+    def test_key_given_twice_exit_2(self, tmp_path, capsys, before, second, problem):
+        # TOML names the line of the second definition
         with open(os.path.join(REPO, "configs", "l1_plain.cfg")) as fh:
             text = fh.read().replace(before, f"{second}\n{before}", 1)
         cfg = write(tmp_path, "twice.cfg", text)
         code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"line {lines[1]}: {key} given twice (first at line {lines[0]})" in err
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[plant]\nj = [0.011, 0.011, 0.021]\n[plant]\nx0 = 0.0\n",
+         "Cannot declare ('plant',) twice (at line 4,"),
+        ("plant.j = [0.011, 0.011, 0.021]\n[plant]\nx0 = 0.0\n",
+         "Cannot declare ('plant',) twice (at line 3,"),
+        ('"plant.j" = [1.0, 1.0, 1.0]\n[plant]\nj = [0.011, 0.011, 0.021]\n',
+         "plant.j given twice"),
+        ("plant.j = [0.011, 0.011, 0.021]\nseed = 1979-05-27\n",
+         "seed = datetime.date(1979, 5, 27)"),
+        ("plant.j = [0.011, 0.011, 0.021]\nrecord_decimation = 07:32:00\n",
+         "record_decimation = datetime.time(7, 32)"),
+        ("plant.j = [0.011, 0.011, 0.021]\nbound.grid_points = {a = 1}\n",
+         "unknown config keys: ['bound.grid_points.a']"),
+    ], ids=["section-twice", "dotted-beside-section", "quoted-dotted-key", "date",
+            "time", "inline-table"])
+    def test_toml_deck_refused_exit_2(self, tmp_path, capsys, text, problem):
+        # what TOML adds to a deck: tables declared twice and typed values
+        cfg = write(tmp_path, "bad.cfg", "duration = 0.1\n" + text)
+        code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_same_key_in_two_sections(self, tmp_path, capsys):
@@ -172,7 +198,8 @@ class TestSimulate:
         ("kernel.sigma_f = 0", "sigma_f"),
         ('plant.uncertainty = "cubic"', "'cubic'"),
         ("plant.j = [1, -1, 1]", "J must be"),
-        ("controller.ts = abc", "controller.ts"),
+        ('controller.ts = "abc"', "controller.ts"),
+        ("controller.mode = l1gp", "Invalid value (at line 3,"),
         ("plant.input_delay = 0.0005", "input_delay"),
         ('learner.enabled = "false"', "learner.enabled"),
         ("seed = 1.5", "seed"),
@@ -212,6 +239,14 @@ class TestSimulate:
         ("learner.gamma_tol = 0.5", "unknown config keys: ['learner.gamma_tol']"),
         ("plant.switch_time = 0.0", "plant.switch_time = 0.0: must be positive"),
         ("plant.switch_time = -1.0", "plant.switch_time = -1.0: must be positive"),
+        pytest.param(f"duration = {BIG}",
+                     f"duration = {BIG}: int too large to convert to float",
+                     id="duration = 1e400 as an integer"),
+        pytest.param(f"plant.x0 = [{BIG}, 0, 0]",
+                     f"plant.x0 = [{BIG}, 0, 0]: int too large to convert to float",
+                     id="plant.x0 = [1e400 as an integer, 0, 0]"),
+        pytest.param(f"learner.max_points = {10**30}", "max_points must be at most",
+                     id="learner.max_points = 10**30"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         # a deck line run by simulate, or a command's flag on a valid deck
