@@ -35,8 +35,10 @@ Every file a run writes is compared byte for byte, except the value of
 column that moved is printed: a numeric one with its largest absolute
 difference and, beside it, the parent's largest absolute value in that
 column, so a relative tolerance reads off one run; a text one (an event's
-``kind`` or ``detail``) with the count of rows that differ. For each JSON file, each dotted key that is only in the
-parent's, only in the change's, or changed is printed. The exit
+``kind`` or ``detail``) with the count of rows that differ. For each JSON
+file, each dotted key that is only in the parent's, only in the change's,
+or changed is printed; a changed number with the parent's value, the
+change's and their relative difference. The exit
 status is 0 when every output and every run's exit status agree, else 1.
 Standard library and numpy only.
 """
@@ -242,6 +244,15 @@ def flat_json(value, prefix: str = "") -> dict:
     return out
 
 
+def _moved(a, b) -> str:
+    """How a JSON leaf changed: two numbers as both values and their
+    difference relative to ``a``, anything else as ``changed``."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return "changed"
+    rel = abs(b - a) / abs(a) if a else (math.inf if b else 0.0)
+    return f"{json.dumps(a)} -> {json.dumps(b)}, relative difference {rel:.3g}"
+
+
 def json_key_diffs(a: bytes, b: bytes) -> list:
     """Lines naming each dotted key of two JSON documents that is on one
     side only or whose value differs, or why the two cannot be compared."""
@@ -257,7 +268,7 @@ def json_key_diffs(a: bytes, b: bytes) -> list:
             lines.append(f"  {key}: only in change")
         # as text, so that NaN equals NaN and 1 differs from 1.0
         elif json.dumps(x[key]) != json.dumps(y[key]):
-            lines.append(f"  {key}: changed")
+            lines.append(f"  {key}: {_moved(x[key], y[key])}")
     return lines or ["  same values, different text"]
 
 

@@ -3,11 +3,11 @@
 The linear parts of the loop are diagonal, so their setup is per axis:
 :func:`float3` checks a per-axis model value (a diagonal, a state) as three
 finite Python floats, :func:`whole` a count or a seed as a Python int, and
-:func:`zoh_map` and :func:`phi1` give the exact one-step maps, on Python
-floats, with no linear solve. The rest operates
-on plain float64 numpy arrays: the Cholesky routines the GP factors with,
-RK4, the 5-point centred derivative the learner's targets are made with
-and a covering-number bound. All public functions are pure.
+:func:`zoh_map` gives the predictor's exact one-step map on Python floats,
+with no linear solve. The rest operates on plain float64 numpy arrays: the
+Cholesky routines the GP factors with, RK4, the 5-point centred derivative
+the learner's targets are made with and a covering-number bound. All
+public functions are pure.
 
 The module loads without scipy. Only the factor routines
 :func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
@@ -27,7 +27,6 @@ __all__ = [
     "DecompositionError",
     "DivergenceError",
     "zoh_map",
-    "phi1",
     "float3",
     "whole",
     "cholesky_factor",
@@ -83,24 +82,6 @@ def zoh_map(a: Sequence[float], h: float) -> tuple[tuple, tuple]:
     return tuple(e), tuple(
         (ei - 1.0) * (1.0 / ai) if ai else h for ei, ai in zip(e, a)
     )
-
-
-def phi1(z: complex) -> complex:
-    """``(e^z - 1) / z`` for a complex scalar z, with ``phi1(0) = 1``.
-
-    Below ``|z| = 1`` the Taylor sum ``sum_{k<20} z^k/(k+1)!`` in nested
-    form (the first dropped term is below 1e-19 of the result) keeps the
-    imaginary part accurate: ``expm1(z) / z`` cancels in the complex
-    division there (9.6e-12 relative at ``z = 1e-5 + 3e-6j``). Elsewhere
-    ``expm1(z) / z``. Each part is accurate to a few ulps while
-    ``|Im z| <= 1``.
-    """
-    if abs(z) < 1.0:
-        s = 1.0 + 0j
-        for k in range(20, 1, -1):
-            s = 1.0 + z * s / k
-        return s
-    return complex(np.expm1(z)) / z
 
 
 def float3(value: Sequence[float], name: str) -> tuple[float, float, float]:

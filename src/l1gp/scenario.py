@@ -3,9 +3,9 @@
 One engine step advances the loop by the plant step ``h``: sample the
 reference, run the controller tick (adaptation, learning filter, control,
 predictor) on sampling-period boundaries, integrate the plant with the
-delayed input, advance the ideal system, feed the learner on its own
-boundaries, and record. Tick order within one step is fixed: adaptation
--> learning filter -> control -> plant -> learner.
+delayed input, feed the learner on its own boundaries, and record. Tick
+order within one step is fixed: adaptation -> learning filter -> control
+-> plant -> learner.
 
 Step clock: :class:`ScenarioConfig` reads every instant a run uses (the
 sampling and learner periods, the input delay, the duration, each
@@ -15,14 +15,15 @@ ticks, learner boundaries, recorded rows (multiples of
 ``record_decimation``) and the uncertainty segment in force all follow
 from them, so a resumed run repeats an uninterrupted one.
 
-Integration rule: the linear parts advance by exact discrete-time maps
-(the predictor in :func:`controller.control_step`, the ideal loop through
-:meth:`ReferenceConfig.exact_step`); only the nonlinear plant uses RK4,
-one fused step on Python floats per engine step
+Integration rule: the linear parts are exact. The predictor advances by
+its discrete-time map in :func:`controller.control_step`; the ideal loop
+is not stepped at all but read at each recorded row's time from its
+closed-form solution (:meth:`ReferenceConfig.ideal_loop`). Only the
+nonlinear plant uses RK4, one fused step on Python floats per engine step
 (:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples,
 each matrix product per axis on a diagonal; numpy is left to the GP reads,
 the learner's buffer and the recorded rows. The loop holds the state
-(``x``, ``x_id``, ``u``, ``eta``) in locals and writes it back to the live
+(``x``, ``u``, ``eta``) in locals and writes it back to the live
 :class:`Snapshot` before each recorded row and at the end of the run.
 
 Model reads: an l1gp tick reads the published model's mean and envelope
@@ -48,6 +49,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
@@ -117,34 +119,36 @@ class ReferenceConfig:
         return lambda t: (a0 * math.sin(w0 * t), a1 * math.sin(w1 * t),
                           a2 * math.sin(w2 * t))
 
-    def exact_step(self, a: tuple, b: tuple, h: float) -> tuple:
-        """Exact map of ``x' = A x + B r(t)`` over one step of length h.
+    def ideal_loop(self, a: tuple, b: tuple, x0: tuple) -> Callable[[float], tuple]:
+        """The solution of ``x' = A x + B r(t)``, ``x(0) = x0``, as a
+        function of the absolute time t returning three floats.
 
         A and B are diagonal, given as the 3-tuples ``a`` and ``b`` of their
-        diagonals, and so is every matrix of the map: ``(E, g, M_s, M_c)``
-        come as 3-tuples of Python floats, E the ``exp(a h)`` of
-        :func:`numerics.zoh_map`. Zero and step references are constant:
-        ``x(t + h) = E x(t) + g`` with ``g = Phi(h) B r``, and
-        ``M_s = M_c = None``. For the sinusoid ``g`` is None and
-        ``x(t + h) = E x(t) + (M_s sin(w t) + M_c cos(w t))`` at the absolute
-        time t, so a resumed run repeats an uninterrupted one. Per axis,
-        with ``e^{a tau}`` convolved against ``sin(w (t + tau))`` over the
-        step, ``M_s + i M_c = b A e^{a h} h phi1((i w - a) h)``
-        (:func:`numerics.phi1`), exact to a few ulps in each part.
+        diagonals, each ``a`` negative. Per axis
+        ``x(t) = e^{a t} (x0 - p(0)) + p(t)`` with ``p`` the particular
+        solution: ``p = -b r / a`` for a zero or step reference, and for the
+        sinusoid ``p(t) = Re(C) sin(w t) + Im(C) cos(w t)`` with
+        ``C = b amp / (i w - a)``. Nothing depends on where a run started,
+        so a resumed run reads the values of an uninterrupted one.
         """
-        E, phi = numerics.zoh_map(a, h)
-        if self.kind != "sinusoid":
-            r = self.make()(0.0)
-            # Phi (B r), bitwise the matrix-vector products
-            g = tuple(0.0 + p * (0.0 + bi * ri) for p, bi, ri in zip(phi, b, r))
-            return E, g, None, None
-        K = [
-            bi * amp * (math.exp(ai * h) * h) * numerics.phi1(complex(-ai * h, w * h))
-            for ai, bi, amp, w in zip(a, b, self.amplitude, self.frequency)
-        ]
-        M_s = tuple(k.real for k in K)
-        M_c = tuple(k.imag for k in K)
-        return E, None, M_s, M_c
+        if self.kind == "sinusoid":
+            w0, w1, w2 = self.frequency
+            C = [bi * amp / complex(-ai, w)
+                 for ai, bi, amp, w in zip(a, b, self.amplitude, self.frequency)]
+        else:
+            # a constant r is the sinusoid's form at w = 0 with p = Im(C)
+            w0 = w1 = w2 = 0.0
+            C = [complex(0.0, -(bi * ri) / ai)
+                 for ai, bi, ri in zip(a, b, self.make()(0.0))]
+        (s0, k0), (s1, k1), (s2, k2) = ((z.real, z.imag) for z in C)
+        c0, c1, c2 = (xi - z.imag for xi, z in zip(x0, C))
+        a0, a1, a2 = a
+        exp, sin, cos = math.exp, math.sin, math.cos
+        return lambda t: (
+            exp(a0 * t) * c0 + (s0 * sin(w0 * t) + k0 * cos(w0 * t)),
+            exp(a1 * t) * c1 + (s1 * sin(w1 * t) + k1 * cos(w1 * t)),
+            exp(a2 * t) * c2 + (s2 * sin(w2 * t) + k2 * cos(w2 * t)),
+        )
 
     @property
     def r_inf(self) -> float:
@@ -216,6 +220,10 @@ class ScenarioConfig:
         # each step count checks its time against the step grid when read
         for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
             getattr(self, name)
+        # the row buffer of Engine.run must be one numpy can address
+        if self.max_rows * len(TRACE_COLUMNS) * 8 > sys.maxsize:
+            raise ValueError(f"duration {self.duration} at step {self.step} needs "
+                             f"{self.max_rows} trace rows, more than an array can hold")
 
     @property
     def ts_every(self) -> int:
@@ -233,6 +241,13 @@ class ScenarioConfig:
     @property
     def n_steps(self) -> int:
         return self.steps(self.duration, "duration")
+
+    @property
+    def max_rows(self) -> int:
+        """Rows a run records at most: one per ``record_decimation`` steps,
+        the first row, one more when the run starts off the recording grid
+        and an abort row."""
+        return self.n_steps // self.record_decimation + 3
 
     @property
     def switch_steps(self) -> list:
@@ -287,7 +302,6 @@ class Snapshot:
 
     t0: float
     x: tuple
-    x_id: tuple
     ctrl_state: ctrl.ControllerState
     u: tuple
     eta: tuple
@@ -307,9 +321,8 @@ class Snapshot:
                 cfg.learner, cfg.controller.a_m, cfg.controller._b_inv, rng
             )
         e0 = learner.model.e_f_hat if learner else 0.0
-        x0 = cfg.plant.x0
         zero = (0.0, 0.0, 0.0)
-        return cls(t0=0.0, x=x0, x_id=x0,
+        return cls(t0=0.0, x=cfg.plant.x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
                    u=zero, eta=zero, learner=learner, rng=rng, e_f_last=e0)
 
@@ -321,6 +334,9 @@ class Engine:
                  true_sigma: bool = False):
         self.cfg = cfg
         self.ref = cfg.reference.make()
+        c = cfg.controller
+        b = tuple(0.0 + bm * k for bm, k in zip(c.b_m, c.k_g))  # B_m k_g
+        self.x_id = cfg.reference.ideal_loop(cfg.plant.a_m, b, cfg.plant.x0)
         # each tick's adaptive estimate is the true uncertainty at the state
         self._true_sigma = true_sigma
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
@@ -352,16 +368,9 @@ class Engine:
         # learner boundaries and uncertainty switches identical to an
         # uninterrupted run
         i0 = cfg.steps(self.t0, "resume time", least=0)
-        sin, cos = math.sin, math.cos
-        (E0, E1, E2), g_id, M_s, M_c = cfg.reference.exact_step(
-            p.a_m, tuple(0.0 + b * k for b, k in zip(c.b_m, c.k_g)), h
-        )
-        sinusoid = M_s is not None
-        if sinusoid:
-            (m0, m1, m2), (n0, n1, n2) = M_s, M_c
-        r = self.ref(0.0)  # constant unless the reference is a sinusoid
-        a0, a1, a2 = cfg.reference.amplitude
-        w0, w1, w2 = cfg.reference.frequency
+        ref = self.ref
+        sinusoid = cfg.reference.kind == "sinusoid"
+        r = ref(0.0)  # constant unless the reference is a sinusoid
         # segment `seg` of the uncertainty is in force from global step
         # switch_steps[seg - 1] on; -1 marks that no switch is left
         switch_steps = cfg.switch_steps + [-1]
@@ -369,10 +378,8 @@ class Engine:
         seg = bisect.bisect_right(cfg.switch_steps, i0)
         f = fields[seg]
 
-        # +3: the initial row, one more grid row when t0 is off the recording
-        # grid, and a possible abort row between grid points. The trace is a
-        # view of this buffer, not a copy
-        rows = np.empty((n_steps // dec + 3, len(TRACE_COLUMNS)))
+        # the trace is a view of this buffer, not a copy
+        rows = np.empty((cfg.max_rows, len(TRACE_COLUMNS)))
         unstable = False
         steps_done = 0
 
@@ -402,13 +409,11 @@ class Engine:
         include_baseline = not delay_total
         # the loop state as locals, written back to live before each row
         # and at the end of the run, before an abort row
-        x, x_id, u, eta = live.x, live.x_id, live.u, live.eta
+        x, u, eta = live.x, live.u, live.eta
         for i in range(n_steps):
             t = (i0 + i) * h
             if sinusoid:
-                # one sin(w t) per step, shared by r(t) and the ideal loop
-                s0, s1, s2 = sin(w0 * t), sin(w1 * t), sin(w2 * t)
-                r = (a0 * s0, a1 * s1, a2 * s2)
+                r = ref(t)
             if (i0 + i) % ts_every == 0:
                 adaptation_step(state, x, c)
                 if true_sigma:
@@ -449,17 +454,6 @@ class Engine:
             except numerics.DivergenceError:
                 unstable = True
             else:
-                z0, z1, z2 = x_id
-                d0, d1, d2 = 0.0 + E0 * z0, 0.0 + E1 * z1, 0.0 + E2 * z2
-                if sinusoid:
-                    x_id = (
-                        d0 + ((0.0 + m0 * s0) + (0.0 + n0 * cos(w0 * t))),
-                        d1 + ((0.0 + m1 * s1) + (0.0 + n1 * cos(w1 * t))),
-                        d2 + ((0.0 + m2 * s2) + (0.0 + n2 * cos(w2 * t))),
-                    )
-                else:
-                    g0, g1, g2 = g_id
-                    x_id = (d0 + g0, d1 + g1, d2 + g2)
                 b0, b1, b2 = abs(x0), abs(x1), abs(x2)
                 # the same test as max(b0, b1, b2) > blowup once the sum is finite
                 if (not math.isfinite(b0 + b1 + b2)
@@ -486,12 +480,12 @@ class Engine:
                     self.events.append(ev)
             # the global step index keeps a resumed run on the same grid
             if (i0 + i + 1) % dec == 0:
-                live.x, live.x_id, live.u, live.eta = x, x_id, u, eta
+                live.x, live.u, live.eta = x, u, eta
                 if hand_off and i + 1 < n_steps and (i0 + i + 1) % ts_every == 0:
                     read = learner.model.evaluate(x)
                 rows[row_i] = self._row(t_next, f, read)
                 row_i += 1
-        live.x, live.x_id, live.u, live.eta = x, x_id, u, eta
+        live.x, live.u, live.eta = x, u, eta
         if unstable:
             rows[row_i] = self._row(t_next, f, None)
             row_i += 1
@@ -528,7 +522,7 @@ class Engine:
             *f(x0, x1, x2),
             *f_hat,
             *self.ref(t),
-            *live.x_id,
+            *self.x_id(t),
             live.e_f_last,
             state.omega_filtered,
         )

@@ -247,6 +247,9 @@ class TestSimulate:
                      id="plant.x0 = [1e400 as an integer, 0, 0]"),
         pytest.param(f"learner.max_points = {10**30}", "max_points must be at most",
                      id="learner.max_points = 10**30"),
+        # finite, on the step grid, but a trace no array can hold
+        ("duration = 1e300", "duration 1e+300 at step 0.001 needs"),
+        ("step = 1e-300", "duration 0.1 at step 1e-300 needs"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         # a deck line run by simulate, or a command's flag on a valid deck

@@ -3,13 +3,12 @@
 import itertools
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1gp import numerics, scenario
+from l1gp import numerics
 
 
 def taylor_expm(A, t, terms=30):
@@ -108,46 +107,6 @@ class TestMatrixExponential:
         for t in (0.001, 0.01, 0.02):
             got = zoh_e(np.diag(A).tolist(), t)
             assert np.array_equal(np.diag(got), scipy.linalg.expm(A * t))
-
-
-def mp_sinusoid_gain(a, b, w, h):
-    """``b * integral_0^h e^{a (h - tau)} e^{i w tau} dtau`` in mpmath."""
-    a, b, w, h = (mp.mpf(v) for v in (a, b, w, h))
-    z = mp.mpc(-a, w)
-    return b * mp.exp(a * h) * mp.expm1(z * h) / z
-
-
-class TestSinusoidExactStep:
-    @mp.workdps(40)
-    def test_gains_match_mpmath(self):
-        # M_s + i M_c per axis, each part to 1e-14 relative, over the
-        # regime of a 1 kHz ideal loop and well past it: |w h| <= 1,
-        # |a| h <= 10, both sides of phi1's |z| = 1 branch
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = -(10.0 ** rng.uniform(-2.0, 3.0, size=3))
-            b = 10.0 ** rng.uniform(-1.0, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-            amp = rng.uniform(0.1, 3.0, size=3)
-            w = 10.0 ** rng.uniform(-2.0, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-            h = 10.0 ** rng.uniform(-5.0, -2.0)
-            ref = scenario.ReferenceConfig(kind="sinusoid", amplitude=amp, frequency=w)
-            E, g, M_s, M_c = ref.exact_step(tuple(a.tolist()), tuple(b.tolist()), h)
-            assert g is None
-            assert E == tuple(np.exp(a * h).tolist())
-            for i in range(3):
-                want = mp_sinusoid_gain(a[i], b[i] * amp[i], w[i], h)
-                assert abs(M_s[i] - want.real) <= 1e-14 * abs(want.real)
-                assert abs(M_c[i] - want.imag) <= 1e-14 * abs(want.imag)
-
-    @mp.workdps(40)
-    def test_phi1(self):
-        assert numerics.phi1(0j) == 1.0
-        for radius in (1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0):
-            for angle in np.linspace(-math.pi, math.pi, 13):
-                z = complex(radius * math.cos(angle), radius * math.sin(angle))
-                zm = mp.mpc(z.real, z.imag)
-                want = mp.expm1(zm) / zm
-                assert abs(numerics.phi1(z) - want) <= 1e-15 * abs(want)
 
 
 class TestPhiMatrix:

@@ -45,27 +45,38 @@ def test_any_other_manifest_byte_counts(tmp_path):
     other = MANIFEST.replace('"seed": 1', '"seed": 2')
     assert compare(tmp_path, {"run/manifest.json": MANIFEST % "1.25"},
                    {"run/manifest.json": other % "1.25"}) == [
-        "run/manifest.json: differs", "  seed: changed"]
+        "run/manifest.json: differs", "  seed: 1 -> 2, relative difference 1"]
     # the wall-clock blank is for manifests only
     assert compare(tmp_path / "2", {"run/summary.json": MANIFEST % "1.25"},
                    {"run/summary.json": MANIFEST % "0.5"}) == [
-        "run/summary.json: differs", "  wall_clock_s: changed"]
+        "run/summary.json: differs",
+        "  wall_clock_s: 1.25 -> 0.5, relative difference 0.6"]
 
 
 def test_json_names_each_dotted_key_that_differs(tmp_path):
+    # a moved number prints both values in full and its difference relative
+    # to the parent's; a flag, a string or a list is not a number
     parent = {"config": {"bound.l_f": 0.0, "bound.xi": 0.001, "seed": 1},
-              "gamma": 0.0, "n": 1, "nan": float("nan"), "v": [1, 2]}
+              "gamma": 0.0, "n": 1, "nan": float("nan"), "v": [1, 2],
+              "err": 0.3, "to_nan": 1.0, "zero": 0, "flag": True, "name": "a"}
     change = {"config": {"bound.xi": 0.001, "seed": 2}, "n": 1.0,
-              "nan": float("nan"), "v": [1, 3], "new": {}}
+              "nan": float("nan"), "v": [1, 3], "new": {},
+              "err": 0.1 + 0.2, "to_nan": float("nan"), "zero": 0.5, "flag": 1,
+              "name": "b"}
     assert compare(tmp_path, {"run/coverage.json": json.dumps(parent)},
                    {"run/coverage.json": json.dumps(change)}) == [
         "run/coverage.json: differs",
         "  config.bound.l_f: only in parent",
-        "  config.seed: changed",
+        "  config.seed: 1 -> 2, relative difference 1",
+        "  err: 0.3 -> 0.30000000000000004, relative difference 1.85e-16",
+        "  flag: changed",
         "  gamma: only in parent",
-        "  n: changed",
+        "  n: 1 -> 1.0, relative difference 0",
+        "  name: changed",
         "  new: only in change",
+        "  to_nan: 1.0 -> NaN, relative difference nan",
         "  v: changed",
+        "  zero: 0 -> 0.5, relative difference inf",
     ]
 
 

@@ -238,7 +238,41 @@ class TestIdealLoop:
             exact = b * a * (
                 3.0 * np.sin(w * t) - w * np.cos(w * t) + w * np.exp(-3.0 * t)
             ) / (9.0 + w**2)
-        assert np.max(np.abs(trace.block("xid") - exact)) <= 1e-10
+        assert np.max(np.abs(trace.block("xid") - exact)) <= 1e-15
+
+    @pytest.mark.parametrize("deck", [
+        {"reference.kind": "zero"},
+        {"reference.kind": "step"},
+        {"reference.kind": "sinusoid"},
+        {"reference.kind": "sinusoid", "controller.a_m": [-2.0, -3.0, -4.5],
+         "plant.j": [0.011, 0.013, 0.021], "reference.amplitude": [1.0, 0.6, 0.3],
+         "reference.frequency": [0.5, 0.7, 1.1]},
+    ], ids=["zero", "step", "sinusoid", "anisotropic"])
+    def test_matches_mpmath(self, deck):
+        # every row of a 20 s run against the solution from x0 at t = 0,
+        # e^{a t} x0 plus e^{a t} convolved with b r, at the row's own t
+        mp = pytest.importorskip("mpmath")
+        cfg, _ = config.resolve_scenario({
+            "duration": 20.0, "controller.mode": "l1", "plant.j": [0.011, 0.011, 0.021],
+            "plant.x0": [0.3, -0.2, 0.1], "condition.check": False, **deck})
+        trace = scenario.run(cfg)
+        b = np.multiply(cfg.controller.b_m, cfg.controller.k_g).tolist()
+        axes = zip(cfg.plant.a_m, b, cfg.plant.x0, cfg.reference.amplitude,
+                   cfg.reference.frequency)
+        kind = cfg.reference.kind
+        with mp.workdps(40):
+            for i, (a, b, x0, amp, w) in enumerate(axes):
+                a, b, x0, amp, w = (mp.mpf(v) for v in (a, b, x0, amp, w))
+                for t, got in zip(trace.t.tolist(), trace.block("xid")[:, i].tolist()):
+                    e = mp.exp(a * t)
+                    if kind == "zero":
+                        want = e * x0
+                    elif kind == "step":
+                        want = e * x0 + b * amp * (e - 1) / a
+                    else:
+                        s, c = mp.sin(w * t), mp.cos(w * t)
+                        want = e * x0 + b * amp * (w * e - a * s - w * c) / (a**2 + w**2)
+                    assert abs(got - want) <= 1e-15, (i, t)
 
     @pytest.mark.parametrize("kind", ["step", "sinusoid"])
     @pytest.mark.parametrize("key, value", [
@@ -394,7 +428,6 @@ class TestControllerReplay:
         import scipy.linalg
 
         c = cfg.controller
-        h = cfg.step
         I = np.eye(3)
         # the dense matrices of the model, with the output matrix C = I
         A, B, C = np.diag(c.a_m), np.diag(c.b_m), I
@@ -402,14 +435,7 @@ class TestControllerReplay:
         phi = np.linalg.solve(A, expAT - I)
         gain = -np.linalg.inv(B) @ np.linalg.solve(phi, expAT)
         k_g = -np.linalg.inv(C @ np.linalg.solve(A, B))
-        A_p, Bk = np.diag(cfg.plant.a_m), B @ k_g
-        E = scipy.linalg.expm(A_p * h)
         amp, w = np.array(cfg.reference.amplitude), np.array(cfg.reference.frequency)
-        g = np.linalg.solve(A_p, E - I) @ (Bk @ amp)
-        # the sinusoid's gains are per axis: the diagonals as 3-tuples
-        _, _, M_s, M_c = cfg.reference.exact_step(
-            cfg.plant.a_m, tuple(np.diag(Bk).tolist()), h
-        )
         t, x, xhat = trace.t, trace.block("x"), trace.block("xhat")
         sg, fl, eta = trace.block("sigmahat"), trace.block("fl"), trace.block("eta")
         u, xid, fhat = trace.block("u"), trace.block("xid"), trace.block("fhat")
@@ -439,11 +465,17 @@ class TestControllerReplay:
             assert np.array_equal(u[k], u_k), k
             drive = B @ (f_L + sigma + u_k)
             assert np.array_equal(xhat[k], expAT @ xhat[p] + phi @ drive), k
-            if kind == "sinusoid":
-                forcing = np.diag(M_s) @ np.sin(w * t[p]) + np.diag(M_c) @ np.cos(w * t[p])
-            else:
-                forcing = g
-            assert np.array_equal(xid[k], E @ xid[p] + forcing), k
+        # the ideal loop x' = A_m x + B_m k_g r(t) from x0 at t = 0 in
+        # closed form, per axis: e^{a t} x0 plus e^{a t} convolved with b r
+        a, b = np.array(cfg.plant.a_m), np.diag(B @ k_g)
+        tt, decay = t[:, None], np.exp(np.multiply.outer(t, a))
+        if kind == "sinusoid":
+            wave = w * decay - a * np.sin(w * tt) - w * np.cos(w * tt)
+            forced = b * amp * wave / (a**2 + w**2)
+        else:
+            forced = b * amp * (decay - 1.0) / a
+        exact = decay * np.array(cfg.plant.x0) + forced
+        assert np.max(np.abs(xid - exact)) <= 1e-15
 
 
 class TestEngineCalls:
