@@ -6,7 +6,9 @@ learning filter, the quadrotor angular-rate plant, and a closed-loop
 engine with time-delay margin search.
 
 ``gp`` and ``learner``, and with them scipy, are imported on first use:
-a run without a learner never loads them.
+a run without a learner never loads them. A learner run loads only
+``scipy`` and its two compiled BLAS and LAPACK wrappers, never the
+``scipy.linalg`` package (see :func:`numerics._scipy_wrapper`).
 """
 
 import importlib

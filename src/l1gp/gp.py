@@ -26,6 +26,11 @@ the exponent is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about
 is written to a Fortran-order buffer, the layout LAPACK works in place
 on: a refit holds one N x N array, which becomes the posterior's factor,
 and a batch read solves against its block in that block's own buffer.
+The solves call BLAS ``dtrsv`` (a tick) and LAPACK ``dtrtrs`` (a batch)
+straight from scipy's compiled wrapper modules, which
+:func:`numerics._scipy_wrapper` loads without the ``scipy.linalg``
+package; they are the function objects ``scipy.linalg.blas`` and
+``scipy.linalg.lapack`` export, so the bits are theirs.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrsv
 
 from . import numerics
 
@@ -52,6 +55,10 @@ __all__ = [
 
 # publish-grid rows per predict_batch call: bounds the (N, rows) cross-kernel
 _GRID_BLOCK = 512
+
+# scipy's compiled BLAS and LAPACK wrappers, without the scipy.linalg package
+_fblas = numerics._scipy_wrapper("_fblas")
+_flapack = numerics._scipy_wrapper("_flapack")
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -139,8 +146,12 @@ class GpPosterior:
         mean = kstar.T @ self.alpha                # (P, m)
         # kstar^T K^{-1} kstar = |L^{-1} kstar|^2 per column, solved in
         # kstar's own (Fortran-order) buffer once the mean has read it
-        w = solve_triangular(self.chol, kstar, lower=True, check_finite=False,
-                             overwrite_b=True)
+        w, info = _flapack.dtrtrs(self.chol, kstar, lower=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular factor: zero on its diagonal at {info - 1}")
+        if info < 0:
+            raise ValueError(f"invalid argument {-info} to dtrtrs")
         var = self.signal_var - np.einsum("ij,ij->j", w, w)
         # round-off can push the variance a hair negative; clamp before sqrt
         np.maximum(var, 0.0, out=var)
@@ -177,7 +188,7 @@ class GpPosterior:
         if self.n_samples == 0:
             return np.zeros(self.n_outputs), self.kernel.sigma_f
         k = self._kernel_vector(x)
-        w = dtrsv(self.chol, k, lower=1)           # L^{-1} k
+        w = _fblas.dtrsv(self.chol, k, lower=1)    # L^{-1} k
         var = self.signal_var - w.dot(w)
         # round-off can push the variance a hair negative: read 0 there
         return k.dot(self.alpha), 0.0 if var < 0.0 else math.sqrt(var)

@@ -9,15 +9,23 @@ Cholesky routines the GP factors with, RK4, the 5-point centred derivative
 the learner's targets are made with and a covering-number bound. All
 public functions are pure.
 
-The module loads without scipy. Only the factor routines
+The module loads without scipy. The factor routines
 :func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
-calls, import it when called. ``gp.fit`` factors its Gram matrix in place
-with the private routine that :func:`cholesky_factor` runs on a copy.
+calls, call LAPACK through scipy's compiled wrapper module
+``scipy.linalg._flapack``, which :func:`_scipy_wrapper` loads on first
+use without the ``scipy.linalg`` package. ``gp.fit`` factors its Gram
+matrix in place with the private routine that :func:`cholesky_factor`
+runs on a copy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,6 +123,33 @@ def whole(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _scipy_wrapper(name: str) -> ModuleType:
+    """scipy's compiled wrapper module ``scipy.linalg.<name>``: ``_fblas``
+    for BLAS or ``_flapack`` for LAPACK.
+
+    The module ``sys.modules`` holds under that name if there is one.
+    Otherwise the extension file in scipy's ``linalg`` folder is loaded
+    under that name and registered there, without running
+    ``scipy/linalg/__init__.py``: that package imports some 300 more
+    modules and about 28 MB of RSS for routines no run calls. A later
+    ``import scipy.linalg`` finds the registered module, so its ``blas``
+    and ``lapack`` hand out the same function objects.
+    """
+    full = f"scipy.linalg.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        import scipy
+
+        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(full, [folder])
+        if spec is None:
+            raise ModuleNotFoundError(f"no module named {full!r}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return module
+
+
 def cholesky_factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -130,12 +165,10 @@ def cholesky_factor(M: np.ndarray) -> np.ndarray:
 def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
     """:func:`cholesky_factor` of a Fortran-order float array, made in A's
     own buffer, which then holds the factor (or, on failure, is spoiled)."""
-    import scipy.linalg.lapack
-
     A = _as_square(A, "M")
     if A.shape[0] == 0:
         return A
-    c, info = scipy.linalg.lapack.dpotrf(A, lower=1, overwrite_a=1)
+    c, info = _scipy_wrapper("_flapack").dpotrf(A, lower=1, overwrite_a=1)
     if info > 0:
         raise DecompositionError(
             f"matrix not positive definite at pivot {info - 1}", pivot=info - 1
@@ -151,10 +184,8 @@ def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
 
 def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``(L @ L.T) X = B`` given a lower Cholesky factor L."""
-    import scipy.linalg.lapack
-
     B = np.asarray(B, dtype=float)
-    x, info = scipy.linalg.lapack.dpotrs(L, B, lower=1)
+    x, info = _scipy_wrapper("_flapack").dpotrs(L, B, lower=1)
     if info != 0:
         raise ValueError(f"dpotrs failed with info={info}")
     return x

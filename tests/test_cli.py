@@ -516,10 +516,11 @@ class TestMargin:
         assert code == cli.EXIT_PRECONDITION
 
 
-# a fresh interpreter runs the CLI and reports whether scipy was imported
+# a fresh interpreter runs the CLI and reports whether scipy, and the
+# scipy.linalg package, were imported
 SCIPY_PROBE = ("import sys, l1gp.cli; "
                "code = l1gp.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-               "print(code, 'scipy' in sys.modules)")
+               "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)")
 
 
 @pytest.mark.parametrize("command, loads_scipy", [
@@ -531,7 +532,8 @@ SCIPY_PROBE = ("import sys, l1gp.cli; "
     ("bound-check", True),
 ])
 def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
-    # scipy is most of the CLI's start-up time; only the GP stack needs it
+    # scipy is most of the CLI's start-up time; only the GP stack needs it,
+    # and the GP loads scipy's two compiled wrappers, never scipy.linalg
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
     l1gp_deck = NOMINAL.replace("duration = 2.0", "duration = 0.1")
     l1_deck = l1gp_deck.replace('mode = "l1gp"', 'mode = "l1"')
@@ -551,7 +553,7 @@ def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-2:] == ["0", str(loads_scipy)]
+    assert out.stdout.split()[-3:] == ["0", str(loads_scipy), "False"]
     if argv:
         # the manifest names scipy's version only when the run loaded it
         runtime = json.loads((tmp_path / "out" / "manifest.json").read_text())["runtime"]

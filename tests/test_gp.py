@@ -4,6 +4,9 @@ import copy
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -197,6 +200,84 @@ class TestGramInPlace:
             tracemalloc.stop()
         assert post.chol.shape == (N, N)
         assert peak < 1.25 * 8 * N * N
+
+
+class TestBatchSolve:
+    """``predict_batch`` solves against the factor with LAPACK's ``dtrtrs``
+    from scipy's compiled wrapper, the routine ``solve_triangular`` runs."""
+
+    @pytest.mark.parametrize("N", [1, 37, 512])
+    def test_std_is_bitwise_solve_triangular(self, N):
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(N)
+        post = gp.fit(rng.uniform(-3.0, 3.0, size=(N, 3)), rng.normal(size=(N, 2)),
+                      1e-4, KERNEL)
+        Xq = rng.uniform(-4.0, 4.0, size=(300, 3))
+        kstar = gp._kernel_block(post.Xa, Xq)
+        w = solve_triangular(post.chol, kstar, lower=True, check_finite=False)
+        var = post.signal_var - np.einsum("ij,ij->j", w, w)
+        std = np.sqrt(np.maximum(var, 0.0))
+        got_mean, got_std = post.predict_batch(Xq)
+        assert np.array_equal(got_mean, kstar.T @ post.alpha)
+        assert np.array_equal(got_std, np.repeat(std[:, None], 2, axis=1))
+
+    def test_zero_on_the_factor_diagonal_raises(self):
+        rng = np.random.default_rng(2)
+        post = gp.fit(rng.uniform(-3.0, 3.0, size=(5, 3)), rng.normal(size=(5, 2)),
+                      1e-4, KERNEL)
+        chol = post.chol.copy(order="F")
+        chol[2, 2] = 0.0
+        singular = dataclasses.replace(post, chol=chol)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular factor: zero on its diagonal at 2"):
+            singular.predict_batch(np.zeros((4, 3)))
+
+
+# a fresh interpreter imports the GP and scipy.linalg in the given order,
+# then checks that both use one copy of each compiled wrapper
+LOAD_ORDER_PROBE = """
+import sys
+import numpy as np
+if sys.argv[1] == "gp-first":
+    from l1gp import gp, numerics
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+else:
+    import scipy.linalg
+    from l1gp import gp, numerics
+from scipy.linalg import blas, lapack
+
+fblas = sys.modules["scipy.linalg._fblas"]
+flapack = sys.modules["scipy.linalg._flapack"]
+assert gp._fblas is fblas is numerics._scipy_wrapper("_fblas") is blas._fblas
+assert gp._flapack is flapack is numerics._scipy_wrapper("_flapack") is lapack._flapack
+assert blas.dtrsv is fblas.dtrsv
+for name in ("dpotrf", "dpotrs", "dtrtrs"):
+    assert getattr(lapack, name) is getattr(flapack, name), name
+
+L = np.array([[2.0, 0.0], [1.0, 4.0]])
+assert np.array_equal(scipy.linalg.solve_triangular(L, [2.0, 9.0], lower=True),
+                      [1.0, 2.0])
+assert np.allclose(scipy.linalg.expm(np.diag([0.0, 1.0])), np.diag([1.0, np.e]))
+post = gp.fit(np.eye(3), np.ones((3, 1)), 0.01, gp.SeKernel())
+std = post.point_eval((1.0, 0.5, 0.0))[1]
+assert abs(std - post.predict_batch([[1.0, 0.5, 0.0]])[1][0, 0]) < 1e-12
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["gp-first", "scipy.linalg-first"])
+def test_one_copy_of_each_wrapper_in_either_load_order(order):
+    # the GP loads scipy's two wrappers without scipy.linalg; whichever of
+    # the two loads first, the other reuses its modules (pytest itself has
+    # imported scipy.linalg by now, so only a fresh interpreter tells)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ok"]
 
 
 class TestParameterChecks:
