@@ -25,7 +25,7 @@ def main():
         if ev["kind"] == "learner_published":
             print(
                 f"    t = {ev['t']:5.1f} s  update {ev['update_index']}  "
-                f"n_data {ev['n_data']:3d}  domain-max envelope {ev['e_f_hat']:.4f}"
+                f"n_data {ev['n_data']:3d}  envelope at the state {ev['e_f_hat']:.4f}"
             )
     print("  decade window means:")
     for t0 in range(0, 60, 10):

@@ -72,12 +72,14 @@ def _positive(value) -> float:
     return number
 
 
-def _always(value) -> str:
-    # every successful refit publishes; a quality gate can return once its
-    # scalar moves on a stock deck (ROADMAP item 3)
-    if value != "always":
-        raise ValueError('only "always" is supported (see ROADMAP item 3)')
-    return value
+def _only(value):
+    """The type of a key that accepts one value and sets nothing: it stays
+    in the table so that a deck which sets it still parses."""
+    def only(given):
+        if given != value:
+            raise ValueError(f"only {value!r} is supported")
+        return value
+    return only
 
 
 def _vec3(value) -> list:
@@ -128,7 +130,8 @@ _KEYS = {
     "learner.enabled": (_bool, None),  # unset: on in mode l1gp
     "learner.t_data": (_float, 1.0),
     "learner.n_update": (_int, 10),
-    "learner.gating": (_always, "always"),
+    # every successful refit publishes
+    "learner.gating": (_only("always"), "always"),
     "learner.max_points": (_int, 512),
     "learner.sigma_n": (_float, 0.01),
     "kernel.sigma_f": (_float, 1.0),
@@ -137,7 +140,7 @@ _KEYS = {
     "bound.xi": (_float, 0.001),
     "bound.delta": (_float, 0.01),
     "bound.kappa_op": (_float, 5.0),
-    "bound.grid_points": (_int, 21),
+    "bound.grid_points": (_only(21), None),
     "condition.check": (_bool, True),
     "condition.l_f": (_float, 0.2),
     "condition.b0": (_float, 0.0),
@@ -211,7 +214,6 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
                     delta=echo["bound.delta"],
                 ),
                 kappa_op=echo["bound.kappa_op"],
-                grid_points=echo["bound.grid_points"],
             )
         else:
             echo = {k: v for k, v in echo.items()

@@ -4,22 +4,22 @@ All output channels share one kernel configuration and one set of training
 inputs, so a single Cholesky factorization serves every channel; the
 channels differ only through their target columns. The high-probability
 uniform error envelope is ``sqrt(beta) * std(x)``: :func:`beta_value`
-gives the scale factor from the covering number of the box, and
-:func:`uniform_bound_grid_max` reads the envelope's maximum over a grid.
+gives the scale factor from the covering number of the box.
 
 The kernel has one formula, its expanded form, precomputed once per
 posterior: ``k(X_i, x) = exp(Xa_i . (x, 1, |x|^2))`` with the read matrix
 ``Xa = [X / l^2, log sigma_f^2 - |X_i|^2 / (2 l^2), -1 / (2 l^2)]``. A
-read is then one matrix product and one ``exp``. The controller reads the
-posterior's mean and std at every 1 kHz tick
-(:meth:`GpPosterior.point_eval`); a recorded row that no tick follows
-reads the mean alone (:meth:`GpPosterior.mean_at`), and the two share one
-kernel-vector expression, so their means are the same bits. A query of
-the wrong length raises :class:`numerics.DimensionError`. The
-publish-rate reads (:meth:`GpPosterior.predict_batch`, the envelope's
-grid max) take whole blocks of query rows ``(x, 1, |x|^2)`` at once, and
-:func:`fit` builds the Gram matrix the same way from the training rows,
-with its diagonal set to the exact ``sigma_f^2 + sigma_n^2``. The
+read is then one matrix product and one ``exp``. A run reads the
+posterior only at the loop's state: its mean and std at every 1 kHz tick
+and at each publish (:meth:`GpPosterior.point_eval`), and the mean alone
+at a recorded row with no tick in its step (:meth:`GpPosterior.mean_at`);
+the two share one kernel-vector expression, so their means are the same
+bits. A query of the wrong length raises
+:class:`numerics.DimensionError`. The batch read
+(:meth:`GpPosterior.predict_batch`, for ``bound-check``) takes whole
+blocks of query rows ``(x, 1, |x|^2)`` at once, and :func:`fit` builds
+the Gram matrix the same way from the training rows, with its diagonal
+set to the exact ``sigma_f^2 + sigma_n^2``. The
 expanded form rounds differently from direct differences: its error in
 the exponent is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about
 1.5e-13 on the box ``|x|_inf <= 15`` at unit length scale. Each product
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,8 @@ __all__ = [
     "uniform_bound_grid_max",
 ]
 
-# publish-grid rows per predict_batch call: bounds the (N, rows) cross-kernel
+# grid rows per predict_batch call in uniform_bound_grid_max: bounds the
+# (N, rows) cross-kernel
 _GRID_BLOCK = 512
 
 # scipy's compiled BLAS and LAPACK wrappers, without the scipy.linalg package
@@ -77,6 +79,10 @@ class SeKernel:
         # written so that NaN fails too
         if not (0.0 < self.sigma_f < math.inf and 0.0 < self.length_scale < math.inf):
             raise ValueError("sigma_f and length_scale must be positive and finite")
+        # the prior variance sigma_f**2 must be a normal float: above this
+        # range sigma_f**2 raises OverflowError, below it it drops bits
+        if not sys.float_info.min <= self.sigma_f * self.sigma_f < math.inf:
+            raise ValueError("sigma_f**2 must be a normal, finite float")
 
 
 def _read_matrix(X: np.ndarray, kernel: SeKernel) -> np.ndarray:
@@ -278,9 +284,10 @@ def uniform_bound_grid_max(
     """Max of the envelope ``sqrt_beta * std`` over a uniform grid on the
     operational box.
 
-    The model's ``e_f_hat``: it sets the bandwidth at t = 0 and is reported
-    in the publish event; the bandwidth law reads the pointwise envelope
-    instead.
+    No run calls it: a publish reports the envelope at the loop's state.
+    It stays, with ``_GRID_BLOCK`` and its tests, only because the
+    benchmark's per-layer tracer (``perfbench/layers.py``) hooks this name
+    in its ``--trace`` runs; it goes when that tracer retires.
 
     The posterior std never exceeds ``cap = sqrt(sigma_f**2)``:
     :meth:`GpPosterior.predict_batch` subtracts a sum of squares from

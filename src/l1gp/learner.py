@@ -10,7 +10,8 @@ noise, together with an explicit Gaussian noise injection drawn, in sample
 order, from the engine's seeded generator. Once N_update new samples have
 arrived the GP is refit on the targets made so far, and every successful
 refit publishes the immutable model it gives: the posterior, whose mean is
-the learned ``f_hat``, and the envelope's grid max ``e_f_hat``. The
+the learned ``f_hat``. The publish event reports the new model's envelope
+at the sample just pushed, the state the loop's next tick reads it at. The
 published model is constant between publishes: a publish replaces it
 whole, between two engine steps.
 """
@@ -50,10 +51,9 @@ class LearnerConfig:
     kernel: gp.SeKernel = field(default_factory=gp.SeKernel)
     bound: gp.UniformBoundConfig = field(default_factory=gp.UniformBoundConfig)
     kappa_op: float = 5.0
-    grid_points: int = 21
 
     def __post_init__(self):
-        for name in ("N_update", "max_points", "grid_points"):
+        for name in ("N_update", "max_points"):
             object.__setattr__(self, name, numerics.whole(getattr(self, name), name))
         if not 0.0 < self.T_data < math.inf:
             raise ValueError("T_data must be positive and finite")
@@ -69,9 +69,6 @@ class LearnerConfig:
         # the envelope holds only on the box |x|_inf <= bound.kappa
         if not 0.0 < self.kappa_op <= self.bound.kappa:
             raise ValueError("kappa_op must be in (0, bound.kappa]")
-        # the grid's two ends are the box corners the grid max reads first
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -81,38 +78,18 @@ class LearnerModel:
     The posterior mean and the envelope are piecewise static: the
     *functions* change only at publish instants. ``evaluate(x)`` returns
     the pair (mean, pointwise envelope ``sqrt_beta * std(x)``) the
-    controller consumes; ``e_f_hat`` is the conservative domain-wide
-    (grid-max) scalar that sets the bandwidth at t = 0 and is reported in
-    each publish event. ``sqrt_beta`` depends only on the bound config and
+    controller consumes. ``sqrt_beta`` depends only on the bound config and
     the dimensions, so every model of one learner shares it.
     """
 
     update_index: int
     posterior: gp.GpPosterior
     sqrt_beta: float
-    e_f_hat: float
 
     def evaluate(self, x) -> tuple[list, float]:
         """Learned mean (m Python floats) and the pointwise error envelope at x."""
         mean, sigma = self.posterior.point_eval(x)
         return mean.tolist(), self.sqrt_beta * sigma
-
-    @classmethod
-    def from_posterior(
-        cls,
-        posterior: gp.GpPosterior,
-        sqrt_beta: float,
-        cfg: LearnerConfig,
-        update_index: int,
-    ) -> "LearnerModel":
-        return cls(
-            update_index=update_index,
-            posterior=posterior,
-            sqrt_beta=sqrt_beta,
-            e_f_hat=gp.uniform_bound_grid_max(
-                posterior, sqrt_beta, cfg.kappa_op, cfg.grid_points
-            ),
-        )
 
     @classmethod
     def prior(cls, cfg: LearnerConfig, n_outputs: int, n_inputs: int) -> "LearnerModel":
@@ -121,7 +98,7 @@ class LearnerModel:
             np.zeros((0, n_inputs)), np.zeros((0, n_outputs)), cfg.sigma_n**2, cfg.kernel
         )
         sqrt_beta = math.sqrt(gp.beta_value(cfg.bound, n_outputs, n_inputs))
-        return cls.from_posterior(empty, sqrt_beta, cfg, update_index=0)
+        return cls(update_index=0, posterior=empty, sqrt_beta=sqrt_beta)
 
 
 class MeasurementBuffer:
@@ -249,13 +226,14 @@ class BayesianLearner:
             )
         except gp.IllConditionedKernelError as exc:
             return {"t": t, "kind": "learner_fit_failed", "reason": str(exc)}
-        self.model = LearnerModel.from_posterior(
-            posterior, self.model.sqrt_beta, self.cfg, self.model.update_index + 1
+        self.model = LearnerModel(
+            self.model.update_index + 1, posterior, self.model.sqrt_beta
         )
         return {
             "t": t,
             "kind": "learner_published",
             "update_index": self.model.update_index,
-            "e_f_hat": self.model.e_f_hat,
+            # the envelope the next tick reads: at the sample just pushed
+            "e_f_hat": self.model.evaluate(self.buffer.window[-1][1])[1],
             "n_data": posterior.n_samples,
         }

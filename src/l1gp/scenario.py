@@ -23,16 +23,17 @@ nonlinear plant uses RK4, one fused step on Python floats per engine step
 (:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples,
 each matrix product per axis on a diagonal; numpy is left to the GP reads,
 the learner's buffer and the recorded rows. The loop holds the state
-(``x``, ``u``, ``eta``) in locals and writes it back to the live
-:class:`Snapshot` before each recorded row and at the end of the run.
+(``x``, ``u``, ``eta`` and the last envelope read) in locals, records each
+row from them, and writes them back to the live :class:`Snapshot` at the
+end of the run.
 
-Model reads: an l1gp tick reads the published model's mean and envelope
-at the state (:meth:`LearnerModel.evaluate`), and each recorded row its
-mean. A row recorded just before a tick of the same run makes that
-tick's read and hands it on, since the model and the state are the same
-there and the mean is bitwise ``GpPosterior.mean_at``'s. Only the rows
-that no tick follows (the last step's, an abort row, a row between two
-ticks) read the mean alone. The L1 reference system of
+Model reads: a step records its row, when one is due, at its start, before
+its tick, so the row holds the state the tick reads. An l1gp tick reads
+the published model's mean and envelope at the state
+(:meth:`LearnerModel.evaluate`), once, and its row records that mean,
+which is bitwise ``GpPosterior.mean_at``'s. Only a row with no tick in its
+step (a row between two ticks, the run's last row, an abort row) reads
+the mean alone. The L1 reference system of
 :func:`run_reference_system` is this engine with the adaptive estimate
 replaced by the true uncertainty. A run is single-threaded and
 deterministic given the seed.
@@ -320,7 +321,8 @@ class Snapshot:
             learner = learner_mod.BayesianLearner(
                 cfg.learner, cfg.controller.a_m, cfg.controller._b_inv, rng
             )
-        e0 = learner.model.e_f_hat if learner else 0.0
+        # the prior's envelope, sqrt(beta) sigma_f, at every state
+        e0 = learner.model.evaluate(cfg.plant.x0)[1] if learner else 0.0
         zero = (0.0, 0.0, 0.0)
         return cls(t0=0.0, x=cfg.plant.x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
@@ -388,12 +390,7 @@ class Engine:
 
         state = live.ctrl_state
         learner = live.learner
-        # a row recorded just before a tick of this run makes that tick's
-        # model read (see the module docstring); `read` carries it over
-        hand_off = mode_l1gp and learner is not None
-        read = learner.model.evaluate(live.x) if hand_off and i0 % ts_every == 0 else None
-        rows[0] = self._row(self.t0, f, read)
-        row_i = 1
+        row_i = 0
         # the loop's calls and constants as locals, bound here on each run,
         # so a function patched after the engine was built is the one called
         adaptation_step = ctrl.adaptation_step
@@ -407,26 +404,31 @@ class Engine:
         true_sigma = self._true_sigma
         omega_0, omega_c = c.omega_0, c.omega_c
         include_baseline = not delay_total
-        # the loop state as locals, written back to live before each row
-        # and at the end of the run, before an abort row
-        x, u, eta = live.x, live.u, live.eta
+        # the loop state as locals, written back to live at the end of the run
+        x, u, eta, e_f = live.x, live.u, live.eta, live.e_f_last
         for i in range(n_steps):
             t = (i0 + i) * h
             if sinusoid:
                 r = ref(t)
-            if (i0 + i) % ts_every == 0:
+            tick = (i0 + i) % ts_every == 0
+            f_hat_x = None
+            if tick and mode_l1gp:
+                # the bandwidth law consumes the pointwise envelope at the
+                # current state; the row below records the same mean
+                f_hat_x, e_f_x = (learner.model.evaluate(x) if learner is not None
+                                  else ((0.0, 0.0, 0.0), 0.0))
+            # a row is due at the run's first step and on the global
+            # recording grid, which a resumed run keeps; it records the
+            # state before this step's tick
+            if i == 0 or (i0 + i) % dec == 0:
+                rows[row_i] = self._row(t, f, x, u, eta, e_f, f_hat_x)
+                row_i += 1
+            if tick:
                 adaptation_step(state, x, c)
                 if true_sigma:
                     state.sigma_hat = f(*x)
                 if mode_l1gp:
-                    # the bandwidth law consumes the pointwise envelope at
-                    # the current state, not the domain-wide scalar
-                    if read is None:
-                        read = (learner.model.evaluate(x) if learner is not None
-                                else ((0.0, 0.0, 0.0), 0.0))
-                    f_hat_x, e_f = read
-                    read = None
-                    live.e_f_last = e_f
+                    e_f = e_f_x
                     omega_hat = bandwidth_command(e_f, omega_0, omega_c)
                     learning_filter_step(state, f_hat_x, omega_hat, c)
                 q0, q1, q2 = state.sigma_hat
@@ -478,17 +480,11 @@ class Engine:
                 ev = learner.maybe_update(t_next)
                 if ev is not None:
                     self.events.append(ev)
-            # the global step index keeps a resumed run on the same grid
-            if (i0 + i + 1) % dec == 0:
-                live.x, live.u, live.eta = x, u, eta
-                if hand_off and i + 1 < n_steps and (i0 + i + 1) % ts_every == 0:
-                    read = learner.model.evaluate(x)
-                rows[row_i] = self._row(t_next, f, read)
-                row_i += 1
-        live.x, live.u, live.eta = x, u, eta
-        if unstable:
-            rows[row_i] = self._row(t_next, f, None)
+        # the end of the run: a row on the recording grid, or the abort row
+        if unstable or (i0 + n_steps) % dec == 0:
+            rows[row_i] = self._row(t_next, f, x, u, eta, e_f, None)
             row_i += 1
+        live.x, live.u, live.eta, live.e_f_last = x, u, eta, e_f
         live.t0 = self.t_final = (i0 + steps_done) * h
         return SimulationTrace(
             data=rows[:row_i],
@@ -496,34 +492,33 @@ class Engine:
             unstable=unstable,
         )
 
-    def _row(self, t: float, f: Callable, read: Optional[tuple]) -> tuple:
-        """The trace row at t, as a tuple of floats; ``f`` is the
-        uncertainty segment in force, and ``read`` the model's
-        ``evaluate`` at the state, or None to read the mean alone."""
-        live = self.live
-        state = live.ctrl_state
-        x0, x1, x2 = x = live.x
+    def _row(self, t: float, f: Callable, x: tuple, u: tuple, eta: tuple,
+             e_f: float, f_hat: Optional[list]) -> tuple:
+        """The trace row at t, as a tuple of floats, of the loop state
+        ``x``, ``u``, ``eta``, ``e_f`` and the live controller state; ``f``
+        is the uncertainty segment in force, and ``f_hat`` the model's mean
+        at x, or None to read it here."""
+        state = self.live.ctrl_state
+        learner = self.live.learner
+        x0, x1, x2 = x
         h0, h1, h2 = state.x_hat
-        if read is not None:
-            f_hat = read[0]
-        elif live.learner is not None:
-            f_hat = live.learner.model.posterior.mean_at(x)
-        else:
-            f_hat = (0.0, 0.0, 0.0)
+        if f_hat is None:
+            f_hat = ((0.0, 0.0, 0.0) if learner is None
+                     else learner.model.posterior.mean_at(x))
         return (
             t,
             *x,
             *state.x_hat,
             h0 - x0, h1 - x1, h2 - x2,
-            *live.u,
+            *u,
             *state.f_L,
-            *live.eta,
+            *eta,
             *state.sigma_hat,
             *f(x0, x1, x2),
             *f_hat,
             *self.ref(t),
             *self.x_id(t),
-            live.e_f_last,
+            e_f,
             state.omega_filtered,
         )
 

@@ -196,6 +196,7 @@ class TestSimulate:
         ('learner.gating = "sometimes"', "gating"),
         ('reference.kind = "ramp"', "reference kind"),
         ("kernel.sigma_f = 0", "sigma_f"),
+        ("kernel.sigma_f = 1e200", "sigma_f**2 must be a normal, finite float"),
         ('plant.uncertainty = "cubic"', "'cubic'"),
         ("plant.j = [1, -1, 1]", "J must be"),
         ('controller.ts = "abc"', "controller.ts"),
@@ -206,9 +207,9 @@ class TestSimulate:
         ("record_decimation = 2.7", "record_decimation"),
         ("seed = true", "seed"),
         ("bound.grid_points = 3.5", "bound.grid_points"),
-        ("bound.grid_points = 0", "grid_points must be at least 2"),
-        ("bound.grid_points = -4", "grid_points must be at least 2"),
-        ("bound.grid_points = 1", "grid_points must be at least 2"),
+        ("bound.grid_points = 0", "only 21 is supported"),
+        ("bound.grid_points = -4", "only 21 is supported"),
+        ("bound.grid_points = 1", "only 21 is supported"),
         ("bound.kappa_op = 0", "kappa_op must be in"),
         ("bound.kappa_op = -1", "kappa_op must be in"),
         ("bound.kappa_op = 15.5", "kappa_op must be in"),

@@ -48,7 +48,6 @@ NON_DEFAULT = {
     "bound.xi": 0.01,
     "bound.delta": 0.05,
     "bound.kappa_op": 3.0,
-    "bound.grid_points": 11,
     "condition.check": False,
     "condition.l_f": 0.3,
     "condition.b0": 0.1,
@@ -57,9 +56,10 @@ NON_DEFAULT = {
 }
 
 
-# keys with one valid value, so none other to test: learner.gating stays in
-# the table only because perfbench/dense_learner.cfg sets it
-ONE_VALUE = {"learner.gating"}
+# keys with one valid value, so none other to test: learner.gating and
+# bound.grid_points stay in the table only because
+# perfbench/dense_learner.cfg sets them
+ONE_VALUE = {"learner.gating", "bound.grid_points"}
 
 
 def test_every_table_key_has_a_test_value():
@@ -71,8 +71,24 @@ def test_gating_accepts_only_always():
     assert echo["learner.gating"] == "always"
     for value in ("improvement", "", True):
         with pytest.raises(config_mod.ConfigError,
-                           match=r"^learner\.gating = .*ROADMAP item 3"):
+                           match=r"^learner\.gating = .*: only 'always' is supported$"):
             config_mod.resolve_scenario({**BASE, "learner.gating": value})
+
+
+def test_grid_points_accepts_only_21():
+    # echoed only when a deck sets it; it sets nothing, so the config is
+    # the one without it
+    base_cfg, echo = config_mod.resolve_scenario(BASE)
+    assert "bound.grid_points" not in echo
+    for given in (21, 21.0):
+        cfg, echo = config_mod.resolve_scenario({**BASE, "bound.grid_points": given})
+        assert cfg == base_cfg
+        assert type(echo["bound.grid_points"]) is int and echo["bound.grid_points"] == 21
+        assert config_mod.resolve_scenario(echo)[1] == echo
+    for value in (2, 11, 20, 22, -21, 21.5, True, "21", [21]):
+        with pytest.raises(config_mod.ConfigError,
+                           match=r"^bound\.grid_points = .*: only 21 is supported$"):
+            config_mod.resolve_scenario({**BASE, "bound.grid_points": value})
 
 
 @pytest.mark.parametrize("key", sorted(NON_DEFAULT))

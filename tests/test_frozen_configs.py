@@ -101,8 +101,7 @@ def test_replace_with_an_invalid_value_raises(part, changes, error, match):
 
 
 INTEGER_FIELDS = [(None, "seed"), (None, "record_decimation"),
-                  ("learner", "N_update"), ("learner", "max_points"),
-                  ("learner", "grid_points")]
+                  ("learner", "N_update"), ("learner", "max_points")]
 
 
 def edit(cfg, part, changes):

@@ -288,6 +288,24 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match="positive and finite"):
             gp.SeKernel(sigma_f=1.0, length_scale=bad)
 
+    @pytest.mark.parametrize("bad", [
+        1e-200, math.nextafter(math.sqrt(sys.float_info.min), 0.0),
+        math.nextafter(math.sqrt(sys.float_info.max), math.inf), 1e200])
+    def test_kernel_rejects_a_variance_out_of_the_normal_range(self, bad):
+        # an overflowing sigma_f**2 raised OverflowError when the run built
+        # the prior; an underflowing one dropped bits
+        with pytest.raises(ValueError, match=r"sigma_f\*\*2 must be a normal"):
+            gp.SeKernel(sigma_f=bad)
+
+    @given(st.floats(math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)))
+    @settings(max_examples=200, deadline=None)
+    def test_prior_std_is_the_root_of_the_signal_variance(self, s):
+        # over every valid sigma_f, the prior's std sigma_f is bitwise
+        # sqrt(sigma_f**2): the prior's envelope reads the same either way
+        prior = gp.fit(np.zeros((0, 3)), np.zeros((0, 3)), 1e-4, gp.SeKernel(sigma_f=s))
+        assert math.sqrt(s * s) == s
+        assert math.sqrt(prior.signal_var) == prior.point_eval((0.0, 0.0, 0.0))[1] == s
+
     @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
     def test_dataset_rejects_nonpositive_and_nonfinite_noise(self, bad):
         # fit checks the noise of the data it is given, before any work

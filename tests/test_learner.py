@@ -1,11 +1,16 @@
 """Learner tests: target reconstruction, refit schedule, publishing, progress."""
 
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from l1gp import config, gp, learner, numerics, plant, scenario
+from l1gp import cli, config, gp, learner, numerics, plant, scenario
+from l1gp import controller as ctrl
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 J = np.diag([0.011, 0.011, 0.021])
@@ -215,16 +220,22 @@ class TestBufferSchedule:
         lrn = make_learner()
         events = []
         for k in range(1, 61):
-            lrn.push(float(k), 0.1 * np.sin([k, 2 * k, 3 * k]), np.zeros(3))
+            x = 0.1 * np.sin([k, 2 * k, 3 * k])
+            lrn.push(float(k), x, np.zeros(3))
             ev = lrn.maybe_update(float(k))
             if ev is not None:
                 events.append(ev)
+                # the new model's envelope at the sample just pushed
+                assert ev["e_f_hat"] == lrn.model.evaluate(tuple(x))[1]
         published = [e for e in events if e["kind"] == "learner_published"]
         assert [e["t"] for e in published] == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
         assert [e["update_index"] for e in published] == [1, 2, 3, 4, 5, 6]
-        # every refit publishes, though e_f_hat stays at the prior cap
+        # every refit publishes; next to the data the envelope is far below
+        # the prior's 8.51, and it falls as the data grow
         assert len(published) == len(events)
-        assert {e["e_f_hat"] for e in published} == {8.5087184483385965}
+        e_f = [e["e_f_hat"] for e in published]
+        assert e_f[0] < 8.5087184483385965 / 50
+        assert e_f[-1] < e_f[0] / 4
         # dataset trails the sample count: first two samples never complete
         # a window and the newest two are still pending
         assert published[0]["n_data"] == 6
@@ -269,14 +280,16 @@ class TestBufferSchedule:
             for x in [(0.2, -0.1, 0.4), (0.0, 0.0, 0.0), (5.0, -5.0, 5.0)]:
                 _, e_f = model.evaluate(x)
                 assert e_f == sqrt_beta * model.posterior.point_eval(x)[1]
-        # the stock prior: sqrt(beta) * sigma_f at delta = 0.01, xi = 1e-3
-        assert prior.e_f_hat == 8.5087184483385965
+        # the stock prior: sqrt(beta) * sigma_f at delta = 0.01, xi = 1e-3,
+        # at every state
+        assert {prior.evaluate(x)[1] for x in [(0.2, -0.1, 0.4), (50.0, 0.0, 0.0)]} == {
+            8.5087184483385965}
 
     def test_prior_model(self):
         lrn = make_learner()
         assert lrn.model.update_index == 0
         assert np.array_equal(lrn.model.posterior.mean_at(np.ones(3)), np.zeros(3))
-        assert lrn.model.e_f_hat == pytest.approx(8.509, abs=5e-4)
+        assert lrn.model.evaluate(np.ones(3))[1] == pytest.approx(8.509, abs=5e-4)
 
 
 class TestGating:
@@ -317,3 +330,68 @@ class TestLearningProgress:
         )
         assert regressions <= 1
         assert errs[-1] < errs[0]
+
+
+def stock_deck(name, **keys):
+    """``configs/<name>.cfg`` with the given deck keys set."""
+    flat = config.parse_flat_file(str(ROOT / "configs" / f"{name}.cfg"))
+    return config.resolve_scenario({**flat, **keys})[0]
+
+
+class TestPublishedEnvelope:
+    """A publish reports the new model's envelope at the sample just pushed:
+    the envelope the loop's next tick reads, which moves as the model
+    learns and as the uncertainty changes."""
+
+    def test_each_publish_is_the_next_ticks_envelope(self):
+        # the switch deck cut to 30 s, its switch at 22 s, a publish every 5 s
+        cfg = stock_deck("switch", duration=30.0, record_decimation=1,
+                         **{"plant.switch_time": 22.0, "learner.n_update": 5})
+        trace = scenario.run(cfg)
+        published = [ev for ev in trace.events if ev["kind"] == "learner_published"]
+        assert [ev["t"] for ev in published] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        # a row at every step: the row one step after a publish holds the
+        # envelope its tick read; the last publish ends the run
+        e_f = trace.col("e_f_hat")
+        for ev in published[:-1]:
+            k = round(ev["t"] / cfg.step) + 1
+            assert trace.t[k] == k * cfg.step
+            assert e_f[k] == ev["e_f_hat"], ev
+        # the data stop covering the loop's states at the switch
+        before, after = published[3], published[4]
+        assert before["t"] < 22.0 < after["t"]
+        assert after["e_f_hat"] > before["e_f_hat"]
+
+    def test_first_step_nominal_publish_is_far_below_the_prior(self):
+        trace = scenario.run(stock_deck("step_nominal", duration=10.0))
+        (ev,) = [ev for ev in trace.events if ev["kind"] == "learner_published"]
+        assert ev["t"] == 10.0
+        assert 10.0 * ev["e_f_hat"] <= 8.5087184483385965
+
+    def test_a_run_reads_no_grid_and_starts_at_the_prior_bound(
+            self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run read the GP off the loop's state")
+
+        monkeypatch.setattr(gp.GpPosterior, "predict_batch", refuse)
+        monkeypatch.setattr(gp, "uniform_bound_grid_max", refuse)
+        deck = tmp_path / "switch.cfg"
+        deck.write_text((ROOT / "configs" / "switch.cfg").read_text()
+                        .replace("duration = 60.0", "duration = 20.0"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(deck), "-o", str(out)]) == cli.EXIT_OK
+        with open(out / "events.csv") as fh:
+            kinds = [row["kind"] for row in csv.DictReader(fh)]
+        assert kinds.count("learner_published") == 2
+        with open(out / "trace.csv") as fh:
+            row0 = next(csv.DictReader(fh))
+        # the prior's bound sqrt(beta) * sqrt(sigma_f**2), as it was read
+        # before a publish reported the envelope at the state, and the
+        # initial bandwidth it sets
+        cfg = stock_deck("switch")
+        sigma_f = cfg.learner.kernel.sigma_f
+        e0 = math.sqrt(gp.beta_value(cfg.learner.bound, 3, 3)) * math.sqrt(sigma_f**2)
+        assert float(row0["e_f_hat"]) == e0 == 8.5087184483385965
+        c = cfg.controller
+        assert float(row0["omega_filtered"]) == ctrl.bandwidth_command(
+            e0, c.omega_0, c.omega_c)

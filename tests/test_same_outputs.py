@@ -2,12 +2,11 @@
 
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
 
-from l1gp import config, gp, scenario
+from l1gp import config
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
@@ -178,18 +177,15 @@ def test_runs_cover_every_deck(tmp_path):
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-l1_plain-delay_total", "margin-l1_plain-delay_total",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
-        "simulate-grid_read",
     ]
     deck = str(tmp_path / "decks" / same_outputs.DELAY_TOTAL_DECK)
-    assert runs[-6][1] == ["simulate", deck]
-    assert runs[-5][1] == ["margin", deck, "--horizon", "20"]
+    assert runs[-5][1] == ["simulate", deck]
+    assert runs[-4][1] == ["margin", deck, "--horizon", "20"]
     aniso = str(tmp_path / "decks" / same_outputs.ANISOTROPIC_DECK)
-    assert runs[-4][1] == ["simulate", aniso]
-    assert runs[-3][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-3][1] == ["simulate", aniso]
+    assert runs[-2][1] == ["margin", aniso, "--horizon", "5"]
     off_grid = str(tmp_path / "decks" / same_outputs.OFF_GRID_DECK)
-    assert runs[-2][1] == ["simulate", off_grid]
-    grid_read = str(tmp_path / "decks" / same_outputs.GRID_READ_DECK)
-    assert runs[-1][1] == ["simulate", grid_read]
+    assert runs[-1][1] == ["simulate", off_grid]
 
 
 def test_delay_total_deck_is_l1_plain_with_the_total_path(tmp_path):
@@ -216,7 +212,7 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     same_outputs.write_decks(SCRIPT.parents[1], tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [same_outputs.ANISOTROPIC_DECK, same_outputs.DELAY_TOTAL_DECK,
-         same_outputs.OFF_GRID_DECK, same_outputs.GRID_READ_DECK])
+         same_outputs.OFF_GRID_DECK])
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
@@ -239,38 +235,3 @@ def test_off_grid_deck_records_rows_on_and_off_the_tick_grid(tmp_path):
     assert (cfg.ts_every, cfg.record_decimation) == (2, 5)
     row_steps = range(0, cfg.n_steps + 1, cfg.record_decimation)
     assert {k % cfg.ts_every for k in row_steps} == {0, 1}
-
-
-def test_grid_read_deck_reads_the_whole_grid_at_each_publish(tmp_path, monkeypatch):
-    # the sinusoid deck but for its duration and bound.kappa_op; at every
-    # publish no box corner reaches the prior's std, so the grid max reads
-    # the whole grid
-    root = SCRIPT.parents[1]
-    path = same_outputs.write_grid_read_deck(root, tmp_path)
-    assert path == tmp_path / same_outputs.GRID_READ_DECK
-    cfg, echo = config.resolve_scenario(config.parse_flat_file(str(path)))
-    _, stock_echo = config.resolve_scenario(
-        config.parse_flat_file(str(root / "configs" / "sinusoid_learning.cfg")))
-    assert echo == {**stock_echo, "duration": 20.0, "bound.kappa_op": 0.5}
-    reads = []
-    predict = gp.GpPosterior.predict_batch
-
-    def counting(self, Xq):
-        reads.append((self.n_samples, len(Xq)))
-        return predict(self, Xq)
-
-    monkeypatch.setattr(gp.GpPosterior, "predict_batch", counting)
-    trace = scenario.run(cfg)
-    published = [ev for ev in trace.events if ev["kind"] == "learner_published"]
-    assert [ev["n_data"] for ev in published] == [6, 16]
-    cap = math.sqrt(gp.beta_value(cfg.learner.bound, 3, 3)) * cfg.learner.kernel.sigma_f
-    assert all(ev["e_f_hat"] < 0.75 * cap for ev in published)
-    grid = cfg.learner.grid_points**3
-    for n in (6, 16):
-        assert sum(rows for n_data, rows in reads if n_data == n) == 8 + grid
-
-
-def test_grid_read_deck_needs_its_keys(tmp_path):
-    write(tmp_path, {"configs/sinusoid_learning.cfg": "duration = 1.0\n"})
-    with pytest.raises(ValueError, match="no single kappa_op line"):
-        same_outputs.write_grid_read_deck(tmp_path, tmp_path)

@@ -588,9 +588,9 @@ class TestSnapshotResume:
 
 
 class TestRecording:
-    """Recording a row does not change the run. A row recorded just before
-    an l1gp tick reads the model through ``evaluate`` and hands the read on
-    to that tick; any other row reads the mean alone."""
+    """Recording a row does not change the run. A row recorded in a step
+    with an l1gp tick records the mean that tick reads through
+    ``evaluate``; any other row reads the mean alone."""
 
     DURATION = 1.2  # 1200 steps: a multiple of every decimation below
 
@@ -632,10 +632,13 @@ class TestRecording:
         n, every = cfg.n_steps, cfg.ts_every
         row_steps = range(0, n + 1, dec)
         assert len(trace.data) == len(row_steps)
-        # the last row has no tick after it in this run; a row off the
-        # tick grid has none right after it
+        published = sum(ev["kind"] == "learner_published" for ev in trace.events)
+        assert published == 2
+        # one read per tick, one for the initial bandwidth and one per
+        # publish; the last row has no tick in its step, nor has a row off
+        # the tick grid
         assert counts == {
-            "point_eval": len(range(0, n, every)),
+            "point_eval": len(range(0, n, every)) + 1 + published,
             "mean_at": sum(k == n or k % every != 0 for k in row_steps),
         }
 
