@@ -13,12 +13,8 @@ tree as the working directory:
 - ``margin configs/l1_plain.cfg --horizon 20``;
 - ``margin configs/step_nominal.cfg --snapshot-time 30``;
 - ``bound-check configs/step_nominal.cfg``;
-- ``simulate`` and ``margin --horizon 20`` on ``configs/l1_plain.cfg`` with
-  ``plant.delay_total = true``, from a deck written to a temporary
-  directory: the only runs that step the plant with the baseline outside
-  its RK4 step;
-- ``simulate`` and ``margin --horizon 5`` on a fixed anisotropic deck, also
-  written to the temporary directory: every per-axis value (``a_m``, ``j``,
+- ``simulate`` and ``margin --horizon 5`` on a fixed anisotropic deck,
+  written to a temporary directory: every per-axis value (``a_m``, ``j``,
   ``x0``, ``x_hat0``, the reference's amplitude and frequency) differs
   across the three axes, so a swap of two axes changes its outputs;
 - ``simulate`` on a learner deck with a 2 ms sampling period and a row
@@ -55,7 +51,6 @@ import numpy as np
 
 _WALL = re.compile(rb'("wall_clock_s": )[^,\n}]*')
 
-DELAY_TOTAL_DECK = "l1_plain_delay_total.cfg"
 ANISOTROPIC_DECK = "anisotropic.cfg"
 ANISOTROPIC_TEXT = """\
 duration = 20.0
@@ -99,41 +94,25 @@ enabled = true
 t_data = 0.5
 """
 
-def write_delay_total_deck(tree: Path, deck_dir: Path) -> Path:
-    """``tree``'s ``configs/l1_plain.cfg`` with ``plant.delay_total = true``,
-    written to ``deck_dir``; returns its path."""
-    text = (tree / "configs" / "l1_plain.cfg").read_text()
-    if "\n[plant]\n" not in text:
-        raise ValueError("configs/l1_plain.cfg has no [plant] section")
-    path = deck_dir / DELAY_TOTAL_DECK
-    path.write_text(text.replace("\n[plant]\n", "\n[plant]\ndelay_total = true\n", 1))
-    return path
 
-
-def write_decks(tree: Path, deck_dir: Path) -> None:
-    """Write the delay-total, the anisotropic and the off-grid deck to
-    ``deck_dir``."""
-    write_delay_total_deck(tree, deck_dir)
+def write_decks(deck_dir: Path) -> None:
+    """Write the anisotropic and the off-grid deck to ``deck_dir``."""
     (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
     (deck_dir / OFF_GRID_DECK).write_text(OFF_GRID_TEXT)
 
 
 def runs(tree: Path, deck_dir: Path) -> list:
     """(name, cli arguments) of every run, decks in sorted order; the
-    delay-total, the anisotropic and the off-grid deck are read from
-    ``deck_dir``."""
+    anisotropic and the off-grid deck are read from ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
-    total = str(deck_dir / DELAY_TOTAL_DECK)
     aniso = str(deck_dir / ANISOTROPIC_DECK)
     return out + [
         ("margin-l1_plain", ["margin", "configs/l1_plain.cfg", "--horizon", "20"]),
         ("margin-step_nominal-snapshot30",
          ["margin", "configs/step_nominal.cfg", "--snapshot-time", "30"]),
         ("bound-check-step_nominal", ["bound-check", "configs/step_nominal.cfg"]),
-        ("simulate-l1_plain-delay_total", ["simulate", total]),
-        ("margin-l1_plain-delay_total", ["margin", total, "--horizon", "20"]),
         ("simulate-anisotropic", ["simulate", aniso]),
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
@@ -146,7 +125,7 @@ def run_all(tree: Path, out_root: Path) -> dict:
     status = {}
     with tempfile.TemporaryDirectory() as tmp:
         deck_dir = Path(tmp)
-        write_decks(tree, deck_dir)
+        write_decks(deck_dir)
         for name, args in runs(tree, deck_dir):
             proc = subprocess.run(
                 [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_root / name)],

@@ -126,7 +126,6 @@ _KEYS = {
     "plant.uncertainty": (str, "quadratic"),
     "plant.switch_time": (_positive, None),
     "plant.input_delay": (_float, 0.0),
-    "plant.delay_total": (_bool, False),
     "learner.enabled": (_bool, None),  # unset: on in mode l1gp
     "learner.t_data": (_float, 1.0),
     "learner.n_update": (_int, 10),
@@ -182,7 +181,6 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
             x0=echo["plant.x0"],
             uncertainty=plant_mod.UncertaintySchedule(segments),
             input_delay=echo["plant.input_delay"],
-            delay_total=echo["plant.delay_total"],
             a_m=echo["controller.a_m"],
         )
         controller_cfg = ctrl.ControllerConfig(

@@ -4,18 +4,21 @@ The physical plant is the body-frame rate equation
 ``J xdot = -(x cross J x) + f(x) + u_total`` with a baseline input
 ``u_bl = J A_m x + (x cross J x)`` that injects the desired linear
 dynamics, so the partially closed loop equals ``A_m x + B_m (u + f(x))``
-with ``B_m = J^{-1}``. The engine integrates the physical form; the
-cancellation identity is exercised by tests rather than assumed.
+with ``B_m = J^{-1}``. The baseline is computed onboard, inside each
+integrator stage, so the adaptive input ``u`` is the plant's one external
+input and the one an input delay acts on. The engine integrates the
+physical form; the cancellation identity is exercised by tests rather than
+assumed.
 
 The field is written on Python floats: the rate equation and the scalar
 form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
 :func:`rk4_plant_step` integrates it with one fused RK4 step per engine
 step, its four stages written out in one frame with no call but the
-uncertainty's and no numpy call inside. ``_rates`` holds the same rate
-equation once more, for the array form :func:`plant_derivative` only,
-which tests and the benchmark read. ``J`` and ``A_m`` are diagonal, given
-as the float 3-tuples ``j`` and ``a_m`` of their diagonals, so every linear
-term, in the field and in :func:`baseline_control`, is a product per axis.
+uncertainty's and no numpy call inside. :func:`plant_derivative` holds
+the same rate equation once more, in array form, which tests and the
+benchmark read. ``J`` and ``A_m`` are diagonal, given as the float 3-tuples
+``j`` and ``a_m`` of their diagonals, so every linear term of the field is
+a product per axis.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "UncertaintySchedule",
     "PlantConfig",
     "DelayLine",
-    "baseline_control",
     "plant_derivative",
     "rk4_plant_step",
 ]
@@ -114,9 +116,8 @@ class UncertaintySchedule:
 class PlantConfig:
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
 
-    ``input_delay`` must be a whole number of engine steps; by
-    default only the adaptive input is delayed (the baseline is assumed
-    onboard), ``delay_total`` switches the delay to the full input path.
+    ``input_delay`` must be a whole number of engine steps; it delays the
+    adaptive input only, the baseline being computed onboard.
     ``j`` and ``a_m`` are the diagonals of ``J`` and ``A_m``, and ``x0``
     the initial rates, each 3 finite values, held as a float 3-tuple;
     ``j`` must be positive. The config is frozen: construction derives the
@@ -130,7 +131,6 @@ class PlantConfig:
         default_factory=lambda: UncertaintySchedule(((0.0, "quadratic"),))
     )
     input_delay: float = 0.0
-    delay_total: bool = False
     a_m: tuple = (-3.0, -3.0, -3.0)
 
     def __post_init__(self):
@@ -173,52 +173,11 @@ class DelayLine:
         return out
 
 
-def baseline_control(x: Sequence[float], cfg: PlantConfig) -> tuple[float, float, float]:
-    """Baseline moments ``J A_m x + x cross (J x)`` injecting desired dynamics,
-    per axis on Python floats and bitwise the array form
-    ``J @ (A_m @ x) + x cross (J @ x)`` (each product ``0.0 + d_i v_i``)."""
-    x0, x1, x2 = x
-    j0, j1, j2 = cfg.j
-    a0, a1, a2 = cfg.a_m
-    jx0, jx1, jx2 = 0.0 + j0 * x0, 0.0 + j1 * x1, 0.0 + j2 * x2
-    return (
-        (0.0 + j0 * (0.0 + a0 * x0)) + (x1 * jx2 - x2 * jx1),
-        (0.0 + j1 * (0.0 + a1 * x1)) + (x2 * jx0 - x0 * jx2),
-        (0.0 + j2 * (0.0 + a2 * x2)) + (x0 * jx1 - x1 * jx0),
-    )
-
-
-def _rates(
-    f: Callable[[float, float, float], tuple],
-    x0: float, x1: float, x2: float,
-    u0: float, u1: float, u2: float,
-    cfg: PlantConfig,
-    include_baseline: bool,
-) -> tuple[float, float, float]:
-    """Scalar form of ``J^{-1}(-(x cross J x) + f(x) + u_total)``, for
-    :func:`plant_derivative`; :func:`rk4_plant_step` inlines the same
-    arithmetic in each of its stages."""
-    j0, j1, j2 = cfg.j
-    jx0, jx1, jx2 = j0 * x0, j1 * x1, j2 * x2
-    g0 = x1 * jx2 - x2 * jx1
-    g1 = x2 * jx0 - x0 * jx2
-    g2 = x0 * jx1 - x1 * jx0
-    f0, f1, f2 = f(x0, x1, x2)
-    if include_baseline:
-        a0, a1, a2 = cfg._ja
-        u0 = u0 + a0 * x0 + g0
-        u1 = u1 + a1 * x1 + g1
-        u2 = u2 + a2 * x2 + g2
-    i0, i1, i2 = cfg._jinv
-    return i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
-
-
 def plant_derivative(
     x: np.ndarray,
     u_ext: np.ndarray,
     t: float,
     cfg: PlantConfig,
-    include_baseline: bool = True,
 ) -> np.ndarray:
     """Rate dynamics ``J^{-1}(-(x cross J x) + f(x) + u_total)``.
 
@@ -229,15 +188,18 @@ def plant_derivative(
     baseline-cancellation identity stays a testable property. This is the
     array form of the field :func:`rk4_plant_step` integrates.
     """
-    return np.array(
-        _rates(
-            cfg.uncertainty.field_at(t),
-            x[0], x[1], x[2],
-            u_ext[0], u_ext[1], u_ext[2],
-            cfg,
-            include_baseline,
-        )
-    )
+    x0, x1, x2 = x[0], x[1], x[2]
+    j0, j1, j2 = cfg.j
+    k0, k1, k2 = cfg._ja
+    i0, i1, i2 = cfg._jinv
+    p0, p1, p2 = j0 * x0, j1 * x1, j2 * x2
+    g0, g1, g2 = x1 * p2 - x2 * p1, x2 * p0 - x0 * p2, x0 * p1 - x1 * p0
+    f0, f1, f2 = cfg.uncertainty.field_at(t)(x0, x1, x2)
+    return np.array((
+        i0 * (f0 + (u_ext[0] + k0 * x0 + g0) - g0),
+        i1 * (f1 + (u_ext[1] + k1 * x1 + g1) - g1),
+        i2 * (f2 + (u_ext[2] + k2 * x2 + g2) - g2),
+    ))
 
 
 def rk4_plant_step(
@@ -248,7 +210,6 @@ def rk4_plant_step(
     cfg: PlantConfig,
     f: Callable[[float, float, float], tuple],
     f_end: Callable[[float, float, float], tuple],
-    include_baseline: bool = True,
 ) -> tuple[float, float, float]:
     """One classical RK4 step of :func:`plant_derivative`, on Python floats.
 
@@ -256,7 +217,7 @@ def rk4_plant_step(
     ``f_end`` the one of its last stage: the new segment on the step that
     ends on a switch, else ``f`` again. The step makes no schedule lookup.
     The four stages are written out in this one frame, each the arithmetic
-    of ``_rates`` in its order, and the stages and their sum are those of
+    of :func:`plant_derivative` in its order, and the stages and their sum are those of
     :func:`numerics.rk4_step` over the array field, so the result is
     bitwise the same. ``u_ext`` is held over the step. Returns the new
     state as three floats; raises DivergenceError (with the step's start
@@ -270,49 +231,37 @@ def rk4_plant_step(
     k0, k1, k2 = cfg._ja
     hh = 0.5 * h
     # each stage: g = x cross J x, then J^{-1}(f + u_total - g), where
-    # u_total = u + J A_m x + g with the baseline and u without
+    # u_total = u + J A_m x + g adds the baseline
     p0, p1, p2 = j0 * x0, j1 * x1, j2 * x2
     g0, g1, g2 = x1 * p2 - x2 * p1, x2 * p0 - x0 * p2, x0 * p1 - x1 * p0
     f0, f1, f2 = f(x0, x1, x2)
-    if include_baseline:
-        a0 = i0 * (f0 + (u0 + k0 * x0 + g0) - g0)
-        a1 = i1 * (f1 + (u1 + k1 * x1 + g1) - g1)
-        a2 = i2 * (f2 + (u2 + k2 * x2 + g2) - g2)
-    else:
-        a0, a1, a2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+    a0 = i0 * (f0 + (u0 + k0 * x0 + g0) - g0)
+    a1 = i1 * (f1 + (u1 + k1 * x1 + g1) - g1)
+    a2 = i2 * (f2 + (u2 + k2 * x2 + g2) - g2)
 
     s0, s1, s2 = x0 + hh * a0, x1 + hh * a1, x2 + hh * a2
     p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
     g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
     f0, f1, f2 = f(s0, s1, s2)
-    if include_baseline:
-        b0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
-        b1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
-        b2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
-    else:
-        b0, b1, b2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+    b0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
+    b1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
+    b2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
 
     s0, s1, s2 = x0 + hh * b0, x1 + hh * b1, x2 + hh * b2
     p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
     g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
     f0, f1, f2 = f(s0, s1, s2)
-    if include_baseline:
-        c0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
-        c1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
-        c2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
-    else:
-        c0, c1, c2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+    c0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
+    c1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
+    c2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
 
     s0, s1, s2 = x0 + h * c0, x1 + h * c1, x2 + h * c2
     p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
     g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
     f0, f1, f2 = f_end(s0, s1, s2)
-    if include_baseline:
-        d0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
-        d1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
-        d2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
-    else:
-        d0, d1, d2 = i0 * (f0 + u0 - g0), i1 * (f1 + u1 - g1), i2 * (f2 + u2 - g2)
+    d0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
+    d1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
+    d2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
 
     w = h / 6.0
     y0 = x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0)

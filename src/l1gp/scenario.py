@@ -71,6 +71,7 @@ __all__ = [
     "Snapshot",
     "MarginResult",
     "UnstableAtZeroDelayError",
+    "RowBufferError",
     "Engine",
     "run",
     "run_reference_system",
@@ -87,6 +88,10 @@ TRACE_COLUMNS = ("t",) + tuple(
 ) + ("e_f_hat", "omega_filtered")
 
 REFERENCE_KINDS = ("zero", "step", "sinusoid")
+
+
+class RowBufferError(MemoryError):
+    """A run's row buffer is more than the host can allocate."""
 
 
 @dataclass(frozen=True)
@@ -362,7 +367,6 @@ class Engine:
         data_every = cfg.data_every
         alpha_c = c._alpha_c
         mode_l1gp = c.mode == "l1gp"
-        delay_total = p.delay_total
         live = self.live
         self.t0 = live.t0
         self.events: list = []  # this run's log
@@ -381,7 +385,12 @@ class Engine:
         f = fields[seg]
 
         # the trace is a view of this buffer, not a copy
-        rows = np.empty((cfg.max_rows, len(TRACE_COLUMNS)))
+        try:
+            rows = np.empty((cfg.max_rows, len(TRACE_COLUMNS)))
+        except MemoryError as exc:
+            raise RowBufferError(
+                f"duration {cfg.duration} at step {cfg.step} needs {cfg.max_rows} "
+                "trace rows, more than the host can allocate") from exc
         unstable = False
         steps_done = 0
 
@@ -399,11 +408,9 @@ class Engine:
         bandwidth_command = ctrl.bandwidth_command
         push = self.delay.push
         rk4_plant_step = plant_mod.rk4_plant_step
-        baseline_control = plant_mod.baseline_control
         blowup = cfg.blowup
         true_sigma = self._true_sigma
         omega_0, omega_c = c.omega_0, c.omega_c
-        include_baseline = not delay_total
         # the loop state as locals, written back to live at the end of the run
         x, u, eta, e_f = live.x, live.u, live.eta, live.e_f_last
         for i in range(n_steps):
@@ -439,20 +446,13 @@ class Engine:
                     q2 + (e2 - q2) * alpha_c,
                 )
                 u = control_step(state, r, c)
-            if delay_total:
-                bl0, bl1, bl2 = baseline_control(x, p)
-                v0, v1, v2 = u
-                u_applied = push((bl0 + v0, bl1 + v1, bl2 + v2))
-            else:
-                u_applied = push(u)
+            u_applied = push(u)
             # the step that ends on a switch sees the new segment at its
             # last RK4 stage only
             switching = i0 + i + 1 == switch_steps[seg]
             f_end = fields[seg + 1] if switching else f
             try:
-                x0, x1, x2 = x = rk4_plant_step(
-                    x, u_applied, t, h, p, f, f_end, include_baseline
-                )
+                x0, x1, x2 = x = rk4_plant_step(x, u_applied, t, h, p, f, f_end)
             except numerics.DivergenceError:
                 unstable = True
             else:
@@ -562,7 +562,7 @@ def run_reference_system(cfg: ScenarioConfig) -> dict:
     ref_cfg = replace(
         cfg,
         controller=replace(cfg.controller, mode="l1"),
-        plant=replace(cfg.plant, input_delay=0.0, delay_total=False),
+        plant=replace(cfg.plant, input_delay=0.0),
         learner=None,
         condition=replace(cfg.condition, check=False),
     )

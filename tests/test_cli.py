@@ -238,6 +238,8 @@ class TestSimulate:
         ("learner.max_points = 0", "max_points must be at least 1"),
         ('learner.gating = "improvement"', "learner.gating = 'improvement'"),
         ("learner.gamma_tol = 0.5", "unknown config keys: ['learner.gamma_tol']"),
+        # the input delay acts on the adaptive input only
+        ("plant.delay_total = true", "unknown config keys: ['plant.delay_total']"),
         ("plant.switch_time = 0.0", "plant.switch_time = 0.0: must be positive"),
         ("plant.switch_time = -1.0", "plant.switch_time = -1.0: must be positive"),
         pytest.param(f"duration = {BIG}",
@@ -266,6 +268,27 @@ class TestSimulate:
         assert code == cli.EXIT_CONFIG
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_row_buffer_the_host_cannot_allocate_exit_2(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # numpy can address the 10**11-row buffer of duration = 1e9, but the
+        # host cannot hold 26 TiB: the allocation is refused here, never tried
+        empty = np.empty
+
+        def refuse_large(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] > 10**8:
+                raise MemoryError("Unable to allocate 26.2 TiB")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(scenario.np, "empty", refuse_large)
+        cfg = write(tmp_path, "big.cfg",
+                    "duration = 1e9\nplant.j = [0.011, 0.011, 0.021]\n")
+        code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "duration 1000000000.0 at step 0.001 needs" in err
+        assert "Traceback" not in err
 
     def test_zero_config_all_zero_columns(self, tmp_path):
         cfg = write(tmp_path, "zero.cfg", ZERO_CFG)
@@ -492,21 +515,25 @@ class TestMargin:
             {"delay_s": 0.02, "stable": False},
         ]
 
-    def test_total_path_margin_reads_whole_steps(self, tmp_path):
-        # 18 * 0.001 is 0.018000000000000002 in floating point; each delay is
-        # reported from its step count
+    def test_margin_reads_whole_steps(self, tmp_path):
+        # 9 * 0.001 is 0.009000000000000001 in floating point; each delay is
+        # reported from its step count. At omega_c = 160 the search starts
+        # at the predicted 9.3 ms, rounded down to 9 steps
         with open(os.path.join(REPO, "configs", "l1_plain.cfg")) as fh:
-            deck = fh.read().replace("[plant]\n", "[plant]\ndelay_total = true\n")
+            deck = fh.read().replace("omega_c = 80.0\n", "omega_c = 160.0\n")
         out = tmp_path / "out"
-        code = cli.main(["margin", write(tmp_path, "total.cfg", deck), "-o", str(out),
+        code = cli.main(["margin", write(tmp_path, "fast.cfg", deck), "-o", str(out),
                          "--horizon", "20"])
         assert code == cli.EXIT_OK
         res = json.loads((out / "margin.json").read_text())
-        assert res["margin_s"] == 0.018
-        assert res["bracket"] == [0.018, 0.019]
+        assert res["predicted_margin_s"] == math.pi / 320.0 - 0.0005
+        assert res["margin_s"] == 0.01
+        assert res["bracket"] == [0.01, 0.011]
         assert res["candidates"] == [
-            {"delay_s": 0.019, "stable": False},
-            {"delay_s": 0.018, "stable": True},
+            {"delay_s": 0.009, "stable": True},
+            {"delay_s": 0.01, "stable": True},
+            {"delay_s": 0.012, "stable": False},
+            {"delay_s": 0.011, "stable": False},
         ]
 
     def test_unstable_at_zero_delay_exits_4(self, tmp_path):

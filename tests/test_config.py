@@ -36,7 +36,6 @@ NON_DEFAULT = {
     "plant.uncertainty": "zero",
     "plant.switch_time": 0.5,
     "plant.input_delay": 0.002,
-    "plant.delay_total": True,
     "learner.enabled": False,
     "learner.t_data": 0.5,
     "learner.n_update": 5,

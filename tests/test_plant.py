@@ -1,6 +1,5 @@
 """Plant dynamics, uncertainty schedule, baseline, and delay-line tests."""
 
-import itertools
 import math
 
 import numpy as np
@@ -66,35 +65,6 @@ class TestUncertainty:
 
 
 class TestBaseline:
-    def test_zero(self):
-        assert np.array_equal(plant.baseline_control(np.zeros(3), make_cfg()), np.zeros(3))
-
-    def test_single_axis(self):
-        got = plant.baseline_control(np.array([1.0, 0.0, 0.0]), make_cfg())
-        assert np.allclose(got, [-0.033, 0.0, 0.0], atol=1e-15)
-
-    def test_symmetric_inertia_cross_cancels(self):
-        x = np.array([1.0, 1.0, 0.0])
-        got = plant.baseline_control(x, make_cfg())
-        assert np.allclose(got, -3.0 * J @ x, atol=1e-15)
-
-    @pytest.mark.parametrize("a_m", [(-3.0, -3.0, -3.0), (-3.0, -0.5, -7.0), (-1e-5, 0.0, -2.0)])
-    def test_matches_the_array_form_bitwise(self, a_m):
-        # the diagonal products are numpy's, signs of zero and underflow
-        # included: J @ (A_m @ x) + x cross (J @ x) with -0.0 off-diagonals
-        A = np.diag(a_m)
-        A[A == 0.0] = -0.0
-        for Jd in (J, np.diag([1e-200, 1.0, 3.0])):
-            cfg = plant.PlantConfig(j=np.diag(Jd), a_m=np.diag(A))
-            zeros = (0.0, -0.0, 1.5, -2.0, 1e-160, -5e-324)
-            xs = list(itertools.product(zeros, repeat=3))
-            xs += [tuple(v) for v in np.random.default_rng(3).normal(size=(300, 3))]
-            for x in xs:
-                want = Jd @ (A @ np.array(x)) + np.cross(x, Jd @ np.array(x))
-                got = np.array(plant.baseline_control(x, cfg))
-                assert np.array_equal(got, want), x
-                assert np.array_equal(np.signbit(got), np.signbit(want)), x
-
     def test_gyroscopic_orthogonality(self):
         rng = np.random.default_rng(2)
         for _ in range(10000):
@@ -164,8 +134,9 @@ ORACLE_KINDS = {
 }
 
 
-def oracle_step(cfg, kinds, x, u, t, h, include_baseline):
-    """numerics.rk4_step over J^{-1}(-x cross Jx + f(t, x) + u_total).
+def oracle_step(cfg, kinds, x, u, t, h):
+    """numerics.rk4_step over J^{-1}(-x cross Jx + f(t, x) + u_total), with
+    the baseline u_total = u + J A_m x + x cross Jx.
 
     ``kinds`` is a list of (start, oracle kind); J is diagonal, so J and
     J^{-1} act elementwise.
@@ -176,7 +147,7 @@ def oracle_step(cfg, kinds, x, u, t, h, include_baseline):
     def field(tt, z):
         f = [k for start, k in kinds if start <= tt][-1](z)
         gyro = np.cross(z, j * z)
-        u_total = u + JA @ z + gyro if include_baseline else u
+        u_total = u + JA @ z + gyro
         return (1.0 / j) * (f + u_total - gyro)
 
     return numerics.rk4_step(field, t, np.asarray(x, dtype=float), h)
@@ -185,9 +156,8 @@ def oracle_step(cfg, kinds, x, u, t, h, include_baseline):
 class TestRk4PlantStep:
     H = 0.001
 
-    @pytest.mark.parametrize("include_baseline", [True, False])
     @pytest.mark.parametrize("kind", ["zero", "quadratic", "sine_switch", "custom"])
-    def test_matches_generic_rk4(self, kind, include_baseline):
+    def test_matches_generic_rk4(self, kind):
         sched_kind = _custom if kind == "custom" else kind
         cfg = make_cfg(sched_kind)
         rng = np.random.default_rng(11)
@@ -196,15 +166,12 @@ class TestRk4PlantStep:
             u = rng.normal(size=3) * 0.05
             t = float(rng.uniform(0.0, 10.0))
             f = cfg.uncertainty.scalar_fields[0]
-            got = plant.rk4_plant_step(x, u, t, self.H, cfg, f, f, include_baseline)
-            want = oracle_step(
-                cfg, [(0.0, ORACLE_KINDS[kind])], x, u, t, self.H, include_baseline
-            )
+            got = plant.rk4_plant_step(x, u, t, self.H, cfg, f, f)
+            want = oracle_step(cfg, [(0.0, ORACLE_KINDS[kind])], x, u, t, self.H)
             assert all(type(v) is float for v in got)
             assert np.array_equal(np.array(got), want)
 
-    @pytest.mark.parametrize("include_baseline", [True, False])
-    def test_last_stage_sees_switch(self, include_baseline):
+    def test_last_stage_sees_switch(self):
         # the caller passes the new segment for the last stage of the step
         # that ends on a switch; the step looks nothing up by time
         switch = 1.0
@@ -214,19 +181,14 @@ class TestRk4PlantStep:
         old, new = cfg.uncertainty.scalar_fields
         x = np.array([0.4, -0.3, 0.6])
         u = np.array([0.01, -0.02, 0.03])
-        got = np.array(
-            plant.rk4_plant_step(x, u, t, self.H, cfg, old, new, include_baseline)
-        )
+        got = np.array(plant.rk4_plant_step(x, u, t, self.H, cfg, old, new))
         kinds = [(0.0, ORACLE_KINDS["quadratic"]), (switch, ORACLE_KINDS["sine_switch"])]
-        want = oracle_step(cfg, kinds, x, u, t, self.H, include_baseline)
+        want = oracle_step(cfg, kinds, x, u, t, self.H)
         assert np.array_equal(got, want)
         # k4 alone differs from the pre-switch field, so the step does too
-        stale = oracle_step(cfg, kinds[:1], x, u, t, self.H, include_baseline)
+        stale = oracle_step(cfg, kinds[:1], x, u, t, self.H)
         assert not np.array_equal(got, stale)
-        assert np.array_equal(
-            plant.rk4_plant_step(x, u, t, self.H, cfg, old, old, include_baseline),
-            stale,
-        )
+        assert np.array_equal(plant.rk4_plant_step(x, u, t, self.H, cfg, old, old), stale)
 
     def test_non_diagonal_a_m(self):
         # the field multiplies per axis, so A_m is its diagonal: a matrix,

@@ -4,8 +4,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 from l1gp import config
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
@@ -175,12 +173,8 @@ def test_runs_cover_every_deck(tmp_path):
     assert [name for name, _ in runs] == [
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
-        "simulate-l1_plain-delay_total", "margin-l1_plain-delay_total",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
     ]
-    deck = str(tmp_path / "decks" / same_outputs.DELAY_TOTAL_DECK)
-    assert runs[-5][1] == ["simulate", deck]
-    assert runs[-4][1] == ["margin", deck, "--horizon", "20"]
     aniso = str(tmp_path / "decks" / same_outputs.ANISOTROPIC_DECK)
     assert runs[-3][1] == ["simulate", aniso]
     assert runs[-2][1] == ["margin", aniso, "--horizon", "5"]
@@ -188,31 +182,11 @@ def test_runs_cover_every_deck(tmp_path):
     assert runs[-1][1] == ["simulate", off_grid]
 
 
-def test_delay_total_deck_is_l1_plain_with_the_total_path(tmp_path):
-    # the written deck resolves to the stock l1_plain scenario but for
-    # plant.delay_total
-    root = SCRIPT.parents[1]
-    path = same_outputs.write_delay_total_deck(root, tmp_path)
-    assert path == tmp_path / same_outputs.DELAY_TOTAL_DECK
-    total, total_echo = config.resolve_scenario(config.parse_flat_file(str(path)))
-    plain, plain_echo = config.resolve_scenario(
-        config.parse_flat_file(str(root / "configs" / "l1_plain.cfg")))
-    assert total.plant.delay_total and not plain.plant.delay_total
-    assert total_echo == {**plain_echo, "plant.delay_total": True}
-
-
-def test_delay_total_deck_needs_a_plant_section(tmp_path):
-    write(tmp_path, {"configs/l1_plain.cfg": "duration = 1.0\n"})
-    with pytest.raises(ValueError, match="no \\[plant\\] section"):
-        same_outputs.write_delay_total_deck(tmp_path, tmp_path)
-
-
 def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     # a swap of any two axes of any per-axis value changes the config
-    same_outputs.write_decks(SCRIPT.parents[1], tmp_path)
+    same_outputs.write_decks(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [same_outputs.ANISOTROPIC_DECK, same_outputs.DELAY_TOTAL_DECK,
-         same_outputs.OFF_GRID_DECK])
+        [same_outputs.ANISOTROPIC_DECK, same_outputs.OFF_GRID_DECK])
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
@@ -228,7 +202,7 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
 def test_off_grid_deck_records_rows_on_and_off_the_tick_grid(tmp_path):
     # a row every 5 steps against a tick every 2: the rows alternate
     # between a step that starts a tick and one that does not
-    same_outputs.write_decks(SCRIPT.parents[1], tmp_path)
+    same_outputs.write_decks(tmp_path)
     cfg, _ = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.OFF_GRID_DECK)))
     assert cfg.controller.mode == "l1gp" and cfg.learner is not None

@@ -643,11 +643,10 @@ class TestRecording:
         }
 
 
-def l1_step_deck(omega_c, **plant):
+def l1_step_deck(omega_c):
     """The nominal step deck in mode l1 with the given control bandwidth."""
     cfg = nominal(duration=20.0, with_learner=False, mode="l1")
-    return replace(cfg, controller=replace(cfg.controller, omega_c=omega_c),
-                   plant=replace(cfg.plant, **plant))
+    return replace(cfg, controller=replace(cfg.controller, omega_c=omega_c))
 
 
 def predicted_margin(omega_c, T_s=0.001):
@@ -734,17 +733,6 @@ class TestMarginSearch:
         assert np.array_equal(traces[1].data[0], traces[0].data[0])
         assert np.array_equal(traces[1].data[-1], traces[0].data[-1])
 
-    def test_total_path_delay_margin(self):
-        # the prediction (78 ms) overshoots the total-path margin; the walk
-        # down still lands on the same bracket
-        res = scenario.delay_margin_search(
-            l1_step_deck(20.0, delay_total=True), horizon=20.0
-        )
-        assert res.margin == 0.06
-        assert res.bracket == (0.06, 0.061)
-        assert not res.open_bracket
-        assert no_repeats(res)
-
     def test_open_bracket_when_stable_everywhere(self):
         # the 19 ms prediction lies above max_delay
         cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
@@ -776,32 +764,6 @@ class TestMarginSearch:
         cfg = replace(cfg, blowup=1e-6)
         with pytest.raises(scenario.UnstableAtZeroDelayError):
             scenario.delay_margin_search(cfg, horizon=1.0, max_delay=0.002)
-
-
-class TestDelayPaths:
-    def test_total_path_delay_differs_from_adaptive_only(self):
-        base = nominal(duration=3.0, with_learner=False, mode="l1",
-                       reference_kind="step", input_delay=0.01)
-        base = edit(base, "plant", delay_total=False)
-        a = scenario.run(no_condition(base))
-        total = nominal(duration=3.0, with_learner=False, mode="l1",
-                        reference_kind="step", input_delay=0.01)
-        total = edit(total, "plant", delay_total=True)
-        b = scenario.run(no_condition(total))
-        assert not np.array_equal(a.block("x"), b.block("x"))
-
-    def test_total_path_zero_delay_agrees_closely(self):
-        # both paths discretize the same continuous loop at zero delay; the
-        # total path holds the baseline over each step, so agreement is to
-        # the ZOH discretization error, not bit-exact
-        a = nominal(duration=2.0, with_learner=False, mode="l1")
-        a = edit(a, "plant", delay_total=False)
-        b = nominal(duration=2.0, with_learner=False, mode="l1")
-        b = edit(b, "plant", delay_total=True)
-        ta = scenario.run(no_condition(a))
-        tb = scenario.run(no_condition(b))
-        assert not ta.unstable and not tb.unstable
-        assert np.max(np.abs(ta.block("x") - tb.block("x"))) < 5e-3
 
 
 class TestConditionChecker:
