@@ -137,10 +137,10 @@ def _load(config_path: str):
 def cmd_simulate(config_path: str, out_dir: str) -> int:
     t_start = time.perf_counter()
     cfg, echo = _load(config_path)
-    os.makedirs(out_dir, exist_ok=True)
     trace = scenario.run(cfg)
     wall = time.perf_counter() - t_start
 
+    os.makedirs(out_dir, exist_ok=True)
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     write_events_csv(trace.events, os.path.join(out_dir, "events.csv"))
     windows = [(0.0, min(10.0, cfg.duration))]
@@ -189,7 +189,6 @@ def cmd_margin(
                 cfg.steps(value, flag)
             except ValueError as exc:
                 raise config_mod.ConfigError(str(exc)) from exc
-    os.makedirs(out_dir, exist_ok=True)
     try:
         result = scenario.delay_margin_search(
             cfg,
@@ -206,6 +205,7 @@ def cmd_margin(
     out["horizon_s"] = horizon
     if snapshot_time is not None:
         out["snapshot_time_s"] = snapshot_time
+    os.makedirs(out_dir, exist_ok=True)
     _write_json(out, os.path.join(out_dir, "margin.json"))
     _write_manifest(
         out_dir, echo, cfg.seed, wall, [],
@@ -281,7 +281,6 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
     if (cfg_a.n_steps, cfg_a.step) != (cfg_b.n_steps, cfg_b.step):
         print("error: compare requires matching duration and step", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(out_dir, exist_ok=True)
     trace_a, trace_b = scenario.run(cfg_a), scenario.run(cfg_b)
     wall = time.perf_counter() - t_start
 
@@ -308,6 +307,7 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
         "stable_a": not trace_a.unstable,
         "stable_b": not trace_b.unstable,
     }
+    os.makedirs(out_dir, exist_ok=True)
     _write_json(compare, os.path.join(out_dir, "compare.json"))
     _write_manifest(
         out_dir, {"a": echo_a, "b": echo_b}, cfg_a.seed, wall, [],

@@ -1,24 +1,19 @@
-"""Quadrotor angular-rate plant with baseline feedback and scheduled uncertainties.
+"""Quadrotor angular-rate plant with scheduled uncertainties.
 
-The physical plant is the body-frame rate equation
-``J xdot = -(x cross J x) + f(x) + u_total`` with a baseline input
-``u_bl = J A_m x + (x cross J x)`` that injects the desired linear
-dynamics, so the partially closed loop equals ``A_m x + B_m (u + f(x))``
-with ``B_m = J^{-1}``. The baseline is computed onboard, inside each
-integrator stage, so the adaptive input ``u`` is the plant's one external
-input and the one an input delay acts on. The engine integrates the
-physical form; the cancellation identity is exercised by tests rather than
-assumed.
+The plant is the paper's partially closed loop
+``xdot = A_m x + B_m (u + f(x))`` with ``B_m = J^{-1}`` and ``omega = 1``:
+the adaptive input ``u`` is its one external input and the one an input
+delay acts on.
 
-The field is written on Python floats: the rate equation and the scalar
-form ``(x0, x1, x2) -> (f0, f1, f2)`` of each uncertainty kind.
-:func:`rk4_plant_step` integrates it with one fused RK4 step per engine
-step, its four stages written out in one frame with no call but the
-uncertainty's and no numpy call inside. :func:`plant_derivative` holds
-the same rate equation once more, in array form, which tests and the
-benchmark read. ``J`` and ``A_m`` are diagonal, given as the float 3-tuples
-``j`` and ``a_m`` of their diagonals, so every linear term of the field is
-a product per axis.
+The field is written on Python floats: per axis
+``a_m[i] x_i + J^{-1}[i] (u_i + f_i(x))``, with each uncertainty kind in
+scalar form ``(x0, x1, x2) -> (f0, f1, f2)``. :func:`rk4_plant_step`
+integrates it with one fused RK4 step per engine step, its four stages
+written out in one frame with no call but the uncertainty's and no numpy
+call inside. :func:`plant_derivative` holds the same field once more, in
+array form, which tests and the benchmark read. ``J`` and ``A_m`` are
+diagonal, given as the float 3-tuples ``j`` and ``a_m`` of their
+diagonals, so every linear term of the field is a product per axis.
 """
 
 from __future__ import annotations
@@ -117,12 +112,12 @@ class PlantConfig:
     """Inertia, initial state, uncertainty schedule, and input-delay setting.
 
     ``input_delay`` must be a whole number of engine steps; it delays the
-    adaptive input only, the baseline being computed onboard.
+    adaptive input ``u``.
     ``j`` and ``a_m`` are the diagonals of ``J`` and ``A_m``, and ``x0``
     the initial rates, each 3 finite values, held as a float 3-tuple;
     ``j`` must be positive. The config is frozen: construction derives the
-    float caches :func:`rk4_plant_step` reads, and an edit goes through
-    ``dataclasses.replace``, which derives them anew.
+    float cache :func:`rk4_plant_step` reads, and an edit goes through
+    ``dataclasses.replace``, which derives it anew.
     """
 
     j: tuple = (0.011, 0.011, 0.021)
@@ -140,10 +135,9 @@ class PlantConfig:
             raise ValueError("input_delay must be nonnegative and finite")
         if not min(j) > 0:
             raise ValueError(f"J must be positive definite, got diagonal j = {j}")
-        # hot-loop caches: the diagonals of J^{-1} and J A_m
+        # hot-loop cache: the diagonal of B_m = J^{-1}
         for name, value in (("j", j), ("x0", x0), ("a_m", a),
-                            ("_jinv", tuple(1.0 / v for v in j)),
-                            ("_ja", tuple(ji * ai for ji, ai in zip(j, a)))):
+                            ("_jinv", tuple(1.0 / v for v in j))):
             object.__setattr__(self, name, value)
 
 
@@ -179,26 +173,20 @@ def plant_derivative(
     t: float,
     cfg: PlantConfig,
 ) -> np.ndarray:
-    """Rate dynamics ``J^{-1}(-(x cross J x) + f(x) + u_total)``.
+    """Rate dynamics ``A_m x + B_m (u + f(x))``.
 
     ``u_ext`` is the externally supplied (adaptive) input, held constant
-    over an integrator step; the baseline feedback is state-dependent and
-    evaluated per call so integrator stages see it continuously. The
-    gyroscopic term is computed, not cancelled analytically, so the
-    baseline-cancellation identity stays a testable property. This is the
-    array form of the field :func:`rk4_plant_step` integrates.
+    over an integrator step. This is the array form of the field
+    :func:`rk4_plant_step` integrates, in its order of operations.
     """
     x0, x1, x2 = x[0], x[1], x[2]
-    j0, j1, j2 = cfg.j
-    k0, k1, k2 = cfg._ja
+    m0, m1, m2 = cfg.a_m
     i0, i1, i2 = cfg._jinv
-    p0, p1, p2 = j0 * x0, j1 * x1, j2 * x2
-    g0, g1, g2 = x1 * p2 - x2 * p1, x2 * p0 - x0 * p2, x0 * p1 - x1 * p0
     f0, f1, f2 = cfg.uncertainty.field_at(t)(x0, x1, x2)
     return np.array((
-        i0 * (f0 + (u_ext[0] + k0 * x0 + g0) - g0),
-        i1 * (f1 + (u_ext[1] + k1 * x1 + g1) - g1),
-        i2 * (f2 + (u_ext[2] + k2 * x2 + g2) - g2),
+        m0 * x0 + i0 * (u_ext[0] + f0),
+        m1 * x1 + i1 * (u_ext[1] + f1),
+        m2 * x2 + i2 * (u_ext[2] + f2),
     ))
 
 
@@ -226,42 +214,32 @@ def rk4_plant_step(
     # Python floats: arithmetic on numpy scalars costs several times more
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     u0, u1, u2 = float(u_ext[0]), float(u_ext[1]), float(u_ext[2])
-    j0, j1, j2 = cfg.j
+    m0, m1, m2 = cfg.a_m
     i0, i1, i2 = cfg._jinv
-    k0, k1, k2 = cfg._ja
     hh = 0.5 * h
-    # each stage: g = x cross J x, then J^{-1}(f + u_total - g), where
-    # u_total = u + J A_m x + g adds the baseline
-    p0, p1, p2 = j0 * x0, j1 * x1, j2 * x2
-    g0, g1, g2 = x1 * p2 - x2 * p1, x2 * p0 - x0 * p2, x0 * p1 - x1 * p0
+    # each stage: A_m s + B_m (u + f(s)), per axis
     f0, f1, f2 = f(x0, x1, x2)
-    a0 = i0 * (f0 + (u0 + k0 * x0 + g0) - g0)
-    a1 = i1 * (f1 + (u1 + k1 * x1 + g1) - g1)
-    a2 = i2 * (f2 + (u2 + k2 * x2 + g2) - g2)
+    a0 = m0 * x0 + i0 * (u0 + f0)
+    a1 = m1 * x1 + i1 * (u1 + f1)
+    a2 = m2 * x2 + i2 * (u2 + f2)
 
     s0, s1, s2 = x0 + hh * a0, x1 + hh * a1, x2 + hh * a2
-    p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
-    g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
     f0, f1, f2 = f(s0, s1, s2)
-    b0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
-    b1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
-    b2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
+    b0 = m0 * s0 + i0 * (u0 + f0)
+    b1 = m1 * s1 + i1 * (u1 + f1)
+    b2 = m2 * s2 + i2 * (u2 + f2)
 
     s0, s1, s2 = x0 + hh * b0, x1 + hh * b1, x2 + hh * b2
-    p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
-    g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
     f0, f1, f2 = f(s0, s1, s2)
-    c0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
-    c1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
-    c2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
+    c0 = m0 * s0 + i0 * (u0 + f0)
+    c1 = m1 * s1 + i1 * (u1 + f1)
+    c2 = m2 * s2 + i2 * (u2 + f2)
 
     s0, s1, s2 = x0 + h * c0, x1 + h * c1, x2 + h * c2
-    p0, p1, p2 = j0 * s0, j1 * s1, j2 * s2
-    g0, g1, g2 = s1 * p2 - s2 * p1, s2 * p0 - s0 * p2, s0 * p1 - s1 * p0
     f0, f1, f2 = f_end(s0, s1, s2)
-    d0 = i0 * (f0 + (u0 + k0 * s0 + g0) - g0)
-    d1 = i1 * (f1 + (u1 + k1 * s1 + g1) - g1)
-    d2 = i2 * (f2 + (u2 + k2 * s2 + g2) - g2)
+    d0 = m0 * s0 + i0 * (u0 + f0)
+    d1 = m1 * s1 + i1 * (u1 + f1)
+    d2 = m2 * s2 + i2 * (u2 + f2)
 
     w = h / 6.0
     y0 = x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0)

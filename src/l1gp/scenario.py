@@ -216,7 +216,7 @@ class ScenarioConfig:
             raise ValueError("record_decimation must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # the baseline and the ideal loop use the plant's A_m, the predictor
+        # the plant's field and the ideal loop use the plant's A_m, the predictor
         # and the learner's targets the controller's: one loop, one matrix
         if self.plant.a_m != self.controller.a_m:
             raise ValueError(

@@ -72,6 +72,21 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def refuse_large_buffers(monkeypatch):
+    """Make np.empty refuse any buffer of over 10**8 rows, as a host that
+    cannot hold it would; returns the list of the shapes it refused."""
+    empty, refused = np.empty, []
+
+    def refuse_large(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and shape[0] > 10**8:
+            refused.append(shape)
+            raise MemoryError("Unable to allocate 26.2 TiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(scenario.np, "empty", refuse_large)
+    return refused
+
+
 class TestConfigParsing:
     def test_flat_file_round_trip(self, tmp_path):
         path = write(tmp_path, "a.cfg", NOMINAL)
@@ -273,22 +288,18 @@ class TestSimulate:
                                                          monkeypatch):
         # numpy can address the 10**11-row buffer of duration = 1e9, but the
         # host cannot hold 26 TiB: the allocation is refused here, never tried
-        empty = np.empty
-
-        def refuse_large(shape, *args, **kwargs):
-            if isinstance(shape, tuple) and shape[0] > 10**8:
-                raise MemoryError("Unable to allocate 26.2 TiB")
-            return empty(shape, *args, **kwargs)
-
-        monkeypatch.setattr(scenario.np, "empty", refuse_large)
+        refused = refuse_large_buffers(monkeypatch)
         cfg = write(tmp_path, "big.cfg",
                     "duration = 1e9\nplant.j = [0.011, 0.011, 0.021]\n")
         code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
+        assert refused
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "duration 1000000000.0 at step 0.001 needs" in err
         assert "Traceback" not in err
+        # the output directory is made only once the run has returned
+        assert not (tmp_path / "o").exists()
 
     def test_zero_config_all_zero_columns(self, tmp_path):
         cfg = write(tmp_path, "zero.cfg", ZERO_CFG)
@@ -535,6 +546,21 @@ class TestMargin:
             {"delay_s": 0.012, "stable": False},
             {"delay_s": 0.011, "stable": False},
         ]
+
+    def test_warm_up_buffer_the_host_cannot_allocate_exit_2(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the warm-up run of --snapshot-time 1e9 needs a 10**11-row buffer:
+        # refused, never tried, and no output directory is left behind
+        refused = refuse_large_buffers(monkeypatch)
+        cfg = write(tmp_path, "a.cfg", "plant.j = [0.011, 0.011, 0.021]\n")
+        code = cli.main(["margin", cfg, "-o", str(tmp_path / "o"),
+                         "--snapshot-time", "1e9"])
+        assert code == cli.EXIT_CONFIG
+        assert refused
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "duration 1000000000.0 at step 0.001 needs" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unstable_at_zero_delay_exits_4(self, tmp_path):
         cfg = write(tmp_path, "a.cfg", NOMINAL.replace('mode = "l1gp"', 'mode = "l1"')

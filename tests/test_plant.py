@@ -1,6 +1,7 @@
-"""Plant dynamics, uncertainty schedule, baseline, and delay-line tests."""
+"""Plant dynamics, uncertainty schedule, and delay-line tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,16 +65,6 @@ class TestUncertainty:
             plant.UncertaintySchedule(((0.0, "nope"),))
 
 
-class TestBaseline:
-    def test_gyroscopic_orthogonality(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10000):
-            x = rng.normal(size=3)
-            Jx = J @ x
-            cross = np.cross(x, Jx)
-            assert abs(x @ cross) < 1e-12 * max(1.0, np.linalg.norm(x) ** 2)
-
-
 class TestPlantDerivative:
     def test_equilibrium(self):
         cfg = make_cfg("zero")
@@ -81,18 +72,18 @@ class TestPlantDerivative:
         assert np.array_equal(got, np.zeros(3))
 
     def test_closed_loop_identity(self):
-        # with the baseline included the physical form must equal
-        # A_m x + B_m (u + f(x)) to round-off, for any state
+        # the field is A_m x + B_m (u + f(x)), B_m = J^{-1}, bitwise: per
+        # axis a_m[i] x_i + (1 / j_i)(u_i + f_i(x)), in that order
         cfg = make_cfg("quadratic")
-        B_m = np.linalg.inv(np.diag(cfg.j))
+        a_m, b_m = np.diag(A_M), 1.0 / np.array(cfg.j)
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.normal(size=3)
             u = rng.normal(size=3)
             got = plant.plant_derivative(x, u, 0.0, cfg)
             f = ORACLE_KINDS["quadratic"](x)
-            want = A_M @ x + B_m @ (u + f)
-            assert np.allclose(got, want, atol=1e-12 * max(1, np.max(np.abs(want))))
+            want = a_m * x + b_m * (u + f)
+            assert np.array_equal(got, want)
 
     def test_nominal_numbers(self):
         cfg = make_cfg("quadratic")
@@ -104,7 +95,7 @@ class TestPlantDerivative:
         assert np.allclose(want, [-1.1818, -1.1818, -2.5238], atol=1e-4)
 
     def test_linear_when_uncertainty_zero(self):
-        # u_bl exactly cancels the gyroscopic term: trajectory == exp(A_m t) x0
+        # with f = 0 and u = 0 the field is A_m x: trajectory == exp(A_m t) x0
         cfg = make_cfg("zero")
         x = np.array([1.0, -0.5, 0.8])
         x0 = x.copy()
@@ -135,20 +126,16 @@ ORACLE_KINDS = {
 
 
 def oracle_step(cfg, kinds, x, u, t, h):
-    """numerics.rk4_step over J^{-1}(-x cross Jx + f(t, x) + u_total), with
-    the baseline u_total = u + J A_m x + x cross Jx.
+    """numerics.rk4_step over A_m x + B_m (u + f(t, x)), B_m = J^{-1}.
 
-    ``kinds`` is a list of (start, oracle kind); J is diagonal, so J and
-    J^{-1} act elementwise.
+    ``kinds`` is a list of (start, oracle kind); A_m and J are diagonal,
+    so A_m and B_m act elementwise.
     """
-    j = np.array(cfg.j)
-    JA = np.diag(j) @ np.diag(cfg.a_m)
+    a_m, b_m = np.array(cfg.a_m), 1.0 / np.array(cfg.j)
 
     def field(tt, z):
         f = [k for start, k in kinds if start <= tt][-1](z)
-        gyro = np.cross(z, j * z)
-        u_total = u + JA @ z + gyro
-        return (1.0 / j) * (f + u_total - gyro)
+        return a_m * z + b_m * (u + f)
 
     return numerics.rk4_step(field, t, np.asarray(x, dtype=float), h)
 
@@ -189,6 +176,28 @@ class TestRk4PlantStep:
         stale = oracle_step(cfg, kinds[:1], x, u, t, self.H)
         assert not np.array_equal(got, stale)
         assert np.array_equal(plant.rk4_plant_step(x, u, t, self.H, cfg, old, old), stale)
+
+    def test_linear_axis_pins_the_field(self):
+        # with f = 0 and u = 0 each axis is x_i' = a_m[i] x_i, so one RK4 step
+        # is x_i (1 + z + z^2/2 + z^3/6 + z^4/24), z = a_m[i] h, to rounding,
+        # and J does not enter: any other term in the field shows here
+        zero = plant.UncertaintySchedule(((0.0, "zero"),))
+        f = zero.scalar_fields[0]
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            a_m = tuple(rng.uniform(-20.0, -0.5, size=3))
+            x = tuple(rng.normal(size=3) * 2.0)
+            h = float(rng.uniform(1e-4, 0.02))
+            y, y_other_j = (
+                plant.rk4_plant_step(x, (0.0, 0.0, 0.0), 0.0, h,
+                                     plant.PlantConfig(j=j, a_m=a_m, uncertainty=zero), f, f)
+                for j in [tuple(rng.uniform(0.005, 0.05, size=3)) for _ in range(2)]
+            )
+            assert y == y_other_j
+            for i in range(3):
+                z = Fraction(a_m[i]) * Fraction(h)
+                want = float(Fraction(x[i]) * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24))
+                assert abs(y[i] - want) <= 4 * math.ulp(want)
 
     def test_non_diagonal_a_m(self):
         # the field multiplies per axis, so A_m is its diagonal: a matrix,

@@ -322,7 +322,7 @@ class TestConfigEdits:
         assert not np.array_equal(after, before)
 
     def test_plant_and_controller_a_m_must_agree(self):
-        # the baseline and the ideal loop read the plant's A_m, the predictor
+        # the plant's field and the ideal loop read the plant's A_m, the predictor
         # and the learner's targets the controller's
         cfg = nominal(duration=1.0, with_learner=False, mode="l1")
         with pytest.raises(ValueError, match="plant a_m"):
