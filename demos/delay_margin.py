@@ -14,9 +14,7 @@ from l1gp import config, scenario
 
 
 def main():
-    l1_cfg = config.quadrotor_nominal(
-        duration=20.0, reference_kind="step", mode="l1", with_learner=False
-    )
+    l1_cfg = config.quadrotor_nominal(duration=20.0, reference_kind="step", mode="l1")
     res_l1 = scenario.delay_margin_search(l1_cfg, resolution=0.001, horizon=20.0)
     print("plain adaptive mode:")
     print(f"  margin {res_l1.margin * 1e3:.0f} ms, bracket "

@@ -20,7 +20,11 @@ tree as the working directory:
 - ``simulate`` on a learner deck with a 2 ms sampling period and a row
   every 5 steps, also written to the temporary directory: half its rows
   fall between two ticks, so the rows that read the model's mean alone
-  and those that record their tick's read are both compared.
+  and those that record their tick's read are both compared;
+- ``simulate`` on a mode-l1 deck whose 150 ms input delay drives it
+  unstable at 0.37 s of 20, also written to the temporary directory: the
+  flagged-unstable exit and the summary of a run that aborts before its
+  late window are compared.
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, each
@@ -94,16 +98,30 @@ enabled = true
 t_data = 0.5
 """
 
+UNSTABLE_DECK = "unstable_l1.cfg"
+UNSTABLE_TEXT = """\
+duration = 20.0
+
+[controller]
+mode = "l1"
+
+[plant]
+j = [0.011, 0.011, 0.021]
+input_delay = 0.15
+"""
+
 
 def write_decks(deck_dir: Path) -> None:
-    """Write the anisotropic and the off-grid deck to ``deck_dir``."""
+    """Write the anisotropic, the off-grid and the unstable deck to ``deck_dir``."""
     (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
     (deck_dir / OFF_GRID_DECK).write_text(OFF_GRID_TEXT)
+    (deck_dir / UNSTABLE_DECK).write_text(UNSTABLE_TEXT)
 
 
 def runs(tree: Path, deck_dir: Path) -> list:
     """(name, cli arguments) of every run, decks in sorted order; the
-    anisotropic and the off-grid deck are read from ``deck_dir``."""
+    anisotropic, the off-grid and the unstable deck are read from
+    ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
@@ -116,6 +134,7 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("simulate-anisotropic", ["simulate", aniso]),
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
+        ("simulate-unstable_l1", ["simulate", str(deck_dir / UNSTABLE_DECK)]),
     ]
 
 

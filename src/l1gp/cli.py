@@ -227,12 +227,11 @@ def cmd_bound_check(
         )
     cfg, echo = _load(config_path)
     if cfg.learner is None:
-        print("error: bound-check needs learner/kernel/bound configuration",
+        print("error: bound-check needs a learner, so controller.mode = \"l1gp\"",
               file=sys.stderr)
         return EXIT_CONFIG
     from . import gp
 
-    os.makedirs(out_dir, exist_ok=True)
     lcfg = cfg.learner
     rng = np.random.default_rng(cfg.seed)
     schedule = cfg.plant.uncertainty
@@ -243,7 +242,11 @@ def cmd_bound_check(
         [schedule.eval(0.0, x) for x in X_train], dtype=float
     ).reshape(n_train, 3)
     Y_train += rng.normal(0.0, lcfg.sigma_n, size=Y_train.shape)
-    posterior = gp.fit(X_train, Y_train, lcfg.sigma_n**2, lcfg.kernel)
+    try:
+        posterior = gp.fit(X_train, Y_train, lcfg.sigma_n**2, lcfg.kernel)
+    except gp.IllConditionedKernelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     X_probe = rng.uniform(-box, box, size=(n_probe, 3))
     F_probe = np.array(
         [schedule.eval(0.0, x) for x in X_probe], dtype=float
@@ -266,6 +269,7 @@ def cmd_bound_check(
         "probe_box_halfwidth": box,
         "per_point_margin": (envelope - err).tolist(),
     }
+    os.makedirs(out_dir, exist_ok=True)
     _write_json(coverage, os.path.join(out_dir, "coverage.json"))
     _write_manifest(
         out_dir, echo, cfg.seed, wall, [],
@@ -300,8 +304,10 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
         "config_b": config_b,
         "err_ideal_mean_a": means_a,
         "err_ideal_mean_b": means_b,
+        # null where either run recorded no row in the window
         "ratio_b_over_a": {
-            k: (means_b[k] / means_a[k] if means_a[k] != 0 else float("inf"))
+            k: (None if None in (means_a[k], means_b[k])
+                else means_b[k] / means_a[k] if means_a[k] != 0 else float("inf"))
             for k in means_a
         },
         "stable_a": not trace_a.unstable,

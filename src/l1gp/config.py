@@ -126,7 +126,8 @@ _KEYS = {
     "plant.uncertainty": (str, "quadratic"),
     "plant.switch_time": (_positive, None),
     "plant.input_delay": (_float, 0.0),
-    "learner.enabled": (_bool, None),  # unset: on in mode l1gp
+    # follows controller.mode: a deck may set it only to mode == "l1gp"
+    "learner.enabled": (_bool, None),
     "learner.t_data": (_float, 1.0),
     "learner.n_update": (_int, 10),
     # every successful refit publishes
@@ -147,7 +148,7 @@ _KEYS = {
     "condition.rho_r": (_float, None),
 }
 
-# sections that only configure the learner: echoed only while it is enabled
+# sections that only configure the learner: echoed only in mode l1gp
 _LEARNER_KEYS = ("learner.", "kernel.", "bound.")
 
 
@@ -194,7 +195,13 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
             x_hat0=echo["controller.x_hat0"],
         )
         learner_cfg = None
-        if echo.setdefault("learner.enabled", controller_cfg.mode == "l1gp"):
+        l1gp = controller_cfg.mode == "l1gp"
+        if echo.setdefault("learner.enabled", l1gp) != l1gp:
+            raise ConfigError(
+                f"learner.enabled = {echo['learner.enabled']}: a learner runs "
+                f"in mode l1gp and only there, and controller.mode is "
+                f"{controller_cfg.mode!r}")
+        if l1gp:
             from . import gp, learner as learner_mod
 
             learner_cfg = learner_mod.LearnerConfig(
@@ -249,7 +256,6 @@ def quadrotor_nominal(
     uncertainty: str = "quadratic",
     duration: float = 60.0,
     switch_time: Optional[float] = None,
-    with_learner: bool = True,
     seed: int = 12345,
     record_decimation: int = 10,
     input_delay: float = 0.0,
@@ -259,8 +265,9 @@ def quadrotor_nominal(
     Inertia diag(0.011, 0.011, 0.021); every other constant is the default
     of its key in ``_KEYS``: desired dynamics -3 I, control filter bandwidth
     80 rad/s, bandwidth-law lag 0.01 rad/s, sampling period 1 ms, predictor
-    offset initialization (0.5, 0.5, 0.5), learner at 1 Hz refitting every
-    10 samples, unoptimized unit kernel. Each argument sets one deck key.
+    offset initialization (0.5, 0.5, 0.5) and, in mode l1gp, the one mode
+    with a learner, a learner at 1 Hz refitting every 10 samples with an
+    unoptimized unit kernel. Each argument sets one deck key.
     """
     flat = {
         "plant.j": [0.011, 0.011, 0.021],
@@ -269,7 +276,6 @@ def quadrotor_nominal(
         "plant.uncertainty": uncertainty,
         "duration": duration,
         "plant.switch_time": switch_time,
-        "learner.enabled": with_learner,
         "seed": seed,
         "record_decimation": record_decimation,
         "plant.input_delay": input_delay,

@@ -70,8 +70,9 @@ class ControllerConfig:
     is frozen, so these cannot go stale: an edit goes through
     ``dataclasses.replace``, which reruns every check.
     ``omega_0 = 0`` disables the learning filter entirely (the commanded
-    bandwidth is pinned at zero), which is the degenerate configuration
-    equal to the plain adaptive mode.
+    bandwidth is pinned at zero), so ``f_L`` stays zero whatever the learner
+    publishes: an l1gp run is then the l1 run bit for bit in every
+    recorded signal but the model's reads ``fhat`` and ``e_f_hat``.
     """
 
     a_m: tuple

@@ -33,10 +33,8 @@ the published model's mean and envelope at the state
 (:meth:`LearnerModel.evaluate`), once, and its row records that mean,
 which is bitwise ``GpPosterior.mean_at``'s. Only a row with no tick in its
 step (a row between two ticks, the run's last row, an abort row) reads
-the mean alone. The L1 reference system of
-:func:`run_reference_system` is this engine with the adaptive estimate
-replaced by the true uncertainty. A run is single-threaded and
-deterministic given the seed.
+the mean alone. A run is single-threaded and deterministic given the
+seed.
 
 The engine's state is one :class:`Snapshot`: a fresh run starts from
 :meth:`Snapshot.initial`, a resumed run from a deepcopy of the snapshot it
@@ -74,7 +72,6 @@ __all__ = [
     "RowBufferError",
     "Engine",
     "run",
-    "run_reference_system",
     "delay_margin_search",
     "window_mean",
     "metrics",
@@ -188,7 +185,8 @@ class ScenarioConfig:
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid, and that the plant and the controller hold the same ``a_m``.
+    step grid, that the plant and the controller hold the same ``a_m``, and
+    that a learner is given in mode ``l1gp`` and only there.
     The config and every config it holds are frozen: an edit goes through
     ``dataclasses.replace``, which reruns every check.
     """
@@ -223,6 +221,12 @@ class ScenarioConfig:
                 f"plant a_m {self.plant.a_m} differs from controller "
                 f"a_m {self.controller.a_m}"
             )
+        # the mode names the loop: an l1gp tick reads the learner's model,
+        # and only an l1gp run feeds a learner
+        l1gp = self.controller.mode == "l1gp"
+        if (self.learner is not None) != l1gp:
+            raise ValueError("mode l1gp needs a learner" if l1gp
+                             else f"mode {self.controller.mode} runs no learner")
         # each step count checks its time against the step grid when read
         for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
             getattr(self, name)
@@ -237,7 +241,7 @@ class ScenarioConfig:
 
     @property
     def data_every(self) -> int:
-        """Steps per learner sample; 0 without a learner."""
+        """Steps per learner sample; 0 without a learner, so in mode l1."""
         return self.steps(self.learner.T_data, "T_data") if self.learner is not None else 0
 
     @property
@@ -337,15 +341,12 @@ class Snapshot:
 class Engine:
     """Single-owner stepping loop; each run goes on from the live state."""
 
-    def __init__(self, cfg: ScenarioConfig, resume: Optional[Snapshot] = None,
-                 true_sigma: bool = False):
+    def __init__(self, cfg: ScenarioConfig, resume: Optional[Snapshot] = None):
         self.cfg = cfg
         self.ref = cfg.reference.make()
         c = cfg.controller
         b = tuple(0.0 + bm * k for bm, k in zip(c.b_m, c.k_g))  # B_m k_g
         self.x_id = cfg.reference.ideal_loop(cfg.plant.a_m, b, cfg.plant.x0)
-        # each tick's adaptive estimate is the true uncertainty at the state
-        self._true_sigma = true_sigma
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
         self.delay = plant_mod.DelayLine(cfg.delay_steps)
         # start and end of the latest run; a run goes on from live.t0
@@ -409,7 +410,6 @@ class Engine:
         push = self.delay.push
         rk4_plant_step = plant_mod.rk4_plant_step
         blowup = cfg.blowup
-        true_sigma = self._true_sigma
         omega_0, omega_c = c.omega_0, c.omega_c
         # the loop state as locals, written back to live at the end of the run
         x, u, eta, e_f = live.x, live.u, live.eta, live.e_f_last
@@ -422,8 +422,7 @@ class Engine:
             if tick and mode_l1gp:
                 # the bandwidth law consumes the pointwise envelope at the
                 # current state; the row below records the same mean
-                f_hat_x, e_f_x = (learner.model.evaluate(x) if learner is not None
-                                  else ((0.0, 0.0, 0.0), 0.0))
+                f_hat_x, e_f_x = learner.model.evaluate(x)
             # a row is due at the run's first step and on the global
             # recording grid, which a resumed run keeps; it records the
             # state before this step's tick
@@ -432,8 +431,6 @@ class Engine:
                 row_i += 1
             if tick:
                 adaptation_step(state, x, c)
-                if true_sigma:
-                    state.sigma_hat = f(*x)
                 if mode_l1gp:
                     e_f = e_f_x
                     omega_hat = bandwidth_command(e_f, omega_0, omega_c)
@@ -471,11 +468,7 @@ class Engine:
             if unstable:
                 self.events.append({"t": t_next, "kind": "unstable_abort"})
                 break
-            if (
-                learner is not None
-                and data_every
-                and (i0 + i + 1) % data_every == 0
-            ):
+            if data_every and (i0 + i + 1) % data_every == 0:
                 learner.push(t_next, x, u_applied)
                 ev = learner.maybe_update(t_next)
                 if ev is not None:
@@ -548,27 +541,6 @@ class Engine:
 def run(cfg: ScenarioConfig, resume: Optional[Snapshot] = None) -> SimulationTrace:
     """Execute one scenario and return its trace."""
     return Engine(cfg, resume=resume).run()
-
-
-def run_reference_system(cfg: ScenarioConfig) -> dict:
-    """Run the non-adaptive reference loop, with the uncertainty known.
-
-    The engine runs ``cfg`` in mode ``l1`` with no learner and no input
-    delay, and each tick's adaptive estimate is replaced by the plant's true
-    uncertainty, so ``u_ref = C(s)(k_g r - f(x_ref))`` with the live
-    controller's filter discretization. Returns arrays t, x_ref, u_ref at
-    the scenario's recording rate, and whether the run diverged.
-    """
-    ref_cfg = replace(
-        cfg,
-        controller=replace(cfg.controller, mode="l1"),
-        plant=replace(cfg.plant, input_delay=0.0),
-        learner=None,
-        condition=replace(cfg.condition, check=False),
-    )
-    trace = Engine(ref_cfg, true_sigma=True).run()
-    return {"t": trace.t, "x_ref": trace.block("x"), "u_ref": trace.block("u"),
-            "diverged": trace.unstable}
 
 
 @dataclass
@@ -725,6 +697,7 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
     Emits the final-1s per-axis tracking error, the peak state, and, over
     each requested [t0, t1] interval, the window means of the rowwise
     2-norms of the ideal-tracking error, learning input and adaptive input.
+    A window with no row, as one a run aborted before, has means of None.
     """
     t = trace.t
     x = trace.block("x")
@@ -744,13 +717,12 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
         "unstable": trace.unstable,
         "windows": {},
     }
-    if windows:
-        for t0, t1 in windows:
-            key = f"{t0:g}-{t1:g}"
-            out["windows"][key] = {
-                "err_ideal_norm": window_mean(t, err_id, t0, t1),
-                "fl_norm": window_mean(t, fl_norm, t0, t1),
-                "eta_norm": window_mean(t, eta_norm, t0, t1),
-                "tracking_abs_mean": window_mean(t, track_abs, t0, t1),
-            }
+    series = {"err_ideal_norm": err_id, "fl_norm": fl_norm,
+              "eta_norm": eta_norm, "tracking_abs_mean": track_abs}
+    for t0, t1 in windows or ():
+        try:
+            means = {name: window_mean(t, s, t0, t1) for name, s in series.items()}
+        except ValueError:  # no row in the window
+            means = dict.fromkeys(series)
+        out["windows"][f"{t0:g}-{t1:g}"] = means
     return out

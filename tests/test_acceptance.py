@@ -187,9 +187,7 @@ def test_criterion_6_uncertainty_switch(switch_run):
 
 def test_criterion_7_time_delay_margin():
     t0 = time.perf_counter()
-    l1_cfg = config.quadrotor_nominal(
-        duration=20.0, reference_kind="step", mode="l1", with_learner=False
-    )
+    l1_cfg = config.quadrotor_nominal(duration=20.0, reference_kind="step", mode="l1")
     res_l1 = scenario.delay_margin_search(l1_cfg, resolution=0.001, horizon=20.0)
     gp_cfg = config.quadrotor_nominal(duration=20.0, reference_kind="step", mode="l1gp")
     res_gp = scenario.delay_margin_search(

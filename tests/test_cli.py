@@ -60,6 +60,15 @@ check = false
 """
 
 
+# a mode-l1 loop that a 150 ms input delay drives unstable at 0.37 s
+UNSTABLE_L1 = """
+duration = 20.0
+controller.mode = "l1"
+plant.j = [0.011, 0.011, 0.021]
+plant.input_delay = 0.15
+condition.check = false
+"""
+
 # an integer too large for a float
 BIG = "1" + "0" * 400
 
@@ -369,6 +378,31 @@ class TestSimulate:
         data, _ = cli.read_trace_csv(str(out / "trace.csv"))
         assert np.all(np.isfinite(data))
 
+    def test_abort_before_the_late_window_exit_3(self, tmp_path):
+        # a 60 s run that aborts at 0.37 s writes every file, with the late
+        # window's means null
+        cfg = write(tmp_path, "unstable.cfg", UNSTABLE_L1.replace("20.0", "60.0"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == cli.EXIT_UNSTABLE
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events.csv", "manifest.json", "summary.json", "trace.csv"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stable"] is False and summary["t_final"] == 0.37
+        windows = summary["windows"]
+        assert all(math.isfinite(v) for v in windows["0-10"].values())
+        assert windows["50-60"] == dict.fromkeys(windows["0-10"])
+
+    @pytest.mark.parametrize("mode, enabled", [("l1", "true"), ("l1gp", "false")])
+    def test_learner_against_the_mode_exit_2(self, tmp_path, capsys, mode, enabled):
+        cfg = write(tmp_path, "a.cfg", NOMINAL.replace('mode = "l1gp"', f'mode = "{mode}"')
+                    + f"\n[learner]\nenabled = {enabled}\n")
+        code = cli.main(["simulate", cfg, "-o", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"learner.enabled = {enabled.title()}: a learner runs in mode l1gp" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTraceCsv:
     SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
@@ -436,6 +470,26 @@ class TestBoundCheck:
         cov = json.loads((out / "coverage.json").read_text())
         assert cov["violation_fraction"] <= 0.01
 
+    def test_mode_l1_deck_exit_2(self, tmp_path, capsys):
+        deck = os.path.join(REPO, "configs", "l1_plain.cfg")
+        code = cli.main(["bound-check", deck, "-o", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert 'needs a learner, so controller.mode = "l1gp"' in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ill_conditioned_gram_exit_4(self, tmp_path, capsys):
+        # a noise far below the kernel's scale: the Gram matrix of 200
+        # points is singular in floats, the fit fails at pivot 21
+        cfg = write(tmp_path, "a.cfg", "plant.j = [0.011, 0.011, 0.021]\n"
+                    "learner.sigma_n = 1e-12\nkernel.length_scale = 200.0\n")
+        out = tmp_path / "out"
+        code = cli.main(["bound-check", cfg, "-o", str(out), "--n-train", "200"])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: Gram matrix not positive definite (pivot 21)")
+        assert not out.exists()
+
 
 class TestCompare:
     def test_identical_configs_ratio_one(self, tmp_path):
@@ -485,6 +539,20 @@ check = false
         # post-learning window: the learned feedforward wins
         late = cmp_data["ratio_b_over_a"]["50-60"]
         assert late < 1.0
+
+    def test_abort_before_a_window_null_ratio(self, tmp_path):
+        # run a aborts at 0.37 s: its late window has no row, so that
+        # window's mean and ratio are null
+        cfg_a = write(tmp_path, "a.cfg", UNSTABLE_L1)
+        stable = UNSTABLE_L1.replace("plant.input_delay = 0.15\n", "")
+        cfg_b = write(tmp_path, "b.cfg", stable)
+        out = tmp_path / "out"
+        assert cli.main(["compare", cfg_a, cfg_b, "-o", str(out)]) == cli.EXIT_OK
+        cmp_data = json.loads((out / "compare.json").read_text())
+        assert (cmp_data["stable_a"], cmp_data["stable_b"]) == (False, True)
+        assert cmp_data["err_ideal_mean_a"]["10-20"] is None
+        assert cmp_data["ratio_b_over_a"]["10-20"] is None
+        assert all(math.isfinite(cmp_data["ratio_b_over_a"][k]) for k in ("0-5", "0-20"))
 
     def test_compare_is_repeatable(self, tmp_path):
         # two runs of the same compare give the same result

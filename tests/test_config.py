@@ -36,7 +36,6 @@ NON_DEFAULT = {
     "plant.uncertainty": "zero",
     "plant.switch_time": 0.5,
     "plant.input_delay": 0.002,
-    "learner.enabled": False,
     "learner.t_data": 0.5,
     "learner.n_update": 5,
     "learner.max_points": 100,
@@ -57,12 +56,28 @@ NON_DEFAULT = {
 
 # keys with one valid value, so none other to test: learner.gating and
 # bound.grid_points stay in the table only because
-# perfbench/dense_learner.cfg sets them
-ONE_VALUE = {"learner.gating", "bound.grid_points"}
+# perfbench/dense_learner.cfg sets them, and learner.enabled's one value
+# is the mode's (test_learner_enabled_follows_the_mode)
+ONE_VALUE = {"learner.gating", "bound.grid_points", "learner.enabled"}
 
 
 def test_every_table_key_has_a_test_value():
     assert set(NON_DEFAULT) == set(config_mod._KEYS) - ONE_VALUE
+
+
+@pytest.mark.parametrize("mode", ["l1", "l1gp"])
+def test_learner_enabled_follows_the_mode(mode):
+    # a learner runs in mode l1gp and only there: the echo names it either
+    # way, a deck may set it to that value only, and then sets nothing
+    base = {**BASE, "controller.mode": mode}
+    cfg, echo = config_mod.resolve_scenario(base)
+    assert echo["learner.enabled"] is (mode == "l1gp")
+    assert (cfg.learner is not None) is (mode == "l1gp")
+    assert config_mod.resolve_scenario(echo) == (cfg, echo)
+    with pytest.raises(config_mod.ConfigError, match=(
+            r"^learner\.enabled = (True|False): a learner runs in mode l1gp "
+            r"and only there, and controller\.mode is ")):
+        config_mod.resolve_scenario({**base, "learner.enabled": mode == "l1"})
 
 
 def test_gating_accepts_only_always():
@@ -117,7 +132,7 @@ def test_shipped_deck_resolves_round_trips_and_runs(deck, tmp_path):
 
 # each shipped deck and the stock-builder call it stands for
 STOCK_CALLS = {
-    "l1_plain.cfg": dict(mode="l1", with_learner=False, duration=20.0),
+    "l1_plain.cfg": dict(mode="l1", duration=20.0),
     "step_nominal.cfg": dict(),
     "sinusoid_learning.cfg": dict(reference_kind="sinusoid"),
     "switch.cfg": dict(reference_kind="sinusoid", switch_time=35.0),

@@ -132,7 +132,7 @@ def test_uncertainty_segments_cannot_be_edited_in_place():
     # an assignment to a schedule's segments would leave its scalar fields,
     # which the engine reads, on the old kind: it raises instead, and the
     # edit goes through replace, whose run sees the new kind
-    cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
+    cfg = config.quadrotor_nominal(duration=1.0, mode="l1")
     schedule = cfg.plant.uncertainty
     with pytest.raises(dataclasses.FrozenInstanceError):
         schedule.segments = ((0.0, "zero"),)

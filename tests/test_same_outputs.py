@@ -4,7 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from l1gp import config
+from l1gp import config, scenario
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
@@ -174,19 +174,22 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
+        "simulate-unstable_l1",
     ]
-    aniso = str(tmp_path / "decks" / same_outputs.ANISOTROPIC_DECK)
-    assert runs[-3][1] == ["simulate", aniso]
-    assert runs[-2][1] == ["margin", aniso, "--horizon", "5"]
-    off_grid = str(tmp_path / "decks" / same_outputs.OFF_GRID_DECK)
-    assert runs[-1][1] == ["simulate", off_grid]
+    decks = tmp_path / "decks"
+    aniso = str(decks / same_outputs.ANISOTROPIC_DECK)
+    assert runs[-4][1] == ["simulate", aniso]
+    assert runs[-3][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-2][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
+    assert runs[-1][1] == ["simulate", str(decks / same_outputs.UNSTABLE_DECK)]
 
 
 def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     # a swap of any two axes of any per-axis value changes the config
     same_outputs.write_decks(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [same_outputs.ANISOTROPIC_DECK, same_outputs.OFF_GRID_DECK])
+        [same_outputs.ANISOTROPIC_DECK, same_outputs.OFF_GRID_DECK,
+         same_outputs.UNSTABLE_DECK])
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
@@ -209,3 +212,14 @@ def test_off_grid_deck_records_rows_on_and_off_the_tick_grid(tmp_path):
     assert (cfg.ts_every, cfg.record_decimation) == (2, 5)
     row_steps = range(0, cfg.n_steps + 1, cfg.record_decimation)
     assert {k % cfg.ts_every for k in row_steps} == {0, 1}
+
+
+def test_unstable_deck_aborts_before_its_late_window(tmp_path):
+    # simulate's summary windows are [0, 10] and [10, 20]: the run stops
+    # in the first, so the second has no row
+    same_outputs.write_decks(tmp_path)
+    cfg, echo = config.resolve_scenario(
+        config.parse_flat_file(str(tmp_path / same_outputs.UNSTABLE_DECK)))
+    assert cfg.learner is None and echo["learner.enabled"] is False
+    trace = scenario.run(cfg)
+    assert trace.unstable and trace.t[-1] == 0.37

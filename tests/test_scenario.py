@@ -35,8 +35,7 @@ def no_condition(cfg):
 
 class TestEquilibriumAndBookkeeping:
     def test_all_zero_run(self):
-        cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero",
-                      with_learner=False, mode="l1")
+        cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero", mode="l1")
         cfg = edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0))
         trace = scenario.run(no_condition(cfg))
         assert not trace.unstable
@@ -44,7 +43,7 @@ class TestEquilibriumAndBookkeeping:
         assert np.max(np.abs(numeric)) == 0.0
 
     def test_row_count_and_uniform_time(self):
-        cfg = no_condition(nominal(duration=2.0, with_learner=False))
+        cfg = no_condition(nominal(duration=2.0, mode="l1"))
         trace = scenario.run(cfg)
         assert trace.data.shape[0] == 2.0 / 0.001 / 10 + 1
         dt = np.diff(trace.t)
@@ -113,19 +112,24 @@ class TestRateContracts:
     def test_ideal_trace_independent_of_uncertainty_and_mode(self):
         base = scenario.run(no_condition(nominal(duration=3.0)))
         other = scenario.run(no_condition(
-            nominal(duration=3.0, uncertainty="sine_switch", mode="l1",
-                    with_learner=False)))
+            nominal(duration=3.0, uncertainty="sine_switch", mode="l1")))
         assert np.array_equal(base.block("xid"), other.block("xid"))
 
 
 class TestDegeneracies:
     def test_l1_equals_l1gp_with_zero_learning(self):
-        a = nominal(duration=2.0, mode="l1", with_learner=False)
-        b = nominal(duration=2.0, mode="l1gp", with_learner=False)
-        b = edit(b, "controller", omega_0=0.0)
-        ta = scenario.run(no_condition(a))
-        tb = scenario.run(no_condition(b))
-        assert np.array_equal(ta.data, tb.data)
+        # omega_0 = 0 pins the learning filter's bandwidth at zero, so f_L
+        # stays zero whatever the learner publishes: the l1gp loop is the
+        # l1 loop bit for bit, and only the model's recorded reads differ
+        a = no_condition(nominal(duration=25.0, reference_kind="sinusoid", mode="l1"))
+        b = no_condition(nominal(duration=25.0, reference_kind="sinusoid"))
+        ta = scenario.run(a)
+        tb = scenario.run(edit(b, "controller", omega_0=0.0))
+        assert any(ev["kind"] == "learner_published" for ev in tb.events)
+        reads = [name.startswith(("fhat", "e_f_hat")) for name in scenario.TRACE_COLUMNS]
+        loop = np.logical_not(reads)
+        assert np.any(tb.data[:, reads] != ta.data[:, reads])
+        assert ta.data[:, loop].tobytes() == tb.data[:, loop].tobytes()
 
     def test_prediction_offset_transient_decays(self):
         cfg = no_condition(nominal(duration=5.0, reference_kind="zero"))
@@ -138,8 +142,7 @@ class TestDegeneracies:
 
 class TestInstability:
     def test_early_termination_flagged_and_well_formed(self):
-        cfg = nominal(duration=10.0, with_learner=False, mode="l1",
-                      input_delay=0.15)
+        cfg = nominal(duration=10.0, mode="l1", input_delay=0.15)
         trace = scenario.run(no_condition(cfg))
         assert trace.unstable
         kinds = [e["kind"] for e in trace.events]
@@ -148,84 +151,54 @@ class TestInstability:
         assert trace.t[-1] < 10.0
 
 
-class TestReferenceSystem:
-    def test_zero_uncertainty_matches_filtered_ideal(self):
-        cfg = no_condition(nominal(duration=4.0, uncertainty="zero",
-                                   with_learner=False))
-        out = scenario.run_reference_system(cfg)
-        # independent filtered-ideal oracle: xdot = A x + B k_g r_f with the
-        # reference passed through the same discretized first-order lag
-        c = cfg.controller
-        A, B = np.diag(c.a_m), np.diag(c.b_m)
-        alpha = math.exp(-c.omega_c * c.T_s)
-        r = cfg.reference.make()
-        x = np.zeros(3)
-        rf = np.zeros(3)
-        oracle = [x.copy()]
-        for i in range(cfg.n_steps):
-            v = r(i * 0.001)
-            rf = v + (rf - v) * alpha
-            drive = B @ np.multiply(c.k_g, rf)
-            x = numerics.rk4_step(lambda t, z: A @ z + drive, i * 0.001, x, 0.001)
-            if (i + 1) % cfg.record_decimation == 0:
-                oracle.append(x.copy())
-        oracle = np.asarray(oracle)
-        assert np.max(np.abs(out["x_ref"] - oracle)) < 1e-9
-
-    def test_constant_uncertainty_dc_matches_ideal(self):
-        cfg = no_condition(nominal(duration=20.0, with_learner=False))
-        c_vec = np.array([0.2, -0.1, 0.15])
-        cfg = edit(cfg, "plant", uncertainty=plant.UncertaintySchedule(
-            ((0.0, lambda x0, x1, x2: (0.2, -0.1, 0.15)),)))
-        out = scenario.run_reference_system(cfg)
-        cc = cfg.controller
-        x_id_ss = np.linalg.solve(-np.diag(cc.a_m), np.diag(cc.b_m) @ np.array(cc.k_g))
-        assert np.max(np.abs(out["x_ref"][-1] - x_id_ss)) < 1e-4
-
-    def test_oracle_sigma_substitution_recovers_reference_system(self):
-        # forcing the adaptive estimate to the true uncertainty must drive
-        # the closed loop to the reference system's trajectory
-        cfg = nominal(duration=10.0, mode="l1", with_learner=False,
-                      record_decimation=1)
-        cfg = no_condition(edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0)))
-        sched = cfg.plant.uncertainty
-        eng = scenario.Engine(cfg, true_sigma=True)
-        trace = eng.run()
-        # every tick's estimate is the oracle at the state the tick saw
-        t, x, sg = trace.t, trace.block("x"), trace.block("sigmahat")
-        for k in range(1, len(t)):
-            assert np.array_equal(sg[k], sched.eval(t[k - 1], x[k - 1])), k
-        # independent reference-system oracle on the quadratic deck:
-        # x' = A_m x + B_m (u + f(x)) with u = C(s)(k_g r - f(x_k)) held
-        # over each tick
-        c = cfg.controller
-        A, B = np.diag(c.a_m), np.diag(c.b_m)
-        alpha = math.exp(-c.omega_c * c.T_s)
-        r = cfg.reference.make()
-        z = np.zeros(3)
-        filt = np.zeros(3)
-        oracle = [z.copy()]
-        for i in range(cfg.n_steps):
-            v = np.multiply(c.k_g, r(i * 0.001)) - sched.eval(i * 0.001, z)
+def reference_system(cfg):
+    """The state after each step of the L1 reference system of ``cfg``, an
+    oracle apart from the engine: ``x' = A_m x + B_m (u + f(x))`` with
+    ``u = C(s)(k_g r - f(x))``, where ``f(x)`` and ``r`` are sampled at each
+    tick and held over it, ``C(s)`` is the controller's filter map and the
+    plant steps by numpy RK4."""
+    c = cfg.controller
+    A, B = np.diag(c.a_m), np.diag(c.b_m)
+    alpha = math.exp(-c.omega_c * c.T_s)
+    r = cfg.reference.make()
+    sched = cfg.plant.uncertainty
+    h = cfg.step
+    z = np.array(cfg.plant.x0)
+    filt = np.zeros(3)
+    out = [z.copy()]
+    for i in range(cfg.n_steps):
+        if i % cfg.ts_every == 0:
+            v = np.multiply(c.k_g, r(i * h)) - sched.eval(i * h, z)
             filt = v + (filt - v) * alpha
-            z = numerics.rk4_step(
-                lambda tt, zz: A @ zz + B @ (filt + sched.eval(tt, zz)),
-                i * 0.001, z, 0.001,
-            )
-            oracle.append(z.copy())
-        ref_out = scenario.run_reference_system(cfg)
-        assert not ref_out["diverged"]
-        assert np.array_equal(ref_out["t"], t)
-        assert np.max(np.abs(ref_out["x_ref"] - np.asarray(oracle))) < 1e-9
-        assert np.max(np.abs(x - ref_out["x_ref"])) < 1e-9
+        z = numerics.rk4_step(lambda tt, zz: A @ zz + B @ (filt + sched.eval(tt, zz)),
+                              i * h, z, h)
+        out.append(z.copy())
+    return np.asarray(out)
+
+
+class TestReferenceSystem:
+    def test_gap_to_the_reference_system_is_linear_in_t_s(self):
+        # with x_hat(0) = x(0), as L1's bounds assume, the l1 loop sits off
+        # its reference system by the sampled-data offset, T_s b sigma_hat
+        # to first order
+        deck, _ = config.resolve_scenario(
+            config.parse_flat_file(os.path.join(ROOT, "configs", "l1_plain.cfg")))
+        gaps = []
+        for ts in (0.001, 0.002, 0.005):
+            cfg = replace(no_condition(deck), duration=5.0, record_decimation=1)
+            cfg = edit(cfg, "controller", T_s=ts, x_hat0=cfg.plant.x0)
+            x = scenario.run(cfg).block("x")
+            gaps.append(np.max(np.abs(x - reference_system(cfg))))
+        assert gaps[0] == pytest.approx(1.82e-3, rel=0.01)
+        assert gaps[1] / gaps[0] == pytest.approx(2.0, rel=0.02)
+        assert gaps[2] / gaps[0] == pytest.approx(5.0, rel=0.02)
 
 
 class TestIdealLoop:
     # x_id' = -3 x_id + b r(t) per axis with b = (B_m k_g)_ii = 3, x_id(0) = 0
     @pytest.mark.parametrize("kind", ["step", "sinusoid"])
     def test_matches_closed_form(self, kind):
-        cfg = no_condition(nominal(duration=4.0, reference_kind=kind,
-                                   with_learner=False, mode="l1"))
+        cfg = no_condition(nominal(duration=4.0, reference_kind=kind, mode="l1"))
         trace = scenario.run(cfg)
         t = trace.t[:, None]
         a = np.array(cfg.reference.amplitude)
@@ -291,10 +264,10 @@ class TestConfigEdits:
     def test_edits_after_construction_take_effect(self):
         # an edit is a new config from dataclasses.replace: it equals, and
         # runs as, a config built with the edited values
-        cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg = config.quadrotor_nominal(duration=1.0, mode="l1")
         cfg = edit(replace(cfg, duration=2.0), "plant", input_delay=0.01)
         assert (cfg.n_steps, cfg.delay_steps) == (2000, 10)
-        fresh = config.quadrotor_nominal(duration=2.0, with_learner=False, mode="l1",
+        fresh = config.quadrotor_nominal(duration=2.0, mode="l1",
                                          input_delay=0.01)
         assert cfg == fresh
         trace = scenario.run(cfg)
@@ -309,7 +282,7 @@ class TestConfigEdits:
         # replace derives the plant's float caches and the controller's
         # filter factors as construction does: every attribute, the private
         # caches included, equals that of the part built with the value
-        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        cfg = no_condition(nominal(duration=1.0, mode="l1"))
         before = scenario.run(cfg).data
         old = getattr(cfg, part)
         args = {f.name: getattr(old, f.name) for f in dataclasses.fields(old) if f.init}
@@ -324,28 +297,37 @@ class TestConfigEdits:
     def test_plant_and_controller_a_m_must_agree(self):
         # the plant's field and the ideal loop read the plant's A_m, the predictor
         # and the learner's targets the controller's
-        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg = nominal(duration=1.0, mode="l1")
         with pytest.raises(ValueError, match="plant a_m"):
             edit(cfg, "plant", a_m=(-4.0, -3.0, -3.0))
         with pytest.raises(ValueError, match="plant a_m"):
             edit(cfg, "controller", a_m=(-4.0, -4.0, -4.0))
 
+    def test_a_learner_runs_in_mode_l1gp_and_only_there(self):
+        l1, l1gp = nominal(duration=1.0, mode="l1"), nominal(duration=1.0)
+        with pytest.raises(ValueError, match="^mode l1 runs no learner$"):
+            replace(l1, learner=l1gp.learner)
+        with pytest.raises(ValueError, match="^mode l1gp needs a learner$"):
+            replace(l1gp, learner=None)
+        with pytest.raises(ValueError, match="^mode l1gp needs a learner$"):
+            edit(l1, "controller", mode="l1gp")
+
     def test_edit_off_the_step_grid_fails_when_read(self):
-        cfg = config.quadrotor_nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg = config.quadrotor_nominal(duration=1.0, mode="l1")
         with pytest.raises(ValueError, match="duration"):
             replace(cfg, duration=1.0005)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_step_must_be_positive_and_finite(self, value):
         # a nan step would otherwise be reported as T_s off the step grid
-        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg = nominal(duration=1.0, mode="l1")
         with pytest.raises(ValueError, match="^step must be positive and finite$"):
             replace(cfg, step=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_blowup_must_be_positive_and_finite(self, value):
         # an infinite blowup would turn the divergence guard off
-        cfg = nominal(duration=1.0, with_learner=False, mode="l1")
+        cfg = nominal(duration=1.0, mode="l1")
         with pytest.raises(ValueError, match="^blowup must be positive and finite$"):
             replace(cfg, blowup=value)
 
@@ -354,7 +336,7 @@ class TestPlantReplay:
     def test_engine_steps_are_generic_rk4_steps(self):
         # every recorded state is one numerics.rk4_step over plant_derivative
         # from the previous row, with the input the row records
-        cfg = no_condition(nominal(duration=1.0, mode="l1", with_learner=False,
+        cfg = no_condition(nominal(duration=1.0, mode="l1",
                                    switch_time=0.5, record_decimation=1))
         trace = scenario.run(cfg)
         assert not trace.unstable
@@ -377,8 +359,7 @@ class TestSwitchStep:
     ):
         # 1099 * 0.001 + 0.001 < 1.1 in floats, so a stage clock would keep
         # the old kind; the engine picks the segment by step index
-        cfg = no_condition(nominal(duration=switch + 0.1, mode="l1",
-                                   with_learner=False, switch_time=switch,
+        cfg = no_condition(nominal(duration=switch + 0.1, mode="l1", switch_time=switch,
                                    record_decimation=1))
         trace = scenario.run(cfg)
         assert [e["t"] for e in trace.events
@@ -418,7 +399,6 @@ class TestControllerReplay:
     def test_rows_follow_the_array_formulas(self, mode, kind, duration):
         cfg = no_condition(nominal(duration=duration, mode=mode,
                                    reference_kind=kind,
-                                   with_learner=mode == "l1gp",
                                    record_decimation=1))
         trace = scenario.run(cfg)
         assert not trace.unstable
@@ -645,7 +625,7 @@ class TestRecording:
 
 def l1_step_deck(omega_c):
     """The nominal step deck in mode l1 with the given control bandwidth."""
-    cfg = nominal(duration=20.0, with_learner=False, mode="l1")
+    cfg = nominal(duration=20.0, mode="l1")
     return replace(cfg, controller=replace(cfg.controller, omega_c=omega_c))
 
 
@@ -735,7 +715,7 @@ class TestMarginSearch:
 
     def test_open_bracket_when_stable_everywhere(self):
         # the 19 ms prediction lies above max_delay
-        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        cfg = no_condition(nominal(duration=1.0, mode="l1"))
         res = scenario.delay_margin_search(
             cfg, resolution=0.001, horizon=1.0, max_delay=0.002
         )
@@ -746,7 +726,7 @@ class TestMarginSearch:
         assert res.candidates == [(0.002, True)]
 
     def test_bisection_contract(self):
-        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        cfg = no_condition(nominal(duration=1.0, mode="l1"))
         res = scenario.delay_margin_search(
             cfg, resolution=0.004, horizon=6.0, max_delay=0.128
         )
@@ -760,7 +740,7 @@ class TestMarginSearch:
         assert no_repeats(res)
 
     def test_unstable_at_zero_raises(self):
-        cfg = no_condition(nominal(duration=1.0, with_learner=False, mode="l1"))
+        cfg = no_condition(nominal(duration=1.0, mode="l1"))
         cfg = replace(cfg, blowup=1e-6)
         with pytest.raises(scenario.UnstableAtZeroDelayError):
             scenario.delay_margin_search(cfg, horizon=1.0, max_delay=0.002)
@@ -768,7 +748,7 @@ class TestMarginSearch:
 
 class TestConditionChecker:
     def test_event_recorded_and_satisfied(self):
-        cfg = nominal(duration=0.2, with_learner=False, mode="l1")
+        cfg = nominal(duration=0.2, mode="l1")
         trace = scenario.run(cfg)
         ev = [e for e in trace.events if e["kind"] == "l1_condition"]
         assert len(ev) == 1
@@ -776,7 +756,7 @@ class TestConditionChecker:
         assert ev[0]["lhs"] == pytest.approx(2.0, abs=0.02)
 
     def test_warns_when_unsatisfied(self):
-        cfg = nominal(duration=0.2, with_learner=False, mode="l1")
+        cfg = nominal(duration=0.2, mode="l1")
         cfg = edit(cfg, "condition", lip_f=50.0)  # impossible uncertainty scale
         with pytest.warns(UserWarning, match="unsatisfied"):
             trace = scenario.run(cfg)
@@ -811,13 +791,22 @@ def test_setup_makes_no_dense_solve(deck, monkeypatch):
 
 class TestMetrics:
     def test_zero_trace_metrics(self):
-        cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero",
-                      with_learner=False, mode="l1")
+        cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero", mode="l1")
         cfg = edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0))
         trace = scenario.run(no_condition(cfg))
         m = scenario.metrics(trace, windows=[(0.0, 2.0)])
         assert m["final_tracking_error_inf"] == 0.0
         assert m["windows"]["0-2"]["eta_norm"] == 0.0
+
+    def test_a_window_with_no_row_has_null_means(self):
+        # the run aborts at 0.37 s, before the late window opens
+        cfg = nominal(duration=10.0, mode="l1", input_delay=0.15)
+        trace = scenario.run(no_condition(cfg))
+        assert trace.unstable and trace.t[-1] < 5.0
+        m = scenario.metrics(trace, windows=[(0.0, 5.0), (5.0, 10.0)])
+        early = m["windows"]["0-5"]
+        assert all(math.isfinite(v) for v in early.values())
+        assert m["windows"]["5-10"] == dict.fromkeys(early)
 
     def test_window_mean_validation(self):
         with pytest.raises(ValueError):
