@@ -24,7 +24,14 @@ tree as the working directory:
 - ``simulate`` on a mode-l1 deck whose 150 ms input delay drives it
   unstable at 0.37 s of 20, also written to the temporary directory: the
   flagged-unstable exit and the summary of a run that aborts before its
-  late window are compared.
+  late window are compared;
+- ``compare configs/l1_plain.cfg`` against the anisotropic deck, and
+  against the unstable deck: ``compare.json`` holds the window means of
+  both runs and their ratios, a null ratio where the unstable run recorded
+  no row.
+
+Both trees read the written decks from one temporary directory, so a deck
+path an output records, as ``compare.json`` does, is the same on both.
 
 Every file a run writes is compared byte for byte, except the value of
 ``wall_clock_s`` in ``manifest.json``. For each CSV that differs, each
@@ -135,25 +142,26 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
         ("simulate-unstable_l1", ["simulate", str(deck_dir / UNSTABLE_DECK)]),
+        ("compare-l1_plain-anisotropic", ["compare", "configs/l1_plain.cfg", aniso]),
+        ("compare-l1_plain-unstable",
+         ["compare", "configs/l1_plain.cfg", str(deck_dir / UNSTABLE_DECK)]),
     ]
 
 
-def run_all(tree: Path, out_root: Path) -> dict:
-    """Make every run of ``tree`` into ``out_root/<name>``; {name: exit status}."""
+def run_all(tree: Path, out_root: Path, deck_dir: Path) -> dict:
+    """Make every run of ``tree`` into ``out_root/<name>``, the written
+    decks read from ``deck_dir``; {name: exit status}."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     status = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        deck_dir = Path(tmp)
-        write_decks(deck_dir)
-        for name, args in runs(tree, deck_dir):
-            proc = subprocess.run(
-                [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_root / name)],
-                cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            )
-            status[name] = proc.returncode
-            print(f"{out_root.name}: {name} exit {proc.returncode}", file=sys.stderr)
-            if proc.returncode:
-                sys.stderr.write(proc.stderr.decode(errors="replace"))
+    for name, args in runs(tree, deck_dir):
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_root / name)],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        status[name] = proc.returncode
+        print(f"{out_root.name}: {name} exit {proc.returncode}", file=sys.stderr)
+        if proc.returncode:
+            sys.stderr.write(proc.stderr.decode(errors="replace"))
     return status
 
 
@@ -276,9 +284,11 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, default=None,
                         help="directory for the outputs (default: a temporary one)")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as decks:
         work = args.work or Path(tmp)
-        status = {side: run_all(tree.resolve(), work / side)
+        # one deck directory for both sides: compare.json records deck paths
+        write_decks(Path(decks))
+        status = {side: run_all(tree.resolve(), work / side, Path(decks))
                   for side, tree in (("parent", args.parent), ("change", args.change))}
         lines = [f"{name}: exit {code} vs {status['change'].get(name)}"
                  for name, code in status["parent"].items()

@@ -30,7 +30,6 @@ __all__ = [
     "read_trace_csv",
     "write_events_csv",
     "cmd_simulate",
-    "metrics_summary",
     "cmd_margin",
     "cmd_bound_check",
     "cmd_compare",
@@ -95,9 +94,20 @@ def write_events_csv(events: list, path: str) -> None:
             )
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float in it as None: JSON has no
+    Infinity or NaN, so they are written as null."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(obj, path: str) -> None:
+    """Write ``obj`` as strict JSON, each non-finite float as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -146,8 +156,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     windows = [(0.0, min(10.0, cfg.duration))]
     if cfg.duration > 10.0:
         windows.append((cfg.duration - 10.0, cfg.duration))
-    summary = metrics_summary(trace, windows)
-    _write_json(summary, os.path.join(out_dir, "summary.json"))
+    _write_json(scenario.metrics(trace, windows), os.path.join(out_dir, "summary.json"))
     _write_manifest(
         out_dir,
         echo,
@@ -157,20 +166,6 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         {"stable": not trace.unstable},
     )
     return EXIT_UNSTABLE if trace.unstable else EXIT_OK
-
-
-def metrics_summary(trace: scenario.SimulationTrace, windows) -> dict:
-    m = scenario.metrics(trace, windows=windows)
-    return {
-        "stable": not trace.unstable,
-        "rows": int(trace.data.shape[0]),
-        "t_final": float(trace.t[-1]),
-        "final_tracking_error_inf": m["final_tracking_error_inf"],
-        "final_tracking_error_axes": m["final_tracking_error_axes"],
-        "max_state_inf": m["max_state_inf"],
-        "windows": m["windows"],
-        "n_events": len(trace.events),
-    }
 
 
 def cmd_margin(
@@ -304,10 +299,10 @@ def cmd_compare(config_a: str, config_b: str, out_dir: str) -> int:
         "config_b": config_b,
         "err_ideal_mean_a": means_a,
         "err_ideal_mean_b": means_b,
-        # null where either run recorded no row in the window
+        # null where either run recorded no row in the window or a's mean is 0
         "ratio_b_over_a": {
-            k: (None if None in (means_a[k], means_b[k])
-                else means_b[k] / means_a[k] if means_a[k] != 0 else float("inf"))
+            k: (None if None in (means_a[k], means_b[k]) or means_a[k] == 0
+                else means_b[k] / means_a[k])
             for k in means_a
         },
         "stable_a": not trace_a.unstable,

@@ -1,5 +1,6 @@
 """Adaptive rate controller: predictor, piecewise-constant adaptation, filters.
 
+The controller owns the L1 law and its tick state, :class:`ControllerState`.
 Two operating modes share one code path. In the plain adaptive mode the
 control is ``u = -C(s)(sigma_hat - k_g r)`` with ``C(s)`` a first-order
 low-pass of bandwidth ``omega_c`` (the sign convention is fixed by the
@@ -7,7 +8,11 @@ requirement that a perfect estimate ``sigma_hat = f`` cancels the
 uncertainty). In the learning-augmented mode a smoothed copy ``f_L`` of
 the learned mean enters directly, ``u = -f_L - C(s)(sigma_hat - k_g r)``,
 where ``f_L`` follows the learned model through a first-order lag whose
-bandwidth rises as the published error bound shrinks.
+bandwidth follows the bandwidth law ``min(omega_0 / e_f_hat, omega_c)``:
+it rises as the learner's envelope ``e_f_hat`` shrinks. The trace also
+reports ``eta = C(s) sigma_hat``. The engine only calls
+:func:`adaptation_step`, :func:`learning_filter_step` (mode l1gp) and
+:func:`control_step` in turn.
 
 Every linear update is discretized exactly per tick. The filters use the
 pole mapping ``alpha = exp(-omega dt)``; with ``omega_c T_s = 0.08`` a
@@ -137,6 +142,9 @@ class ControllerState:
 
     ``sigma_hat`` changes value only at sampling instants; ``f_L`` starts
     at zero; ``omega_filtered`` starts at the first commanded bandwidth.
+    ``c_state`` is ``C(s)(sigma_hat - k_g r)``, ``eta`` ``C(s) sigma_hat``
+    and ``u`` the last command, each zero at first; ``e_f_hat`` is the
+    envelope the last tick read, ``e_f_hat0`` before the first tick.
     """
 
     x_hat: _Vec3
@@ -144,22 +152,17 @@ class ControllerState:
     f_L: _Vec3
     omega_filtered: float
     c_state: _Vec3
+    eta: _Vec3
+    u: _Vec3
+    e_f_hat: float
 
     @classmethod
     def initial(cls, cfg: ControllerConfig, e_f_hat0: float) -> "ControllerState":
-        omega0 = (
-            bandwidth_command(e_f_hat0, cfg.omega_0, cfg.omega_c)
-            if cfg.mode == "l1gp"
-            else 0.0
-        )
+        omega0 = (bandwidth_command(e_f_hat0, cfg.omega_0, cfg.omega_c)
+                  if cfg.mode == "l1gp" else 0.0)
         zero = (0.0, 0.0, 0.0)
-        return cls(
-            x_hat=cfg.x_hat0,
-            sigma_hat=zero,
-            f_L=zero,
-            omega_filtered=omega0,
-            c_state=zero,
-        )
+        return cls(x_hat=cfg.x_hat0, sigma_hat=zero, f_L=zero, omega_filtered=omega0,
+                   c_state=zero, eta=zero, u=zero, e_f_hat=e_f_hat0)
 
 
 def adaptation_step(
@@ -190,16 +193,21 @@ def bandwidth_command(e_f_hat: float, omega_0: float, omega_c: float) -> float:
 def learning_filter_step(
     state: ControllerState,
     f_hat_x: Sequence[float],
-    omega_hat: float,
+    e_f_hat: float,
     cfg: ControllerConfig,
 ) -> _Vec3:
-    """Advance the bandwidth lag and the learning filter by one tick.
+    """Advance the bandwidth lag and the learning filter by one tick, from
+    the learned mean ``f_hat_x`` and envelope ``e_f_hat`` at the state.
 
-    The commanded bandwidth passes through the slow first-order lag, then
-    ``f_L`` relaxes toward the learned mean with the filtered bandwidth.
-    Both updates hold their inputs over the tick, which makes the
-    exponential maps exact for the piecewise-constant inputs they receive.
+    The envelope is stored in ``state.e_f_hat``, and the bandwidth law
+    :func:`bandwidth_command` turns it into the commanded bandwidth, which
+    passes through the slow first-order lag; then ``f_L`` relaxes toward
+    the learned mean with the filtered bandwidth. Both updates hold their
+    inputs over the tick, which makes the exponential maps exact for the
+    piecewise-constant inputs they receive.
     """
+    state.e_f_hat = e_f_hat
+    omega_hat = bandwidth_command(e_f_hat, cfg.omega_0, cfg.omega_c)
     state.omega_filtered = omega_hat + (state.omega_filtered - omega_hat) * cfg._alpha_L
     decay = math.exp(-state.omega_filtered * cfg.T_s)
     f0, f1, f2 = f_hat_x
@@ -217,15 +225,17 @@ def control_step(
     r: Sequence[float],
     cfg: ControllerConfig,
 ) -> _Vec3:
-    """Filter update, control output, and predictor advance for one tick.
+    """Filter updates, control output, and predictor advance for one tick;
+    the command is stored in ``state.u`` and returned.
 
     Assumes adaptation_step (and, in learning mode, learning_filter_step)
-    already ran this tick. The control filter state follows
-    ``c+ = v + (c - v) alpha_c`` with ``v = sigma_hat - k_g r``, and
-    ``u = -f_L - c+``. The predictor ``x_hat' = A_m x_hat + B_m (f_L +
-    sigma_hat + u)`` sees its input held over the tick, so it advances by
-    the exact map ``x_hat+ = exp(A_m T_s) x_hat + Phi(T_s) B_m (f_L +
-    sigma_hat + u)``.
+    already ran this tick. ``eta = C(s) sigma_hat`` follows
+    ``eta+ = sigma_hat + (eta - sigma_hat) alpha_c``. The control filter
+    state follows ``c+ = v + (c - v) alpha_c`` with
+    ``v = sigma_hat - k_g r``, and ``u = -f_L - c+``. The predictor
+    ``x_hat' = A_m x_hat + B_m (f_L + sigma_hat + u)`` sees its input held
+    over the tick, so it advances by the exact map ``x_hat+ = exp(A_m T_s)
+    x_hat + Phi(T_s) B_m (f_L + sigma_hat + u)``.
     """
     s0, s1, s2 = state.sigma_hat
     l0, l1, l2 = state.f_L
@@ -233,12 +243,15 @@ def control_step(
     k0, k1, k2 = cfg.k_g
     r0, r1, r2 = r
     alpha = cfg._alpha_c
+    n0, n1, n2 = state.eta
+    state.eta = (s0 + (n0 - s0) * alpha, s1 + (n1 - s1) * alpha, s2 + (n2 - s2) * alpha)
     v0, v1, v2 = s0 - (0.0 + k0 * r0), s1 - (0.0 + k1 * r1), s2 - (0.0 + k2 * r2)
     c0 = v0 + (c0 - v0) * alpha
     c1 = v1 + (c1 - v1) * alpha
     c2 = v2 + (c2 - v2) * alpha
     state.c_state = (c0, c1, c2)
     u0, u1, u2 = -l0 - c0, -l1 - c1, -l2 - c2
+    state.u = (u0, u1, u2)
     b0, b1, b2 = cfg.b_m
     e0, e1, e2 = cfg._expAT
     p0, p1, p2 = cfg._phi
@@ -248,7 +261,7 @@ def control_step(
         (0.0 + e1 * h1) + (0.0 + p1 * (0.0 + b1 * (l1 + s1 + u1))),
         (0.0 + e2 * h2) + (0.0 + p2 * (0.0 + b2 * (l2 + s2 + u2))),
     )
-    return u0, u1, u2
+    return state.u
 
 
 @dataclass

@@ -22,10 +22,11 @@ closed-form solution (:meth:`ReferenceConfig.ideal_loop`). Only the
 nonlinear plant uses RK4, one fused step on Python floats per engine step
 (:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples,
 each matrix product per axis on a diagonal; numpy is left to the GP reads,
-the learner's buffer and the recorded rows. The loop holds the state
-(``x``, ``u``, ``eta`` and the last envelope read) in locals, records each
-row from them, and writes them back to the live :class:`Snapshot` at the
-end of the run.
+the learner's buffer and the recorded rows. The engine knows the schedule
+and the plant step: its state is ``x``, kept in a local and written back
+to the live :class:`Snapshot` at the end of the run. The L1 law and the
+rest of the loop state (``u``, ``eta``, the envelope read) are the
+controller's, in :class:`controller.ControllerState`.
 
 Model reads: a step records its row, when one is due, at its start, before
 its tick, so the row holds the state the tick reads. An l1gp tick reads
@@ -304,7 +305,8 @@ class Snapshot:
     """Engine state at a step boundary: the live state of a run, and the
     record a run resumes from.
 
-    ``t0`` is the time the state stands at. The record holds the random
+    ``t0`` is the time the state stands at, ``x`` the plant state and
+    ``ctrl_state`` the rest of the loop's. The record holds the random
     generator itself and the learner draws from it, so one deepcopy of the
     record copies both and keeps them joined. The input delay line is not
     in the record: a resumed run starts with it empty.
@@ -313,11 +315,8 @@ class Snapshot:
     t0: float
     x: tuple
     ctrl_state: ctrl.ControllerState
-    u: tuple
-    eta: tuple
     learner: Optional[learner_mod.BayesianLearner]
     rng: np.random.Generator
-    e_f_last: float
 
     @classmethod
     def initial(cls, cfg: "ScenarioConfig") -> "Snapshot":
@@ -332,10 +331,9 @@ class Snapshot:
             )
         # the prior's envelope, sqrt(beta) sigma_f, at every state
         e0 = learner.model.evaluate(cfg.plant.x0)[1] if learner else 0.0
-        zero = (0.0, 0.0, 0.0)
         return cls(t0=0.0, x=cfg.plant.x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
-                   u=zero, eta=zero, learner=learner, rng=rng, e_f_last=e0)
+                   learner=learner, rng=rng)
 
 
 class Engine:
@@ -366,7 +364,6 @@ class Engine:
         dec = cfg.record_decimation
         ts_every = cfg.ts_every
         data_every = cfg.data_every
-        alpha_c = c._alpha_c
         mode_l1gp = c.mode == "l1gp"
         live = self.live
         self.t0 = live.t0
@@ -406,13 +403,12 @@ class Engine:
         adaptation_step = ctrl.adaptation_step
         learning_filter_step = ctrl.learning_filter_step
         control_step = ctrl.control_step
-        bandwidth_command = ctrl.bandwidth_command
         push = self.delay.push
         rk4_plant_step = plant_mod.rk4_plant_step
         blowup = cfg.blowup
-        omega_0, omega_c = c.omega_0, c.omega_c
-        # the loop state as locals, written back to live at the end of the run
-        x, u, eta, e_f = live.x, live.u, live.eta, live.e_f_last
+        # the plant state as a local, written back to live at the end of the
+        # run; u, the last command, is pushed into the delay line every step
+        x, u = live.x, state.u
         for i in range(n_steps):
             t = (i0 + i) * h
             if sinusoid:
@@ -420,28 +416,19 @@ class Engine:
             tick = (i0 + i) % ts_every == 0
             f_hat_x = None
             if tick and mode_l1gp:
-                # the bandwidth law consumes the pointwise envelope at the
-                # current state; the row below records the same mean
+                # the learning filter reads the mean and the envelope at
+                # the current state; the row below records the same mean
                 f_hat_x, e_f_x = learner.model.evaluate(x)
             # a row is due at the run's first step and on the global
             # recording grid, which a resumed run keeps; it records the
             # state before this step's tick
             if i == 0 or (i0 + i) % dec == 0:
-                rows[row_i] = self._row(t, f, x, u, eta, e_f, f_hat_x)
+                rows[row_i] = self._row(t, f, x, f_hat_x)
                 row_i += 1
             if tick:
                 adaptation_step(state, x, c)
                 if mode_l1gp:
-                    e_f = e_f_x
-                    omega_hat = bandwidth_command(e_f, omega_0, omega_c)
-                    learning_filter_step(state, f_hat_x, omega_hat, c)
-                q0, q1, q2 = state.sigma_hat
-                e0, e1, e2 = eta
-                eta = (
-                    q0 + (e0 - q0) * alpha_c,
-                    q1 + (e1 - q1) * alpha_c,
-                    q2 + (e2 - q2) * alpha_c,
-                )
+                    learning_filter_step(state, f_hat_x, e_f_x, c)
                 u = control_step(state, r, c)
             u_applied = push(u)
             # the step that ends on a switch sees the new segment at its
@@ -475,9 +462,9 @@ class Engine:
                     self.events.append(ev)
         # the end of the run: a row on the recording grid, or the abort row
         if unstable or (i0 + n_steps) % dec == 0:
-            rows[row_i] = self._row(t_next, f, x, u, eta, e_f, None)
+            rows[row_i] = self._row(t_next, f, x, None)
             row_i += 1
-        live.x, live.u, live.eta, live.e_f_last = x, u, eta, e_f
+        live.x = x
         live.t0 = self.t_final = (i0 + steps_done) * h
         return SimulationTrace(
             data=rows[:row_i],
@@ -485,12 +472,11 @@ class Engine:
             unstable=unstable,
         )
 
-    def _row(self, t: float, f: Callable, x: tuple, u: tuple, eta: tuple,
-             e_f: float, f_hat: Optional[list]) -> tuple:
-        """The trace row at t, as a tuple of floats, of the loop state
-        ``x``, ``u``, ``eta``, ``e_f`` and the live controller state; ``f``
-        is the uncertainty segment in force, and ``f_hat`` the model's mean
-        at x, or None to read it here."""
+    def _row(self, t: float, f: Callable, x: tuple, f_hat: Optional[list]) -> tuple:
+        """The trace row at t, as a tuple of floats, of the plant state
+        ``x`` and the live controller state; ``f`` is the uncertainty
+        segment in force, and ``f_hat`` the model's mean at x, or None to
+        read it here."""
         state = self.live.ctrl_state
         learner = self.live.learner
         x0, x1, x2 = x
@@ -503,15 +489,15 @@ class Engine:
             *x,
             *state.x_hat,
             h0 - x0, h1 - x1, h2 - x2,
-            *u,
+            *state.u,
             *state.f_L,
-            *eta,
+            *state.eta,
             *state.sigma_hat,
             *f(x0, x1, x2),
             *f_hat,
             *self.ref(t),
             *self.x_id(t),
-            e_f,
+            state.e_f_hat,
             state.omega_filtered,
         )
 
@@ -692,10 +678,12 @@ def window_mean(t: np.ndarray, series: np.ndarray, t0: float, t1: float) -> floa
 
 
 def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
-    """Aggregate tracking, learning, and adaptation metrics of a trace.
+    """Aggregate tracking, learning, and adaptation metrics of a trace:
+    the run's ``summary.json``.
 
-    Emits the final-1s per-axis tracking error, the peak state, and, over
-    each requested [t0, t1] interval, the window means of the rowwise
+    Emits whether the run stayed stable, its row count, final time and
+    event count, the final-1s per-axis tracking error, the peak state, and,
+    over each requested [t0, t1] interval, the window means of the rowwise
     2-norms of the ideal-tracking error, learning input and adaptive input.
     A window with no row, as one a run aborted before, has means of None.
     """
@@ -711,11 +699,14 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
     final_err_axes = np.mean(track_abs[final_mask], axis=0)
 
     out = {
+        "stable": not trace.unstable,
+        "rows": len(t),
+        "t_final": float(t_end),
         "final_tracking_error_axes": final_err_axes.tolist(),
         "final_tracking_error_inf": float(np.max(final_err_axes)),
         "max_state_inf": float(np.max(np.abs(x))),
-        "unstable": trace.unstable,
         "windows": {},
+        "n_events": len(trace.events),
     }
     series = {"err_ideal_norm": err_id, "fl_norm": fl_norm,
               "eta_norm": eta_norm, "tracking_abs_mean": track_abs}

@@ -69,6 +69,18 @@ plant.input_delay = 0.15
 condition.check = false
 """
 
+# a loop at rest: every window mean is 0, and with l_f = 0 and b0 = 0 the
+# norm condition's right side divides by 0
+AT_REST = """
+duration = 2.0
+reference.kind = "zero"
+controller.mode = "l1"
+controller.x_hat0 = [0.0, 0.0, 0.0]
+plant.j = [0.011, 0.011, 0.021]
+plant.uncertainty = "zero"
+condition.l_f = 0.0
+"""
+
 # an integer too large for a float
 BIG = "1" + "0" * 400
 
@@ -426,7 +438,8 @@ class TestTraceCsv:
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_writing_holds_a_few_rows_at_a_time(self, tmp_path):
-        trace = self.trace(20000)
+        # a writer that formats the whole trace at once peaks at 6 MB here
+        trace = self.trace(3000)
         tracemalloc.start()
         try:
             cli.write_trace_csv(trace, str(tmp_path / "trace.csv"))
@@ -564,6 +577,27 @@ check = false
         j1 = json.loads((out1 / "compare.json").read_text())
         j2 = json.loads((out2 / "compare.json").read_text())
         assert j1["err_ideal_mean_a"] == j2["err_ideal_mean_a"]
+
+
+def test_every_json_file_is_strict_json(tmp_path):
+    # JSON has no Infinity or NaN: a ratio over a zero mean and the norm
+    # condition's infinite right side are written as null
+    def strict(path):
+        def refuse(name):
+            raise ValueError(f"{name} in {path.name}")
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    deck = write(tmp_path, "rest.cfg", AT_REST)
+    sim, cmp = tmp_path / "sim", tmp_path / "cmp"
+    assert cli.main(["simulate", deck, "-o", str(sim)]) == cli.EXIT_OK
+    assert cli.main(["compare", deck, deck, "-o", str(cmp)]) == cli.EXIT_OK
+    docs = {f"{d.name}/{p.name}": strict(p) for d in (sim, cmp) for p in d.glob("*.json")}
+    assert sorted(docs) == ["cmp/compare.json", "cmp/manifest.json",
+                            "sim/manifest.json", "sim/summary.json"]
+    cond = next(e for e in docs["sim/manifest.json"]["events"] if e["kind"] == "l1_condition")
+    assert cond["satisfied"] is True and cond["rhs"] is None
+    assert docs["cmp/compare.json"]["err_ideal_mean_a"] == {"0-2": 0.0}
+    assert docs["cmp/compare.json"]["ratio_b_over_a"] == {"0-2": None}
 
 
 class TestMargin:

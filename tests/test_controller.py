@@ -206,13 +206,16 @@ class TestBandwidthCommand:
 
 
 class TestLearningFilter:
+    # the step takes the envelope e_f_hat; with omega_0 = 1 and e_f_hat
+    # above 1 / omega_c, the commanded bandwidth is w = omega_0 / e_f_hat
     def test_equilibrium(self):
         cfg = nominal_cfg()
         state = ctrl.ControllerState.initial(cfg, 8.5)
         state.f_L = np.array([0.5, 0.5, 0.5])
         state.omega_filtered = 2.0
-        # omega_hat equal to the current filtered value keeps it fixed
-        ctrl.learning_filter_step(state, np.array([0.5, 0.5, 0.5]), 2.0, cfg)
+        # a command equal to the current filtered value keeps it fixed
+        ctrl.learning_filter_step(state, np.array([0.5, 0.5, 0.5]), cfg.omega_0 / 2.0, cfg)
+        assert state.omega_filtered == 2.0
         assert np.allclose(state.f_L, 0.5, atol=1e-15)
 
     def test_step_response(self):
@@ -224,17 +227,32 @@ class TestLearningFilter:
         c = np.array([1.0, -2.0, 0.5])
         n = int(round(3.0 / w / cfg.T_s))
         for _ in range(n):
-            ctrl.learning_filter_step(state, c, w, cfg)
+            ctrl.learning_filter_step(state, c, cfg.omega_0 / w, cfg)
         frac = state.f_L / c
         assert np.allclose(frac, 1.0 - math.exp(-3.0), atol=1e-6)
         assert np.allclose(frac, 0.95021, atol=1e-5)
 
     def test_zero_bandwidth_freezes(self):
-        cfg = nominal_cfg()
+        # omega_0 = 0 pins the command at 0 whatever the envelope
+        cfg = nominal_cfg(omega_0=0.0)
         state = ctrl.ControllerState.initial(cfg, 8.5)
-        state.omega_filtered = 0.0
+        assert state.omega_filtered == 0.0
         ctrl.learning_filter_step(state, np.array([1.0, 1.0, 1.0]), 0.0, cfg)
+        assert state.omega_filtered == 0.0
         assert np.array_equal(state.f_L, np.zeros(3))
+
+    @pytest.mark.parametrize("e_f_hat", [0.0, 1e-3, 0.37, 8.5])
+    def test_stores_the_envelope_and_applies_the_bandwidth_law(self, e_f_hat):
+        cfg = nominal_cfg(omega_L=5.0)
+        state = ctrl.ControllerState.initial(cfg, 2.0)
+        start = state.omega_filtered
+        f_hat = (0.3, -0.2, 0.1)
+        ctrl.learning_filter_step(state, f_hat, e_f_hat, cfg)
+        assert state.e_f_hat == e_f_hat
+        w_hat = ctrl.bandwidth_command(e_f_hat, cfg.omega_0, cfg.omega_c)
+        assert state.omega_filtered == w_hat + (start - w_hat) * cfg._alpha_L
+        decay = math.exp(-state.omega_filtered * cfg.T_s)
+        assert state.f_L == tuple(f + (0.0 - f) * decay for f in f_hat)
 
 
 class TestControlStep:
@@ -244,6 +262,22 @@ class TestControlStep:
         state.x_hat = np.zeros(3)
         u = ctrl.control_step(state, np.zeros(3), cfg)
         assert np.array_equal(u, np.zeros(3))
+
+    def test_eta_and_the_command_stay_in_the_state(self):
+        # eta = C(s) sigma_hat moves one pole-mapped step per tick, and the
+        # command returned is the one the state keeps
+        cfg = nominal_cfg()
+        state = ctrl.ControllerState.initial(cfg, 8.5)
+        assert state.eta == state.u == (0.0, 0.0, 0.0)
+        state.eta = (0.25, -1.5, 3.0)
+        state.sigma_hat = (1.0, 2.0, -0.5)
+        eta, sigma, alpha = state.eta, state.sigma_hat, cfg._alpha_c
+        u = ctrl.control_step(state, (1.0, 0.5, -1.0), cfg)
+        assert state.eta == tuple(s + (e - s) * alpha for s, e in zip(sigma, eta))
+        assert state.u is u
+        u_prev = u
+        u = ctrl.control_step(state, (1.0, 0.5, -1.0), cfg)
+        assert state.u is u and u != u_prev
 
     def test_dc_gain_to_reference(self):
         # sigma held at zero: u(t) -> k_g r through the control filter

@@ -174,14 +174,18 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
-        "simulate-unstable_l1",
+        "simulate-unstable_l1", "compare-l1_plain-anisotropic",
+        "compare-l1_plain-unstable",
     ]
     decks = tmp_path / "decks"
     aniso = str(decks / same_outputs.ANISOTROPIC_DECK)
-    assert runs[-4][1] == ["simulate", aniso]
-    assert runs[-3][1] == ["margin", aniso, "--horizon", "5"]
-    assert runs[-2][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
-    assert runs[-1][1] == ["simulate", str(decks / same_outputs.UNSTABLE_DECK)]
+    unstable = str(decks / same_outputs.UNSTABLE_DECK)
+    assert runs[-6][1] == ["simulate", aniso]
+    assert runs[-5][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-4][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
+    assert runs[-3][1] == ["simulate", unstable]
+    assert runs[-2][1] == ["compare", "configs/l1_plain.cfg", aniso]
+    assert runs[-1][1] == ["compare", "configs/l1_plain.cfg", unstable]
 
 
 def test_anisotropic_deck_differs_on_every_axis(tmp_path):
