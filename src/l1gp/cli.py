@@ -87,7 +87,8 @@ def write_events_csv(events: list, path: str) -> None:
                         str(ev.get("update_index", "")),
                         "" if "e_f_hat" not in ev else _CSV_FMT % ev["e_f_hat"],
                         str(ev.get("n_data", "")),
-                        json.dumps(detail).replace(",", ";") if detail else "",
+                        json.dumps(_finite(detail), allow_nan=False).replace(",", ";")
+                        if detail else "",
                     ]
                 )
                 + "\n"

@@ -7,11 +7,12 @@ window-5, order-2 filter, so it is made when the sample two steps later
 arrives, and the first two samples, whose window never completes, are
 never used. Derivative-estimation error is folded into the measurement
 noise, together with an explicit Gaussian noise injection drawn, in sample
-order, from the engine's seeded generator. Once N_update new samples have
-arrived the GP is refit on the targets made so far, and every successful
-refit publishes the immutable model it gives: the posterior, whose mean is
-the learned ``f_hat``. The publish event reports the new model's envelope
-at the sample just pushed, the state the loop's next tick reads it at. The
+order, from the run's seeded generator, which the learner alone holds: it
+is the loop's only random draw. Once N_update new samples have arrived the
+GP is refit on the targets made so far, and every successful refit
+publishes the immutable model it gives: the posterior, whose mean is the
+learned ``f_hat``. The publish event reports the new model's envelope at
+the sample just pushed, the state the loop's next tick reads it at. The
 published model is constant between publishes: a publish replaces it
 whole, between two engine steps.
 """

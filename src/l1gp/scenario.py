@@ -40,8 +40,10 @@ seed.
 The engine's state is one :class:`Snapshot`: a fresh run starts from
 :meth:`Snapshot.initial`, a resumed run from a deepcopy of the snapshot it
 is given, and :meth:`Engine.snapshot` returns a deepcopy of the live
-state. The record holds the learner's random generator itself, so each
-copy draws the same stream as the run it was taken from.
+state. The only random draw is the learner's measurement noise: the
+seeded generator is made with the learner and held only by it, so a copy
+of the record copies it and draws the same stream as the run it was taken
+from, and a run with no learner never loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -306,34 +308,33 @@ class Snapshot:
     record a run resumes from.
 
     ``t0`` is the time the state stands at, ``x`` the plant state and
-    ``ctrl_state`` the rest of the loop's. The record holds the random
-    generator itself and the learner draws from it, so one deepcopy of the
-    record copies both and keeps them joined. The input delay line is not
-    in the record: a resumed run starts with it empty.
+    ``ctrl_state`` the rest of the loop's. The learner holds the run's
+    seeded generator, so a deepcopy of the record copies it with the
+    learner. The input delay line is not in the record: a resumed run
+    starts with it empty.
     """
 
     t0: float
     x: tuple
     ctrl_state: ctrl.ControllerState
     learner: Optional[learner_mod.BayesianLearner]
-    rng: np.random.Generator
 
     @classmethod
     def initial(cls, cfg: "ScenarioConfig") -> "Snapshot":
         """The state at t = 0 of a fresh run of ``cfg``."""
-        rng = np.random.default_rng(cfg.seed)
         learner = None
         if cfg.learner is not None:
             from . import learner as learner_mod
 
             learner = learner_mod.BayesianLearner(
-                cfg.learner, cfg.controller.a_m, cfg.controller._b_inv, rng
+                cfg.learner, cfg.controller.a_m, cfg.controller._b_inv,
+                np.random.default_rng(cfg.seed),
             )
         # the prior's envelope, sqrt(beta) sigma_f, at every state
         e0 = learner.model.evaluate(cfg.plant.x0)[1] if learner else 0.0
         return cls(t0=0.0, x=cfg.plant.x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
-                   learner=learner, rng=rng)
+                   learner=learner)
 
 
 class Engine:

@@ -581,7 +581,8 @@ check = false
 
 def test_every_json_file_is_strict_json(tmp_path):
     # JSON has no Infinity or NaN: a ratio over a zero mean and the norm
-    # condition's infinite right side are written as null
+    # condition's infinite right side are written as null, in the JSON
+    # files and in the detail column of events.csv
     def strict(path):
         def refuse(name):
             raise ValueError(f"{name} in {path.name}")
@@ -596,6 +597,10 @@ def test_every_json_file_is_strict_json(tmp_path):
                             "sim/manifest.json", "sim/summary.json"]
     cond = next(e for e in docs["sim/manifest.json"]["events"] if e["kind"] == "l1_condition")
     assert cond["satisfied"] is True and cond["rhs"] is None
+    events = (sim / "events.csv").read_text()
+    assert "Infinity" not in events and "NaN" not in events
+    row = next(r for r in events.splitlines() if ",l1_condition," in r)
+    assert '"rhs": null' in row
     assert docs["cmp/compare.json"]["err_ideal_mean_a"] == {"0-2": 0.0}
     assert docs["cmp/compare.json"]["ratio_b_over_a"] == {"0-2": None}
 
@@ -672,14 +677,15 @@ class TestMargin:
         assert code == cli.EXIT_PRECONDITION
 
 
-# a fresh interpreter runs the CLI and reports whether scipy, and the
-# scipy.linalg package, were imported
+# a fresh interpreter runs the CLI and reports whether scipy, the
+# scipy.linalg package and numpy's random generator were imported
 SCIPY_PROBE = ("import sys, l1gp.cli; "
                "code = l1gp.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-               "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)")
+               "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules, "
+               "'numpy.random' in sys.modules)")
 
 
-@pytest.mark.parametrize("command, loads_scipy", [
+@pytest.mark.parametrize("command, loads_gp", [
     ("import", False),
     ("margin", False),
     ("simulate l1", False),
@@ -687,9 +693,11 @@ SCIPY_PROBE = ("import sys, l1gp.cli; "
     ("simulate l1gp", True),
     ("bound-check", True),
 ])
-def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
+def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_gp):
     # scipy is most of the CLI's start-up time; only the GP stack needs it,
-    # and the GP loads scipy's two compiled wrappers, never scipy.linalg
+    # and the GP loads scipy's two compiled wrappers, never scipy.linalg.
+    # numpy.random loads only for the learner's noise and bound-check's
+    # samples, so a run with no learner never loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
     l1gp_deck = NOMINAL.replace("duration = 2.0", "duration = 0.1")
     l1_deck = l1gp_deck.replace('mode = "l1gp"', 'mode = "l1"')
@@ -709,8 +717,8 @@ def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_scipy):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-3:] == ["0", str(loads_scipy), "False"]
+    assert out.stdout.split()[-4:] == ["0", str(loads_gp), "False", str(loads_gp)]
     if argv:
         # the manifest names scipy's version only when the run loaded it
         runtime = json.loads((tmp_path / "out" / "manifest.json").read_text())["runtime"]
-        assert (runtime["scipy_version"] is not None) == loads_scipy
+        assert (runtime["scipy_version"] is not None) == loads_gp

@@ -545,7 +545,7 @@ class TestSnapshotResume:
 
     def test_one_snapshot_resumes_the_same_way_twice(self):
         # a 20 Hz learner refits every 0.5 s, so the resumed second draws
-        # from the random generator the snapshot carries
+        # from the random generator the snapshot's learner carries
         cfg = no_condition(nominal(duration=1.0, reference_kind="sinusoid"))
         cfg = replace(cfg, learner=LearnerConfig(T_data=0.05, N_update=10))
         eng = scenario.Engine(cfg)
@@ -553,7 +553,7 @@ class TestSnapshotResume:
         snap = eng.snapshot()
         assert snap.t0 == 1.0
         first = scenario.Engine(cfg, resume=snap)
-        assert first.live.learner.buffer.rng is first.live.rng
+        assert first.live.learner.buffer.rng is not snap.learner.buffer.rng
         a = first.run()
         # the original engine goes on from where the snapshot was taken, and
         # neither run changes the snapshot
@@ -565,6 +565,13 @@ class TestSnapshotResume:
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.data, c.data)
         assert a.events == b.events == c.events
+
+    def test_a_run_with_no_learner_holds_no_generator(self):
+        # the seeded generator is the learner's, made only with it
+        snap = scenario.Snapshot.initial(no_condition(nominal(mode="l1")))
+        assert snap.learner is None
+        assert [f.name for f in dataclasses.fields(scenario.Snapshot)] == [
+            "t0", "x", "ctrl_state", "learner"]
 
 
 class TestRecording:
