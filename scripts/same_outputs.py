@@ -25,6 +25,10 @@ tree as the working directory:
   unstable at 0.37 s of 20, also written to the temporary directory: the
   flagged-unstable exit and the summary of a run that aborts before its
   late window are compared;
+- ``simulate`` on a mode-l1 deck with a 20 rad/s control filter, also
+  written to the temporary directory: its filter fails the norm condition,
+  so the ``l1_condition`` row of ``events.csv`` that reads
+  ``"satisfied": false`` is compared;
 - ``compare configs/l1_plain.cfg`` against the anisotropic deck, and
   against the unstable deck: ``compare.json`` holds the window means of
   both runs and their ratios, a null ratio where the unstable run recorded
@@ -117,18 +121,31 @@ j = [0.011, 0.011, 0.021]
 input_delay = 0.15
 """
 
+UNSATISFIED_DECK = "unsatisfied_condition.cfg"
+UNSATISFIED_TEXT = """\
+duration = 10.0
+
+[controller]
+mode = "l1"
+omega_c = 20.0
+
+[plant]
+j = [0.011, 0.011, 0.021]
+"""
+
 
 def write_decks(deck_dir: Path) -> None:
-    """Write the anisotropic, the off-grid and the unstable deck to ``deck_dir``."""
+    """Write the anisotropic, the off-grid, the unstable and the
+    unsatisfied-condition deck to ``deck_dir``."""
     (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
     (deck_dir / OFF_GRID_DECK).write_text(OFF_GRID_TEXT)
     (deck_dir / UNSTABLE_DECK).write_text(UNSTABLE_TEXT)
+    (deck_dir / UNSATISFIED_DECK).write_text(UNSATISFIED_TEXT)
 
 
 def runs(tree: Path, deck_dir: Path) -> list:
     """(name, cli arguments) of every run, decks in sorted order; the
-    anisotropic, the off-grid and the unstable deck are read from
-    ``deck_dir``."""
+    written decks are read from ``deck_dir``."""
     decks = sorted((tree / "configs").glob("*.cfg"))
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
@@ -142,6 +159,8 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
         ("simulate-unstable_l1", ["simulate", str(deck_dir / UNSTABLE_DECK)]),
+        ("simulate-unsatisfied_condition",
+         ["simulate", str(deck_dir / UNSATISFIED_DECK)]),
         ("compare-l1_plain-anisotropic", ["compare", "configs/l1_plain.cfg", aniso]),
         ("compare-l1_plain-unstable",
          ["compare", "configs/l1_plain.cfg", str(deck_dir / UNSTABLE_DECK)]),

@@ -58,11 +58,11 @@ def _flatten(table: dict, prefix: str, flat: dict) -> dict:
 
 
 def _float(value) -> float:
-    # float("nan") and float(True) parse, yet neither is a number a deck means
-    number = math.nan if isinstance(value, bool) else float(value)
-    if not math.isfinite(number):
+    # float("2") and float(True) parse, yet neither is a number a deck means
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
         raise ValueError("must be a finite number")
-    return number
+    return float(value)
 
 
 def _positive(value) -> float:
@@ -141,7 +141,6 @@ _KEYS = {
     "bound.delta": (_float, 0.01),
     "bound.kappa_op": (_float, 5.0),
     "bound.grid_points": (_only(21), None),
-    "condition.check": (_bool, True),
     "condition.l_f": (_float, 0.2),
     "condition.b0": (_float, 0.0),
     "condition.rho_0": (_float, None),
@@ -238,7 +237,6 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
             record_decimation=echo["record_decimation"],
             blowup=echo["blowup"],
             condition=scenario.ConditionParams(
-                check=echo["condition.check"],
                 lip_f=echo["condition.l_f"],
                 b0=echo["condition.b0"],
                 rho_0=echo.get("condition.rho_0"),

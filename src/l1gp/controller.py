@@ -50,7 +50,6 @@ __all__ = [
     "learning_filter_step",
     "control_step",
     "l1_norm_condition",
-    "NormConditionReport",
 ]
 
 MODES = ("l1", "l1gp")
@@ -264,28 +263,6 @@ def control_step(
     return state.u
 
 
-@dataclass
-class NormConditionReport:
-    """Both sides of the filter-design inequality, for reporting."""
-
-    satisfied: bool
-    lhs: float
-    rhs: float
-    rho_r: float
-    rho_in: float
-    hc_kg_norm: float
-
-    def as_dict(self) -> dict:
-        return {
-            "satisfied": bool(self.satisfied),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rho_r": self.rho_r,
-            "rho_in": self.rho_in,
-            "hc_kg_norm": self.hc_kg_norm,
-        }
-
-
 def l1_norm_condition(
     cfg: ControllerConfig,
     lip_f: float,
@@ -293,7 +270,7 @@ def l1_norm_condition(
     rho_r: float | None = None,
     r_inf: float = 0.0,
     rho_0: float = 0.0,
-) -> NormConditionReport:
+) -> dict:
     """Evaluate the low-pass filter design inequality for the configuration.
 
     ``A_m``, ``B_m`` and ``k_g`` are diagonal, so each transfer matrix is
@@ -311,6 +288,7 @@ def l1_norm_condition(
 
     The checker is a diagnostic: callers should warn, not abort, when it
     fails. ``rho_r`` defaults to ``2 |r|_inf |H C k_g| + rho_in + 1``.
+    Returns an ``l1_condition`` event's detail, both sides included.
     """
     lhs = hck_norm = 0.0
     for a, b, kg in zip(cfg.a_m, cfg.b_m, cfg.k_g):
@@ -329,11 +307,11 @@ def l1_norm_condition(
     # lhs < numerator / denom, multiplied out: a zero denominator holds
     # only when the numerator is positive
     rhs = numerator / denom if denom > 0.0 else math.copysign(math.inf, numerator)
-    return NormConditionReport(
-        satisfied=lhs * denom < numerator,
-        lhs=lhs,
-        rhs=rhs,
-        rho_r=rho_r,
-        rho_in=rho_in,
-        hc_kg_norm=hck_norm,
-    )
+    return {
+        "satisfied": lhs * denom < numerator,
+        "lhs": lhs,
+        "rhs": rhs,
+        "rho_r": rho_r,
+        "rho_in": rho_in,
+        "hc_kg_norm": hck_norm,
+    }

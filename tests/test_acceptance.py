@@ -112,13 +112,13 @@ def test_criterion_3_adaptation_filter_numerics():
     c_norm = float(mp.quad(lambda t: abs(80 * mp.exp(-80 * t)), [0, mp.inf]))
     c_ok = abs(c_norm - 1.0) <= 1e-3
     rep = ctrl.l1_norm_condition(cfg, lip_f=0.2, b0=0.0, r_inf=1.0, rho_0=0.0)
-    axis_ok = abs(rep.lhs - 2.00) <= 0.02
+    axis_ok = abs(rep["lhs"] - 2.00) <= 0.02
     report(
         3,
         "Phi(0.001) = 0.00099850*I +- 1e-10; |C|_L1 = 1 +- 1e-3; "
         "|H(1-C)|_L1 axis-1 = 2.00 +- 0.02",
         phi_ok and c_ok and axis_ok,
-        f"phi {phi[0]:.12f}, |C| {c_norm:.5f}, lhs {rep.lhs:.4f}",
+        f"phi {phi[0]:.12f}, |C| {c_norm:.5f}, lhs {rep['lhs']:.4f}",
     )
 
 
@@ -260,9 +260,6 @@ kind = "sinusoid"
 
 [plant]
 j = [0.011, 0.011, 0.021]
-
-[condition]
-check = false
 """
     cfg = tmp_path / "det.cfg"
     cfg.write_text(text)

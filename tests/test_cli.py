@@ -32,9 +32,6 @@ x_hat0 = [0.5, 0.5, 0.5]
 [plant]
 j = [0.011, 0.011, 0.021]
 uncertainty = "quadratic"
-
-[condition]
-check = false
 """
 
 ZERO_CFG = """
@@ -54,9 +51,6 @@ uncertainty = "zero"
 
 [learner]
 enabled = false
-
-[condition]
-check = false
 """
 
 
@@ -66,7 +60,6 @@ duration = 20.0
 controller.mode = "l1"
 plant.j = [0.011, 0.011, 0.021]
 plant.input_delay = 0.15
-condition.check = false
 """
 
 # a loop at rest: every window mean is 0, and with l_f = 0 and b0 = 0 the
@@ -180,7 +173,7 @@ class TestConfigParsing:
     def test_same_key_in_two_sections(self, tmp_path, capsys):
         # two keys: the run reads condition.l_f and refuses bound.l_f alone
         path = write(tmp_path, "a.cfg",
-                     NOMINAL + "l_f = 3.0\n\n[bound]\nl_f = 2.0\n")
+                     NOMINAL + "\n[condition]\nl_f = 3.0\n\n[bound]\nl_f = 2.0\n")
         flat = config_mod.parse_flat_file(path)
         assert flat["condition.l_f"] == 3.0 and flat["bound.l_f"] == 2.0
         code = cli.main(["simulate", path, "-o", str(tmp_path / "o")])
@@ -286,9 +279,15 @@ class TestSimulate:
                      id="plant.x0 = [1e400 as an integer, 0, 0]"),
         pytest.param(f"learner.max_points = {10**30}", "max_points must be at most",
                      id="learner.max_points = 10**30"),
-        # finite, on the step grid, but a trace no array can hold
+        # a quoted number is a string, not a number
+        ('duration = "2"', "duration = '2': must be a finite number"),
+        ('plant.j = ["0.011", "0.011", "0.021"]',
+         "plant.j = ['0.011', '0.011', '0.021']: must be a finite number"),
+        # finite, on the step grid, but a trace no array can hold: refused
+        # when the run allocates it, the margin's warm-up run included
         ("duration = 1e300", "duration 1e+300 at step 0.001 needs"),
         ("step = 1e-300", "duration 0.1 at step 1e-300 needs"),
+        ("margin --snapshot-time 1e300", "duration 1e+300 at step 0.001 needs"),
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line, problem):
         # a deck line run by simulate, or a command's flag on a valid deck
@@ -538,9 +537,6 @@ kind = "sinusoid"
 
 [plant]
 j = [0.011, 0.011, 0.021]
-
-[condition]
-check = false
 """
         cfg_a = write(tmp_path, "a.cfg", deck("l1", "false"))
         cfg_b = write(tmp_path, "b.cfg", deck("l1gp", "true"))

@@ -46,7 +46,6 @@ NON_DEFAULT = {
     "bound.xi": 0.01,
     "bound.delta": 0.05,
     "bound.kappa_op": 3.0,
-    "condition.check": False,
     "condition.l_f": 0.3,
     "condition.b0": 0.1,
     "condition.rho_0": 1.0,

@@ -348,8 +348,8 @@ class TestNormCondition:
         report = ctrl.l1_norm_condition(cfg, lip_f=0.2, b0=0.0, r_inf=1.0, rho_0=0.0)
         # axes 1 and 2 (J = 0.011) have the larger |b|
         want = mp_hg_norm(-3.0, 1.0 / 0.011, 80.0)
-        assert abs(report.lhs - want) <= 1e-12 * want
-        assert report.lhs == 1.9998162829383463
+        assert abs(report["lhs"] - want) <= 1e-12 * want
+        assert report["lhs"] == 1.9998162829383463
 
     @mp.workdps(30)
     def test_filter_norm_is_one(self):
@@ -360,8 +360,8 @@ class TestNormCondition:
         want = mp_l1_norm(
             lambda t: b * kg * 80 * (mp.exp(-3 * t) - mp.exp(-80 * t)) / 77, [1 / 3]
         )
-        assert abs(report.hc_kg_norm - want) <= 1e-12 * want
-        assert report.hc_kg_norm == pytest.approx(1.0, rel=1e-15)
+        assert abs(report["hc_kg_norm"] - want) <= 1e-12 * want
+        assert report["hc_kg_norm"] == pytest.approx(1.0, rel=1e-15)
 
     @mp.workdps(30)
     def test_rho_in_biproper_norm(self):
@@ -369,7 +369,7 @@ class TestNormCondition:
         cfg = nominal_cfg()
         report = ctrl.l1_norm_condition(cfg, lip_f=0.0, b0=0.0, r_inf=0.0, rho_0=1.0)
         want = 1 + mp_l1_norm(lambda t: -3 * mp.exp(-3 * t), [])
-        assert abs(report.rho_in - want) <= 1e-12 * want
+        assert abs(report["rho_in"] - want) <= 1e-12 * want
 
     @mp.workdps(30)
     @pytest.mark.parametrize("a", [-0.01, -3.0, -79.0, -80.0 * (1 - 1e-9), -80.0,
@@ -377,23 +377,23 @@ class TestNormCondition:
     def test_lhs_matches_quadrature(self, a):
         report = ctrl.l1_norm_condition(axis_cfg(a), lip_f=0.2, b0=0.0, r_inf=1.0)
         want = mp_hg_norm(a, 1.0 / 0.011, 80.0)
-        assert abs(report.lhs - want) <= 1e-12 * want
+        assert abs(report["lhs"] - want) <= 1e-12 * want
 
     def test_double_pole(self):
         # a_m = -omega_c: the impulse response b (1 - w t) e^{-w t}, norm
         # 2|b|/(e w), with no division by zero and continuous on both sides
         with np.errstate(all="raise"):
-            lhs = ctrl.l1_norm_condition(axis_cfg(-80.0), lip_f=0.2, b0=0.0).lhs
+            lhs = ctrl.l1_norm_condition(axis_cfg(-80.0), lip_f=0.2, b0=0.0)["lhs"]
         assert lhs == pytest.approx(2.0 / 0.011 / (math.e * 80.0), rel=1e-15)
         for a in (-80.0 * (1 - 1e-9), -80.0 * (1 + 1e-9)):
-            near = ctrl.l1_norm_condition(axis_cfg(a), lip_f=0.2, b0=0.0).lhs
+            near = ctrl.l1_norm_condition(axis_cfg(a), lip_f=0.2, b0=0.0)["lhs"]
             assert abs(near - lhs) <= 1e-8 * lhs
 
     def test_degenerate_denominator(self):
         cfg = nominal_cfg()
         report = ctrl.l1_norm_condition(cfg, lip_f=0.0, b0=0.0, r_inf=0.0, rho_0=0.0)
-        assert report.rhs == math.inf
-        assert report.satisfied
+        assert report["rhs"] == math.inf
+        assert report["satisfied"]
 
     @pytest.mark.parametrize("r_inf, holds", [(0.0, True), (1.0, False)])
     def test_zero_denominator_follows_the_numerator(self, r_inf, holds):
@@ -403,5 +403,5 @@ class TestNormCondition:
         report = ctrl.l1_norm_condition(
             cfg, lip_f=0.0, b0=0.0, rho_r=0.5, r_inf=r_inf, rho_0=0.0
         )
-        assert report.satisfied is holds
-        assert report.rhs == (math.inf if holds else -math.inf)
+        assert report["satisfied"] is holds
+        assert report["rhs"] == (math.inf if holds else -math.inf)

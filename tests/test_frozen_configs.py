@@ -21,7 +21,6 @@ MODULES = ["l1gp"] + [
 # its results
 NOT_CONFIG = {
     "l1gp.controller.ControllerState",
-    "l1gp.controller.NormConditionReport",
     "l1gp.scenario.SimulationTrace",
     "l1gp.scenario.Snapshot",
     "l1gp.scenario.MarginResult",

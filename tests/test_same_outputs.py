@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from l1gp import config, scenario
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
@@ -174,16 +176,17 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
-        "simulate-unstable_l1", "compare-l1_plain-anisotropic",
-        "compare-l1_plain-unstable",
+        "simulate-unstable_l1", "simulate-unsatisfied_condition",
+        "compare-l1_plain-anisotropic", "compare-l1_plain-unstable",
     ]
     decks = tmp_path / "decks"
     aniso = str(decks / same_outputs.ANISOTROPIC_DECK)
     unstable = str(decks / same_outputs.UNSTABLE_DECK)
-    assert runs[-6][1] == ["simulate", aniso]
-    assert runs[-5][1] == ["margin", aniso, "--horizon", "5"]
-    assert runs[-4][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
-    assert runs[-3][1] == ["simulate", unstable]
+    assert runs[-7][1] == ["simulate", aniso]
+    assert runs[-6][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-5][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
+    assert runs[-4][1] == ["simulate", unstable]
+    assert runs[-3][1] == ["simulate", str(decks / same_outputs.UNSATISFIED_DECK)]
     assert runs[-2][1] == ["compare", "configs/l1_plain.cfg", aniso]
     assert runs[-1][1] == ["compare", "configs/l1_plain.cfg", unstable]
 
@@ -193,7 +196,7 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     same_outputs.write_decks(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [same_outputs.ANISOTROPIC_DECK, same_outputs.OFF_GRID_DECK,
-         same_outputs.UNSTABLE_DECK])
+         same_outputs.UNSTABLE_DECK, same_outputs.UNSATISFIED_DECK])
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
@@ -227,3 +230,18 @@ def test_unstable_deck_aborts_before_its_late_window(tmp_path):
     assert cfg.learner is None and echo["learner.enabled"] is False
     trace = scenario.run(cfg)
     assert trace.unstable and trace.t[-1] == 0.37
+
+
+def test_unsatisfied_deck_fails_the_norm_condition(tmp_path):
+    # lhs 6.50 >= rhs 3.33 at 20 rad/s: the run warns, logs the report at
+    # t = 0 as unsatisfied and stays stable
+    same_outputs.write_decks(tmp_path)
+    cfg, _ = config.resolve_scenario(
+        config.parse_flat_file(str(tmp_path / same_outputs.UNSATISFIED_DECK)))
+    assert cfg.learner is None and cfg.controller.omega_c == 20.0
+    with pytest.warns(UserWarning, match="unsatisfied"):
+        trace = scenario.run(cfg)
+    report = trace.events[0]
+    assert (report["t"], report["kind"], report["satisfied"]) == (0.0, "l1_condition", False)
+    assert round(report["lhs"], 2) == 6.50 and round(report["rhs"], 2) == 3.33
+    assert not trace.unstable and trace.t[-1] == 10.0

@@ -1,5 +1,6 @@
 """Closed-loop engine tests: contracts, degeneracies, oracles, margin search."""
 
+import contextlib
 import dataclasses
 import glob
 import math
@@ -29,55 +30,51 @@ def edit(cfg, part, **changes):
     return replace(cfg, **{part: replace(getattr(cfg, part), **changes)})
 
 
-def no_condition(cfg):
-    return edit(cfg, "condition", check=False)
-
-
 class TestEquilibriumAndBookkeeping:
     def test_all_zero_run(self):
         cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero", mode="l1")
         cfg = edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0))
-        trace = scenario.run(no_condition(cfg))
+        trace = scenario.run(cfg)
         assert not trace.unstable
         numeric = trace.data[:, 1:]
         assert np.max(np.abs(numeric)) == 0.0
 
     def test_row_count_and_uniform_time(self):
-        cfg = no_condition(nominal(duration=2.0, mode="l1"))
+        cfg = nominal(duration=2.0, mode="l1")
         trace = scenario.run(cfg)
         assert trace.data.shape[0] == 2.0 / 0.001 / 10 + 1
         dt = np.diff(trace.t)
         assert np.allclose(dt, 0.01, atol=1e-12)
 
     def test_xtilde_is_xhat_minus_x(self):
-        cfg = no_condition(nominal(duration=1.0))
+        cfg = nominal(duration=1.0)
         trace = scenario.run(cfg)
         assert np.max(np.abs(
             trace.block("xtilde") - (trace.block("xhat") - trace.block("x"))
         )) < 1e-12
 
     def test_determinism_bit_identical(self):
-        cfg = no_condition(nominal(duration=3.0, reference_kind="sinusoid"))
+        cfg = nominal(duration=3.0, reference_kind="sinusoid")
         a = scenario.run(cfg)
-        b = scenario.run(no_condition(nominal(duration=3.0, reference_kind="sinusoid")))
+        b = scenario.run(nominal(duration=3.0, reference_kind="sinusoid"))
         assert np.array_equal(a.data, b.data)
 
     def test_seed_changes_trace(self):
-        a = scenario.run(no_condition(nominal(duration=12.0, seed=1)))
-        b = scenario.run(no_condition(nominal(duration=12.0, seed=2)))
+        a = scenario.run(nominal(duration=12.0, seed=1))
+        b = scenario.run(nominal(duration=12.0, seed=2))
         # learner noise differs once the first model is published
         assert not np.array_equal(a.data, b.data)
 
 
 class TestRateContracts:
     def test_publish_times_multiples(self):
-        cfg = no_condition(nominal(duration=25.0, reference_kind="sinusoid"))
+        cfg = nominal(duration=25.0, reference_kind="sinusoid")
         trace = scenario.run(cfg)
         pubs = [e for e in trace.events if e["kind"] == "learner_published"]
         assert [e["t"] for e in pubs] == [10.0, 20.0]
 
     def test_sigma_piecewise_constant_at_ts(self):
-        cfg = no_condition(nominal(duration=0.2, record_decimation=1))
+        cfg = nominal(duration=0.2, record_decimation=1)
         cfg = edit(cfg, "controller", T_s=0.002)
         trace = scenario.run(cfg)
         sg = trace.block("sigmahat")
@@ -90,8 +87,7 @@ class TestRateContracts:
             assert abs(tick_time / 0.002 - round(tick_time / 0.002)) < 1e-9
 
     def test_fl_continuity(self):
-        cfg = no_condition(nominal(duration=15.0, reference_kind="sinusoid",
-                                   record_decimation=1))
+        cfg = nominal(duration=15.0, reference_kind="sinusoid", record_decimation=1)
         trace = scenario.run(cfg)
         fl = trace.block("fl")
         fhat = trace.block("fhat")
@@ -101,7 +97,7 @@ class TestRateContracts:
         assert np.all(jumps <= bound)
 
     def test_omega_bounds_and_monotonicity(self):
-        cfg = no_condition(nominal(duration=30.0, reference_kind="sinusoid"))
+        cfg = nominal(duration=30.0, reference_kind="sinusoid")
         trace = scenario.run(cfg)
         w = trace.col("omega_filtered")
         assert np.all(w >= 0.0) and np.all(w <= 80.0 + 1e-12)
@@ -110,9 +106,8 @@ class TestRateContracts:
             assert np.all(np.diff(w) >= -1e-12)
 
     def test_ideal_trace_independent_of_uncertainty_and_mode(self):
-        base = scenario.run(no_condition(nominal(duration=3.0)))
-        other = scenario.run(no_condition(
-            nominal(duration=3.0, uncertainty="sine_switch", mode="l1")))
+        base = scenario.run(nominal(duration=3.0))
+        other = scenario.run(nominal(duration=3.0, uncertainty="sine_switch", mode="l1"))
         assert np.array_equal(base.block("xid"), other.block("xid"))
 
 
@@ -121,8 +116,8 @@ class TestDegeneracies:
         # omega_0 = 0 pins the learning filter's bandwidth at zero, so f_L
         # stays zero whatever the learner publishes: the l1gp loop is the
         # l1 loop bit for bit, and only the model's recorded reads differ
-        a = no_condition(nominal(duration=25.0, reference_kind="sinusoid", mode="l1"))
-        b = no_condition(nominal(duration=25.0, reference_kind="sinusoid"))
+        a = nominal(duration=25.0, reference_kind="sinusoid", mode="l1")
+        b = nominal(duration=25.0, reference_kind="sinusoid")
         ta = scenario.run(a)
         tb = scenario.run(edit(b, "controller", omega_0=0.0))
         assert any(ev["kind"] == "learner_published" for ev in tb.events)
@@ -132,7 +127,7 @@ class TestDegeneracies:
         assert ta.data[:, loop].tobytes() == tb.data[:, loop].tobytes()
 
     def test_prediction_offset_transient_decays(self):
-        cfg = no_condition(nominal(duration=5.0, reference_kind="zero"))
+        cfg = nominal(duration=5.0, reference_kind="zero")
         trace = scenario.run(cfg)
         xt = np.max(np.abs(trace.block("xtilde")), axis=1)
         after_3s = xt[trace.t >= 3.0]
@@ -143,12 +138,26 @@ class TestDegeneracies:
 class TestInstability:
     def test_early_termination_flagged_and_well_formed(self):
         cfg = nominal(duration=10.0, mode="l1", input_delay=0.15)
-        trace = scenario.run(no_condition(cfg))
+        trace = scenario.run(cfg)
         assert trace.unstable
         kinds = [e["kind"] for e in trace.events]
         assert "unstable_abort" in kinds
         assert np.all(np.isfinite(trace.data))
         assert trace.t[-1] < 10.0
+
+    def test_a_non_finite_state_stops_the_run_on_the_one_rule(self):
+        # no step raises: a NaN fails |x_i| <= blowup like a blow-up does,
+        # and the abort row holds the state that failed the rule
+        def nan_field(x0, x1, x2):
+            return 0.0, math.nan, 0.0
+
+        cfg = nominal(duration=1.0, mode="l1")
+        cfg = edit(cfg, "plant", uncertainty=plant.UncertaintySchedule(((0.0, nan_field),)))
+        trace = scenario.run(cfg)
+        assert trace.unstable
+        assert trace.t[-1] == cfg.step
+        assert trace.events[-1] == {"t": cfg.step, "kind": "unstable_abort"}
+        assert not np.all(np.isfinite(trace.block("x")[-1]))
 
 
 def reference_system(cfg):
@@ -185,7 +194,7 @@ class TestReferenceSystem:
             config.parse_flat_file(os.path.join(ROOT, "configs", "l1_plain.cfg")))
         gaps = []
         for ts in (0.001, 0.002, 0.005):
-            cfg = replace(no_condition(deck), duration=5.0, record_decimation=1)
+            cfg = replace(deck, duration=5.0, record_decimation=1)
             cfg = edit(cfg, "controller", T_s=ts, x_hat0=cfg.plant.x0)
             x = scenario.run(cfg).block("x")
             gaps.append(np.max(np.abs(x - reference_system(cfg))))
@@ -198,7 +207,7 @@ class TestIdealLoop:
     # x_id' = -3 x_id + b r(t) per axis with b = (B_m k_g)_ii = 3, x_id(0) = 0
     @pytest.mark.parametrize("kind", ["step", "sinusoid"])
     def test_matches_closed_form(self, kind):
-        cfg = no_condition(nominal(duration=4.0, reference_kind=kind, mode="l1"))
+        cfg = nominal(duration=4.0, reference_kind=kind, mode="l1")
         trace = scenario.run(cfg)
         t = trace.t[:, None]
         a = np.array(cfg.reference.amplitude)
@@ -227,7 +236,7 @@ class TestIdealLoop:
         mp = pytest.importorskip("mpmath")
         cfg, _ = config.resolve_scenario({
             "duration": 20.0, "controller.mode": "l1", "plant.j": [0.011, 0.011, 0.021],
-            "plant.x0": [0.3, -0.2, 0.1], "condition.check": False, **deck})
+            "plant.x0": [0.3, -0.2, 0.1], **deck})
         trace = scenario.run(cfg)
         b = np.multiply(cfg.controller.b_m, cfg.controller.k_g).tolist()
         axes = zip(cfg.plant.a_m, b, cfg.plant.x0, cfg.reference.amplitude,
@@ -274,6 +283,8 @@ class TestConfigEdits:
         assert trace.t[-1] == 2.0
         assert np.array_equal(trace.data, scenario.run(fresh).data)
 
+    # omega_c = 40 fails the norm condition, which the runs report
+    @pytest.mark.filterwarnings("ignore:filter norm condition unsatisfied")
     @pytest.mark.parametrize("part, name, value", [
         ("plant", "j", (0.022, 0.022, 0.042)),
         ("controller", "omega_c", 40.0),
@@ -282,7 +293,7 @@ class TestConfigEdits:
         # replace derives the plant's float caches and the controller's
         # filter factors as construction does: every attribute, the private
         # caches included, equals that of the part built with the value
-        cfg = no_condition(nominal(duration=1.0, mode="l1"))
+        cfg = nominal(duration=1.0, mode="l1")
         before = scenario.run(cfg).data
         old = getattr(cfg, part)
         args = {f.name: getattr(old, f.name) for f in dataclasses.fields(old) if f.init}
@@ -336,8 +347,7 @@ class TestPlantReplay:
     def test_engine_steps_are_generic_rk4_steps(self):
         # every recorded state is one numerics.rk4_step over plant_derivative
         # from the previous row, with the input the row records
-        cfg = no_condition(nominal(duration=1.0, mode="l1",
-                                   switch_time=0.5, record_decimation=1))
+        cfg = nominal(duration=1.0, mode="l1", switch_time=0.5, record_decimation=1)
         trace = scenario.run(cfg)
         assert not trace.unstable
         assert [e["t"] for e in trace.events if e["kind"] == "uncertainty_switch"] == [0.5]
@@ -359,8 +369,8 @@ class TestSwitchStep:
     ):
         # 1099 * 0.001 + 0.001 < 1.1 in floats, so a stage clock would keep
         # the old kind; the engine picks the segment by step index
-        cfg = no_condition(nominal(duration=switch + 0.1, mode="l1", switch_time=switch,
-                                   record_decimation=1))
+        cfg = nominal(duration=switch + 0.1, mode="l1", switch_time=switch,
+                      record_decimation=1)
         trace = scenario.run(cfg)
         assert [e["t"] for e in trace.events
                 if e["kind"] == "uncertainty_switch"] == [switch]
@@ -397,9 +407,8 @@ class TestControllerReplay:
         [("l1", "sinusoid", 2.0), ("l1gp", "step", 11.0)],
     )
     def test_rows_follow_the_array_formulas(self, mode, kind, duration):
-        cfg = no_condition(nominal(duration=duration, mode=mode,
-                                   reference_kind=kind,
-                                   record_decimation=1))
+        cfg = nominal(duration=duration, mode=mode, reference_kind=kind,
+                      record_decimation=1)
         trace = scenario.run(cfg)
         assert not trace.unstable
         if mode == "l1gp":
@@ -481,7 +490,7 @@ class TestEngineCalls:
         self.count_calls(monkeypatch, counts, plant.DelayLine, "push")
         for name in self.TICK:
             self.count_calls(monkeypatch, counts, ctrl, name)
-        cfg = no_condition(nominal(duration=0.5, input_delay=delay))
+        cfg = nominal(duration=0.5, input_delay=delay)
         trace = scenario.run(cfg)
         assert not trace.unstable
         assert counts == {"push": cfg.n_steps, **{name: cfg.n_steps for name in self.TICK}}
@@ -490,7 +499,7 @@ class TestEngineCalls:
         # the loop binds its calls when it runs, not when the engine is
         # built: the benchmark wraps them around an engine it already has
         counts = {}
-        cfg = no_condition(nominal(duration=0.5, input_delay=0.005))
+        cfg = nominal(duration=0.5, input_delay=0.005)
         engine = scenario.Engine(cfg)
         self.count_calls(monkeypatch, counts, plant, "rk4_plant_step")
         self.count_calls(monkeypatch, counts, plant.DelayLine, "push")
@@ -503,13 +512,11 @@ class TestEngineCalls:
 
 class TestSnapshotResume:
     def test_resume_matches_uninterrupted(self):
-        full = scenario.run(no_condition(
-            nominal(duration=14.0, reference_kind="sinusoid")))
-        eng = scenario.Engine(no_condition(
-            nominal(duration=7.0, reference_kind="sinusoid")))
+        full = scenario.run(nominal(duration=14.0, reference_kind="sinusoid"))
+        eng = scenario.Engine(nominal(duration=7.0, reference_kind="sinusoid"))
         first = eng.run()
         snap = eng.snapshot()
-        cfg2 = no_condition(nominal(duration=7.0, reference_kind="sinusoid"))
+        cfg2 = nominal(duration=7.0, reference_kind="sinusoid")
         second = scenario.Engine(cfg2, resume=snap).run()
         stitched = np.vstack([first.data, second.data[1:]])
         assert np.array_equal(stitched, full.data)
@@ -517,7 +524,7 @@ class TestSnapshotResume:
     def test_runs_of_one_engine_share_no_memory(self):
         # each run returns a view of its own row buffer, uncopied, which
         # holds at most 3 rows more than the trace
-        eng = scenario.Engine(no_condition(nominal(duration=0.5)))
+        eng = scenario.Engine(nominal(duration=0.5))
         a = eng.run()
         b = eng.run()
         assert b.t[0] == a.t[-1] == 0.5
@@ -528,13 +535,11 @@ class TestSnapshotResume:
 
     def test_resume_off_the_recording_grid_keeps_the_grid(self):
         # resumed at 13 ms, the run still records at multiples of 10 ms
-        full = scenario.run(no_condition(
-            nominal(duration=1.0, reference_kind="sinusoid")))
-        eng = scenario.Engine(no_condition(
-            nominal(duration=0.013, reference_kind="sinusoid")))
+        full = scenario.run(nominal(duration=1.0, reference_kind="sinusoid"))
+        eng = scenario.Engine(nominal(duration=0.013, reference_kind="sinusoid"))
         eng.run()
         second = scenario.Engine(
-            no_condition(nominal(duration=0.987, reference_kind="sinusoid")),
+            nominal(duration=0.987, reference_kind="sinusoid"),
             resume=eng.snapshot(),
         ).run()
         assert second.t[0] == 13 * 0.001
@@ -546,7 +551,7 @@ class TestSnapshotResume:
     def test_one_snapshot_resumes_the_same_way_twice(self):
         # a 20 Hz learner refits every 0.5 s, so the resumed second draws
         # from the random generator the snapshot's learner carries
-        cfg = no_condition(nominal(duration=1.0, reference_kind="sinusoid"))
+        cfg = nominal(duration=1.0, reference_kind="sinusoid")
         cfg = replace(cfg, learner=LearnerConfig(T_data=0.05, N_update=10))
         eng = scenario.Engine(cfg)
         eng.run()
@@ -566,9 +571,25 @@ class TestSnapshotResume:
         assert np.array_equal(a.data, c.data)
         assert a.events == b.events == c.events
 
+    def test_the_condition_is_reported_at_step_0_only(self):
+        # two runs of one engine log the events of one uninterrupted run,
+        # one report at t = 0 among them; a resumed run reports nothing
+        cfg = nominal(duration=1.0, mode="l1", switch_time=0.7)
+        full = scenario.run(cfg)
+        half = replace(cfg, duration=0.5)
+        eng = scenario.Engine(half)
+        first = eng.run()
+        snap = eng.snapshot()
+        second = eng.run()
+        assert first.events + second.events == full.events
+        assert [e["t"] for e in full.events if e["kind"] == "l1_condition"] == [0.0]
+        resumed = scenario.Engine(half, resume=snap).run()
+        assert resumed.events == second.events
+        assert [e["kind"] for e in resumed.events] == ["uncertainty_switch"]
+
     def test_a_run_with_no_learner_holds_no_generator(self):
         # the seeded generator is the learner's, made only with it
-        snap = scenario.Snapshot.initial(no_condition(nominal(mode="l1")))
+        snap = scenario.Snapshot.initial(nominal(mode="l1"))
         assert snap.learner is None
         assert [f.name for f in dataclasses.fields(scenario.Snapshot)] == [
             "t0", "x", "ctrl_state", "learner"]
@@ -584,8 +605,8 @@ class TestRecording:
     @staticmethod
     def deck(ts, dec, duration=DURATION):
         # a 20 Hz learner refitting every 0.5 s publishes twice in the run
-        cfg = no_condition(nominal(duration=duration, reference_kind="sinusoid",
-                                   record_decimation=dec))
+        cfg = nominal(duration=duration, reference_kind="sinusoid",
+                      record_decimation=dec)
         cfg = edit(cfg, "controller", T_s=ts)
         return replace(cfg, learner=LearnerConfig(T_data=0.05, N_update=10))
 
@@ -642,6 +663,15 @@ def predicted_margin(omega_c, T_s=0.001):
     return math.pi / (2.0 * omega_c) - T_s / 2.0
 
 
+def condition_report(omega_c):
+    """The warning a run from step 0 gives at this control bandwidth: below
+    80 rad/s the filter fails the norm condition (lhs 3.68 at 40, 6.50 at 20,
+    against rhs 3.33)."""
+    if omega_c < 80.0:
+        return pytest.warns(UserWarning, match="unsatisfied")
+    return contextlib.nullcontext()
+
+
 def no_repeats(res):
     delays = [d for d, _ in res.candidates]
     return len(set(delays)) == len(delays) == res.iterations
@@ -651,7 +681,8 @@ class TestMarginSearch:
     @pytest.mark.parametrize("omega_c, margin_steps",
                              [(20.0, 77), (40.0, 39), (80.0, 19), (160.0, 10)])
     def test_margin_across_omega_c(self, omega_c, margin_steps):
-        res = scenario.delay_margin_search(l1_step_deck(omega_c), horizon=20.0)
+        with condition_report(omega_c):
+            res = scenario.delay_margin_search(l1_step_deck(omega_c), horizon=20.0)
         assert res.margin == margin_steps * 0.001
         assert res.bracket == (margin_steps * 0.001, (margin_steps + 1) * 0.001)
         assert not res.open_bracket
@@ -667,7 +698,7 @@ class TestMarginSearch:
     def test_l1gp_margin_across_omega_c(self, omega_c, margin_steps, monkeypatch):
         # the learning loop, each candidate resumed from a 30 s snapshot and
         # recording only its end rows, keeps mode l1's margins
-        base = no_condition(nominal(duration=20.0, mode="l1gp"))
+        base = nominal(duration=20.0, mode="l1gp")
         base = replace(base, controller=replace(base.controller, omega_c=omega_c))
         rows = []
         run = scenario.Engine.run
@@ -678,7 +709,8 @@ class TestMarginSearch:
             return trace
 
         monkeypatch.setattr(scenario.Engine, "run", counting)
-        res = scenario.delay_margin_search(base, horizon=20.0, snapshot_time=30.0)
+        with condition_report(omega_c):
+            res = scenario.delay_margin_search(base, horizon=20.0, snapshot_time=30.0)
         assert res.margin == margin_steps * 0.001
         assert res.bracket == (margin_steps * 0.001, (margin_steps + 1) * 0.001)
         assert not res.open_bracket
@@ -698,7 +730,6 @@ class TestMarginSearch:
         # 3 s, its first step is off the 20 s recording grid
         base, _ = config.resolve_scenario(config.parse_flat_file(
             os.path.join(ROOT, "configs", "l1_plain.cfg")))
-        base = no_condition(base)
         snap = None
         if snapshot_time is not None:
             warm = scenario.Engine(replace(base, duration=snapshot_time))
@@ -722,7 +753,7 @@ class TestMarginSearch:
 
     def test_open_bracket_when_stable_everywhere(self):
         # the 19 ms prediction lies above max_delay
-        cfg = no_condition(nominal(duration=1.0, mode="l1"))
+        cfg = nominal(duration=1.0, mode="l1")
         res = scenario.delay_margin_search(
             cfg, resolution=0.001, horizon=1.0, max_delay=0.002
         )
@@ -733,7 +764,7 @@ class TestMarginSearch:
         assert res.candidates == [(0.002, True)]
 
     def test_bisection_contract(self):
-        cfg = no_condition(nominal(duration=1.0, mode="l1"))
+        cfg = nominal(duration=1.0, mode="l1")
         res = scenario.delay_margin_search(
             cfg, resolution=0.004, horizon=6.0, max_delay=0.128
         )
@@ -747,7 +778,7 @@ class TestMarginSearch:
         assert no_repeats(res)
 
     def test_unstable_at_zero_raises(self):
-        cfg = no_condition(nominal(duration=1.0, mode="l1"))
+        cfg = nominal(duration=1.0, mode="l1")
         cfg = replace(cfg, blowup=1e-6)
         with pytest.raises(scenario.UnstableAtZeroDelayError):
             scenario.delay_margin_search(cfg, horizon=1.0, max_delay=0.002)
@@ -800,7 +831,7 @@ class TestMetrics:
     def test_zero_trace_metrics(self):
         cfg = nominal(duration=2.0, reference_kind="zero", uncertainty="zero", mode="l1")
         cfg = edit(cfg, "controller", x_hat0=(0.0, 0.0, 0.0))
-        trace = scenario.run(no_condition(cfg))
+        trace = scenario.run(cfg)
         m = scenario.metrics(trace, windows=[(0.0, 2.0)])
         assert m["final_tracking_error_inf"] == 0.0
         assert m["windows"]["0-2"]["eta_norm"] == 0.0
@@ -808,7 +839,7 @@ class TestMetrics:
     def test_a_window_with_no_row_has_null_means(self):
         # the run aborts at 0.37 s, before the late window opens
         cfg = nominal(duration=10.0, mode="l1", input_delay=0.15)
-        trace = scenario.run(no_condition(cfg))
+        trace = scenario.run(cfg)
         assert trace.unstable and trace.t[-1] < 5.0
         m = scenario.metrics(trace, windows=[(0.0, 5.0), (5.0, 10.0)])
         early = m["windows"]["0-5"]
