@@ -9,6 +9,12 @@ engine with time-delay margin search.
 a run without a learner never loads them. A learner run loads only
 ``scipy`` and its two compiled BLAS and LAPACK wrappers, never the
 ``scipy.linalg`` package (see :func:`numerics._scipy_wrapper`).
+
+The package and the loop's modules load on the standard library alone.
+numpy is imported where arrays are read: by the GP and the learner, by
+``scenario.metrics`` and ``SimulationTrace.data``, and by the CLI's
+``bound-check`` and ``read_trace_csv``. So a run with no learner never
+loads numpy until its trace is read as an array.
 """
 
 import importlib

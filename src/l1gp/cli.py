@@ -15,13 +15,14 @@ completion, 4 precondition failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import struct
 import sys
 import time
-
-import numpy as np
+import warnings
 
 from . import __version__, config as config_mod, scenario
 
@@ -52,17 +53,21 @@ _CSV_ROWS = 32
 
 
 def write_trace_csv(trace: scenario.SimulationTrace, path: str) -> None:
-    """The bytes ``np.savetxt(fmt=_CSV_FMT, delimiter=",", header=...,
-    comments="")`` writes, formatted ``_CSV_ROWS`` rows at a time."""
-    data = trace.data
-    row = ",".join([_CSV_FMT] * data.shape[1]) + "\n"
+    """The bytes ``np.savetxt(trace.data, fmt=_CSV_FMT, delimiter=",",
+    header=..., comments="")`` writes, formatted ``_CSV_ROWS`` rows at a
+    time straight from the packed rows, with no numpy."""
+    n = len(trace.columns)
+    row = ",".join([_CSV_FMT] * n) + "\n"
+    rows = struct.iter_unpack(f"{n}d", trace.values)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(trace.columns) + "\n")
-        for i in range(0, len(data), _CSV_ROWS):
-            fh.write("".join([row % tuple(r) for r in data[i:i + _CSV_ROWS].tolist()]))
+        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
+            fh.write("".join([row % r for r in chunk]))
 
 
 def read_trace_csv(path: str) -> tuple[np.ndarray, list]:
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -115,11 +120,11 @@ def _write_json(obj, path: str) -> None:
 def _runtime() -> dict:
     """The numerical setup a run's bits depend on beyond its config: a
     learner refit's Cholesky factor rounds differently at another BLAS
-    thread count. scipy's version is null when the run never imported it;
-    a thread variable is null when it is not set."""
-    scipy = sys.modules.get("scipy")
+    thread count. numpy's version and scipy's are each null when the run
+    never imported it; a thread variable is null when it is not set."""
+    numpy, scipy = sys.modules.get("numpy"), sys.modules.get("scipy")
     return {
-        "numpy_version": np.__version__,
+        "numpy_version": None if numpy is None else numpy.__version__,
         "scipy_version": None if scipy is None else scipy.__version__,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
@@ -204,7 +209,7 @@ def cmd_margin(
     os.makedirs(out_dir, exist_ok=True)
     _write_json(out, os.path.join(out_dir, "margin.json"))
     _write_manifest(
-        out_dir, echo, cfg.seed, wall, [],
+        out_dir, echo, cfg.seed, wall, [result.condition],
         {"open_bracket": result.open_bracket},
     )
     return EXIT_OK
@@ -226,6 +231,8 @@ def cmd_bound_check(
         print("error: bound-check needs a learner, so controller.mode = \"l1gp\"",
               file=sys.stderr)
         return EXIT_CONFIG
+    import numpy as np
+
     from . import gp
 
     lcfg = cfg.learner
@@ -351,26 +358,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "simulate":
-            code = cmd_simulate(args.config, args.out_dir)
-        elif args.command == "margin":
-            code = cmd_margin(
-                args.config,
-                args.out_dir,
-                resolution=args.resolution,
-                horizon=args.horizon,
-                snapshot_time=args.snapshot_time,
-            )
-        elif args.command == "bound-check":
-            code = cmd_bound_check(
-                args.config, args.out_dir, n_train=args.n_train, n_probe=args.n_probe
-            )
-        else:
-            code = cmd_compare(args.config_a, args.config_b, args.out_dir)
-    except (config_mod.ConfigError, scenario.RowBufferError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
+    # a warning, as the run's norm-condition report, is one stderr line
+    # after the command, each distinct one once: a margin search warns in
+    # each of its candidate runs
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if args.command == "simulate":
+                code = cmd_simulate(args.config, args.out_dir)
+            elif args.command == "margin":
+                code = cmd_margin(
+                    args.config,
+                    args.out_dir,
+                    resolution=args.resolution,
+                    horizon=args.horizon,
+                    snapshot_time=args.snapshot_time,
+                )
+            elif args.command == "bound-check":
+                code = cmd_bound_check(
+                    args.config, args.out_dir, n_train=args.n_train, n_probe=args.n_probe
+                )
+            else:
+                code = cmd_compare(args.config_a, args.config_b, args.out_dir)
+        except (config_mod.ConfigError, scenario.RowBufferError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     if argv is None:
         sys.exit(code)
     return code

@@ -15,8 +15,6 @@ import math
 import tomllib
 from typing import Optional
 
-import numpy as np
-
 from . import controller as ctrl
 from . import numerics, plant as plant_mod, scenario
 
@@ -85,7 +83,9 @@ def _only(value):
 def _vec3(value) -> list:
     if isinstance(value, (int, float)):
         return [_float(value)] * 3
-    if np.shape(value) != (3,):
+    # a flat array of 3: an array among them would make it 2-D or ragged
+    if (not isinstance(value, (list, tuple)) or len(value) != 3
+            or any(isinstance(v, (list, tuple)) for v in value)):
         raise ValueError("must be a scalar or a 3-element list")
     return [_float(v) for v in value]
 

@@ -4,12 +4,14 @@ The linear parts of the loop are diagonal, so their setup is per axis:
 :func:`float3` checks a per-axis model value (a diagonal, a state) as three
 finite Python floats, :func:`whole` a count or a seed as a Python int, and
 :func:`zoh_map` gives the predictor's exact one-step map on Python floats,
-with no linear solve. The rest operates on plain float64 numpy arrays: the
-Cholesky routines the GP factors with, RK4, the 5-point centred derivative
-the learner's targets are made with and a covering-number bound. All
+with no linear solve. These three use the standard library alone. The rest
+operates on plain float64 numpy arrays: the Cholesky routines the GP
+factors with, RK4 and the 5-point centred derivative the learner's targets
+are made with; each imports numpy when called, so a run with no learner
+never loads it. :func:`log_covering_number_box` works on floats. All
 public functions are pure.
 
-The module loads without scipy. The factor routines
+The module loads without numpy or scipy. The factor routines
 :func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
 calls, call LAPACK through scipy's compiled wrapper module
 ``scipy.linalg._flapack``, which :func:`_scipy_wrapper` loads on first
@@ -26,9 +28,10 @@ import math
 import os
 import sys
 from types import ModuleType
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # each array routine imports numpy when called
+    import numpy as np
 
 __all__ = [
     "DimensionError",
@@ -66,6 +69,8 @@ class DivergenceError(RuntimeError):
 
 
 def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
@@ -79,14 +84,15 @@ def zoh_map(a: Sequence[float], h: float) -> tuple[tuple, tuple]:
 
     Returns ``(e, phi)``, tuples of Python floats with one entry per entry
     of the diagonal a, so that ``x(t + h) = e x(t) + phi v``: ``e = exp(a h)``
-    and ``phi = (e - 1) / a``, or h where ``a = 0``. Each entry is bitwise
-    the diagonal of the matrix forms ``scipy.linalg.expm(diag(a) h)`` and
-    ``np.linalg.solve(diag(a), expm - I)``: ``e`` is numpy's exp of the
-    array (``math.exp`` is an ulp off on some inputs), and ``phi``
-    multiplies by ``1 / a`` as LAPACK's solve does from order 2 on (its
-    1x1 solve divides).
+    and ``phi = (e - 1) / a``, or h where ``a = 0``. ``e`` is
+    ``math.exp(a h)``: within an ulp of the diagonal of
+    ``scipy.linalg.expm(diag(a) h)``, no farther from the exact value than
+    numpy's exp in the worst case, and equal to it at every stock ``a h``.
+    ``phi`` is bitwise the diagonal of
+    ``np.linalg.solve(diag(a), diag(e) - I)``: it multiplies by ``1 / a`` as
+    LAPACK's solve does from order 2 on (its 1x1 solve divides).
     """
-    e = np.exp(np.multiply(a, h)).tolist()
+    e = [math.exp(ai * h) for ai in a]
     return tuple(e), tuple(
         (ei - 1.0) * (1.0 / ai) if ai else h for ei, ai in zip(e, a)
     )
@@ -115,10 +121,14 @@ def whole(value, name: str) -> int:
     An int, a numpy integer or a float with no fraction passes. Raises
     ValueError naming ``name`` for anything else: ``int(1.5)`` and
     ``int(True)`` are both 1, yet neither a fraction nor a flag is a count.
+    A numpy integer exists only once numpy is loaded, so only then is it
+    looked for.
     """
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    np = sys.modules.get("numpy")
+    integer = int if np is None else (int, np.integer)
+    if isinstance(value, integer) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -159,6 +169,8 @@ def cholesky_factor(M: np.ndarray) -> np.ndarray:
     triangle zero. Raises DecompositionError carrying the failing pivot
     index when M is not positive definite (LAPACK potrf info).
     """
+    import numpy as np
+
     return _cholesky_in_place(np.array(M, dtype=float, order="F"))
 
 
@@ -184,6 +196,8 @@ def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
 
 def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``(L @ L.T) X = B`` given a lower Cholesky factor L."""
+    import numpy as np
+
     B = np.asarray(B, dtype=float)
     x, info = _scipy_wrapper("_flapack").dpotrs(L, B, lower=1)
     if info != 0:
@@ -202,6 +216,8 @@ def rk4_step(
     Raises DivergenceError (with the step's start time) if the field or the
     update produces non-finite values.
     """
+    import numpy as np
+
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     if type(x) is not np.ndarray:
@@ -229,6 +245,8 @@ def estimate_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     at ``dt = 1`` its exact slope. Raises DimensionError for any other
     sample count and ValueError for non-uniform spacing.
     """
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != (5,) or values.shape[:1] != (5,):

@@ -11,9 +11,10 @@ scalar form ``(x0, x1, x2) -> (f0, f1, f2)``. :func:`rk4_plant_step`
 integrates it with one fused RK4 step per engine step, its four stages
 written out in one frame with no call but the uncertainty's and no numpy
 call inside. :func:`plant_derivative` holds the same field once more, in
-array form, which tests and the benchmark read. ``J`` and ``A_m`` are
-diagonal, given as the float 3-tuples ``j`` and ``a_m`` of their
-diagonals, so every linear term of the field is a product per axis.
+array form, which tests and the benchmark read; it imports numpy when
+called, so the module loads on the standard library alone. ``J`` and
+``A_m`` are diagonal, given as the float 3-tuples ``j`` and ``a_m`` of
+their diagonals, so every linear term of the field is a product per axis.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .numerics import float3
+
+if TYPE_CHECKING:  # the array forms import numpy when called
+    import numpy as np
 
 __all__ = [
     "UncertaintySchedule",
@@ -47,9 +49,11 @@ def _sine_switch(x0: float, x1: float, x2: float) -> tuple[float, float, float]:
     try:
         s0, c1, c2 = math.sin(x0), math.cos(x1), math.cos(x2)
     except ValueError:
-        # math rejects an infinite argument; a diverged state gets nan, as
-        # from numpy, and the engine's bound on the state flags it
-        s0, c1, c2 = float(np.sin(x0)), float(np.cos(x1)), float(np.cos(x2))
+        # math rejects an infinite argument; a diverged axis gets nan, as
+        # numpy's would, a finite one keeps its value, and the engine's
+        # bound on the state flags the run
+        s0, c1, c2 = (fn(v) if math.isfinite(v) else math.nan
+                      for fn, v in ((math.sin, x0), (math.cos, x1), (math.cos, x2)))
     return 0.5 * s0, 0.01 * c2, 0.5 * (s0 + c1)
 
 
@@ -104,6 +108,8 @@ class UncertaintySchedule:
         return self.scalar_fields[bisect.bisect_right(self.switch_times, t)]
 
     def eval(self, t: float, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.field_at(t)(x[0], x[1], x[2]))
 
 
@@ -179,6 +185,8 @@ def plant_derivative(
     over an integrator step. This is the array form of the field
     :func:`rk4_plant_step` integrates, in its order of operations.
     """
+    import numpy as np
+
     x0, x1, x2 = x[0], x[1], x[2]
     m0, m1, m2 = cfg.a_m
     i0, i1, i2 = cfg._jinv

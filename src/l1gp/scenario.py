@@ -21,12 +21,16 @@ is not stepped at all but read at each recorded row's time from its
 closed-form solution (:meth:`ReferenceConfig.ideal_loop`). Only the
 nonlinear plant uses RK4, one fused step on Python floats per engine step
 (:func:`plant.rk4_plant_step`). The whole step runs on float 3-tuples,
-each matrix product per axis on a diagonal; numpy is left to the GP reads,
-the learner's buffer and the recorded rows. The engine knows the schedule
-and the plant step: its state is ``x``, kept in a local and written back
-to the live :class:`Snapshot` at the end of the run. The L1 law and the
-rest of the loop state (``u``, ``eta``, the envelope read) are the
-controller's, in :class:`controller.ControllerState`.
+each matrix product per axis on a diagonal, and a recorded row is packed
+as C doubles into the run's row buffer; numpy is left to the GP reads, the
+learner's buffer and the reads of a finished trace
+(:attr:`SimulationTrace.data`, :func:`metrics`). So the module loads on
+the standard library alone, and a run with no learner never imports
+numpy. The engine knows the schedule and the plant step: its state is
+``x``, kept in a local and written back to the live :class:`Snapshot` at
+the end of the run. The L1 law and the rest of the loop state (``u``,
+``eta``, the envelope read) are the controller's, in
+:class:`controller.ControllerState`.
 
 Model reads: a step records its row, when one is due, at its start, before
 its tick, so the row holds the state the tick reads. An l1gp tick reads
@@ -48,19 +52,23 @@ from, and a run with no learner never loads ``numpy.random``.
 
 from __future__ import annotations
 
+import array
 import bisect
 import copy
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
-
-import numpy as np
 
 from . import controller as ctrl
 from . import numerics, plant as plant_mod
 
-if TYPE_CHECKING:  # imported in Snapshot.initial, only when a learner runs
+if TYPE_CHECKING:  # each imported where used: numpy where arrays are read,
+    # the learner in Snapshot.initial, only when a learner runs
+    import numpy as np
+
     from . import learner as learner_mod
 
 __all__ = [
@@ -86,11 +94,19 @@ TRACE_COLUMNS = ("t",) + tuple(
     for i in (1, 2, 3)
 ) + ("e_f_hat", "omega_filtered")
 
+# one trace row packed as C doubles, 8 bytes a value, as in a float64 array.
+# A run's row buffer is max_rows zero rows, allocated once from the heap, as
+# np.empty's is (an anonymous mapping per run, untouched until written, cost
+# 0.2-0.5 MB more peak RSS over repeated runs in one process); unlike
+# np.empty's, its pages are all written when it is made
+_ROW = struct.Struct(f"{len(TRACE_COLUMNS)}d")
+_ZERO_ROW = array.array("d", [0.0]) * len(TRACE_COLUMNS)
+
 REFERENCE_KINDS = ("zero", "step", "sinusoid")
 
 
 class RowBufferError(MemoryError):
-    """A run's row buffer is more than numpy can address or the host can allocate."""
+    """A run's row buffer is more than the host can address or allocate."""
 
 
 @dataclass(frozen=True)
@@ -276,12 +292,30 @@ class ScenarioConfig:
 
 @dataclass
 class SimulationTrace:
-    """Time-indexed record of every loop signal plus the event log."""
+    """Time-indexed record of every loop signal plus the event log.
 
-    data: np.ndarray
+    ``values`` holds the rows packed one after another, ``len(columns)``
+    C doubles a row, in a flat buffer of format ``"d"``: for a run, a
+    memoryview of its row buffer. ``data`` is the ``(rows, columns)``
+    float64 array over the same memory, made when first read; only it, and
+    the reads through it, import numpy. A memoryview does not pickle, so a
+    pickled or deep-copied trace holds its values in an ``array("d")``.
+    """
+
+    values: memoryview
     events: list
     unstable: bool = False
     columns: tuple = TRACE_COLUMNS
+
+    def __reduce__(self):
+        return (type(self), (array.array("d", self.values), self.events, self.unstable,
+                             self.columns))
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self.values, dtype=float).reshape(-1, len(self.columns))
 
     def col(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
@@ -318,6 +352,8 @@ class Snapshot:
         """The state at t = 0 of a fresh run of ``cfg``."""
         learner = None
         if cfg.learner is not None:
+            import numpy as np
+
             from . import learner as learner_mod
 
             learner = learner_mod.BayesianLearner(
@@ -383,14 +419,18 @@ class Engine:
         seg = bisect.bisect_right(cfg.switch_steps, i0)
         f = fields[seg]
 
-        # the trace is a view of this buffer, not a copy; numpy refuses one
-        # it cannot address with ValueError, one the host lacks with MemoryError
+        # the trace is a view of this buffer, not a copy. A row count past
+        # the index range raises OverflowError, a buffer the host refuses
+        # MemoryError
+        max_rows = cfg.max_rows
         try:
-            rows = np.empty((cfg.max_rows, len(TRACE_COLUMNS)))
-        except (MemoryError, ValueError) as exc:
+            rows = _ZERO_ROW * max_rows
+        except (OverflowError, MemoryError) as exc:
+            count = f"{max_rows:.3g}" if max_rows > 10**12 else max_rows
             raise RowBufferError(
-                f"duration {cfg.duration} at step {cfg.step} needs {cfg.max_rows} "
+                f"duration {cfg.duration} at step {cfg.step} needs {count} "
                 "trace rows, more than the host can hold") from exc
+        pack_row, row_bytes = _ROW.pack_into, _ROW.size
         unstable = False
         steps_done = 0
 
@@ -426,7 +466,7 @@ class Engine:
             # recording grid, which a resumed run keeps; it records the
             # state before this step's tick
             if i == 0 or (i0 + i) % dec == 0:
-                rows[row_i] = self._row(t, f, x, f_hat_x)
+                pack_row(rows, row_i * row_bytes, *self._row(t, f, x, f_hat_x))
                 row_i += 1
             if tick:
                 adaptation_step(state, x, c)
@@ -458,12 +498,12 @@ class Engine:
                     self.events.append(ev)
         # the end of the run: a row on the recording grid, or the abort row
         if unstable or (i0 + n_steps) % dec == 0:
-            rows[row_i] = self._row(t_next, f, x, None)
+            pack_row(rows, row_i * row_bytes, *self._row(t_next, f, x, None))
             row_i += 1
         live.x = x
         live.t0 = self.t_final = (i0 + steps_done) * h
         return SimulationTrace(
-            data=rows[:row_i],
+            values=memoryview(rows)[:row_i * len(TRACE_COLUMNS)],
             events=self.events,
             unstable=unstable,
         )
@@ -498,16 +538,24 @@ class Engine:
         )
 
     def _report_condition(self):
-        cfg, cp = self.cfg, self.cfg.condition
-        rho_0 = cp.rho_0 if cp.rho_0 is not None else max(map(abs, cfg.plant.x0))
-        report = ctrl.l1_norm_condition(cfg.controller, cp.lip_f, cp.b0, rho_r=cp.rho_r,
-                                        r_inf=cfg.reference.r_inf, rho_0=rho_0)
-        self.events.append({"t": self.t0, "kind": "l1_condition", **report})
+        report = _condition_event(self.cfg)
+        self.events.append(report)
         if not report["satisfied"]:
             warnings.warn(
                 f"filter norm condition unsatisfied: lhs={report['lhs']:.4g} "
                 f">= rhs={report['rhs']:.4g}; proceeding anyway"
             )
+
+
+def _condition_event(cfg: ScenarioConfig) -> dict:
+    """The ``l1_condition`` event a run of ``cfg`` from step 0 logs first:
+    the norm-condition report of its filter, at t = 0. No input delay,
+    duration or recording setting enters it."""
+    cp = cfg.condition
+    rho_0 = cp.rho_0 if cp.rho_0 is not None else max(map(abs, cfg.plant.x0))
+    report = ctrl.l1_norm_condition(cfg.controller, cp.lip_f, cp.b0, rho_r=cp.rho_r,
+                                    r_inf=cfg.reference.r_inf, rho_0=rho_0)
+    return {"t": 0.0, "kind": "l1_condition", **report}
 
 
 def run(cfg: ScenarioConfig, resume: Optional[Snapshot] = None) -> SimulationTrace:
@@ -518,13 +566,15 @@ def run(cfg: ScenarioConfig, resume: Optional[Snapshot] = None) -> SimulationTra
 @dataclass
 class MarginResult:
     """Outcome of the input-delay search; ``predicted`` is the LTI margin
-    the search started from."""
+    the search started from, and ``condition`` the base scenario's
+    ``l1_condition`` event, as a run of it from step 0 logs it."""
 
     margin: float
     bracket: tuple
     criterion: str
     candidates: list
     predicted: float
+    condition: dict
     open_bracket: bool = False
 
     @property
@@ -650,12 +700,15 @@ def delay_margin_search(
         ),
         candidates=candidates,
         predicted=predicted,
+        condition=_condition_event(base),
         open_bracket=open_bracket,
     )
 
 
 def window_mean(t: np.ndarray, series: np.ndarray, t0: float, t1: float) -> float:
     """Mean of a series (of all its columns) over rows with t0 <= t <= t1."""
+    import numpy as np
+
     mask = (t >= t0 - 1e-12) & (t <= t1 + 1e-12)
     if not np.any(mask):
         raise ValueError(f"no rows in window [{t0}, {t1}]")
@@ -672,6 +725,8 @@ def metrics(trace: SimulationTrace, windows: Optional[list] = None) -> dict:
     2-norms of the ideal-tracking error, learning input and adaptive input.
     A window with no row, as one a run aborted before, has means of None.
     """
+    import numpy as np
+
     t = trace.t
     x = trace.block("x")
     err_id = np.linalg.norm(x - trace.block("xid"), axis=1)

@@ -1,11 +1,13 @@
 """CLI contract tests: exit codes, file formats, round trips, determinism."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -87,17 +89,19 @@ def write(tmp_path, name, text):
 
 
 def refuse_large_buffers(monkeypatch):
-    """Make np.empty refuse any buffer of over 10**8 rows, as a host that
-    cannot hold it would; returns the list of the shapes it refused."""
-    empty, refused = np.empty, []
+    """Make the row buffer refuse any buffer of over 10**8 rows, as a host
+    that cannot hold it would, before it is tried; returns the list of the
+    row counts it refused."""
+    refused = []
 
-    def refuse_large(shape, *args, **kwargs):
-        if isinstance(shape, tuple) and shape[0] > 10**8:
-            refused.append(shape)
-            raise MemoryError("Unable to allocate 26.2 TiB")
-        return empty(shape, *args, **kwargs)
+    class ZeroRow(array):
+        def __mul__(self, rows):
+            if rows > 10**8:
+                refused.append(rows)
+                raise MemoryError
+            return array("d", self) * rows
 
-    monkeypatch.setattr(scenario.np, "empty", refuse_large)
+    monkeypatch.setattr(scenario, "_ZERO_ROW", ZeroRow("d", scenario._ZERO_ROW))
     return refused
 
 
@@ -306,7 +310,7 @@ class TestSimulate:
 
     def test_row_buffer_the_host_cannot_allocate_exit_2(self, tmp_path, capsys,
                                                          monkeypatch):
-        # numpy can address the 10**11-row buffer of duration = 1e9, but the
+        # the 10**11-row buffer of duration = 1e9 can be addressed, but the
         # host cannot hold 26 TiB: the allocation is refused here, never tried
         refused = refuse_large_buffers(monkeypatch)
         cfg = write(tmp_path, "big.cfg",
@@ -426,7 +430,11 @@ class TestTraceCsv:
             # in the first row and the last
             data[0, : len(TestTraceCsv.SPECIAL)] = TestTraceCsv.SPECIAL
             data[-1, -len(TestTraceCsv.SPECIAL):] = TestTraceCsv.SPECIAL
-        return scenario.SimulationTrace(data=data, events=[])
+        # packed row after row, as a run's row buffer holds them
+        trace = scenario.SimulationTrace(values=memoryview(array("d", data.ravel())),
+                                         events=[])
+        assert trace.data.tobytes() == data.tobytes()
+        return trace
 
     @pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 65])
     def test_bytes_of_savetxt(self, tmp_path, rows):
@@ -665,6 +673,17 @@ class TestMargin:
         assert "duration 1000000000.0 at step 0.001 needs" in err
         assert not (tmp_path / "o").exists()
 
+    def test_row_count_of_a_huge_warm_up_in_short_form_exit_2(self, tmp_path, capsys):
+        # 10**302 rows: past any address space, refused before an allocation
+        # is tried, and named as 1e+302, not in 303 digits
+        code = cli.main(["margin", os.path.join(REPO, "configs", "l1_plain.cfg"),
+                         "-o", str(tmp_path / "o"), "--snapshot-time", "1e300"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("config error: duration 1e+300 at step 0.001 needs "
+                              "1e+302 trace rows")
+
     def test_unstable_at_zero_delay_exits_4(self, tmp_path):
         cfg = write(tmp_path, "a.cfg", NOMINAL.replace('mode = "l1gp"', 'mode = "l1"')
                     .replace("[reference]", "blowup = 1e-6\n\n[reference]"))
@@ -673,34 +692,67 @@ class TestMargin:
         assert code == cli.EXIT_PRECONDITION
 
 
-# a fresh interpreter runs the CLI and reports whether scipy, the
+@pytest.mark.parametrize("command", ["simulate", "margin"])
+def test_unsatisfied_norm_condition_is_one_warning_line(tmp_path, command):
+    # the omega_c = 20 deck fails the norm condition: a fresh interpreter
+    # prints one line for it, however many runs the command makes, and
+    # the manifest holds the report, once
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", os.path.join(REPO, "scripts", "same_outputs.py"))
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    same_outputs.write_decks(tmp_path)
+    deck = str(tmp_path / same_outputs.UNSATISFIED_DECK)
+    flags = ["--horizon", "1"] if command == "margin" else []
+    src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "l1gp.cli", command, deck, "-o", str(tmp_path / "o"), *flags],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == cli.EXIT_OK
+    assert out.stderr.startswith(
+        "warning: filter norm condition unsatisfied: lhs=6.504 >= rhs=3.333")
+    assert out.stderr.count("\n") == 1
+    events = json.loads((tmp_path / "o" / "manifest.json").read_text())["events"]
+    reports = [e for e in events if e["kind"] == "l1_condition"]
+    assert len(reports) == 1
+    assert (reports[0]["t"], reports[0]["satisfied"]) == (0.0, False)
+    assert round(reports[0]["lhs"], 2) == 6.50 and round(reports[0]["rhs"], 2) == 3.33
+
+
+# a fresh interpreter runs the CLI and reports whether numpy, scipy, the
 # scipy.linalg package and numpy's random generator were imported
-SCIPY_PROBE = ("import sys, l1gp.cli; "
-               "code = l1gp.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-               "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules, "
-               "'numpy.random' in sys.modules)")
+PROBE = ("import sys, l1gp.cli; "
+         "code = l1gp.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+         "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, "
+         "'scipy.linalg' in sys.modules, 'numpy.random' in sys.modules)")
 
 
-@pytest.mark.parametrize("command, loads_gp", [
-    ("import", False),
-    ("margin", False),
-    ("simulate l1", False),
-    ("simulate l1 sinusoid", False),
-    ("simulate l1gp", True),
-    ("bound-check", True),
+@pytest.mark.parametrize("command, loads_numpy, loads_gp", [
+    ("import", False, False),
+    ("margin", False, False),
+    ("margin snapshot", False, False),
+    ("simulate l1", True, False),
+    ("simulate l1 sinusoid", True, False),
+    ("simulate l1gp", True, True),
+    ("bound-check", True, True),
 ])
-def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_gp):
-    # scipy is most of the CLI's start-up time; only the GP stack needs it,
-    # and the GP loads scipy's two compiled wrappers, never scipy.linalg.
-    # numpy.random loads only for the learner's noise and bound-check's
-    # samples, so a run with no learner never loads it
+def test_numpy_and_scipy_load_only_where_arrays_are_read(tmp_path, command,
+                                                         loads_numpy, loads_gp):
+    # numpy loads only where arrays are read: the GP and the learner, a
+    # simulate's summary and bound-check; so a mode-l1 margin, with or
+    # without a warm-up run, never loads it. scipy is most of the CLI's
+    # start-up time; only the GP stack needs it, and the GP loads scipy's
+    # two compiled wrappers, never scipy.linalg. numpy.random loads only
+    # for the learner's noise and bound-check's samples
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1gp.__file__)))
     l1gp_deck = NOMINAL.replace("duration = 2.0", "duration = 0.1")
     l1_deck = l1gp_deck.replace('mode = "l1gp"', 'mode = "l1"')
+    l1_plain = os.path.join(REPO, "configs", "l1_plain.cfg")
     argv = {
         "import": [],
-        "margin": ["margin", os.path.join(REPO, "configs", "l1_plain.cfg"),
-                   "--horizon", "0.1"],
+        "margin": ["margin", l1_plain, "--horizon", "0.1"],
+        "margin snapshot": ["margin", l1_plain, "--horizon", "0.1",
+                            "--snapshot-time", "0.5"],
         "simulate l1": ["simulate", write(tmp_path, "l1.cfg", l1_deck)],
         "simulate l1 sinusoid": ["simulate", write(tmp_path, "sin.cfg", l1_deck.replace(
             'kind = "step"', 'kind = "sinusoid"\nfrequency = [1.0, 0.5, 0.25]'))],
@@ -711,10 +763,13 @@ def test_scipy_is_imported_only_for_the_gp(tmp_path, command, loads_gp):
     if argv:
         argv += ["-o", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-4:] == ["0", str(loads_gp), "False", str(loads_gp)]
+    assert out.stdout.split()[-5:] == ["0", str(loads_numpy), str(loads_gp), "False",
+                                       str(loads_gp)]
     if argv:
-        # the manifest names scipy's version only when the run loaded it
+        # the manifest names numpy's and scipy's versions only when the run
+        # loaded them
         runtime = json.loads((tmp_path / "out" / "manifest.json").read_text())["runtime"]
+        assert (runtime["numpy_version"] is not None) == loads_numpy
         assert (runtime["scipy_version"] is not None) == loads_gp

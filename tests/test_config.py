@@ -2,6 +2,7 @@
 the stock builder matches the shipped decks, and README's CLI decks resolve."""
 
 import dataclasses
+import datetime
 import json
 import pathlib
 
@@ -165,3 +166,34 @@ def test_readme_cli_decks_resolve_and_compare_pair_matches():
         if words[1] == "compare":
             a, b = cfgs
             assert (a.duration, a.step) == (b.duration, b.step)
+
+
+def numpy_vec3(value):
+    """The per-axis rule before the config loaded without numpy: a number,
+    or 3 numbers by ``np.shape``; np.shape raises on a ragged array."""
+    import numpy as np
+
+    if isinstance(value, (int, float)):
+        return [config_mod._float(value)] * 3
+    if np.shape(value) != (3,):
+        raise ValueError("must be a scalar or a 3-element list")
+    return [config_mod._float(v) for v in value]
+
+
+@pytest.mark.parametrize("value", [
+    1, 2.5, True, -0.0, 10**400, "abc", [1, 2, 3], [0.011, 0.011, 0.021], [True, 1, 2],
+    [1, 2], [1, 2, 3, 4], [], [[1, 2, 3]], [[1], [2], [3]], [[1, 2, 3]] * 3,
+    [1, [2], 3], [[1, 2], [3], [4]], [[], [], []], ["a", "b", "c"], [1, "a", 3],
+    ["1", "2", "3"], [{}, 1, 2], [{"a": 1}] * 3, [1, 2, float("nan")], [1, 2, 10**400],
+    datetime.date(2020, 1, 1), [datetime.time(1, 2)] * 3,
+], ids=repr)
+def test_vec3_accepts_exactly_what_numpy_shape_did(value):
+    # every TOML value a per-axis key may hold: accepted, with the same
+    # floats, or refused, as before
+    try:
+        want = numpy_vec3(value)
+    except (TypeError, ValueError, OverflowError):
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            config_mod._vec3(value)
+    else:
+        assert config_mod._vec3(value) == want

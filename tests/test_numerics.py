@@ -1,14 +1,18 @@
 """Unit tests for the shared numerical utilities, oracle-checked."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1gp import numerics
+from l1gp import config, numerics
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def taylor_expm(A, t, terms=30):
@@ -40,6 +44,19 @@ def naive_gauss_solve(M, B):
     for row in range(n - 1, -1, -1):
         X[row] = (B[row] - M[row, row + 1 :] @ X[row + 1 :]) / M[row, row]
     return X
+
+
+def within_an_ulp(got, want):
+    """Each entry of got within one unit in the last place of want's."""
+    want = np.asarray(want)
+    return bool(np.all(np.abs(np.subtract(got, want)) <= np.spacing(np.abs(want))))
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def zoh_e(a, h):
@@ -82,8 +99,10 @@ class TestMatrixExponential:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_diagonal_is_bitwise_scipy(self, n):
-        # both halves are bitwise the dense forms on diag(a): scipy's expm,
-        # and from order 2 on (a 1x1 solve divides) the LU solve for Phi
+        # e is math.exp of each a h, within an ulp of the diagonal of
+        # scipy's expm of diag(a) h, whose off-diagonal entries are zero;
+        # Phi is bitwise the LU solve on diag(e) from order 2 on (a 1x1
+        # solve divides)
         import scipy.linalg
 
         rng = np.random.default_rng(n)
@@ -93,10 +112,12 @@ class TestMatrixExponential:
             A = np.diag(a)
             for t in times:
                 e, phi = numerics.zoh_map(a.tolist(), t)
+                assert e == tuple(math.exp(ai * t) for ai in a.tolist())
                 expm = scipy.linalg.expm(A * t)
-                assert np.array_equal(np.diag(e), expm)
+                assert np.array_equal(np.diag(np.diag(expm)), expm)
+                assert within_an_ulp(e, np.diag(expm))
                 if n > 1:
-                    want = np.linalg.solve(A, expm - np.eye(n))
+                    want = np.linalg.solve(A, np.diag(e) - np.eye(n))
                     assert np.array_equal(np.diag(phi), want)
 
     def test_negative_zero_off_diagonal_is_diagonal(self):
@@ -106,7 +127,49 @@ class TestMatrixExponential:
         A[0, 1] = A[2, 0] = A[1, 2] = -0.0
         for t in (0.001, 0.01, 0.02):
             got = zoh_e(np.diag(A).tolist(), t)
-            assert np.array_equal(np.diag(got), scipy.linalg.expm(A * t))
+            expm = scipy.linalg.expm(A * t)
+            assert np.array_equal(np.diag(np.diag(expm)), expm)
+            assert within_an_ulp(got, np.diag(expm))
+
+    def test_no_farther_from_exp_than_numpy(self):
+        # against mpmath's exp at 120 bits, on 10**4 draws: e is within an
+        # ulp everywhere, its worst error is no larger than numpy's exp's,
+        # and where the two differ e is the closer one in all but a few
+        # draws (6 of 520 here: neither rounds correctly every time). A
+        # math.exp that drifted from the exact value fails one of these
+        import mpmath
+
+        x = -np.random.default_rng(17).uniform(0.0, 1.0, size=10_000)
+        x = x[x < 0.0].tolist()
+        e, _ = numerics.zoh_map(x, 1.0)
+        worst_e = worst_n = 0.0
+        numpy_closer = differ = 0
+        with mpmath.workprec(120):
+            for xi, ei, ni in zip(x, e, np.exp(x).tolist()):
+                exact = mpmath.exp(mpmath.mpf(xi))
+                err_e, err_n = (float(abs(mpmath.mpf(v) - exact)) / math.ulp(ei)
+                                for v in (ei, ni))
+                worst_e, worst_n = max(worst_e, err_e), max(worst_n, err_n)
+                differ += ei != ni
+                numpy_closer += err_n < err_e
+        assert worst_e < 1.0 and worst_e <= worst_n
+        assert differ > 100 and numpy_closer <= 0.05 * differ
+
+    def test_numpy_exp_at_every_stock_a_t_s(self, tmp_path):
+        # at every a T_s of the shipped decks, the benchmark's and those
+        # scripts/same_outputs.py writes, e is numpy's exp bit for bit: the
+        # stock traces stay those numpy's exp gave
+        same_outputs = load_script("same_outputs")
+        same_outputs.write_decks(tmp_path)
+        decks = [*ROOT.glob("configs/*.cfg"), ROOT / "perfbench" / "dense_learner.cfg",
+                 *tmp_path.glob("*.cfg")]
+        assert len(decks) == 9
+        for deck in decks:
+            cfg, _ = config.resolve_scenario(config.parse_flat_file(str(deck)))
+            c = cfg.controller
+            e, _ = numerics.zoh_map(c.a_m, c.T_s)
+            assert e == c._expAT
+            assert e == tuple(np.exp(np.multiply(c.a_m, c.T_s)).tolist()), deck.name
 
 
 class TestPhiMatrix:

@@ -1,10 +1,12 @@
 """Closed-loop engine tests: contracts, degeneracies, oracles, margin search."""
 
 import contextlib
+import copy
 import dataclasses
 import glob
 import math
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -528,10 +530,22 @@ class TestSnapshotResume:
         a = eng.run()
         b = eng.run()
         assert b.t[0] == a.t[-1] == 0.5
+        assert a.values.obj is not b.values.obj
         assert not np.shares_memory(a.data, b.data)
         for trace in (a, b):
             assert len(trace.data) == 51
-            assert trace.data.base.shape[0] - len(trace.data) <= 3
+            buffer = np.frombuffer(trace.values.obj).reshape(-1, len(trace.columns))
+            assert np.shares_memory(trace.data, buffer)
+            assert np.array_equal(buffer[:51], trace.data)
+            assert buffer.shape[0] - len(trace.data) <= 3
+
+    def test_a_trace_pickles_and_deep_copies(self):
+        # a memoryview does not pickle: the copy holds its own packed rows
+        trace = scenario.run(nominal(duration=0.2, mode="l1"))
+        for copied in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+            assert copied.data.tobytes() == trace.data.tobytes()
+            assert not np.shares_memory(copied.data, trace.data)
+            assert (copied.events, copied.unstable) == (trace.events, trace.unstable)
 
     def test_resume_off_the_recording_grid_keeps_the_grid(self):
         # resumed at 13 ms, the run still records at multiples of 10 ms
