@@ -13,6 +13,16 @@ each seed and their median and quartiles, and the relative change of the
 change's median against the parent's; beside them, the environment each
 side ran in. Every workload needs at least three seeds on both sides.
 
+Each workload's ``claim`` section applies the claim rule to every
+end-to-end metric, over the seeds run on both sides (a seed's two runs
+are a pair): how many pairs the change wins and loses, in the direction
+``better`` that the benchmark's ``BENCHMARK.json`` gives the metric (a
+tie counts for neither), the parent's interquartile distance over those
+seeds, the change's median less the parent's, and whether that
+difference is larger than the interquartile distance. A metric is
+claimed to improve when the change wins at least nine pairs in ten and
+its median is better by more than the parent's interquartile distance.
+
 A directory may also hold per-layer records (``--trace 1``,
 ``<workload>-seed<seed>-trace1.json``). For every workload traced on both
 sides, the output's ``traced`` section gives both sides' per-layer metrics,
@@ -33,6 +43,7 @@ from pathlib import Path
 
 _RECORD = re.compile(r"^(?P<workload>.+)-seed(?P<seed>-?\d+)-trace[01]\.json$")
 _MIN_SEEDS = 3
+_BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def read_records(out_dir: Path, trace: int = 0) -> dict:
@@ -86,6 +97,36 @@ def relative(before: dict, after: dict) -> dict:
             for m in before if m in after}
 
 
+def read_better(benchmark: Path) -> dict:
+    """{end-to-end metric: "lower" or "higher"} from a ``BENCHMARK.json``."""
+    return {m["name"]: m["better"] for m in json.loads(benchmark.read_text())["end_to_end"]}
+
+
+def claim(parent: dict, change: dict, better: dict) -> dict:
+    """The claim rule of one workload's {seed: record} sets, for every
+    metric of ``better`` the records hold, over the seeds on both sides."""
+    seeds = sorted(set(parent) & set(change))
+    if len(seeds) < _MIN_SEEDS:
+        raise ValueError(f"{len(seeds)} seeds run on both sides, need {_MIN_SEEDS}")
+    out = {}
+    for metric, direction in sorted(better.items()):
+        if metric not in parent[seeds[0]]["metrics"]:
+            continue
+        p, c = ([records[s]["metrics"][metric]["value"] for s in seeds]
+                for records in (parent, change))
+        # > 0 where the change is better
+        gains = [(a - b) if direction == "lower" else (b - a) for a, b in zip(p, c)]
+        q1, median, q3 = statistics.quantiles(p, n=4, method="inclusive")
+        difference = statistics.median(c) - median
+        out[metric] = {
+            "better": direction, "seeds": seeds,
+            "wins": sum(g > 0 for g in gains), "losses": sum(g < 0 for g in gains),
+            "parent_iqr": q3 - q1, "median_difference": difference,
+            "beyond_iqr": abs(difference) > q3 - q1,
+        }
+    return out
+
+
 def traced(parent: dict, change: dict) -> dict:
     """Both sides' per-layer metrics, each the median over every seed
     traced on both sides, for every workload traced on both sides; with
@@ -105,10 +146,12 @@ def traced(parent: dict, change: dict) -> dict:
     return out
 
 
-def build(parent: dict, change: dict,
+def build(parent: dict, change: dict, better: dict,
           parent_traced: dict | None = None, change_traced: dict | None = None) -> dict:
     """The summary of two {workload: {seed: record}} sets of end-to-end
-    records, and of the per-layer records beside them, if any."""
+    records, with the claim rule for the metrics of ``better`` (see
+    :func:`read_better`), and of the per-layer records beside them, if
+    any."""
     if sorted(parent) != sorted(change):
         raise ValueError(f"workloads differ: parent {sorted(parent)}, change {sorted(change)}")
     if not parent:
@@ -124,6 +167,10 @@ def build(parent: dict, change: dict,
         before, after = ({m: e["median"] for m, e in sides[label]["metrics"].items()}
                          for label in ("parent", "change"))
         sides["change_vs_parent"] = relative(before, after)
+        try:
+            sides["claim"] = claim(parent[name], change[name], better)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
         workloads[name] = sides
     summary = {
         "workloads": workloads,
@@ -142,9 +189,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True,
                     help="directory of the change's end-to-end records")
     ap.add_argument("-o", "--output", type=Path, required=True)
+    ap.add_argument("--benchmark", type=Path, default=_BENCHMARK,
+                    help="the BENCHMARK.json that gives each metric's better "
+                         "direction (default: the checkout's)")
     args = ap.parse_args(argv)
     try:
         summary = build(read_records(args.parent), read_records(args.change),
+                        read_better(args.benchmark),
                         read_records(args.parent, 1), read_records(args.change, 1))
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -154,7 +205,15 @@ def main(argv=None) -> int:
         for metric, rel in sides["change_vs_parent"].items():
             p, c = (sides[s]["metrics"][metric]["median"] for s in ("parent", "change"))
             rel_text = "n/a" if rel is None else f"{rel:+.1%}"
-            print(f"{name:14s} {metric:24s} {p:12.6g} -> {c:12.6g}  {rel_text}")
+            line = f"{name:14s} {metric:24s} {p:12.6g} -> {c:12.6g}  {rel_text:>7s}"
+            rule = sides["claim"].get(metric)
+            if rule:
+                line += (f"  wins {rule['wins']}/{len(rule['seeds'])},"
+                         f" losses {rule['losses']}, median moved"
+                         f" {rule['median_difference']:+.4g}"
+                         f" {'>' if rule['beyond_iqr'] else '<='}"
+                         f" parent IQR {rule['parent_iqr']:.4g}")
+            print(line)
     return 0
 
 

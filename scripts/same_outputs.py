@@ -45,14 +45,19 @@ column, so a relative tolerance reads off one run; a text one (an event's
 ``kind`` or ``detail``) with the count of rows that differ. For each JSON
 file, each dotted key that is only in the parent's, only in the change's,
 or changed is printed; a changed number with the parent's value, the
-change's and their relative difference. The exit
-status is 0 when every output and every run's exit status agree, else 1.
-Standard library and numpy only.
+change's and their relative difference. Each run's standard error is
+compared too, with the tree's own path written as ``TREE`` so that a
+message naming a source file reads the same from either tree; for a run
+whose standard error differs, each line on one side only is printed,
+``-`` for the parent's and ``+`` for the change's. The exit status is 0
+when every output, every run's exit status and every run's standard
+error agree, else 1. Standard library and numpy only.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import os
@@ -169,19 +174,37 @@ def runs(tree: Path, deck_dir: Path) -> list:
 
 def run_all(tree: Path, out_root: Path, deck_dir: Path) -> dict:
     """Make every run of ``tree`` into ``out_root/<name>``, the written
-    decks read from ``deck_dir``; {name: exit status}."""
+    decks read from ``deck_dir``; {name: (exit status, standard error)},
+    the tree's path in the latter written as ``TREE``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    status = {}
+    results = {}
     for name, args in runs(tree, deck_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "l1gp.cli", *args, "-o", str(out_root / name)],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
-        status[name] = proc.returncode
+        stderr = proc.stderr.decode(errors="replace")
+        results[name] = (proc.returncode, stderr.replace(str(tree), "TREE"))
         print(f"{out_root.name}: {name} exit {proc.returncode}", file=sys.stderr)
         if proc.returncode:
-            sys.stderr.write(proc.stderr.decode(errors="replace"))
-    return status
+            sys.stderr.write(stderr)
+    return results
+
+
+def run_diffs(parent: dict, change: dict) -> list:
+    """Lines naming each run whose exit status or standard error differs
+    between two ``run_all`` results."""
+    lines = []
+    for name, (code, err) in parent.items():
+        code_b, err_b = change.get(name, (None, ""))
+        if code != code_b:
+            lines.append(f"{name}: exit {code} vs {code_b}")
+        if err != err_b:
+            lines.append(f"{name}: stderr differs")
+            lines.extend(f"  {line}" for line in difflib.ndiff(err.splitlines(),
+                                                              err_b.splitlines())
+                         if line[:1] in "-+")
+    return lines
 
 
 def comparable(path: Path) -> bytes:
@@ -307,11 +330,9 @@ def main(argv=None) -> int:
         work = args.work or Path(tmp)
         # one deck directory for both sides: compare.json records deck paths
         write_decks(Path(decks))
-        status = {side: run_all(tree.resolve(), work / side, Path(decks))
-                  for side, tree in (("parent", args.parent), ("change", args.change))}
-        lines = [f"{name}: exit {code} vs {status['change'].get(name)}"
-                 for name, code in status["parent"].items()
-                 if code != status["change"].get(name)]
+        results = {side: run_all(tree.resolve(), work / side, Path(decks))
+                   for side, tree in (("parent", args.parent), ("change", args.change))}
+        lines = run_diffs(results["parent"], results["change"])
         lines += compare_dirs(work / "parent", work / "change")
     for line in lines:
         print(line)

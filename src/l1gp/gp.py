@@ -12,10 +12,19 @@ posterior: ``k(X_i, x) = exp(Xa_i . (x, 1, |x|^2))`` with the read matrix
 read is then one matrix product and one ``exp``. A run reads the
 posterior only at the loop's state: its mean and std at every 1 kHz tick
 and at each publish (:meth:`GpPosterior.point_eval`), and the mean alone
-at a recorded row with no tick in its step (:meth:`GpPosterior.mean_at`);
-the two share one kernel-vector expression, so their means are the same
-bits. A query of the wrong length raises
-:class:`numerics.DimensionError`. The batch read
+at a recorded row with no tick in its step (:meth:`GpPosterior.mean_at`).
+A small posterior, 1 <= N <= ``_INVERSE_READ_MAX`` (128), is read through
+its inverse factor: it holds the read matrix ``R = [alpha^T; L^{-1}]``,
+(m + N) x N, with ``L^{-1}`` from LAPACK ``dtrtri``, and one product
+``z = R k`` gives the mean ``z[:m]`` and ``w = L^{-1} k = z[m:]``, so the
+variance is ``sigma_f^2 - w.w``. A larger one reads the mean as
+``k . alpha`` and solves ``L w = k`` with BLAS ``dtrsv`` in ``k``'s own
+buffer. At small N a read's time goes to library calls, and the single
+product makes one gemv of a dot product and a ``dtrsv``; its N^2
+multiply-adds against the solve's N^2 / 2 make it the slower form above
+about N = 200 on one BLAS thread. In either form the tick's read and the
+row's share one expression for the mean, so their means are the same
+bits. A query of the wrong length raises :class:`numerics.DimensionError`. The batch read
 (:meth:`GpPosterior.predict_batch`, for ``bound-check``) takes whole
 blocks of query rows ``(x, 1, |x|^2)`` at once, and :func:`fit` builds
 the Gram matrix the same way from the training rows, with its diagonal
@@ -26,11 +35,13 @@ the exponent is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about
 is written to a Fortran-order buffer, the layout LAPACK works in place
 on: a refit holds one N x N array, which becomes the posterior's factor,
 and a batch read solves against its block in that block's own buffer.
-The solves call BLAS ``dtrsv`` (a tick) and LAPACK ``dtrtrs`` (a batch)
-straight from scipy's compiled wrapper modules, which
-:func:`numerics._scipy_wrapper` loads without the ``scipy.linalg``
-package; they are the function objects ``scipy.linalg.blas`` and
-``scipy.linalg.lapack`` export, so the bits are theirs.
+The solves and the inverse call BLAS ``dtrsv`` (a tick above the
+constant), LAPACK ``dtrtrs`` (a batch) and ``dtrtri`` (a small
+posterior, once when it is built) straight from scipy's compiled wrapper
+modules, which :func:`numerics._scipy_wrapper` loads without the
+``scipy.linalg`` package; they are the function objects
+``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export, so the bits
+are theirs.
 """
 
 from __future__ import annotations
@@ -57,6 +68,10 @@ __all__ = [
 # grid rows per predict_batch call in uniform_bound_grid_max: bounds the
 # (N, rows) cross-kernel
 _GRID_BLOCK = 512
+
+# largest N read through the inverse factor R = [alpha^T; L^{-1}]: one
+# gemv there beats a dot product and a dtrsv up to about N = 200
+_INVERSE_READ_MAX = 128
 
 # scipy's compiled BLAS and LAPACK wrappers, without the scipy.linalg package
 _fblas = numerics._scipy_wrapper("_fblas")
@@ -107,31 +122,40 @@ def _kernel_block(Xa: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.exp(K, out=K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GpPosterior:
     """Fitted posterior: Cholesky factor of (K + noise*I), weights, kernel.
 
-    Frozen, so what is derived from ``kernel`` and ``X`` when the posterior
-    is built (the read matrix ``Xa`` of the module docstring,
-    ``signal_var = sigma_f**2`` and ``n_samples``) cannot go stale against
-    them. With zero training points the posterior reduces to the prior:
-    mean 0, std sigma_f.
+    Frozen, so what is derived from the fields when the posterior is built
+    (the read matrix ``Xa`` of the module docstring, ``signal_var =
+    sigma_f**2``, ``n_samples``, the inverse-factor read matrix ``R`` and
+    the prior's mean) cannot go stale against them. A posterior compares
+    and hashes by identity: its arrays have no truth value, so two fits on
+    the same data are two models. With zero training points the posterior
+    reduces to the prior: mean 0, std sigma_f.
     """
 
     kernel: SeKernel
     X: np.ndarray          # (N, n) training inputs
     alpha: np.ndarray      # (N, m) weights (K + noise I)^{-1} Y
-    chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I, Fortran order
+    chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I, zero above, Fortran order
     n_outputs: int
     n_inputs: int
-    Xa: np.ndarray = field(init=False, repr=False)  # (N, n + 2) read matrix
-    signal_var: float = field(init=False, repr=False)  # sigma_f**2, the prior variance
-    n_samples: int = field(init=False, repr=False)  # N
+    Xa: np.ndarray = field(init=False, repr=False, compare=False)  # (N, n + 2) read matrix
+    signal_var: float = field(init=False, repr=False, compare=False)  # sigma_f**2
+    n_samples: int = field(init=False, repr=False, compare=False)  # N
+    # (m + N, N) [alpha^T; L^{-1}], C order, for 1 <= N <= _INVERSE_READ_MAX; else None
+    R: np.ndarray | None = field(init=False, repr=False, compare=False)
+    zero_mean: np.ndarray = field(init=False, repr=False, compare=False)  # (m,) read-only
 
     def __post_init__(self):
         object.__setattr__(self, "Xa", _read_matrix(self.X, self.kernel))
         object.__setattr__(self, "signal_var", self.kernel.sigma_f**2)
         object.__setattr__(self, "n_samples", self.X.shape[0])
+        object.__setattr__(self, "R", _inverse_read_matrix(self.alpha, self.chol))
+        zero_mean = np.zeros(self.n_outputs)
+        zero_mean.flags.writeable = False
+        object.__setattr__(self, "zero_mean", zero_mean)
 
     def predict_batch(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (P, m) and per-channel std (P, m) at query rows Xq.
@@ -179,25 +203,52 @@ class GpPosterior:
         if len(x) != self.n_inputs:
             raise self._dimension_error(len(x))
         if self.n_samples == 0:
-            return np.zeros(self.n_outputs)
-        return self._kernel_vector(x).dot(self.alpha)
+            return self.zero_mean
+        k = self._kernel_vector(x)
+        if self.R is None:
+            return k.dot(self.alpha)
+        return self.R.dot(k)[:self.n_outputs]
 
     def point_eval(self, x) -> tuple[np.ndarray, float]:
         """Mean (m,) and the shared per-channel std at one point. Hot-loop variant.
 
         ``x`` is any length-n sequence of floats (a tuple or an array). The
         mean is the expression :meth:`mean_at` evaluates, so the two read
-        the same bits.
+        the same bits. The prior's mean is the read-only ``zero_mean``.
         """
         if len(x) != self.n_inputs:
             raise self._dimension_error(len(x))
         if self.n_samples == 0:
-            return np.zeros(self.n_outputs), self.kernel.sigma_f
+            return self.zero_mean, self.kernel.sigma_f
         k = self._kernel_vector(x)
-        w = _fblas.dtrsv(self.chol, k, lower=1)    # L^{-1} k
+        if self.R is None:
+            mean = k.dot(self.alpha)
+            # L^{-1} k, solved in k's buffer once the mean has read it
+            w = _fblas.dtrsv(self.chol, k, lower=1, overwrite_x=1)
+        else:
+            z = self.R.dot(k)
+            mean, w = z[:self.n_outputs], z[self.n_outputs:]
         var = self.signal_var - w.dot(w)
         # round-off can push the variance a hair negative: read 0 there
-        return k.dot(self.alpha), 0.0 if var < 0.0 else math.sqrt(var)
+        return mean, 0.0 if var < 0.0 else math.sqrt(var)
+
+
+def _inverse_read_matrix(alpha: np.ndarray, chol: np.ndarray) -> np.ndarray | None:
+    """``[alpha^T; L^{-1}]`` (m + N, N) in C order, so that one gemv reads a
+    row of each; None above ``_INVERSE_READ_MAX``, for the prior, and for a
+    singular factor (only a hand-made one: fit's has a positive diagonal),
+    which keep the solve's read."""
+    N, m = alpha.shape
+    if not 1 <= N <= _INVERSE_READ_MAX:
+        return None
+    # dtrtri reads the lower triangle and keeps the zero upper one
+    inv, info = _flapack.dtrtri(chol, lower=1)
+    if info != 0:
+        return None
+    R = np.empty((m + N, N))
+    R[:m] = alpha.T
+    R[m:] = inv
+    return R
 
 
 @dataclass(frozen=True)

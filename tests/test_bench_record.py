@@ -127,3 +127,74 @@ def test_traced_metrics_are_medians_over_the_common_seeds(tmp_path):
     assert pair["change"] == {"gp.mean_at.self_s": 0.004, "gp.point_eval.calls": 60000}
     assert pair["change_vs_parent"]["gp.mean_at.self_s"] == pytest.approx(0.004 / 0.20 - 1.0)
     assert pair["change_vs_parent"]["gp.point_eval.calls"] == 0.0
+
+
+def write_benchmark(path, better):
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": name, "unit": "x", "better": b, "bound": 0.25} for name, b in better.items()]}))
+    return path
+
+
+def test_claim_rule_counts_pairs_in_each_metrics_direction(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    run_p = [1.20, 1.10, 1.30, 1.00, 1.25]
+    run_c = [1.10, 1.10, 1.20, 1.05, 1.00]   # wins 3, a tie, loses 1
+    cov_p = [0.90, 0.91, 0.92, 0.93, 0.94]
+    cov_c = [0.95, 0.96, 0.97, 0.98, 0.90]   # higher is better: wins 4, loses 1
+
+    def metrics(run_s, cov):
+        return {"run_s": {"value": run_s, "unit": "s"},
+                "envelope_coverage_frac": {"value": cov, "unit": "fraction"},
+                "err_ideal_late": {"value": 0.5, "unit": "rad/s"}}
+
+    for seed in range(5):
+        for side, run_s, cov in ((parent, run_p, cov_p), (change, run_c, cov_c)):
+            write_record(side, "switch", seed + 1, None, metrics=metrics(run_s[seed], cov[seed]))
+    # seed 9 runs on the change's side only: no pair
+    write_record(change, "switch", 9, None, metrics=metrics(0.01, 1.0))
+    bench = write_benchmark(tmp_path / "BENCHMARK.json",
+                            {"run_s": "lower", "envelope_coverage_frac": "higher",
+                             "peak_rss_mb": "lower"})
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(out), "--benchmark", str(bench)]) == 0
+    rule = json.loads(out.read_text())["workloads"]["switch"]["claim"]
+    # no direction for err_ideal_late, no record of peak_rss_mb
+    assert sorted(rule) == ["envelope_coverage_frac", "run_s"]
+    run = rule["run_s"]
+    assert run["seeds"] == [1, 2, 3, 4, 5] and run["better"] == "lower"
+    assert (run["wins"], run["losses"]) == (3, 1)
+    # parent quartiles 1.10 and 1.25; medians 1.20 and 1.10
+    assert run["parent_iqr"] == pytest.approx(0.15)
+    assert run["median_difference"] == pytest.approx(-0.10)
+    assert run["beyond_iqr"] is False
+    cov = rule["envelope_coverage_frac"]
+    assert (cov["better"], cov["wins"], cov["losses"]) == ("higher", 4, 1)
+    # parent quartiles 0.91 and 0.93; medians 0.92 and 0.96
+    assert cov["parent_iqr"] == pytest.approx(0.02)
+    assert cov["median_difference"] == pytest.approx(0.04)
+    assert cov["beyond_iqr"] is True
+
+
+def test_claim_rule_reads_the_checkouts_benchmark_by_default(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(1, 11):
+        write_record(parent, "switch", seed, 1.2 + 0.01 * seed)
+        write_record(change, "switch", seed, 1.1 + 0.01 * seed)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(out)]) == 0
+    run = json.loads(out.read_text())["workloads"]["switch"]["claim"]["run_s"]
+    assert (run["better"], run["wins"], run["losses"]) == ("lower", 10, 0)
+    assert run["beyond_iqr"] is True
+    assert "wins 10/10, losses 0" in capsys.readouterr().out
+
+
+def test_claim_rule_needs_three_pairs(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3):
+        write_record(parent, "switch", seed, 2.4)
+        write_record(change, "switch", seed + 2, 2.3)
+    assert bench_record.main(["--parent", str(parent), "--change", str(change),
+                              "-o", str(tmp_path / "BENCH.json")]) == 2
+    assert "switch: 1 seeds run on both sides, need 3" in capsys.readouterr().err

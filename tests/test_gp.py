@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from l1gp import gp, numerics, plant
 
@@ -229,6 +229,8 @@ class TestBatchSolve:
         chol = post.chol.copy(order="F")
         chol[2, 2] = 0.0
         singular = dataclasses.replace(post, chol=chol)
+        # dtrtri finds the zero too: the point read falls back to the solve
+        assert post.R is not None and singular.R is None
         with pytest.raises(np.linalg.LinAlgError,
                            match="singular factor: zero on its diagonal at 2"):
             singular.predict_batch(np.zeros((4, 3)))
@@ -253,7 +255,7 @@ flapack = sys.modules["scipy.linalg._flapack"]
 assert gp._fblas is fblas is numerics._scipy_wrapper("_fblas") is blas._fblas
 assert gp._flapack is flapack is numerics._scipy_wrapper("_flapack") is lapack._flapack
 assert blas.dtrsv is fblas.dtrsv
-for name in ("dpotrf", "dpotrs", "dtrtrs"):
+for name in ("dpotrf", "dpotrs", "dtrtrs", "dtrtri"):
     assert getattr(lapack, name) is getattr(flapack, name), name
 
 L = np.array([[2.0, 0.0], [1.0, 4.0]])
@@ -348,38 +350,80 @@ def direct_read(post, x):
 
 
 def chol_norms(post):
-    """Spectral norms of the Cholesky factor L and of its inverse."""
-    sv = np.linalg.svd(post.chol, compute_uv=False)
-    return sv[0], 1.0 / sv[-1]
+    """Spectral norms of the Cholesky factor L and of its inverse, then
+    those of their entrywise absolute values |L| and |L^{-1}|."""
+    inv = np.linalg.inv(post.chol)
+    return tuple(float(np.linalg.norm(a, 2))
+                 for a in (post.chol, inv, np.abs(post.chol), np.abs(inv)))
 
 
-def read_tolerance(post, norms, x, k, w):
-    """Bounds on |mean - mean'| (per channel) and |var - var'| between two
-    reads whose kernel vectors each carry the expanded form's error;
-    ``norms`` is ``chol_norms(post)``.
+def expanded_rel(post, x):
+    """Relative error bound on each entry of the kernel vector at x read
+    through the expanded form.
 
     The exponent of ``k(X_i, x)`` is a sum of n + 2 terms no larger than
     ``(|X_i|^2 + |x|^2) / l^2 + |log sigma_f^2|`` in all, so each kernel
-    entry is off by at most ``rel`` relative; the dot products and the
-    triangular solve add their own ``N eps`` rounding. Below the normal
-    range rounding is absolute, up to half a subnormal unit per operation,
-    which no relative bound covers: a read far from the data has a
-    subnormal mean. Each read's dot products take 2N - 1 such roundings, so
-    both bounds carry an absolute floor of 2N subnormal units.
+    entry is off by at most this much, relative.
     """
-    N, n = post.X.shape
+    n = post.n_inputs
     l2 = post.kernel.length_scale**2
     sq_x = float(np.dot(x, x))
     sq_X = float(np.max(np.einsum("ij,ij->i", post.X, post.X)))
-    rel = 4 * (n + 2) * EPS * (1 + (sq_X + sq_x) / l2 + abs(2 * math.log(post.kernel.sigma_f)))
+    return 4 * (n + 2) * EPS * (1 + (sq_X + sq_x) / l2 + abs(2 * math.log(post.kernel.sigma_f)))
+
+
+def read_tolerance(post, norms, x, k, w):
+    """Bounds on |mean - mean'| (per channel) and |var - var'| between a
+    point read and a solve's read, each of whose kernel vectors carries
+    the expanded form's error; ``norms`` is ``chol_norms(post)``.
+
+    Each kernel entry is off by at most ``expanded_rel`` relative, which
+    reaches ``w = L^{-1} k`` through ``||L^{-1}||``; the dot products add
+    their own ``N eps`` rounding. Here ``||.||`` is the spectral norm and
+    ``|.|`` the entrywise absolute value. Where ``w`` comes from, the two
+    forms of the point read differ:
+
+    - a triangular solve (``dtrsv``, ``dtrtrs``) is backward stable,
+      ``(L + dL) w' = k`` with ``|dL| <= N eps |L|``, so ``||w' - w|| <=
+      N eps ||L^{-1}|| ||L|| ||w||`` per read;
+    - the inverse factor's read ``w' = W' k`` takes ``W'`` from
+      ``dtrtri``, which computes each block column of ``L^{-1}`` from the
+      ones after it, so its left residual is small: ``|W' L - I| <=
+      2 N eps |W'| |L|``. So ``W' k - w = (W' L - I) w`` is at most
+      ``2 N eps || |L^{-1}| || || |L| || ||w||``, and the product's own
+      rounding, ``N eps || |L^{-1}| || ||k||`` with ``||k|| <= ||L||
+      ||w||``, at most half that again: ``3 N eps || |L^{-1}| ||
+      || |L| || ||w||`` in all.
+
+    Below the normal range rounding is absolute, up to half a subnormal
+    unit per operation, which no relative bound covers: a read far from
+    the data has a subnormal mean. Each read's dot products take 2N - 1
+    such roundings, so both bounds carry an absolute floor of 2N subnormal
+    units.
+    """
+    N = post.n_samples
+    rel = expanded_rel(post, x)
     floor = 2 * N * TINY
     tol_mean = 2 * (rel + N * EPS) * (k @ np.abs(post.alpha)) + floor
-    l_norm, l_inv_norm = norms
+    l_norm, l_inv_norm, abs_l_norm, abs_inv_norm = norms
     w_norm, k_norm = float(np.linalg.norm(w)), float(np.linalg.norm(k))
-    dw = (2 * rel * k_norm + 2 * N * EPS * l_norm * w_norm) * l_inv_norm
+    solve = N * EPS * l_norm * w_norm * l_inv_norm
+    point = solve if post.R is None else 3 * N * EPS * abs_inv_norm * abs_l_norm * w_norm
+    dw = 2 * rel * k_norm * l_inv_norm + solve + point
     tol_var = (2 * w_norm * dw + dw**2 + 2 * N * EPS * w_norm**2
                + 4 * EPS * post.kernel.sigma_f**2 + floor)
     return tol_mean, tol_var
+
+
+def box_data(N, n_outputs=3):
+    """N inputs, up to 8 of them on the box corners, where |X_i| is
+    largest and the expanded form cancels most, the rest where
+    trajectories stay; and noisy quadratic targets."""
+    rng = np.random.default_rng(N)
+    corners = np.array(list(itertools.product((-BOX, BOX), repeat=3)))[: min(N, 8)]
+    X = np.vstack([corners, rng.uniform(-3.0, 3.0, size=(N - len(corners), 3))])
+    Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(N, 3))
+    return X, Y[:, :n_outputs]
 
 
 class TestExpandedRead:
@@ -390,15 +434,10 @@ class TestExpandedRead:
     FAR = (100.0, -100.0, 100.0)
 
     def posterior(self, N, kernel):
-        # up to 8 inputs on the box corners, where |X_i| is largest and the
-        # expanded form cancels most; the rest where trajectories stay
-        rng = np.random.default_rng(N)
-        corners = np.array(list(itertools.product((-BOX, BOX), repeat=3)))[: min(N, 8)]
-        X = np.vstack([corners, rng.uniform(-3.0, 3.0, size=(N - len(corners), 3))])
-        Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(N, 3))
-        return gp.fit(X, Y, 1e-4, kernel)
+        return gp.fit(*box_data(N), 1e-4, kernel)
 
-    def queries(self, post):
+    @staticmethod
+    def queries(post):
         X = post.X[:30]
         inside = np.vstack([X, 0.5 * (X[:-1] + X[1:]), X + 1e-3])
         rng = np.random.default_rng(1)
@@ -409,7 +448,7 @@ class TestExpandedRead:
         return np.vstack([inside, on_box, corners])
 
     @pytest.mark.parametrize("kernel", [KERNEL, gp.SeKernel(sigma_f=2.0, length_scale=0.5)])
-    @pytest.mark.parametrize("N", [1, 22, 512])
+    @pytest.mark.parametrize("N", [1, 22, gp._INVERSE_READ_MAX, gp._INVERSE_READ_MAX + 1, 512])
     def test_matches_the_direct_difference_read(self, N, kernel):
         post = self.posterior(N, kernel)
         norms = chol_norms(post)
@@ -440,6 +479,9 @@ class TestExpandedRead:
             mean, std = post.point_eval(x)
             assert std == 0.3 and np.array_equal(mean, np.zeros(2))
             assert np.array_equal(post.mean_at(x), np.zeros(2))
+            # one read-only mean, made with the posterior: a read allocates none
+            assert mean is post.zero_mean is post.mean_at(x)
+            assert not mean.flags.writeable
 
     @pytest.mark.parametrize("N", [0, 22])
     def test_wrong_length_query_raises(self, N):
@@ -508,6 +550,103 @@ class TestExpandedRead:
             mean, std = post.point_eval(x)
             assert np.all(np.abs(mean - mean_b[i]) <= tol_mean)
             assert abs(std**2 - std_b[i, 0] ** 2) <= tol_var
+
+
+def oracle_tolerance(post, norms, x, k, w, Y):
+    """Bounds on |mean - mean_o| (per channel) and |var - var_o| between a
+    point read and ``naive_predict``'s, derived as ``read_tolerance``
+    derives its own: its bounds, which cover the point read's error, plus
+    the oracle's, to first order, with ``||.||`` the spectral norm.
+
+    - The oracle's Gram matrix K' comes from direct differences, within
+      ``expanded_rel`` of the expanded form's entry by entry. K is
+      positive entrywise, so ``||K' - K|| <= rel ||K||``, which moves the
+      mean by at most ``||K^{-1} k|| rel ||K|| ||alpha||`` and the
+      variance by ``||K^{-1} k||^2 rel ||K||``.
+    - Its inverse X' is LU's, column by column, with a right residual
+      ``|K X' - I| <= 2 N eps |K| |X'|``, at most ``2 N^{3/2} eps ||K||
+      ||K^{-1}||`` in norm, and ``X' - K^{-1} = K^{-1} (K X' - I)``. That
+      moves the mean by at most ``||K^{-1} k||`` times that times ``||Y||``
+      and the variance by the same with ``||k||`` for ``||Y||``.
+    - Its products round by ``2 N eps |k| |X'| |Y|`` (the mean, two
+      products) and ``N^2 eps |k| |X'| |k|`` (the variance, one sum of N^2
+      terms), with ``|| |X'| || <= N^{1/2} ||K^{-1}||``.
+
+    ``||K|| = ||L||^2``, ``||K^{-1}|| = ||L^{-1}||^2`` and ``||K^{-1} k|| <=
+    ||L^{-1}|| ||w||``.
+    """
+    tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
+    N = post.n_samples
+    rel = expanded_rel(post, x)
+    l_norm, l_inv_norm = norms[:2]
+    K_norm, K_inv_norm = l_norm**2, l_inv_norm**2
+    k_norm = float(np.linalg.norm(k))
+    kinv_k = l_inv_norm * float(np.linalg.norm(w))
+    resid = 2 * N**1.5 * EPS * K_norm * K_inv_norm
+    y_norm, a_norm = np.linalg.norm(Y, axis=0), np.linalg.norm(post.alpha, axis=0)
+    tol_mean = (tol_mean + kinv_k * (resid * y_norm + rel * K_norm * a_norm)
+                + 2 * N**1.5 * EPS * K_inv_norm * k_norm * y_norm)
+    tol_var = (tol_var + kinv_k * (resid * k_norm + rel * K_norm * kinv_k)
+               + N**2.5 * EPS * K_inv_norm * k_norm**2)
+    return tol_mean, tol_var
+
+
+@pytest.mark.parametrize("N", [gp._INVERSE_READ_MAX, gp._INVERSE_READ_MAX + 1])
+class TestReadForms:
+    """Up to ``_INVERSE_READ_MAX`` points a posterior is read through its
+    inverse factor, one point more and it is read through a solve; both
+    forms read within their bound of the dense oracle, and in each the
+    tick's read and the row's read share one mean."""
+
+    def test_the_form_changes_past_the_constant(self, N):
+        X, Y = box_data(N)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
+        if N <= gp._INVERSE_READ_MAX:
+            W = dtrtri(post.chol, lower=1)[0]
+            assert post.R.shape == (3 + N, N) and post.R.flags.c_contiguous
+            assert np.array_equal(post.R, np.vstack([post.alpha.T, W]))
+        else:
+            assert post.R is None
+
+    def test_matches_the_dense_oracle(self, N):
+        X, Y = box_data(N)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
+        norms = chol_norms(post)
+        Xq = TestExpandedRead.queries(post)
+        mean_o, std_o = naive_predict(X, Y, 1e-4, KERNEL, Xq)
+        for i, x in enumerate(Xq):
+            k, w, _, _ = direct_read(post, x)
+            tol_mean, tol_var = oracle_tolerance(post, norms, x, k, w, Y)
+            mean, std = post.point_eval(x)
+            assert np.all(np.abs(mean - mean_o[i]) <= tol_mean)
+            assert abs(std**2 - std_o[i] ** 2) <= tol_var
+
+    def test_mean_at_is_the_point_reads_mean_bitwise(self, N):
+        post = gp.fit(*box_data(N), 1e-4, KERNEL)
+        for x in TestExpandedRead.queries(post):
+            mean = post.point_eval(tuple(x.tolist()))[0]
+            assert np.array_equal(post.mean_at(x), mean)
+            assert np.array_equal(post.mean_at(tuple(x.tolist())), mean)
+
+    def test_a_copy_reads_the_same_bits_and_replace_rebuilds_the_read(self, N):
+        X, Y = box_data(N)
+        post = gp.fit(X, Y, 1e-4, KERNEL)
+        clone = copy.deepcopy(post)
+        x = (0.3, -1.2, 2.0)
+        mean, std = post.point_eval(x)
+        mean_c, std_c = clone.point_eval(x)
+        assert np.array_equal(mean_c, mean) and std_c == std
+        assert np.array_equal(clone.mean_at(x), post.mean_at(x))
+        # new targets, same factor: the read matrix carries the new weights
+        doubled = dataclasses.replace(post, alpha=2.0 * post.alpha)
+        if post.R is None:
+            assert doubled.R is None
+        else:
+            assert clone.R is not post.R and np.array_equal(clone.R, post.R)
+            assert np.array_equal(doubled.R[:3], 2.0 * post.alpha.T)
+            assert np.array_equal(doubled.R[3:], post.R[3:])
+        assert np.array_equal(doubled.point_eval(x)[0], 2.0 * mean)
+        assert doubled.point_eval(x)[1] == std
 
 
 class TestUniformBound:

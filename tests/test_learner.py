@@ -312,6 +312,24 @@ class TestGating:
         assert lrn.model.update_index == 0
 
 
+def test_a_published_model_compares_and_hashes():
+    # a posterior is its own identity: two fits on the same data are two
+    # models, and a model holding one compares and hashes by its fields
+    lrn = make_learner()
+    for k in range(1, 11):
+        lrn.push(float(k), 0.1 * np.ones(3) * k, np.zeros(3))
+    assert lrn.maybe_update(10.0)["kind"] == "learner_published"
+    model = lrn.model
+    assert model.posterior.n_samples > 0
+    X, Y = model.posterior.X, model.posterior.alpha
+    a, b = (gp.fit(X, Y, 1e-4, gp.SeKernel()) for _ in range(2))
+    assert a == a and a != b and hash(a) == hash(a)
+    twin = learner.LearnerModel(model.update_index, model.posterior, model.sqrt_beta)
+    assert twin == model and hash(twin) == hash(model)
+    assert len({model, twin}) == 1
+    assert learner.LearnerModel(1, a, 2.0) != learner.LearnerModel(1, b, 2.0)
+
+
 class TestLearningProgress:
     def test_error_nonincreasing_with_data(self):
         rng = np.random.default_rng(3)

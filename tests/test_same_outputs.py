@@ -245,3 +245,51 @@ def test_unsatisfied_deck_fails_the_norm_condition(tmp_path):
     assert (report["t"], report["kind"], report["satisfied"]) == (0.0, "l1_condition", False)
     assert round(report["lhs"], 2) == 6.50 and round(report["rhs"], 2) == 3.33
     assert not trace.unstable and trace.t[-1] == 10.0
+
+
+STUB_CLI = """\
+import sys
+from pathlib import Path
+out = Path(sys.argv[sys.argv.index("-o") + 1])
+out.mkdir(parents=True)
+(out / "summary.json").write_text("{{}}")
+print({message!r}, file=sys.stderr)
+print("from", __file__, file=sys.stderr)
+"""
+
+
+def stub_tree(root, message):
+    """A tree whose ``l1gp.cli`` writes one output file and prints
+    ``message`` and its own path to standard error."""
+    return write(root, {"src/l1gp/__init__.py": "",
+                        "src/l1gp/cli.py": STUB_CLI.format(message=message)})
+
+
+@pytest.mark.parametrize("change_message, code", [
+    ("warning: norm condition unsatisfied", 0),
+    ("warning: the norm condition fails", 1),
+])
+def test_a_run_whose_stderr_differs_fails_the_check(
+        tmp_path, monkeypatch, capsys, change_message, code):
+    # same files and exit status on both sides: only the message differs;
+    # each side's source path is its own, which the check does not count
+    monkeypatch.setattr(same_outputs, "runs",
+                        lambda tree, deck_dir: [("simulate-x", ["simulate", "x.cfg"])])
+    parent = stub_tree(tmp_path / "parent", "warning: norm condition unsatisfied")
+    change = stub_tree(tmp_path / "change", change_message)
+    assert same_outputs.main([str(parent), str(change)]) == code
+    out = capsys.readouterr().out.splitlines()
+    if code:
+        assert out == ["simulate-x: stderr differs",
+                       "  - warning: norm condition unsatisfied",
+                       "  + warning: the norm condition fails",
+                       "3 difference lines"]
+    else:
+        assert out == ["outputs identical"]
+
+
+def test_run_diffs_names_exit_status_and_stderr():
+    parent = {"a": (0, "warning: x\n"), "b": (2, "")}
+    change = {"a": (0, "warning: x\n"), "b": (0, "error: y\n")}
+    assert same_outputs.run_diffs(parent, change) == [
+        "b: exit 2 vs 0", "b: stderr differs", "  + error: y"]
