@@ -21,6 +21,9 @@ tree as the working directory:
   every 5 steps, also written to the temporary directory: half its rows
   fall between two ticks, so the rows that read the model's mean alone
   and those that record their tick's read are both compared;
+- ``simulate`` on ``configs/sinusoid_learning.cfg``'s run with a 10 ms
+  input delay, also written to the temporary directory: the one stock path
+  on which a learner target carries the delay's bias;
 - ``simulate`` on a mode-l1 deck whose 150 ms input delay drives it
   unstable at 0.37 s of 20, also written to the temporary directory: the
   flagged-unstable exit and the summary of a run that aborts before its
@@ -114,6 +117,22 @@ enabled = true
 t_data = 0.5
 """
 
+DELAYED_LEARNER_DECK = "delayed_learner.cfg"
+DELAYED_LEARNER_TEXT = """\
+[reference]
+kind = "sinusoid"
+
+[controller]
+mode = "l1gp"
+
+[plant]
+j = [0.011, 0.011, 0.021]
+input_delay = 0.01
+
+[learner]
+enabled = true
+"""
+
 UNSTABLE_DECK = "unstable_l1.cfg"
 UNSTABLE_TEXT = """\
 duration = 20.0
@@ -140,10 +159,11 @@ j = [0.011, 0.011, 0.021]
 
 
 def write_decks(deck_dir: Path) -> None:
-    """Write the anisotropic, the off-grid, the unstable and the
-    unsatisfied-condition deck to ``deck_dir``."""
+    """Write the anisotropic, the off-grid, the delayed-learner, the
+    unstable and the unsatisfied-condition deck to ``deck_dir``."""
     (deck_dir / ANISOTROPIC_DECK).write_text(ANISOTROPIC_TEXT)
     (deck_dir / OFF_GRID_DECK).write_text(OFF_GRID_TEXT)
+    (deck_dir / DELAYED_LEARNER_DECK).write_text(DELAYED_LEARNER_TEXT)
     (deck_dir / UNSTABLE_DECK).write_text(UNSTABLE_TEXT)
     (deck_dir / UNSATISFIED_DECK).write_text(UNSATISFIED_TEXT)
 
@@ -163,6 +183,7 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("simulate-anisotropic", ["simulate", aniso]),
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
+        ("simulate-delayed_learner", ["simulate", str(deck_dir / DELAYED_LEARNER_DECK)]),
         ("simulate-unstable_l1", ["simulate", str(deck_dir / UNSTABLE_DECK)]),
         ("simulate-unsatisfied_condition",
          ["simulate", str(deck_dir / UNSATISFIED_DECK)]),

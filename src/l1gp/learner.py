@@ -1,20 +1,23 @@
 """Slow-rate Bayesian learner feeding the controller piecewise-static models.
 
-The learner takes (t, x, u) samples at its own rate and turns each into an
-uncertainty target as soon as it can: a target's derivative is the slope
-at the centre of a 5-sample window, the closed form of the Savitzky-Golay
-window-5, order-2 filter, so it is made when the sample two steps later
-arrives, and the first two samples, whose window never completes, are
-never used. Derivative-estimation error is folded into the measurement
-noise, together with an explicit Gaussian noise injection drawn, in sample
-order, from the run's seeded generator, which the learner alone holds: it
-is the loop's only random draw. Once N_update new samples have arrived the
-GP is refit on the targets made so far, and every successful refit
-publishes the immutable model it gives: the posterior, whose mean is the
-learned ``f_hat``. The publish event reports the new model's envelope at
-the sample just pushed, the state the loop's next tick reads it at. The
-published model is constant between publishes: a publish replaces it
-whole, between two engine steps.
+The learner's target is the adaptive law's own estimate of the
+uncertainty, ``f_L + sigma_hat``: the piecewise-constant law picks
+``sigma_hat`` so that the predictor meets the plant at the next tick, so
+the sum tracks f over the last tick, with an error of order ``T_s``
+(Hovakimyan & Cao, *L1 Adaptive Control Theory*, SIAM 2010, ch. 3). At
+each of its samples the engine passes the state at the start of the step
+that ends on the sample time and the controller's ``f_L`` and
+``sigma_hat`` after the last tick; each sample becomes its target at once,
+with no window, derivative or plant model. The estimate's own error is
+folded into the measurement noise, together with an explicit Gaussian
+noise injection drawn, in sample order, from the run's seeded generator,
+which the learner alone holds: it is the loop's only random draw. Once
+N_update new samples have arrived the GP is refit on the targets made so
+far, and every successful refit publishes the immutable model it gives:
+the posterior, whose mean is the learned ``f_hat``. The publish event
+reports the new model's envelope at the state the loop's next tick reads
+it at, which the engine passes in. The published model is constant
+between publishes: a publish replaces it whole, between two engine steps.
 """
 
 from __future__ import annotations
@@ -33,12 +36,8 @@ __all__ = [
     "LearnerConfig",
     "LearnerModel",
     "MeasurementBuffer",
-    "reconstruct_target",
     "BayesianLearner",
 ]
-
-_WINDOW = 5
-_HALF = _WINDOW // 2
 
 
 @dataclass(frozen=True)
@@ -103,121 +102,57 @@ class LearnerModel:
 
 
 class MeasurementBuffer:
-    """The learner's last derivative window and the targets made from it.
+    """The learner's targets, made on arrival, in sample order.
 
-    Timestamps must arrive strictly increasing and spaced by T_data. The
-    buffer keeps only the newest 5 raw (t, x, u) records: each push that
-    completes a centered window makes the target of its center sample at
-    once, noise included, so targets exist on arrival and in sample order.
-    The targets are a FIFO of at most ``capacity`` entries. ``a_m`` and
-    ``b_inv`` are the diagonals of ``A_m`` and ``B_m^{-1}``.
+    Each sample is a state and the adaptive law's estimate there;
+    :meth:`reconstruct_ready` makes its target at once, noise included.
+    The states and targets are FIFOs of at most ``capacity`` entries.
     """
 
-    def __init__(
-        self,
-        T_data: float,
-        capacity: int,
-        a_m: tuple,
-        b_inv: tuple,
-        rng: np.random.Generator,
-        sigma_n: float,
-    ):
-        self.T_data = T_data
-        self.a_m = a_m
-        self.b_inv = b_inv
+    def __init__(self, capacity: int, rng: np.random.Generator, sigma_n: float):
         self.rng = rng
         self.sigma_n = sigma_n
-        self.window: deque[tuple] = deque(maxlen=_WINDOW)  # (t, x, u) records
-        self.target_X: deque[np.ndarray] = deque(maxlen=capacity)
+        self.target_X: deque = deque(maxlen=capacity)  # states, as given
         self.target_Y: deque[np.ndarray] = deque(maxlen=capacity)
 
-    def push(self, t: float, x: np.ndarray, u: np.ndarray) -> None:
-        if self.window and abs(t - self.window[-1][0] - self.T_data) > 1e-9:
-            raise ValueError(
-                f"sample at t={t} violates the T_data={self.T_data} spacing"
-            )
-        self.window.append(
-            (t, np.asarray(x, dtype=float).copy(), np.asarray(u, dtype=float).copy())
-        )
-        if len(self.window) == _WINDOW:
-            self.reconstruct_ready()
-
-    def reconstruct_ready(self) -> None:
-        """Make the noisy target of the full window's center sample."""
-        times, states, inputs = zip(*self.window)
-        y = reconstruct_target(
-            np.asarray(times),
-            np.asarray(states),
-            states[_HALF],
-            inputs[_HALF],
-            self.a_m,
-            self.b_inv,
-        )
-        y = y + self.rng.normal(0.0, self.sigma_n, size=y.shape)
-        self.target_X.append(states[_HALF])
-        self.target_Y.append(y)
+    def reconstruct_ready(self, x, f_L, sigma_hat) -> None:
+        """Append the target of state ``x``: ``f_L + sigma_hat`` plus one
+        noise draw per axis."""
+        y = np.add(f_L, sigma_hat)
+        self.target_X.append(x)
+        self.target_Y.append(y + self.rng.normal(0.0, self.sigma_n, size=y.shape))
 
     @property
     def n_targets(self) -> int:
         return len(self.target_X)
 
 
-def reconstruct_target(
-    window_times: np.ndarray,
-    window_states: np.ndarray,
-    x_j: np.ndarray,
-    u_j: np.ndarray,
-    a_m: tuple,
-    b_inv: tuple,
-) -> np.ndarray:
-    """Uncertainty target ``B_m^{-1} (xdot_j - A_m x_j) - u_j``.
-
-    ``xdot_j`` is :func:`numerics.estimate_derivative` of the 5-sample
-    window, which must be centered on sample j. ``A_m`` and
-    ``B_m^{-1}`` are diagonal, given as their diagonals ``a_m`` and
-    ``b_inv``; each product is ``0.0 + d_i v_i``, bitwise the matrix form.
-    """
-    xdot_j = numerics.estimate_derivative(window_times, window_states)
-    return (0.0 + np.multiply(b_inv, xdot_j - (0.0 + np.multiply(a_m, x_j)))) - u_j
-
-
 class BayesianLearner:
-    """Owns the buffer, refit schedule, and the currently published model.
+    """Owns the buffer, refit schedule, and the currently published model."""
 
-    ``a_m`` and ``b_inv`` are the diagonals of ``A_m`` and ``B_m^{-1}``,
-    the float 3-tuples :class:`controller.ControllerConfig` holds.
-    """
-
-    def __init__(
-        self,
-        cfg: LearnerConfig,
-        a_m: tuple,
-        b_inv: tuple,
-        rng: np.random.Generator,
-    ):
+    def __init__(self, cfg: LearnerConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.buffer = MeasurementBuffer(
-            cfg.T_data, cfg.max_points, a_m, b_inv, rng, cfg.sigma_n
-        )
-        self.model = LearnerModel.prior(cfg, len(b_inv), len(a_m))
+        self.buffer = MeasurementBuffer(cfg.max_points, rng, cfg.sigma_n)
+        self.model = LearnerModel.prior(cfg, 3, 3)  # f and x have three axes
         self._new_since_fit = 0
 
-    def push(self, t: float, x: np.ndarray, u: np.ndarray) -> None:
-        self.buffer.push(t, x, u)
+    def push(self, x, f_L, sigma_hat) -> None:
+        """Take one sample: the state and the adaptive law's ``f_L`` and
+        ``sigma_hat`` there."""
+        self.buffer.reconstruct_ready(x, f_L, sigma_hat)
         self._new_since_fit += 1
 
-    def maybe_update(self, t: float) -> Optional[dict]:
+    def maybe_update(self, t: float, x) -> Optional[dict]:
         """Refit and publish; returns an event dict on any outcome.
 
         Returns None while fewer than N_update new samples have arrived.
-        A successful fit publishes its model. A fit failure retains the
-        current model and reports a warning event.
+        A successful fit publishes its model, and its event reports the
+        new envelope at ``x``, the state the loop's next tick reads. A fit
+        failure retains the current model and reports a warning event.
         """
         if self._new_since_fit < self.cfg.N_update:
             return None
         self._new_since_fit = 0
-        if self.buffer.n_targets == 0:
-            return {"t": t, "kind": "learner_skipped", "reason": "no targets yet"}
         try:
             posterior = gp.fit(
                 np.asarray(self.buffer.target_X),
@@ -234,7 +169,6 @@ class BayesianLearner:
             "t": t,
             "kind": "learner_published",
             "update_index": self.model.update_index,
-            # the envelope the next tick reads: at the sample just pushed
-            "e_f_hat": self.model.evaluate(self.buffer.window[-1][1])[1],
+            "e_f_hat": self.model.evaluate(x)[1],
             "n_data": posterior.n_samples,
         }

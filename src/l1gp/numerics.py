@@ -6,10 +6,10 @@ finite Python floats, :func:`whole` a count or a seed as a Python int, and
 :func:`zoh_map` gives the predictor's exact one-step map on Python floats,
 with no linear solve. These three use the standard library alone. The rest
 operates on plain float64 numpy arrays: the Cholesky routines the GP
-factors with, RK4 and the 5-point centred derivative the learner's targets
-are made with; each imports numpy when called, so a run with no learner
-never loads it. :func:`log_covering_number_box` works on floats. All
-public functions are pure.
+factors with, RK4 and the 5-point centred derivative; each imports numpy
+when called, so a run with no learner never loads it.
+:func:`log_covering_number_box` works on floats. All public functions are
+pure.
 
 The module loads without numpy or scipy. The factor routines
 :func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
@@ -244,6 +244,11 @@ def estimate_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     So a constant window reads exactly 0, and a linear window of integers
     at ``dt = 1`` its exact slope. Raises DimensionError for any other
     sample count and ValueError for non-uniform spacing.
+
+    No run calls it: the learner's targets are the adaptive law's own
+    estimate. It stays, with its tests, only because the benchmark's
+    per-layer tracer (``perfbench/layers.py``) hooks this name in its
+    ``--trace`` runs; it goes when that tracer retires.
     """
     import numpy as np
 
@@ -255,8 +260,7 @@ def estimate_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
         )
     dts = np.diff(times)
     dt = dts[0]
-    # the learner calls this once per sample, so it skips np.allclose's
-    # argument checks; not <= rejects nan
+    # not <= rejects nan
     if not (np.abs(dts - dt) <= 1e-9 * max(1.0, abs(dt))).all():
         raise ValueError("sampling period is not uniform")
     y0, y1, _, y3, y4 = values

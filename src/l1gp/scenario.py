@@ -5,7 +5,10 @@ reference, run the controller tick (adaptation, learning filter, control,
 predictor) on sampling-period boundaries, integrate the plant with the
 delayed input, feed the learner on its own boundaries, and record. Tick
 order within one step is fixed: adaptation -> learning filter -> control
--> plant -> learner.
+-> plant -> learner. A step that ends on a learner sample time passes the
+learner the state at the step's start and the controller's ``f_L`` and
+``sigma_hat``, whose sum is the sample's target, and then the state at its
+end, the one the next tick reads, for a publish's envelope.
 
 Step clock: :class:`ScenarioConfig` reads every instant a run uses (the
 sampling and learner periods, the input delay, the duration, each
@@ -356,10 +359,8 @@ class Snapshot:
 
             from . import learner as learner_mod
 
-            learner = learner_mod.BayesianLearner(
-                cfg.learner, cfg.controller.a_m, cfg.controller._b_inv,
-                np.random.default_rng(cfg.seed),
-            )
+            learner = learner_mod.BayesianLearner(cfg.learner,
+                                                  np.random.default_rng(cfg.seed))
         # the prior's envelope, sqrt(beta) sigma_f, at every state
         e0 = learner.model.evaluate(cfg.plant.x0)[1] if learner else 0.0
         return cls(t0=0.0, x=cfg.plant.x0,
@@ -478,7 +479,8 @@ class Engine:
             # last RK4 stage only
             switching = i0 + i + 1 == switch_steps[seg]
             f_end = fields[seg + 1] if switching else f
-            x0, x1, x2 = x = rk4_plant_step(x, u_applied, h, p, f, f_end)
+            x_start = x
+            x0, x1, x2 = x = rk4_plant_step(x_start, u_applied, h, p, f, f_end)
             # the one stop rule, |x|_inf > blowup or non-finite: NaN fails every <=
             unstable = not (abs(x0) <= blowup and abs(x1) <= blowup and abs(x2) <= blowup)
             t_next = (i0 + i + 1) * h
@@ -492,8 +494,11 @@ class Engine:
                 self.events.append({"t": t_next, "kind": "unstable_abort"})
                 break
             if data_every and (i0 + i + 1) % data_every == 0:
-                learner.push(t_next, x, u_applied)
-                ev = learner.maybe_update(t_next)
+                # the sample pairs the step's start state with the last
+                # tick's estimate; a publish reads its envelope at the state
+                # the next tick reads
+                learner.push(x_start, state.f_L, state.sigma_hat)
+                ev = learner.maybe_update(t_next, x)
                 if ev is not None:
                     self.events.append(ev)
         # the end of the run: a row on the recording grid, or the abort row

@@ -13,26 +13,22 @@ from l1gp import controller as ctrl
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-J = np.diag([0.011, 0.011, 0.021])
-A_M = -3.0 * np.eye(3)
-B_M = np.diag(1.0 / np.diag(J))
-# the diagonals the learner is given: A_m's and B_m^{-1}'s
-A_DIAG = (-3.0, -3.0, -3.0)
-B_INV = tuple(np.diag(J).tolist())
 QUADRATIC = plant.UncertaintySchedule(((0.0, "quadratic"),))
+ZERO = (0.0, 0.0, 0.0)
 
 
 def make_buffer(capacity=64, sigma_n=1e-9, seed=1):
-    return learner.MeasurementBuffer(
-        1.0, capacity, A_DIAG, B_INV, np.random.default_rng(seed), sigma_n
-    )
+    return learner.MeasurementBuffer(capacity, np.random.default_rng(seed), sigma_n)
 
 
 def make_learner(rng=None, **kw):
     cfg = learner.LearnerConfig(**kw)
-    return learner.BayesianLearner(
-        cfg, A_DIAG, B_INV, rng if rng is not None else np.random.default_rng(0)
-    )
+    return learner.BayesianLearner(cfg, rng if rng is not None else np.random.default_rng(0))
+
+
+def state(k):
+    """The k-th sample's state in the unit tests, as the engine passes it."""
+    return tuple(0.1 * math.sin(i * k) for i in (1, 2, 3))
 
 
 @pytest.mark.parametrize("field", ["T_data", "sigma_n"])
@@ -42,210 +38,116 @@ def test_config_rejects_nonpositive_and_nonfinite(field):
             learner.LearnerConfig(**{field: bad})
 
 
-class TestReconstructTarget:
-    def test_constant_offset_identity(self):
-        # constant x with u chosen so xdot = A x + B(u + c) = 0 exactly:
-        # the reconstruction returns c to round-off
-        c = np.array([0.3, -0.1, 0.2])
-        x = np.array([1.0, 2.0, -1.0])
-        u = -J @ (A_M @ x) - c
-        times = np.arange(5.0)
-        states = np.tile(x, (5, 1))
-        y = learner.reconstruct_target(times, states, x, u, A_DIAG, B_INV)
-        assert np.allclose(y, c, atol=1e-12)
-
-    def test_zero_uncertainty_linear_trajectory(self):
-        # f == 0 and exact linear state history: target is 0 up to filter error
-        v = np.array([0.1, -0.2, 0.05])
-        x_j = np.array([0.5, 0.5, 0.5])
-        times = np.arange(5.0)
-        states = x_j + np.outer(times - 2.0, v)
-        u = J @ (v - A_M @ x_j)  # makes xdot = A x_j + B u hold at the center
-        y = learner.reconstruct_target(times, states, x_j, u, A_DIAG, B_INV)
-        assert np.max(np.abs(y)) < 1e-6
-
-    def test_quadratic_trajectory_recovers_uncertainty(self):
-        # craft a quadratic window whose center slope equals the
-        # partially-closed-loop derivative with the quadratic uncertainty
-        x_j = np.array([1.0, 1.0, 1.0])
-        u_j = np.zeros(3)
-        f_j = QUADRATIC.eval(0.0, x_j)
-        xdot_j = A_M @ x_j + B_M @ (u_j + f_j)
-        times = np.arange(5.0)
-        curv = np.array([0.01, -0.02, 0.005])
-        dt = times - 2.0
-        states = x_j + np.outer(dt, xdot_j) + 0.5 * np.outer(dt**2, curv)
-        y = learner.reconstruct_target(times, states, x_j, u_j, A_DIAG, B_INV)
-        assert np.allclose(y, [0.02, 0.02, 0.01], atol=1e-9)
-
-
-    def test_bitwise_the_matrix_form(self):
-        # B_m^{-1} (xdot - A_m x) - u with the dense inverse and products,
-        # on random diagonal A_m, B_m, signs of zero included
-        rng = np.random.default_rng(4)
-        times = np.arange(5.0)
-        for k in range(300):
-            a = -(10.0 ** rng.uniform(-3.0, 3.0, size=3))
-            b = 10.0 ** rng.uniform(-2.0, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-            states = rng.normal(size=(5, 3))
-            x_j, u_j = states[2].copy(), rng.normal(size=3)
-            if k % 3 == 0:
-                states[:] = 0.0
-                x_j, u_j = (rng.choice([0.0, -0.0], size=3) for _ in range(2))
-            A, B_inv = np.diag(a), np.linalg.inv(np.diag(b))
-            xdot = numerics.estimate_derivative(times, states)
-            want = B_inv @ (xdot - A @ x_j) - u_j
-            got = learner.reconstruct_target(
-                times, states, x_j, u_j, tuple(a.tolist()), tuple(np.diag(B_inv).tolist())
-            )
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_a_learner_run_differentiates_once_per_target(monkeypatch):
-    # the benchmark's estimate_derivative self time is a per-target cost:
-    # each push that completes a window makes one target with one call
+def test_a_learner_run_makes_one_target_per_sample(monkeypatch):
+    # the benchmark's reconstruct_ready self time is a per-target cost:
+    # each push makes one target with one call, and no run differentiates
     calls, pushes = [], []
-    derivative, push = numerics.estimate_derivative, learner.BayesianLearner.push
+    ready, push = learner.MeasurementBuffer.reconstruct_ready, learner.BayesianLearner.push
 
-    def counting_derivative(times, values):
-        calls.append(times[2])
-        return derivative(times, values)
+    def counting_ready(self, x, f_L, sigma_hat):
+        calls.append(x)
+        ready(self, x, f_L, sigma_hat)
 
-    def counting_push(self, t, x, u):
-        pushes.append(t)
-        push(self, t, x, u)
+    def counting_push(self, x, f_L, sigma_hat):
+        pushes.append(x)
+        push(self, x, f_L, sigma_hat)
 
-    monkeypatch.setattr(numerics, "estimate_derivative", counting_derivative)
+    def refuse(*args):
+        raise AssertionError("a run differentiated")
+
+    monkeypatch.setattr(learner.MeasurementBuffer, "reconstruct_ready", counting_ready)
     monkeypatch.setattr(learner.BayesianLearner, "push", counting_push)
+    monkeypatch.setattr(numerics, "estimate_derivative", refuse)
     cfg = config.quadrotor_nominal(reference_kind="sinusoid", duration=15.0)
     eng = scenario.Engine(cfg)
     eng.run()
-    buf = eng.live.learner.buffer
-    assert len(pushes) >= 10
-    assert calls == pushes[2:-2]
-    assert buf.n_targets == len(calls)
+    assert len(pushes) == 15
+    assert calls == pushes
+    assert eng.live.learner.buffer.n_targets == 15
 
 
 class TestBufferSchedule:
-    def test_spacing_enforced(self):
-        buf = make_buffer()
-        buf.push(1.0, np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            buf.push(1.5, np.zeros(3), np.zeros(3))
-
-    def test_two_sample_latency(self):
-        # a target is made by the push that completes its centered window:
-        # the fifth sample makes the third sample's target
-        buf = make_buffer()
-        for k in range(1, 5):
-            buf.push(float(k), np.full(3, float(k)), np.zeros(3))
-            assert buf.n_targets == 0
-        buf.push(5.0, np.full(3, 5.0), np.zeros(3))
-        assert buf.n_targets == 1
-        np.testing.assert_allclose(buf.target_X[0], np.full(3, 3.0))
-
     def test_buffers_stay_bounded(self):
-        # raw records are the one derivative window and the targets are
-        # capped, however long the run
+        # the targets are capped, however long the run, and the buffer keeps
+        # no raw record beside them
         lrn = make_learner(N_update=10, max_points=64)
         for k in range(1, 2001):
-            lrn.push(float(k), 0.1 * np.sin([k, 2 * k, 3 * k]), np.zeros(3))
-            lrn.maybe_update(float(k))
+            lrn.push(state(k), ZERO, ZERO)
+            lrn.maybe_update(float(k), state(k + 1))
             buf = lrn.buffer
-            assert len(buf.window) <= 5
-            assert buf.n_targets <= 64
-        assert buf.n_targets == 64
+            assert buf.n_targets == len(buf.target_Y) == min(k, 64)
+        assert vars(buf).keys() == {"rng", "sigma_n", "target_X", "target_Y"}
         assert lrn.model.posterior.n_samples == 64
-        # the newest target is the sample two steps behind the last push
-        np.testing.assert_array_equal(
-            buf.target_X[-1], 0.1 * np.sin([1998.0, 2 * 1998.0, 3 * 1998.0])
-        )
+        # the newest target is the sample just pushed
+        assert buf.target_X[-1] == state(2000)
 
     def test_targets_match_a_batch_reconstruction(self):
-        # the oracle reconstructs every complete window of the stream so far
-        # at once, drawing the noise from a same-seed generator in sample
-        # order; the buffer, making each target on arrival, must agree
-        # bitwise after every push, evictions from the FIFO included
+        # the oracle makes every target of the stream so far at once,
+        # drawing the noise from a same-seed generator in sample order; the
+        # buffer, making each target on arrival, must agree bitwise after
+        # every push, evictions from the FIFO included
         def oracle(stream, capacity, seed, sigma_n):
             rng = np.random.default_rng(seed)
-            X, Y = [], []
-            for j in range(2, len(stream) - 2):
-                window = stream[j - 2 : j + 3]
-                y = learner.reconstruct_target(
-                    np.array([t for t, _, _ in window]),
-                    np.array([x for _, x, _ in window]),
-                    stream[j][1], stream[j][2], A_DIAG, B_INV,
-                )
-                X.append(stream[j][1])
-                Y.append(y + rng.normal(0.0, sigma_n, size=y.shape))
+            X = [x for x, _, _ in stream]
+            Y = [np.array([a + b for a, b in zip(f_L, sigma_hat)])
+                 + rng.normal(0.0, sigma_n, size=3) for _, f_L, sigma_hat in stream]
             return X[-capacity:], Y[-capacity:]
 
         buf = make_buffer(capacity=8, sigma_n=0.01, seed=7)
         stream = []
         for k in range(1, 41):
-            sample = (float(k), 0.2 * np.sin([k, 2 * k, 3 * k]),
-                      0.1 * np.cos([k, 3 * k, 5 * k]))
+            sample = (state(k), tuple(0.1 * math.cos(i * k) for i in (1, 3, 5)),
+                      tuple(0.02 * math.sin(i * k) for i in (2, 5, 7)))
             stream.append(sample)
-            buf.push(*sample)
+            buf.reconstruct_ready(*sample)
             X, Y = oracle(stream, 8, 7, 0.01)
-            assert len(buf.target_X) == len(X)
-            for got, want in zip(buf.target_X, X):
-                assert np.array_equal(got, want)
+            assert list(buf.target_X) == X
+            assert len(buf.target_Y) == len(Y)
             for got, want in zip(buf.target_Y, Y):
                 assert np.array_equal(got, want)
         assert buf.n_targets == 8
 
-    def test_refit_waits_for_the_first_window(self):
-        # refitting after every sample, the first four pushes have no target
-        # yet; the fifth completes the first window and publishes it
+    def test_the_first_sample_is_a_target(self):
+        # refitting after every sample, the first push already publishes
         lrn = make_learner(N_update=1)
-        for k in range(1, 5):
-            lrn.push(float(k), 0.1 * np.sin([k, 2 * k, 3 * k]), np.zeros(3))
-            ev = lrn.maybe_update(float(k))
-            assert ev == {"t": float(k), "kind": "learner_skipped",
-                          "reason": "no targets yet"}
-        lrn.push(5.0, 0.1 * np.sin([5.0, 10.0, 15.0]), np.zeros(3))
-        ev = lrn.maybe_update(5.0)
+        lrn.push(state(1), ZERO, ZERO)
+        ev = lrn.maybe_update(1.0, state(2))
         assert ev["kind"] == "learner_published"
         assert ev["n_data"] == 1
 
     def test_no_update_before_threshold(self):
         lrn = make_learner()
         for k in range(1, 10):
-            lrn.push(float(k), np.zeros(3), np.zeros(3))
-            assert lrn.maybe_update(float(k)) is None
+            lrn.push(ZERO, ZERO, ZERO)
+            assert lrn.maybe_update(float(k), ZERO) is None
 
     def test_publish_cadence_and_index(self):
         lrn = make_learner()
         events = []
         for k in range(1, 61):
-            x = 0.1 * np.sin([k, 2 * k, 3 * k])
-            lrn.push(float(k), x, np.zeros(3))
-            ev = lrn.maybe_update(float(k))
+            lrn.push(state(k), ZERO, ZERO)
+            ev = lrn.maybe_update(float(k), state(k + 1))
             if ev is not None:
                 events.append(ev)
-                # the new model's envelope at the sample just pushed
-                assert ev["e_f_hat"] == lrn.model.evaluate(tuple(x))[1]
+                # the new model's envelope at the state it is given
+                assert ev["e_f_hat"] == lrn.model.evaluate(state(k + 1))[1]
         published = [e for e in events if e["kind"] == "learner_published"]
         assert [e["t"] for e in published] == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
         assert [e["update_index"] for e in published] == [1, 2, 3, 4, 5, 6]
-        # every refit publishes; next to the data the envelope is far below
-        # the prior's 8.51, and it falls as the data grow
+        # every refit publishes; at the next sample the envelope is far
+        # below the prior's 8.51, and it falls as the data grow
         assert len(published) == len(events)
         e_f = [e["e_f_hat"] for e in published]
         assert e_f[0] < 8.5087184483385965 / 50
-        assert e_f[-1] < e_f[0] / 4
-        # dataset trails the sample count: first two samples never complete
-        # a window and the newest two are still pending
-        assert published[0]["n_data"] == 6
-        assert published[-1]["n_data"] == 56
+        assert e_f[-1] < e_f[0] / 3
+        # every sample so far is a target
+        assert [e["n_data"] for e in published] == [10, 20, 30, 40, 50, 60]
 
     def test_model_piecewise_static(self):
         lrn = make_learner()
         for k in range(1, 16):
-            lrn.push(float(k), 0.3 * np.cos([k, k, k]), np.zeros(3))
-            lrn.maybe_update(float(k))
+            lrn.push((0.3 * math.cos(k),) * 3, state(k), ZERO)
+            lrn.maybe_update(float(k), ZERO)
         model = lrn.model
         x = np.array([0.2, -0.1, 0.4])
         a = model.posterior.mean_at(x)
@@ -257,8 +159,8 @@ class TestBufferSchedule:
         # the 1 kHz loop consumes the mean as floats; it is mean_at's bits
         lrn = make_learner()
         for k in range(1, 16):
-            lrn.push(float(k), 0.3 * np.cos([k, k, k]), np.zeros(3))
-            lrn.maybe_update(float(k))
+            lrn.push((0.3 * math.cos(k),) * 3, state(k), ZERO)
+            lrn.maybe_update(float(k), ZERO)
         x = (0.2, -0.1, 0.4)
         for model in (lrn.model, learner.LearnerModel.prior(lrn.cfg, 3, 3)):
             mean, e_f = model.evaluate(x)
@@ -271,8 +173,8 @@ class TestBufferSchedule:
         lrn = make_learner()
         prior = lrn.model
         for k in range(1, 16):
-            lrn.push(float(k), 0.3 * np.cos([k, k, k]), np.zeros(3))
-            lrn.maybe_update(float(k))
+            lrn.push((0.3 * math.cos(k),) * 3, state(k), ZERO)
+            lrn.maybe_update(float(k), ZERO)
         sqrt_beta = math.sqrt(gp.beta_value(lrn.cfg.bound, 3, 3))
         assert lrn.model.update_index == 1
         assert prior.sqrt_beta == lrn.model.sqrt_beta == sqrt_beta
@@ -296,8 +198,8 @@ class TestGating:
     def test_always_gate_publishes(self):
         lrn = make_learner()
         for k in range(1, 11):
-            lrn.push(float(k), 0.1 * np.ones(3) * k, np.zeros(3))
-        ev = lrn.maybe_update(10.0)
+            lrn.push((0.1 * k,) * 3, ZERO, ZERO)
+        ev = lrn.maybe_update(10.0, ZERO)
         assert ev["kind"] == "learner_published"
 
     def test_fit_failure_keeps_model(self, monkeypatch):
@@ -306,8 +208,8 @@ class TestGating:
             raise gp.IllConditionedKernelError("synthetic failure")
         monkeypatch.setattr(gp, "fit", boom)
         for k in range(1, 11):
-            lrn.push(float(k), 0.1 * np.ones(3) * k, np.zeros(3))
-        ev = lrn.maybe_update(10.0)
+            lrn.push((0.1 * k,) * 3, ZERO, ZERO)
+        ev = lrn.maybe_update(10.0, ZERO)
         assert ev["kind"] == "learner_fit_failed"
         assert lrn.model.update_index == 0
 
@@ -317,8 +219,8 @@ def test_a_published_model_compares_and_hashes():
     # models, and a model holding one compares and hashes by its fields
     lrn = make_learner()
     for k in range(1, 11):
-        lrn.push(float(k), 0.1 * np.ones(3) * k, np.zeros(3))
-    assert lrn.maybe_update(10.0)["kind"] == "learner_published"
+        lrn.push((0.1 * k,) * 3, ZERO, ZERO)
+    assert lrn.maybe_update(10.0, ZERO)["kind"] == "learner_published"
     model = lrn.model
     assert model.posterior.n_samples > 0
     X, Y = model.posterior.X, model.posterior.alpha
@@ -354,6 +256,39 @@ def stock_deck(name, **keys):
     """``configs/<name>.cfg`` with the given deck keys set."""
     flat = config.parse_flat_file(str(ROOT / "configs" / f"{name}.cfg"))
     return config.resolve_scenario({**flat, **keys})[0]
+
+
+class RecordingGenerator:
+    """A generator that keeps each normal draw it makes, in order."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def normal(self, *args, **kwargs):
+        draw = self.rng.normal(*args, **kwargs)
+        self.draws.append(draw)
+        return draw
+
+
+@pytest.mark.parametrize("name, tol", [
+    ("switch", 3e-3), ("step_nominal", 1e-4), ("sinusoid_learning", 1e-4)])
+def test_each_target_is_within_tol_of_f_before_noise(name, tol):
+    # f_L + sigma_hat tracks f over the last tick, to order T_s: the largest
+    # misses are 2.2e-3 one tick after the switch and 6e-5 on the other
+    # decks, against sigma_n = 0.01
+    cfg = stock_deck(name, record_decimation=1)
+    eng = scenario.Engine(cfg)
+    buf = eng.live.learner.buffer
+    buf.rng = RecordingGenerator(buf.rng)
+    trace = eng.run()
+    X = np.asarray(buf.target_X, dtype=float)
+    assert len(X) >= 56
+    targets = np.asarray(buf.target_Y) - np.asarray(buf.rng.draws)[-len(X):]
+    # the true f at each target's state: that of the row recording it
+    states = trace.block("x")
+    rows = [np.flatnonzero((states == x).all(axis=1))[0] for x in X]
+    err = np.abs(targets - trace.block("ftrue")[rows]).max(axis=1)
+    assert err.max() < tol, (err.argmax(), err.max())
 
 
 class TestPublishedEnvelope:

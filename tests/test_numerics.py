@@ -163,7 +163,7 @@ class TestMatrixExponential:
         same_outputs.write_decks(tmp_path)
         decks = [*ROOT.glob("configs/*.cfg"), ROOT / "perfbench" / "dense_learner.cfg",
                  *tmp_path.glob("*.cfg")]
-        assert len(decks) == 9
+        assert len(decks) == 10
         for deck in decks:
             cfg, _ = config.resolve_scenario(config.parse_flat_file(str(deck)))
             c = cfg.controller

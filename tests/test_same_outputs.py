@@ -2,13 +2,15 @@
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from l1gp import config, scenario
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
 same_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_outputs)
@@ -176,15 +178,17 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
-        "simulate-unstable_l1", "simulate-unsatisfied_condition",
+        "simulate-delayed_learner", "simulate-unstable_l1",
+        "simulate-unsatisfied_condition",
         "compare-l1_plain-anisotropic", "compare-l1_plain-unstable",
     ]
     decks = tmp_path / "decks"
     aniso = str(decks / same_outputs.ANISOTROPIC_DECK)
     unstable = str(decks / same_outputs.UNSTABLE_DECK)
-    assert runs[-7][1] == ["simulate", aniso]
-    assert runs[-6][1] == ["margin", aniso, "--horizon", "5"]
-    assert runs[-5][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
+    assert runs[-8][1] == ["simulate", aniso]
+    assert runs[-7][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-6][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
+    assert runs[-5][1] == ["simulate", str(decks / same_outputs.DELAYED_LEARNER_DECK)]
     assert runs[-4][1] == ["simulate", unstable]
     assert runs[-3][1] == ["simulate", str(decks / same_outputs.UNSATISFIED_DECK)]
     assert runs[-2][1] == ["compare", "configs/l1_plain.cfg", aniso]
@@ -196,7 +200,8 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     same_outputs.write_decks(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [same_outputs.ANISOTROPIC_DECK, same_outputs.OFF_GRID_DECK,
-         same_outputs.UNSTABLE_DECK, same_outputs.UNSATISFIED_DECK])
+         same_outputs.DELAYED_LEARNER_DECK, same_outputs.UNSTABLE_DECK,
+         same_outputs.UNSATISFIED_DECK])
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
@@ -219,6 +224,17 @@ def test_off_grid_deck_records_rows_on_and_off_the_tick_grid(tmp_path):
     assert (cfg.ts_every, cfg.record_decimation) == (2, 5)
     row_steps = range(0, cfg.n_steps + 1, cfg.record_decimation)
     assert {k % cfg.ts_every for k in row_steps} == {0, 1}
+
+
+def test_delayed_learner_deck_is_sinusoid_learning_with_a_10_ms_delay(tmp_path):
+    # the one stock path on which a learner target carries the delay's bias
+    same_outputs.write_decks(tmp_path)
+    cfg, _ = config.resolve_scenario(
+        config.parse_flat_file(str(tmp_path / same_outputs.DELAYED_LEARNER_DECK)))
+    stock, _ = config.resolve_scenario(
+        config.parse_flat_file(str(ROOT / "configs" / "sinusoid_learning.cfg")))
+    assert cfg.plant.input_delay == 0.01 and cfg.delay_steps == 10
+    assert cfg == replace(stock, plant=replace(stock.plant, input_delay=0.01))
 
 
 def test_unstable_deck_aborts_before_its_late_window(tmp_path):

@@ -7,6 +7,7 @@ import glob
 import math
 import os
 import pickle
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -642,6 +643,27 @@ class TestRecording:
         a, b = eng.run(), eng.run()
         assert np.array_equal(np.vstack([a.data, b.data[1:]]), full.data)
         assert a.events + b.events == full.events
+
+    @pytest.mark.parametrize("ts", [0.001, 0.002])
+    def test_each_target_is_the_last_ticks_estimate(self, ts):
+        # a row at every step. The step that ends on a sample starts one
+        # row before it: that row holds the state the target pairs with. At
+        # T_s = 2 ms the step starts between two ticks. The sample's own
+        # row holds f_L and sigma_hat as the last tick left them, since it
+        # is recorded before its step's tick
+        cfg = self.deck(ts, 1)
+        eng = scenario.Engine(cfg)
+        trace = eng.run()
+        buf = eng.live.learner.buffer
+        samples = np.arange(cfg.data_every, cfg.n_steps + 1, cfg.data_every)
+        if ts == 0.002:
+            assert set((samples - 1) % cfg.ts_every) == {1}
+        assert buf.n_targets == len(samples) == 24
+        assert buf.target_X == deque(map(tuple, trace.block("x")[samples - 1].tolist()))
+        estimate = trace.block("fl")[samples] + trace.block("sigmahat")[samples]
+        rng = np.random.default_rng(cfg.seed)
+        for got, want in zip(buf.target_Y, estimate):
+            assert np.array_equal(got, want + rng.normal(0.0, cfg.learner.sigma_n, size=3))
 
     @pytest.mark.parametrize("dec", [1, 3, 10])
     @pytest.mark.parametrize("ts", [0.001, 0.002])
