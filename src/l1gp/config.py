@@ -90,6 +90,14 @@ def _vec3(value) -> list:
     return [_float(v) for v in value]
 
 
+def _inertia(value) -> list:
+    """The diagonal of J, positive: the controller's B_m is its inverse."""
+    j = _vec3(value)
+    if not min(j) > 0.0:
+        raise ValueError("J must be positive definite")
+    return j
+
+
 def _bool(value) -> bool:
     # bool("false") is True: a quoted or misspelled flag must not pass
     if not isinstance(value, bool):
@@ -121,7 +129,7 @@ _KEYS = {
     "controller.omega_0": (_float, 1.0),
     "controller.a_m": (_vec3, -3.0),
     "controller.x_hat0": (_vec3, 0.5),
-    "plant.j": (_vec3, _REQUIRED),
+    "plant.j": (_inertia, _REQUIRED),
     "plant.x0": (_vec3, 0.0),
     "plant.uncertainty": (str, "quadratic"),
     "plant.switch_time": (_positive, None),
@@ -177,15 +185,14 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
         segments += ((switch_time, "sine_switch"),)
     try:
         plant_cfg = plant_mod.PlantConfig(
-            j=echo["plant.j"],
             x0=echo["plant.x0"],
             uncertainty=plant_mod.UncertaintySchedule(segments),
             input_delay=echo["plant.input_delay"],
-            a_m=echo["controller.a_m"],
         )
         controller_cfg = ctrl.ControllerConfig(
             a_m=echo["controller.a_m"],
-            b_m=tuple(1.0 / v for v in plant_cfg.j),
+            # B_m = J^{-1}
+            b_m=tuple(1.0 / v for v in echo["plant.j"]),
             T_s=echo["controller.ts"],
             omega_c=echo["controller.omega_c"],
             omega_L=echo["controller.omega_l"],

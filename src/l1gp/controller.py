@@ -61,18 +61,19 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Plant model, rates, filter bandwidths, and mode.
+    """The loop's known model, rates, filter bandwidths, and mode.
 
-    ``a_m`` and ``b_m`` are the diagonals of ``A_m`` and ``B_m``, and
-    ``x_hat0`` the predictor's initial state, each 3 finite values, held as
-    a float 3-tuple; ``A_m`` must be Hurwitz. Construction derives, per
-    axis and as float 3-tuples, the feedforward gain
-    ``k_g = -(A_m^{-1} B_m)^{-1}``, which makes the DC gain
-    ``(-A_m)^{-1} B_m k_g`` of the desired loop the identity, and the
-    constants of the tick: ``exp(A_m T_s)``, ``Phi(T_s)``, the inverse of
-    ``B_m``, the adaptation gain and the filter decay factors. The config
-    is frozen, so these cannot go stale: an edit goes through
-    ``dataclasses.replace``, which reruns every check.
+    ``a_m`` and ``b_m`` are the diagonals of ``A_m`` and ``B_m``, the one
+    copy of the model that the plant's field, the predictor, the ideal loop
+    and the norm-condition report read, and ``x_hat0`` the predictor's
+    initial state, each 3 finite values, held as a float 3-tuple; ``A_m``
+    must be Hurwitz. Construction derives, per axis and as float 3-tuples,
+    the feedforward gain ``k_g = -(A_m^{-1} B_m)^{-1}``, which makes the DC
+    gain ``(-A_m)^{-1} B_m k_g`` of the desired loop the identity, and the
+    constants of the tick: ``exp(A_m T_s)``, ``Phi(T_s)``, the adaptation
+    gain and the filter decay factors. The config is frozen, so these
+    cannot go stale: an edit goes through ``dataclasses.replace``, which
+    reruns every check.
     ``omega_0 = 0`` disables the learning filter entirely (the commanded
     bandwidth is pinned at zero), so ``f_L`` stays zero whatever the learner
     publishes: an l1gp run is then the l1 run bit for bit in every
@@ -113,17 +114,16 @@ class ControllerConfig:
         # the DC identity b k_g / -a = 1 needs a finite, nonzero k_g
         if not all(0.0 < abs(k) < math.inf for k in k_g):
             raise ConfigurationError(f"k_g must be finite and nonzero, got {k_g}")
-        b_inv = tuple(1.0 / v for v in b)
         expAT, phi = numerics.zoh_map(a, self.T_s)
         if 0.0 in phi:
             raise ConfigurationError(f"Phi(T_s) is singular: diagonal {phi}")
         # -B_m^{-1} Phi^{-1} exp(A_m T_s)
-        gain = tuple(-bi * (e * (1.0 / p)) for bi, e, p in zip(b_inv, expAT, phi))
+        gain = tuple(-(1.0 / bi) * (e * (1.0 / p)) for bi, e, p in zip(b, expAT, phi))
         if not all(map(math.isfinite, gain)):
             raise ConfigurationError(f"adaptation gain is not finite: {gain}")
         derived = {
             "a_m": a, "b_m": b, "x_hat0": x_hat0, "k_g": k_g,
-            "_b_inv": b_inv, "_expAT": expAT, "_phi": phi, "_gain": gain,
+            "_expAT": expAT, "_phi": phi, "_gain": gain,
             # per-tick filter decay factors, exact pole mapping
             "_alpha_c": math.exp(-self.omega_c * self.T_s),
             "_alpha_L": math.exp(-self.omega_L * self.T_s),

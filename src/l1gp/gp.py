@@ -127,20 +127,21 @@ class GpPosterior:
     """Fitted posterior: Cholesky factor of (K + noise*I), weights, kernel.
 
     Frozen, so what is derived from the fields when the posterior is built
-    (the read matrix ``Xa`` of the module docstring, ``signal_var =
-    sigma_f**2``, ``n_samples``, the inverse-factor read matrix ``R`` and
-    the prior's mean) cannot go stale against them. A posterior compares
-    and hashes by identity: its arrays have no truth value, so two fits on
-    the same data are two models. With zero training points the posterior
-    reduces to the prior: mean 0, std sigma_f.
+    (the dimensions ``n_inputs``, ``n_outputs`` and ``n_samples``, the read
+    matrix ``Xa`` of the module docstring, ``signal_var = sigma_f**2``, the
+    inverse-factor read matrix ``R`` and the prior's mean) cannot go stale
+    against them. A posterior compares and hashes by identity: its arrays
+    have no truth value, so two fits on the same data are two models. With
+    zero training points the posterior reduces to the prior: mean 0, std
+    sigma_f.
     """
 
     kernel: SeKernel
     X: np.ndarray          # (N, n) training inputs
     alpha: np.ndarray      # (N, m) weights (K + noise I)^{-1} Y
     chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I, zero above, Fortran order
-    n_outputs: int
-    n_inputs: int
+    n_outputs: int = field(init=False, compare=False)  # m, from alpha
+    n_inputs: int = field(init=False, compare=False)  # n, from X
     Xa: np.ndarray = field(init=False, repr=False, compare=False)  # (N, n + 2) read matrix
     signal_var: float = field(init=False, repr=False, compare=False)  # sigma_f**2
     n_samples: int = field(init=False, repr=False, compare=False)  # N
@@ -149,9 +150,11 @@ class GpPosterior:
     zero_mean: np.ndarray = field(init=False, repr=False, compare=False)  # (m,) read-only
 
     def __post_init__(self):
+        object.__setattr__(self, "n_samples", self.X.shape[0])
+        object.__setattr__(self, "n_inputs", self.X.shape[1])
+        object.__setattr__(self, "n_outputs", self.alpha.shape[1])
         object.__setattr__(self, "Xa", _read_matrix(self.X, self.kernel))
         object.__setattr__(self, "signal_var", self.kernel.sigma_f**2)
-        object.__setattr__(self, "n_samples", self.X.shape[0])
         object.__setattr__(self, "R", _inverse_read_matrix(self.alpha, self.chol))
         zero_mean = np.zeros(self.n_outputs)
         zero_mean.flags.writeable = False
@@ -287,16 +290,12 @@ def fit(X: np.ndarray, Y: np.ndarray, noise_var: float, kernel: SeKernel) -> GpP
         raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     if not 0.0 < noise_var < math.inf:
         raise ValueError("noise_var must be positive and finite")
-    N, n = X.shape
-    m = Y.shape[1]
-    if N == 0:
+    if X.shape[0] == 0:
         return GpPosterior(
             kernel=kernel,
             X=X.copy(),
-            alpha=np.zeros((0, m)),
+            alpha=np.zeros((0, Y.shape[1])),
             chol=np.zeros((0, 0)),
-            n_outputs=m,
-            n_inputs=n,
         )
     # one N x N buffer: the Gram matrix, in Fortran order, becomes the
     # factor; its diagonal is the kernel's exact value at zero distance
@@ -315,8 +314,6 @@ def fit(X: np.ndarray, Y: np.ndarray, noise_var: float, kernel: SeKernel) -> GpP
         X=X.copy(),
         alpha=alpha,
         chol=chol,
-        n_outputs=m,
-        n_inputs=n,
     )
 
 

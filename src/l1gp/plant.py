@@ -1,20 +1,22 @@
 """Quadrotor angular-rate plant with scheduled uncertainties.
 
 The plant is the paper's partially closed loop
-``xdot = A_m x + B_m (u + f(x))`` with ``B_m = J^{-1}`` and ``omega = 1``:
-the adaptive input ``u`` is its one external input and the one an input
-delay acts on.
+``xdot = A_m x + B_m (u + f(x))`` with ``omega = 1``: the adaptive input
+``u`` is its one external input and the one an input delay acts on.
+``A_m`` and ``B_m`` are the loop's known model, held once, by
+:class:`controller.ControllerConfig`; :class:`PlantConfig` holds what is
+the plant's own, its initial state, uncertainty schedule and input delay.
 
 The field is written on Python floats: per axis
-``a_m[i] x_i + J^{-1}[i] (u_i + f_i(x))``, with each uncertainty kind in
-scalar form ``(x0, x1, x2) -> (f0, f1, f2)``. :func:`rk4_plant_step`
-integrates it with one fused RK4 step per engine step, its four stages
-written out in one frame with no call but the uncertainty's and no numpy
-call inside. :func:`plant_derivative` holds the same field once more, in
-array form, which tests and the benchmark read; it imports numpy when
-called, so the module loads on the standard library alone. ``J`` and
-``A_m`` are diagonal, given as the float 3-tuples ``j`` and ``a_m`` of
-their diagonals, so every linear term of the field is a product per axis.
+``a[i] x_i + b[i] (u_i + f_i(x))``, with ``a`` and ``b`` the float
+3-tuples of the diagonals of ``A_m`` and ``B_m``, so every linear term is
+a product per axis, and each uncertainty kind in scalar form
+``(x0, x1, x2) -> (f0, f1, f2)``. :func:`rk4_plant_step` integrates it
+with one fused RK4 step per engine step, its four stages written out in
+one frame with no call but the uncertainty's and no numpy call inside.
+:func:`plant_derivative` holds the same field once more, in array form,
+which tests and the benchmark read; it imports numpy when called, so the
+module loads on the standard library alone.
 """
 
 from __future__ import annotations
@@ -115,36 +117,25 @@ class UncertaintySchedule:
 
 @dataclass(frozen=True)
 class PlantConfig:
-    """Inertia, initial state, uncertainty schedule, and input-delay setting.
+    """Initial state, uncertainty schedule, and input-delay setting.
 
+    ``x0`` is the initial rates, 3 finite values, held as a float 3-tuple.
     ``input_delay`` must be a whole number of engine steps; it delays the
-    adaptive input ``u``.
-    ``j`` and ``a_m`` are the diagonals of ``J`` and ``A_m``, and ``x0``
-    the initial rates, each 3 finite values, held as a float 3-tuple;
-    ``j`` must be positive. The config is frozen: construction derives the
-    float cache :func:`rk4_plant_step` reads, and an edit goes through
-    ``dataclasses.replace``, which derives it anew.
+    adaptive input ``u``. The config is frozen: an edit goes through
+    ``dataclasses.replace``, which reruns every check.
     """
 
-    j: tuple = (0.011, 0.011, 0.021)
     x0: tuple = (0.0, 0.0, 0.0)
     uncertainty: UncertaintySchedule = field(
         default_factory=lambda: UncertaintySchedule(((0.0, "quadratic"),))
     )
     input_delay: float = 0.0
-    a_m: tuple = (-3.0, -3.0, -3.0)
 
     def __post_init__(self):
-        j, x0, a = (float3(getattr(self, name), name) for name in ("j", "x0", "a_m"))
+        object.__setattr__(self, "x0", float3(self.x0, "x0"))
         # a chained comparison is false for nan as well
         if not 0.0 <= self.input_delay < math.inf:
             raise ValueError("input_delay must be nonnegative and finite")
-        if not min(j) > 0:
-            raise ValueError(f"J must be positive definite, got diagonal j = {j}")
-        # hot-loop cache: the diagonal of B_m = J^{-1}
-        for name, value in (("j", j), ("x0", x0), ("a_m", a),
-                            ("_jinv", tuple(1.0 / v for v in j))):
-            object.__setattr__(self, name, value)
 
 
 class DelayLine:
@@ -177,10 +168,14 @@ def plant_derivative(
     x: np.ndarray,
     u_ext: np.ndarray,
     t: float,
-    cfg: PlantConfig,
+    a: Sequence[float],
+    b: Sequence[float],
+    uncertainty: UncertaintySchedule,
 ) -> np.ndarray:
     """Rate dynamics ``A_m x + B_m (u + f(x))``.
 
+    ``a`` and ``b`` are the diagonals of ``A_m`` and ``B_m``, and
+    ``uncertainty`` the schedule whose segment at ``t`` gives ``f``.
     ``u_ext`` is the externally supplied (adaptive) input, held constant
     over an integrator step. This is the array form of the field
     :func:`rk4_plant_step` integrates, in its order of operations.
@@ -188,9 +183,9 @@ def plant_derivative(
     import numpy as np
 
     x0, x1, x2 = x[0], x[1], x[2]
-    m0, m1, m2 = cfg.a_m
-    i0, i1, i2 = cfg._jinv
-    f0, f1, f2 = cfg.uncertainty.field_at(t)(x0, x1, x2)
+    m0, m1, m2 = a
+    i0, i1, i2 = b
+    f0, f1, f2 = uncertainty.field_at(t)(x0, x1, x2)
     return np.array((
         m0 * x0 + i0 * (u_ext[0] + f0),
         m1 * x1 + i1 * (u_ext[1] + f1),
@@ -202,27 +197,29 @@ def rk4_plant_step(
     x: Sequence[float],
     u_ext: Sequence[float],
     h: float,
-    cfg: PlantConfig,
+    a: Sequence[float],
+    b: Sequence[float],
     f: Callable[[float, float, float], tuple],
     f_end: Callable[[float, float, float], tuple],
 ) -> tuple[float, float, float]:
     """One classical RK4 step of :func:`plant_derivative`, on Python floats.
 
-    ``f`` is the scalar uncertainty field in force over the step and
-    ``f_end`` the one of its last stage: the new segment on the step that
-    ends on a switch, else ``f`` again. The step makes no schedule lookup.
-    The four stages are written out in this one frame, each the arithmetic
-    of :func:`plant_derivative` in its order, and the stages and their sum are those of
-    :func:`numerics.rk4_step` over the array field, so the result is
-    bitwise the same. ``u_ext`` is held over the step. Returns the new
-    state as three floats, finite or not: the caller's bound on the state
-    is the one divergence test, and a NaN fails it.
+    ``a`` and ``b`` are the float diagonals of ``A_m`` and ``B_m``. ``f``
+    is the scalar uncertainty field in force over the step and ``f_end``
+    the one of its last stage: the new segment on the step that ends on a
+    switch, else ``f`` again. The step makes no schedule lookup. The four
+    stages are written out in this one frame, each the arithmetic of
+    :func:`plant_derivative` in its order, and the stages and their sum
+    are those of :func:`numerics.rk4_step` over the array field, so the
+    result is bitwise the same. ``u_ext`` is held over the step. Returns
+    the new state as three floats, finite or not: the caller's bound on
+    the state is the one divergence test, and a NaN fails it.
     """
     # Python floats: arithmetic on numpy scalars costs several times more
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     u0, u1, u2 = float(u_ext[0]), float(u_ext[1]), float(u_ext[2])
-    m0, m1, m2 = cfg.a_m
-    i0, i1, i2 = cfg._jinv
+    m0, m1, m2 = a
+    i0, i1, i2 = b
     hh = 0.5 * h
     # each stage: A_m s + B_m (u + f(s)), per axis
     f0, f1, f2 = f(x0, x1, x2)

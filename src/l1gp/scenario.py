@@ -205,8 +205,7 @@ class ScenarioConfig:
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid, that the plant and the controller hold the same ``a_m``, and
-    that a learner is given in mode ``l1gp`` and only there.
+    step grid and that a learner is given in mode ``l1gp`` and only there.
     The config and every config it holds are frozen: an edit goes through
     ``dataclasses.replace``, which reruns every check.
     """
@@ -234,13 +233,6 @@ class ScenarioConfig:
             raise ValueError("record_decimation must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # the plant's field and the ideal loop use the plant's A_m, the predictor
-        # and the learner's targets the controller's: one loop, one matrix
-        if self.plant.a_m != self.controller.a_m:
-            raise ValueError(
-                f"plant a_m {self.plant.a_m} differs from controller "
-                f"a_m {self.controller.a_m}"
-            )
         # the mode names the loop: an l1gp tick reads the learner's model,
         # and only an l1gp run feeds a learner
         l1gp = self.controller.mode == "l1gp"
@@ -376,7 +368,7 @@ class Engine:
         self.ref = cfg.reference.make()
         c = cfg.controller
         b = tuple(0.0 + bm * k for bm, k in zip(c.b_m, c.k_g))  # B_m k_g
-        self.x_id = cfg.reference.ideal_loop(cfg.plant.a_m, b, cfg.plant.x0)
+        self.x_id = cfg.reference.ideal_loop(c.a_m, b, cfg.plant.x0)
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
         self.delay = plant_mod.DelayLine(cfg.delay_steps)
         # start and end of the latest run; a run goes on from live.t0
@@ -449,6 +441,7 @@ class Engine:
         control_step = ctrl.control_step
         push = self.delay.push
         rk4_plant_step = plant_mod.rk4_plant_step
+        a_m, b_m = c.a_m, c.b_m
         blowup = cfg.blowup
         # the plant state as a local, written back to live at the end of the
         # run; u, the last command, is pushed into the delay line every step
@@ -480,7 +473,7 @@ class Engine:
             switching = i0 + i + 1 == switch_steps[seg]
             f_end = fields[seg + 1] if switching else f
             x_start = x
-            x0, x1, x2 = x = rk4_plant_step(x_start, u_applied, h, p, f, f_end)
+            x0, x1, x2 = x = rk4_plant_step(x_start, u_applied, h, a_m, b_m, f, f_end)
             # the one stop rule, |x|_inf > blowup or non-finite: NaN fails every <=
             unstable = not (abs(x0) <= blowup and abs(x1) <= blowup and abs(x2) <= blowup)
             t_next = (i0 + i + 1) * h

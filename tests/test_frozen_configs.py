@@ -73,8 +73,7 @@ def test_model_values_are_float_triples():
     # a per-axis value is held as a float 3-tuple, whatever it was given as
     cfg = config.quadrotor_nominal(duration=1.0)
     for part, name in [(cfg.controller, "a_m"), (cfg.controller, "b_m"),
-                       (cfg.controller, "x_hat0"), (cfg.plant, "j"),
-                       (cfg.plant, "a_m"), (cfg.plant, "x0"),
+                       (cfg.controller, "x_hat0"), (cfg.plant, "x0"),
                        (cfg.reference, "amplitude"), (cfg.reference, "frequency")]:
         value = getattr(part, name)
         assert type(value) is tuple and len(value) == 3, name
@@ -86,12 +85,11 @@ def test_model_values_are_float_triples():
 @pytest.mark.parametrize("part, changes, error, match", [
     ("controller", {"omega_c": -1.0}, ctrl.ConfigurationError, "omega_c"),
     ("controller", {"a_m": (-3.0, 1.0, -3.0)}, ctrl.ConfigurationError, "Hurwitz"),
-    ("plant", {"j": (0.011, -0.011, 0.021)}, ValueError, "J must be positive"),
     ("plant", {"x0": (0.0, math.nan, 0.0)}, ValueError, "x0 must be 3 finite"),
     ("reference", {"amplitude": (1.0, math.inf, 1.0)}, ValueError, "amplitude"),
     ("condition", {"lip_f": -1.0}, ValueError, "l_f"),
     ("learner", {"T_data": 0.0}, ValueError, "T_data"),
-], ids=["omega_c-negative", "a_m-not-hurwitz", "j-negative", "x0-nan",
+], ids=["omega_c-negative", "a_m-not-hurwitz", "x0-nan",
         "amplitude-inf", "lip_f-negative", "T_data-zero"])
 def test_replace_with_an_invalid_value_raises(part, changes, error, match):
     cfg = config.quadrotor_nominal(duration=1.0)

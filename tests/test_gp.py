@@ -31,13 +31,16 @@ def se_kernel(kernel, A, B):
 
 
 def naive_predict(X, Y, noise_var, kernel, Xq):
-    """Full-inverse GP oracle, no Cholesky anywhere."""
-    K = se_kernel(kernel, X, X) + noise_var * np.eye(X.shape[0])
-    Kinv = np.linalg.inv(K)
-    ks = se_kernel(kernel, X, Xq)
-    mean = ks.T @ Kinv @ Y
-    var = kernel.sigma_f**2 - np.einsum("ij,ik,kj->j", ks, Kinv, ks)
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    """Dense GP oracle: numpy's Cholesky factor L of the direct-difference
+    Gram matrix and scipy's triangular solves, ``mean = (L^{-1} k)^T
+    (L^{-1} Y)`` and ``var = sigma_f^2 - |L^{-1} k|^2``."""
+    from scipy.linalg import solve_triangular
+
+    L = np.linalg.cholesky(se_kernel(kernel, X, X) + noise_var * np.eye(X.shape[0]))
+    V = solve_triangular(L, se_kernel(kernel, X, Xq), lower=True)
+    Z = solve_triangular(L, Y, lower=True)
+    var = kernel.sigma_f**2 - np.einsum("ij,ij->j", V, V)
+    return V.T @ Z, np.sqrt(np.maximum(var, 0.0))
 
 
 QUADRATIC = plant.UncertaintySchedule(((0.0, "quadratic"),))
@@ -139,8 +142,8 @@ class TestFitPredict:
             assert np.max(np.abs(mean_p - mean_b[i])) <= 1e-10
             assert np.max(np.abs(mean_p - mean_o[i])) <= 1e-10
             assert abs(std_p - std_b[i, 0]) <= 1e-10
-            # the explicit inverse loses ~cond(K) eps in the variance, which
-            # the square root amplifies where std is small: compare variances
+            # the square root amplifies a variance's rounding where std is
+            # small: compare variances
             assert abs(std_p**2 - std_o[i] ** 2) <= 1e-10
 
 
@@ -555,39 +558,48 @@ class TestExpandedRead:
 def oracle_tolerance(post, norms, x, k, w, Y):
     """Bounds on |mean - mean_o| (per channel) and |var - var_o| between a
     point read and ``naive_predict``'s, derived as ``read_tolerance``
-    derives its own: its bounds, which cover the point read's error, plus
-    the oracle's, to first order, with ``||.||`` the spectral norm.
+    derives its own: its bounds, which cover the point read's error on
+    the factor ``L`` it was fitted with, plus the oracle's, to first order,
+    with ``||.||`` the spectral norm, ``|.|`` the entrywise absolute value,
+    ``z = L^{-1} Y`` per channel and ``K^{-1} k = L^{-T} w``.
 
     - The oracle's Gram matrix K' comes from direct differences, within
       ``expanded_rel`` of the expanded form's entry by entry. K is
-      positive entrywise, so ``||K' - K|| <= rel ||K||``, which moves the
-      mean by at most ``||K^{-1} k|| rel ||K|| ||alpha||`` and the
-      variance by ``||K^{-1} k||^2 rel ||K||``.
-    - Its inverse X' is LU's, column by column, with a right residual
-      ``|K X' - I| <= 2 N eps |K| |X'|``, at most ``2 N^{3/2} eps ||K||
-      ||K^{-1}||`` in norm, and ``X' - K^{-1} = K^{-1} (K X' - I)``. That
-      moves the mean by at most ``||K^{-1} k||`` times that times ``||Y||``
-      and the variance by the same with ``||k||`` for ``||Y||``.
-    - Its products round by ``2 N eps |k| |X'| |Y|`` (the mean, two
-      products) and ``N^2 eps |k| |X'| |k|`` (the variance, one sum of N^2
-      terms), with ``|| |X'| || <= N^{1/2} ||K^{-1}||``.
+      positive entrywise, so ``||K' - K|| <= rel ||K||``.
+    - Each Cholesky factor is the exact one of a matrix within
+      ``|dK| <= (N + 1) eps |L| |L^T|`` of its own, so ``||dK|| <= (N + 1)
+      eps || |L| ||^2``: the oracle's of K', the fit's of K. With the
+      first term, ``L L^T`` and the oracle's factored matrix differ by
+      ``D = rel ||K|| + 2 (N + 1) eps || |L| ||^2`` in norm, which moves
+      the mean by at most ``||K^{-1} k|| D ||alpha||`` and the variance by
+      ``||K^{-1} k||^2 D``.
+    - Each triangular solve is backward stable, ``|dL| <= N eps |L|``, so
+      it moves its result ``v = L^{-1} b`` by ``N eps || |L| || ||L^{-1}||
+      ||v||``. The mean takes four: the oracle's ``L^{-1} k`` and ``L^{-1}
+      Y`` and the fit's two for ``alpha``, each moving it by that times
+      ``||w|| ||z||``. The variance takes the oracle's ``L^{-1} k``, twice.
+    - The oracle's dot products round by ``N eps ||w|| ||z||`` and ``N
+      eps ||w||^2``. Its subtraction from ``sigma_f^2`` rounds by at most
+      half an ulp of ``sigma_f^2``, within the ``4 eps sigma_f^2`` of
+      ``read_tolerance``, which allows for two reads' subtractions.
 
-    ``||K|| = ||L||^2``, ``||K^{-1}|| = ||L^{-1}||^2`` and ``||K^{-1} k|| <=
-    ||L^{-1}|| ||w||``.
+    ``||K|| = ||L||^2`` and ``||K^{-1} k|| <= ||L^{-1}|| ||w||``.
     """
+    from scipy.linalg import solve_triangular
+
     tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
     N = post.n_samples
     rel = expanded_rel(post, x)
-    l_norm, l_inv_norm = norms[:2]
-    K_norm, K_inv_norm = l_norm**2, l_inv_norm**2
-    k_norm = float(np.linalg.norm(k))
-    kinv_k = l_inv_norm * float(np.linalg.norm(w))
-    resid = 2 * N**1.5 * EPS * K_norm * K_inv_norm
-    y_norm, a_norm = np.linalg.norm(Y, axis=0), np.linalg.norm(post.alpha, axis=0)
-    tol_mean = (tol_mean + kinv_k * (resid * y_norm + rel * K_norm * a_norm)
-                + 2 * N**1.5 * EPS * K_inv_norm * k_norm * y_norm)
-    tol_var = (tol_var + kinv_k * (resid * k_norm + rel * K_norm * kinv_k)
-               + N**2.5 * EPS * K_inv_norm * k_norm**2)
+    l_norm, l_inv_norm, abs_l_norm = norms[:3]
+    D = rel * l_norm**2 + 2 * (N + 1) * EPS * abs_l_norm**2
+    w_norm = float(np.linalg.norm(w))
+    kinv_k = l_inv_norm * w_norm
+    solve = N * EPS * abs_l_norm * l_inv_norm
+    z_norm = np.linalg.norm(solve_triangular(post.chol, Y, lower=True), axis=0)
+    a_norm = np.linalg.norm(post.alpha, axis=0)
+    tol_mean = (tol_mean + kinv_k * D * a_norm
+                + (4 * solve + N * EPS) * w_norm * z_norm)
+    tol_var = tol_var + kinv_k**2 * D + (2 * solve + N * EPS) * w_norm**2
     return tol_mean, tol_var
 
 

@@ -11,6 +11,8 @@ from l1gp import config, numerics, plant
 
 J = np.diag([0.011, 0.011, 0.021])
 A_M = -3.0 * np.eye(3)
+# the diagonals of A_m and B_m = J^{-1}, as the controller's config holds them
+a_m, b_m = tuple(np.diag(A_M).tolist()), tuple((1.0 / np.diag(J)).tolist())
 
 
 def make_cfg(kind="quadratic", switch_time=None, **kw):
@@ -18,7 +20,12 @@ def make_cfg(kind="quadratic", switch_time=None, **kw):
         sched = plant.UncertaintySchedule(((0.0, kind),))
     else:
         sched = plant.UncertaintySchedule(((0.0, kind), (switch_time, "sine_switch")))
-    return plant.PlantConfig(j=np.diag(J), uncertainty=sched, a_m=np.diag(A_M), **kw)
+    return plant.PlantConfig(uncertainty=sched, **kw)
+
+
+def derivative(x, u, t, cfg):
+    """plant_derivative on the stock model."""
+    return plant.plant_derivative(x, u, t, a_m, b_m, cfg.uncertainty)
 
 
 class TestUncertainty:
@@ -68,26 +75,25 @@ class TestUncertainty:
 class TestPlantDerivative:
     def test_equilibrium(self):
         cfg = make_cfg("zero")
-        got = plant.plant_derivative(np.zeros(3), np.zeros(3), 0.0, cfg)
+        got = derivative(np.zeros(3), np.zeros(3), 0.0, cfg)
         assert np.array_equal(got, np.zeros(3))
 
     def test_closed_loop_identity(self):
         # the field is A_m x + B_m (u + f(x)), B_m = J^{-1}, bitwise: per
         # axis a_m[i] x_i + (1 / j_i)(u_i + f_i(x)), in that order
         cfg = make_cfg("quadratic")
-        a_m, b_m = np.diag(A_M), 1.0 / np.array(cfg.j)
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.normal(size=3)
             u = rng.normal(size=3)
-            got = plant.plant_derivative(x, u, 0.0, cfg)
+            got = derivative(x, u, 0.0, cfg)
             f = ORACLE_KINDS["quadratic"](x)
-            want = a_m * x + b_m * (u + f)
+            want = np.diag(A_M) * x + (1.0 / np.diag(J)) * (u + f)
             assert np.array_equal(got, want)
 
     def test_nominal_numbers(self):
         cfg = make_cfg("quadratic")
-        got = plant.plant_derivative(np.ones(3), np.zeros(3), 0.0, cfg)
+        got = derivative(np.ones(3), np.zeros(3), 0.0, cfg)
         want = np.array(
             [-3 + 0.02 / 0.011, -3 + 0.02 / 0.011, -3 + 0.01 / 0.021]
         )
@@ -102,7 +108,7 @@ class TestPlantDerivative:
         h = 0.001
         for i in range(5000):
             x = numerics.rk4_step(
-                lambda t, z: plant.plant_derivative(z, np.zeros(3), t, cfg), i * h, x, h
+                lambda t, z: derivative(z, np.zeros(3), t, cfg), i * h, x, h
             )
         want = np.exp(np.diag(A_M) * 5.0) * x0
         assert np.max(np.abs(x - want)) < 1e-8
@@ -125,17 +131,17 @@ ORACLE_KINDS = {
 }
 
 
-def oracle_step(cfg, kinds, x, u, t, h):
+def oracle_step(kinds, x, u, t, h):
     """numerics.rk4_step over A_m x + B_m (u + f(t, x)), B_m = J^{-1}.
 
     ``kinds`` is a list of (start, oracle kind); A_m and J are diagonal,
     so A_m and B_m act elementwise.
     """
-    a_m, b_m = np.array(cfg.a_m), 1.0 / np.array(cfg.j)
+    a, b = np.diag(A_M), 1.0 / np.diag(J)
 
     def field(tt, z):
         f = [k for start, k in kinds if start <= tt][-1](z)
-        return a_m * z + b_m * (u + f)
+        return a * z + b * (u + f)
 
     return numerics.rk4_step(field, t, np.asarray(x, dtype=float), h)
 
@@ -153,8 +159,8 @@ class TestRk4PlantStep:
             u = rng.normal(size=3) * 0.05
             t = float(rng.uniform(0.0, 10.0))
             f = cfg.uncertainty.scalar_fields[0]
-            got = plant.rk4_plant_step(x, u, self.H, cfg, f, f)
-            want = oracle_step(cfg, [(0.0, ORACLE_KINDS[kind])], x, u, t, self.H)
+            got = plant.rk4_plant_step(x, u, self.H, a_m, b_m, f, f)
+            want = oracle_step([(0.0, ORACLE_KINDS[kind])], x, u, t, self.H)
             assert all(type(v) is float for v in got)
             assert np.array_equal(np.array(got), want)
 
@@ -168,53 +174,40 @@ class TestRk4PlantStep:
         old, new = cfg.uncertainty.scalar_fields
         x = np.array([0.4, -0.3, 0.6])
         u = np.array([0.01, -0.02, 0.03])
-        got = np.array(plant.rk4_plant_step(x, u, self.H, cfg, old, new))
+        got = np.array(plant.rk4_plant_step(x, u, self.H, a_m, b_m, old, new))
         kinds = [(0.0, ORACLE_KINDS["quadratic"]), (switch, ORACLE_KINDS["sine_switch"])]
-        want = oracle_step(cfg, kinds, x, u, t, self.H)
+        want = oracle_step(kinds, x, u, t, self.H)
         assert np.array_equal(got, want)
         # k4 alone differs from the pre-switch field, so the step does too
-        stale = oracle_step(cfg, kinds[:1], x, u, t, self.H)
+        stale = oracle_step(kinds[:1], x, u, t, self.H)
         assert not np.array_equal(got, stale)
-        assert np.array_equal(plant.rk4_plant_step(x, u, self.H, cfg, old, old), stale)
+        assert np.array_equal(plant.rk4_plant_step(x, u, self.H, a_m, b_m, old, old), stale)
 
     def test_linear_axis_pins_the_field(self):
         # with f = 0 and u = 0 each axis is x_i' = a_m[i] x_i, so one RK4 step
-        # is x_i (1 + z + z^2/2 + z^3/6 + z^4/24), z = a_m[i] h, to rounding,
-        # and J does not enter: any other term in the field shows here
-        zero = plant.UncertaintySchedule(((0.0, "zero"),))
-        f = zero.scalar_fields[0]
+        # is x_i (1 + z + z^2/2 + z^3/6 + z^4/24), z = a[i] h, to rounding,
+        # and B_m does not enter: any other term in the field shows here
+        f = plant.UncertaintySchedule(((0.0, "zero"),)).scalar_fields[0]
         rng = np.random.default_rng(23)
         for _ in range(2000):
-            a_m = tuple(rng.uniform(-20.0, -0.5, size=3))
+            a = tuple(rng.uniform(-20.0, -0.5, size=3).tolist())
             x = tuple(rng.normal(size=3) * 2.0)
             h = float(rng.uniform(1e-4, 0.02))
-            y, y_other_j = (
-                plant.rk4_plant_step(x, (0.0, 0.0, 0.0), h,
-                                     plant.PlantConfig(j=j, a_m=a_m, uncertainty=zero), f, f)
-                for j in [tuple(rng.uniform(0.005, 0.05, size=3)) for _ in range(2)]
+            y, y_other_b = (
+                plant.rk4_plant_step(x, (0.0, 0.0, 0.0), h, a, b, f, f)
+                for b in [tuple(rng.uniform(20.0, 200.0, size=3).tolist()) for _ in range(2)]
             )
-            assert y == y_other_j
+            assert y == y_other_b
             for i in range(3):
-                z = Fraction(a_m[i]) * Fraction(h)
+                z = Fraction(a[i]) * Fraction(h)
                 want = float(Fraction(x[i]) * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24))
                 assert abs(y[i] - want) <= 4 * math.ulp(want)
 
-    def test_non_diagonal_a_m(self):
-        # the field multiplies per axis, so A_m is its diagonal: a matrix,
-        # coupled or not, is refused, and so is a wrong length
-        A_m = np.array([[-3.0, 0.5, 0.1], [0.2, -4.0, 0.3], [-0.1, 0.4, -2.5]])
-        for value in (A_m, A_M, (-3.0, -3.0)):
-            with pytest.raises(ValueError, match="a_m must be 3 finite values"):
-                plant.PlantConfig(a_m=value)
-
     @pytest.mark.parametrize("kw", [
-        {"a_m": (-3.0, -math.inf, -3.0)},
-        {"j": (math.inf, 0.011, 0.021)},
-        {"j": (math.nan, 0.011, 0.021)},
         {"x0": (math.nan, 0.0, 0.0)},
         {"input_delay": math.nan},
         {"input_delay": math.inf},
-    ], ids=["A_m-inf", "J-inf", "J-nan", "x0-nan", "delay-nan", "delay-inf"])
+    ], ids=["x0-nan", "delay-nan", "delay-inf"])
     def test_non_finite_rejected(self, kw):
         with pytest.raises(ValueError, match="finite"):
             plant.PlantConfig(**kw)
@@ -228,7 +221,7 @@ class TestRk4PlantStep:
         # one divergence test
         cfg = make_cfg(kind)
         f = cfg.uncertainty.scalar_fields[0]
-        y = plant.rk4_plant_step((0.1, bad, -0.2), (0.0, 0.0, 0.0), self.H, cfg, f, f)
+        y = plant.rk4_plant_step((0.1, bad, -0.2), (0.0, 0.0, 0.0), self.H, a_m, b_m, f, f)
         assert all(type(v) is float for v in y)
         assert not math.isfinite(y[1])
 

@@ -205,7 +205,7 @@ def test_anisotropic_deck_differs_on_every_axis(tmp_path):
     cfg, echo = config.resolve_scenario(
         config.parse_flat_file(str(tmp_path / same_outputs.ANISOTROPIC_DECK)))
     per_axis = [cfg.controller.a_m, cfg.controller.b_m, cfg.controller.x_hat0,
-                cfg.plant.j, cfg.plant.x0, cfg.reference.amplitude,
+                echo["plant.j"], cfg.plant.x0, cfg.reference.amplitude,
                 cfg.reference.frequency]
     for value in per_axis:
         assert len(set(value)) == 3, value

@@ -242,7 +242,7 @@ class TestIdealLoop:
             "plant.x0": [0.3, -0.2, 0.1], **deck})
         trace = scenario.run(cfg)
         b = np.multiply(cfg.controller.b_m, cfg.controller.k_g).tolist()
-        axes = zip(cfg.plant.a_m, b, cfg.plant.x0, cfg.reference.amplitude,
+        axes = zip(cfg.controller.a_m, b, cfg.plant.x0, cfg.reference.amplitude,
                    cfg.reference.frequency)
         kind = cfg.reference.kind
         with mp.workdps(40):
@@ -289,13 +289,13 @@ class TestConfigEdits:
     # omega_c = 40 fails the norm condition, which the runs report
     @pytest.mark.filterwarnings("ignore:filter norm condition unsatisfied")
     @pytest.mark.parametrize("part, name, value", [
-        ("plant", "j", (0.022, 0.022, 0.042)),
+        ("controller", "b_m", (1 / 0.022, 1 / 0.022, 1 / 0.042)),
         ("controller", "omega_c", 40.0),
     ])
     def test_edits_to_cached_fields_take_effect(self, part, name, value):
-        # replace derives the plant's float caches and the controller's
-        # filter factors as construction does: every attribute, the private
-        # caches included, equals that of the part built with the value
+        # replace derives the controller's tick constants and filter
+        # factors as construction does: every attribute, the private ones
+        # included, equals that of the part built with the value
         cfg = nominal(duration=1.0, mode="l1")
         before = scenario.run(cfg).data
         old = getattr(cfg, part)
@@ -307,15 +307,6 @@ class TestConfigEdits:
         after = scenario.run(edited).data
         assert np.array_equal(after, scenario.run(built).data)
         assert not np.array_equal(after, before)
-
-    def test_plant_and_controller_a_m_must_agree(self):
-        # the plant's field and the ideal loop read the plant's A_m, the predictor
-        # and the learner's targets the controller's
-        cfg = nominal(duration=1.0, mode="l1")
-        with pytest.raises(ValueError, match="plant a_m"):
-            edit(cfg, "plant", a_m=(-4.0, -3.0, -3.0))
-        with pytest.raises(ValueError, match="plant a_m"):
-            edit(cfg, "controller", a_m=(-4.0, -4.0, -4.0))
 
     def test_a_learner_runs_in_mode_l1gp_and_only_there(self):
         l1, l1gp = nominal(duration=1.0, mode="l1"), nominal(duration=1.0)
@@ -349,20 +340,27 @@ class TestConfigEdits:
 class TestPlantReplay:
     def test_engine_steps_are_generic_rk4_steps(self):
         # every recorded state is one numerics.rk4_step over plant_derivative
-        # from the previous row, with the input the row records
-        cfg = nominal(duration=1.0, mode="l1", switch_time=0.5, record_decimation=1)
-        trace = scenario.run(cfg)
-        assert not trace.unstable
-        assert [e["t"] for e in trace.events if e["kind"] == "uncertainty_switch"] == [0.5]
-        t, x, u = trace.t, trace.block("x"), trace.block("u")
-        assert len(t) == cfg.n_steps + 1
-        h = cfg.step
-        for k in range(1, len(t)):
-            want = numerics.rk4_step(
-                lambda tt, z: plant.plant_derivative(z, u[k], tt, cfg.plant),
-                t[k - 1], x[k - 1], h,
-            )
-            assert np.array_equal(x[k], want), k
+        # from the previous row, with the input the row records, on the
+        # controller's A_m and B_m: the stock ones and an edited pair
+        stock = nominal(duration=1.0, mode="l1", switch_time=0.5, record_decimation=1)
+        b = stock.controller.b_m
+        model = edit(stock, "controller", a_m=(-4.0, -3.0, -2.0),
+                     b_m=(b[0], 0.5 * b[1], b[2]))
+        for cfg in (stock, model):
+            trace = scenario.run(cfg)
+            assert not trace.unstable
+            assert [e["t"] for e in trace.events
+                    if e["kind"] == "uncertainty_switch"] == [0.5]
+            t, x, u = trace.t, trace.block("x"), trace.block("u")
+            assert len(t) == cfg.n_steps + 1
+            c, h = cfg.controller, cfg.step
+            for k in range(1, len(t)):
+                want = numerics.rk4_step(
+                    lambda tt, z: plant.plant_derivative(
+                        z, u[k], tt, c.a_m, c.b_m, cfg.plant.uncertainty),
+                    t[k - 1], x[k - 1], h,
+                )
+                assert np.array_equal(x[k], want), k
 
 
 class TestSwitchStep:
@@ -384,11 +382,14 @@ class TestSwitchStep:
             ((0.0, kind),))) for kind in ("quadratic", "sine_switch"))
         t, x, u = trace.t, trace.block("x"), trace.block("u")
 
+        c = cfg.controller
+
         def oracle(row, stage_plants):
             # numerics.rk4_step whose i-th stage evaluates stage_plants[i]
             stages = iter(stage_plants)
             return numerics.rk4_step(
-                lambda tt, z: plant.plant_derivative(z, u[row + 1], tt, next(stages)),
+                lambda tt, z: plant.plant_derivative(
+                    z, u[row + 1], tt, c.a_m, c.b_m, next(stages).uncertainty),
                 t[row], x[row], h,
             )
 
@@ -459,7 +460,7 @@ class TestControllerReplay:
             assert np.array_equal(xhat[k], expAT @ xhat[p] + phi @ drive), k
         # the ideal loop x' = A_m x + B_m k_g r(t) from x0 at t = 0 in
         # closed form, per axis: e^{a t} x0 plus e^{a t} convolved with b r
-        a, b = np.array(cfg.plant.a_m), np.diag(B @ k_g)
+        a, b = np.array(cfg.controller.a_m), np.diag(B @ k_g)
         tt, decay = t[:, None], np.exp(np.multiply.outer(t, a))
         if kind == "sinusoid":
             wave = w * decay - a * np.sin(w * tt) - w * np.cos(w * tt)
