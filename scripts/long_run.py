@@ -19,14 +19,17 @@ temporary directory removed afterwards. One JSON line is printed::
 
     {"deck": ..., "command": ..., "duration_s": ..., "exit_code": ...,
      "max_rss_mb": ..., "cpu_s": ..., "wall_s": ..., "rtf": ...,
-     "numpy_loaded": ...}
+     "numpy_loaded": ..., "scipy_loaded": ...}
 
 ``max_rss_mb`` and ``cpu_s`` (user plus system) are the child's own, as
 ``wait4`` reports them; ``rtf`` is the real-time factor, simulated seconds
 per wall second, where a margin search simulates ``duration`` for each of
 its candidates. ``numpy_loaded`` says whether the child imported numpy, as
-its ``manifest.json`` records it in ``runtime.numpy_version``. A figure
-the outputs cannot give, as when the command wrote none, is null. The
+its ``manifest.json`` records it in ``runtime.numpy_version``.
+``scipy_loaded`` says whether the child imported any ``scipy`` module:
+the child runs the CLI as ``python -m l1gp.cli`` does, then writes that
+to ``DIR/scipy_loaded``. A figure the outputs cannot give, as when the
+command wrote none, is null. The
 environment passes through unchanged, BLAS threads included (the
 benchmark sets ``OPENBLAS_NUM_THREADS=1``). The exit code is the
 command's. Standard library only.
@@ -43,6 +46,18 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the child: ``python -m l1gp.cli ARGS``, then whether any scipy module
+# was imported, written to the file named by its first argument
+CHILD = (
+    "import runpy, sys\n"
+    "flag = sys.argv.pop(1)\n"
+    "try:\n"
+    "    runpy.run_module('l1gp.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    with open(flag, 'w') as fh:\n"
+    "        fh.write(str(any(m.partition('.')[0] == 'scipy' for m in sys.modules)))\n"
+)
 
 
 def with_duration(text: str, duration: float) -> str:
@@ -69,7 +84,9 @@ def run(deck: str, duration: float, work: Path, command: str = "simulate") -> di
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = work / "out"
     flags = ["--horizon", repr(duration)] if command == "margin" else []
-    argv = [sys.executable, "-m", "l1gp.cli", command, str(run_deck), "-o", str(out), *flags]
+    flag = work / "scipy_loaded"
+    argv = [sys.executable, "-c", CHILD, str(flag), command, str(run_deck), "-o", str(out),
+            *flags]
     t0 = time.perf_counter()
     pid = os.posix_spawn(sys.executable, argv, env)
     _, status, usage = os.wait4(pid, 0)
@@ -82,6 +99,10 @@ def run(deck: str, duration: float, work: Path, command: str = "simulate") -> di
             simulated *= len(json.loads((out / "margin.json").read_text())["candidates"])
     except OSError:  # the command wrote no outputs
         pass
+    try:
+        scipy_loaded = {"True": True, "False": False}[flag.read_text()]
+    except (OSError, KeyError):  # the child died before it could tell
+        scipy_loaded = None
     return {
         "deck": deck,
         "command": command,
@@ -92,6 +113,7 @@ def run(deck: str, duration: float, work: Path, command: str = "simulate") -> di
         "wall_s": wall,
         "rtf": None if simulated is None else simulated / wall,
         "numpy_loaded": None if runtime is None else runtime["numpy_version"] is not None,
+        "scipy_loaded": scipy_loaded,
     }
 
 

@@ -5,10 +5,9 @@ computable uniform error bounds, a sampled-data adaptive controller with a
 learning filter, the quadrotor angular-rate plant, and a closed-loop
 engine with time-delay margin search.
 
-``gp`` and ``learner``, and with them scipy, are imported on first use:
-a run without a learner never loads them. A learner run loads only
-``scipy`` and its two compiled BLAS and LAPACK wrappers, never the
-``scipy.linalg`` package (see :func:`numerics._scipy_wrapper`).
+``gp`` and ``learner`` are imported on first use: a run without a
+learner never loads them. No module uses scipy: the GP factors, solves
+and reads with numpy alone.
 
 The package and the loop's modules load on the standard library alone.
 numpy is imported where arrays are read: by the GP and the learner, by

@@ -119,13 +119,12 @@ def _write_json(obj, path: str) -> None:
 
 def _runtime() -> dict:
     """The numerical setup a run's bits depend on beyond its config: a
-    learner refit's Cholesky factor rounds differently at another BLAS
-    thread count. numpy's version and scipy's are each null when the run
-    never imported it; a thread variable is null when it is not set."""
-    numpy, scipy = sys.modules.get("numpy"), sys.modules.get("scipy")
+    learner refit's factor rounds differently at another BLAS thread
+    count. numpy's version is null when the run never imported it; a
+    thread variable is null when it is not set."""
+    numpy = sys.modules.get("numpy")
     return {
         "numpy_version": None if numpy is None else numpy.__version__,
-        "scipy_version": None if scipy is None else scipy.__version__,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "cpu_count": os.cpu_count(),

@@ -1,47 +1,65 @@
 """Per-channel Gaussian-process regression with squared-exponential kernels.
 
 All output channels share one kernel configuration and one set of training
-inputs, so a single Cholesky factorization serves every channel; the
-channels differ only through their target columns. The high-probability
-uniform error envelope is ``sqrt(beta) * std(x)``: :func:`beta_value`
-gives the scale factor from the covering number of the box.
+inputs, so one factor serves every channel; the channels differ only
+through their target columns. The high-probability uniform error envelope
+is ``sqrt(beta) * std(x)``: :func:`beta_value` gives the scale factor from
+the covering number of the box.
 
 The kernel has one formula, its expanded form, precomputed once per
 posterior: ``k(X_i, x) = exp(Xa_i . (x, 1, |x|^2))`` with the read matrix
 ``Xa = [X / l^2, log sigma_f^2 - |X_i|^2 / (2 l^2), -1 / (2 l^2)]``. A
-read is then one matrix product and one ``exp``. A run reads the
-posterior only at the loop's state: its mean and std at every 1 kHz tick
-and at each publish (:meth:`GpPosterior.point_eval`), and the mean alone
-at a recorded row with no tick in its step (:meth:`GpPosterior.mean_at`).
-A small posterior, 1 <= N <= ``_INVERSE_READ_MAX`` (128), is read through
-its inverse factor: it holds the read matrix ``R = [alpha^T; L^{-1}]``,
-(m + N) x N, with ``L^{-1}`` from LAPACK ``dtrtri``, and one product
-``z = R k`` gives the mean ``z[:m]`` and ``w = L^{-1} k = z[m:]``, so the
-variance is ``sigma_f^2 - w.w``. A larger one reads the mean as
-``k . alpha`` and solves ``L w = k`` with BLAS ``dtrsv`` in ``k``'s own
-buffer. At small N a read's time goes to library calls, and the single
-product makes one gemv of a dot product and a ``dtrsv``; its N^2
-multiply-adds against the solve's N^2 / 2 make it the slower form above
-about N = 200 on one BLAS thread. In either form the tick's read and the
-row's share one expression for the mean, so their means are the same
-bits. A query of the wrong length raises :class:`numerics.DimensionError`. The batch read
+read is then one matrix product and one ``exp``. The batch read
 (:meth:`GpPosterior.predict_batch`, for ``bound-check``) takes whole
 blocks of query rows ``(x, 1, |x|^2)`` at once, and :func:`fit` builds
-the Gram matrix the same way from the training rows, with its diagonal
-set to the exact ``sigma_f^2 + sigma_n^2``. The
-expanded form rounds differently from direct differences: its error in
-the exponent is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about
-1.5e-13 on the box ``|x|_inf <= 15`` at unit length scale. Each product
-is written to a Fortran-order buffer, the layout LAPACK works in place
-on: a refit holds one N x N array, which becomes the posterior's factor,
-and a batch read solves against its block in that block's own buffer.
-The solves and the inverse call BLAS ``dtrsv`` (a tick above the
-constant), LAPACK ``dtrtrs`` (a batch) and ``dtrtri`` (a small
-posterior, once when it is built) straight from scipy's compiled wrapper
-modules, which :func:`numerics._scipy_wrapper` loads without the
-``scipy.linalg`` package; they are the function objects
-``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export, so the bits
-are theirs.
+the Gram matrix's rows the same way from the training rows, with its
+diagonal set to the exact ``sigma_f^2 + sigma_n^2``. The expanded form
+rounds differently from direct differences: its error in the exponent
+is about ``eps (|X_i|^2 + |x|^2) / (2 l^2)``, at most about 1.5e-13 on
+the box ``|x|_inf <= 15`` at unit length scale.
+
+A posterior holds the inverse factor ``W = L^{-1}`` of ``K + sigma_n^2
+I``, the factor Rasmussen & Williams (2006, Alg. 2.1) read through, made
+and read with numpy alone. W is kept as C-order row panels of at most h
+= ``_PANEL_ROWS`` rows: panel j holds rows ``jh .. jh + r - 1`` of W over
+columns ``0 .. jh + r - 1``, where the rest of those rows is zero. Row i
+of W depends on the first i + 1 data only, so :func:`fit`, given the
+previous posterior whose inputs are the first rows of the new ones,
+computes the new rows alone and shares the full panels; other data (a
+FIFO eviction) regrows W. Each block of new rows, within one panel,
+takes a gemm with each panel before it, ``np.linalg.cholesky`` of the
+block's Schur complement and the inverse of that factor. The weights are
+``alpha = W^T (W Y)``.
+
+A run reads the posterior only at the loop's state: its mean and std at
+every 1 kHz tick and at each publish (:meth:`GpPosterior.point_eval`),
+and the mean alone at a recorded row with no tick in its step
+(:meth:`GpPosterior.mean_at`). With ``w = W k`` the variance is
+``sigma_f^2 - w.w``. A posterior of 1 <= N <= h points has one panel and
+holds ``R = [alpha^T; W]``, (m + N) x N, so the tick's read is one
+product ``z = R k``: the mean ``z[:m]`` and ``w = z[m:]``. A larger one
+reads the mean as ``k . alpha`` and sums ``w.w`` over each panel's ``P @
+k[:e]``, ``e`` its width. In either form the tick's read and the row's
+share one expression for the mean, so their means are the same bits. A
+query of the wrong length raises :class:`numerics.DimensionError`.
+
+h is where the one product stops paying: its N^2 multiply-adds against
+the panels' N (N + h) / 2, and a panel's few library calls. The tick's
+read, ``point_eval`` at one point, in microseconds on a 2-core x86_64
+host (numpy 2.4.6, one BLAS thread; each figure the median over 8 fits
+of the minimum of 30 x 200 calls), against the read before the panels,
+one product up to N = 128 and above it ``k . alpha`` and a BLAS
+``dtrsv`` solve against L:
+
+    N          8     56    128    129    256    300    384    512
+    solve   3.17   3.89   5.47   6.60  11.50  14.84  20.85  35.96
+    panels  3.18   3.86   5.28   6.69  10.12  13.62  17.33  27.29
+
+Every panel and ``R`` starts on a 64-byte boundary (numpy's own is 16
+bytes): OpenBLAS's gemv reads a matrix that starts on a 32-byte one
+about 30% faster at N = 128 to 256, to the same bits. A panel is one
+contiguous array: ``ndarray.dot`` copies a strided view before its
+gemv.
 """
 
 from __future__ import annotations
@@ -69,13 +87,10 @@ __all__ = [
 # (N, rows) cross-kernel
 _GRID_BLOCK = 512
 
-# largest N read through the inverse factor R = [alpha^T; L^{-1}]: one
-# gemv there beats a dot product and a dtrsv up to about N = 200
-_INVERSE_READ_MAX = 128
-
-# scipy's compiled BLAS and LAPACK wrappers, without the scipy.linalg package
-_fblas = numerics._scipy_wrapper("_fblas")
-_flapack = numerics._scipy_wrapper("_flapack")
+# rows per panel of the inverse factor; a posterior of at most this many
+# points reads through one product (the read table is in the module
+# docstring)
+_PANEL_ROWS = 128
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -111,6 +126,16 @@ def _read_matrix(X: np.ndarray, kernel: SeKernel) -> np.ndarray:
     return Xa
 
 
+def _aligned_zeros(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) C-order array of zeros whose data starts on a 64-byte
+    boundary. numpy aligns to 16 bytes; OpenBLAS's gemv reads a matrix
+    that starts on a 32-byte one about 30% faster at N = 128 to 256, to
+    the same bits."""
+    buf = np.zeros(rows * cols + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + rows * cols].reshape(rows, cols)
+
+
 def _kernel_block(Xa: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """``k(X_i, Z_j)`` (N, P) in Fortran order from the read matrix and the
     query rows ``(Z_j, 1, |Z_j|^2)``: one product, exponentiated in place."""
@@ -124,12 +149,13 @@ def _kernel_block(Xa: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GpPosterior:
-    """Fitted posterior: Cholesky factor of (K + noise*I), weights, kernel.
+    """Fitted posterior: the inverse factor of K + noise I in row panels,
+    the weights and the kernel.
 
     Frozen, so what is derived from the fields when the posterior is built
     (the dimensions ``n_inputs``, ``n_outputs`` and ``n_samples``, the read
     matrix ``Xa`` of the module docstring, ``signal_var = sigma_f**2``, the
-    inverse-factor read matrix ``R`` and the prior's mean) cannot go stale
+    small model's read matrix ``R`` and the prior's mean) cannot go stale
     against them. A posterior compares and hashes by identity: its arrays
     have no truth value, so two fits on the same data are two models. With
     zero training points the posterior reduces to the prior: mean 0, std
@@ -137,15 +163,18 @@ class GpPosterior:
     """
 
     kernel: SeKernel
+    noise_var: float       # sigma_n**2, on the Gram matrix's diagonal
     X: np.ndarray          # (N, n) training inputs
     alpha: np.ndarray      # (N, m) weights (K + noise I)^{-1} Y
-    chol: np.ndarray       # (N, N) lower Cholesky factor of K + noise I, zero above, Fortran order
+    # W = L^{-1} as C-order row panels: panel j is (r, jh + r), rows jh ..
+    # jh + r - 1 of W up to its diagonal, with h = _PANEL_ROWS
+    panels: tuple
     n_outputs: int = field(init=False, compare=False)  # m, from alpha
     n_inputs: int = field(init=False, compare=False)  # n, from X
     Xa: np.ndarray = field(init=False, repr=False, compare=False)  # (N, n + 2) read matrix
     signal_var: float = field(init=False, repr=False, compare=False)  # sigma_f**2
     n_samples: int = field(init=False, repr=False, compare=False)  # N
-    # (m + N, N) [alpha^T; L^{-1}], C order, for 1 <= N <= _INVERSE_READ_MAX; else None
+    # (m + N, N) [alpha^T; W], C order, for 1 <= N <= _PANEL_ROWS; else None
     R: np.ndarray | None = field(init=False, repr=False, compare=False)
     zero_mean: np.ndarray = field(init=False, repr=False, compare=False)  # (m,) read-only
 
@@ -155,7 +184,12 @@ class GpPosterior:
         object.__setattr__(self, "n_outputs", self.alpha.shape[1])
         object.__setattr__(self, "Xa", _read_matrix(self.X, self.kernel))
         object.__setattr__(self, "signal_var", self.kernel.sigma_f**2)
-        object.__setattr__(self, "R", _inverse_read_matrix(self.alpha, self.chol))
+        R = None
+        if 1 <= self.n_samples <= _PANEL_ROWS:
+            R = _aligned_zeros(self.n_outputs + self.n_samples, self.n_samples)
+            R[:self.n_outputs] = self.alpha.T
+            R[self.n_outputs:] = self.panels[0]
+        object.__setattr__(self, "R", R)
         zero_mean = np.zeros(self.n_outputs)
         zero_mean.flags.writeable = False
         object.__setattr__(self, "zero_mean", zero_mean)
@@ -177,15 +211,13 @@ class GpPosterior:
             return mean, std
         kstar = _kernel_block(self.Xa, Xq)         # (N, P)
         mean = kstar.T @ self.alpha                # (P, m)
-        # kstar^T K^{-1} kstar = |L^{-1} kstar|^2 per column, solved in
-        # kstar's own (Fortran-order) buffer once the mean has read it
-        w, info = _flapack.dtrtrs(self.chol, kstar, lower=1, overwrite_b=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"singular factor: zero on its diagonal at {info - 1}")
-        if info < 0:
-            raise ValueError(f"invalid argument {-info} to dtrtrs")
-        var = self.signal_var - np.einsum("ij,ij->j", w, w)
+        # kstar^T K^{-1} kstar = |W kstar|^2 per column, a panel at a time
+        ww = np.zeros(P)
+        for panel in self.panels:
+            w = panel @ kstar[:panel.shape[1]]
+            ww += np.einsum("ij,ij->j", w, w)
+            del w  # one (r, P) product alive at a time
+        var = self.signal_var - ww
         # round-off can push the variance a hair negative; clamp before sqrt
         np.maximum(var, 0.0, out=var)
         std = np.sqrt(var)
@@ -226,32 +258,17 @@ class GpPosterior:
         k = self._kernel_vector(x)
         if self.R is None:
             mean = k.dot(self.alpha)
-            # L^{-1} k, solved in k's buffer once the mean has read it
-            w = _fblas.dtrsv(self.chol, k, lower=1, overwrite_x=1)
+            ww = 0.0
+            for panel in self.panels:
+                w = panel.dot(k[:panel.shape[1]])
+                ww += w.dot(w)
         else:
             z = self.R.dot(k)
             mean, w = z[:self.n_outputs], z[self.n_outputs:]
-        var = self.signal_var - w.dot(w)
+            ww = w.dot(w)
+        var = self.signal_var - ww
         # round-off can push the variance a hair negative: read 0 there
         return mean, 0.0 if var < 0.0 else math.sqrt(var)
-
-
-def _inverse_read_matrix(alpha: np.ndarray, chol: np.ndarray) -> np.ndarray | None:
-    """``[alpha^T; L^{-1}]`` (m + N, N) in C order, so that one gemv reads a
-    row of each; None above ``_INVERSE_READ_MAX``, for the prior, and for a
-    singular factor (only a hand-made one: fit's has a positive diagonal),
-    which keep the solve's read."""
-    N, m = alpha.shape
-    if not 1 <= N <= _INVERSE_READ_MAX:
-        return None
-    # dtrtri reads the lower triangle and keeps the zero upper one
-    inv, info = _flapack.dtrtri(chol, lower=1)
-    if info != 0:
-        return None
-    R = np.empty((m + N, N))
-    R[:m] = alpha.T
-    R[m:] = inv
-    return R
 
 
 @dataclass(frozen=True)
@@ -278,11 +295,24 @@ class UniformBoundConfig:
             raise ValueError("delta must be in (0, 1)")
 
 
-def fit(X: np.ndarray, Y: np.ndarray, noise_var: float, kernel: SeKernel) -> GpPosterior:
+def fit(
+    X: np.ndarray,
+    Y: np.ndarray,
+    noise_var: float,
+    kernel: SeKernel,
+    prev: GpPosterior | None = None,
+) -> GpPosterior:
     """Condition independent per-channel GPs on inputs X (N,n) and targets Y (N,m).
 
     mean_i(x) = kstar(x)^T (K + noise I)^{-1} Y_i and
     var_i(x) = k(x,x) - kstar(x)^T (K + noise I)^{-1} kstar(x).
+
+    ``prev`` is a posterior the caller fitted before, such as the model a
+    learner published last. When it has the same kernel and noise and its
+    inputs are the first rows of X, its rows of the inverse factor are
+    kept and only the new ones are computed; its full panels are shared,
+    not copied. Any other ``prev`` is ignored, and the factor is grown
+    from its first row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -290,31 +320,75 @@ def fit(X: np.ndarray, Y: np.ndarray, noise_var: float, kernel: SeKernel) -> GpP
         raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     if not 0.0 < noise_var < math.inf:
         raise ValueError("noise_var must be positive and finite")
-    if X.shape[0] == 0:
-        return GpPosterior(
-            kernel=kernel,
-            X=X.copy(),
-            alpha=np.zeros((0, Y.shape[1])),
-            chol=np.zeros((0, 0)),
-        )
-    # one N x N buffer: the Gram matrix, in Fortran order, becomes the
-    # factor; its diagonal is the kernel's exact value at zero distance
-    K = _kernel_block(_read_matrix(X, kernel), X)
-    K[np.diag_indices_from(K)] = kernel.sigma_f**2 + noise_var
-    try:
-        chol = numerics._cholesky_in_place(K)
-    except numerics.DecompositionError as exc:
-        raise IllConditionedKernelError(
-            f"Gram matrix not positive definite (pivot {exc.pivot}); "
-            "increase the noise variance"
-        ) from exc
-    alpha = numerics.solve_with_factor(chol, Y)
+    panels: list[np.ndarray] = []
+    if (prev is not None and prev.kernel == kernel and prev.noise_var == noise_var
+            and np.array_equal(prev.X, X[:prev.n_samples])):
+        panels += prev.panels
+    Xa = _read_matrix(X, kernel)
+    s = sum(panel.shape[0] for panel in panels)
+    while s < X.shape[0]:
+        e = min(X.shape[0], (s // _PANEL_ROWS + 1) * _PANEL_ROWS)
+        _append_rows(panels, Xa, X, s, e, kernel.sigma_f**2 + noise_var)
+        s = e
+    # alpha = W^T (W Y), a panel at a time
+    alpha = np.zeros(Y.shape)
+    for panel in panels:
+        e = panel.shape[1]
+        alpha[:e] += panel.T @ (panel @ Y[:e])
     return GpPosterior(
         kernel=kernel,
+        noise_var=noise_var,
         X=X.copy(),
         alpha=alpha,
-        chol=chol,
+        panels=tuple(panels),
     )
+
+
+def _append_rows(panels: list, Xa: np.ndarray, X: np.ndarray, s: int, e: int,
+                 diag: float) -> None:
+    """Append rows s .. e - 1 of ``W = L^{-1}``, all in one panel, to the
+    ``panels`` that hold its first s rows, for inputs X with read matrix
+    Xa and the Gram diagonal ``diag = sigma_f^2 + noise``.
+
+    With ``W_1`` the rows held and ``K_21``, ``K_22`` the new rows of the
+    Gram matrix, ``C = W_1 K_21^T`` is the transpose of the new rows of L
+    left of the diagonal; the new diagonal block of L is the Cholesky
+    factor ``L_2`` of the Schur complement ``K_22 - C^T C``, and the new
+    rows of W are ``[-W_2 C^T W_1, W_2]`` with ``W_2 = L_2^{-1}``. Rows
+    that continue the last panel replace it with a longer copy.
+    """
+    # the new rows of K + noise I, up to the diagonal, in the orientation
+    # of the lower triangle of the whole Gram matrix
+    Kb = _kernel_block(Xa[s:e], X[:e])  # (b, e)
+    Kb[np.arange(e - s), np.arange(s, e)] = diag
+    C = np.empty((s, e - s))
+    for panel in panels:
+        r, w = panel.shape  # rows w - r .. w - 1 of W
+        C[w - r:w] = panel @ Kb[:, :w].T
+    try:
+        L2 = numerics.cholesky_factor(Kb[:, s:] - C.T @ C)
+    except numerics.DecompositionError as exc:
+        raise IllConditionedKernelError(
+            f"Gram matrix not positive definite (pivot {s + exc.pivot}); "
+            "increase the noise variance"
+        ) from exc
+    del Kb  # fit's peak holds about one N x N array at the cap
+    # L2 is triangular: zero the strict upper triangle of its inverse,
+    # where a pivoted LU can leave rounding
+    W2 = np.tril(np.linalg.inv(L2))
+    CW = np.zeros((e - s, s))  # C^T W_1
+    for panel in panels:
+        r, w = panel.shape
+        CW[:, :w] += C[w - r:w].T @ panel
+    del C
+    held = s % _PANEL_ROWS  # rows of the last panel these rows continue
+    block = _aligned_zeros(held + e - s, e)
+    if held:
+        block[:held, :s] = panels.pop()
+    np.matmul(W2, CW, out=block[held:, :s])
+    np.negative(block[held:, :s], out=block[held:, :s])
+    block[held:, s:] = W2
+    panels.append(block)
 
 
 def beta_value(cfg: UniformBoundConfig, n_outputs: int, n_inputs: int) -> float:

@@ -159,6 +159,7 @@ class BayesianLearner:
                 np.asarray(self.buffer.target_Y),
                 self.cfg.sigma_n**2,
                 self.cfg.kernel,
+                prev=self.model.posterior,
             )
         except gp.IllConditionedKernelError as exc:
             return {"t": t, "kind": "learner_fit_failed", "reason": str(exc)}

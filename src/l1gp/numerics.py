@@ -5,29 +5,21 @@ The linear parts of the loop are diagonal, so their setup is per axis:
 finite Python floats, :func:`whole` a count or a seed as a Python int, and
 :func:`zoh_map` gives the predictor's exact one-step map on Python floats,
 with no linear solve. These three use the standard library alone. The rest
-operates on plain float64 numpy arrays: the Cholesky routines the GP
-factors with, RK4 and the 5-point centred derivative; each imports numpy
-when called, so a run with no learner never loads it.
-:func:`log_covering_number_box` works on floats. All public functions are
-pure.
+operates on plain float64 numpy arrays: the Cholesky routines, RK4 and the
+5-point centred derivative; each imports numpy when called, so a run with
+no learner never loads it. :func:`log_covering_number_box` works on
+floats. All public functions are pure.
 
-The module loads without numpy or scipy. The factor routines
-:func:`cholesky_factor` and :func:`solve_with_factor`, which only the GP
-calls, call LAPACK through scipy's compiled wrapper module
-``scipy.linalg._flapack``, which :func:`_scipy_wrapper` loads on first
-use without the ``scipy.linalg`` package. ``gp.fit`` factors its Gram
-matrix in place with the private routine that :func:`cholesky_factor`
-runs on a copy.
+The module loads without numpy, and nothing in it uses scipy.
+:func:`cholesky_factor`, which ``gp.fit`` factors each diagonal block of
+its Gram matrix with, and :func:`solve_with_factor` are numpy's LAPACK
+routines.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 import sys
-from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # each array routine imports numpy when called
@@ -133,76 +125,58 @@ def whole(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _scipy_wrapper(name: str) -> ModuleType:
-    """scipy's compiled wrapper module ``scipy.linalg.<name>``: ``_fblas``
-    for BLAS or ``_flapack`` for LAPACK.
-
-    The module ``sys.modules`` holds under that name if there is one.
-    Otherwise the extension file in scipy's ``linalg`` folder is loaded
-    under that name and registered there, without running
-    ``scipy/linalg/__init__.py``: that package imports some 300 more
-    modules and about 28 MB of RSS for routines no run calls. A later
-    ``import scipy.linalg`` finds the registered module, so its ``blas``
-    and ``lapack`` hand out the same function objects.
-    """
-    full = f"scipy.linalg.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        import scipy
-
-        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(full, [folder])
-        if spec is None:
-            raise ModuleNotFoundError(f"no module named {full!r}", name=full)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[full] = module
-    return module
-
-
 def cholesky_factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
     Only the lower triangle of M is read, and M itself is never written:
-    the factor is made in a Fortran-order copy, the layout LAPACK and BLAS
-    take without a further copy, and returned with its strict upper
-    triangle zero. Raises DecompositionError carrying the failing pivot
-    index when M is not positive definite (LAPACK potrf info).
+    numpy's Cholesky routine makes the factor in a new array, here in
+    Fortran order, with its strict upper triangle zero. Raises
+    DecompositionError carrying the failing pivot index when M is not
+    positive definite: the index of the first leading minor whose factor
+    fails, found by bisection once the whole factor has failed.
+    ``gp.fit`` factors each diagonal block of its Gram matrix with it.
     """
     import numpy as np
 
-    return _cholesky_in_place(np.array(M, dtype=float, order="F"))
-
-
-def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
-    """:func:`cholesky_factor` of a Fortran-order float array, made in A's
-    own buffer, which then holds the factor (or, on failure, is spoiled)."""
-    A = _as_square(A, "M")
+    A = _as_square(M, "M")
     if A.shape[0] == 0:
-        return A
-    c, info = _scipy_wrapper("_flapack").dpotrf(A, lower=1, overwrite_a=1)
-    if info > 0:
-        raise DecompositionError(
-            f"matrix not positive definite at pivot {info - 1}", pivot=info - 1
-        )
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} to dpotrf")
-    # potrf leaves the strict upper triangle as it found it; each column's
-    # part is contiguous in Fortran order
-    for j in range(1, c.shape[0]):
-        c[:j, j] = 0.0
-    return c
+        return A.copy(order="F")
+    try:
+        return _lower_factor(A)
+    except np.linalg.LinAlgError:
+        pass
+    lo, hi = 1, A.shape[0]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _lower_factor(A[:mid, :mid])
+        except np.linalg.LinAlgError:
+            hi = mid
+        else:
+            lo = mid + 1
+    raise DecompositionError(f"matrix not positive definite at pivot {lo - 1}",
+                             pivot=lo - 1)
+
+
+def _lower_factor(A: np.ndarray) -> np.ndarray:
+    """L from the lower triangle of A, in Fortran order: the upper factor
+    of ``A^T``, which reads the same triangle, transposed."""
+    import numpy as np
+
+    return np.linalg.cholesky(A.T, upper=True).T
 
 
 def solve_with_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``(L @ L.T) X = B`` given a lower Cholesky factor L."""
+    """Solve ``(L @ L.T) X = B`` given a lower Cholesky factor L.
+
+    No run calls it: the GP reads through its inverse factor. It stays,
+    with its tests, only because the benchmark's per-layer tracer
+    (``perfbench/layers.py``) hooks this name in its ``--trace`` runs; it
+    goes when that tracer retires (ROADMAP item 1).
+    """
     import numpy as np
 
-    B = np.asarray(B, dtype=float)
-    x, info = _scipy_wrapper("_flapack").dpotrs(L, B, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs failed with info={info}")
-    return x
+    return np.linalg.solve(L.T, np.linalg.solve(L, np.asarray(B, dtype=float)))
 
 
 def rk4_step(

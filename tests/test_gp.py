@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg import solve_triangular
 
 from l1gp import gp, numerics, plant
 
@@ -34,8 +33,6 @@ def naive_predict(X, Y, noise_var, kernel, Xq):
     """Dense GP oracle: numpy's Cholesky factor L of the direct-difference
     Gram matrix and scipy's triangular solves, ``mean = (L^{-1} k)^T
     (L^{-1} Y)`` and ``var = sigma_f^2 - |L^{-1} k|^2``."""
-    from scipy.linalg import solve_triangular
-
     L = np.linalg.cholesky(se_kernel(kernel, X, X) + noise_var * np.eye(X.shape[0]))
     V = solve_triangular(L, se_kernel(kernel, X, Xq), lower=True)
     Z = solve_triangular(L, Y, lower=True)
@@ -127,13 +124,13 @@ class TestFitPredict:
             gp.fit(X, Y, 1e-300, KERNEL)
 
     def test_point_eval_at_cap_matches_batch_and_dense_oracle(self):
-        # N = 512 is the learner's cap; the factor is stored column-major so
-        # the per-tick read takes it without a copy
+        # N = 512 is the learner's cap; each panel of the inverse factor is
+        # contiguous, so the per-tick read takes it without a copy
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(512, 3))
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
         post = gp.fit(X, Y, 1e-4, KERNEL)
-        assert post.chol.flags.f_contiguous
+        assert all(panel.flags.c_contiguous for panel in post.panels)
         Xq = np.vstack([rng.uniform(-4.0, 4.0, size=(20, 3)), X[:5]])
         mean_b, std_b = post.predict_batch(Xq)
         mean_o, std_o = naive_predict(X, Y, 1e-4, KERNEL, Xq)
@@ -168,29 +165,34 @@ class TestGramInPlace:
     @pytest.mark.parametrize("N", [1, 37, 512])
     def test_fit_factor_is_bitwise_potrf_of_the_formula(self, N, kernel):
         # K is not bitwise symmetric, so the factor depends on which triangle
-        # potrf reads: it must be the lower one of the read-matrix product
+        # potrf reads: it must be the lower one of the read-matrix product.
+        # The first panel's diagonal block is the inverse of the factor of
+        # K's leading block, with nothing subtracted
         rng = np.random.default_rng(N)
         X = rng.uniform(-3.0, 3.0, size=(N, 3))
         Xa, K = read_matrix_gram(kernel, X, 1e-4)
-        want = np.tril(dpotrf(K, lower=1)[0])
+        h = min(N, gp._PANEL_ROWS)
+        want = np.tril(np.linalg.inv(numerics.cholesky_factor(K[:h, :h])))
         post = gp.fit(X, rng.normal(size=(N, 2)), 1e-4, kernel)
         assert np.array_equal(post.Xa, Xa)
-        assert np.array_equal(post.chol, want)
-        assert post.chol.flags.f_contiguous
+        assert np.array_equal(post.panels[0][:, :h], want)
+        assert post.panels[0].flags.c_contiguous
         if N > 1:
             # the upper triangle's product differs: the lower one is pinned
-            assert not np.array_equal(want, np.tril(dpotrf(K.T, lower=1)[0]))
+            upper = np.tril(np.linalg.inv(numerics.cholesky_factor(K[:h, :h].T)))
+            assert not np.array_equal(want, upper)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("noise", [1e-4, 0.01, 0.3])
     def test_one_point_factor_is_the_exact_diagonal(self, kernel, noise):
         X = np.array([[14.0, -15.0, 3.7]])  # far out, where the product rounds most
         post = gp.fit(X, np.ones((1, 2)), noise, kernel)
-        assert post.chol[0, 0] == math.sqrt(kernel.sigma_f**2 + noise)
+        assert post.panels[0][0, 0] == 1.0 / math.sqrt(kernel.sigma_f**2 + noise)
 
     def test_fit_at_cap_holds_one_gram_buffer(self):
-        # the Gram matrix is built, factored and kept in one N x N buffer;
-        # everything else fit allocates is O(N)
+        # the inverse factor's panels hold a little over half of an N x N
+        # array; with the block being built, fit's peak stays within about
+        # one N x N buffer
         N = 512
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(N, 3))
@@ -201,88 +203,86 @@ class TestGramInPlace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert post.chol.shape == (N, N)
+        assert sum(panel.shape[0] for panel in post.panels) == N
+        assert post.panels[-1].shape[1] == N
         assert peak < 1.25 * 8 * N * N
 
 
-class TestBatchSolve:
-    """``predict_batch`` solves against the factor with LAPACK's ``dtrtrs``
-    from scipy's compiled wrapper, the routine ``solve_triangular`` runs."""
+def dense_factor(post):
+    """The posterior's inverse factor W as one (N, N) array."""
+    N = post.n_samples
+    W = np.zeros((N, N))
+    row = 0
+    for panel in post.panels:
+        r, e = panel.shape
+        assert e == row + r
+        W[row:e, :e] = panel
+        row = e
+    return W
+
+
+def oracle_factor(post):
+    """numpy's lower Cholesky factor of the posterior's own Gram matrix, as
+    fit builds it (``read_matrix_gram``)."""
+    return np.linalg.cholesky(read_matrix_gram(post.kernel, post.X, post.noise_var)[1])
+
+
+class TestBatchRead:
+    """``predict_batch`` reads the inverse factor's panels, as the point
+    read does; its mean is the one product ``kstar^T alpha``."""
 
     @pytest.mark.parametrize("N", [1, 37, 512])
-    def test_std_is_bitwise_solve_triangular(self, N):
-        from scipy.linalg import solve_triangular
-
+    def test_matches_solve_triangular(self, N):
         rng = np.random.default_rng(N)
         post = gp.fit(rng.uniform(-3.0, 3.0, size=(N, 3)), rng.normal(size=(N, 2)),
                       1e-4, KERNEL)
+        L = oracle_factor(post)
+        norms = factor_norms(post, L)
         Xq = rng.uniform(-4.0, 4.0, size=(300, 3))
         kstar = gp._kernel_block(post.Xa, Xq)
-        w = solve_triangular(post.chol, kstar, lower=True, check_finite=False)
-        var = post.signal_var - np.einsum("ij,ij->j", w, w)
-        std = np.sqrt(np.maximum(var, 0.0))
+        w = solve_triangular(L, kstar, lower=True, check_finite=False)
         got_mean, got_std = post.predict_batch(Xq)
         assert np.array_equal(got_mean, kstar.T @ post.alpha)
-        assert np.array_equal(got_std, np.repeat(std[:, None], 2, axis=1))
-
-    def test_zero_on_the_factor_diagonal_raises(self):
-        rng = np.random.default_rng(2)
-        post = gp.fit(rng.uniform(-3.0, 3.0, size=(5, 3)), rng.normal(size=(5, 2)),
-                      1e-4, KERNEL)
-        chol = post.chol.copy(order="F")
-        chol[2, 2] = 0.0
-        singular = dataclasses.replace(post, chol=chol)
-        # dtrtri finds the zero too: the point read falls back to the solve
-        assert post.R is not None and singular.R is None
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="singular factor: zero on its diagonal at 2"):
-            singular.predict_batch(np.zeros((4, 3)))
+        assert np.array_equal(got_std[:, 0], got_std[:, 1])
+        for j, x in enumerate(Xq):
+            # the same kernel vector: only the factors' reads differ
+            _, tol_var = read_tolerance(post, norms, x, kstar[:, j], w[:, j], rel=0.0)
+            assert abs(got_std[j, 0]**2 - max(post.signal_var - w[:, j] @ w[:, j], 0.0)) <= tol_var
 
 
-# a fresh interpreter imports the GP and scipy.linalg in the given order,
-# then checks that both use one copy of each compiled wrapper
+# a fresh interpreter fits and reads a posterior with scipy.linalg loaded
+# before the GP, after it, or not at all, and prints the bits it read
 LOAD_ORDER_PROBE = """
 import sys
-import numpy as np
+if sys.argv[1] == "scipy.linalg-first":
+    import scipy.linalg
+from l1gp import gp
+post = gp.fit([[0.0, 1.0, 0.5], [1.0, 0.0, -0.5], [0.5, 0.5, 0.5]],
+              [[1.0], [-1.0], [0.5]], 0.01, gp.SeKernel())
 if sys.argv[1] == "gp-first":
-    from l1gp import gp, numerics
-    assert "scipy.linalg" not in sys.modules
+    assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
     import scipy.linalg
-else:
-    import scipy.linalg
-    from l1gp import gp, numerics
-from scipy.linalg import blas, lapack
-
-fblas = sys.modules["scipy.linalg._fblas"]
-flapack = sys.modules["scipy.linalg._flapack"]
-assert gp._fblas is fblas is numerics._scipy_wrapper("_fblas") is blas._fblas
-assert gp._flapack is flapack is numerics._scipy_wrapper("_flapack") is lapack._flapack
-assert blas.dtrsv is fblas.dtrsv
-for name in ("dpotrf", "dpotrs", "dtrtrs", "dtrtri"):
-    assert getattr(lapack, name) is getattr(flapack, name), name
-
-L = np.array([[2.0, 0.0], [1.0, 4.0]])
-assert np.array_equal(scipy.linalg.solve_triangular(L, [2.0, 9.0], lower=True),
-                      [1.0, 2.0])
-assert np.allclose(scipy.linalg.expm(np.diag([0.0, 1.0])), np.diag([1.0, np.e]))
-post = gp.fit(np.eye(3), np.ones((3, 1)), 0.01, gp.SeKernel())
-std = post.point_eval((1.0, 0.5, 0.0))[1]
-assert abs(std - post.predict_batch([[1.0, 0.5, 0.0]])[1][0, 0]) < 1e-12
-print("ok")
+mean, std = post.point_eval((1.0, 0.5, 0.0))
+mean_b, std_b = post.predict_batch([[1.0, 0.5, 0.0]])
+print(mean[0].hex(), std.hex(), mean_b[0, 0].hex(), std_b[0, 0].hex())
 """
 
 
 @pytest.mark.parametrize("order", ["gp-first", "scipy.linalg-first"])
-def test_one_copy_of_each_wrapper_in_either_load_order(order):
-    # the GP loads scipy's two wrappers without scipy.linalg; whichever of
-    # the two loads first, the other reuses its modules (pytest itself has
-    # imported scipy.linalg by now, so only a fresh interpreter tells)
+def test_no_scipy_in_either_load_order(order):
+    # the GP runs on numpy alone: it loads no scipy module, and a caller
+    # that has loaded scipy.linalg, before or after it, reads the same bits
+    # (pytest itself has imported scipy.linalg by now, so only a fresh
+    # interpreter tells)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, order], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ok"]
+    outs = [subprocess.run([sys.executable, "-c", LOAD_ORDER_PROBE, arg], env=env,
+                           capture_output=True, text=True)
+            for arg in (order, "none")]
+    for out in outs:
+        assert out.returncode == 0, out.stderr
+    assert outs[0].stdout == outs[1].stdout
+    assert len(outs[0].stdout.split()) == 4
 
 
 class TestParameterChecks:
@@ -342,22 +342,23 @@ TINY = np.finfo(float).smallest_subnormal
 BOX = 15.0  # UniformBoundConfig().kappa: the envelope's box |x|_inf <= 15
 
 
-def direct_read(post, x):
+def direct_read(post, L, x):
     """The 1 kHz read from direct differences, the form before the read
-    matrix: kernel vector k, w = L^{-1} k, mean and unclamped variance."""
+    matrix, solved against the oracle factor L: kernel vector k,
+    w = L^{-1} k, mean and unclamped variance."""
     d = post.X - np.asarray(x, dtype=float)
     sq = np.einsum("ij,ij->i", d, d)
     k = post.kernel.sigma_f**2 * np.exp(-0.5 * sq / post.kernel.length_scale**2)
-    w = dtrsv(post.chol, k, lower=1)
+    w = solve_triangular(L, k, lower=True)
     return k, w, k @ post.alpha, post.kernel.sigma_f**2 - w @ w
 
 
-def chol_norms(post):
-    """Spectral norms of the Cholesky factor L and of its inverse, then
-    those of their entrywise absolute values |L| and |L^{-1}|."""
-    inv = np.linalg.inv(post.chol)
-    return tuple(float(np.linalg.norm(a, 2))
-                 for a in (post.chol, inv, np.abs(post.chol), np.abs(inv)))
+def factor_norms(post, L):
+    """Spectral norms of the oracle factor L and of its inverse, then those
+    of the entrywise absolute values |L| and |W|, W the posterior's own
+    inverse factor."""
+    return tuple(float(np.linalg.norm(a, 2)) for a in (
+        L, np.linalg.inv(L), np.abs(L), np.abs(dense_factor(post))))
 
 
 def expanded_rel(post, x):
@@ -375,27 +376,41 @@ def expanded_rel(post, x):
     return 4 * (n + 2) * EPS * (1 + (sq_X + sq_x) / l2 + abs(2 * math.log(post.kernel.sigma_f)))
 
 
-def read_tolerance(post, norms, x, k, w):
+def left_residual_bound(post, norms):
+    """``2 N eps || |W| || || |L| ||``: the bound on ``||W L - I||`` that
+    the posterior's inverse factor W keeps against the oracle factor L of
+    the same Gram matrix; ``norms`` is ``factor_norms(post, L)``.
+
+    W is grown a block of rows at a time, each block from the rows before
+    it, as LAPACK's ``dtrtri`` builds each block column of ``L^{-1}`` from
+    the ones after it; for ``dtrtri`` the left residual ``|W L - I| <=
+    2 N eps |W| |L|`` is proven (Du Croz & Higham 1992). Here L is a
+    second factorization of the same matrix, so the bound is a measured
+    one: ``TestInverseFactor`` checks it at every data count it grows
+    through, and it held with at most a sixth of its margin used.
+    """
+    return 2 * post.n_samples * EPS * norms[3] * norms[2]
+
+
+def read_tolerance(post, norms, x, k, w, rel=None):
     """Bounds on |mean - mean'| (per channel) and |var - var'| between a
     point read and a solve's read, each of whose kernel vectors carries
-    the expanded form's error; ``norms`` is ``chol_norms(post)``.
+    the expanded form's error (``rel``, by default ``expanded_rel``);
+    ``norms`` is ``factor_norms(post, L)`` and ``w = L^{-1} k``.
 
-    Each kernel entry is off by at most ``expanded_rel`` relative, which
-    reaches ``w = L^{-1} k`` through ``||L^{-1}||``; the dot products add
-    their own ``N eps`` rounding. Here ``||.||`` is the spectral norm and
-    ``|.|`` the entrywise absolute value. Where ``w`` comes from, the two
-    forms of the point read differ:
+    Each kernel entry is off by at most ``rel`` relative, which reaches
+    ``w`` through ``||L^{-1}||``; the dot products add their own ``N eps``
+    rounding. Here ``||.||`` is the spectral norm and ``|.|`` the
+    entrywise absolute value. Where ``w`` comes from, the two reads
+    differ:
 
-    - a triangular solve (``dtrsv``, ``dtrtrs``) is backward stable,
-      ``(L + dL) w' = k`` with ``|dL| <= N eps |L|``, so ``||w' - w|| <=
-      N eps ||L^{-1}|| ||L|| ||w||`` per read;
-    - the inverse factor's read ``w' = W' k`` takes ``W'`` from
-      ``dtrtri``, which computes each block column of ``L^{-1}`` from the
-      ones after it, so its left residual is small: ``|W' L - I| <=
-      2 N eps |W'| |L|``. So ``W' k - w = (W' L - I) w`` is at most
-      ``2 N eps || |L^{-1}| || || |L| || ||w||``, and the product's own
-      rounding, ``N eps || |L^{-1}| || ||k||`` with ``||k|| <= ||L||
-      ||w||``, at most half that again: ``3 N eps || |L^{-1}| ||
+    - a triangular solve is backward stable, ``(L + dL) w' = k`` with
+      ``|dL| <= N eps |L|``, so ``||w' - w|| <= N eps ||L^{-1}|| ||L||
+      ||w||`` per read;
+    - the posterior's read ``w' = W k`` differs from ``w`` by ``(W L -
+      I) w``, at most ``left_residual_bound`` times ``||w||``, and the
+      product's own rounding, ``N eps || |W| || ||k||`` with ``||k|| <=
+      ||L|| ||w||``, at most half that again: ``3 N eps || |W| ||
       || |L| || ||w||`` in all.
 
     Below the normal range rounding is absolute, up to half a subnormal
@@ -405,13 +420,14 @@ def read_tolerance(post, norms, x, k, w):
     units.
     """
     N = post.n_samples
-    rel = expanded_rel(post, x)
+    if rel is None:
+        rel = expanded_rel(post, x)
     floor = 2 * N * TINY
     tol_mean = 2 * (rel + N * EPS) * (k @ np.abs(post.alpha)) + floor
-    l_norm, l_inv_norm, abs_l_norm, abs_inv_norm = norms
+    l_norm, l_inv_norm = norms[:2]
     w_norm, k_norm = float(np.linalg.norm(w)), float(np.linalg.norm(k))
     solve = N * EPS * l_norm * w_norm * l_inv_norm
-    point = solve if post.R is None else 3 * N * EPS * abs_inv_norm * abs_l_norm * w_norm
+    point = 1.5 * left_residual_bound(post, norms) * w_norm
     dw = 2 * rel * k_norm * l_inv_norm + solve + point
     tol_var = (2 * w_norm * dw + dw**2 + 2 * N * EPS * w_norm**2
                + 4 * EPS * post.kernel.sigma_f**2 + floor)
@@ -451,12 +467,13 @@ class TestExpandedRead:
         return np.vstack([inside, on_box, corners])
 
     @pytest.mark.parametrize("kernel", [KERNEL, gp.SeKernel(sigma_f=2.0, length_scale=0.5)])
-    @pytest.mark.parametrize("N", [1, 22, gp._INVERSE_READ_MAX, gp._INVERSE_READ_MAX + 1, 512])
+    @pytest.mark.parametrize("N", [1, 22, gp._PANEL_ROWS, gp._PANEL_ROWS + 1, 512])
     def test_matches_the_direct_difference_read(self, N, kernel):
         post = self.posterior(N, kernel)
-        norms = chol_norms(post)
+        L = oracle_factor(post)
+        norms = factor_norms(post, L)
         for x in self.queries(post):
-            k, w, mean_o, var_o = direct_read(post, x)
+            k, w, mean_o, var_o = direct_read(post, L, x)
             tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
             mean, std = post.point_eval(tuple(x.tolist()))
             assert np.all(np.abs(mean - mean_o) <= tol_mean)
@@ -546,38 +563,44 @@ class TestExpandedRead:
         post = gp.fit(X, rng.normal(size=(N, m)), noise, kernel)
         Xq = np.vstack([X[:3] + 1e-3, rng.uniform(-BOX, BOX, size=(5, n))])
         mean_b, std_b = post.predict_batch(Xq)
-        norms = chol_norms(post)
+        L = oracle_factor(post)
+        norms = factor_norms(post, L)
         for i, x in enumerate(Xq):
-            k, w, _, _ = direct_read(post, x)
+            k, w, _, _ = direct_read(post, L, x)
             tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
             mean, std = post.point_eval(x)
             assert np.all(np.abs(mean - mean_b[i]) <= tol_mean)
             assert abs(std**2 - std_b[i, 0] ** 2) <= tol_var
 
 
-def oracle_tolerance(post, norms, x, k, w, Y):
+def oracle_tolerance(post, norms, x, k, w, Y, L):
     """Bounds on |mean - mean_o| (per channel) and |var - var_o| between a
     point read and ``naive_predict``'s, derived as ``read_tolerance``
-    derives its own: its bounds, which cover the point read's error on
-    the factor ``L`` it was fitted with, plus the oracle's, to first order,
-    with ``||.||`` the spectral norm, ``|.|`` the entrywise absolute value,
-    ``z = L^{-1} Y`` per channel and ``K^{-1} k = L^{-T} w``.
+    derives its own: its bounds, which cover the point read's error
+    against the oracle factor ``L`` of the posterior's Gram matrix K, plus
+    the oracle's, to first order, with ``||.||`` the spectral norm, ``|.|``
+    the entrywise absolute value, ``z = L^{-1} Y`` per channel and
+    ``K^{-1} k = L^{-T} w``.
 
     - The oracle's Gram matrix K' comes from direct differences, within
       ``expanded_rel`` of the expanded form's entry by entry. K is
       positive entrywise, so ``||K' - K|| <= rel ||K||``.
     - Each Cholesky factor is the exact one of a matrix within
       ``|dK| <= (N + 1) eps |L| |L^T|`` of its own, so ``||dK|| <= (N + 1)
-      eps || |L| ||^2``: the oracle's of K', the fit's of K. With the
-      first term, ``L L^T`` and the oracle's factored matrix differ by
-      ``D = rel ||K|| + 2 (N + 1) eps || |L| ||^2`` in norm, which moves
-      the mean by at most ``||K^{-1} k|| D ||alpha||`` and the variance by
-      ``||K^{-1} k||^2 D``.
+      eps || |L| ||^2``: the oracle's of K', L's of K. With the first
+      term, ``L L^T`` and the oracle's factored matrix differ by ``D = rel
+      ||K|| + 2 (N + 1) eps || |L| ||^2`` in norm, which moves the mean by
+      at most ``||K^{-1} k|| D ||alpha||`` and the variance by ``||K^{-1}
+      k||^2 D``.
     - Each triangular solve is backward stable, ``|dL| <= N eps |L|``, so
       it moves its result ``v = L^{-1} b`` by ``N eps || |L| || ||L^{-1}||
-      ||v||``. The mean takes four: the oracle's ``L^{-1} k`` and ``L^{-1}
-      Y`` and the fit's two for ``alpha``, each moving it by that times
-      ``||w|| ||z||``. The variance takes the oracle's ``L^{-1} k``, twice.
+      ||v||``. The mean takes the oracle's two, ``L^{-1} k`` and ``L^{-1}
+      Y``, each moving it by that times ``||w|| ||z||``. The variance takes
+      the oracle's ``L^{-1} k``, twice.
+    - The fit's ``alpha = W^T (W Y)`` takes two products with W, each off
+      from L^{-1}'s by ``left_residual_bound`` plus its own rounding, ``N
+      eps || |W| || || |L| ||``, relative to ``||z||``; each moves the mean
+      by that times ``||w|| ||z||``.
     - The oracle's dot products round by ``N eps ||w|| ||z||`` and ``N
       eps ||w||^2``. Its subtraction from ``sigma_f^2`` rounds by at most
       half an ulp of ``sigma_f^2``, within the ``4 eps sigma_f^2`` of
@@ -585,50 +608,53 @@ def oracle_tolerance(post, norms, x, k, w, Y):
 
     ``||K|| = ||L||^2`` and ``||K^{-1} k|| <= ||L^{-1}|| ||w||``.
     """
-    from scipy.linalg import solve_triangular
-
     tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
     N = post.n_samples
     rel = expanded_rel(post, x)
-    l_norm, l_inv_norm, abs_l_norm = norms[:3]
+    l_norm, l_inv_norm, abs_l_norm, abs_w_norm = norms
     D = rel * l_norm**2 + 2 * (N + 1) * EPS * abs_l_norm**2
     w_norm = float(np.linalg.norm(w))
     kinv_k = l_inv_norm * w_norm
     solve = N * EPS * abs_l_norm * l_inv_norm
-    z_norm = np.linalg.norm(solve_triangular(post.chol, Y, lower=True), axis=0)
+    product = left_residual_bound(post, norms) + N * EPS * abs_w_norm * abs_l_norm
+    z_norm = np.linalg.norm(solve_triangular(L, Y, lower=True), axis=0)
     a_norm = np.linalg.norm(post.alpha, axis=0)
     tol_mean = (tol_mean + kinv_k * D * a_norm
-                + (4 * solve + N * EPS) * w_norm * z_norm)
+                + (2 * solve + 2 * product + N * EPS) * w_norm * z_norm)
     tol_var = tol_var + kinv_k**2 * D + (2 * solve + N * EPS) * w_norm**2
     return tol_mean, tol_var
 
 
-@pytest.mark.parametrize("N", [gp._INVERSE_READ_MAX, gp._INVERSE_READ_MAX + 1])
+@pytest.mark.parametrize("N", [gp._PANEL_ROWS, gp._PANEL_ROWS + 1])
 class TestReadForms:
-    """Up to ``_INVERSE_READ_MAX`` points a posterior is read through its
-    inverse factor, one point more and it is read through a solve; both
-    forms read within their bound of the dense oracle, and in each the
-    tick's read and the row's read share one mean."""
+    """Up to ``_PANEL_ROWS`` points a posterior's inverse factor is one
+    panel, read with the weights in one product; one point more and it
+    takes a second panel, read after the mean's own product. Both forms
+    read within their bound of the dense oracle, and in each the tick's
+    read and the row's read share one mean."""
 
     def test_the_form_changes_past_the_constant(self, N):
         X, Y = box_data(N)
         post = gp.fit(X, Y, 1e-4, KERNEL)
-        if N <= gp._INVERSE_READ_MAX:
-            W = dtrtri(post.chol, lower=1)[0]
+        h = gp._PANEL_ROWS
+        if N <= h:
+            assert [panel.shape for panel in post.panels] == [(N, N)]
             assert post.R.shape == (3 + N, N) and post.R.flags.c_contiguous
-            assert np.array_equal(post.R, np.vstack([post.alpha.T, W]))
+            assert np.array_equal(post.R, np.vstack([post.alpha.T, post.panels[0]]))
         else:
+            assert [panel.shape for panel in post.panels] == [(h, h), (N - h, N)]
             assert post.R is None
 
     def test_matches_the_dense_oracle(self, N):
         X, Y = box_data(N)
         post = gp.fit(X, Y, 1e-4, KERNEL)
-        norms = chol_norms(post)
+        L = oracle_factor(post)
+        norms = factor_norms(post, L)
         Xq = TestExpandedRead.queries(post)
         mean_o, std_o = naive_predict(X, Y, 1e-4, KERNEL, Xq)
         for i, x in enumerate(Xq):
-            k, w, _, _ = direct_read(post, x)
-            tol_mean, tol_var = oracle_tolerance(post, norms, x, k, w, Y)
+            k, w, _, _ = direct_read(post, L, x)
+            tol_mean, tol_var = oracle_tolerance(post, norms, x, k, w, Y, L)
             mean, std = post.point_eval(x)
             assert np.all(np.abs(mean - mean_o[i]) <= tol_mean)
             assert abs(std**2 - std_o[i] ** 2) <= tol_var
@@ -661,6 +687,95 @@ class TestReadForms:
         assert doubled.point_eval(x)[1] == std
 
 
+class TestInverseFactor:
+    """Given the posterior fitted on a prefix of its data, fit appends the
+    new rows of the inverse factor and shares the full panels; otherwise
+    it regrows the factor. Either way the factor keeps its left-residual
+    bound against the oracle factor and reads within the read tolerance
+    of a triangular solve."""
+
+    H = gp._PANEL_ROWS
+    CHECKS = (1, 20, H - 1, H, H + 1, 512)
+
+    @staticmethod
+    def data(n):
+        rng = np.random.default_rng(41)
+        X = rng.uniform(-3.0, 3.0, size=(n, 3))
+        Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(n, 3))
+        return X, Y
+
+    @staticmethod
+    def check_against_the_oracle(post):
+        """Returns the factor W, the oracle factor L and the residual bound."""
+        L = oracle_factor(post)
+        norms = factor_norms(post, L)
+        W = dense_factor(post)
+        bound = left_residual_bound(post, norms)
+        assert np.linalg.norm(W @ L - np.eye(post.n_samples), 2) <= bound
+        for x in TestExpandedRead.queries(post)[::3]:
+            k, w, mean_o, var_o = direct_read(post, L, x)
+            tol_mean, tol_var = read_tolerance(post, norms, x, k, w)
+            mean, std = post.point_eval(x)
+            assert np.all(np.abs(mean - mean_o) <= tol_mean)
+            assert abs(std**2 - max(var_o, 0.0)) <= tol_var
+        return W, L, bound
+
+    @pytest.mark.parametrize("step", [10, 20])
+    def test_appends_match_a_regrow_and_the_oracle(self, step):
+        X, Y = self.data(512 + step)
+        post = gp.fit(X[:0], Y[:0], 1e-4, KERNEL)
+        for N in sorted(set(range(step, 513, step)) | set(self.CHECKS)):
+            post = gp.fit(X[:N], Y[:N], 1e-4, KERNEL, prev=post)
+            if N in self.CHECKS:
+                W_a, L, bound_a = self.check_against_the_oracle(post)
+                W_r, _, bound_r = self.check_against_the_oracle(
+                    gp.fit(X[:N], Y[:N], 1e-4, KERNEL))
+                # W_a - W_r = ((W_a L - I) - (W_r L - I)) L^{-1}
+                l_inv = np.linalg.norm(np.linalg.inv(L), 2)
+                assert np.linalg.norm(W_a - W_r, 2) <= (bound_a + bound_r) * l_inv
+        # the first refit after a FIFO eviction regrows the whole factor
+        evicted = gp.fit(X[step:], Y[step:], 1e-4, KERNEL, prev=post)
+        fresh = gp.fit(X[step:], Y[step:], 1e-4, KERNEL)
+        assert len(evicted.panels) == len(fresh.panels)
+        assert all(np.array_equal(a, b) for a, b in zip(evicted.panels, fresh.panels))
+        assert np.array_equal(evicted.alpha, fresh.alpha)
+        assert not any(a is b for a, b in zip(evicted.panels, post.panels))
+        self.check_against_the_oracle(evicted)
+
+    def test_a_successor_shares_the_full_panels(self):
+        H = self.H
+        X, Y = self.data(2 * H + 44)
+        first = gp.fit(X[:2 * H + 14], Y[:2 * H + 14], 1e-4, KERNEL)
+        succ = gp.fit(X, Y, 1e-4, KERNEL, prev=first)
+        assert [p.shape for p in succ.panels] == [(H, H), (H, 2 * H), (44, 2 * H + 44)]
+        assert succ.panels[0] is first.panels[0] and succ.panels[1] is first.panels[1]
+        # the last panel is continued in a longer copy; its rows are kept
+        last = succ.panels[2]
+        assert last is not first.panels[2] and last.flags.c_contiguous
+        assert np.array_equal(last[:14, :2 * H + 14], first.panels[2])
+        assert not last[:14, 2 * H + 14:].any()
+
+    @pytest.mark.parametrize("change", ["kernel", "noise", "inputs", "dimension"])
+    def test_a_prev_fitted_otherwise_is_ignored(self, change):
+        X, Y = self.data(40)
+        prev = gp.fit(X[:20], Y[:20], 1e-4, KERNEL)
+        kernel, noise = KERNEL, 1e-4
+        if change == "kernel":
+            kernel = gp.SeKernel(sigma_f=1.0, length_scale=2.0)
+        elif change == "noise":
+            noise = 2e-4
+        elif change == "inputs":
+            X = X.copy()
+            X[3, 1] = np.nextafter(X[3, 1], 0.0)
+        else:
+            prev = gp.fit(X[:20, :2], Y[:20], 1e-4, KERNEL)
+        got = gp.fit(X, Y, noise, kernel, prev=prev)
+        want = gp.fit(X, Y, noise, kernel)
+        assert all(np.array_equal(a, b) for a, b in zip(got.panels, want.panels))
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.panels[0] is not prev.panels[0]
+
+
 class TestUniformBound:
     CFG = gp.UniformBoundConfig(kappa=15.0, xi=0.001, delta=0.01)
 
@@ -690,8 +805,8 @@ class TestUniformBound:
     def test_grid_max_memory_bounded_at_cap(self):
         # N = 512 is the learner's cap: the 21^3 publish grid is read in
         # blocks, so the peak stays far below the one-shot (N, 9261) arrays.
-        # Per block the kernel is one (N, 512) Fortran-order buffer, which
-        # the solve overwrites in place (2.2 MB traced in all)
+        # Per block the read holds one (N, 512) kernel block and one
+        # panel's (128, 512) product (2.6 MB traced in all)
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(512, 3))
         Y = np.stack([poly_f(x) for x in X]) + 0.01 * rng.normal(size=(512, 3))
@@ -806,7 +921,7 @@ class TestGridMaxBranches:
     def test_grid_max_memory_flat_in_grid_size(self):
         # a 101^3 grid is 1030301 points: its meshgrid and stack alone would
         # be 49 MB. Built a block at a time, the read holds one (64, 512)
-        # kernel block, solved in place (0.33 MB traced in all)
+        # kernel block and its panel product
         corners = np.array(list(itertools.product((-5.0, 5.0), repeat=3)))
         X = np.vstack([corners, np.random.default_rng(7).uniform(-5.0, 5.0, size=(56, 3))])
         post = self.fitted(X)

@@ -81,6 +81,26 @@ class TestBufferSchedule:
         # the newest target is the sample just pushed
         assert buf.target_X[-1] == state(2000)
 
+    def test_a_refit_appends_to_the_published_factor(self):
+        # each refit hands gp.fit the published posterior: until the FIFO
+        # evicts, the new model shares its full panels of the inverse
+        # factor; the refit after an eviction is the fit of its data alone
+        h = gp._PANEL_ROWS
+        lrn = make_learner(N_update=h // 2, max_points=2 * h)
+        models = []
+        for k in range(1, 5 * h // 2 + 1):
+            lrn.push(state(k), ZERO, ZERO)
+            if lrn.maybe_update(float(k), ZERO):
+                models.append(lrn.model.posterior)
+        assert [p.n_samples for p in models] == [h // 2, h, 3 * h // 2, 2 * h, 2 * h]
+        assert models[2].panels[0] is models[1].panels[0] is models[3].panels[0]
+        evicted, buf = models[4], lrn.buffer
+        fresh = gp.fit(np.asarray(buf.target_X), np.asarray(buf.target_Y),
+                       lrn.cfg.sigma_n**2, lrn.cfg.kernel)
+        assert evicted.panels[0] is not models[3].panels[0]
+        assert all(np.array_equal(a, b) for a, b in zip(evicted.panels, fresh.panels))
+        assert np.array_equal(evicted.alpha, fresh.alpha)
+
     def test_targets_match_a_batch_reconstruction(self):
         # the oracle makes every target of the stream so far at once,
         # drawing the noise from a same-seed generator in sample order; the

@@ -28,8 +28,9 @@ def test_short_run_reports_one_json_line(tmp_path, capsys):
     assert res["exit_code"] == 0 and res["duration_s"] == 2.0
     assert res["max_rss_mb"] > 0 and res["cpu_s"] > 0
     assert res["rtf"] == 2.0 / res["wall_s"]
-    # a simulate writes its summary with numpy
+    # a simulate writes its summary with numpy; no run loads scipy
     assert res["command"] == "simulate" and res["numpy_loaded"] is True
+    assert res["scipy_loaded"] is False
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["t_final"] == 2.0
 
@@ -43,6 +44,7 @@ def test_margin_reports_its_candidates_and_no_numpy(tmp_path, capsys):
     assert code == 0
     res = json.loads(capsys.readouterr().out)
     assert res["command"] == "margin" and res["numpy_loaded"] is False
+    assert res["scipy_loaded"] is False
     margin = json.loads((tmp_path / "out" / "margin.json").read_text())
     assert margin["horizon_s"] == 0.5
     assert res["rtf"] == len(margin["candidates"]) * 0.5 / res["wall_s"]
@@ -56,3 +58,5 @@ def test_a_run_without_outputs_has_null_figures(tmp_path, capsys):
     res = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert res["command"] == "simulate"
     assert res["rtf"] is None and res["numpy_loaded"] is None
+    # the child still tells what it imported before it failed
+    assert res["scipy_loaded"] is False

@@ -299,11 +299,6 @@ class TestCholeskySolve:
         assert np.allclose(L @ L.T, S, rtol=1e-12, atol=1e-10)
 
 
-def test_missing_scipy_wrapper_is_named():
-    with pytest.raises(ModuleNotFoundError, match="'scipy.linalg._nonesuch'"):
-        numerics._scipy_wrapper("_nonesuch")
-
-
 class TestRk4:
     def test_zero_field(self):
         x = np.array([1.0, -2.0])
