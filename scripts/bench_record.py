@@ -82,12 +82,24 @@ def summarize_side(records: dict) -> dict:
 
 
 def environment(by_workload: dict) -> dict:
-    """The environment of the side's records, which must all agree."""
-    envs = {json.dumps(r["env"], sort_keys=True)
-            for records in by_workload.values() for r in records.values()}
+    """The environment of the side's end-to-end records, which must all
+    agree. If they do not, the error lists each environment by its commit
+    and the other fields that set it apart, with the record files that
+    ran in it, so that stale records can be moved aside."""
+    files: dict = {}
+    for workload, records in sorted(by_workload.items()):
+        for seed, record in sorted(records.items()):
+            files.setdefault(json.dumps(record["env"], sort_keys=True), []).append(
+                f"{workload}-seed{seed}-trace0.json")
+    envs = [json.loads(env) for env in files]
     if len(envs) != 1:
-        raise ValueError(f"the records ran in {len(envs)} different environments")
-    return json.loads(envs.pop())
+        keys = ["commit"] + sorted(k for k in set().union(*envs) - {"commit"}
+                                   if len({json.dumps(e.get(k)) for e in envs}) > 1)
+        lines = [", ".join(f"{k} {env.get(k)}" for k in keys) + ": " + ", ".join(names)
+                 for env, names in zip(envs, files.values())]
+        raise ValueError(f"the records ran in {len(envs)} different environments:\n  "
+                         + "\n  ".join(lines))
+    return envs[0]
 
 
 def relative(before: dict, after: dict) -> dict:

@@ -20,46 +20,56 @@ the box ``|x|_inf <= 15`` at unit length scale.
 
 A posterior holds the inverse factor ``W = L^{-1}`` of ``K + sigma_n^2
 I``, the factor Rasmussen & Williams (2006, Alg. 2.1) read through, made
-and read with numpy alone. W is kept as C-order row panels of at most h
-= ``_PANEL_ROWS`` rows: panel j holds rows ``jh .. jh + r - 1`` of W over
-columns ``0 .. jh + r - 1``, where the rest of those rows is zero. Row i
-of W depends on the first i + 1 data only, so :func:`fit`, given the
-previous posterior whose inputs are the first rows of the new ones,
-computes the new rows alone and shares the full panels; other data (a
-FIFO eviction) regrows W. Each block of new rows, within one panel,
-takes a gemm with each panel before it, ``np.linalg.cholesky`` of the
-block's Schur complement and the inverse of that factor. The weights are
-``alpha = W^T (W Y)``.
+and read with numpy alone. W is kept as C-order row panels of h =
+``_PANEL_ROWS`` rows, the last of 1 to h: panel j holds rows ``jh .. jh
++ r - 1`` of W over columns ``0 .. jh + r - 1``, where the rest of those
+rows is zero. Row i of W depends on the first i + 1 data only, so
+:func:`fit`, given the previous posterior whose inputs are the first rows
+of the new ones, computes the new rows alone and shares the full panels;
+other data (a FIFO eviction) regrows W. Each block of new rows, within
+one panel, takes a gemm with each panel before it,
+``np.linalg.cholesky`` of the block's Schur complement and the inverse of
+that factor. The weights are ``alpha = W^T (W Y)``.
 
 A run reads the posterior only at the loop's state: its mean and std at
 every 1 kHz tick and at each publish (:meth:`GpPosterior.point_eval`),
 and the mean alone at a recorded row with no tick in its step
 (:meth:`GpPosterior.mean_at`). With ``w = W k`` the variance is
-``sigma_f^2 - w.w``. A posterior of 1 <= N <= h points has one panel and
-holds ``R = [alpha^T; W]``, (m + N) x N, so the tick's read is one
-product ``z = R k``: the mean ``z[:m]`` and ``w = z[m:]``. A larger one
-reads the mean as ``k . alpha`` and sums ``w.w`` over each panel's ``P @
-k[:e]``, ``e`` its width. In either form the tick's read and the row's
-share one expression for the mean, so their means are the same bits. A
-query of the wrong length raises :class:`numerics.DimensionError`.
+``sigma_f^2 - w.w``. A posterior of N >= 1 points has one read form: it
+holds ``R = [alpha^T; P]``, (m + r) x N, with P its last panel, and P is
+the view ``R[m:]``, so R is that panel's only storage. The tick's read
+is one product ``z = R k``, which gives the mean ``z[:m]`` and the last
+panel's ``w = z[m:]``, and one product ``P_j k[:e]`` per full panel
+before it, ``e`` its width. The row's read is ``(R k)[:m]``, the tick's
+expression for the mean, so the two read the same bits. A query of the
+wrong length raises :class:`numerics.DimensionError`.
 
-h is where the one product stops paying: its N^2 multiply-adds against
-the panels' N (N + h) / 2, and a panel's few library calls. The tick's
-read, ``point_eval`` at one point, in microseconds on a 2-core x86_64
-host (numpy 2.4.6, one BLAS thread; each figure the median over 8 fits
-of the minimum of 30 x 200 calls), against the read before the panels,
-one product up to N = 128 and above it ``k . alpha`` and a BLAS
-``dtrsv`` solve against L:
+h bounds the read's arithmetic: the panels take about N (N + h) / 2
+multiply-adds, against the N^2 of one product with all of W, and up to h
+points the whole read is one product, whose cost there is its library
+calls. The tick's read, ``point_eval`` at one point, in
+microseconds on a 2-core x86_64 host (numpy 2.4.6, one BLAS thread; the
+median over 4 fits of 9 rounds, the two reads alternating, each the
+minimum of 5 x 2000 calls), against the two read forms before R held the
+last panel (one product with ``[alpha^T; W]`` up to N = 128; above it
+``k . alpha`` and a product per panel):
 
-    N          8     56    128    129    256    300    384    512
-    solve   3.17   3.89   5.47   6.60  11.50  14.84  20.85  35.96
-    panels  3.18   3.86   5.28   6.69  10.12  13.62  17.33  27.29
+    N            8     56    128    129    256    257    384    512
+    two forms  3.07   3.50   5.21   6.46  10.40  13.87  17.00  28.24
+    one form   3.17   3.61   5.35   6.20  10.15  13.56  16.28  27.27
 
-Every panel and ``R`` starts on a 64-byte boundary (numpy's own is 16
+Up to N = 128 the one form pays for an empty loop over the full panels;
+above it, it saves the mean's own product.
+
+R and every full panel start on a 64-byte boundary (numpy's own is 16
 bytes): OpenBLAS's gemv reads a matrix that starts on a 32-byte one
-about 30% faster at N = 128 to 256, to the same bits. A panel is one
-contiguous array: ``ndarray.dot`` copies a strided view before its
-gemv.
+about 30% faster at N = 128 to 256, to the same bits. Full panel j is
+the view ``[m:]`` of the (m + h) x (j + 1) h array it was made in, as
+the last panel of an R, ``8 m h (j + 1)`` bytes from its start: a
+multiple of 64. A panel is one contiguous array:
+``ndarray.dot`` copies a strided view before its gemv. Every array of a
+posterior is read-only, so a deepcopy of it is the posterior itself, and
+keeps that alignment.
 """
 
 from __future__ import annotations
@@ -87,9 +97,8 @@ __all__ = [
 # (N, rows) cross-kernel
 _GRID_BLOCK = 512
 
-# rows per panel of the inverse factor; a posterior of at most this many
-# points reads through one product (the read table is in the module
-# docstring)
+# rows per full panel of the inverse factor; the last panel holds 1 to
+# this many (the read table is in the module docstring)
 _PANEL_ROWS = 128
 
 
@@ -155,44 +164,54 @@ class GpPosterior:
     Frozen, so what is derived from the fields when the posterior is built
     (the dimensions ``n_inputs``, ``n_outputs`` and ``n_samples``, the read
     matrix ``Xa`` of the module docstring, ``signal_var = sigma_f**2``, the
-    small model's read matrix ``R`` and the prior's mean) cannot go stale
-    against them. A posterior compares and hashes by identity: its arrays
-    have no truth value, so two fits on the same data are two models. With
-    zero training points the posterior reduces to the prior: mean 0, std
-    sigma_f.
+    weights ``alpha``, the ``panels`` and the prior's mean) cannot go stale
+    against them. A posterior is a value: every array it holds is
+    read-only, so a deepcopy (a scenario ``Snapshot``'s) is the posterior
+    itself, whose arrays keep their alignment. It compares and hashes by
+    identity: its arrays have no truth value, so two fits on the same data
+    are two models. With zero training points the posterior reduces to the
+    prior: mean 0, std sigma_f.
     """
 
     kernel: SeKernel
     noise_var: float       # sigma_n**2, on the Gram matrix's diagonal
     X: np.ndarray          # (N, n) training inputs
-    alpha: np.ndarray      # (N, m) weights (K + noise I)^{-1} Y
-    # W = L^{-1} as C-order row panels: panel j is (r, jh + r), rows jh ..
-    # jh + r - 1 of W up to its diagonal, with h = _PANEL_ROWS
-    panels: tuple
-    n_outputs: int = field(init=False, compare=False)  # m, from alpha
+    # (m + r, N) [alpha^T; the last panel of W], C order on a 64-byte
+    # boundary: the one read of the module docstring, and the last panel's
+    # only storage (for the prior, (m, 0))
+    R: np.ndarray
+    # the full panels of W before the last: panel j is (h, (j + 1) h), rows
+    # jh .. jh + h - 1 of W up to its diagonal, with h = _PANEL_ROWS
+    full_panels: tuple
+    n_outputs: int = field(init=False, compare=False)  # m, from R
     n_inputs: int = field(init=False, compare=False)  # n, from X
     Xa: np.ndarray = field(init=False, repr=False, compare=False)  # (N, n + 2) read matrix
     signal_var: float = field(init=False, repr=False, compare=False)  # sigma_f**2
     n_samples: int = field(init=False, repr=False, compare=False)  # N
-    # (m + N, N) [alpha^T; W], C order, for 1 <= N <= _PANEL_ROWS; else None
-    R: np.ndarray | None = field(init=False, repr=False, compare=False)
-    zero_mean: np.ndarray = field(init=False, repr=False, compare=False)  # (m,) read-only
+    # (N, m) weights (K + noise I)^{-1} Y, a C-order copy of R[:m]^T: the
+    # batch read's gemm rounds a transposed view to other bits
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    # every panel of W: full_panels, then the view R[m:]; none for the prior
+    panels: tuple = field(init=False, repr=False, compare=False)
+    zero_mean: np.ndarray = field(init=False, repr=False, compare=False)  # (m,)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_samples", self.X.shape[0])
+        N = self.X.shape[0]
+        # R's rows less the last panel's N - h * (number of full panels)
+        m = self.R.shape[0] - N + _PANEL_ROWS * len(self.full_panels)
+        object.__setattr__(self, "n_samples", N)
         object.__setattr__(self, "n_inputs", self.X.shape[1])
-        object.__setattr__(self, "n_outputs", self.alpha.shape[1])
+        object.__setattr__(self, "n_outputs", m)
         object.__setattr__(self, "Xa", _read_matrix(self.X, self.kernel))
         object.__setattr__(self, "signal_var", self.kernel.sigma_f**2)
-        R = None
-        if 1 <= self.n_samples <= _PANEL_ROWS:
-            R = _aligned_zeros(self.n_outputs + self.n_samples, self.n_samples)
-            R[:self.n_outputs] = self.alpha.T
-            R[self.n_outputs:] = self.panels[0]
-        object.__setattr__(self, "R", R)
-        zero_mean = np.zeros(self.n_outputs)
-        zero_mean.flags.writeable = False
-        object.__setattr__(self, "zero_mean", zero_mean)
+        object.__setattr__(self, "alpha", self.R[:m].T.copy())
+        object.__setattr__(self, "panels", self.full_panels + (self.R[m:],) if N else ())
+        object.__setattr__(self, "zero_mean", np.zeros(m))
+        for a in (self.X, self.R, self.Xa, self.alpha, self.zero_mean, *self.panels):
+            a.flags.writeable = False
+
+    def __deepcopy__(self, memo):
+        return self
 
     def predict_batch(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (P, m) and per-channel std (P, m) at query rows Xq.
@@ -239,10 +258,7 @@ class GpPosterior:
             raise self._dimension_error(len(x))
         if self.n_samples == 0:
             return self.zero_mean
-        k = self._kernel_vector(x)
-        if self.R is None:
-            return k.dot(self.alpha)
-        return self.R.dot(k)[:self.n_outputs]
+        return self.R.dot(self._kernel_vector(x))[:self.n_outputs]
 
     def point_eval(self, x) -> tuple[np.ndarray, float]:
         """Mean (m,) and the shared per-channel std at one point. Hot-loop variant.
@@ -256,17 +272,13 @@ class GpPosterior:
         if self.n_samples == 0:
             return self.zero_mean, self.kernel.sigma_f
         k = self._kernel_vector(x)
-        if self.R is None:
-            mean = k.dot(self.alpha)
-            ww = 0.0
-            for panel in self.panels:
-                w = panel.dot(k[:panel.shape[1]])
-                ww += w.dot(w)
-        else:
-            z = self.R.dot(k)
-            mean, w = z[:self.n_outputs], z[self.n_outputs:]
-            ww = w.dot(w)
-        var = self.signal_var - ww
+        ww = 0.0
+        for panel in self.full_panels:
+            w = panel.dot(k[:panel.shape[1]])
+            ww += w.dot(w)
+        z = self.R.dot(k)
+        mean, w = z[:self.n_outputs], z[self.n_outputs:]
+        var = self.signal_var - (ww + w.dot(w))
         # round-off can push the variance a hair negative: read 0 there
         return mean, 0.0 if var < 0.0 else math.sqrt(var)
 
@@ -309,10 +321,10 @@ def fit(
 
     ``prev`` is a posterior the caller fitted before, such as the model a
     learner published last. When it has the same kernel and noise and its
-    inputs are the first rows of X, its rows of the inverse factor are
-    kept and only the new ones are computed; its full panels are shared,
-    not copied. Any other ``prev`` is ignored, and the factor is grown
-    from its first row.
+    inputs are the first rows of X, fewer than X's, its rows of the
+    inverse factor are kept and only the new ones are computed; its full
+    panels are shared, not copied. Any other ``prev`` is ignored, and the
+    factor is grown from its first row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -320,35 +332,34 @@ def fit(
         raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     if not 0.0 < noise_var < math.inf:
         raise ValueError("noise_var must be positive and finite")
+    N, m = Y.shape
     panels: list[np.ndarray] = []
-    if (prev is not None and prev.kernel == kernel and prev.noise_var == noise_var
-            and np.array_equal(prev.X, X[:prev.n_samples])):
+    if (prev is not None and prev.n_samples < N and prev.kernel == kernel
+            and prev.noise_var == noise_var and np.array_equal(prev.X, X[:prev.n_samples])):
         panels += prev.panels
     Xa = _read_matrix(X, kernel)
     s = sum(panel.shape[0] for panel in panels)
-    while s < X.shape[0]:
-        e = min(X.shape[0], (s // _PANEL_ROWS + 1) * _PANEL_ROWS)
-        _append_rows(panels, Xa, X, s, e, kernel.sigma_f**2 + noise_var)
+    R = _aligned_zeros(m, 0)  # the prior's: no row of W
+    while s < N:
+        e = min(N, (s // _PANEL_ROWS + 1) * _PANEL_ROWS)
+        R = _append_rows(panels, Xa, X, s, e, kernel.sigma_f**2 + noise_var, m)
         s = e
-    # alpha = W^T (W Y), a panel at a time
-    alpha = np.zeros(Y.shape)
+    # alpha = W^T (W Y), a panel at a time, into R's first m rows
+    alpha = R[:m].T
     for panel in panels:
         e = panel.shape[1]
         alpha[:e] += panel.T @ (panel @ Y[:e])
-    return GpPosterior(
-        kernel=kernel,
-        noise_var=noise_var,
-        X=X.copy(),
-        alpha=alpha,
-        panels=tuple(panels),
-    )
+    return GpPosterior(kernel=kernel, noise_var=noise_var, X=X.copy(), R=R,
+                       full_panels=tuple(panels[:-1]))
 
 
 def _append_rows(panels: list, Xa: np.ndarray, X: np.ndarray, s: int, e: int,
-                 diag: float) -> None:
+                 diag: float, m: int) -> np.ndarray:
     """Append rows s .. e - 1 of ``W = L^{-1}``, all in one panel, to the
     ``panels`` that hold its first s rows, for inputs X with read matrix
-    Xa and the Gram diagonal ``diag = sigma_f^2 + noise``.
+    Xa and the Gram diagonal ``diag = sigma_f^2 + noise``. The new panel
+    is the view ``R[m:]`` of the (m + r, e) array R returned, whose first
+    m rows are zeros, left for the weights of :class:`GpPosterior`'s R.
 
     With ``W_1`` the rows held and ``K_21``, ``K_22`` the new rows of the
     Gram matrix, ``C = W_1 K_21^T`` is the transpose of the new rows of L
@@ -382,13 +393,15 @@ def _append_rows(panels: list, Xa: np.ndarray, X: np.ndarray, s: int, e: int,
         CW[:, :w] += C[w - r:w].T @ panel
     del C
     held = s % _PANEL_ROWS  # rows of the last panel these rows continue
-    block = _aligned_zeros(held + e - s, e)
+    R = _aligned_zeros(m + held + e - s, e)
+    block = R[m:]
     if held:
         block[:held, :s] = panels.pop()
     np.matmul(W2, CW, out=block[held:, :s])
     np.negative(block[held:, :s], out=block[held:, :s])
     block[held:, s:] = W2
     panels.append(block)
+    return R
 
 
 def beta_value(cfg: UniformBoundConfig, n_outputs: int, n_inputs: int) -> float:

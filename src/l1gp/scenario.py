@@ -47,10 +47,11 @@ seed.
 The engine's state is one :class:`Snapshot`: a fresh run starts from
 :meth:`Snapshot.initial`, a resumed run from a deepcopy of the snapshot it
 is given, and :meth:`Engine.snapshot` returns a deepcopy of the live
-state. The only random draw is the learner's measurement noise: the
-seeded generator is made with the learner and held only by it, so a copy
-of the record copies it and draws the same stream as the run it was taken
-from, and a run with no learner never loads ``numpy.random``.
+state, which shares the learner's published model. The only random draw
+is the learner's measurement noise: the seeded generator is made with the
+learner and held only by it, so a copy of the record copies it and draws
+the same stream as the run it was taken from, and a run with no learner
+never loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -333,7 +334,10 @@ class Snapshot:
     ``t0`` is the time the state stands at, ``x`` the plant state and
     ``ctrl_state`` the rest of the loop's. The learner holds the run's
     seeded generator, so a deepcopy of the record copies it with the
-    learner. The input delay line is not in the record: a resumed run
+    learner. The published model is not copied: its
+    :class:`~l1gp.gp.GpPosterior` is a read-only value, so the record
+    shares it with the live state, and a resumed run reads the same
+    arrays. The input delay line is not in the record: a resumed run
     starts with it empty.
     """
 

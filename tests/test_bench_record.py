@@ -70,7 +70,25 @@ def test_mixed_environments_exit_2(tmp_path, capsys):
         write_record(change, "switch", seed, 2.3)
     assert bench_record.main(["--parent", str(parent), "--change", str(change),
                               "-o", str(tmp_path / "BENCH.json")]) == 2
-    assert "different environments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the records ran in 3 different environments" in err
+    # one commit, so the field that differs tells the environments apart
+    assert "commit abc, nproc 2: switch-seed2-trace0.json" in err
+    # stale records of an older commit beside the new ones: each
+    # environment's commit and the files that carry it are named
+    clean, stale = tmp_path / "clean", tmp_path / "stale"
+    for seed in (1, 2, 3):
+        write_record(clean, "switch", seed, 2.4)
+        write_record(stale, "switch", seed, 2.3)
+    write_record(stale, "switch", 5, 2.3, env=dict(ENV, commit="old"))
+    assert bench_record.main(["--parent", str(clean), "--change", str(stale),
+                              "-o", str(tmp_path / "BENCH.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the records ran in 2 different environments:",
+        "  commit abc: switch-seed1-trace0.json, switch-seed2-trace0.json,"
+        " switch-seed3-trace0.json",
+        "  commit old: switch-seed5-trace0.json",
+    ]
 
 
 def test_traced_records_pair_at_the_lowest_common_seed(tmp_path):

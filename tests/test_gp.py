@@ -524,11 +524,11 @@ class TestExpandedRead:
             post.X = post.X[:3]
         with pytest.raises(dataclasses.FrozenInstanceError):
             post.Xa = np.zeros((22, 5))
-        # a deepcopy (Snapshot's) reads the same bits; replace rebuilds Xa
-        clone = copy.deepcopy(post)
-        x = (0.3, -1.2, 2.0)
-        assert clone.Xa is not post.Xa and np.array_equal(clone.Xa, post.Xa)
-        assert np.array_equal(clone.point_eval(x)[0], post.point_eval(x)[0])
+        # a deepcopy (Snapshot's) is the posterior, its read matrix
+        # read-only; replace rebuilds Xa
+        assert copy.deepcopy(post) is post
+        with pytest.raises(ValueError, match="read-only"):
+            post.Xa[0, 0] = 0.0
         wide = dataclasses.replace(post, kernel=gp.SeKernel(3.0, 2.0))
         assert np.array_equal(wide.Xa[:, :3], post.X / 4.0)
         assert (wide.signal_var, wide.n_samples) == (9.0, 22)
@@ -625,26 +625,39 @@ def oracle_tolerance(post, norms, x, k, w, Y, L):
     return tol_mean, tol_var
 
 
-@pytest.mark.parametrize("N", [gp._PANEL_ROWS, gp._PANEL_ROWS + 1])
+def aligned(a):
+    """Whether array a's data starts on a 64-byte boundary."""
+    return a.ctypes.data % 64 == 0
+
+
+# one panel full, one row into the second, into the third, and four full
+BOUNDARIES = [gp._PANEL_ROWS, gp._PANEL_ROWS + 1, 2 * gp._PANEL_ROWS + 1, 512]
+
+
 class TestReadForms:
-    """Up to ``_PANEL_ROWS`` points a posterior's inverse factor is one
-    panel, read with the weights in one product; one point more and it
-    takes a second panel, read after the mean's own product. Both forms
-    read within their bound of the dense oracle, and in each the tick's
-    read and the row's read share one mean."""
+    """Every posterior of N >= 1 points is read through one form: one
+    product with ``R = [alpha^T; last panel]`` gives the mean and the last
+    panel's ``w``, and each full panel before it one more product. Across
+    the panel boundaries it reads within its bound of the dense oracle,
+    and the tick's read and the row's read share one mean."""
 
-    def test_the_form_changes_past_the_constant(self, N):
-        X, Y = box_data(N)
-        post = gp.fit(X, Y, 1e-4, KERNEL)
-        h = gp._PANEL_ROWS
-        if N <= h:
-            assert [panel.shape for panel in post.panels] == [(N, N)]
-            assert post.R.shape == (3 + N, N) and post.R.flags.c_contiguous
-            assert np.array_equal(post.R, np.vstack([post.alpha.T, post.panels[0]]))
-        else:
-            assert [panel.shape for panel in post.panels] == [(h, h), (N - h, N)]
-            assert post.R is None
+    @pytest.mark.parametrize("N", [1, 127, 128, 129, 256, 257, 512])
+    def test_one_read_layout(self, N):
+        post = gp.fit(*box_data(N), 1e-4, KERNEL)
+        h, m = gp._PANEL_ROWS, 3
+        assert np.array_equal(post.R[:m], post.alpha.T)
+        # R is the last panel's only storage
+        assert np.shares_memory(post.R, post.panels[-1])
+        assert np.array_equal(post.R[m:], post.panels[-1])
+        assert post.panels[:-1] == post.full_panels
+        assert [p.shape for p in post.full_panels] == [
+            (h, (j + 1) * h) for j in range((N - 1) // h)]
+        assert post.R.shape == (m + N - h * len(post.full_panels), N)
+        for a in (post.R, *post.full_panels):
+            assert a.flags.c_contiguous and aligned(a)
+        assert sum(panel.shape[0] for panel in post.panels) == N
 
+    @pytest.mark.parametrize("N", BOUNDARIES)
     def test_matches_the_dense_oracle(self, N):
         X, Y = box_data(N)
         post = gp.fit(X, Y, 1e-4, KERNEL)
@@ -659,6 +672,7 @@ class TestReadForms:
             assert np.all(np.abs(mean - mean_o[i]) <= tol_mean)
             assert abs(std**2 - std_o[i] ** 2) <= tol_var
 
+    @pytest.mark.parametrize("N", BOUNDARIES)
     def test_mean_at_is_the_point_reads_mean_bitwise(self, N):
         post = gp.fit(*box_data(N), 1e-4, KERNEL)
         for x in TestExpandedRead.queries(post):
@@ -666,25 +680,32 @@ class TestReadForms:
             assert np.array_equal(post.mean_at(x), mean)
             assert np.array_equal(post.mean_at(tuple(x.tolist())), mean)
 
+    @pytest.mark.parametrize("N", [gp._PANEL_ROWS, gp._PANEL_ROWS + 1])
     def test_a_copy_reads_the_same_bits_and_replace_rebuilds_the_read(self, N):
         X, Y = box_data(N)
         post = gp.fit(X, Y, 1e-4, KERNEL)
-        clone = copy.deepcopy(post)
+        # a posterior is a value: a deepcopy (a Snapshot's) is the model
+        # itself, so its arrays keep their alignment, and none can be
+        # written through
+        assert copy.deepcopy(post) is post
+        for a in (post.R, post.X, post.Xa, post.alpha, post.zero_mean, *post.panels):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            post.R[0, 0] = 1.0
+        # new targets, same factor: the weights and the panels are rebuilt
+        # from the new R
+        R = gp._aligned_zeros(*post.R.shape)
+        R[:] = post.R
+        R[:3] *= 2.0
+        doubled = dataclasses.replace(post, R=R)
+        assert np.array_equal(doubled.alpha, 2.0 * post.alpha)
+        assert doubled.panels[:-1] == post.panels[:-1]
+        assert np.array_equal(doubled.panels[-1], post.panels[-1])
         x = (0.3, -1.2, 2.0)
         mean, std = post.point_eval(x)
-        mean_c, std_c = clone.point_eval(x)
-        assert np.array_equal(mean_c, mean) and std_c == std
-        assert np.array_equal(clone.mean_at(x), post.mean_at(x))
-        # new targets, same factor: the read matrix carries the new weights
-        doubled = dataclasses.replace(post, alpha=2.0 * post.alpha)
-        if post.R is None:
-            assert doubled.R is None
-        else:
-            assert clone.R is not post.R and np.array_equal(clone.R, post.R)
-            assert np.array_equal(doubled.R[:3], 2.0 * post.alpha.T)
-            assert np.array_equal(doubled.R[3:], post.R[3:])
         assert np.array_equal(doubled.point_eval(x)[0], 2.0 * mean)
         assert doubled.point_eval(x)[1] == std
+        assert np.array_equal(doubled.mean_at(x), 2.0 * post.mean_at(x))
 
 
 class TestInverseFactor:
@@ -755,7 +776,22 @@ class TestInverseFactor:
         assert np.array_equal(last[:14, :2 * H + 14], first.panels[2])
         assert not last[:14, 2 * H + 14:].any()
 
-    @pytest.mark.parametrize("change", ["kernel", "noise", "inputs", "dimension"])
+    def test_a_full_last_panel_is_shared_as_its_view_of_r(self):
+        # a predecessor whose last panel is full holds it only as the view
+        # R[m:]; the successor shares that view, still on a 64-byte boundary
+        H = self.H
+        X, Y = self.data(2 * H + 20)
+        first = gp.fit(X[:2 * H], Y[:2 * H], 1e-4, KERNEL)
+        assert [p.shape for p in first.panels] == [(H, H), (H, 2 * H)]
+        succ = gp.fit(X, Y, 1e-4, KERNEL, prev=first)
+        assert succ.full_panels == first.panels
+        assert succ.panels[1] is first.panels[1]
+        assert np.shares_memory(succ.panels[1], first.R)
+        assert aligned(succ.panels[1]) and succ.panels[1].flags.c_contiguous
+        assert not np.shares_memory(succ.R, first.R)
+        self.check_against_the_oracle(succ)
+
+    @pytest.mark.parametrize("change", ["kernel", "noise", "inputs", "dimension", "targets"])
     def test_a_prev_fitted_otherwise_is_ignored(self, change):
         X, Y = self.data(40)
         prev = gp.fit(X[:20], Y[:20], 1e-4, KERNEL)
@@ -767,8 +803,12 @@ class TestInverseFactor:
         elif change == "inputs":
             X = X.copy()
             X[3, 1] = np.nextafter(X[3, 1], 0.0)
-        else:
+        elif change == "dimension":
             prev = gp.fit(X[:20, :2], Y[:20], 1e-4, KERNEL)
+        else:
+            # the same inputs, new targets: no row of W to append
+            prev = gp.fit(X, Y, 1e-4, KERNEL)
+            Y = 2.0 * Y
         got = gp.fit(X, Y, noise, kernel, prev=prev)
         want = gp.fit(X, Y, noise, kernel)
         assert all(np.array_equal(a, b) for a, b in zip(got.panels, want.panels))

@@ -575,6 +575,12 @@ class TestSnapshotResume:
         assert snap.t0 == 1.0
         first = scenario.Engine(cfg, resume=snap)
         assert first.live.learner.buffer.rng is not snap.learner.buffer.rng
+        # the published model is a read-only value: the record and the
+        # resumed run share the live one, arrays and alignment included
+        live = eng.live.learner.model.posterior
+        assert live.n_samples == 20
+        assert snap.learner.model.posterior is live
+        assert first.live.learner.model.posterior is live
         a = first.run()
         # the original engine goes on from where the snapshot was taken, and
         # neither run changes the snapshot
