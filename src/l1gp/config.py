@@ -109,6 +109,13 @@ def _int(value) -> int:
     return numerics.whole(value, "value")
 
 
+def _mode(value) -> str:
+    """The loop: "l1gp" runs a learner, "l1" none."""
+    if value not in ("l1", "l1gp"):
+        raise ValueError('must be "l1" or "l1gp"')
+    return value
+
+
 _REQUIRED = object()
 
 # deck key -> (type, default); a default of None is echoed only when the
@@ -122,7 +129,7 @@ _KEYS = {
     "reference.kind": (str, "step"),
     "reference.amplitude": (_vec3, 1.0),
     "reference.frequency": (_vec3, 0.5),
-    "controller.mode": (str, "l1gp"),
+    "controller.mode": (_mode, "l1gp"),
     "controller.ts": (_float, 0.001),
     "controller.omega_c": (_float, 80.0),
     "controller.omega_l": (_float, 0.01),
@@ -197,16 +204,15 @@ def resolve_scenario(flat: dict) -> tuple[scenario.ScenarioConfig, dict]:
             omega_c=echo["controller.omega_c"],
             omega_L=echo["controller.omega_l"],
             omega_0=echo["controller.omega_0"],
-            mode=echo["controller.mode"],
             x_hat0=echo["controller.x_hat0"],
         )
         learner_cfg = None
-        l1gp = controller_cfg.mode == "l1gp"
+        l1gp = echo["controller.mode"] == "l1gp"
         if echo.setdefault("learner.enabled", l1gp) != l1gp:
             raise ConfigError(
                 f"learner.enabled = {echo['learner.enabled']}: a learner runs "
                 f"in mode l1gp and only there, and controller.mode is "
-                f"{controller_cfg.mode!r}")
+                f"{echo['controller.mode']!r}")
         if l1gp:
             from . import gp, learner as learner_mod
 

@@ -1,18 +1,18 @@
 """Adaptive rate controller: predictor, piecewise-constant adaptation, filters.
 
 The controller owns the L1 law and its tick state, :class:`ControllerState`.
-Two operating modes share one code path. In the plain adaptive mode the
-control is ``u = -C(s)(sigma_hat - k_g r)`` with ``C(s)`` a first-order
+One code path serves the loop with and without a learner. The control is
+``u = -f_L - C(s)(sigma_hat - k_g r)`` with ``C(s)`` a first-order
 low-pass of bandwidth ``omega_c`` (the sign convention is fixed by the
 requirement that a perfect estimate ``sigma_hat = f`` cancels the
-uncertainty). In the learning-augmented mode a smoothed copy ``f_L`` of
-the learned mean enters directly, ``u = -f_L - C(s)(sigma_hat - k_g r)``,
-where ``f_L`` follows the learned model through a first-order lag whose
-bandwidth follows the bandwidth law ``min(omega_0 / e_f_hat, omega_c)``:
-it rises as the learner's envelope ``e_f_hat`` shrinks. The trace also
-reports ``eta = C(s) sigma_hat``. The engine only calls
-:func:`adaptation_step`, :func:`learning_filter_step` (mode l1gp) and
-:func:`control_step` in turn.
+uncertainty). With no learner ``f_L`` stays zero, which is the plain L1
+loop. With one, ``f_L`` is a smoothed copy of the learned mean: it follows
+the published model through a first-order lag whose bandwidth follows the
+bandwidth law ``min(omega_0 / e_f_hat, omega_c)``, so it rises as the
+learner's envelope ``e_f_hat`` shrinks. The trace also reports
+``eta = C(s) sigma_hat``. The engine only calls :func:`adaptation_step`,
+:func:`learning_filter_step` (with a learner) and :func:`control_step` in
+turn.
 
 Every linear update is discretized exactly per tick. The filters use the
 pole mapping ``alpha = exp(-omega dt)``; with ``omega_c T_s = 0.08`` a
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import numerics
 
@@ -52,8 +52,6 @@ __all__ = [
     "l1_norm_condition",
 ]
 
-MODES = ("l1", "l1gp")
-
 
 class ConfigurationError(ValueError):
     """Controller configuration violates a construction invariant."""
@@ -61,7 +59,7 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """The loop's known model, rates, filter bandwidths, and mode.
+    """The loop's known model, rates and filter bandwidths.
 
     ``a_m`` and ``b_m`` are the diagonals of ``A_m`` and ``B_m``, the one
     copy of the model that the plant's field, the predictor, the ideal loop
@@ -76,8 +74,9 @@ class ControllerConfig:
     reruns every check.
     ``omega_0 = 0`` disables the learning filter entirely (the commanded
     bandwidth is pinned at zero), so ``f_L`` stays zero whatever the learner
-    publishes: an l1gp run is then the l1 run bit for bit in every
-    recorded signal but the model's reads ``fhat`` and ``e_f_hat``.
+    publishes: a run with a learner is then the run without one bit for
+    bit in every recorded signal but the model's reads ``fhat`` and
+    ``e_f_hat``.
     """
 
     a_m: tuple
@@ -86,13 +85,10 @@ class ControllerConfig:
     omega_c: float = 80.0
     omega_L: float = 0.01
     omega_0: float = 1.0
-    mode: str = "l1gp"
     x_hat0: tuple = (0.0, 0.0, 0.0)
     k_g: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         # a chained comparison is false for nan as well
         if not all(0.0 < v < math.inf for v in (self.T_s, self.omega_c, self.omega_L)):
             raise ConfigurationError("T_s, omega_c, omega_L must be positive and finite")
@@ -143,7 +139,9 @@ class ControllerState:
     at zero; ``omega_filtered`` starts at the first commanded bandwidth.
     ``c_state`` is ``C(s)(sigma_hat - k_g r)``, ``eta`` ``C(s) sigma_hat``
     and ``u`` the last command, each zero at first; ``e_f_hat`` is the
-    envelope the last tick read, ``e_f_hat0`` before the first tick.
+    envelope the last tick read, ``e_f_hat0`` before the first tick. A
+    loop with no learner passes ``e_f_hat0 = None``: its bandwidth and
+    envelope start, and stay, at zero.
     """
 
     x_hat: _Vec3
@@ -156,9 +154,12 @@ class ControllerState:
     e_f_hat: float
 
     @classmethod
-    def initial(cls, cfg: ControllerConfig, e_f_hat0: float) -> "ControllerState":
-        omega0 = (bandwidth_command(e_f_hat0, cfg.omega_0, cfg.omega_c)
-                  if cfg.mode == "l1gp" else 0.0)
+    def initial(cls, cfg: ControllerConfig,
+                e_f_hat0: Optional[float]) -> "ControllerState":
+        if e_f_hat0 is None:
+            omega0 = e_f_hat0 = 0.0
+        else:
+            omega0 = bandwidth_command(e_f_hat0, cfg.omega_0, cfg.omega_c)
         zero = (0.0, 0.0, 0.0)
         return cls(x_hat=cfg.x_hat0, sigma_hat=zero, f_L=zero, omega_filtered=omega0,
                    c_state=zero, eta=zero, u=zero, e_f_hat=e_f_hat0)
@@ -227,7 +228,7 @@ def control_step(
     """Filter updates, control output, and predictor advance for one tick;
     the command is stored in ``state.u`` and returned.
 
-    Assumes adaptation_step (and, in learning mode, learning_filter_step)
+    Assumes adaptation_step (and, with a learner, learning_filter_step)
     already ran this tick. ``eta = C(s) sigma_hat`` follows
     ``eta+ = sigma_hat + (eta - sigma_hat) alpha_c``. The control filter
     state follows ``c+ = v + (c - v) alpha_c`` with

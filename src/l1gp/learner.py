@@ -14,7 +14,9 @@ noise injection drawn, in sample order, from the run's seeded generator,
 which the learner alone holds: it is the loop's only random draw. Once
 N_update new samples have arrived the GP is refit on the targets made so
 far, and every successful refit publishes the immutable model it gives:
-the posterior, whose mean is the learned ``f_hat``. The publish event
+the posterior, whose mean is the learned ``f_hat``, held by the learner
+as :attr:`BayesianLearner.posterior`. The loop reads the mean and the
+envelope through :meth:`BayesianLearner.evaluate`. The publish event
 reports the new model's envelope at the state the loop's next tick reads
 it at, which the engine passes in. The published model is constant
 between publishes: a publish replaces it whole, between two engine steps.
@@ -34,7 +36,6 @@ from . import gp, numerics
 
 __all__ = [
     "LearnerConfig",
-    "LearnerModel",
     "MeasurementBuffer",
     "BayesianLearner",
 ]
@@ -71,36 +72,6 @@ class LearnerConfig:
             raise ValueError("kappa_op must be in (0, bound.kappa]")
 
 
-@dataclass(frozen=True)
-class LearnerModel:
-    """Published model: mean function and error envelope, constant until replaced.
-
-    The posterior mean and the envelope are piecewise static: the
-    *functions* change only at publish instants. ``evaluate(x)`` returns
-    the pair (mean, pointwise envelope ``sqrt_beta * std(x)``) the
-    controller consumes. ``sqrt_beta`` depends only on the bound config and
-    the dimensions, so every model of one learner shares it.
-    """
-
-    update_index: int
-    posterior: gp.GpPosterior
-    sqrt_beta: float
-
-    def evaluate(self, x) -> tuple[list, float]:
-        """Learned mean (m Python floats) and the pointwise error envelope at x."""
-        mean, sigma = self.posterior.point_eval(x)
-        return mean.tolist(), self.sqrt_beta * sigma
-
-    @classmethod
-    def prior(cls, cfg: LearnerConfig, n_outputs: int, n_inputs: int) -> "LearnerModel":
-        """Initial model: zero mean, bound from the GP prior alone."""
-        empty = gp.fit(
-            np.zeros((0, n_inputs)), np.zeros((0, n_outputs)), cfg.sigma_n**2, cfg.kernel
-        )
-        sqrt_beta = math.sqrt(gp.beta_value(cfg.bound, n_outputs, n_inputs))
-        return cls(update_index=0, posterior=empty, sqrt_beta=sqrt_beta)
-
-
 class MeasurementBuffer:
     """The learner's targets, made on arrival, in sample order.
 
@@ -122,19 +93,34 @@ class MeasurementBuffer:
         self.target_X.append(x)
         self.target_Y.append(y + self.rng.normal(0.0, self.sigma_n, size=y.shape))
 
-    @property
-    def n_targets(self) -> int:
-        return len(self.target_X)
-
 
 class BayesianLearner:
-    """Owns the buffer, refit schedule, and the currently published model."""
+    """Owns the buffer, the refit schedule and the published model.
+
+    The published model is ``posterior``, a read-only
+    :class:`~l1gp.gp.GpPosterior`, and ``update_index`` counts the
+    publishes that made it: 0 for the prior, whose mean is zero and whose
+    envelope is the GP prior's alone. Mean and envelope are piecewise
+    static: the *functions* change only at publish instants.
+    ``sqrt_beta`` depends only on the bound config and the dimensions, so
+    it is computed once, for every model of the learner.
+    """
 
     def __init__(self, cfg: LearnerConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.buffer = MeasurementBuffer(cfg.max_points, rng, cfg.sigma_n)
-        self.model = LearnerModel.prior(cfg, 3, 3)  # f and x have three axes
+        # f and x have three axes
+        self.posterior = gp.fit(np.zeros((0, 3)), np.zeros((0, 3)), cfg.sigma_n**2,
+                                cfg.kernel)
+        self.sqrt_beta = math.sqrt(gp.beta_value(cfg.bound, 3, 3))
+        self.update_index = 0
         self._new_since_fit = 0
+
+    def evaluate(self, x) -> tuple[list, float]:
+        """The published mean (three Python floats) and the pointwise error
+        envelope ``sqrt_beta * std`` at x: what the loop's tick reads."""
+        mean, sigma = self.posterior.point_eval(x)
+        return mean.tolist(), self.sqrt_beta * sigma
 
     def push(self, x, f_L, sigma_hat) -> None:
         """Take one sample: the state and the adaptive law's ``f_L`` and
@@ -159,17 +145,16 @@ class BayesianLearner:
                 np.asarray(self.buffer.target_Y),
                 self.cfg.sigma_n**2,
                 self.cfg.kernel,
-                prev=self.model.posterior,
+                prev=self.posterior,
             )
         except gp.IllConditionedKernelError as exc:
             return {"t": t, "kind": "learner_fit_failed", "reason": str(exc)}
-        self.model = LearnerModel(
-            self.model.update_index + 1, posterior, self.model.sqrt_beta
-        )
+        self.posterior = posterior
+        self.update_index += 1
         return {
             "t": t,
             "kind": "learner_published",
-            "update_index": self.model.update_index,
-            "e_f_hat": self.model.evaluate(x)[1],
+            "update_index": self.update_index,
+            "e_f_hat": self.evaluate(x)[1],
             "n_data": posterior.n_samples,
         }

@@ -35,14 +35,15 @@ the end of the run. The L1 law and the rest of the loop state (``u``,
 ``eta``, the envelope read) are the controller's, in
 :class:`controller.ControllerState`.
 
-Model reads: a step records its row, when one is due, at its start, before
-its tick, so the row holds the state the tick reads. An l1gp tick reads
-the published model's mean and envelope at the state
-(:meth:`LearnerModel.evaluate`), once, and its row records that mean,
-which is bitwise ``GpPosterior.mean_at``'s. Only a row with no tick in its
-step (a row between two ticks, the run's last row, an abort row) reads
-the mean alone. A run is single-threaded and deterministic given the
-seed.
+Model reads: a loop learns iff its config holds a learner. A step records
+its row, when one is due, at its start, before its tick, so the row holds
+the state the tick reads. A learning loop's tick reads the published
+model's mean and envelope at the state
+(:meth:`learner.BayesianLearner.evaluate`), once, and its row records that
+mean, which is bitwise ``GpPosterior.mean_at``'s. Only a row with no tick
+in its step (a row between two ticks, the run's last row, an abort row)
+reads the mean alone. A run is single-threaded and deterministic given
+the seed.
 
 The engine's state is one :class:`Snapshot`: a fresh run starts from
 :meth:`Snapshot.initial`, a resumed run from a deepcopy of the snapshot it
@@ -206,8 +207,10 @@ class ScenarioConfig:
     Every time of the run is read as a whole number of steps (``ts_every``,
     ``data_every``, ``delay_steps``, ``n_steps``, ``switch_steps``), each
     derived where it is read; construction checks that every time is on the
-    step grid and that a learner is given in mode ``l1gp`` and only there.
-    The config and every config it holds are frozen: an edit goes through
+    step grid. ``learner`` is the one statement that the loop learns: with
+    a learner it is the L1-GP loop, with None the plain L1 loop, so
+    ``replace(cfg, learner=None)`` turns learning off. The config and every
+    config it holds are frozen: an edit goes through
     ``dataclasses.replace``, which reruns every check.
     """
 
@@ -234,12 +237,6 @@ class ScenarioConfig:
             raise ValueError("record_decimation must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # the mode names the loop: an l1gp tick reads the learner's model,
-        # and only an l1gp run feeds a learner
-        l1gp = self.controller.mode == "l1gp"
-        if (self.learner is not None) != l1gp:
-            raise ValueError("mode l1gp needs a learner" if l1gp
-                             else f"mode {self.controller.mode} runs no learner")
         # each step count checks its time against the step grid when read
         for name in ("ts_every", "data_every", "delay_steps", "n_steps", "switch_steps"):
             getattr(self, name)
@@ -250,7 +247,7 @@ class ScenarioConfig:
 
     @property
     def data_every(self) -> int:
-        """Steps per learner sample; 0 without a learner, so in mode l1."""
+        """Steps per learner sample; 0 without a learner."""
         return self.steps(self.learner.T_data, "T_data") if self.learner is not None else 0
 
     @property
@@ -338,7 +335,9 @@ class Snapshot:
     :class:`~l1gp.gp.GpPosterior` is a read-only value, so the record
     shares it with the live state, and a resumed run reads the same
     arrays. The input delay line is not in the record: a resumed run
-    starts with it empty.
+    starts with it empty. A run resumes only a record of its own learner
+    config, or one with no learner if it has none: any other record
+    raises ``ValueError``, so a resume cannot turn learning on or off.
     """
 
     t0: float
@@ -358,7 +357,7 @@ class Snapshot:
             learner = learner_mod.BayesianLearner(cfg.learner,
                                                   np.random.default_rng(cfg.seed))
         # the prior's envelope, sqrt(beta) sigma_f, at every state
-        e0 = learner.model.evaluate(cfg.plant.x0)[1] if learner else 0.0
+        e0 = learner.evaluate(cfg.plant.x0)[1] if learner is not None else None
         return cls(t0=0.0, x=cfg.plant.x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
                    learner=learner)
@@ -373,6 +372,10 @@ class Engine:
         c = cfg.controller
         b = tuple(0.0 + bm * k for bm, k in zip(c.b_m, c.k_g))  # B_m k_g
         self.x_id = cfg.reference.ideal_loop(c.a_m, b, cfg.plant.x0)
+        # a snapshot with no learner holds no learner config
+        if resume is not None and getattr(resume.learner, "cfg", None) != cfg.learner:
+            raise ValueError("the snapshot's learner config is not the run's: a "
+                             "run resumes only a snapshot of its own learner")
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
         self.delay = plant_mod.DelayLine(cfg.delay_steps)
         # start and end of the latest run; a run goes on from live.t0
@@ -398,7 +401,7 @@ class Engine:
         dec = cfg.record_decimation
         ts_every = cfg.ts_every
         data_every = cfg.data_every
-        mode_l1gp = c.mode == "l1gp"
+        learning = cfg.learner is not None
         live = self.live
         self.t0 = live.t0
         self.events: list = []  # this run's log
@@ -456,10 +459,10 @@ class Engine:
                 r = ref(t)
             tick = (i0 + i) % ts_every == 0
             f_hat_x = None
-            if tick and mode_l1gp:
+            if tick and learning:
                 # the learning filter reads the mean and the envelope at
                 # the current state; the row below records the same mean
-                f_hat_x, e_f_x = learner.model.evaluate(x)
+                f_hat_x, e_f_x = learner.evaluate(x)
             # a row is due at the run's first step and on the global
             # recording grid, which a resumed run keeps; it records the
             # state before this step's tick
@@ -468,7 +471,7 @@ class Engine:
                 row_i += 1
             if tick:
                 adaptation_step(state, x, c)
-                if mode_l1gp:
+                if learning:
                     learning_filter_step(state, f_hat_x, e_f_x, c)
                 u = control_step(state, r, c)
             u_applied = push(u)
@@ -521,7 +524,7 @@ class Engine:
         h0, h1, h2 = state.x_hat
         if f_hat is None:
             f_hat = ((0.0, 0.0, 0.0) if learner is None
-                     else learner.model.posterior.mean_at(x))
+                     else learner.posterior.mean_at(x))
         return (
             t,
             *x,

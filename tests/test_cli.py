@@ -226,6 +226,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line, problem", [
         ('controller.mode = "foo"', "'foo'"),
+        pytest.param('controller.mode = "pid"',
+                     'controller.mode = \'pid\': must be "l1" or "l1gp"',
+                     id='controller.mode = "pid"'),
         ('learner.gating = "sometimes"', "gating"),
         ('reference.kind = "ramp"', "reference kind"),
         ("kernel.sigma_f = 0", "sigma_f"),
@@ -305,7 +308,8 @@ class TestSimulate:
         cfg = write(tmp_path, "bad.cfg", text)
         code = cli.main([command, cfg, "-o", str(tmp_path / "o"), *flags])
         assert code == cli.EXIT_CONFIG
-        assert problem in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert problem in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_row_buffer_the_host_cannot_allocate_exit_2(self, tmp_path, capsys,

@@ -17,8 +17,8 @@ C_M = np.eye(3)
 a_m, b_m = tuple(np.diag(A_M).tolist()), tuple(np.diag(B_M).tolist())
 
 
-def nominal_cfg(mode="l1gp", **kw):
-    return ctrl.ControllerConfig(a_m=a_m, b_m=b_m, mode=mode, **kw)
+def nominal_cfg(**kw):
+    return ctrl.ControllerConfig(a_m=a_m, b_m=b_m, **kw)
 
 
 def array_constants(cfg):
@@ -135,16 +135,26 @@ class TestConfigInvariants:
         with pytest.raises(ctrl.ConfigurationError):
             ctrl.ControllerConfig(**{"a_m": a_m, "b_m": b_m, **kw})
 
-    def test_bad_mode(self):
-        with pytest.raises(ctrl.ConfigurationError):
-            nominal_cfg(mode="pid")
-
     def test_gain_spot_check(self):
         cfg = nominal_cfg()
         assert cfg._expAT[0] == pytest.approx(math.exp(-0.003), abs=1e-15)
         # -b^{-1} e / phi = -0.011 e^{-0.003} 3 / (1 - e^{-0.003})
         e = math.exp(-0.003)
         assert cfg._gain[0] == pytest.approx(-0.011 * 3.0 * e / (1.0 - e), rel=1e-12)
+
+
+class TestInitialState:
+    def test_a_loop_without_a_learner_starts_at_zero_bandwidth(self):
+        # a learning loop's bandwidth starts at the command of the prior's
+        # envelope; with no learner (None) both start, and stay, at 0
+        cfg = nominal_cfg()
+        learning = ctrl.ControllerState.initial(cfg, 8.5)
+        assert learning.omega_filtered == ctrl.bandwidth_command(8.5, cfg.omega_0,
+                                                                 cfg.omega_c) > 0.0
+        assert learning.e_f_hat == 8.5
+        plain = ctrl.ControllerState.initial(cfg, None)
+        assert (plain.omega_filtered, plain.e_f_hat) == (0.0, 0.0)
+        assert plain.x_hat == learning.x_hat == cfg.x_hat0
 
 
 class TestAdaptation:

@@ -535,6 +535,13 @@ class TestExpandedRead:
         with pytest.raises(dataclasses.FrozenInstanceError):
             post.signal_var = 4.0
 
+    def test_a_posterior_is_its_own_identity(self):
+        # two fits on the same data are two models: a posterior compares
+        # and hashes by identity, not by its arrays
+        a, b = (self.posterior(10, KERNEL) for _ in range(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     @given(
         N=st.integers(1, 30),
         n=st.integers(1, 3),

@@ -63,7 +63,7 @@ def test_a_learner_run_makes_one_target_per_sample(monkeypatch):
     eng.run()
     assert len(pushes) == 15
     assert calls == pushes
-    assert eng.live.learner.buffer.n_targets == 15
+    assert len(eng.live.learner.buffer.target_X) == 15
 
 
 class TestBufferSchedule:
@@ -75,9 +75,9 @@ class TestBufferSchedule:
             lrn.push(state(k), ZERO, ZERO)
             lrn.maybe_update(float(k), state(k + 1))
             buf = lrn.buffer
-            assert buf.n_targets == len(buf.target_Y) == min(k, 64)
+            assert len(buf.target_X) == len(buf.target_Y) == min(k, 64)
         assert vars(buf).keys() == {"rng", "sigma_n", "target_X", "target_Y"}
-        assert lrn.model.posterior.n_samples == 64
+        assert lrn.posterior.n_samples == 64
         # the newest target is the sample just pushed
         assert buf.target_X[-1] == state(2000)
 
@@ -91,7 +91,7 @@ class TestBufferSchedule:
         for k in range(1, 5 * h // 2 + 1):
             lrn.push(state(k), ZERO, ZERO)
             if lrn.maybe_update(float(k), ZERO):
-                models.append(lrn.model.posterior)
+                models.append(lrn.posterior)
         assert [p.n_samples for p in models] == [h // 2, h, 3 * h // 2, 2 * h, 2 * h]
         assert models[2].panels[0] is models[1].panels[0] is models[3].panels[0]
         evicted, buf = models[4], lrn.buffer
@@ -125,7 +125,7 @@ class TestBufferSchedule:
             assert len(buf.target_Y) == len(Y)
             for got, want in zip(buf.target_Y, Y):
                 assert np.array_equal(got, want)
-        assert buf.n_targets == 8
+        assert len(buf.target_X) == 8
 
     def test_the_first_sample_is_a_target(self):
         # refitting after every sample, the first push already publishes
@@ -150,7 +150,7 @@ class TestBufferSchedule:
             if ev is not None:
                 events.append(ev)
                 # the new model's envelope at the state it is given
-                assert ev["e_f_hat"] == lrn.model.evaluate(state(k + 1))[1]
+                assert ev["e_f_hat"] == lrn.evaluate(state(k + 1))[1]
         published = [e for e in events if e["kind"] == "learner_published"]
         assert [e["t"] for e in published] == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
         assert [e["update_index"] for e in published] == [1, 2, 3, 4, 5, 6]
@@ -168,12 +168,11 @@ class TestBufferSchedule:
         for k in range(1, 16):
             lrn.push((0.3 * math.cos(k),) * 3, state(k), ZERO)
             lrn.maybe_update(float(k), ZERO)
-        model = lrn.model
         x = np.array([0.2, -0.1, 0.4])
-        a = model.posterior.mean_at(x)
-        b = model.posterior.mean_at(x)
+        a = lrn.posterior.mean_at(x)
+        b = lrn.posterior.mean_at(x)
         assert np.array_equal(a, b)
-        assert model.update_index == 1
+        assert lrn.update_index == 1
 
     def test_evaluate_reads_python_floats(self):
         # the 1 kHz loop consumes the mean as floats; it is mean_at's bits
@@ -182,36 +181,37 @@ class TestBufferSchedule:
             lrn.push((0.3 * math.cos(k),) * 3, state(k), ZERO)
             lrn.maybe_update(float(k), ZERO)
         x = (0.2, -0.1, 0.4)
-        for model in (lrn.model, learner.LearnerModel.prior(lrn.cfg, 3, 3)):
-            mean, e_f = model.evaluate(x)
+        for reader in (lrn, make_learner()):  # a fitted model and the prior
+            mean, e_f = reader.evaluate(x)
             assert [type(v) for v in mean] == [float] * 3
-            assert mean == model.posterior.mean_at(x).tolist()
+            assert mean == reader.posterior.mean_at(x).tolist()
             assert type(e_f) is float
 
     def test_envelope_is_sqrt_beta_times_std(self):
         # the envelope is one multiply of the learner's sqrt(beta), bit for bit
         lrn = make_learner()
-        prior = lrn.model
+        prior = lrn.posterior
+        sqrt_beta = math.sqrt(gp.beta_value(lrn.cfg.bound, 3, 3))
+        assert lrn.sqrt_beta == sqrt_beta
+        # the stock prior: sqrt(beta) * sigma_f at delta = 0.01, xi = 1e-3,
+        # at every state
+        assert {lrn.evaluate(x)[1] for x in [(0.2, -0.1, 0.4), (50.0, 0.0, 0.0)]} == {
+            8.5087184483385965}
         for k in range(1, 16):
             lrn.push((0.3 * math.cos(k),) * 3, state(k), ZERO)
             lrn.maybe_update(float(k), ZERO)
-        sqrt_beta = math.sqrt(gp.beta_value(lrn.cfg.bound, 3, 3))
-        assert lrn.model.update_index == 1
-        assert prior.sqrt_beta == lrn.model.sqrt_beta == sqrt_beta
-        for model in (prior, lrn.model):
-            for x in [(0.2, -0.1, 0.4), (0.0, 0.0, 0.0), (5.0, -5.0, 5.0)]:
-                _, e_f = model.evaluate(x)
-                assert e_f == sqrt_beta * model.posterior.point_eval(x)[1]
-        # the stock prior: sqrt(beta) * sigma_f at delta = 0.01, xi = 1e-3,
-        # at every state
-        assert {prior.evaluate(x)[1] for x in [(0.2, -0.1, 0.4), (50.0, 0.0, 0.0)]} == {
-            8.5087184483385965}
+        assert lrn.update_index == 1 and lrn.posterior is not prior
+        assert lrn.sqrt_beta == sqrt_beta
+        for x in [(0.2, -0.1, 0.4), (0.0, 0.0, 0.0), (5.0, -5.0, 5.0)]:
+            _, e_f = lrn.evaluate(x)
+            assert e_f == sqrt_beta * lrn.posterior.point_eval(x)[1]
 
     def test_prior_model(self):
         lrn = make_learner()
-        assert lrn.model.update_index == 0
-        assert np.array_equal(lrn.model.posterior.mean_at(np.ones(3)), np.zeros(3))
-        assert lrn.model.evaluate(np.ones(3))[1] == pytest.approx(8.509, abs=5e-4)
+        assert lrn.update_index == 0
+        assert lrn.posterior.n_samples == 0
+        assert np.array_equal(lrn.posterior.mean_at(np.ones(3)), np.zeros(3))
+        assert lrn.evaluate(np.ones(3))[1] == pytest.approx(8.509, abs=5e-4)
 
 
 class TestGating:
@@ -229,27 +229,10 @@ class TestGating:
         monkeypatch.setattr(gp, "fit", boom)
         for k in range(1, 11):
             lrn.push((0.1 * k,) * 3, ZERO, ZERO)
+        prior = lrn.posterior
         ev = lrn.maybe_update(10.0, ZERO)
         assert ev["kind"] == "learner_fit_failed"
-        assert lrn.model.update_index == 0
-
-
-def test_a_published_model_compares_and_hashes():
-    # a posterior is its own identity: two fits on the same data are two
-    # models, and a model holding one compares and hashes by its fields
-    lrn = make_learner()
-    for k in range(1, 11):
-        lrn.push((0.1 * k,) * 3, ZERO, ZERO)
-    assert lrn.maybe_update(10.0, ZERO)["kind"] == "learner_published"
-    model = lrn.model
-    assert model.posterior.n_samples > 0
-    X, Y = model.posterior.X, model.posterior.alpha
-    a, b = (gp.fit(X, Y, 1e-4, gp.SeKernel()) for _ in range(2))
-    assert a == a and a != b and hash(a) == hash(a)
-    twin = learner.LearnerModel(model.update_index, model.posterior, model.sqrt_beta)
-    assert twin == model and hash(twin) == hash(model)
-    assert len({model, twin}) == 1
-    assert learner.LearnerModel(1, a, 2.0) != learner.LearnerModel(1, b, 2.0)
+        assert lrn.update_index == 0 and lrn.posterior is prior
 
 
 class TestLearningProgress:

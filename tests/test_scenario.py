@@ -308,14 +308,22 @@ class TestConfigEdits:
         assert np.array_equal(after, scenario.run(built).data)
         assert not np.array_equal(after, before)
 
-    def test_a_learner_runs_in_mode_l1gp_and_only_there(self):
-        l1, l1gp = nominal(duration=1.0, mode="l1"), nominal(duration=1.0)
-        with pytest.raises(ValueError, match="^mode l1 runs no learner$"):
-            replace(l1, learner=l1gp.learner)
-        with pytest.raises(ValueError, match="^mode l1gp needs a learner$"):
-            replace(l1gp, learner=None)
-        with pytest.raises(ValueError, match="^mode l1gp needs a learner$"):
-            edit(l1, "controller", mode="l1gp")
+    def test_turning_learning_on_or_off_is_one_edit(self):
+        # a loop learns iff its config holds a learner: dropping it runs the
+        # l1 deck's trace, and giving one to the l1 deck the l1gp trace
+        l1, l1gp = nominal(duration=11.0, mode="l1"), nominal(duration=11.0)
+        traces = []
+        for edited, stock in ((replace(l1gp, learner=None), l1),
+                              (replace(l1, learner=l1gp.learner), l1gp)):
+            assert edited == stock
+            a, b = scenario.run(edited), scenario.run(stock)
+            assert bytes(a.values) == bytes(b.values)
+            assert a.events == b.events
+            traces.append(b)
+        plain, learned = traces
+        assert [e["kind"] for e in learned.events].count("learner_published") == 1
+        assert np.any(learned.block("fl") != 0.0)
+        assert not np.any(plain.block("fl")) and not np.any(plain.col("e_f_hat"))
 
     def test_edit_off_the_step_grid_fails_when_read(self):
         cfg = config.quadrotor_nominal(duration=1.0, mode="l1")
@@ -577,10 +585,10 @@ class TestSnapshotResume:
         assert first.live.learner.buffer.rng is not snap.learner.buffer.rng
         # the published model is a read-only value: the record and the
         # resumed run share the live one, arrays and alignment included
-        live = eng.live.learner.model.posterior
+        live = eng.live.learner.posterior
         assert live.n_samples == 20
-        assert snap.learner.model.posterior is live
-        assert first.live.learner.model.posterior is live
+        assert snap.learner.posterior is live
+        assert first.live.learner.posterior is live
         a = first.run()
         # the original engine goes on from where the snapshot was taken, and
         # neither run changes the snapshot
@@ -609,6 +617,27 @@ class TestSnapshotResume:
         assert resumed.events == second.events
         assert [e["kind"] for e in resumed.events] == ["uncertainty_switch"]
 
+    def test_a_resume_cannot_turn_learning_on_or_off(self):
+        # a run resumes only a snapshot of its own learner config, or one
+        # with no learner if it has none
+        l1gp = nominal(duration=1.0)
+        l1 = replace(l1gp, learner=None)
+        other = replace(l1gp, learner=replace(l1gp.learner, N_update=5))
+
+        def snapshot(cfg):
+            eng = scenario.Engine(cfg)
+            eng.run()
+            return eng.snapshot()
+
+        learned, plain = snapshot(l1gp), snapshot(l1)
+        for cfg, snap in ((l1, learned), (l1gp, plain), (other, learned)):
+            with pytest.raises(ValueError, match="snapshot's learner config is not"):
+                scenario.Engine(cfg, resume=snap)
+        # an equal learner config is the run's own
+        same = replace(l1gp, learner=replace(l1gp.learner))
+        assert same.learner is not l1gp.learner
+        assert scenario.Engine(same, resume=learned).run().t[0] == 1.0
+
     def test_a_run_with_no_learner_holds_no_generator(self):
         # the seeded generator is the learner's, made only with it
         snap = scenario.Snapshot.initial(nominal(mode="l1"))
@@ -619,7 +648,7 @@ class TestSnapshotResume:
 
 class TestRecording:
     """Recording a row does not change the run. A row recorded in a step
-    with an l1gp tick records the mean that tick reads through
+    with a learning tick records the mean that tick reads through
     ``evaluate``; any other row reads the mean alone."""
 
     DURATION = 1.2  # 1200 steps: a multiple of every decimation below
@@ -665,7 +694,7 @@ class TestRecording:
         samples = np.arange(cfg.data_every, cfg.n_steps + 1, cfg.data_every)
         if ts == 0.002:
             assert set((samples - 1) % cfg.ts_every) == {1}
-        assert buf.n_targets == len(samples) == 24
+        assert len(buf.target_X) == len(samples) == 24
         assert buf.target_X == deque(map(tuple, trace.block("x")[samples - 1].tolist()))
         estimate = trace.block("fl")[samples] + trace.block("sigmahat")[samples]
         rng = np.random.default_rng(cfg.seed)
