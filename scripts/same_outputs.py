@@ -24,6 +24,10 @@ tree as the working directory:
 - ``simulate`` on ``configs/sinusoid_learning.cfg``'s run with a 10 ms
   input delay, also written to the temporary directory: the one stock path
   on which a learner target carries the delay's bias;
+- ``margin --horizon 20 --snapshot-time 30`` on that delayed deck: the one
+  margin path on which the deck's own delay could reach the search, since
+  only the warm-up runs with the deck's plant (at zero delay) and each
+  candidate resumes it with a delay line of its own;
 - ``simulate`` on a mode-l1 deck whose 150 ms input delay drives it
   unstable at 0.37 s of 20, also written to the temporary directory: the
   flagged-unstable exit and the summary of a run that aborts before its
@@ -175,6 +179,7 @@ def runs(tree: Path, deck_dir: Path) -> list:
     decks.append(tree / "perfbench" / "dense_learner.cfg")
     out = [(f"simulate-{d.stem}", ["simulate", str(d.relative_to(tree))]) for d in decks]
     aniso = str(deck_dir / ANISOTROPIC_DECK)
+    delayed = str(deck_dir / DELAYED_LEARNER_DECK)
     return out + [
         ("margin-l1_plain", ["margin", "configs/l1_plain.cfg", "--horizon", "20"]),
         ("margin-step_nominal-snapshot30",
@@ -183,7 +188,9 @@ def runs(tree: Path, deck_dir: Path) -> list:
         ("simulate-anisotropic", ["simulate", aniso]),
         ("margin-anisotropic", ["margin", aniso, "--horizon", "5"]),
         ("simulate-off_grid_rows", ["simulate", str(deck_dir / OFF_GRID_DECK)]),
-        ("simulate-delayed_learner", ["simulate", str(deck_dir / DELAYED_LEARNER_DECK)]),
+        ("simulate-delayed_learner", ["simulate", delayed]),
+        ("margin-delayed_learner-snapshot30",
+         ["margin", delayed, "--horizon", "20", "--snapshot-time", "30"]),
         ("simulate-unstable_l1", ["simulate", str(deck_dir / UNSTABLE_DECK)]),
         ("simulate-unsatisfied_condition",
          ["simulate", str(deck_dir / UNSATISFIED_DECK)]),

@@ -16,7 +16,8 @@ uncertainty switch) as a whole number of steps, through the one helper
 :meth:`ScenarioConfig.steps`. The engine counts global step indices: the
 ticks, learner boundaries, recorded rows (multiples of
 ``record_decimation``) and the uncertainty segment in force all follow
-from them, so a resumed run repeats an uninterrupted one.
+from them, and the commands still in the input delay line are part of the
+run's state, so a resumed run repeats an uninterrupted one.
 
 Integration rule: the linear parts are exact. The predictor advances by
 its discrete-time map in :func:`controller.control_step`; the ideal loop
@@ -45,10 +46,13 @@ in its step (a row between two ticks, the run's last row, an abort row)
 reads the mean alone. A run is single-threaded and deterministic given
 the seed.
 
-The engine's state is one :class:`Snapshot`: a fresh run starts from
-:meth:`Snapshot.initial`, a resumed run from a deepcopy of the snapshot it
-is given, and :meth:`Engine.snapshot` returns a deepcopy of the live
-state, which shares the learner's published model. The only random draw
+The engine's state is one :class:`Snapshot`, the input delay line
+included, and the engine keeps no loop state outside it: a fresh run
+starts from :meth:`Snapshot.initial`, a resumed run from a deepcopy of the
+snapshot it is given, and :meth:`Engine.snapshot` returns a deepcopy of
+the live state, which shares the learner's published model. A second run
+of one engine and a run resumed from its snapshot go on from the same
+state by the same path. The only random draw
 is the learner's measurement noise: the seeded generator is made with the
 learner and held only by it, so a copy of the record copies it and draws
 the same stream as the run it was taken from, and a run with no learner
@@ -65,7 +69,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 from . import controller as ctrl
 from . import numerics, plant as plant_mod
@@ -298,11 +302,10 @@ class SimulationTrace:
     values: memoryview
     events: list
     unstable: bool = False
-    columns: tuple = TRACE_COLUMNS
+    columns: ClassVar[tuple] = TRACE_COLUMNS
 
     def __reduce__(self):
-        return (type(self), (array.array("d", self.values), self.events, self.unstable,
-                             self.columns))
+        return (type(self), (array.array("d", self.values), self.events, self.unstable))
 
     @cached_property
     def data(self) -> np.ndarray:
@@ -328,21 +331,23 @@ class Snapshot:
     """Engine state at a step boundary: the live state of a run, and the
     record a run resumes from.
 
-    ``t0`` is the time the state stands at, ``x`` the plant state and
-    ``ctrl_state`` the rest of the loop's. The learner holds the run's
-    seeded generator, so a deepcopy of the record copies it with the
-    learner. The published model is not copied: its
-    :class:`~l1gp.gp.GpPosterior` is a read-only value, so the record
-    shares it with the live state, and a resumed run reads the same
-    arrays. The input delay line is not in the record: a resumed run
-    starts with it empty. A run resumes only a record of its own learner
-    config, or one with no learner if it has none: any other record
-    raises ``ValueError``, so a resume cannot turn learning on or off.
+    ``t0`` is the time the state stands at, ``x`` the plant state,
+    ``ctrl_state`` the rest of the loop's and ``delay`` the input delay
+    line, holding the commands the plant has yet to receive. The learner
+    holds the run's seeded generator, so a deepcopy of the record copies
+    it, and the delay line, with the rest. The published model is not
+    copied: its :class:`~l1gp.gp.GpPosterior` is a read-only value, so the
+    record shares it with the live state, and a resumed run reads the same
+    arrays. A run resumes only a record of its own learner config (None
+    for none) and of its own delay, a line ``cfg.delay_steps`` long: any
+    other record raises ``ValueError``, so a resume can neither turn
+    learning on or off nor change the delay.
     """
 
     t0: float
     x: tuple
     ctrl_state: ctrl.ControllerState
+    delay: plant_mod.DelayLine
     learner: Optional[learner_mod.BayesianLearner]
 
     @classmethod
@@ -360,7 +365,7 @@ class Snapshot:
         e0 = learner.evaluate(cfg.plant.x0)[1] if learner is not None else None
         return cls(t0=0.0, x=cfg.plant.x0,
                    ctrl_state=ctrl.ControllerState.initial(cfg.controller, e0),
-                   learner=learner)
+                   delay=plant_mod.DelayLine(cfg.delay_steps), learner=learner)
 
 
 class Engine:
@@ -373,11 +378,11 @@ class Engine:
         b = tuple(0.0 + bm * k for bm, k in zip(c.b_m, c.k_g))  # B_m k_g
         self.x_id = cfg.reference.ideal_loop(c.a_m, b, cfg.plant.x0)
         # a snapshot with no learner holds no learner config
-        if resume is not None and getattr(resume.learner, "cfg", None) != cfg.learner:
-            raise ValueError("the snapshot's learner config is not the run's: a "
-                             "run resumes only a snapshot of its own learner")
+        if resume is not None and (getattr(resume.learner, "cfg", None),
+                                   resume.delay.n_steps) != (cfg.learner, cfg.delay_steps):
+            raise ValueError("the snapshot's learner config is not the run's, or its "
+                             "delay line not the run's length: a resume keeps both")
         self.live = Snapshot.initial(cfg) if resume is None else copy.deepcopy(resume)
-        self.delay = plant_mod.DelayLine(cfg.delay_steps)
         # start and end of the latest run; a run goes on from live.t0
         self.t0 = self.t_final = self.live.t0
         cfg.steps(self.t0, "resume time", least=0)
@@ -397,7 +402,6 @@ class Engine:
         c = cfg.controller
         p = cfg.plant
         h = cfg.step
-        n_steps = cfg.n_steps
         dec = cfg.record_decimation
         ts_every = cfg.ts_every
         data_every = cfg.data_every
@@ -405,10 +409,10 @@ class Engine:
         live = self.live
         self.t0 = live.t0
         self.events: list = []  # this run's log
-        # global step index of t0: keeps resumed time stamps, tick alignment,
-        # learner boundaries and uncertainty switches identical to an
-        # uninterrupted run
-        i0 = cfg.steps(self.t0, "resume time", least=0)
+        # global step index of t0: the loop counts global steps k, which keeps
+        # resumed time stamps, tick alignment, learner boundaries and
+        # uncertainty switches identical to an uninterrupted run
+        k0 = cfg.steps(self.t0, "resume time", least=0)
         ref = self.ref
         sinusoid = cfg.reference.kind == "sinusoid"
         r = ref(0.0)  # constant unless the reference is a sinusoid
@@ -416,7 +420,7 @@ class Engine:
         # switch_steps[seg - 1] on; -1 marks that no switch is left
         switch_steps = cfg.switch_steps + [-1]
         fields = p.uncertainty.scalar_fields
-        seg = bisect.bisect_right(cfg.switch_steps, i0)
+        seg = bisect.bisect_right(cfg.switch_steps, k0)
         f = fields[seg]
 
         # the trace is a view of this buffer, not a copy. A row count past
@@ -432,10 +436,9 @@ class Engine:
                 "trace rows, more than the host can hold") from exc
         pack_row, row_bytes = _ROW.pack_into, _ROW.size
         unstable = False
-        steps_done = 0
 
         # the report belongs to step 0, as its row does
-        if i0 == 0:
+        if k0 == 0:
             self._report_condition()
 
         state = live.ctrl_state
@@ -446,18 +449,18 @@ class Engine:
         adaptation_step = ctrl.adaptation_step
         learning_filter_step = ctrl.learning_filter_step
         control_step = ctrl.control_step
-        push = self.delay.push
+        push = live.delay.push
         rk4_plant_step = plant_mod.rk4_plant_step
         a_m, b_m = c.a_m, c.b_m
         blowup = cfg.blowup
         # the plant state as a local, written back to live at the end of the
         # run; u, the last command, is pushed into the delay line every step
         x, u = live.x, state.u
-        for i in range(n_steps):
-            t = (i0 + i) * h
+        for k in range(k0, k0 + cfg.n_steps):
+            t = k * h
             if sinusoid:
                 r = ref(t)
-            tick = (i0 + i) % ts_every == 0
+            tick = k % ts_every == 0
             f_hat_x = None
             if tick and learning:
                 # the learning filter reads the mean and the envelope at
@@ -466,7 +469,7 @@ class Engine:
             # a row is due at the run's first step and on the global
             # recording grid, which a resumed run keeps; it records the
             # state before this step's tick
-            if i == 0 or (i0 + i) % dec == 0:
+            if k == k0 or k % dec == 0:
                 pack_row(rows, row_i * row_bytes, *self._row(t, f, x, f_hat_x))
                 row_i += 1
             if tick:
@@ -477,36 +480,36 @@ class Engine:
             u_applied = push(u)
             # the step that ends on a switch sees the new segment at its
             # last RK4 stage only
-            switching = i0 + i + 1 == switch_steps[seg]
+            switching = k + 1 == switch_steps[seg]
             f_end = fields[seg + 1] if switching else f
             x_start = x
             x0, x1, x2 = x = rk4_plant_step(x_start, u_applied, h, a_m, b_m, f, f_end)
             # the one stop rule, |x|_inf > blowup or non-finite: NaN fails every <=
             unstable = not (abs(x0) <= blowup and abs(x1) <= blowup and abs(x2) <= blowup)
-            t_next = (i0 + i + 1) * h
             if switching:
                 self.events.append({"t": p.uncertainty.switch_times[seg],
                                     "kind": "uncertainty_switch"})
                 seg += 1
                 f = f_end
-            steps_done = i + 1
             if unstable:
-                self.events.append({"t": t_next, "kind": "unstable_abort"})
+                self.events.append({"t": (k + 1) * h, "kind": "unstable_abort"})
                 break
-            if data_every and (i0 + i + 1) % data_every == 0:
+            if data_every and (k + 1) % data_every == 0:
                 # the sample pairs the step's start state with the last
                 # tick's estimate; a publish reads its envelope at the state
                 # the next tick reads
                 learner.push(x_start, state.f_L, state.sigma_hat)
-                ev = learner.maybe_update(t_next, x)
+                ev = learner.maybe_update((k + 1) * h, x)
                 if ev is not None:
                     self.events.append(ev)
-        # the end of the run: a row on the recording grid, or the abort row
-        if unstable or (i0 + n_steps) % dec == 0:
-            pack_row(rows, row_i * row_bytes, *self._row(t_next, f, x, None))
+        # the end of the run, after step k: a row on the recording grid, or
+        # the abort row
+        t = (k + 1) * h
+        if unstable or (k + 1) % dec == 0:
+            pack_row(rows, row_i * row_bytes, *self._row(t, f, x, None))
             row_i += 1
         live.x = x
-        live.t0 = self.t_final = (i0 + steps_done) * h
+        live.t0 = self.t_final = t
         return SimulationTrace(
             values=memoryview(rows)[:row_i * len(TRACE_COLUMNS)],
             events=self.events,
@@ -634,9 +637,11 @@ def delay_margin_search(
     or turns non-finite within the horizon. A candidate records only its end
     rows, with ``record_decimation`` set to the horizon in steps: its first
     row, at most one grid row and any abort row, as the verdict needs no
-    more. When ``snapshot_time`` is set,
-    the base scenario first runs that long without delay and every
-    candidate resumes from the captured state (used to measure the margin
+    more. When ``snapshot_time`` is set, the base scenario first runs that
+    long at zero delay, whatever its own ``input_delay``, and every
+    candidate resumes from the captured state with its own delay line,
+    empty at the snapshot: the plant receives no command for the
+    candidate's first delay, as in a fresh run (used to measure the margin
     of the running, post-learning loop). Every time argument must be a
     positive whole number of engine steps; the search runs on integer step
     counts, and each delay it reports is ``k * base.step`` rounded to 12
@@ -651,7 +656,8 @@ def delay_margin_search(
     snap = None
     if snapshot_time is not None:
         base.steps(snapshot_time, "snapshot_time")
-        warm = Engine(replace(base, duration=snapshot_time))
+        warm = Engine(replace(base, duration=snapshot_time,
+                              plant=replace(base.plant, input_delay=0.0)))
         if warm.run().unstable:
             raise UnstableAtZeroDelayError("unstable during the warm-up run")
         snap = warm.snapshot()
@@ -670,7 +676,8 @@ def delay_margin_search(
             record_decimation=n_horizon,
             plant=replace(base.plant, input_delay=delay(k)),
         )
-        stable = not Engine(cfg, resume=snap).run().unstable
+        resume = None if snap is None else replace(snap, delay=plant_mod.DelayLine(k))
+        stable = not Engine(cfg, resume=resume).run().unstable
         candidates.append((delay(k), stable))
         return stable
 

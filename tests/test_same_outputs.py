@@ -178,17 +178,20 @@ def test_runs_cover_every_deck(tmp_path):
         "simulate-a", "simulate-b", "simulate-dense_learner", "margin-l1_plain",
         "margin-step_nominal-snapshot30", "bound-check-step_nominal",
         "simulate-anisotropic", "margin-anisotropic", "simulate-off_grid_rows",
-        "simulate-delayed_learner", "simulate-unstable_l1",
+        "simulate-delayed_learner", "margin-delayed_learner-snapshot30",
+        "simulate-unstable_l1",
         "simulate-unsatisfied_condition",
         "compare-l1_plain-anisotropic", "compare-l1_plain-unstable",
     ]
     decks = tmp_path / "decks"
     aniso = str(decks / same_outputs.ANISOTROPIC_DECK)
     unstable = str(decks / same_outputs.UNSTABLE_DECK)
-    assert runs[-8][1] == ["simulate", aniso]
-    assert runs[-7][1] == ["margin", aniso, "--horizon", "5"]
-    assert runs[-6][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
-    assert runs[-5][1] == ["simulate", str(decks / same_outputs.DELAYED_LEARNER_DECK)]
+    delayed = str(decks / same_outputs.DELAYED_LEARNER_DECK)
+    assert runs[-9][1] == ["simulate", aniso]
+    assert runs[-8][1] == ["margin", aniso, "--horizon", "5"]
+    assert runs[-7][1] == ["simulate", str(decks / same_outputs.OFF_GRID_DECK)]
+    assert runs[-6][1] == ["simulate", delayed]
+    assert runs[-5][1] == ["margin", delayed, "--horizon", "20", "--snapshot-time", "30"]
     assert runs[-4][1] == ["simulate", unstable]
     assert runs[-3][1] == ["simulate", str(decks / same_outputs.UNSATISFIED_DECK)]
     assert runs[-2][1] == ["compare", "configs/l1_plain.cfg", aniso]

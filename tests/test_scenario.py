@@ -643,7 +643,38 @@ class TestSnapshotResume:
         snap = scenario.Snapshot.initial(nominal(mode="l1"))
         assert snap.learner is None
         assert [f.name for f in dataclasses.fields(scenario.Snapshot)] == [
-            "t0", "x", "ctrl_state", "learner"]
+            "t0", "x", "ctrl_state", "delay", "learner"]
+
+    @pytest.mark.parametrize("mode", ["l1", "l1gp"])
+    def test_going_on_and_resuming_are_one_path(self, mode):
+        # cut at 5 s, a 10 ms input delay holds ten commands the plant has
+        # yet to receive; the record carries them, so a resumed run and a
+        # second run of the engine both repeat the uninterrupted run
+        cfg = nominal(duration=10.0, reference_kind="sinusoid", mode=mode,
+                      input_delay=0.01)
+        full = scenario.run(cfg)
+        half = replace(cfg, duration=5.0)
+        eng = scenario.Engine(half)
+        first = eng.run()
+        resumed = scenario.Engine(half, resume=eng.snapshot()).run()
+        second = eng.run()
+        assert np.vstack([first.data, resumed.data[1:]]).tobytes() == full.data.tobytes()
+        assert first.events + resumed.events == full.events
+        assert resumed.data.tobytes() == second.data.tobytes()
+        assert resumed.events == second.events
+
+    def test_a_resume_cannot_change_the_input_delay(self):
+        # a run resumes only a record whose delay line is its own length
+        cfg = nominal(duration=0.5, mode="l1", input_delay=0.01)
+        eng = scenario.Engine(cfg)
+        eng.run()
+        snap = eng.snapshot()
+        longer = replace(cfg, plant=replace(cfg.plant, input_delay=0.02))
+        for other in (replace(cfg, plant=replace(cfg.plant, input_delay=0.0)), longer):
+            with pytest.raises(ValueError, match="snapshot's learner config is not"):
+                scenario.Engine(other, resume=snap)
+        fresh = replace(snap, delay=plant.DelayLine(20))
+        assert scenario.Engine(longer, resume=fresh).run().t[0] == 0.5
 
 
 class TestRecording:
@@ -802,13 +833,15 @@ class TestMarginSearch:
         # 3 s, its first step is off the 20 s recording grid
         base, _ = config.resolve_scenario(config.parse_flat_file(
             os.path.join(ROOT, "configs", "l1_plain.cfg")))
-        snap = None
-        if snapshot_time is not None:
-            warm = scenario.Engine(replace(base, duration=snapshot_time))
-            assert not warm.run().unstable
-            snap = warm.snapshot()
         cfg = replace(base, duration=20.0,
                       plant=replace(base.plant, input_delay=0.02))
+        snap = None
+        if snapshot_time is not None:
+            # as the search does: a zero-delay warm-up, and the candidate's
+            # delay line empty at the snapshot
+            warm = scenario.Engine(replace(base, duration=snapshot_time))
+            assert not warm.run().unstable
+            snap = replace(warm.snapshot(), delay=plant.DelayLine(cfg.delay_steps))
         sparse = replace(cfg, record_decimation=cfg.n_steps)
         traces = [scenario.Engine(c, resume=snap).run() for c in (cfg, sparse)]
 
@@ -822,6 +855,16 @@ class TestMarginSearch:
         # the rows it keeps are rows of the full record
         assert np.array_equal(traces[1].data[0], traces[0].data[0])
         assert np.array_equal(traces[1].data[-1], traces[0].data[-1])
+
+    @pytest.mark.parametrize("snapshot_time", [None, 2.0], ids=["fresh", "resumed"])
+    def test_the_base_decks_delay_changes_no_result(self, snapshot_time):
+        # each candidate sets its own delay and the warm-up runs at zero
+        # delay, so a deck's own 150 ms, which diverges, reads the same
+        results = [scenario.delay_margin_search(
+                       nominal(duration=20.0, mode="l1", input_delay=delay),
+                       horizon=5.0, snapshot_time=snapshot_time).as_dict()
+                   for delay in (0.0, 0.15)]
+        assert results[0] == results[1]
 
     def test_open_bracket_when_stable_everywhere(self):
         # the 19 ms prediction lies above max_delay
